@@ -12,7 +12,15 @@ the hybrid scheme exploits.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict, List, Tuple
+
+#: ``(num_sets, assoc, line_size)`` of one cache level.
+Geometry = Tuple[int, int, int]
+
+#: Immutable contents of one cache level: its geometry plus
+#: ``(set index, tags in LRU order)`` pairs (see
+#: :meth:`SetAssociativeCache.tag_state`).
+TagState = Tuple[Geometry, Tuple[Tuple[int, Tuple[int, ...]], ...]]
 
 
 @dataclass
@@ -99,6 +107,27 @@ class SetAssociativeCache:
         """Zero the hit/miss counters (contents are kept)."""
         self.stats = CacheStats()
 
+    @property
+    def geometry(self) -> Geometry:
+        """Everything that shapes the contents: ``(num_sets, assoc, line_size)``."""
+        return (self.num_sets, self.assoc, self.line_size)
+
+    def tag_state(self) -> TagState:
+        """An immutable snapshot of the contents (statistics excluded)."""
+        return self.geometry, tuple((index, tuple(ways)) for index, ways in self._sets.items())
+
+    def load_tag_state(self, state: TagState) -> None:
+        """Replace the contents with a copy of ``state`` and zero the counters.
+
+        ``state`` must come from a cache of the same geometry.  The hit
+        latency is not part of the contents, so it stays this cache's own.
+        """
+        geometry, sets = state
+        if geometry != self.geometry:
+            raise ValueError(f"tag state of geometry {geometry} loaded into {self.geometry}")
+        self._sets = {index: list(ways) for index, ways in sets}
+        self.reset_stats()
+
 
 class MemoryHierarchy:
     """L1 + L2 + memory; returns load latencies and records statistics.
@@ -139,6 +168,20 @@ class MemoryHierarchy:
         """Record a store (write-allocate in both levels, latency hidden by the LSQ)."""
         self.l1.access(address)
         self.l2.access(address)
+
+    @property
+    def geometry(self) -> Tuple[Geometry, Geometry]:
+        """The geometry of both levels: all that an access stream's effect depends on."""
+        return self.l1.geometry, self.l2.geometry
+
+    def tag_state(self) -> Tuple[TagState, TagState]:
+        """An immutable snapshot of both levels' contents (statistics excluded)."""
+        return self.l1.tag_state(), self.l2.tag_state()
+
+    def load_tag_state(self, state: Tuple[TagState, TagState]) -> None:
+        """Start both levels from a :meth:`tag_state` snapshot, with zeroed statistics."""
+        self.l1.load_tag_state(state[0])
+        self.l2.load_tag_state(state[1])
 
     def summary(self) -> Dict[str, float]:
         """Flat statistics dictionary for reports."""

@@ -318,7 +318,7 @@ class VectorizedKernel(SteeringContext):
             # Warm-up is owned by the kernel (not ``run_bound``) so the jit
             # path above can replay the same access plan inside its own model
             # without paying the object-model pass first.
-            proc._warm_caches(self._compiled)
+            proc._load_warm_caches(self._compiled)
 
         # Per-form precomputation of the fused fast path (cheap, per run).
         const_cluster = 0

@@ -219,22 +219,32 @@ def _trace_for(
 
 
 def _prepare_job(job: SimulationJob, program, compiled):
-    """Annotate ``program``/``compiled`` for ``job`` and build its run-time policy.
+    """Install ``job``'s compile-time annotations on ``compiled``; build its policy.
 
-    The shared per-configuration sequence of both execution paths: run the
-    configuration's compile-time pass (or clear stale annotations for
-    hardware-only schemes), scatter the annotations into the compiled trace,
-    instantiate the policy.
+    The shared per-configuration step of both execution paths.  Annotations
+    are a value of the trace, memoised on it per
+    :meth:`~repro.experiments.configs.SteeringConfiguration.partitioner_key`
+    (``None`` for hardware-only schemes): the first job of a key runs the
+    compile-time pass over ``program`` (or clears stale annotations) and
+    scatters the result with ``annotate_from``; every later job of that key
+    installs the stored read-only columns without touching ``program``.
     """
     configuration = job.configuration
-    partitioner = configuration.make_partitioner(
+    key = configuration.partitioner_key(
         job.num_clusters, job.num_virtual_clusters, job.region_size
     )
-    if partitioner is not None:
-        partitioner.annotate_program(program)
-    else:
-        program.clear_annotations()
-    compiled.annotate_from(program)
+
+    def annotate():
+        partitioner = configuration.make_partitioner(
+            job.num_clusters, job.num_virtual_clusters, job.region_size
+        )
+        if partitioner is not None:
+            partitioner.annotate_program(program)
+        else:
+            program.clear_annotations()
+        return compiled.annotate_from(program).annotation_columns()
+
+    compiled.install_annotations(compiled.memo(("annotations", key), annotate))
     return configuration.make_policy(job.num_clusters, job.num_virtual_clusters)
 
 
@@ -636,21 +646,53 @@ class ParallelRunner:
         """
         self._cancel_requested = False
         keys: List[Optional[str]] = [None] * len(jobs)
+        #: Later jobs sharing an earlier job's cache key, by that job's index.
+        twins: Dict[int, List[int]] = {}
         if self.cache is not None:
             keys = [job.cache_key() for job in jobs]
+            # One run can repeat a cache key: a sweep over a knob that some
+            # configuration does not consume (the OP baseline of a
+            # region-size sweep) submits that configuration once per point.
+            # Only the first is looked up and simulated; the others get its
+            # metrics, as a later run would get them from the cache.
+            first: Dict[str, int] = {}
+            for index, key in enumerate(keys):
+                if key in first:
+                    twins.setdefault(first[key], []).append(index)
+                else:
+                    first[key] = index
+            unique = list(first.values())
             pending = []
-            for index, cached in enumerate(self.cache.get_many(keys)):
+            for index, cached in zip(unique, self.cache.get_many([keys[i] for i in unique])):
                 if cached is not None:
-                    yield index, cached
+                    yield from self._with_twins(index, cached, twins)
                 else:
                     pending.append(index)
         else:
             pending = list(range(len(jobs)))
 
         if self.batching:
-            yield from self._run_batched(jobs, pending, keys)
+            stream = self._run_batched(jobs, pending, keys)
         elif pending:
-            yield from self._run_per_job(jobs, pending, keys)
+            stream = self._run_per_job(jobs, pending, keys)
+        else:
+            return
+        try:
+            for index, metrics in stream:
+                yield from self._with_twins(index, metrics, twins)
+        finally:
+            # A consumer abandoning this stream releases the inner one (its
+            # workers' segment references) now, not at garbage collection.
+            stream.close()
+
+    @staticmethod
+    def _with_twins(
+        index: int, metrics: SimulationMetrics, twins: Dict[int, List[int]]
+    ) -> Iterator[Tuple[int, SimulationMetrics]]:
+        """``(index, metrics)``, then a copy of ``metrics`` for each twin of ``index``."""
+        yield index, metrics
+        for twin in twins.get(index, ()):
+            yield twin, SimulationMetrics.from_dict(metrics.to_dict())
 
     def _store_result(
         self,

@@ -146,19 +146,36 @@ class SteeringConfiguration:
             return self.num_virtual_clusters
         return num_virtual_clusters
 
-    def make_partitioner(
+    def partitioner_key(
         self, num_clusters: int, num_virtual_clusters: int, region_size: int = 128
-    ) -> Optional["RegionPartitioner"]:
-        """Instantiate the compile-time pass (or ``None``)."""
+    ) -> Optional[Tuple[object, ...]]:
+        """Every input of the compile-time pass's builder, or ``None`` without a pass.
+
+        ``(name, frozen params, num_clusters, effective VC count,
+        region_size)`` -- exactly what :meth:`make_partitioner` passes to
+        :func:`~repro.scenarios.registry.build_partitioner`, so equal keys
+        build passes that annotate a program identically.  Machine overrides
+        (link latency, queue sizes...) never reach a pass.
+        """
         if self.partitioner is None:
             return None
-        return build_partitioner(
+        return (
             self.partitioner,
-            dict(self.partitioner_params),
+            self.partitioner_params,
             num_clusters,
             self.effective_virtual_clusters(num_virtual_clusters),
             region_size,
         )
+
+    def make_partitioner(
+        self, num_clusters: int, num_virtual_clusters: int, region_size: int = 128
+    ) -> Optional["RegionPartitioner"]:
+        """Instantiate the compile-time pass (or ``None``)."""
+        key = self.partitioner_key(num_clusters, num_virtual_clusters, region_size)
+        if key is None:
+            return None
+        name, params, clusters, virtual_clusters, region = key
+        return build_partitioner(name, dict(params), clusters, virtual_clusters, region)
 
     def make_policy(self, num_clusters: int, num_virtual_clusters: int) -> "SteeringPolicy":
         """Instantiate the run-time policy."""

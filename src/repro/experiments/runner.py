@@ -101,6 +101,22 @@ class BenchmarkResult:
         return self.committed_uops / self.cycles if self.cycles else 0.0
 
 
+@dataclass
+class PhaseMatrix:
+    """The expanded ``benchmark x configuration x phase`` matrix of one run.
+
+    ``cells[i]`` is the ``(profile, configuration, point)`` that ``jobs[i]``
+    simulates; ``points`` maps each benchmark name to its weighted
+    simulation points.  Built by :meth:`ExperimentRunner.expand_phase_matrix`.
+    """
+
+    profiles: List[BenchmarkProfile]
+    configurations: List[SteeringConfiguration]
+    points: Dict[str, List[SimulationPoint]]
+    cells: List[Tuple[BenchmarkProfile, SteeringConfiguration, SimulationPoint]]
+    jobs: List[SimulationJob]
+
+
 class ExperimentRunner:
     """Run benchmarks under steering configurations with shared traces.
 
@@ -269,17 +285,18 @@ class ExperimentRunner:
             profile, configuration.name, self.simulation_points(profile), phase_results
         )
 
-    def run_phase_matrix(
+    def expand_phase_matrix(
         self,
         benchmarks: Sequence[Union[str, BenchmarkProfile]],
         configurations: Sequence[SteeringConfiguration],
-    ) -> Dict[str, Dict[str, List[PhaseRunResult]]]:
-        """Per-phase results of every benchmark under every configuration.
+    ) -> "PhaseMatrix":
+        """The jobs of the ``benchmark x configuration x phase`` matrix.
 
-        The full ``benchmark x configuration x phase`` matrix is expanded
-        into one job batch, so with ``jobs > 1`` every cell simulates
-        concurrently.  Returns ``results[benchmark][configuration]`` as a
-        phase-ordered list of :class:`PhaseRunResult`.
+        Step one of :meth:`run_phase_matrix` / :meth:`run_suite`: the jobs
+        can run through the engine on their own or together with those of
+        other matrices (a sweep runs all its points as one engine run), and
+        :meth:`assemble_phase_matrix` / :meth:`assemble_suite` fold their
+        metrics back.
         """
         profiles = [
             benchmark if isinstance(benchmark, BenchmarkProfile) else profile_for(benchmark)
@@ -294,20 +311,38 @@ class ExperimentRunner:
             duplicates = {name for name in names if names.count(name) > 1}
             if duplicates:
                 raise ValueError(f"duplicate {axis} names in one run: {sorted(duplicates)}")
-        plan: List[Tuple[BenchmarkProfile, SteeringConfiguration, SimulationPoint]] = []
-        jobs: List[SimulationJob] = []
-        points_by_profile = {profile.name: self.simulation_points(profile) for profile in profiles}
-        for profile in profiles:
-            for configuration in configurations:
-                for point in points_by_profile[profile.name]:
-                    plan.append((profile, configuration, point))
-                    jobs.append(self.make_job(profile, point, configuration))
-        metrics = self.engine.run(jobs)
-        results: Dict[str, Dict[str, List[PhaseRunResult]]] = {
-            profile.name: {configuration.name: [] for configuration in configurations}
+        points = {profile.name: self.simulation_points(profile) for profile in profiles}
+        cells: List[Tuple[BenchmarkProfile, SteeringConfiguration, SimulationPoint]] = [
+            (profile, configuration, point)
             for profile in profiles
+            for configuration in configurations
+            for point in points[profile.name]
+        ]
+        return PhaseMatrix(
+            profiles=profiles,
+            configurations=list(configurations),
+            points=points,
+            cells=cells,
+            jobs=[
+                self.make_job(profile, point, configuration)
+                for profile, configuration, point in cells
+            ],
+        )
+
+    def assemble_phase_matrix(
+        self, matrix: "PhaseMatrix", metrics: Sequence[SimulationMetrics]
+    ) -> Dict[str, Dict[str, List[PhaseRunResult]]]:
+        """``results[benchmark][configuration]``: the phase-ordered results of ``matrix``.
+
+        ``metrics`` holds one entry per job of ``matrix``, in job order.
+        """
+        if len(metrics) != len(matrix.jobs):
+            raise ValueError(f"{len(metrics)} metrics for {len(matrix.jobs)} jobs")
+        results: Dict[str, Dict[str, List[PhaseRunResult]]] = {
+            profile.name: {configuration.name: [] for configuration in matrix.configurations}
+            for profile in matrix.profiles
         }
-        for (profile, configuration, point), phase_metrics in zip(plan, metrics):
+        for (profile, configuration, point), phase_metrics in zip(matrix.cells, metrics):
             results[profile.name][configuration.name].append(
                 PhaseRunResult(
                     benchmark=profile.name,
@@ -319,6 +354,39 @@ class ExperimentRunner:
             )
         return results
 
+    def assemble_suite(
+        self, matrix: "PhaseMatrix", metrics: Sequence[SimulationMetrics]
+    ) -> Dict[str, Dict[str, BenchmarkResult]]:
+        """``results[benchmark][configuration]``: the weighted results of ``matrix``."""
+        phases = self.assemble_phase_matrix(matrix, metrics)
+        return {
+            profile.name: {
+                configuration.name: self._assemble(
+                    profile,
+                    configuration.name,
+                    matrix.points[profile.name],
+                    phases[profile.name][configuration.name],
+                )
+                for configuration in matrix.configurations
+            }
+            for profile in matrix.profiles
+        }
+
+    def run_phase_matrix(
+        self,
+        benchmarks: Sequence[Union[str, BenchmarkProfile]],
+        configurations: Sequence[SteeringConfiguration],
+    ) -> Dict[str, Dict[str, List[PhaseRunResult]]]:
+        """Per-phase results of every benchmark under every configuration.
+
+        The full ``benchmark x configuration x phase`` matrix is expanded
+        into one engine run, so with ``jobs > 1`` every cell simulates
+        concurrently.  Returns ``results[benchmark][configuration]`` as a
+        phase-ordered list of :class:`PhaseRunResult`.
+        """
+        matrix = self.expand_phase_matrix(benchmarks, configurations)
+        return self.assemble_phase_matrix(matrix, self.engine.run(matrix.jobs))
+
     def run_suite(
         self,
         benchmarks: Sequence[Union[str, BenchmarkProfile]],
@@ -328,24 +396,8 @@ class ExperimentRunner:
 
         Returns ``results[benchmark_name][configuration_name]``.
         """
-        profiles = [
-            benchmark if isinstance(benchmark, BenchmarkProfile) else profile_for(benchmark)
-            for benchmark in benchmarks
-        ]
-        matrix = self.run_phase_matrix(profiles, configurations)
-        results: Dict[str, Dict[str, BenchmarkResult]] = {}
-        for profile in profiles:
-            points = self.simulation_points(profile)
-            per_config: Dict[str, BenchmarkResult] = {}
-            for configuration in configurations:
-                per_config[configuration.name] = self._assemble(
-                    profile,
-                    configuration.name,
-                    points,
-                    matrix[profile.name][configuration.name],
-                )
-            results[profile.name] = per_config
-        return results
+        matrix = self.expand_phase_matrix(benchmarks, configurations)
+        return self.assemble_suite(matrix, self.engine.run(matrix.jobs))
 
 
 # ---------------------------------------------------------------------------

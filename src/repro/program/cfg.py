@@ -13,8 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-import networkx as nx
-
 
 @dataclass(frozen=True)
 class CFGEdge:
@@ -125,16 +123,6 @@ class ControlFlowGraph:
                 raise ValueError(
                     f"outgoing probabilities of block {bid} sum to {total:.6f}, expected 1.0"
                 )
-
-    # -- interoperability --------------------------------------------------------
-    def to_networkx(self) -> nx.DiGraph:
-        """Export the CFG as a :class:`networkx.DiGraph` (edges carry probability)."""
-        graph = nx.DiGraph()
-        graph.add_nodes_from(self.blocks)
-        for edges in self._succs.values():
-            for e in edges:
-                graph.add_edge(e.src, e.dst, probability=e.probability, back_edge=e.is_back_edge)
-        return graph
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         n_edges = sum(len(v) for v in self._succs.values())

@@ -13,8 +13,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import networkx as nx
-
 from repro.uops.uop import StaticInstruction
 
 
@@ -82,15 +80,6 @@ class DataDependenceGraph:
     def instruction(self, node: int) -> StaticInstruction:
         """Return the static instruction at DDG node ``node``."""
         return self.instructions[node]
-
-    def to_networkx(self) -> nx.DiGraph:
-        """Export to a :class:`networkx.DiGraph`; node attribute ``inst`` holds the instruction."""
-        graph = nx.DiGraph()
-        for i, inst in enumerate(self.instructions):
-            graph.add_node(i, inst=inst)
-        for (p, c), lat in self.edge_latency.items():
-            graph.add_edge(p, c, latency=lat)
-        return graph
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"DataDependenceGraph(nodes={len(self)}, edges={self.num_edges})"

@@ -266,14 +266,26 @@ def _table1_report(spec: ScenarioSpec, engine: ParallelRunner) -> str:
 
 @REPORT_KINDS.register("sweep")
 def _sweep_report(spec: ScenarioSpec, engine: ParallelRunner) -> str:
-    """Grid-expand the sweep axes; aggregate each point over the benchmarks."""
+    """Grid-expand the sweep axes; aggregate each point over the benchmarks.
+
+    Every point's jobs go into one engine run, so all the points touching a
+    trace share one batch: the trace is acquired once, and its compile-time
+    annotations and warmed caches are computed once for the whole sweep.
+    """
     configurations = _require_configurations(spec)
     baseline_name = configurations[0].name if len(configurations) > 1 else None
-    rows: List[Dict[str, object]] = []
+    points = []
+    jobs = []
     for point, point_spec in spec.expand_sweep():
         runner = ExperimentRunner(point_spec.settings(), engine=engine)
         benchmarks = point_spec.resolved_benchmarks()
-        suite = runner.run_suite(benchmarks, configurations)
+        matrix = runner.expand_phase_matrix(benchmarks, configurations)
+        points.append((point, runner, benchmarks, matrix, len(jobs)))
+        jobs.extend(matrix.jobs)
+    metrics = engine.run(jobs)
+    rows: List[Dict[str, object]] = []
+    for point, runner, benchmarks, matrix, start in points:
+        suite = runner.assemble_suite(matrix, metrics[start : start + len(matrix.jobs)])
         aggregates = {
             configuration.name: aggregate_suite(suite, benchmarks, configuration.name)
             for configuration in configurations

@@ -36,7 +36,18 @@ round-trip property the test suite pins.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import (
+    Callable,
+    Dict,
+    Hashable,
+    Iterable,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 import numpy as np
 
@@ -257,6 +268,9 @@ class CompiledTrace:
         "dest_regs",
     )
 
+    #: The steering-annotation columns, in the order annotation values hold them.
+    ANNOTATION_FIELDS = ("vc_id", "chain_leader", "static_cluster")
+
     def __init__(
         self,
         seq: np.ndarray,
@@ -303,7 +317,7 @@ class CompiledTrace:
         self.is_branch = _BRANCH_TABLE[self.opclass]
         self.is_fp = _FP_TABLE[self.opclass]
         #: Lazily materialised hot-path lists (dropped on re-annotation).
-        self._cache: Dict[str, object] = {}
+        self._cache: Dict[Hashable, object] = {}
 
     # ------------------------------------------------------------------ basics --
     def __len__(self) -> int:
@@ -322,7 +336,15 @@ class CompiledTrace:
         )
 
     # --------------------------------------------------------- hot-path caches --
-    def _cached(self, key: str, build) -> object:
+    def memo(self, key: Hashable, build: Callable[[], object]) -> object:
+        """The value stored on this trace under ``key``; ``build()`` makes it once.
+
+        Holds the hot-path lists below and values other layers derive from
+        the trace -- a compile-time pass's annotation columns, the warmed
+        cache tags of a memory geometry -- so each is computed once per
+        trace and lives exactly as long as the trace.  ``key`` must cover
+        every input of ``build`` besides the trace itself.
+        """
         value = self._cache.get(key)
         if value is None:
             value = build()
@@ -331,74 +353,74 @@ class CompiledTrace:
 
     def src_tuples(self) -> List[Tuple[int, ...]]:
         """Per-µop source registers, duplicates preserved (the steering view)."""
-        return self._cached("srcs", lambda: _uncsr(self.src_offsets, self.src_regs))
+        return self.memo("srcs", lambda: _uncsr(self.src_offsets, self.src_regs))
 
     def unique_src_tuples(self) -> List[Tuple[int, ...]]:
         """Per-µop sources deduplicated in first-occurrence order (dispatch planning)."""
-        return self._cached(
+        return self.memo(
             "usrcs", lambda: [_dedup(row) for row in self.src_tuples()]
         )
 
     def dest_tuples(self) -> List[Tuple[int, ...]]:
         """Per-µop destination registers."""
-        return self._cached("dests", lambda: _uncsr(self.dest_offsets, self.dest_regs))
+        return self.memo("dests", lambda: _uncsr(self.dest_offsets, self.dest_regs))
 
     def queue_kinds(self) -> List[IssueQueueKind]:
         """Per-µop issue-queue kind as enum singletons."""
-        return self._cached(
+        return self.memo(
             "queue_kinds", lambda: [_QUEUE_KINDS[q] for q in self.queue.tolist()]
         )
 
     def queue_kind_ints(self) -> List[int]:
         """Per-µop issue-queue kind as plain ints (the vectorized kernel's form)."""
-        return self._cached("queue_ints", self.queue.tolist)
+        return self.memo("queue_ints", self.queue.tolist)
 
     def latency_list(self) -> List[int]:
         """Per-µop functional-unit latency as plain ints."""
-        return self._cached("latency", self.latency.tolist)
+        return self.memo("latency", self.latency.tolist)
 
     def seq_list(self) -> List[int]:
         """Per-µop sequence number as plain ints."""
-        return self._cached("seq", self.seq.tolist)
+        return self.memo("seq", self.seq.tolist)
 
     def address_list(self) -> List[int]:
         """Per-µop effective address as plain ints."""
-        return self._cached("address", self.address.tolist)
+        return self.memo("address", self.address.tolist)
 
     def is_memory_list(self) -> List[bool]:
         """Per-µop memory flag as plain bools."""
-        return self._cached("is_memory", self.is_memory.tolist)
+        return self.memo("is_memory", self.is_memory.tolist)
 
     def is_load_list(self) -> List[bool]:
         """Per-µop load flag as plain bools."""
-        return self._cached("is_load", self.is_load.tolist)
+        return self.memo("is_load", self.is_load.tolist)
 
     def is_branch_list(self) -> List[bool]:
         """Per-µop branch flag as plain bools."""
-        return self._cached("is_branch", self.is_branch.tolist)
+        return self.memo("is_branch", self.is_branch.tolist)
 
     def is_fp_list(self) -> List[bool]:
         """Per-µop floating-point flag as plain bools."""
-        return self._cached("is_fp", self.is_fp.tolist)
+        return self.memo("is_fp", self.is_fp.tolist)
 
     def mispredicted_list(self) -> List[bool]:
         """Per-µop mispredict bit as plain bools."""
-        return self._cached("mispredicted", self.mispredicted.tolist)
+        return self.memo("mispredicted", self.mispredicted.tolist)
 
     def vc_id_list(self) -> List[Optional[int]]:
         """Per-µop virtual-cluster id (``None`` when unannotated)."""
-        return self._cached(
+        return self.memo(
             "vc_id",
             lambda: [None if v == NO_ANNOTATION else v for v in self.vc_id.tolist()],
         )
 
     def chain_leader_list(self) -> List[bool]:
         """Per-µop chain-leader mark as plain bools."""
-        return self._cached("chain_leader", self.chain_leader.tolist)
+        return self.memo("chain_leader", self.chain_leader.tolist)
 
     def static_cluster_list(self) -> List[Optional[int]]:
         """Per-µop static physical-cluster binding (``None`` when unbound)."""
-        return self._cached(
+        return self.memo(
             "static_cluster",
             lambda: [None if v == NO_ANNOTATION else v for v in self.static_cluster.tolist()],
         )
@@ -419,7 +441,7 @@ class CompiledTrace:
                 counts.append((len(dests) - fp, fp))
             return counts
 
-        return self._cached(key, build)
+        return self.memo(key, build)
 
     def memory_access_plan(self) -> Tuple[List[int], List[bool]]:
         """``(addresses, is_load)`` of the memory µops, in trace order.
@@ -431,7 +453,7 @@ class CompiledTrace:
             index = np.flatnonzero(self.is_memory)
             return (self.address[index].tolist(), self.is_load[index].tolist())
 
-        return self._cached("memory_plan", build)
+        return self.memo("memory_plan", build)
 
     def dispatch_meta(self, register_space) -> List[tuple]:
         """Per-µop fused dispatch metadata for the vectorized kernel.
@@ -468,7 +490,7 @@ class CompiledTrace:
                 )
             )
 
-        return self._cached(key, build)
+        return self.memo(key, build)
 
     def dispatch_meta_arrays(self, register_space) -> DispatchMetaArrays:
         """The dispatch metadata as :class:`DispatchMetaArrays` (jit kernel form).
@@ -510,7 +532,7 @@ class CompiledTrace:
                 def_reg=self.dest_regs.astype(np.int64),
             )
 
-        return self._cached(key, build)
+        return self.memo(key, build)
 
     def memory_access_plan_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
         """:meth:`memory_access_plan` as ``(int64 addresses, bool is_load)`` arrays."""
@@ -518,7 +540,7 @@ class CompiledTrace:
             index = np.flatnonzero(self.is_memory)
             return (self.address[index].astype(np.int64), self.is_load[index])
 
-        return self._cached("memory_plan_arrays", build)
+        return self.memo("memory_plan_arrays", build)
 
     def dependency_plan(self) -> DependencePlan:
         """The :class:`DependencePlan` of the trace (built once, then cached).
@@ -551,7 +573,7 @@ class CompiledTrace:
                 dest_offsets=self.dest_offsets.tolist(),
             )
 
-        return self._cached("dep_plan", build)
+        return self.memo("dep_plan", build)
 
     # ---------------------------------------------------------------- freezing --
     @property
@@ -559,8 +581,9 @@ class CompiledTrace:
         """Whether the stored columns are marked read-only (write sanitizer).
 
         ``seq`` is the marker: it is never replaced after construction (only
-        the annotation columns are, and :meth:`annotate_from` re-freezes
-        those on frozen traces), so its flag reflects the whole trace.
+        the annotation columns are, and :meth:`install_annotations`
+        re-freezes those on frozen traces), so its flag reflects the whole
+        trace.
         """
         return not self.seq.flags.writeable
 
@@ -587,9 +610,9 @@ class CompiledTrace:
         """Refresh the steering-annotation columns from ``program``'s statics.
 
         The dynamic µop stream never depends on annotations, so one compiled
-        trace is shared by every steering configuration of a phase; each
-        configuration re-annotates the program (or clears it) and then calls
-        this to scatter the per-``sid`` annotations across the per-µop
+        trace is shared by every steering configuration of a phase; a
+        configuration's compile-time pass annotates the program (or clears
+        it) and this scatters the per-``sid`` annotations across the per-µop
         columns.  Returns ``self`` for chaining.
         """
         size = int(self.sid.max()) + 1 if len(self.sid) else 0
@@ -604,18 +627,37 @@ class CompiledTrace:
                 static_cluster[sid] = (
                     NO_ANNOTATION if inst.static_cluster is None else int(inst.static_cluster)
                 )
+        return self.install_annotations(
+            (vc[self.sid], leader[self.sid], static_cluster[self.sid])
+        )
+
+    def annotation_columns(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Read-only copies of the annotation columns, in ``ANNOTATION_FIELDS`` order.
+
+        The value form of a configuration's annotations: it can be memoised
+        (:meth:`memo`) and handed to :meth:`install_annotations` by every
+        later configuration with the same compile-time pass, and nothing
+        can edit it in place.
+        """
+        columns = tuple(getattr(self, name).copy() for name in self.ANNOTATION_FIELDS)
+        for column in columns:
+            column.flags.writeable = False
+        return columns
+
+    def install_annotations(self, columns: Sequence[np.ndarray]) -> "CompiledTrace":
+        """Make ``columns`` (``ANNOTATION_FIELDS`` order) the annotation columns.
+
+        The arrays *replace* the current ones and are never written into,
+        so a memoised value can be installed as-is.  Frozen traces stay
+        frozen: the installed arrays are marked read-only, as the sanitizer
+        relies on.  Returns ``self`` for chaining.
+        """
         refreeze = self.frozen
-        self.vc_id = vc[self.sid]
-        self.chain_leader = leader[self.sid]
-        self.static_cluster = static_cluster[self.sid]
-        if refreeze:
-            # Frozen traces stay frozen: the scatter *replaces* the
-            # annotation arrays (never writes in place), so the fresh arrays
-            # inherit the read-only mark the sanitizer relies on.
-            for key in ("vc_id", "chain_leader", "static_cluster"):
-                getattr(self, key).flags.writeable = False
-        for key in ("vc_id", "chain_leader", "static_cluster"):
-            self._cache.pop(key, None)
+        for name, column in zip(self.ANNOTATION_FIELDS, columns):
+            if refreeze:
+                column.flags.writeable = False
+            setattr(self, name, column)
+            self._cache.pop(name, None)
         return self
 
     # ----------------------------------------------------------- materialise --

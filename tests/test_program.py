@@ -76,12 +76,15 @@ class TestControlFlowGraph:
         with pytest.raises(ValueError):
             cfg.add_edge(0, 1, probability=1.5)
 
-    def test_to_networkx(self):
+    def test_edges_and_probabilities(self):
         cfg = ControlFlowGraph(entry=0)
         cfg.add_edge(0, 1)
-        graph = cfg.to_networkx()
-        assert graph.has_edge(0, 1)
-        assert graph.edges[0, 1]["probability"] == 1.0
+        cfg.add_edge(1, 0, probability=1.0, is_back_edge=True)
+        assert cfg.blocks == [0, 1]
+        (edge,) = cfg.successors(0)
+        assert (edge.src, edge.dst, edge.probability, edge.is_back_edge) == (0, 1, 1.0, False)
+        assert cfg.predecessors(1) == [edge]
+        assert [(e.src, e.dst) for e in cfg.back_edges()] == [(1, 0)]
 
 
 class TestProgram:
@@ -159,11 +162,14 @@ class TestDDG:
         with pytest.raises(ValueError):
             ddg.add_edge(1, 1)
 
-    def test_to_networkx_is_a_dag(self, simple_block):
-        import networkx as nx
-
-        graph = build_ddg(simple_block.instructions).to_networkx()
-        assert nx.is_directed_acyclic_graph(graph)
+    def test_edges_run_forward(self, simple_block):
+        """Every edge runs from an earlier to a later region position, so the
+        DDG is acyclic and program order is a topological order."""
+        ddg = build_ddg(simple_block.instructions)
+        for node in range(len(ddg)):
+            assert all(node < consumer for consumer in ddg.succs[node])
+            assert all(producer < node for producer in ddg.preds[node])
+        assert ddg.topological_order() == list(range(len(ddg)))
 
 
 class TestRegions:
