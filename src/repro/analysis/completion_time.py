@@ -126,7 +126,7 @@ class CompletionTimeEstimator:
         if not 0 <= vc < self.num_virtual_clusters:
             raise ValueError(f"virtual cluster {vc} out of range")
         start = max(self.ready_time(node, vc), self.contention_delay(vc))
-        return start + self.ddg.instructions[node].latency
+        return start + self.ddg.latencies[node]
 
     # -- commitment --------------------------------------------------------------
     def assign(self, node: int, vc: int) -> int:

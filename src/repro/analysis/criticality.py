@@ -71,7 +71,7 @@ def compute_criticality(ddg: DataDependenceGraph) -> CriticalityInfo:
     # Backward traversal: height includes the node's own latency.
     height = [0] * n
     for node in reversed(order):
-        own_latency = ddg.instructions[node].latency
+        own_latency = ddg.latencies[node]
         best = own_latency
         for succ in ddg.succs[node]:
             candidate = own_latency + height[succ]

@@ -103,6 +103,16 @@ class SetAssociativeCache:
                 ways.pop()
         return False
 
+    def set_lists(self) -> Dict[int, List[int]]:
+        """The live contents: set index -> tags in LRU order (MRU first).
+
+        An absent index is an empty set.  The vectorized kernel runs
+        :meth:`access`'s LRU update inline on these lists (keeping the
+        counters itself), so callers must not hold the dict across a
+        :meth:`load_tag_state`, which replaces it.
+        """
+        return self._sets
+
     def reset_stats(self) -> None:
         """Zero the hit/miss counters (contents are kept)."""
         self.stats = CacheStats()

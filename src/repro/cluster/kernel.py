@@ -16,8 +16,9 @@ object graph.  The design is two-tier (see DESIGN.md):
   preallocated parallel arrays indexed by *record slot* (µops and copy µops
   share one slot space; slot order equals creation order, so the ready heaps
   hold bare ints).  The per-trace dependence structure is precomputed once
-  (:meth:`~repro.uops.compiled.CompiledTrace.dependency_plan`, optionally
-  numba-jitted) and idle stretches are skipped in bulk exactly as the
+  (:meth:`~repro.uops.compiled.CompiledTrace.dependency_plan`), the L1/L2
+  tag model runs inline in the issue stage on the processor's own cache
+  objects, and idle stretches are skipped in bulk exactly as the
   interpreter does.
 
 A third tier -- the **compiled steering tier** -- removes the per-µop Python
@@ -50,14 +51,7 @@ from repro.steering.base import (
     SteeringContext,
     SteeringPolicy,
 )
-from repro.uops.compiled import NO_ANNOTATION, CompiledTrace
-
-try:  # pragma: no cover - exercised only where numba is installed (CI matrix)
-    import numba  # noqa: F401
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - the default environment
-    HAVE_NUMBA = False
+from repro.uops.compiled import NO_ANNOTATION, CompiledTrace, CompiledUopView
 
 #: Environment variable overriding the default kernel choice.
 KERNEL_ENV = "REPRO_KERNEL"
@@ -194,9 +188,10 @@ class VectorizedKernel(SteeringContext):
         "_u_meta",
         "_def_uop",
         "_def_reg",
-        "_dest_start",
+        "_dest_ranges",
         "_num_defs",
         "_u_latency",
+        "_u_exec_latency",
         "_u_is_memory",
         "_u_address",
         "_u_dest_counts",
@@ -255,10 +250,13 @@ class VectorizedKernel(SteeringContext):
         self._compiled = compiled
         self._def_uop = plan.def_uop
         self._def_reg = plan.def_reg
-        self._dest_start = plan.dest_offsets
+        offsets = plan.dest_offsets
+        self._dest_ranges = [range(lo, hi) for lo, hi in zip(offsets, offsets[1:])]
         self._num_defs = plan.num_defs
         self._u_meta = compiled.dispatch_meta(self._processor.register_space)
         self._u_latency = compiled.latency_list()
+        # Issue-to-writeback delay of a non-memory µop (at least one cycle).
+        self._u_exec_latency = [lat if lat > 1 else 1 for lat in self._u_latency]
         self._u_is_memory = compiled.is_memory_list()
         self._u_address = compiled.address_list()
         self._u_dest_counts = compiled.dest_kind_counts(self._processor.register_space)
@@ -276,7 +274,6 @@ class VectorizedKernel(SteeringContext):
         config = proc.config
         num_clusters = self.num_clusters
         metrics = proc.metrics
-        view = proc._view
         steering = proc.steering
 
         # Compiled steering tier: resolve the policy's lowering for this run.
@@ -319,6 +316,10 @@ class VectorizedKernel(SteeringContext):
             # path above can replay the same access plan inside its own model
             # without paying the object-model pass first.
             proc._load_warm_caches(self._compiled)
+        # The policy's µop view, fresh per run like the interpreter's (it
+        # snapshots the annotation columns); fused forms read the columns
+        # directly and never need one.
+        view = CompiledUopView(self._compiled) if form == _FORM_CALLBACK else None
 
         # Per-form precomputation of the fused fast path (cheap, per run).
         const_cluster = 0
@@ -373,8 +374,9 @@ class VectorizedKernel(SteeringContext):
         meta = self._u_meta
         def_uop = self._def_uop
         def_reg = self._def_reg
-        dest_start = self._dest_start
+        dest_ranges = self._dest_ranges
         latency = self._u_latency
+        exec_latency = self._u_exec_latency
         is_memory = self._u_is_memory
         address = self._u_address
         dcounts = self._u_dest_counts
@@ -413,6 +415,12 @@ class VectorizedKernel(SteeringContext):
         # Ready heaps per (cluster, kind); loads separate (L1 port sharing).
         ready: List[List[int]] = [[] for _ in range(num_clusters * 3)]
         ready_loads: List[List[int]] = [[] for _ in range(num_clusters * 3)]
+        # The issue stage's walk, in qslot order: (qslot, heap, load heap,
+        # issue width).  The heaps are mutated in place, never replaced.
+        issue_slots = [
+            (qslot, ready[qslot], ready_loads[qslot], self._issue_widths[qslot % 3])
+            for qslot in range(num_clusters * 3)
+        ]
         total_ready = 0
         events: Dict[int, List[int]] = {}
         event_heap: List[int] = []
@@ -425,7 +433,7 @@ class VectorizedKernel(SteeringContext):
         ready_at = [0] * n  # dispatch-ready cycle per fetched µop
         trace_exhausted = False
         lsq_count = 0
-        uops_in_flight = 0
+        copies_in_flight = 0  # in-flight µops are the ROB range itself
         redirect_slot = -1
         blocked_until = 0
         cycle = 0
@@ -443,15 +451,13 @@ class VectorizedKernel(SteeringContext):
         buffer_cap = proc._dispatch_buffer_cap
         qcap = self._qcap
         cap_copy = qcap[2]
-        issue_widths = self._issue_widths
-        qslot_range = range(num_clusters * 3)
-        width_by_qslot = [issue_widths[qslot % 3] for qslot in qslot_range]
         idle_skip = proc.idle_skip
 
         # Scalar metrics as locals (flushed in the finally block); the
-        # list-valued ones are cheap enough to update in place.
-        m_committed = 0
-        m_dispatched = 0
+        # list-valued ones are cheap enough to update in place.  Commit and
+        # dispatch run in trace order, so their counts are ``commit_idx``
+        # and ``dispatch_pos`` themselves, and the per-cluster dispatch
+        # counts are read off ``uop_cluster`` at the end.
         m_copies = 0
         m_steer = 0
         m_rob = 0
@@ -463,13 +469,35 @@ class VectorizedKernel(SteeringContext):
         cluster_dispatch = metrics.cluster_dispatch
         cluster_copies = metrics.cluster_copies
 
+        # The memory hierarchy, inlined into the issue stage: the tag arrays
+        # stay the processor's (warmed above; read by summary() and
+        # tag_state() afterwards), the hit/access counters are locals.
+        memory = proc.memory
+        l1 = memory.l1
+        l2 = memory.l2
+        l1_sets = l1.set_lists()
+        l2_sets = l2.set_lists()
+        l1_sets_get = l1_sets.get
+        l2_sets_get = l2_sets.get
+        l1_line = l1.line_size
+        l2_line = l2.line_size
+        l1_num_sets = l1.num_sets
+        l2_num_sets = l2.num_sets
+        l1_assoc = l1.assoc
+        l2_assoc = l2.assoc
+        l1_latency = l1.hit_latency
+        l2_latency = l2.hit_latency
+        memory_latency = memory.memory_latency
+        l1_accesses = 0
+        l1_hits = 0
+        l2_accesses = 0
+        l2_hits = 0
+
         heappush = heapq.heappush
         heappop = heapq.heappop
         pick_cluster = steering.pick_cluster
         steering_name = steering.name
         schedule_transfer = proc.interconnect.schedule_transfer
-        load_latency = proc.memory.load_latency
-        store_access = proc.memory.store_access
         copy_map_get = copy_map.get
         events_get = events.get
         events_pop = events.pop
@@ -480,17 +508,18 @@ class VectorizedKernel(SteeringContext):
                     trace_exhausted
                     and dispatch_pos == fetch_pos
                     and commit_idx == dispatch_pos
-                    and uops_in_flight == 0
+                    and copies_in_flight == 0
                 ):
                     break
 
                 # ------------------------------------------------------ commit --
                 if commit_idx < dispatch_pos and uop_completed[commit_idx]:
-                    committed = 0
+                    commit_end = commit_idx + commit_width
+                    if commit_end > dispatch_pos:
+                        commit_end = dispatch_pos
                     while True:
                         cluster = uop_cluster[commit_idx]
                         inflight[cluster] -= 1
-                        uops_in_flight -= 1
                         di, df = dcounts[commit_idx]
                         if di or df:
                             free_int[cluster] += di
@@ -498,14 +527,8 @@ class VectorizedKernel(SteeringContext):
                         if is_memory[commit_idx]:
                             lsq_count -= 1
                         commit_idx += 1
-                        committed += 1
-                        if (
-                            committed >= commit_width
-                            or commit_idx >= dispatch_pos
-                            or not uop_completed[commit_idx]
-                        ):
+                        if commit_idx >= commit_end or not uop_completed[commit_idx]:
                             break
-                    m_committed += committed
 
                 # --------------------------------------------------- writeback --
                 bucket = events_pop(cycle, None)
@@ -522,11 +545,11 @@ class VectorizedKernel(SteeringContext):
                             # cluster, producing cluster no longer loaded.
                             def_mask[rec_copydef[slot]] |= 1 << rec_copytarget[slot]
                             inflight[rec_cluster[slot]] -= 1
-                            uops_in_flight -= 1
+                            copies_in_flight -= 1
                         else:
                             uop_completed[uop] = True
                             bit = 1 << rec_cluster[slot]
-                            for d in range(dest_start[uop], dest_start[uop + 1]):
+                            for d in dest_ranges[uop]:
                                 def_mask[d] |= bit
                             if slot == redirect_slot:
                                 # Mispredicted branch resolved: front end
@@ -552,12 +575,9 @@ class VectorizedKernel(SteeringContext):
                 # ------------------------------------------------------- issue --
                 if total_ready:
                     loads_issued = 0
-                    for qslot in qslot_range:
-                        main = ready[qslot]
-                        loads = ready_loads[qslot]
+                    for qslot, main, loads, width in issue_slots:
                         if not main and not loads:
                             continue
-                        width = width_by_qslot[qslot]
                         issued = 0
                         while issued < width:
                             # Merge the two heaps by age; once the shared
@@ -575,8 +595,6 @@ class VectorizedKernel(SteeringContext):
                                 was_load = False
                             else:
                                 break
-                            total_ready -= 1
-                            occ[qslot] -= 1
                             uop = rec_uop[slot]
                             if uop < 0:
                                 # One execute cycle in the producing
@@ -584,14 +602,58 @@ class VectorizedKernel(SteeringContext):
                                 when = schedule_transfer(
                                     rec_cluster[slot], rec_copytarget[slot], cycle + 1
                                 )
-                            elif was_load:
-                                lat = latency[uop] + load_latency(address[uop])
-                                loads_issued += 1
-                                when = cycle + (lat if lat > 1 else 1)
+                            elif not is_memory[uop]:
+                                when = cycle + exec_latency[uop]
                             else:
+                                # MemoryHierarchy.load_latency/store_access
+                                # inlined: SetAssociativeCache.access's LRU
+                                # update on the live set lists, L1 first.
+                                # Loads go to L2 only on an L1 miss; stores
+                                # write-allocate in both levels.
+                                line = address[uop] // l1_line
+                                set_index = line % l1_num_sets
+                                tag = line // l1_num_sets
+                                ways = l1_sets_get(set_index)
+                                l1_accesses += 1
+                                hit = False
+                                if ways is None:
+                                    l1_sets[set_index] = [tag]
+                                elif tag in ways:
+                                    if ways[0] != tag:
+                                        ways.remove(tag)
+                                        ways.insert(0, tag)
+                                    l1_hits += 1
+                                    hit = True
+                                else:
+                                    ways.insert(0, tag)
+                                    if len(ways) > l1_assoc:
+                                        ways.pop()
                                 lat = latency[uop]
-                                if is_memory[uop]:
-                                    store_access(address[uop])
+                                if was_load and hit:
+                                    lat += l1_latency
+                                else:
+                                    line = address[uop] // l2_line
+                                    set_index = line % l2_num_sets
+                                    tag = line // l2_num_sets
+                                    ways = l2_sets_get(set_index)
+                                    l2_accesses += 1
+                                    hit = False
+                                    if ways is None:
+                                        l2_sets[set_index] = [tag]
+                                    elif tag in ways:
+                                        if ways[0] != tag:
+                                            ways.remove(tag)
+                                            ways.insert(0, tag)
+                                        l2_hits += 1
+                                        hit = True
+                                    else:
+                                        ways.insert(0, tag)
+                                        if len(ways) > l2_assoc:
+                                            ways.pop()
+                                    if was_load:
+                                        lat += l2_latency if hit else memory_latency
+                                if was_load:
+                                    loads_issued += 1
                                 when = cycle + (lat if lat > 1 else 1)
                             bucket = events_get(when)
                             if bucket is None:
@@ -600,15 +662,21 @@ class VectorizedKernel(SteeringContext):
                             else:
                                 bucket.append(slot)
                             issued += 1
+                        # Nothing in this stage reads the queue occupancy
+                        # or the ready count, so they are settled per queue.
+                        occ[qslot] -= issued
+                        total_ready -= issued
 
                 # ---------------------------------------------------- dispatch --
                 if dispatch_pos < fetch_pos:
-                    dispatched = 0
+                    dispatch_end = dispatch_pos + dispatch_width
+                    if dispatch_end > fetch_pos:
+                        dispatch_end = fetch_pos
                     # The front-end redirect state only changes in writeback
                     # (resolution) and right here (a mispredicted branch
                     # dispatching), so it is a flag, not a per-µop re-check.
                     blocked = redirect_slot >= 0 or cycle < blocked_until
-                    while dispatched < dispatch_width and dispatch_pos < fetch_pos:
+                    while dispatch_pos < dispatch_end:
                         index = dispatch_pos
                         if ready_at[index] > cycle:
                             break
@@ -835,10 +903,15 @@ class VectorizedKernel(SteeringContext):
                         # ---- every resource available: perform the dispatch ----
                         # One dispatch consumes a slot for the µop plus one per
                         # copy µop (a µop can need several copies, possibly
-                        # from the same source cluster).
-                        need_slots = 1 if new_copies is None else 1 + len(new_copies)
-                        if next_slot + need_slots > cap:
-                            grow = max(cap, need_slots)
+                        # from the same source cluster).  The record arrays
+                        # always hold a free slot for every undispatched µop
+                        # (cap - next_slot >= n - index), so only copies can
+                        # need them to grow.
+                        if (
+                            new_copies is not None
+                            and next_slot + len(new_copies) + n - index > cap
+                        ):
+                            grow = max(cap, len(new_copies))
                             rec_uop += [-1] * grow
                             rec_cluster += [0] * grow
                             rec_qslot += [0] * grow
@@ -879,7 +952,7 @@ class VectorizedKernel(SteeringContext):
                                         waiters.append(cslot)
                                 occ[source * 3 + 2] += 1
                                 inflight[source] += 1
-                                uops_in_flight += 1
+                                copies_in_flight += 1
                                 m_copies += 1
                                 cluster_copies[source] += 1
                                 copy_map[d * num_clusters + cluster] = cslot
@@ -908,10 +981,7 @@ class VectorizedKernel(SteeringContext):
                         if uop_is_memory:
                             lsq_count += 1
                         inflight[cluster] += 1
-                        uops_in_flight += 1
-                        m_dispatched += 1
-                        cluster_dispatch[cluster] += 1
-                        for d in range(dest_lo, dest_hi):
+                        for d in dest_ranges[index]:
                             cur_def[def_reg[d]] = d
                             def_home[d] = cluster
                         if uop_is_branch:
@@ -921,25 +991,27 @@ class VectorizedKernel(SteeringContext):
                                 redirect_slot = slot
                                 blocked = True
                         dispatch_pos += 1
-                        dispatched += 1
 
                 # ------------------------------------------------------- fetch --
                 if not trace_exhausted:
-                    ready_cycle = cycle + fetch_latency
-                    fetched = 0
-                    while fetched < fetch_width and fetch_pos - dispatch_pos < buffer_cap:
-                        if fetch_pos >= n:
-                            trace_exhausted = True
-                            break
-                        ready_at[fetch_pos] = ready_cycle
-                        fetch_pos += 1
-                        fetched += 1
+                    # Up to fetch_width µops while the buffer has room; the
+                    # trace is exhausted when it runs out before either
+                    # limit does (the interpreter's per-µop _fetch loop).
+                    take = buffer_cap - fetch_pos + dispatch_pos
+                    if fetch_width < take:
+                        take = fetch_width
+                    if n - fetch_pos < take:
+                        take = n - fetch_pos
+                        trace_exhausted = True
+                    if take > 0:
+                        ready_at[fetch_pos:fetch_pos + take] = [cycle + fetch_latency] * take
+                        fetch_pos += take
 
                 cycle += 1
                 if cycle > limit:
                     raise RuntimeError(
                         f"simulation exceeded {limit} cycles "
-                        f"({m_committed} µops committed); possible deadlock"
+                        f"({commit_idx} µops committed); possible deadlock"
                     )
 
                 # --------------------------------------------------- idle skip --
@@ -960,7 +1032,7 @@ class VectorizedKernel(SteeringContext):
                     trace_exhausted
                     and not buffer
                     and commit_idx == dispatch_pos
-                    and uops_in_flight == 0
+                    and copies_in_flight == 0
                 ):
                     continue  # finished; the loop head breaks
                 redirect = redirect_slot >= 0
@@ -991,8 +1063,11 @@ class VectorizedKernel(SteeringContext):
         finally:
             _sync_spec_state(steering, form, mod_next, vc_map, vc_remaps)
             proc.cycle = cycle
-            metrics.committed_uops += m_committed
-            metrics.dispatched_uops += m_dispatched
+            metrics.committed_uops += commit_idx  # commit is in trace order
+            metrics.dispatched_uops += dispatch_pos  # dispatch is in trace order
+            dispatched_to = uop_cluster[:dispatch_pos]
+            for cluster in range(num_clusters):
+                cluster_dispatch[cluster] += dispatched_to.count(cluster)
             metrics.copies_generated += m_copies
             metrics.steering_stalls += m_steer
             metrics.rob_stalls += m_rob
@@ -1000,3 +1075,7 @@ class VectorizedKernel(SteeringContext):
             metrics.mispredict_stalls += m_mispredict_stalls
             metrics.branches += m_branches
             metrics.mispredictions += m_mispredictions
+            l1.stats.accesses += l1_accesses
+            l1.stats.hits += l1_hits
+            l2.stats.accesses += l2_accesses
+            l2.stats.hits += l2_hits

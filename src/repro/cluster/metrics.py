@@ -93,6 +93,59 @@ class SimulationMetrics:
         """Fraction of branches flagged as mispredicted."""
         return self.mispredictions / self.branches if self.branches else 0.0
 
+    # -- invariants ----------------------------------------------------------------
+    def check_invariants(self, trace, config) -> None:
+        """Check the conservation laws of a finished run; raise on any breach.
+
+        ``trace`` is the simulated :class:`~repro.uops.compiled.CompiledTrace`
+        and ``config`` the machine's
+        :class:`~repro.cluster.config.ClusterConfig`.  The laws:
+
+        * every µop commits: ``committed_uops == len(trace)``;
+        * ``sum(cluster_dispatch) == dispatched_uops`` and
+          ``sum(cluster_copies) == copies_generated``;
+        * ``mispredictions <= branches``;
+        * ``cycles >= committed_uops / commit_width``;
+        * the cache model sees each memory µop once at L1
+          (``l1_accesses`` == memory µops), and L2 every store plus the L1
+          load misses (stores ``<= l2_accesses <= l1_accesses``).
+
+        Raises ``ValueError`` naming every broken law.
+        """
+        memory_uops = int(trace.is_memory.sum())
+        stores = int(trace.is_store.sum())
+        l1_accesses = self.cache.get("l1_accesses")
+        l2_accesses = self.cache.get("l2_accesses")
+        broken = []
+        if self.committed_uops != len(trace):
+            broken.append(f"committed_uops {self.committed_uops} != trace length {len(trace)}")
+        if sum(self.cluster_dispatch) != self.dispatched_uops:
+            broken.append(
+                f"sum(cluster_dispatch) {sum(self.cluster_dispatch)} != "
+                f"dispatched_uops {self.dispatched_uops}"
+            )
+        if sum(self.cluster_copies) != self.copies_generated:
+            broken.append(
+                f"sum(cluster_copies) {sum(self.cluster_copies)} != "
+                f"copies_generated {self.copies_generated}"
+            )
+        if self.mispredictions > self.branches:
+            broken.append(f"mispredictions {self.mispredictions} > branches {self.branches}")
+        if self.cycles * config.commit_width < self.committed_uops:
+            broken.append(
+                f"cycles {self.cycles} < committed_uops {self.committed_uops} / "
+                f"commit width {config.commit_width}"
+            )
+        if l1_accesses != memory_uops:
+            broken.append(f"l1_accesses {l1_accesses} != memory µops {memory_uops}")
+        if l2_accesses is None or not stores <= l2_accesses <= (l1_accesses or 0):
+            broken.append(
+                f"l2_accesses {l2_accesses} outside [stores {stores}, "
+                f"l1_accesses {l1_accesses}]"
+            )
+        if broken:
+            raise ValueError("simulation metrics break conservation laws: " + "; ".join(broken))
+
     # -- serialisation -------------------------------------------------------------
     def to_dict(self) -> Dict[str, object]:
         """Lossless, JSON-compatible dump of every counter.

@@ -199,9 +199,14 @@ class ClusteredProcessor(SteeringContext):
 
         This is the whole point of the compiled representation: after this,
         the per-cycle loops never call a property, classify a register or
-        convert an enum -- they index (see DESIGN.md).
+        convert an enum -- they index (see DESIGN.md).  The vectorized
+        kernel hoists its own (array-derived) forms, so the interpreter's
+        lists are only built for the interpreter.
         """
         self._num_uops = len(compiled)
+        if self._vkernel is not None:
+            self._vkernel.bind(compiled)
+            return
         self._u_queue = compiled.queue_kinds()
         self._u_latency = compiled.latency_list()
         self._u_is_memory = compiled.is_memory_list()
@@ -212,8 +217,6 @@ class ClusteredProcessor(SteeringContext):
         self._u_dests = compiled.dest_tuples()
         self._u_usrcs = compiled.unique_src_tuples()
         self._u_dest_counts = compiled.dest_kind_counts(self.register_space)
-        if self._vkernel is not None:
-            self._vkernel.bind(compiled)
 
     # ------------------------------------------------ SteeringContext interface --
     @property
@@ -301,17 +304,19 @@ class ClusteredProcessor(SteeringContext):
             self.steering = steering
         self._reset_state()
         self._num_uops = len(compiled)  # _reset_state clears the fetch window
-        # Fresh per run, not per bind: the view snapshots annotation lists
-        # (and reconstructs statics from them), which change between the runs
-        # of a batch.
-        self._view = CompiledUopView(compiled)
         limit = max_cycles if max_cycles is not None else self.config.max_cycles
         if self._vkernel is not None:
             # Cache warm-up is owned by the kernel: the jitted fast path
             # replays the access plan inside its own array-form cache model,
-            # so warming the object model here would double the cost.
+            # so warming the object model here would double the cost.  The
+            # kernel also builds the policy's µop view, and only when the
+            # policy takes the per-µop callback path.
             self._vkernel.run(limit)
         else:
+            # Fresh per run, not per bind: the view snapshots annotation
+            # lists (and reconstructs statics from them), which change
+            # between the runs of a batch.
+            self._view = CompiledUopView(compiled)
             if self.config.warm_caches:
                 self._load_warm_caches(compiled)
             idle_skip = self.idle_skip
@@ -327,6 +332,9 @@ class ClusteredProcessor(SteeringContext):
         self.metrics.cycles = self.cycle
         self.metrics.cache = self.memory.summary()
         self.metrics.vc_remaps = getattr(self.steering, "remap_count", 0)
+        if resolve_sanitize():
+            # Under the sanitizer every run also checks its conservation laws.
+            self.metrics.check_invariants(compiled, self.config)
         return self.metrics
 
     def run_many(

@@ -28,7 +28,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import asdict, dataclass
-from typing import TYPE_CHECKING, Dict, Tuple
+from typing import TYPE_CHECKING, Tuple
 
 from repro.cluster.config import ClusterConfig
 from repro.uops.registers import DEFAULT_REGISTER_SPACE, RegisterSpace
@@ -49,13 +49,6 @@ CACHE_SCHEMA_VERSION = 2
 def _canonical_json(payload: object) -> str:
     """Deterministic JSON encoding (sorted keys, no whitespace drift)."""
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
-
-
-def _profile_identity(profile: BenchmarkProfile) -> Dict[str, object]:
-    """JSON-compatible dump of every profile field (enum keys by name)."""
-    data = asdict(profile)
-    data["kernel_mix"] = {kind.name: weight for kind, weight in profile.kernel_mix.items()}
-    return data
 
 
 @dataclass(frozen=True)
@@ -112,7 +105,7 @@ class SimulationJob:
         """
         payload = {
             "schema": CACHE_SCHEMA_VERSION,
-            "profile": _profile_identity(self.profile),
+            "profile": self.profile.identity,
             "phase": self.phase,
             "trace_length": self.trace_length,
             "register_space": {
@@ -173,7 +166,7 @@ class SimulationJob:
             effective_vcs = None
         payload = {
             "schema": CACHE_SCHEMA_VERSION,
-            "profile": _profile_identity(self.profile),
+            "profile": self.profile.identity,
             "phase": self.phase,
             "configuration": configuration.cache_identity(),
             "trace_length": self.trace_length,

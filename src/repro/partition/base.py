@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.program.ddg import DataDependenceGraph, build_ddg
 from repro.program.program import Program
@@ -54,6 +54,29 @@ class PartitionReport:
         return min(1.0, ideal / worst)
 
 
+def region_ddgs(
+    program: Program, region_size: int
+) -> Tuple[List[Region], List[Optional[DataDependenceGraph]]]:
+    """The regions of ``program`` and their DDGs (``None`` for empty regions).
+
+    Regions and DDGs depend only on the program's blocks, CFG and operands
+    (``srcs``/``dests``/``opclass``), never on its annotations, so they are
+    formed once per ``(program, region_size)`` and held in the program's
+    memo: every compile-time pass over the program (OB, RHOP and VC alike)
+    reads the same objects.  Passes treat them as read-only and write only
+    the annotations of the instructions they reference -- the program's own.
+    """
+
+    def build() -> Tuple[List[Region], List[Optional[DataDependenceGraph]]]:
+        regions = form_regions(program, max_instructions=region_size)
+        return regions, [
+            build_ddg(region.instructions) if region.instructions else None
+            for region in regions
+        ]
+
+    return program.memo(("region ddgs", region_size), build)
+
+
 class RegionPartitioner(abc.ABC):
     """Base class of compile-time partitioners.
 
@@ -92,12 +115,11 @@ class RegionPartitioner(abc.ABC):
         """Run the pass over every region of ``program`` and annotate it in place."""
         program.clear_annotations()
         report = PartitionReport(program_name=program.name, partitioner=self.name)
-        regions: List[Region] = form_regions(program, max_instructions=self.region_size)
+        regions, ddgs = region_ddgs(program, self.region_size)
         report.num_regions = len(regions)
-        for region in regions:
-            if not region.instructions:
+        for ddg in ddgs:
+            if ddg is None:
                 continue
-            ddg = build_ddg(region.instructions)
             assignment = self.partition_region(ddg)
             if len(assignment) != len(ddg):
                 raise ValueError(

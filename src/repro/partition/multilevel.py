@@ -226,66 +226,74 @@ class MultilevelPartitioner:
             weights[group][part] += level.node_weights[node]
         return weights
 
-    @staticmethod
-    def _imbalance_of(per_part: Sequence[int]) -> float:
-        ideal = sum(per_part) / len(per_part)
-        return sum(abs(w - ideal) for w in per_part)
-
-    def _cost(self, level: _Level, assignment: Sequence[int]) -> float:
-        """Objective value of ``assignment`` on ``level`` (lower is better)."""
-        cut = 0
-        for (u, v), w in level.edges.items():
-            if assignment[u] != assignment[v]:
-                cut += w
-        imbalance = sum(
-            self._imbalance_of(per_part)
-            for per_part in self._group_weights(level, assignment).values()
-        )
-        return self.objective.cut_weight * cut + self.objective.imbalance_weight * imbalance
-
     def _refine(self, level: _Level, assignment: List[int]) -> List[int]:
-        """Greedy single-node moves until no move improves the objective."""
+        """Greedy single-node moves until no move improves the objective.
+
+        The gain of moving a node is the cut reduction minus the change of
+        its balance group's imbalance penalty, ``sum(|w_p - ideal|)`` over
+        the parts.  Moves keep every group's total, so a group's ideal share
+        is fixed for the whole refinement and computed once; the penalty
+        sums run in part order, the float operations of the plain
+        ``sum(abs(w - ideal) for w in per_part)`` form.
+        """
         assignment = list(assignment)
+        num_parts = self.num_parts
+        parts = range(num_parts)
+        node_groups = level.node_groups
+        node_weights = level.node_weights
+        adjacency = level.adjacency
+        cut_weight = self.objective.cut_weight
+        imbalance_weight = self.objective.imbalance_weight
         group_weights = self._group_weights(level, assignment)
-        part_weight = [0] * self.num_parts
+        group_ideal = {
+            group: sum(per_part) / num_parts for group, per_part in group_weights.items()
+        }
+        part_weight = [0] * num_parts
         for node, part in enumerate(assignment):
-            part_weight[part] += level.node_weights[node]
+            part_weight[part] += node_weights[node]
         total_weight = sum(part_weight)
-        max_part = (total_weight / self.num_parts) * (1.0 + self.objective.max_imbalance)
+        max_part = (total_weight / num_parts) * (1.0 + self.objective.max_imbalance)
+        # Targets of a node with no neighbour outside its part: every other
+        # part, at zero external weight (read-only, shared per part).
+        other_parts = [{p: 0 for p in parts if p != part} for part in parts]
         for _ in range(self.max_refinement_passes):
             improved = False
             for node in range(level.num_nodes):
                 current = assignment[node]
-                group = level.node_groups[node]
-                weight = level.node_weights[node]
+                group = node_groups[node]
+                weight = node_weights[node]
                 per_part = group_weights[group]
+                ideal = group_ideal[group]
                 # Gain of moving `node` to `target`: reduction in cut minus
                 # the change in the node's group imbalance penalty.
                 external: Dict[int, int] = {}
                 internal = 0
-                for neighbour, w in level.adjacency[node].items():
-                    if assignment[neighbour] == current:
+                for neighbour, w in adjacency[node].items():
+                    part = assignment[neighbour]
+                    if part == current:
                         internal += w
                     else:
-                        external[assignment[neighbour]] = (
-                            external.get(assignment[neighbour], 0) + w
-                        )
-                candidate_targets = external or {
-                    p: 0 for p in range(self.num_parts) if p != current
-                }
+                        external[part] = external.get(part, 0) + w
+                candidate_targets = external or other_parts[current]
+                imbalance_before = None
                 for target, external_weight in candidate_targets.items():
                     if part_weight[target] + weight > max_part:
                         continue
-                    cut_gain = external_weight - internal
-                    imbalance_before = self._imbalance_of(per_part)
-                    per_part[current] -= weight
-                    per_part[target] += weight
-                    imbalance_after = self._imbalance_of(per_part)
-                    per_part[current] += weight
-                    per_part[target] -= weight
+                    if imbalance_before is None:
+                        imbalance_before = 0
+                        for w in per_part:
+                            imbalance_before += abs(w - ideal)
+                    imbalance_after = 0
+                    for p in parts:
+                        w = per_part[p]
+                        if p == current:
+                            w -= weight
+                        elif p == target:
+                            w += weight
+                        imbalance_after += abs(w - ideal)
                     gain = (
-                        self.objective.cut_weight * cut_gain
-                        + self.objective.imbalance_weight * (imbalance_before - imbalance_after)
+                        cut_weight * (external_weight - internal)
+                        + imbalance_weight * (imbalance_before - imbalance_after)
                     )
                     if gain > 0:
                         per_part[current] -= weight

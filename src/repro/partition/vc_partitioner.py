@@ -80,21 +80,20 @@ class VirtualClusterPartitioner(RegionPartitioner):
             contention_mode="relative",
         )
         assignment = [0] * len(ddg)
+        criticality_of = criticality.criticality.__getitem__
         for node in ddg.topological_order():
+            # Tie-breaking: prefer the virtual cluster of the most critical
+            # predecessor (keeps critical chains whole), then the least
+            # loaded virtual cluster, then the lowest index for determinism.
+            preferred_vc = None
+            if self.criticality_first and ddg.preds[node]:
+                most_critical_pred = max(ddg.preds[node], key=criticality_of)
+                preferred_vc = estimator.assignment[most_critical_pred]
             best_vc = 0
             best_key = None
             for vc in range(self.num_targets):
                 completion = estimator.estimate(node, vc)
-                # Tie-breaking: prefer the virtual cluster of the most critical
-                # predecessor (keeps critical chains whole), then the least
-                # loaded virtual cluster, then the lowest index for determinism.
-                pred_bonus = 0
-                if self.criticality_first and ddg.preds[node]:
-                    most_critical_pred = max(
-                        ddg.preds[node], key=lambda p: criticality.criticality[p]
-                    )
-                    if estimator.assignment[most_critical_pred] == vc:
-                        pred_bonus = -1
+                pred_bonus = -1 if preferred_vc == vc else 0
                 key = (completion, pred_bonus, estimator.load[vc], vc)
                 if best_key is None or key < best_key:
                     best_key = key

@@ -28,6 +28,8 @@ class DataDependenceGraph:
 
     def __init__(self, instructions: Sequence[StaticInstruction]) -> None:
         self.instructions: List[StaticInstruction] = list(instructions)
+        #: Functional-unit latency of every node (looked up once, not per query).
+        self.latencies: List[int] = [inst.latency for inst in self.instructions]
         n = len(self.instructions)
         self.succs: List[List[int]] = [[] for _ in range(n)]
         self.preds: List[List[int]] = [[] for _ in range(n)]
@@ -46,7 +48,7 @@ class DataDependenceGraph:
         if key in self.edge_latency:
             return
         if latency is None:
-            latency = self.instructions[producer].latency
+            latency = self.latencies[producer]
         self.succs[producer].append(consumer)
         self.preds[consumer].append(producer)
         self.edge_latency[key] = int(latency)

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Sequence
+from typing import Callable, Dict, Hashable, Iterator, Sequence
 
 from repro.program.basic_block import BasicBlock
 from repro.program.cfg import ControlFlowGraph
@@ -44,6 +44,34 @@ class Program:
         self.register_space = register_space
         for bid in self.blocks:
             cfg.add_block(bid)
+        self._memo: Dict[Hashable, object] = {}
+
+    # -- derived values -------------------------------------------------------------
+    def memo(self, key: Hashable, build: Callable[[], object]) -> object:
+        """The value stored on this program under ``key``; ``build()`` makes it once.
+
+        For values derived from the program's structure -- blocks, CFG and
+        instruction operands, never annotations -- such as the compile-time
+        passes' region DDGs (:func:`repro.partition.base.region_ddgs`).  The
+        program's structure must not change once such a value is built.
+        ``key`` must cover every input of ``build`` besides the program.
+        """
+        value = self._memo.get(key)
+        if value is None:
+            value = build()
+            self._memo[key] = value
+        return value
+
+    def __getstate__(self) -> Dict[str, object]:
+        # The memo is derived, and a copy (or an unpickled program) has its
+        # own instructions, so it is never carried along.
+        state = dict(self.__dict__)
+        state.pop("_memo", None)
+        return state
+
+    def __setstate__(self, state: Dict[str, object]) -> None:
+        self.__dict__.update(state)
+        self._memo = {}
 
     # -- queries -----------------------------------------------------------------
     @property

@@ -97,6 +97,8 @@ class TraceGenerator:
         # Per static memory instruction: (is_strided, base_address, counter).
         self._streams: Dict[int, List[int]] = {}
         self._stream_is_strided: Dict[int, bool] = {}
+        # Per block: its successor distribution (the CFG is fixed).
+        self._successors: Dict[int, tuple] = {}
 
     # -- address streams ---------------------------------------------------------
     def _address_for(self, inst: StaticInstruction) -> int:
@@ -118,18 +120,33 @@ class TraceGenerator:
     # -- control flow ------------------------------------------------------------
     def _next_block(self, bid: int) -> int:
         """Sample the next block id from the outgoing edges of ``bid``."""
+        successors = self._successors.get(bid)
+        if successors is None:
+            successors = self._successors[bid] = self._successor_distribution(bid)
+        targets, probabilities = successors
+        if probabilities is None:
+            return targets[0]
+        return targets[int(self._rng.choice(len(targets), p=probabilities))]
+
+    def _successor_distribution(self, bid: int):
+        """``(target block ids, normalised probabilities)`` of ``bid``'s out-edges.
+
+        The probabilities are ``None`` when the successor is fixed (no
+        edges: back to the entry; one edge; or no positive weight), so no
+        random draw is made -- exactly when the walk draws none.
+        """
         edges = self.program.cfg.successors(bid)
         if not edges:
-            return self.program.cfg.entry
+            return [self.program.cfg.entry], None
+        targets = [edge.dst for edge in edges]
         if len(edges) == 1:
-            return edges[0].dst
+            return targets, None
         probabilities = np.array([e.probability for e in edges], dtype=float)
         total = probabilities.sum()
         if total <= 0:
-            return edges[0].dst
+            return targets, None
         probabilities /= total
-        choice = int(self._rng.choice(len(edges), p=probabilities))
-        return edges[choice].dst
+        return targets, probabilities
 
     # -- expansion ---------------------------------------------------------------
     def _walk_blocks(self, num_uops: int) -> Iterator[BasicBlock]:
@@ -193,33 +210,52 @@ class TraceGenerator:
         rng_random = self._rng.random
         rate = self.mispredict_rate
         address_for = self._address_for
+        # Per block, its instructions' (instruction, sid, memory, branch)
+        # facts, classified once per block rather than once per µop.  The
+        # per-µop draws happen in the same order as in ``generate``.
+        block_facts: Dict[int, List[tuple]] = {}
         for block in self._walk_blocks(num_uops):
-            for inst in block.instructions:
-                sids.append(inst.sid)
-                addresses.append(address_for(inst) if inst.is_memory else 0)
-                mispredicted.append(bool(inst.is_branch and rng_random() < rate))
+            facts = block_facts.get(block.bid)
+            if facts is None:
+                facts = [
+                    (inst, inst.sid, inst.is_memory, inst.is_branch)
+                    for inst in block.instructions
+                ]
+                block_facts[block.bid] = facts
+            for inst, sid, memory, branch in facts:
+                sids.append(sid)
+                addresses.append(address_for(inst) if memory else 0)
+                mispredicted.append(branch and rng_random() < rate)
         if not sids:
             raise ValueError("trace expansion produced no µops (empty program?)")
         # Gather the static columns once per instruction, scatter per µop.
-        by_sid: Dict[int, StaticInstruction] = {}
-        for block in self.program.blocks.values():
-            for inst in block.instructions:
-                by_sid[inst.sid] = inst
-        statics = [by_sid[sid] for sid in sids]
+        rows = {
+            inst.sid: (
+                int(inst.opclass),
+                inst.srcs,
+                inst.dests,
+                inst.block,
+                NO_ANNOTATION if inst.vc_id is None else int(inst.vc_id),
+                bool(inst.chain_leader),
+                NO_ANNOTATION if inst.static_cluster is None else int(inst.static_cluster),
+            )
+            for block in self.program.blocks.values()
+            for inst in block.instructions
+        }
+        opclasses, srcs, dests, blocks, vc_ids, leaders, static_clusters = zip(
+            *[rows[sid] for sid in sids]
+        )
         return CompiledTrace.from_columns(
             sids=sids,
-            opclasses=[int(inst.opclass) for inst in statics],
-            srcs=[inst.srcs for inst in statics],
-            dests=[inst.dests for inst in statics],
-            blocks=[inst.block for inst in statics],
+            opclasses=opclasses,
+            srcs=srcs,
+            dests=dests,
+            blocks=blocks,
             addresses=addresses,
             mispredicted=mispredicted,
-            vc_ids=[NO_ANNOTATION if inst.vc_id is None else int(inst.vc_id) for inst in statics],
-            chain_leaders=[bool(inst.chain_leader) for inst in statics],
-            static_clusters=[
-                NO_ANNOTATION if inst.static_cluster is None else int(inst.static_cluster)
-                for inst in statics
-            ],
+            vc_ids=vc_ids,
+            chain_leaders=leaders,
+            static_clusters=static_clusters,
         )
 
     def iterate(self, num_uops: int) -> Iterator[DynamicUop]:

@@ -35,6 +35,7 @@ round-trip property the test suite pins.
 
 from __future__ import annotations
 
+from itertools import chain
 from pathlib import Path
 from typing import (
     Callable,
@@ -50,11 +51,6 @@ from typing import (
 )
 
 import numpy as np
-
-try:  # pragma: no cover - exercised only where numba is installed (CI matrix)
-    from numba import njit as _njit
-except ImportError:  # pragma: no cover - the default environment
-    _njit = None
 
 from repro.uops.opcodes import (
     IssueQueueKind,
@@ -87,12 +83,9 @@ _QUEUE_KINDS = list(IssueQueueKind)
 
 def _csr(rows: Sequence[Tuple[int, ...]]) -> Tuple[np.ndarray, np.ndarray]:
     """Pack variable-length integer rows into (offsets, flat values) arrays."""
-    lengths = np.fromiter((len(row) for row in rows), dtype=np.int64, count=len(rows))
     offsets = np.zeros(len(rows) + 1, dtype=np.int64)
-    np.cumsum(lengths, out=offsets[1:])
-    flat = np.fromiter(
-        (reg for row in rows for reg in row), dtype=np.int32, count=int(offsets[-1])
-    )
+    np.cumsum(np.fromiter(map(len, rows), dtype=np.int64, count=len(rows)), out=offsets[1:])
+    flat = np.fromiter(chain.from_iterable(rows), dtype=np.int32, count=int(offsets[-1]))
     return offsets, flat
 
 
@@ -100,45 +93,61 @@ def _uncsr(offsets: np.ndarray, flat: np.ndarray) -> List[Tuple[int, ...]]:
     """Unpack CSR arrays back into a list of tuples of Python ints."""
     bounds = offsets.tolist()
     values = flat.tolist()
-    return [tuple(values[bounds[i]:bounds[i + 1]]) for i in range(len(bounds) - 1)]
+    return [tuple(values[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
 
 
-def _scan_last_writers(n, usrc_offsets, usrc_regs, dest_offsets, dest_regs, num_regs):
+def _row_owner(offsets: np.ndarray) -> np.ndarray:
+    """Row index of every flat CSR element (``int64``)."""
+    return np.repeat(np.arange(len(offsets) - 1, dtype=np.int64), np.diff(offsets))
+
+
+def _last_writers(
+    src_offsets: np.ndarray,
+    src_regs: np.ndarray,
+    dest_offsets: np.ndarray,
+    dest_regs: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray]:
     """Map every deduplicated source operand to the definition that produces it.
 
     A *definition id* is a position in the destination CSR: definition ``d``
     is the ``dest_regs[d]`` write of µop ``i`` where
-    ``dest_offsets[i] <= d < dest_offsets[i + 1]``.  The scan walks the trace
-    in program order keeping the last definition of every architectural
-    register; sources with no prior in-trace writer (live-ins) are dropped --
-    the rename table marks live-ins available in every cluster, so dispatch
-    planning never waits on them.  Returns the dependence lists in CSR form
-    (``dep_offsets``, ``dep_defs``), preserving the first-occurrence source
-    order ``_try_dispatch`` plans in.
+    ``dest_offsets[i] <= d < dest_offsets[i + 1]``.  A source of µop ``i``
+    reads the last definition of its register by a µop *before* ``i`` (a
+    µop's own writes follow its reads; of two writes of one register by one
+    µop, the later definition id wins).  Sources with no in-trace writer
+    (live-ins) are dropped -- the rename table marks live-ins available in
+    every cluster, so dispatch planning never waits on them.  Returns the
+    dependence lists in CSR form (``dep_offsets``, ``dep_defs``), each row in
+    the first-occurrence source order ``_try_dispatch`` plans in.
 
-    The body is a plain loop over integer arrays so that, when numba is
-    available, it is JIT-compiled as-is; the pure-Python execution of the same
-    code is the fallback (the result is bit-for-bit the same either way, and
-    it is computed once per trace and cached).
+    Array-native: sources are deduplicated per row by their first
+    ``(µop, register)`` occurrence, and the last writer is one
+    ``np.searchsorted`` over the definitions sorted by ``(register, µop)``
+    keys -- stable, so equal keys keep definition-id order and the search's
+    left neighbour is the latest qualifying write.
     """
-    last = np.full(num_regs, -1, dtype=np.int64)
+    n = len(src_offsets) - 1
     dep_offsets = np.zeros(n + 1, dtype=np.int64)
-    dep_defs = np.empty(len(usrc_regs), dtype=np.int64)
-    filled = 0
-    for i in range(n):
-        for j in range(usrc_offsets[i], usrc_offsets[i + 1]):
-            d = last[usrc_regs[j]]
-            if d >= 0:
-                dep_defs[filled] = d
-                filled += 1
-        dep_offsets[i + 1] = filled
-        for d in range(dest_offsets[i], dest_offsets[i + 1]):
-            last[dest_regs[d]] = d
-    return dep_offsets, dep_defs[:filled]
-
-
-if _njit is not None:  # pragma: no cover - only where numba is installed
-    _scan_last_writers = _njit(cache=False)(_scan_last_writers)
+    if not len(dest_regs):  # no in-trace writer: every source is a live-in
+        return dep_offsets, np.zeros(0, dtype=np.int64)
+    src_uop = _row_owner(src_offsets)
+    regs = src_regs.astype(np.int64)
+    # First occurrence of every (µop, register) pair, in trace order.
+    _, first = np.unique(src_uop * (1 + int(regs.max(initial=0))) + regs, return_index=True)
+    first.sort()
+    use_uop = src_uop[first]
+    use_reg = regs[first]
+    stride = n + 1
+    def_keys = dest_regs.astype(np.int64) * stride + _row_owner(dest_offsets)
+    order = np.argsort(def_keys, kind="stable")
+    # Left neighbour of (register, reading µop): the register's latest
+    # definition by an earlier µop, unless it belongs to a smaller register
+    # or there is none (index -1, masked out by ``below >= 0``).
+    below = np.searchsorted(def_keys[order], use_reg * stride + use_uop, side="left") - 1
+    candidate = order[below]
+    found = (below >= 0) & (dest_regs[candidate] == use_reg)
+    np.cumsum(np.bincount(use_uop[found], minlength=n), out=dep_offsets[1:])
+    return dep_offsets, candidate[found].astype(np.int64, copy=False)
 
 
 class DependencePlan(NamedTuple):
@@ -201,19 +210,6 @@ class DispatchMetaArrays(NamedTuple):
     #: Producing µop / written register of each definition id.
     def_uop: np.ndarray
     def_reg: np.ndarray
-
-
-def _dedup(row: Tuple[int, ...]) -> Tuple[int, ...]:
-    """First-occurrence deduplication (the order ``_try_dispatch`` plans in)."""
-    if len(row) < 2:
-        return row
-    seen = set()
-    out = []
-    for reg in row:
-        if reg not in seen:
-            seen.add(reg)
-            out.append(reg)
-    return tuple(out)
 
 
 class CompiledTrace:
@@ -358,7 +354,11 @@ class CompiledTrace:
     def unique_src_tuples(self) -> List[Tuple[int, ...]]:
         """Per-µop sources deduplicated in first-occurrence order (dispatch planning)."""
         return self.memo(
-            "usrcs", lambda: [_dedup(row) for row in self.src_tuples()]
+            "usrcs",
+            lambda: [
+                row if len(row) < 2 else tuple(dict.fromkeys(row))
+                for row in self.src_tuples()
+            ],
         )
 
     def dest_tuples(self) -> List[Tuple[int, ...]]:
@@ -434,12 +434,26 @@ class CompiledTrace:
         key = f"dest_counts_{register_space.num_int}_{register_space.num_fp}"
 
         def build() -> List[Tuple[int, int]]:
-            boundary = register_space.num_int
-            counts = []
-            for dests in self.dest_tuples():
-                fp = sum(1 for reg in dests if reg >= boundary)
-                counts.append((len(dests) - fp, fp))
-            return counts
+            dest_int, dest_fp = self._dest_kind_arrays(register_space)
+            return list(zip(dest_int.tolist(), dest_fp.tolist()))
+
+        return self.memo(key, build)
+
+    def _dest_kind_arrays(self, register_space) -> Tuple[np.ndarray, np.ndarray]:
+        """Per-µop INT and FP destination counts as ``int64`` arrays.
+
+        One cumulative sum of the FP flags over the destination CSR, read
+        at the row bounds -- the shared source of :meth:`dest_kind_counts`,
+        :meth:`dispatch_meta` and :meth:`dispatch_meta_arrays`.
+        """
+        key = f"dest_kind_arrays_{register_space.num_int}_{register_space.num_fp}"
+
+        def build() -> Tuple[np.ndarray, np.ndarray]:
+            fp_flags = (self.dest_regs >= register_space.num_int).astype(np.int64)
+            running = np.zeros(len(fp_flags) + 1, dtype=np.int64)
+            np.cumsum(fp_flags, out=running[1:])
+            dest_fp = running[self.dest_offsets[1:]] - running[self.dest_offsets[:-1]]
+            return np.diff(self.dest_offsets) - dest_fp, dest_fp
 
         return self.memo(key, build)
 
@@ -473,7 +487,7 @@ class CompiledTrace:
 
         def build() -> List[tuple]:
             plan = self.dependency_plan()
-            counts = self.dest_kind_counts(register_space)
+            dest_int, dest_fp = self._dest_kind_arrays(register_space)
             dest_offsets = plan.dest_offsets
             return list(
                 zip(
@@ -482,8 +496,8 @@ class CompiledTrace:
                     self.is_load_list(),
                     self.is_branch_list(),
                     self.mispredicted_list(),
-                    [di for di, _ in counts],
-                    [df for _, df in counts],
+                    dest_int.tolist(),
+                    dest_fp.tolist(),
                     plan.deps,
                     dest_offsets[:-1],
                     dest_offsets[1:],
@@ -503,17 +517,9 @@ class CompiledTrace:
         key = f"dispatch_meta_arrays_{register_space.num_int}_{register_space.num_fp}"
 
         def build() -> DispatchMetaArrays:
-            n = len(self)
-            plan = self.dependency_plan()
-            dep_offsets, dep_defs = _csr(plan.deps)
+            dep_offsets, dep_defs = self._dependence_arrays()
             dest_offsets = self.dest_offsets.astype(np.int64)
-            boundary = register_space.num_int
-            fp_flags = (self.dest_regs >= boundary).astype(np.int64)
-            running = np.zeros(len(fp_flags) + 1, dtype=np.int64)
-            np.cumsum(fp_flags, out=running[1:])
-            dest_fp = running[dest_offsets[1:]] - running[dest_offsets[:-1]]
-            dest_int = (dest_offsets[1:] - dest_offsets[:-1]) - dest_fp
-            counts = np.diff(dest_offsets)
+            dest_int, dest_fp = self._dest_kind_arrays(register_space)
             return DispatchMetaArrays(
                 queue=self.queue.astype(np.int64),
                 is_memory=self.is_memory,
@@ -526,9 +532,9 @@ class CompiledTrace:
                 src_offsets=self.src_offsets.astype(np.int64),
                 src_regs=self.src_regs.astype(np.int64),
                 dep_offsets=dep_offsets,
-                dep_defs=dep_defs.astype(np.int64),
+                dep_defs=dep_defs,
                 dest_offsets=dest_offsets,
-                def_uop=np.repeat(np.arange(n, dtype=np.int64), counts),
+                def_uop=_row_owner(dest_offsets),
                 def_reg=self.dest_regs.astype(np.int64),
             )
 
@@ -542,6 +548,15 @@ class CompiledTrace:
 
         return self.memo("memory_plan_arrays", build)
 
+    def _dependence_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The dependence lists as CSR ``(dep_offsets, dep_defs)`` arrays (cached)."""
+        return self.memo(
+            "dep_arrays",
+            lambda: _last_writers(
+                self.src_offsets, self.src_regs, self.dest_offsets, self.dest_regs
+            ),
+        )
+
     def dependency_plan(self) -> DependencePlan:
         """The :class:`DependencePlan` of the trace (built once, then cached).
 
@@ -551,24 +566,9 @@ class CompiledTrace:
         batch, like the other dynamic-column caches.
         """
         def build() -> DependencePlan:
-            n = len(self)
-            usrc_offsets, usrc_regs = _csr(self.unique_src_tuples())
-            num_regs = 1 + int(
-                max(
-                    self.src_regs.max(initial=-1),
-                    self.dest_regs.max(initial=-1),
-                )
-            )
-            dep_offsets, dep_defs = _scan_last_writers(
-                n, usrc_offsets, usrc_regs, self.dest_offsets, self.dest_regs,
-                max(num_regs, 1),
-            )
-            deps = _uncsr(dep_offsets, dep_defs)
-            counts = np.diff(self.dest_offsets)
-            def_uop = np.repeat(np.arange(n, dtype=np.int64), counts).tolist()
             return DependencePlan(
-                deps=deps,
-                def_uop=def_uop,
+                deps=_uncsr(*self._dependence_arrays()),
+                def_uop=_row_owner(self.dest_offsets).tolist(),
                 def_reg=self.dest_regs.tolist(),
                 dest_offsets=self.dest_offsets.tolist(),
             )

@@ -99,13 +99,24 @@ INT_OPCODES = frozenset(
 
 
 def latency_of(opclass: UopClass) -> int:
-    """Return the functional-unit latency in cycles for ``opclass``."""
-    return _LATENCY[UopClass(opclass)]
+    """Return the functional-unit latency in cycles for ``opclass``.
+
+    The table is indexed directly (``IntEnum`` members and plain ints hash
+    alike); only a miss converts, so an invalid value raises ``UopClass``'s
+    own ``ValueError``.
+    """
+    try:
+        return _LATENCY[opclass]
+    except (KeyError, TypeError):  # unhashable values miss too
+        return _LATENCY[UopClass(opclass)]
 
 
 def queue_of(opclass: UopClass) -> IssueQueueKind:
     """Return the per-cluster issue queue that ``opclass`` is allocated into."""
-    return _QUEUE[UopClass(opclass)]
+    try:
+        return _QUEUE[opclass]
+    except (KeyError, TypeError):
+        return _QUEUE[UopClass(opclass)]
 
 
 def is_memory(opclass: UopClass) -> bool:

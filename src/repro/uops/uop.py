@@ -81,8 +81,8 @@ class StaticInstruction:
     ) -> None:
         self.sid = int(sid)
         self.opclass = UopClass(opclass)
-        self.dests: Tuple[int, ...] = tuple(int(d) for d in dests)
-        self.srcs: Tuple[int, ...] = tuple(int(s) for s in srcs)
+        self.dests: Tuple[int, ...] = tuple(map(int, dests))
+        self.srcs: Tuple[int, ...] = tuple(map(int, srcs))
         self.block = int(block)
         self.vc_id: Optional[int] = None
         self.chain_leader: bool = False

@@ -14,7 +14,8 @@ averaging performed by the harness (as in the paper) is meaningful.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
+from functools import cached_property
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -123,6 +124,18 @@ class BenchmarkProfile:
     def is_fp(self) -> bool:
         """True for floating-point benchmarks."""
         return self.suite == "fp"
+
+    @cached_property
+    def identity(self) -> Dict[str, object]:
+        """JSON-compatible dump of every field (kernel-mix keys by name).
+
+        The profile part of the engine's cache and trace keys.  Computed
+        once per instance (fields are frozen) and shared: treat it as
+        read-only.
+        """
+        data = asdict(self)
+        data["kernel_mix"] = {kind.name: weight for kind, weight in self.kernel_mix.items()}
+        return data
 
     def with_overrides(self, **kwargs) -> "BenchmarkProfile":
         """Return a copy of the profile with the given fields replaced."""

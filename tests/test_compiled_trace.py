@@ -32,6 +32,7 @@ from repro.uops.compiled import (
     compile_trace,
 )
 from repro.uops.opcodes import UopClass, latency_of, queue_of
+from repro.uops.registers import DEFAULT_REGISTER_SPACE
 from repro.uops.uop import DynamicUop, StaticInstruction
 from repro.workloads.generator import WorkloadGenerator
 from repro.workloads.spec2000 import profile_for
@@ -173,6 +174,95 @@ class TestDerivedColumns:
             view.index = i
             static = view.static
             assert seen.setdefault(static.sid, static) is static
+
+
+def _reference_dedup(row):
+    """First-occurrence deduplication, written as the plain loop."""
+    seen, out = set(), []
+    for reg in row:
+        if reg not in seen:
+            seen.add(reg)
+            out.append(reg)
+    return tuple(out)
+
+
+def _reference_plan(srcs, dests):
+    """Dependence rows by a program-order walk keeping each register's last writer.
+
+    Definition ids number the destination operands in trace order; a
+    µop's sources read before its own writes, and of two writes of one
+    register by one µop the later wins.  Live-in sources are dropped.
+    """
+    last = {}
+    deps, def_uop, def_reg, dest_offsets = [], [], [], [0]
+    for i, (row, written) in enumerate(zip(srcs, dests)):
+        deps.append(
+            tuple(last[reg] for reg in _reference_dedup(row) if reg in last)
+        )
+        for reg in written:
+            last[reg] = len(def_uop)
+            def_uop.append(i)
+            def_reg.append(reg)
+        dest_offsets.append(len(def_uop))
+    return deps, def_uop, def_reg, dest_offsets
+
+
+@st.composite
+def operand_rows(draw):
+    """Per-µop (srcs, dests) over a few registers: duplicate sources, double
+    writes of one register, live-ins and empty rows all occur."""
+    n = draw(st.integers(min_value=0, max_value=40))
+    regs = st.integers(min_value=0, max_value=draw(st.integers(1, 9)))
+    srcs = [tuple(draw(st.lists(regs, max_size=5))) for _ in range(n)]
+    dests = [tuple(draw(st.lists(regs, max_size=3))) for _ in range(n)]
+    return srcs, dests
+
+
+def _operand_trace(srcs, dests):
+    n = len(srcs)
+    return CompiledTrace.from_columns(
+        sids=list(range(n)),
+        opclasses=[int(UopClass.INT_ALU)] * n,
+        srcs=srcs,
+        dests=dests,
+        blocks=[0] * n,
+        addresses=[0] * n,
+        mispredicted=[False] * n,
+        vc_ids=[NO_ANNOTATION] * n,
+        chain_leaders=[False] * n,
+        static_clusters=[NO_ANNOTATION] * n,
+    )
+
+
+class TestDependencePlan:
+    """The array-native plan and dedup equal their plain reference loops."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(rows=operand_rows())
+    def test_plan_and_dedup_match_reference_loop(self, rows):
+        srcs, dests = rows
+        compiled = _operand_trace(srcs, dests)
+        deps, def_uop, def_reg, dest_offsets = _reference_plan(srcs, dests)
+        plan = compiled.dependency_plan()
+        assert plan.deps == deps
+        assert plan.def_uop == def_uop
+        assert plan.def_reg == def_reg
+        assert plan.dest_offsets == dest_offsets
+        assert compiled.unique_src_tuples() == [_reference_dedup(row) for row in srcs]
+        arrays = compiled.dispatch_meta_arrays(DEFAULT_REGISTER_SPACE)
+        assert [
+            tuple(arrays.dep_defs[arrays.dep_offsets[i]:arrays.dep_offsets[i + 1]].tolist())
+            for i in range(len(srcs))
+        ] == deps
+        assert arrays.def_uop.tolist() == def_uop
+
+    def test_double_write_and_self_read(self):
+        """A µop reading its own destination reads the *previous* writer, and
+        the later of two writes of one register by one µop wins."""
+        srcs = [(), (1,), (1, 1, 2)]
+        dests = [(1,), (1, 1), (1,)]
+        plan = _operand_trace(srcs, dests).dependency_plan()
+        assert plan.deps == [(), (0,), (2,)]
 
 
 class TestAnnotationRefresh:

@@ -144,6 +144,15 @@ def golden_by_kernel():
 
 
 class TestGoldenSuiteParity:
+    @pytest.mark.parametrize("kernel", ["interpreter", "vectorized"])
+    def test_golden_suite_keeps_conservation_laws(self, kernel, monkeypatch):
+        """Under the sanitizer every run checks its own conservation laws
+        (``SimulationMetrics.check_invariants``), so a clean golden run is
+        the check over the whole suite."""
+        monkeypatch.setenv(SANITIZE_ENV, "1")
+        monkeypatch.setenv(KERNEL_ENV, kernel)
+        assert compute_golden_snapshot()["cases"]
+
     def test_golden_suite_bit_identical_across_kernels(self, golden_by_kernel):
         reference = golden_by_kernel["interpreter"]
         for kernel in KERNELS:
@@ -185,7 +194,9 @@ def _run_all_modes(compiled, policy_factory, config):
         for idle_skip in (False, True):
             processor = ClusteredProcessor(config, policy_factory(), kernel=kernel)
             processor.idle_skip = idle_skip
-            results[(kernel, idle_skip)] = processor.run(compiled).as_dict()
+            metrics = processor.run(compiled)
+            metrics.check_invariants(compiled, config)
+            results[(kernel, idle_skip)] = metrics.as_dict()
     return results
 
 
@@ -347,6 +358,7 @@ def _run_lowered_mode(compiled, policy_factory, config, kernel, fused, force_pur
         metrics = processor.run(compiled)
     finally:
         jitloop.FORCE_PURE = saved
+    metrics.check_invariants(compiled, config)
     return metrics.as_dict(), policy
 
 
@@ -495,6 +507,48 @@ class TestSimulateTraceKernelKnob:
         a = simulate_trace(trace, OccupancyAwareSteering(), kernel="interpreter")
         b = simulate_trace(trace, OccupancyAwareSteering(), kernel="vectorized")
         assert a.as_dict() == b.as_dict()
+
+
+class TestTinyCacheParity:
+    """The inlined cache model on the paths the default geometry never takes.
+
+    With the Table 2 caches every figure trace fits in L2 (``l2_hit_rate``
+    reads 1.0), so the golden and parity suites never miss in L2 or evict
+    from it.  A 1 KB 2-way L1 over an 8 KB 2-way L2 makes the
+    cache-miss-dominated traces miss and evict at both levels.
+    """
+
+    @pytest.mark.parametrize("warm_caches", [False, True])
+    @pytest.mark.parametrize("policy", ["OP", "VC"])
+    @pytest.mark.parametrize("trace_name", ["181.mcf", "179.art-1", "171.swim"])
+    def test_vectorized_matches_interpreter(self, trace_name, policy, warm_caches):
+        program, compiled = WorkloadGenerator(
+            profile_for(trace_name)
+        ).generate_compiled_trace(1200, phase=0)
+        _annotate_for(policy, program)
+        compiled.annotate_from(program)
+        config = ClusterConfig(
+            num_clusters=2,
+            l1_size_kb=1,
+            l1_assoc=2,
+            l2_size_kb=8,
+            l2_assoc=2,
+            warm_caches=warm_caches,
+        )
+        results = {}
+        for kernel in ("interpreter", "vectorized"):
+            processor = ClusteredProcessor(
+                config, _policy_factories()[policy](), kernel=kernel
+            )
+            metrics = processor.run(compiled)
+            metrics.check_invariants(compiled, config)
+            results[kernel] = (metrics.to_dict(), processor.memory.tag_state())
+        reference, reference_tags = results["interpreter"]
+        actual, actual_tags = results["vectorized"]
+        assert reference["cache"]["l2_hit_rate"] < 1.0  # the L2-miss path ran
+        for field_name, value in reference.items():
+            assert actual[field_name] == value, f"{field_name} diverged"
+        assert actual_tags == reference_tags  # same final contents, LRU order included
 
 
 class TestCopySlotGrowth:

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.partition.base import PartitionReport
+from repro.partition.base import PartitionReport, region_ddgs
 from repro.partition.chains import chain_length_histogram, identify_chains
 from repro.partition.multilevel import MultilevelPartitioner, PartitionObjective
 from repro.partition.ob_partitioner import OperationBasedPartitioner
@@ -268,3 +270,61 @@ class TestPartitionReport:
         program = generate_program(small_profile)
         with pytest.raises(ValueError):
             Broken(2).annotate_program(program)
+
+
+def _annotations(program):
+    return [
+        (inst.sid, inst.vc_id, inst.chain_leader, inst.static_cluster)
+        for inst in program.all_instructions()
+    ]
+
+
+class TestSharedRegionDDGs:
+    """Regions and DDGs are formed once per (program, region size) and shared."""
+
+    PASSES = (
+        lambda: OperationBasedPartitioner(num_clusters=2),
+        lambda: RhopPartitioner(num_clusters=2),
+        lambda: VirtualClusterPartitioner(num_virtual_clusters=2),
+    )
+
+    def test_ob_rhop_vc_on_shared_ddgs_match_fresh_programs(self, small_profile):
+        shared = generate_program(small_profile, phase=1)
+        memo = region_ddgs(shared, 128)
+        for make_pass in self.PASSES:
+            report = make_pass().annotate_program(shared)
+            assert region_ddgs(shared, 128) is memo  # built once, reused
+            fresh = generate_program(small_profile, phase=1)
+            fresh_report = make_pass().annotate_program(fresh)
+            assert _annotations(shared) == _annotations(fresh)
+            assert report == fresh_report
+
+    def test_memo_is_keyed_by_region_size(self, small_profile):
+        program = generate_program(small_profile, phase=0)
+        small_regions, _ = region_ddgs(program, 16)
+        large_regions, _ = region_ddgs(program, 128)
+        assert len(small_regions) > len(large_regions)
+        assert region_ddgs(program, 16)[0] is small_regions
+
+    def test_pickled_program_carries_no_memo(self, small_profile):
+        partitioned = generate_program(small_profile, phase=0)
+        for make_pass in self.PASSES:
+            make_pass().annotate_program(partitioned)
+        assert "_memo" not in partitioned.__getstate__()
+        restored = pickle.loads(pickle.dumps(partitioned))
+        assert restored._memo == {}
+        assert _annotations(restored) == _annotations(partitioned)
+        # Byte-identical to a program with the same annotations but no memo
+        # entries besides VC's: the memo never reaches the pickle.
+        fresh = generate_program(small_profile, phase=0)
+        VirtualClusterPartitioner(num_virtual_clusters=2).annotate_program(fresh)
+        assert pickle.dumps(partitioned) == pickle.dumps(fresh)
+        # The restored program rebuilds its own DDGs over its own instructions.
+        _, ddgs = region_ddgs(restored, 128)
+        by_sid = {inst.sid: inst for inst in restored.all_instructions()}
+        assert all(
+            inst is by_sid[inst.sid]
+            for ddg in ddgs
+            if ddg is not None
+            for inst in ddg.instructions
+        )

@@ -274,3 +274,58 @@ class TestEventHeapHygiene:
         assert metrics.committed_uops == len(trace)
         # Fully drained at the end: no events, and no keys left behind.
         assert not processor._events and not processor._event_heap
+
+
+class TestConservationLaws:
+    """``SimulationMetrics.check_invariants`` passes real runs and names every breach."""
+
+    @pytest.fixture
+    def run(self, small_profile):
+        config = ClusterConfig(num_clusters=2)
+        _, compiled = WorkloadGenerator(small_profile).generate_compiled_trace(600)
+        metrics = ClusteredProcessor(config, OccupancyAwareSteering()).run(compiled)
+        return metrics, compiled, config
+
+    def test_real_run_keeps_every_law(self, run):
+        metrics, compiled, config = run
+        metrics.check_invariants(compiled, config)
+
+    @pytest.mark.parametrize(
+        "tamper, message",
+        [
+            (lambda m: setattr(m, "committed_uops", m.committed_uops - 1), "trace length"),
+            (lambda m: m.cluster_dispatch.__setitem__(0, m.cluster_dispatch[0] + 1), "cluster_dispatch"),
+            (lambda m: setattr(m, "copies_generated", m.copies_generated + 1), "cluster_copies"),
+            (lambda m: setattr(m, "mispredictions", m.branches + 1), "branches"),
+            (lambda m: setattr(m, "cycles", 1), "commit width"),
+            (lambda m: m.cache.__setitem__("l1_accesses", m.cache["l1_accesses"] + 1), "memory µops"),
+            (lambda m: m.cache.__setitem__("l2_accesses", 0.0), "l2_accesses"),
+        ],
+    )
+    def test_each_breach_is_named(self, run, tamper, message):
+        metrics, compiled, config = run
+        tamper(metrics)
+        with pytest.raises(ValueError, match=message):
+            metrics.check_invariants(compiled, config)
+
+    def test_sanitized_runs_check_their_laws(self, small_profile, monkeypatch):
+        """Under ``$REPRO_SANITIZE`` every run checks itself: a kernel that
+        miscounted would raise at the end of ``run_bound``."""
+        from repro.cluster.metrics import SimulationMetrics
+        from repro.sanitize import SANITIZE_ENV
+
+        checked = []
+        original = SimulationMetrics.check_invariants
+        monkeypatch.setattr(
+            SimulationMetrics,
+            "check_invariants",
+            lambda self, trace, config: checked.append(len(trace)) or original(self, trace, config),
+        )
+        _, compiled = WorkloadGenerator(small_profile).generate_compiled_trace(300)
+        for kernel in ("interpreter", "vectorized"):
+            ClusteredProcessor(ClusterConfig(), OneClusterSteering(), kernel=kernel).run(compiled)
+        assert checked == []
+        monkeypatch.setenv(SANITIZE_ENV, "1")
+        for kernel in ("interpreter", "vectorized"):
+            ClusteredProcessor(ClusterConfig(), OneClusterSteering(), kernel=kernel).run(compiled)
+        assert checked == [len(compiled)] * 2

@@ -91,6 +91,57 @@ class TestStore:
         monkeypatch.setattr("repro.engine.artifacts.TRACE_ARTIFACT_VERSION", 999)
         assert store.get(key) is None
 
+    def test_savez_compressed_layout_still_loads(self, tmp_path, small_profile):
+        """Artifacts written as ``np.savez_compressed`` files (the store's
+        earlier writer) stay hits: same members, default deflate level."""
+        import pickle
+
+        from repro.engine.artifacts import TRACE_ARTIFACT_VERSION
+
+        store = TraceArtifactStore(tmp_path / "traces")
+        program, compiled = WorkloadGenerator(small_profile).generate_compiled_trace(500)
+        key = "5a" * 32
+        path = store._path(key)
+        path.parent.mkdir(parents=True)
+        payload = dict(compiled.stored_columns())
+        payload["program_pickle"] = np.frombuffer(
+            pickle.dumps(program, protocol=pickle.HIGHEST_PROTOCOL), dtype=np.uint8
+        )
+        payload["artifact_version"] = np.array([TRACE_ARTIFACT_VERSION], dtype=np.int64)
+        with open(path, "wb") as handle:
+            np.savez_compressed(handle, **payload)
+        loaded = store.get(key)
+        assert loaded is not None
+        loaded_program, loaded_trace = loaded
+        assert loaded_trace.equals(compiled)
+
+        def operands(prog):
+            return [(i.sid, i.opclass, i.srcs, i.dests) for i in prog.all_instructions()]
+
+        assert operands(loaded_program) == operands(program)
+        assert store.stats() == {"hits": 1, "misses": 0, "stores": 0}
+
+    def test_written_artifact_is_a_standard_npz(self, tmp_path, small_profile):
+        """``put`` writes the ``np.savez`` member layout, deflate-compressed."""
+        import zipfile
+
+        store = TraceArtifactStore(tmp_path / "traces")
+        program, compiled = WorkloadGenerator(small_profile).generate_compiled_trace(500)
+        key = "6b" * 32
+        store.put(key, program, compiled)
+        with zipfile.ZipFile(store._path(key)) as archive:
+            members = archive.infolist()
+        assert sorted(member.filename for member in members) == sorted(
+            f"{name}.npy"
+            for name in (*compiled.STORED_FIELDS, "program_pickle", "artifact_version")
+        )
+        assert {member.compress_type for member in members} == {zipfile.ZIP_DEFLATED}
+        with np.load(store._path(key), allow_pickle=False) as data:
+            for name in compiled.STORED_FIELDS:
+                stored = data[name]
+                assert stored.dtype == getattr(compiled, name).dtype
+                assert np.array_equal(stored, getattr(compiled, name))
+
     def test_loaded_program_supports_compiler_passes(self, tmp_path, small_profile):
         """Annotating a loaded program must reproduce the fresh-program pass."""
         from repro.partition.vc_partitioner import VirtualClusterPartitioner
