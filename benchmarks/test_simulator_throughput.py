@@ -15,9 +15,7 @@ same trace -- the wall-clock ratio of the two is the kernel-speedup
 headline that ``scripts/check_bench_regression.py`` guards.  The
 ``*_callback`` variants disable the compiled steering tier
 (``fused_steering=False``), so the default-vs-callback ratio is the
-fused-dispatch headline; the ``*_jit`` variants pin the ``vectorized-jit``
-kernel and only run where numba is installed (the jit-vs-callback headline
-is skipped-with-note otherwise).  The ``*_uop_objects`` variant keeps the
+fused-dispatch headline.  The ``*_uop_objects`` variant keeps the
 µop-object entry point timed as well, so the cost of compiling on entry
 stays visible.  Every simulator benchmark records ``uops_per_second`` in
 ``extra_info`` -- the number the DESIGN.md / README throughput claims refer
@@ -30,9 +28,6 @@ from __future__ import annotations
 import os
 import time
 
-import pytest
-
-from repro.cluster import jitloop
 from repro.cluster.processor import ClusteredProcessor
 from repro.engine.artifacts import TraceArtifactStore
 from repro.experiments.configs import TABLE3_CONFIGURATIONS
@@ -120,54 +115,6 @@ def test_simulator_throughput_vc_callback(
         processor = ClusteredProcessor(substrate_config, VirtualClusterSteering(2))
         processor.fused_steering = False
         return processor.run(gzip_compiled_trace)
-
-    metrics = benchmark(run)
-    _record_throughput(benchmark, metrics, len(gzip_compiled_trace))
-    assert metrics.committed_uops == len(gzip_compiled_trace)
-
-
-@pytest.mark.skipif(
-    not jitloop.JIT_ENABLED, reason="numba not installed: no jitted inner loop"
-)
-def test_simulator_throughput_op_jit(
-    benchmark, gzip_trace, gzip_compiled_trace, substrate_config
-):
-    """The numba-jitted inner loop under the OP policy.
-
-    Only collected where numba is installed; the ratio to the ``_callback``
-    variant is the jit speedup headline (skipped-with-note when absent).
-    The first ``run()`` call pays the jit compilation; pytest-benchmark's
-    calibration rounds absorb it before timing starts.
-    """
-    program, _ = gzip_trace
-    program.clear_annotations()
-    gzip_compiled_trace.annotate_from(program)
-
-    def run():
-        return ClusteredProcessor(
-            substrate_config, OccupancyAwareSteering(), kernel="vectorized-jit"
-        ).run(gzip_compiled_trace)
-
-    metrics = benchmark(run)
-    _record_throughput(benchmark, metrics, len(gzip_compiled_trace))
-    assert metrics.committed_uops == len(gzip_compiled_trace)
-
-
-@pytest.mark.skipif(
-    not jitloop.JIT_ENABLED, reason="numba not installed: no jitted inner loop"
-)
-def test_simulator_throughput_vc_jit(
-    benchmark, gzip_trace, gzip_compiled_trace, substrate_config
-):
-    """The numba-jitted inner loop under the hybrid VC policy."""
-    program, _ = gzip_trace
-    VirtualClusterPartitioner(2).annotate_program(program)
-    gzip_compiled_trace.annotate_from(program)
-
-    def run():
-        return ClusteredProcessor(
-            substrate_config, VirtualClusterSteering(2), kernel="vectorized-jit"
-        ).run(gzip_compiled_trace)
 
     metrics = benchmark(run)
     _record_throughput(benchmark, metrics, len(gzip_compiled_trace))

@@ -30,11 +30,7 @@ any falls below its floor:
   fused dispatch fast path) versus the per-µop callback path on the same
   kernel, under OP and VC (floor 1.05x; the committed snapshot records
   ~1.1-1.2x -- the fast path removes Python frames from dispatch only, so
-  the honest headline is modest), and
-* **jit speedup** (substrate suite) -- the numba-jitted inner loop versus
-  the callback path (floor 2.0x).  The ``*_jit`` benchmarks only run where
-  numba is installed; without it the headline is skipped with a note, never
-  silently passed off as measured,
+  the honest headline is modest),
 * **adaptive savings** -- the planned-vs-executed simulation-run ratio the
   adaptive race scheduler records in ``test_race_adaptive``'s ``extra_info``
   (floor 3.0x; the committed snapshot records 5.0x).  A *count* ratio, not a
@@ -99,14 +95,6 @@ FUSED_OP_SUBJECT = "test_simulator_throughput_op"
 FUSED_VC_BASELINE = "test_simulator_throughput_vc_callback"
 FUSED_VC_SUBJECT = "test_simulator_throughput_vc"
 MIN_FUSED_SPEEDUP = 1.05
-
-#: The jitted-inner-loop headline; the subject only exists on numba-enabled
-#: runners (``check_headline`` skips with a note when it is absent).
-JIT_OP_BASELINE = "test_simulator_throughput_op_callback"
-JIT_OP_SUBJECT = "test_simulator_throughput_op_jit"
-JIT_VC_BASELINE = "test_simulator_throughput_vc_callback"
-JIT_VC_SUBJECT = "test_simulator_throughput_vc_jit"
-MIN_JIT_SPEEDUP = 2.0
 
 #: The adaptive-savings headline: planned vs executed simulation runs of the
 #: racing campaign, read from the benchmark's recorded extra_info counts.
@@ -413,20 +401,6 @@ def main(argv=None) -> int:
             FUSED_VC_SUBJECT,
             MIN_FUSED_SPEEDUP,
             "fused-steering-vs-callback (VC)",
-        )
-        warnings += check_headline(
-            substrate_fresh,
-            JIT_OP_BASELINE,
-            JIT_OP_SUBJECT,
-            MIN_JIT_SPEEDUP,
-            "jit-loop-vs-callback (OP)",
-        )
-        warnings += check_headline(
-            substrate_fresh,
-            JIT_VC_BASELINE,
-            JIT_VC_SUBJECT,
-            MIN_JIT_SPEEDUP,
-            "jit-loop-vs-callback (VC)",
         )
 
     if warnings:

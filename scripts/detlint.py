@@ -3,7 +3,7 @@
 
 Compatibility shim over the detlint pass only -- equivalent to
 ``PYTHONPATH=src python -m repro.analysis --pass detlint``.  The multi-pass
-front end (detlint + parlint + lifelint) is ``python -m repro.analysis``;
+front end (detlint + lifelint) is ``python -m repro.analysis``;
 see ``python scripts/detlint.py --list-rules`` for the detlint rule
 catalogue and DESIGN.md §7 for the framework behind it.
 """

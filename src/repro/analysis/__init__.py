@@ -17,8 +17,6 @@
 
   - :mod:`repro.analysis.detlint` (DET1xx) -- determinism hazards that
     break the bit-identity contract.
-  - :mod:`repro.analysis.parlint` (PAR2xx) -- kernel-twin / lowering
-    consistency across the fused dispatch, the jit twin and ``SPEC_FORMS``.
   - :mod:`repro.analysis.lifelint` (RES3xx) -- resource lifecycles in the
     shm/pool substrate.
 

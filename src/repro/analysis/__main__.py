@@ -1,6 +1,6 @@
 """``python -m repro.analysis``: run the static-analysis passes.
 
-Defaults to every registered pass (detlint, parlint, lifelint); select one
+Defaults to every registered pass (detlint, lifelint); select one
 with ``--pass``.  See :mod:`repro.analysis.framework` for the shared
 suppression/baseline machinery and DESIGN.md §7 for the model.
 """

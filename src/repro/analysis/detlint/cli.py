@@ -2,7 +2,7 @@
 
 This is the PR 7 single-pass CLI, kept byte-compatible for
 ``scripts/detlint.py`` and existing callers.  The multi-pass front end
-(detlint + parlint + lifelint, ``--pass`` selection, ``--format github``,
+(detlint + lifelint, ``--pass`` selection, ``--format github``,
 ``--prune-baseline``) lives in :mod:`repro.analysis.framework` and backs
 ``python -m repro.analysis`` and ``repro analyze``.
 

@@ -1,8 +1,7 @@
 """detlint's scanning surface, now hosted by the analysis framework.
 
-PR 7 built the suppression/fingerprint/baseline machinery here; PR 10
-generalized it into :mod:`repro.analysis.framework` so parlint and lifelint
-share it.  This module keeps detlint's original programmatic API --
+The suppression/fingerprint/baseline machinery began here and now lives,
+generalized, in :mod:`repro.analysis.framework`, where lifelint shares it.  This module keeps detlint's original programmatic API --
 ``scan_paths(paths, baseline, strict)``, ``suppressed_rules(line)``,
 ``Baseline``, ``fingerprint`` -- as thin delegations that run exactly the
 detlint pass, so PR 7 callers and tests see identical behavior.  See

@@ -9,8 +9,8 @@ catalogue and a scanner; the framework owns everything the passes share
   **suppressed** (an inline ``# <pass>: ok <RULE>`` comment on the offending
   line) or **baselined** (its fingerprint appears in the committed baseline).
 * **Suppression** is line-scoped, rule-scoped and pass-tagged: ``# detlint:
-  ok DET102 (reason)`` mutes detlint on that line only; parlint and lifelint
-  read ``# parlint: ok`` / ``# lifelint: ok``.  Strict mode additionally
+  ok DET102 (reason)`` mutes detlint on that line only; lifelint reads
+  ``# lifelint: ok``.  Strict mode additionally
   requires a non-empty rationale -- a suppression without one does not
   suppress.
 * **Fingerprints** hash the *content* of the offending line, not its number,
@@ -23,9 +23,9 @@ catalogue and a scanner; the framework owns everything the passes share
   or scan errors.  Strict mode disables the baseline entirely; CI runs every
   pass strict, which is the end state this repo maintains.
 
-The three built-in passes are *detlint* (determinism hazards, DET1xx),
-*parlint* (kernel-twin/lowering consistency, PAR2xx) and *lifelint*
-(resource lifecycles, RES3xx); :func:`load_builtin_passes` registers them.
+The two built-in passes are *detlint* (determinism hazards, DET1xx) and
+*lifelint* (resource lifecycles, RES3xx); :func:`load_builtin_passes`
+registers them.
 """
 
 from __future__ import annotations
@@ -100,19 +100,12 @@ class Rule:
 
 
 class PassScanner:
-    """Per-scan state for one pass; subclasses override :meth:`check`.
-
-    ``check`` sees every scanned module; ``finish`` runs once at the end so
-    cross-file passes (parlint) can reconcile what the modules declared.
-    """
+    """Per-scan state for one pass; subclasses override :meth:`check`."""
 
     def check(
         self, tree: ast.Module, source: str, path: str, module_name: str
     ) -> List[Finding]:
         raise NotImplementedError
-
-    def finish(self) -> List[Finding]:
-        return []
 
 
 @dataclass(frozen=True)
@@ -137,11 +130,10 @@ _PASSES: Dict[str, AnalysisPass] = {}
 #: module directly before :func:`load_builtin_passes` runs.
 _BUILTIN_PASS_MODULES = (
     "repro.analysis.detlint.rules",
-    "repro.analysis.parlint.rules",
     "repro.analysis.lifelint.rules",
 )
 
-_BUILTIN_PASS_ORDER = ("detlint", "parlint", "lifelint")
+_BUILTIN_PASS_ORDER = ("detlint", "lifelint")
 
 
 def register_pass(analysis_pass: AnalysisPass) -> AnalysisPass:
@@ -486,7 +478,6 @@ def scan_paths(
     effective = None if strict else baseline
     classifier = _Classifier(effective, strict)
     scanners = [(p, p.scanner()) for p in selected]
-    lines_by_path: Dict[str, List[str]] = {}
     for file_path in _iter_python_files([Path(p) for p in paths]):
         rel = _relative(file_path)
         result.files_scanned += 1
@@ -497,19 +488,12 @@ def scan_paths(
             result.errors.append(f"{rel}: {exc}")
             continue
         lines = source.splitlines()
-        lines_by_path[rel] = lines
         module = _module_name(file_path)
         for analysis_pass, scanner in scanners:
             for finding in scanner.check(tree, source, rel, module):
                 item = classifier.classify(analysis_pass, finding, lines)
                 if item is not None:
                     result.findings.append(item)
-    for analysis_pass, scanner in scanners:
-        for finding in scanner.finish():
-            lines = lines_by_path.get(finding.path, [])
-            item = classifier.classify(analysis_pass, finding, lines)
-            if item is not None:
-                result.findings.append(item)
     if effective is not None:
         result.stale_fingerprints = sorted(
             effective.fingerprints - classifier.matched_prints
@@ -618,8 +602,8 @@ def build_parser(prog: str = "repro-analyze") -> argparse.ArgumentParser:
         prog=prog,
         description=(
             "Static-analysis passes for the bit-identity contract: detlint "
-            "(determinism hazards), parlint (kernel-twin/lowering drift) and "
-            "lifelint (shared-memory and executor lifecycles)."
+            "(determinism hazards) and lifelint (shared-memory and executor "
+            "lifecycles)."
         ),
     )
     parser.add_argument(
@@ -631,7 +615,7 @@ def build_parser(prog: str = "repro-analyze") -> argparse.ArgumentParser:
     parser.add_argument(
         "--pass",
         dest="pass_name",
-        choices=("detlint", "parlint", "lifelint", "all"),
+        choices=("detlint", "lifelint", "all"),
         default="all",
         help="which analyzer to run (default: all)",
     )

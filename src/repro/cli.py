@@ -511,7 +511,7 @@ def cmd_figure(args: argparse.Namespace) -> str:
 def cmd_analyze(args: argparse.Namespace) -> str:
     """``analyze``: the static-analysis passes (:mod:`repro.analysis.framework`).
 
-    ``--pass`` selects detlint / parlint / lifelint / all.  Exit codes follow
+    ``--pass`` selects detlint / lifelint / all.  Exit codes follow
     the framework (0 clean, 1 fresh findings, 2 scan errors); the report ends
     with one ``[<pass>] ...`` footer per selected pass.
     """
@@ -604,7 +604,7 @@ def build_parser() -> argparse.ArgumentParser:
     analyze_parser.add_argument(
         "--pass",
         dest="pass_name",
-        choices=("detlint", "parlint", "lifelint", "all"),
+        choices=("detlint", "lifelint", "all"),
         default="all",
         help="which analysis pass to run (default: all)",
     )

@@ -25,11 +25,9 @@ A third tier -- the **compiled steering tier** -- removes the per-µop Python
 frames entirely for policies that declare their decision function: a policy
 exposing :meth:`~repro.steering.base.SteeringPolicy.compiled_spec` has its
 decision (one of the closed :data:`~repro.steering.base.SPEC_FORMS`) inlined
-into the dispatch loop of the array tier (the *fused fast path*), and the
-``vectorized-jit`` kernel additionally runs the whole inner loop through
-:mod:`repro.cluster.jitloop` -- numba-jitted when numba is installed, the
-same code executed as plain Python otherwise.  Un-lowered policies fall
-through to the per-µop callback path unchanged, per dispatch, mid-batch.
+into the dispatch loop of the array tier (the *fused fast path*).
+Un-lowered policies fall through to the per-µop callback path unchanged,
+per dispatch, mid-batch.
 
 The kernel is bit-identical to the interpreter: the golden-metrics suite and
 the kernel-parity suite run both on the same traces and compare metrics
@@ -57,7 +55,7 @@ from repro.uops.compiled import NO_ANNOTATION, CompiledTrace, CompiledUopView
 KERNEL_ENV = "REPRO_KERNEL"
 
 #: Recognised kernel implementations.
-KERNELS = ("interpreter", "vectorized", "vectorized-jit")
+KERNELS = ("interpreter", "vectorized")
 
 #: Kernel used when neither the constructor nor the environment picks one.
 DEFAULT_KERNEL = "vectorized"
@@ -287,35 +285,6 @@ class VectorizedKernel(SteeringContext):
             if proc.fused_steering
             else (None, _FORM_CALLBACK)
         )
-        if proc.kernel == "vectorized-jit" and form != _FORM_CALLBACK:
-            # Lowered policy on the jit kernel: the whole inner loop runs in
-            # :mod:`repro.cluster.jitloop` when numba is available (cache
-            # warm-up happens inside its array-form memory model, so it is
-            # not repeated here).  Without numba the fused loop below *is*
-            # the pure-Python twin of the jitted kernel -- same algorithm,
-            # list-based data structures (which pure Python executes faster
-            # than the array transcription) -- so execution simply falls
-            # through.  ``jitloop.FORCE_PURE`` overrides the choice so the
-            # parity suite can pin the transcription's semantics un-jitted.
-            from repro.cluster import jitloop
-
-            if jitloop.jit_active():
-                status, mod_next, vc_map, vc_remaps = jitloop.run_fused(
-                    self, spec, form, limit
-                )
-                _sync_spec_state(steering, form, mod_next, vc_map, vc_remaps)
-                if status:
-                    raise RuntimeError(
-                        f"simulation exceeded {limit} cycles "
-                        f"({proc.metrics.committed_uops} µops committed); "
-                        f"possible deadlock"
-                    )
-                return
-        if config.warm_caches:
-            # Warm-up is owned by the kernel (not ``run_bound``) so the jit
-            # path above can replay the same access plan inside its own model
-            # without paying the object-model pass first.
-            proc._load_warm_caches(self._compiled)
         # The policy's µop view, fresh per run like the interpreter's (it
         # snapshots the annotation columns); fused forms read the columns
         # directly and never need one.

@@ -125,12 +125,8 @@ class ClusteredProcessor(SteeringContext):
     kernel:
         Simulation kernel: ``"interpreter"`` (the original object-graph
         reference implementation), ``"vectorized"`` (the flat-state two-tier
-        kernel, bit-identical and several times faster),
-        ``"vectorized-jit"`` (the vectorized kernel with the inner loop run
-        through :mod:`repro.cluster.jitloop` for policies that expose a
-        :meth:`~repro.steering.base.SteeringPolicy.compiled_spec` --
-        numba-jitted when numba is installed, the pure-Python twin otherwise)
-        or ``"auto"``/``None`` to follow ``$REPRO_KERNEL`` and the built-in
+        kernel, bit-identical and several times faster) or
+        ``"auto"``/``None`` to follow ``$REPRO_KERNEL`` and the built-in
         default.  The choice affects throughput only -- never metrics -- so
         it is a processor knob, not a :class:`ClusterConfig` field (result
         caches key on the config and must not fragment by kernel).
@@ -158,11 +154,7 @@ class ClusteredProcessor(SteeringContext):
         self.fused_steering = True
         self._bound: Optional[CompiledTrace] = None
         self._reset_state()
-        self._vkernel = (
-            VectorizedKernel(self)
-            if self.kernel in ("vectorized", "vectorized-jit")
-            else None
-        )
+        self._vkernel = VectorizedKernel(self) if self.kernel == "vectorized" else None
 
     # ------------------------------------------------------------------ state --
     def _reset_state(self) -> None:
@@ -305,20 +297,17 @@ class ClusteredProcessor(SteeringContext):
         self._reset_state()
         self._num_uops = len(compiled)  # _reset_state clears the fetch window
         limit = max_cycles if max_cycles is not None else self.config.max_cycles
+        if self.config.warm_caches:
+            self._load_warm_caches(compiled)
         if self._vkernel is not None:
-            # Cache warm-up is owned by the kernel: the jitted fast path
-            # replays the access plan inside its own array-form cache model,
-            # so warming the object model here would double the cost.  The
-            # kernel also builds the policy's µop view, and only when the
-            # policy takes the per-µop callback path.
+            # The kernel builds the policy's µop view itself, and only when
+            # the policy takes the per-µop callback path.
             self._vkernel.run(limit)
         else:
             # Fresh per run, not per bind: the view snapshots annotation
             # lists (and reconstructs statics from them), which change
             # between the runs of a batch.
             self._view = CompiledUopView(compiled)
-            if self.config.warm_caches:
-                self._load_warm_caches(compiled)
             idle_skip = self.idle_skip
             while not self._finished():
                 self._step()

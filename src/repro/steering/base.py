@@ -64,9 +64,8 @@ class CompiledSteeringSpec:
     A policy that can express :meth:`SteeringPolicy.pick_cluster` as one of
     the closed :data:`SPEC_FORMS` returns a spec from
     :meth:`SteeringPolicy.compiled_spec`; the vectorized kernel then runs the
-    decision *inside* the array tier -- no per-µop Python frames -- and the
-    ``vectorized-jit`` kernel compiles it into the jitted inner loop.  The
-    spec must reproduce ``pick_cluster`` bit-for-bit: the parity suites run
+    decision *inside* the array tier -- no per-µop Python frames.  The spec
+    must reproduce ``pick_cluster`` bit-for-bit: the parity suites run
     every lowered policy through both tiers and compare metrics
     field-for-field.
 

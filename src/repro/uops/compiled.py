@@ -174,44 +174,6 @@ class DependencePlan(NamedTuple):
         return len(self.def_uop)
 
 
-class DispatchMetaArrays(NamedTuple):
-    """The :meth:`CompiledTrace.dispatch_meta` facts as flat numpy arrays.
-
-    This is the marshalling format of the jitted inner loop
-    (:mod:`repro.cluster.jitloop`): where the Python-tier kernel wants lists
-    and tuples (scalar indexing of numpy arrays is slower in pure Python),
-    the jitted loop wants exactly the opposite -- contiguous typed arrays it
-    can index without boxing.  All integer arrays are ``int64`` and all flag
-    arrays are ``bool`` so the compiled loop is monomorphic.  Like the
-    dependence plan, everything here is annotation-independent, so one
-    instance is shared by every run of a trace.
-    """
-
-    #: Per-µop issue-queue kind (0=INT, 1=FP, 2=COPY).
-    queue: np.ndarray
-    #: Per-µop memory / load / branch / mispredict flags.
-    is_memory: np.ndarray
-    is_load: np.ndarray
-    is_branch: np.ndarray
-    mispredicted: np.ndarray
-    #: Per-µop INT / FP destination counts (register-space dependent).
-    dest_int: np.ndarray
-    dest_fp: np.ndarray
-    #: Per-µop functional-unit latency.
-    latency: np.ndarray
-    #: Source registers, duplicates preserved, CSR form (the steering view).
-    src_offsets: np.ndarray
-    src_regs: np.ndarray
-    #: Producer definition ids per µop, CSR form (the dependence plan).
-    dep_offsets: np.ndarray
-    dep_defs: np.ndarray
-    #: Definition ids owned by µop ``i``: ``[dest_offsets[i], dest_offsets[i+1])``.
-    dest_offsets: np.ndarray
-    #: Producing µop / written register of each definition id.
-    def_uop: np.ndarray
-    def_reg: np.ndarray
-
-
 class CompiledTrace:
     """A dynamic µop trace compiled to structure-of-arrays form.
 
@@ -443,8 +405,8 @@ class CompiledTrace:
         """Per-µop INT and FP destination counts as ``int64`` arrays.
 
         One cumulative sum of the FP flags over the destination CSR, read
-        at the row bounds -- the shared source of :meth:`dest_kind_counts`,
-        :meth:`dispatch_meta` and :meth:`dispatch_meta_arrays`.
+        at the row bounds -- the shared source of :meth:`dest_kind_counts`
+        and :meth:`dispatch_meta`.
         """
         key = f"dest_kind_arrays_{register_space.num_int}_{register_space.num_fp}"
 
@@ -506,57 +468,6 @@ class CompiledTrace:
 
         return self.memo(key, build)
 
-    def dispatch_meta_arrays(self, register_space) -> DispatchMetaArrays:
-        """The dispatch metadata as :class:`DispatchMetaArrays` (jit kernel form).
-
-        Keyed by register-space geometry like :meth:`dispatch_meta`; built
-        from the same dependence plan, so both forms describe the identical
-        structure (the jit parity suite pins this transitively by comparing
-        run metrics).
-        """
-        key = f"dispatch_meta_arrays_{register_space.num_int}_{register_space.num_fp}"
-
-        def build() -> DispatchMetaArrays:
-            dep_offsets, dep_defs = self._dependence_arrays()
-            dest_offsets = self.dest_offsets.astype(np.int64)
-            dest_int, dest_fp = self._dest_kind_arrays(register_space)
-            return DispatchMetaArrays(
-                queue=self.queue.astype(np.int64),
-                is_memory=self.is_memory,
-                is_load=self.is_load,
-                is_branch=self.is_branch,
-                mispredicted=self.mispredicted,
-                dest_int=dest_int,
-                dest_fp=dest_fp,
-                latency=self.latency.astype(np.int64),
-                src_offsets=self.src_offsets.astype(np.int64),
-                src_regs=self.src_regs.astype(np.int64),
-                dep_offsets=dep_offsets,
-                dep_defs=dep_defs,
-                dest_offsets=dest_offsets,
-                def_uop=_row_owner(dest_offsets),
-                def_reg=self.dest_regs.astype(np.int64),
-            )
-
-        return self.memo(key, build)
-
-    def memory_access_plan_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
-        """:meth:`memory_access_plan` as ``(int64 addresses, bool is_load)`` arrays."""
-        def build() -> Tuple[np.ndarray, np.ndarray]:
-            index = np.flatnonzero(self.is_memory)
-            return (self.address[index].astype(np.int64), self.is_load[index])
-
-        return self.memo("memory_plan_arrays", build)
-
-    def _dependence_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
-        """The dependence lists as CSR ``(dep_offsets, dep_defs)`` arrays (cached)."""
-        return self.memo(
-            "dep_arrays",
-            lambda: _last_writers(
-                self.src_offsets, self.src_regs, self.dest_offsets, self.dest_regs
-            ),
-        )
-
     def dependency_plan(self) -> DependencePlan:
         """The :class:`DependencePlan` of the trace (built once, then cached).
 
@@ -567,7 +478,11 @@ class CompiledTrace:
         """
         def build() -> DependencePlan:
             return DependencePlan(
-                deps=_uncsr(*self._dependence_arrays()),
+                deps=_uncsr(
+                    *_last_writers(
+                        self.src_offsets, self.src_regs, self.dest_offsets, self.dest_regs
+                    )
+                ),
                 def_uop=_row_owner(self.dest_offsets).tolist(),
                 def_reg=self.dest_regs.tolist(),
                 dest_offsets=self.dest_offsets.tolist(),

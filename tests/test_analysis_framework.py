@@ -2,9 +2,9 @@
 
 Contracts pinned here:
 
-* **The registry knows all three built-in passes** (detlint, parlint,
-  lifelint) with globally unique rule-id prefixes, and ``scan_paths`` runs
-  them over one shared parse of each file.
+* **The registry knows both built-in passes** (detlint, lifelint), in
+  canonical report order, with globally unique rule-id prefixes, and
+  ``scan_paths`` runs them over one shared parse of each file.
 * **Suppression tags are pass-scoped**: ``# detlint: ok`` never mutes a
   lifelint finding on the same line and vice versa.
 * **Strict mode requires rationales**: a bare ``# <pass>: ok RULE`` keeps
@@ -55,9 +55,9 @@ def _run(*argv):
 
 
 class TestRegistry:
-    def test_all_three_builtin_passes_register(self):
+    def test_builtin_passes_register_in_report_order(self):
         names = [p.name for p in all_passes()]
-        assert names == ["detlint", "parlint", "lifelint"]
+        assert names == ["detlint", "lifelint"]
 
     def test_rule_id_prefixes_are_globally_unique(self):
         seen = {}
@@ -69,7 +69,6 @@ class TestRegistry:
                 )
                 seen[rule.rule_id] = analysis_pass.name
         assert any(r.startswith("DET1") for r in seen)
-        assert any(r.startswith("PAR2") for r in seen)
         assert any(r.startswith("RES3") for r in seen)
 
     def test_get_pass_rejects_unknown_names(self):
@@ -120,11 +119,11 @@ class TestPassScopedSuppression:
 
     def test_rationale_parsing(self):
         suppression = parse_suppression(
-            "x = 1  # parlint: ok PAR203 (deliberate bad form)", tag="parlint"
+            "x = 1  # lifelint: ok RES302 (fixture owns the segment)", tag="lifelint"
         )
-        assert suppression.rules == {"PAR203"}
-        assert suppression.rationale == "deliberate bad form"
-        assert parse_suppression("x = 1  # parlint: ok", tag="lifelint") is None
+        assert suppression.rules == {"RES302"}
+        assert suppression.rationale == "fixture owns the segment"
+        assert parse_suppression("x = 1  # lifelint: ok", tag="detlint") is None
 
 
 class TestStrictRationale:
@@ -226,7 +225,7 @@ class TestFormats:
         code, text = _run(str(tmp_path), "--no-baseline", "--format", "json")
         assert code == 1
         payload = json.loads(text)
-        assert set(payload["passes"]) == {"detlint", "parlint", "lifelint"}
+        assert set(payload["passes"]) == {"detlint", "lifelint"}
         assert payload["passes"]["lifelint"]["fresh"] >= 1
         passes = {f["pass"] for f in payload["findings"]}
         assert {"detlint", "lifelint"} <= passes
@@ -235,25 +234,23 @@ class TestFormats:
 class TestCliPassSelection:
     def test_single_pass_footer_only(self, tmp_path):
         (tmp_path / "ok.py").write_text("value = 1\n")
-        code, text = _run(str(tmp_path), "--pass", "parlint", "--no-baseline")
+        code, text = _run(str(tmp_path), "--pass", "lifelint", "--no-baseline")
         assert code == 0
-        assert "[parlint]" in text
-        assert "[detlint]" not in text and "[lifelint]" not in text
+        assert "[lifelint]" in text
+        assert "[detlint]" not in text
 
     def test_all_passes_footer_order(self, tmp_path):
         (tmp_path / "ok.py").write_text("value = 1\n")
         code, text = _run(str(tmp_path), "--no-baseline")
         assert code == 0
-        assert (
-            text.index("[detlint]") < text.index("[parlint]") < text.index("[lifelint]")
-        )
+        assert text.index("[detlint]") < text.index("[lifelint]")
 
     def test_list_rules_groups_by_pass(self):
         code, text = _run("--list-rules")
         assert code == 0
-        for header in ("[detlint]", "[parlint]", "[lifelint]"):
+        for header in ("[detlint]", "[lifelint]"):
             assert header in text
-        for rule_id in ("DET101", "PAR201", "RES301"):
+        for rule_id in ("DET101", "RES301"):
             assert rule_id in text
 
     def test_repro_analyze_forwards_pass_selection(self, tmp_path, capsys):

@@ -211,28 +211,3 @@ class TestCompiledSteeringHeadlines:
         means = substrate_means(**{cbr.FUSED_OP_BASELINE: 0.09})
         assert self._run(tmp_path, means) == 1
         assert "WARNING: fused-steering-vs-callback (OP)" in capsys.readouterr().out
-
-    def test_jit_headline_skipped_without_jit_benchmarks(self, tmp_path, capsys):
-        # No numba on the runner: the *_jit benchmarks never ran, so the jit
-        # headline must be skipped with a note -- not warned, not invented.
-        assert self._run(tmp_path, substrate_means()) == 0
-        out = capsys.readouterr().out
-        assert "jit-loop-vs-callback (OP) headline skipped" in out
-        assert "jit-loop-vs-callback (VC) headline skipped" in out
-
-    def test_jit_headline_checked_when_present(self, tmp_path, capsys):
-        means = substrate_means(
-            **{cbr.JIT_OP_SUBJECT: 0.04, cbr.JIT_VC_SUBJECT: 0.04}
-        )
-        assert self._run(tmp_path, means) == 0
-        out = capsys.readouterr().out
-        assert "jit-loop-vs-callback (OP) speedup: 3.00x" in out
-
-    def test_jit_headline_below_floor_warns(self, tmp_path, capsys):
-        # A jitted loop barely beating the callback path means the jit tier
-        # lost its reason to exist; the 2x floor catches it.
-        means = substrate_means(
-            **{cbr.JIT_OP_SUBJECT: 0.10, cbr.JIT_VC_SUBJECT: 0.04}
-        )
-        assert self._run(tmp_path, means) == 1
-        assert "WARNING: jit-loop-vs-callback (OP)" in capsys.readouterr().out

@@ -249,12 +249,11 @@ class TestDependencePlan:
         assert plan.def_reg == def_reg
         assert plan.dest_offsets == dest_offsets
         assert compiled.unique_src_tuples() == [_reference_dedup(row) for row in srcs]
-        arrays = compiled.dispatch_meta_arrays(DEFAULT_REGISTER_SPACE)
-        assert [
-            tuple(arrays.dep_defs[arrays.dep_offsets[i]:arrays.dep_offsets[i + 1]].tolist())
-            for i in range(len(srcs))
-        ] == deps
-        assert arrays.def_uop.tolist() == def_uop
+        # The fused per-µop rows the vectorized kernel dispatches from carry
+        # the same dependence row and definition-id range.
+        meta = compiled.dispatch_meta(DEFAULT_REGISTER_SPACE)
+        assert [row[7] for row in meta] == deps
+        assert [row[8:] for row in meta] == list(zip(dest_offsets, dest_offsets[1:]))
 
     def test_double_write_and_self_read(self):
         """A µop reading its own destination reads the *previous* writer, and

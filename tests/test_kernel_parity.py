@@ -14,9 +14,12 @@ These tests pin that contract:
   and enabled, under every kernel, including the bulk accounting of
   mispredict-redirect stall cycles that the skip path performs,
 * the compiled steering tier: every builtin lowering (``compiled_spec``)
-  runs fused and un-fused, under ``vectorized`` and ``vectorized-jit``
-  (including the pure-Python transcription twin via ``jitloop.FORCE_PURE``),
-  and must be field-identical to the interpreter -- policy state included,
+  runs fused and un-fused on the vectorized kernel and must be
+  field-identical to the interpreter -- policy state included,
+* form coverage: the builtin policies lower to exactly
+  :data:`~repro.steering.base.SPEC_FORMS`, the kernel has a code for each,
+  and every form's fused dispatch matches the interpreter on a fixed trace
+  at two and four clusters,
 * mid-batch fallback: a ``run_many`` sweep mixing lowered and un-lowered
   policies must match fresh per-policy interpreter runs.
 """
@@ -26,13 +29,13 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.cluster import jitloop
 from repro.cluster.config import ClusterConfig
 from repro.cluster.kernel import (
     DEFAULT_KERNEL,
     KERNEL_ENV,
     KERNELS,
     _FORM_CALLBACK,
+    _FORM_CODES,
     _resolve_spec,
     resolve_kernel,
 )
@@ -41,7 +44,7 @@ from repro.experiments.golden import compute_golden_snapshot
 from repro.partition.ob_partitioner import OperationBasedPartitioner
 from repro.partition.vc_partitioner import VirtualClusterPartitioner
 from repro.sanitize import SANITIZE_ENV
-from repro.steering.base import CompiledSteeringSpec, SteeringPolicy
+from repro.steering.base import SPEC_FORMS, CompiledSteeringSpec, SteeringPolicy
 from repro.steering.baselines import (
     DependenceOnlySteering,
     LoadBalanceSteering,
@@ -83,18 +86,15 @@ class TestResolveKernel:
             assert resolve_kernel() == DEFAULT_KERNEL
 
     def test_unknown_kernel_rejected(self, monkeypatch):
-        monkeypatch.delenv(KERNEL_ENV, raising=False)
-        with pytest.raises(ValueError):
-            resolve_kernel("turbo")
-        monkeypatch.setenv(KERNEL_ENV, "turbo")
-        with pytest.raises(ValueError):
-            resolve_kernel()
-
-    def test_jit_kernel_accepted(self, monkeypatch):
-        monkeypatch.delenv(KERNEL_ENV, raising=False)
-        assert resolve_kernel("vectorized-jit") == "vectorized-jit"
-        monkeypatch.setenv(KERNEL_ENV, "vectorized-jit")
-        assert resolve_kernel() == "vectorized-jit"
+        valid = r"valid kernels: 'interpreter', 'vectorized' \(or 'auto'\)$"
+        # The retired third kernel's name is an unknown kernel like any other.
+        for bad in ("turbo", "vectorized" + "-jit"):
+            monkeypatch.delenv(KERNEL_ENV, raising=False)
+            with pytest.raises(ValueError, match=valid):
+                resolve_kernel(bad)
+            monkeypatch.setenv(KERNEL_ENV, bad)
+            with pytest.raises(ValueError, match=valid):
+                resolve_kernel()
 
     def test_rejection_lists_valid_kernels(self, monkeypatch):
         monkeypatch.delenv(KERNEL_ENV, raising=False)
@@ -240,6 +240,21 @@ class TestSkipVsStepParity:
             assert metrics == reference, f"{mode} diverged from plain interpreter"
 
 
+#: One builtin policy per lowered form, built for ``n`` clusters, and the
+#: compile-time pass whose annotations it reads (``None``: reads none).
+#: The constant form targets the last cluster: on cluster 0 it would steer
+#: exactly like the dependence-count form, which falls back to cluster 0.
+_FORM_POLICIES = {
+    "constant": (lambda n: OneClusterSteering(n - 1), None),
+    "static-table": (lambda n: StaticAssignmentSteering(), OperationBasedPartitioner),
+    "modulo": (lambda n: RoundRobinSteering(), None),
+    "least-loaded": (lambda n: LoadBalanceSteering(), None),
+    "dependence-count": (lambda n: DependenceOnlySteering(), None),
+    "occupancy-stall": (lambda n: OccupancyAwareSteering(), None),
+    "mapping-table": (VirtualClusterSteering, VirtualClusterPartitioner),
+}
+
+
 class _CallbackOnlySteering(SteeringPolicy):
     """A policy without a lowering: always takes the per-µop callback path."""
 
@@ -253,16 +268,11 @@ class TestCompiledSpecs:
     """The lowering contract of the builtin policies and its validation."""
 
     def test_builtin_lowerings(self):
-        expected = {
-            "constant": OneClusterSteering(),
-            "static-table": StaticAssignmentSteering(),
-            "modulo": RoundRobinSteering(),
-            "least-loaded": LoadBalanceSteering(),
-            "dependence-count": DependenceOnlySteering(),
-            "occupancy-stall": OccupancyAwareSteering(),
-            "mapping-table": VirtualClusterSteering(2),
-        }
-        for form, policy in expected.items():
+        """The builtin policies lower to exactly the closed vocabulary, and
+        the kernel has a form code for each form."""
+        assert set(_FORM_POLICIES) == set(SPEC_FORMS) == set(_FORM_CODES)
+        for form, (factory, _) in _FORM_POLICIES.items():
+            policy = factory(2)
             policy.reset(2)
             spec = policy.compiled_spec()
             assert spec is not None and spec.form == form, policy.name
@@ -293,7 +303,7 @@ class TestCompiledSpecs:
 
     def test_unknown_form_rejected(self):
         with pytest.raises(ValueError, match="unknown compiled-steering form"):
-            CompiledSteeringSpec(form="magic")  # parlint: ok PAR203 (deliberately invalid form; the test asserts rejection)
+            CompiledSteeringSpec(form="magic")
 
     def test_constant_out_of_range_rejected(self):
         class Bad(_CallbackOnlySteering):
@@ -331,33 +341,12 @@ class TestCompiledSpecs:
         assert spec.num_virtual_clusters == 4
 
 
-def _lowered_modes():
-    """Every execution mode of the compiled steering tier.
-
-    ``(kernel, fused_steering, force_pure)`` tuples: the callback path
-    (``fused=False``), the fused array-tier fast path, and -- for the jit
-    kernel -- the pure-Python transcription twin (``jitloop.FORCE_PURE``),
-    which exercises ``jitloop._fused_loop_py`` even when numba is absent.
-    """
-    modes = []
-    for kernel in ("vectorized", "vectorized-jit"):
-        for fused in (False, True):
-            modes.append((kernel, fused, False))
-    modes.append(("vectorized-jit", True, True))
-    return modes
-
-
-def _run_lowered_mode(compiled, policy_factory, config, kernel, fused, force_pure):
+def _run_lowered_mode(compiled, policy_factory, config, kernel, fused):
     """One simulation under a compiled-tier mode; returns (metrics, policy)."""
     policy = policy_factory()
     processor = ClusteredProcessor(config, policy, kernel=kernel)
     processor.fused_steering = fused
-    saved = jitloop.FORCE_PURE
-    jitloop.FORCE_PURE = force_pure
-    try:
-        metrics = processor.run(compiled)
-    finally:
-        jitloop.FORCE_PURE = saved
+    metrics = processor.run(compiled)
     metrics.check_invariants(compiled, config)
     return metrics.as_dict(), policy
 
@@ -372,7 +361,7 @@ def _policy_state(policy):
 
 
 class TestLoweredSteeringParity:
-    """The fused fast path and the jit loop replicate the callback path."""
+    """The fused fast path replicates the callback path."""
 
     @settings(max_examples=8, deadline=None)
     @given(
@@ -394,21 +383,20 @@ class TestLoweredSteeringParity:
         config = ClusterConfig(num_clusters=num_clusters, warm_caches=False)
         factory = _policy_factories()[policy]
         reference, ref_policy = _run_lowered_mode(
-            compiled, factory, config, "interpreter", True, False
+            compiled, factory, config, "interpreter", True
         )
         ref_state = _policy_state(ref_policy)
-        for kernel, fused, force_pure in _lowered_modes():
+        for fused in (False, True):
             metrics, run_policy = _run_lowered_mode(
-                compiled, factory, config, kernel, fused, force_pure
+                compiled, factory, config, "vectorized", fused
             )
-            mode = (kernel, fused, "pure" if force_pure else "auto")
-            assert metrics == reference, f"{policy} diverged under {mode}"
+            assert metrics == reference, f"{policy} diverged with fused={fused}"
             assert _policy_state(run_policy) == ref_state, (
-                f"{policy} final state diverged under {mode}"
+                f"{policy} final state diverged with fused={fused}"
             )
 
     def test_lowered_parity_under_sanitizer(self, monkeypatch):
-        """The fused and jit paths never write the frozen bound trace."""
+        """The fused and callback paths never write the frozen bound trace."""
         monkeypatch.setenv(SANITIZE_ENV, "1")
         program, trace = WorkloadGenerator(profile_for("164.gzip-1")).generate_trace(
             300, phase=0
@@ -419,16 +407,51 @@ class TestLoweredSteeringParity:
         config = ClusterConfig(num_clusters=2, warm_caches=False)
         for name, factory in _policy_factories().items():
             reference, _ = _run_lowered_mode(
-                compiled, factory, config, "interpreter", True, False
+                compiled, factory, config, "interpreter", True
             )
-            for kernel, fused, force_pure in _lowered_modes():
+            for fused in (False, True):
                 metrics, _ = _run_lowered_mode(
-                    compiled, factory, config, kernel, fused, force_pure
+                    compiled, factory, config, "vectorized", fused
                 )
                 assert metrics == reference, (
-                    f"{name} diverged under sanitizer in "
-                    f"{(kernel, fused, force_pure)}"
+                    f"{name} diverged under sanitizer with fused={fused}"
                 )
+
+
+class TestEveryFormIsDispatched:
+    """Each lowered form has a fused dispatch branch that matches the interpreter.
+
+    Deterministic where the hypothesis property above samples: every
+    (form, cluster count) pair runs, so a form whose fused branch went
+    missing or drifted fails here by name.
+    """
+
+    @pytest.mark.parametrize("num_clusters", [2, 4])
+    @pytest.mark.parametrize("form", SPEC_FORMS)
+    def test_fused_form_matches_interpreter(self, form, num_clusters):
+        factory, partitioner = _FORM_POLICIES[form]
+        program, trace = WorkloadGenerator(profile_for("164.gzip-1")).generate_trace(
+            400, phase=0
+        )
+        if partitioner is not None:
+            partitioner(num_clusters).annotate_program(program)
+        compiled = compile_trace(trace)
+        compiled.annotate_from(program)
+        config = ClusterConfig(num_clusters=num_clusters)
+        policy = factory(num_clusters)
+        policy.reset(num_clusters)
+        assert _resolve_spec(policy, num_clusters)[1] == _FORM_CODES[form]
+
+        def run(kernel):
+            return _run_lowered_mode(
+                compiled, lambda: factory(num_clusters), config, kernel, True
+            )
+
+        reference, ref_policy = run("interpreter")
+        fused, fused_policy = run("vectorized")
+        for field_name, value in reference.items():
+            assert fused[field_name] == value, f"{form}: {field_name} diverged"
+        assert _policy_state(fused_policy) == _policy_state(ref_policy)
 
 
 class TestMidTraceFallback:
@@ -456,49 +479,10 @@ class TestMidTraceFallback:
             .as_dict()
             for policy in self._policies()
         ]
-        for kernel in ("vectorized", "vectorized-jit"):
-            policies = self._policies()
-            processor = ClusteredProcessor(config, policies[0], kernel=kernel)
-            batch = [m.as_dict() for m in processor.run_many(compiled, policies)]
-            assert batch == reference, f"mixed batch diverged under {kernel}"
-
-
-class TestJitTwinSelection:
-    """The jit kernel's twin selection: numba when present, Python otherwise."""
-
-    @pytest.mark.skipif(
-        jitloop.JIT_ENABLED, reason="numba installed: jitted loop is selected"
-    )
-    def test_without_numba_fused_python_twin_is_selected(self):
-        # ``jit_active()`` is False, so ``VectorizedKernel.run`` never
-        # delegates to jitloop and the fused Python loop serves as the twin;
-        # the transcription itself stays reachable via ``FORCE_PURE``.
-        assert not jitloop.jit_active()
-        assert jitloop._fused_loop is jitloop._fused_loop_py
-
-    @pytest.mark.skipif(
-        not jitloop.JIT_ENABLED, reason="numba not installed in this environment"
-    )
-    def test_with_numba_jitted_loop_is_selected(self):
-        assert jitloop.jit_active()
-        assert hasattr(jitloop._fused_loop, "py_func")
-        assert jitloop._fused_loop.py_func is jitloop._fused_loop_py
-
-    def test_force_pure_runs_the_transcription(self, small_trace):
-        _, trace = small_trace
-        saved = jitloop.FORCE_PURE
-        jitloop.FORCE_PURE = True
-        try:
-            assert jitloop.jit_active()
-            jitted = simulate_trace(
-                trace, OccupancyAwareSteering(), kernel="vectorized-jit"
-            )
-        finally:
-            jitloop.FORCE_PURE = saved
-        reference = simulate_trace(
-            trace, OccupancyAwareSteering(), kernel="interpreter"
-        )
-        assert jitted.as_dict() == reference.as_dict()
+        policies = self._policies()
+        processor = ClusteredProcessor(config, policies[0], kernel="vectorized")
+        batch = [m.as_dict() for m in processor.run_many(compiled, policies)]
+        assert batch == reference
 
 
 class TestSimulateTraceKernelKnob:
