@@ -1,35 +1,17 @@
-"""Determinism lint: the static-analysis gate for the bit-identity contract.
+"""detlint: determinism checks for the bit-identity contract (DET1xx).
 
-Public surface:
-
-* :data:`~repro.analysis.detlint.rules.RULES` -- the rule catalogue.
-* :func:`~repro.analysis.detlint.engine.scan_paths` -- programmatic scans.
-* :func:`~repro.analysis.detlint.cli.main` -- the CLI entry point shared by
-  ``python -m repro.analysis``, ``scripts/detlint.py`` and ``repro analyze``.
+Registered as an analysis-framework pass; run it via ``repro analyze --pass
+detlint`` (or ``python -m repro.analysis --pass detlint``).  See
+:mod:`repro.analysis.detlint.rules` for the rule catalogue and DESIGN.md §7
+for the framework.
 """
 
-from repro.analysis.detlint.cli import main, run
-from repro.analysis.detlint.engine import (
-    Baseline,
-    ClassifiedFinding,
-    ScanResult,
-    fingerprint,
-    scan_paths,
-    suppressed_rules,
+from repro.analysis.detlint.rules import (
+    DETLINT_PASS,
+    RULES,
+    RULES_BY_ID,
+    Finding,
+    check_module,
 )
-from repro.analysis.detlint.rules import RULES, RULES_BY_ID, Finding, check_module
 
-__all__ = [
-    "Baseline",
-    "ClassifiedFinding",
-    "Finding",
-    "RULES",
-    "RULES_BY_ID",
-    "ScanResult",
-    "check_module",
-    "fingerprint",
-    "main",
-    "run",
-    "scan_paths",
-    "suppressed_rules",
-]
+__all__ = ["DETLINT_PASS", "RULES", "RULES_BY_ID", "Finding", "check_module"]

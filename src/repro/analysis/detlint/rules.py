@@ -167,9 +167,8 @@ _SET_METHODS = frozenset(
 _ORDER_MATERIALISERS = frozenset({"list", "tuple", "enumerate"})
 
 #: Optional-accelerator packages whose import must be guarded (DET111).
-#: These are deliberately absent from the baseline environment; the jitted
-#: modules keep a pure-Python twin and select it at run time, never at
-#: import time.
+#: These are deliberately absent from the baseline environment, so an
+#: unguarded import would make a module fail to load there.
 _ACCEL_MODULES = frozenset({"numba", "cupy", "numexpr", "pycuda", "triton"})
 
 #: Exception names whose handler sanctions an optional import (DET111).
@@ -688,9 +687,8 @@ class _Scanner(PassScanner):
         return check_tree(tree, path, module_name)
 
 
-#: detlint as a registered framework pass (the first; PR 7's behavior,
-#: byte-for-byte -- the framework hosts the shared suppression/baseline
-#: machinery it used to own).
+#: detlint as a registered framework pass (the first; the framework hosts
+#: the suppression/baseline machinery it shares with lifelint).
 DETLINT_PASS = register_pass(
     AnalysisPass(
         name="detlint",

@@ -321,9 +321,8 @@ class ClusteredProcessor(SteeringContext):
         self.metrics.cycles = self.cycle
         self.metrics.cache = self.memory.summary()
         self.metrics.vc_remaps = getattr(self.steering, "remap_count", 0)
-        if resolve_sanitize():
-            # Under the sanitizer every run also checks its conservation laws.
-            self.metrics.check_invariants(compiled, self.config)
+        # Every run checks its conservation laws (two column sums per run).
+        self.metrics.check_invariants(compiled, self.config)
         return self.metrics
 
     def run_many(

@@ -62,10 +62,9 @@ Adaptive stopping rules (:mod:`repro.engine.adaptive`)
 ``ParallelRunner`` (:mod:`repro.engine.parallel`)
     Expands nothing and decides nothing about results -- it only chooses
     where and in what grouping jobs run (inline for ``max_workers=1``, else
-    the persistent pool; per-trace batches by default, per-job with
-    ``batching=False``; shared-memory segments where available, the pickle
-    path otherwise) and consults the caches first, per batch, so
-    fully-cached batches never reach a worker.  ``run_stream`` delivers
+    the persistent pool; always one batch per trace; shared-memory segments
+    where available, the pickle path otherwise) and consults the caches
+    first, per batch, so fully-cached batches never reach a worker.  ``run_stream`` delivers
     results per batch as tasks complete instead of at a barrier.
 
 Determinism contract
@@ -113,12 +112,11 @@ from repro.engine.cache import ResultCache
 from repro.engine.job import CACHE_SCHEMA_VERSION, SimulationJob
 from repro.engine.parallel import (
     AUTO_TRACE_ROOT,
-    DEFAULT_TRACE_MEMO_CAP,
-    TRACE_MEMO_CAP_ENV,
+    DEFAULT_MEMO_CAP,
     ParallelRunner,
     execute_batch,
     execute_job,
-    resolve_trace_memo_cap,
+    resolve_memo_cap,
 )
 from repro.engine.pool import WorkerPool
 from repro.engine.shm import (
@@ -130,10 +128,9 @@ from repro.engine.shm import (
 __all__ = [
     "AUTO_TRACE_ROOT",
     "CACHE_SCHEMA_VERSION",
-    "DEFAULT_TRACE_MEMO_CAP",
+    "DEFAULT_MEMO_CAP",
     "SUPPORTED_CONFIDENCE",
     "TRACE_ARTIFACT_VERSION",
-    "TRACE_MEMO_CAP_ENV",
     "ZERO_ADAPTIVE_STATS",
     "BisectOutcome",
     "CIOutcome",
@@ -153,7 +150,7 @@ __all__ = [
     "ci_halfwidth",
     "execute_batch",
     "execute_job",
-    "resolve_trace_memo_cap",
+    "resolve_memo_cap",
     "run_bisection",
     "run_ci",
     "run_race",

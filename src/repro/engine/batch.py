@@ -16,8 +16,7 @@ Two invariants make batching invisible in the results:
   batch, and the engine writes results back by index -- so reports see
   per-job order exactly as if the jobs had run one by one.
 * **Batch order is deterministic.**  Batches are sorted by trace key (a
-  content hash, unique per batch by construction), matching the ordering the
-  per-job scheduler used for chunk locality.  The same job list always
+  content hash, unique per batch by construction).  The same job list always
   produces the same plan.
 
 The plan is pure description: it never executes anything, and it never

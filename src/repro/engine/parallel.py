@@ -17,8 +17,8 @@ Scheduling is batch-first: the runner partitions a run's jobs into per-trace
 fully-cached batches never reach a worker -- and ships each remaining batch
 as one worker task, so every fixed per-trace cost (artifact load or
 generation, SoA hoisting, processor construction) is paid once per trace
-instead of once per job.  ``batching=False`` restores the per-job
-scheduling of earlier releases.
+instead of once per job.  :func:`execute_job` -- one job on a fresh
+processor -- is the reference semantics batching must reproduce.
 
 Parallel batches ride a **persistent substrate**: the runner's
 :class:`~repro.engine.pool.WorkerPool` outlives individual :meth:`run` calls
@@ -40,24 +40,20 @@ Traces also move through two durable cache layers.  The content-addressed
 :meth:`SimulationJob.trace_key`, shared by every worker process, every
 configuration of a phase and every later invocation.  On top of it each
 process keeps a small in-memory memo (``_TRACE_MEMO``) so the jobs of one
-batch do not even touch the filesystem twice.  The memo's capacity is
-configurable (:func:`resolve_trace_memo_cap`): explicitly via
-``ParallelRunner(trace_memo_cap=...)`` or ``$REPRO_TRACE_MEMO_CAP``, and by
-default sized to the run's batch width -- a batch task keeps its one trace
-alive for its whole duration, so the wider the batches, the fewer memo
-entries are worth holding.
+batch do not even touch the filesystem twice.  The memo's capacity is sized
+to the run's batch width (:func:`resolve_memo_cap`) -- a batch task
+keeps its one trace alive for its whole duration, so the wider the batches,
+the fewer memo entries are worth holding.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import warnings
 import weakref
 from collections import OrderedDict
 from concurrent.futures import Future, as_completed
 from concurrent.futures.process import BrokenProcessPool
-from functools import partial
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
@@ -91,12 +87,8 @@ AUTO_TRACE_ROOT = _AutoTraceRoot()
 #: generated trace alive at once.
 _TRACE_MEMO: "OrderedDict[Tuple[Optional[str], str], Tuple[object, object]]" = OrderedDict()
 
-#: Default memo capacity when neither ``trace_memo_cap`` nor the environment
-#: sets one and jobs are scheduled one by one (batch width 1).
-DEFAULT_TRACE_MEMO_CAP = 16
-
-#: Environment variable overriding the memo capacity.
-TRACE_MEMO_CAP_ENV = "REPRO_TRACE_MEMO_CAP"
+#: Memo capacity of width-1 runs and of :func:`execute_job`.
+DEFAULT_MEMO_CAP = 16
 
 #: Per-process artifact-store instances, one per root directory, so one
 #: worker reuses a single set of hit/miss counters across its jobs.
@@ -109,64 +101,17 @@ _ZERO_TRACE_STATS = {"hits": 0, "misses": 0, "stores": 0}
 _ZERO_SHM_STATS = {"segments": 0, "bytes": 0, "published": 0, "reused": 0, "unlinked": 0}
 
 
-def _resolve_env_trace_memo_cap() -> Optional[int]:
-    """``$REPRO_TRACE_MEMO_CAP`` as a validated capacity, or ``None``.
+def resolve_memo_cap(batch_width: Optional[float] = None) -> int:
+    """The per-process trace-memo capacity for a run of mean ``batch_width``.
 
-    A malformed or non-positive value cannot crash (or silently misconfigure)
-    a run that never asked for a custom cap: it warns once per resolution and
-    falls back to the width-scaled default.  An empty (or whitespace-only)
-    value is how shells express "unset" (``REPRO_TRACE_MEMO_CAP= cmd``), so
-    it resolves to the default silently rather than warning about a
-    malformed integer.
+    :data:`DEFAULT_MEMO_CAP` divided by the batch width (floor 2).  A
+    batch task holds its trace alive for its whole duration, so wide batches
+    shrink the memo's useful working set: width-1 runs keep the classic 16
+    entries, an 8-configuration sweep needs only a couple.
     """
-    env = os.environ.get(TRACE_MEMO_CAP_ENV)
-    if env is None or not env.strip():
-        return None
-    try:
-        cap = int(env)
-    except ValueError:
-        warnings.warn(
-            f"${TRACE_MEMO_CAP_ENV}={env!r} is not an integer; "
-            "ignoring it and using the width-scaled default",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-        return None
-    if cap < 1:
-        warnings.warn(
-            f"${TRACE_MEMO_CAP_ENV}={env!r} must be a positive integer; "
-            "ignoring it and using the width-scaled default",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-        return None
-    return cap
-
-
-def resolve_trace_memo_cap(
-    explicit: Optional[int] = None, batch_width: Optional[float] = None
-) -> int:
-    """The per-process trace-memo capacity to use for a run.
-
-    Resolution order: an explicit value (``ParallelRunner(trace_memo_cap=N)``)
-    wins, then a *valid* ``$REPRO_TRACE_MEMO_CAP`` (malformed or non-positive
-    values warn and are ignored), then a width-scaled default --
-    :data:`DEFAULT_TRACE_MEMO_CAP` divided by the run's mean batch width
-    (floor 2).  A batch task holds its trace alive for its whole duration,
-    so wide batches shrink the memo's useful working set: per-job scheduling
-    (width 1) keeps the classic 16 entries, an 8-configuration sweep needs
-    only a couple.  The cap never drops below 1.
-    """
-    if explicit is not None:
-        cap = int(explicit)
-    else:
-        cap = _resolve_env_trace_memo_cap()
-        if cap is None:
-            if batch_width is not None and batch_width > 1:
-                cap = max(2, math.ceil(DEFAULT_TRACE_MEMO_CAP / batch_width))
-            else:
-                cap = DEFAULT_TRACE_MEMO_CAP
-    return max(1, cap)
+    if batch_width is not None and batch_width > 1:
+        return max(2, math.ceil(DEFAULT_MEMO_CAP / batch_width))
+    return DEFAULT_MEMO_CAP
 
 
 def trace_store_for(root: Union[str, Path, None]) -> Optional[TraceArtifactStore]:
@@ -197,7 +142,7 @@ def _trace_for(
     """
     if store is None:
         store = trace_store_for(trace_root)
-    cap = memo_cap if memo_cap is not None else resolve_trace_memo_cap()
+    cap = memo_cap if memo_cap is not None else DEFAULT_MEMO_CAP
     root_key = str(store.root) if store is not None else None
     trace_key = job.trace_key()
     memo_key = (root_key, trace_key)
@@ -252,7 +197,6 @@ def execute_job(
     job: SimulationJob,
     trace_root: Optional[str] = None,
     trace_store: Optional[TraceArtifactStore] = None,
-    memo_cap: Optional[int] = None,
 ) -> Dict[str, object]:
     """Run one simulation job and return the lossless metrics dump.
 
@@ -261,7 +205,7 @@ def execute_job(
     the policy and a fresh machine, simulate.  The dict return type keeps the
     cross-process payload plain (cheap to pickle, schema-checked on rebuild).
     """
-    program, compiled = _trace_for(job, trace_root, trace_store, memo_cap)
+    program, compiled = _trace_for(job, trace_root, trace_store)
     policy = _prepare_job(job, program, compiled)
     processor = ClusteredProcessor(job.machine_config(), policy, job.register_space)
     return processor.run(compiled).to_dict()
@@ -346,21 +290,6 @@ def _execute_segment_batch(
     return {"dumps": _simulate_batch(jobs, program, compiled), "trace_stats": None}
 
 
-def _execute_job_task(
-    job: SimulationJob,
-    trace_root: Optional[str] = None,
-    memo_cap: Optional[int] = None,
-) -> Dict[str, object]:
-    """Worker wrapper around :func:`execute_job` that also reports store traffic."""
-    store = trace_store_for(trace_root)
-    snapshot = store.stats() if store is not None else None
-    dump = execute_job(job, trace_root=trace_root, trace_store=store, memo_cap=memo_cap)
-    return {
-        "dumps": [dump],
-        "trace_stats": store.stats_since(snapshot) if store is not None else None,
-    }
-
-
 class ParallelRunner:
     """Fan simulation batches out over a persistent worker substrate.
 
@@ -379,17 +308,6 @@ class ParallelRunner:
         result cache (``<cache root>/traces``) and disables artifacts when
         there is no cache; ``None`` disables artifacts explicitly (traces are
         regenerated from their seeds, as before).
-    batching:
-        ``True`` (the default) schedules per-trace batches: jobs are grouped
-        by :meth:`~repro.engine.job.SimulationJob.trace_key`, the cache is
-        consulted per batch, and one worker task runs all uncached
-        configurations of a trace against a single in-memory compiled trace.
-        ``False`` restores per-job scheduling.  Results are bit-identical
-        either way.
-    trace_memo_cap:
-        Capacity of the per-process in-memory trace memo; ``None`` (default)
-        resolves ``$REPRO_TRACE_MEMO_CAP`` or a batch-width-scaled default
-        (see :func:`resolve_trace_memo_cap`).
     shared_memory:
         ``None`` (the default) publishes each batch's compiled trace into a
         shared-memory segment whenever the platform supports it and the run
@@ -415,18 +333,12 @@ class ParallelRunner:
         max_workers: int = 1,
         cache: Optional[ResultCache] = None,
         trace_root: Union[str, Path, None] = AUTO_TRACE_ROOT,
-        batching: bool = True,
-        trace_memo_cap: Optional[int] = None,
         shared_memory: Optional[bool] = None,
     ) -> None:
         if max_workers < 1:
             raise ValueError("max_workers must be at least 1")
-        if trace_memo_cap is not None and trace_memo_cap < 1:
-            raise ValueError("trace_memo_cap must be at least 1")
         self.max_workers = max_workers
         self.cache = cache
-        self.batching = batching
-        self.trace_memo_cap = trace_memo_cap
         self.shared_memory = shared_memory
         if trace_root is AUTO_TRACE_ROOT:
             trace_root = cache.root / "traces" if cache is not None else None
@@ -623,9 +535,9 @@ class ParallelRunner:
         Configurations are declarative (registry names + parameters), so
         *every* job -- stock Table 3, variants, and user-registered custom
         policies alike -- may be served from the cache or fanned out to
-        worker processes.  With batching enabled the jobs are regrouped into
-        per-trace batches for execution; the returned list is always in the
-        callers' job order (batching is a scheduling concern only).
+        worker processes.  The jobs are regrouped into per-trace batches for
+        execution; the returned list is always in the callers' job order
+        (batching is a scheduling concern only).
         """
         results: List[Optional[SimulationMetrics]] = [None] * len(jobs)
         for index, metrics in self.run_stream(jobs):
@@ -671,12 +583,7 @@ class ParallelRunner:
         else:
             pending = list(range(len(jobs)))
 
-        if self.batching:
-            stream = self._run_batched(jobs, pending, keys)
-        elif pending:
-            stream = self._run_per_job(jobs, pending, keys)
-        else:
-            return
+        stream = self._run_batched(jobs, pending, keys)
         try:
             for index, metrics in stream:
                 yield from self._with_twins(index, metrics, twins)
@@ -734,7 +641,7 @@ class ParallelRunner:
                 tasks.append(task)
         if not tasks:
             return
-        memo_cap = resolve_trace_memo_cap(self.trace_memo_cap, plan.mean_width)
+        memo_cap = resolve_memo_cap(plan.mean_width)
         if self.max_workers == 1 or len(tasks) == 1:
             # Inline tasks hit this runner's own store, whose counters are
             # already reported by trace_stats(); absorbing their deltas too
@@ -853,46 +760,3 @@ class ParallelRunner:
                 if registry is not None and trace_key is not None:
                     registry.release(trace_key)
             futures.clear()
-
-    def _run_per_job(
-        self,
-        jobs: Sequence[SimulationJob],
-        pending: List[int],
-        keys: List[Optional[str]],
-    ) -> Iterator[Tuple[int, SimulationMetrics]]:
-        """Legacy per-job scheduling (``batching=False``)."""
-        memo_cap = resolve_trace_memo_cap(self.trace_memo_cap)
-        if self.max_workers == 1 or len(pending) == 1:
-            for index in pending:
-                dump = execute_job(
-                    jobs[index],
-                    trace_root=self.trace_root,
-                    trace_store=self._trace_store,
-                    memo_cap=memo_cap,
-                )
-                yield self._store_result(index, dump, keys)
-            return
-        # Sort so jobs sharing a trace are adjacent and chunk the map
-        # accordingly: a worker then receives a phase's configurations
-        # together and loads (or generates and stores) the compiled trace
-        # once -- the per-process memo and the shared artifact store do the
-        # rest.  Results stay index-aligned via `pending`.
-        pending = sorted(pending, key=lambda index: (jobs[index].trace_key(), index))
-        chunksize = max(1, len(pending) // (self.max_workers * 4))
-        try:
-            for index, result in zip(
-                pending,
-                self._pool.executor().map(
-                    partial(_execute_job_task, trace_root=self.trace_root, memo_cap=memo_cap),
-                    [jobs[index] for index in pending],
-                    chunksize=chunksize,
-                ),
-            ):
-                yield self._store_result(index, self._absorb_task_result(result)[0], keys)
-        except BrokenProcessPool as exc:
-            self._pool.mark_broken()
-            raise RuntimeError(
-                "a worker process died mid-run; the pool was discarded and "
-                "will be respawned by the next run (results of this run are "
-                "incomplete)"
-            ) from exc

@@ -233,6 +233,16 @@ class StoppingRule:
         return cls(**{name: data[name] for name in known if name in data})
 
 
+#: Scenario fields :meth:`ScenarioSpec.from_dict` requires to be positive ints.
+_POSITIVE_INT_FIELDS = (
+    "num_virtual_clusters",
+    "trace_length",
+    "max_phases",
+    "region_size",
+    "replications",
+)
+
+
 @dataclass(frozen=True)
 class ScenarioSpec:
     """One declaratively described experiment.
@@ -425,10 +435,21 @@ class ScenarioSpec:
             )
         if "name" not in data:
             raise ValueError("a scenario needs a 'name'")
+        if not isinstance(data["name"], str):
+            raise ValueError(f"scenario 'name' must be a string, not {data['name']!r}")
+        for field_name in ("benchmarks", "configurations", "sweep"):
+            if field_name in data and not isinstance(data[field_name], (list, tuple)):
+                raise ValueError(
+                    f"scenario {field_name!r} must be a list, not {data[field_name]!r}"
+                )
+        for field_name in _POSITIVE_INT_FIELDS:
+            value = data.get(field_name, 1)
+            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+                raise ValueError(
+                    f"scenario {field_name!r} must be a positive integer, not {value!r}"
+                )
         kwargs: Dict[str, object] = {"name": data["name"]}
-        for field_name in ("report", "description", "num_virtual_clusters",
-                           "trace_length", "max_phases", "region_size",
-                           "replications"):
+        for field_name in ("report", "description") + _POSITIVE_INT_FIELDS:
             if field_name in data:
                 kwargs[field_name] = data[field_name]
         if "machine" in data:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import inspect
 import os
 import subprocess
 import sys
@@ -21,10 +22,10 @@ class TestParser:
         parser = build_parser()
         for argv in (
             ["list-benchmarks"],
-            ["table1"],
+            ["run", "table1"],
             ["quickstart", "--benchmark", "181.mcf"],
-            ["figure5", "--benchmarks", "164.gzip-1", "--trace-length", "500"],
-            ["figure7", "--phases", "2"],
+            ["run", "figure5", "--benchmarks", "164.gzip-1", "--trace-length", "500"],
+            ["run", "figure7", "--phases", "2"],
             ["run", "figure5", "--jobs", "2"],
             ["scenarios", "list"],
             ["list-configs"],
@@ -32,21 +33,27 @@ class TestParser:
             args = parser.parse_args(argv)
             assert callable(args.handler)
 
+    @pytest.mark.parametrize(
+        "command", ["table1", "figure5", "figure6", "figure7", "ablations"]
+    )
+    def test_removed_commands_are_invalid_choices(self, command, capsys):
+        """The pre-scenario commands are gone; ``run <scenario>`` replaces them."""
+        with pytest.raises(SystemExit) as excinfo:
+            main([command])
+        assert excinfo.value.code == 2
+        assert f"invalid choice: '{command}'" in capsys.readouterr().err
+
 
 class TestBatchOptions:
     def test_batching_is_the_default(self):
-        from repro.cli import _engine
+        """Batching is the only scheduler: neither the CLI nor the engine has
+        a knob that turns it off."""
+        from repro.engine import ParallelRunner
 
         args = build_parser().parse_args(["quickstart", "--no-cache"])
-        assert args.batch is True
-        assert _engine(args).batching is True
-
-    def test_no_batch_disables_batching(self):
-        from repro.cli import _engine
-
-        args = build_parser().parse_args(["quickstart", "--no-cache", "--no-batch"])
-        assert args.batch is False
-        assert _engine(args).batching is False
+        assert not hasattr(args, "batch")
+        parameters = list(inspect.signature(ParallelRunner.__init__).parameters)
+        assert parameters == ["self", "max_workers", "cache", "trace_root", "shared_memory"]
 
     def test_batch_footer_printed(self, capsys, monkeypatch):
         monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
@@ -69,37 +76,6 @@ class TestBatchOptions:
             "[batch] traces=1 configs=5 executed=5 cached=0 max-width=5 "
             "fully-cached-batches=0" in out
         )
-
-    def test_no_batch_footer_with_no_batch(self, capsys, monkeypatch):
-        monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
-        assert (
-            main(
-                [
-                    "quickstart",
-                    "--benchmark",
-                    "164.gzip-1",
-                    "--trace-length",
-                    "400",
-                    "--no-cache",
-                    "--no-batch",
-                ]
-            )
-            == 0
-        )
-        assert "[batch]" not in capsys.readouterr().out
-
-    def test_batched_and_per_job_reports_identical(self, capsys, monkeypatch):
-        monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
-        argv = ["quickstart", "--benchmark", "164.gzip-1", "--trace-length", "400", "--no-cache"]
-        assert main(argv) == 0
-        batched = capsys.readouterr().out
-        assert main(argv + ["--no-batch"]) == 0
-        per_job = capsys.readouterr().out
-        # Identical up to the scheduling footer.
-        def strip(text):
-            return [line for line in text.splitlines() if not line.startswith("[batch]")]
-
-        assert strip(batched) == strip(per_job)
 
 
 class TestSharedMemoryOptions:
@@ -158,8 +134,7 @@ class TestFooterConsistency:
     """The [batch]/[traces]/[shm] footers under every scheduling combination.
 
     The audited invariant: ``configs == executed + cached`` in the [batch]
-    footer, [batch] only ever appears when batching actually scheduled the
-    run, and [traces] only when an artifact store saw traffic.
+    footer, and [traces] only appears when an artifact store saw traffic.
     """
 
     def _parse_batch_footer(self, out):
@@ -203,16 +178,6 @@ class TestFooterConsistency:
         assert "[traces]" not in out
         configs, executed, cached = self._parse_batch_footer(out)[1:4]
         assert configs == executed + cached
-
-    def test_per_job_scheduling_prints_no_batch_footer(self, capsys, monkeypatch):
-        monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
-        argv = [
-            "quickstart", "--benchmark", "164.gzip-1", "--trace-length", "400",
-            "--no-cache", "--no-batch", "--no-trace-artifacts",
-        ]
-        assert main(argv) == 0
-        out = capsys.readouterr().out
-        assert "[batch]" not in out and "[shm]" not in out
 
 
 class TestAdaptiveOptions:
@@ -337,9 +302,9 @@ class TestScenarioCommands:
         out = capsys.readouterr().out
         assert "164.gzip-1: quickstart" in out and "one-cluster" in out
 
-    def test_run_scenario_file_matches_deprecated_figure5_command(self, capsys, tmp_path):
-        """`run <figure5.json> --jobs 2` and the legacy `figure5` command
-        print byte-identical tables."""
+    def test_run_scenario_file_matches_builtin_figure5(self, capsys, tmp_path):
+        """`run <figure5.json> --jobs 2` and `run figure5` print byte-identical
+        tables."""
         from repro.scenarios.builtin import builtin_scenario
 
         path = tmp_path / "figure5.json"
@@ -347,10 +312,9 @@ class TestScenarioCommands:
         common = ["--benchmarks", "164.gzip-1", "--trace-length", "600", "--no-cache"]
         assert main(["run", str(path), "--jobs", "2"] + common) == 0
         from_scenario = capsys.readouterr().out
-        with pytest.warns(DeprecationWarning):
-            assert main(["figure5"] + common) == 0
-        from_legacy = capsys.readouterr().out
-        assert from_scenario == from_legacy
+        assert main(["run", "figure5"] + common) == 0
+        from_builtin = capsys.readouterr().out
+        assert from_scenario == from_builtin
         assert "Figure 5(c)" in from_scenario
 
     def test_run_unknown_scenario(self):
@@ -375,6 +339,12 @@ class TestScenarioCommands:
         path = tmp_path / "bad_type.json"
         path.write_text('{"name": "x", "machine": 5}', encoding="utf-8")
         with pytest.raises(SystemExit, match="invalid scenario file"):
+            main(["run", str(path)])
+
+    def test_run_malformed_scenario_field_fails_cleanly(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text('{"name": "x", "trace_length": "abc"}', encoding="utf-8")
+        with pytest.raises(SystemExit, match="invalid scenario file.*'trace_length'"):
             main(["run", str(path)])
 
     def test_run_unknown_policy_name_fails_cleanly(self, tmp_path):
@@ -406,16 +376,6 @@ class TestScenarioCommands:
         with pytest.raises(SystemExit, match="2-cluster machine"):
             main(["run", str(path), "--no-cache"])
 
-    def test_table1_shim_matches_run_table1(self, capsys):
-        assert main(["run", "table1"]) == 0
-        from_scenario = capsys.readouterr().out
-        with pytest.warns(DeprecationWarning):
-            assert main(["table1"]) == 0
-        from_legacy = capsys.readouterr().out
-        assert from_scenario == from_legacy
-        # No simulation happened, so no [engine] cache footer either way.
-        assert "[engine]" not in from_scenario
-
     def test_python_dash_m_repro(self):
         """`python -m repro` works (not just `python -m repro.cli`)."""
         env = dict(os.environ)
@@ -438,7 +398,7 @@ class TestCommands:
         assert len(out.strip().splitlines()) == len(all_trace_names("fp"))
 
     def test_table1(self, capsys):
-        assert main(["table1"]) == 0
+        assert main(["run", "table1"]) == 0
         out = capsys.readouterr().out
         assert "dependence check" in out and "VC" in out
 
@@ -451,6 +411,7 @@ class TestCommands:
         assert (
             main(
                 [
+                    "run",
                     "figure5",
                     "--benchmarks",
                     "164.gzip-1",
@@ -466,4 +427,4 @@ class TestCommands:
 
     def test_unknown_benchmark_rejected(self):
         with pytest.raises(SystemExit):
-            main(["figure5", "--benchmarks", "999.bogus", "--trace-length", "500"])
+            main(["run", "figure5", "--benchmarks", "999.bogus", "--trace-length", "500"])

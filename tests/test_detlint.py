@@ -1,5 +1,8 @@
 """The determinism lint: rules, suppression, baseline, CLI.
 
+detlint runs as a pass of :mod:`repro.analysis.framework`; every scan and
+CLI call below selects exactly that pass.
+
 Contracts pinned here:
 
 * **Every rule fires on its minimal violation** at the exact line, and stays
@@ -27,20 +30,29 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis.detlint import run
-from repro.analysis.detlint.engine import (
-    Baseline,
-    fingerprint,
-    scan_paths,
-    suppressed_rules,
-)
+from repro.analysis import framework
 from repro.analysis.detlint.rules import (
+    DETLINT_PASS,
     RULES,
     RULES_BY_ID,
     TRACE_COLUMN_ATTRS,
     check_module,
 )
+from repro.analysis.framework import Baseline, fingerprint, parse_suppression
 from repro.uops.compiled import CompiledTrace
+
+
+def scan_paths(paths, baseline=None, strict=False):
+    """A detlint-only framework scan."""
+    return framework.scan_paths(
+        paths, passes=(DETLINT_PASS,), baseline=baseline, strict=strict
+    )
+
+
+def suppressed_rules(line):
+    """The rule ids a ``# detlint: ok`` comment on ``line`` suppresses, or ``None``."""
+    suppression = parse_suppression(line, tag="detlint")
+    return None if suppression is None else suppression.rules
 
 
 class Case:
@@ -327,7 +339,7 @@ class TestBaseline:
 
 def _run(*argv):
     out = io.StringIO()
-    code = run(list(argv), out=out)
+    code = framework.run([*argv, "--pass", "detlint"], out=out)
     return code, out.getvalue()
 
 

@@ -5,18 +5,17 @@ Three contracts are pinned here:
 * **Partitioning is order-preserving and exact** -- every job lands in
   exactly one batch, batches keep the original per-trace job order, and the
   plan is a pure function of the job list (property-tested).
-* **Batched execution is bit-identical** to per-job serial execution and to
-  cache replay, including on mixed hit/miss batches and on all golden
+* **Batched execution is bit-identical** to per-job execution
+  (:func:`execute_job`, one job on a fresh processor) and to cache replay, including on mixed hit/miss batches and on all golden
   Table 3 configurations -- batching is a scheduling concern only.
 * **The amortisation degrades gracefully**: a corrupt trace artifact inside
   a batch falls back to regeneration, and the per-process trace memo's
-  capacity follows the configured/derived cap.
+  capacity follows the batch-width-scaled cap.
 """
 
 from __future__ import annotations
 
 import json
-import warnings
 from pathlib import Path
 
 import pytest
@@ -30,12 +29,11 @@ from repro.engine.cache import ResultCache
 from repro.engine.job import SimulationJob
 from repro.engine.parallel import (
     _TRACE_MEMO,
-    DEFAULT_TRACE_MEMO_CAP,
-    TRACE_MEMO_CAP_ENV,
+    DEFAULT_MEMO_CAP,
     ParallelRunner,
     execute_batch,
     execute_job,
-    resolve_trace_memo_cap,
+    resolve_memo_cap,
 )
 from repro.experiments.configs import TABLE3_CONFIGURATIONS, vc_variant
 from repro.experiments.golden import GOLDEN_CASES, GOLDEN_SETTINGS
@@ -181,19 +179,19 @@ class TestBatchedEquivalence:
     ):
         """Mixed hit/miss batches: per-job, batched and replay all agree bitwise."""
         jobs = self._mixed_jobs(small_profile, small_fp_profile)
-        serial = _dump_all(ParallelRunner(batching=False, trace_root=None), jobs)
+        serial = [execute_job(job) for job in jobs]
 
         # Pre-seed the cache with every other job, so each batch is a mix of
         # cache hits and misses when the batched runner consults it.
         cache = ResultCache(tmp_path / "cache")
-        ParallelRunner(cache=cache, batching=False).run(jobs[::2])
-        batched_runner = ParallelRunner(cache=cache, batching=True)
+        ParallelRunner(cache=cache).run(jobs[::2])
+        batched_runner = ParallelRunner(cache=cache)
         batched = _dump_all(batched_runner, jobs)
         assert batched == serial
 
         # Everything is cached now: a replay run returns the same bits and
         # marks every batch fully cached.
-        replay_runner = ParallelRunner(cache=cache, batching=True)
+        replay_runner = ParallelRunner(cache=cache)
         replay = _dump_all(replay_runner, jobs)
         assert replay == serial
         assert replay_runner.batch_stats["cached_batches"] == 4
@@ -201,9 +199,9 @@ class TestBatchedEquivalence:
 
     def test_batched_parallel_matches_serial(self, small_profile, small_fp_profile):
         jobs = self._mixed_jobs(small_profile, small_fp_profile)
-        serial = _dump_all(ParallelRunner(batching=False, trace_root=None), jobs)
+        serial = [execute_job(job) for job in jobs]
         parallel = _dump_all(
-            ParallelRunner(max_workers=2, batching=True, trace_root=None), jobs
+            ParallelRunner(max_workers=2, trace_root=None), jobs
         )
         assert parallel == serial
 
@@ -231,8 +229,7 @@ class TestBatchedEquivalence:
         expected = {
             (case["benchmark"], case["configuration"]): case for case in golden["cases"]
         }
-        runner = ExperimentRunner(GOLDEN_SETTINGS, batching=True)
-        assert runner.engine.batching
+        runner = ExperimentRunner(GOLDEN_SETTINGS)
         for benchmark, configuration_name in GOLDEN_CASES:
             result = runner.run_benchmark(
                 benchmark, TABLE3_CONFIGURATIONS[configuration_name]
@@ -349,72 +346,24 @@ class TestBatchDegradation:
 
 
 class TestTraceMemoCap:
-    def test_explicit_cap_wins(self, monkeypatch):
-        monkeypatch.setenv(TRACE_MEMO_CAP_ENV, "9")
-        assert resolve_trace_memo_cap(3) == 3
-
-    def test_env_var_beats_width_scaling(self, monkeypatch):
-        monkeypatch.setenv(TRACE_MEMO_CAP_ENV, "5")
-        assert resolve_trace_memo_cap(None, batch_width=8) == 5
-
-    def test_width_scaled_default(self, monkeypatch):
-        monkeypatch.delenv(TRACE_MEMO_CAP_ENV, raising=False)
-        assert resolve_trace_memo_cap() == DEFAULT_TRACE_MEMO_CAP
+    def test_width_scaled_default(self):
+        assert resolve_memo_cap() == DEFAULT_MEMO_CAP
+        assert resolve_memo_cap(batch_width=1.0) == DEFAULT_MEMO_CAP
         # A batch task holds one trace for its whole duration, so wide
-        # batches shrink the useful memo working set (floor 2).
-        assert resolve_trace_memo_cap(None, batch_width=8.0) == 2
-        assert resolve_trace_memo_cap(None, batch_width=4.0) == 4
+        # batches shrink the useful memo working set.
+        assert resolve_memo_cap(batch_width=8.0) == 2
+        assert resolve_memo_cap(batch_width=4.0) == 4
 
-    def test_cap_floor_is_one(self):
-        assert resolve_trace_memo_cap(0) == 1
-        assert resolve_trace_memo_cap(-3) == 1
+    def test_width_scaled_cap_floor_is_two(self):
+        assert resolve_memo_cap(batch_width=16.0) == 2
+        assert resolve_memo_cap(batch_width=1000.0) == 2
 
     def test_memo_eviction_respects_cap(self, small_profile):
         configuration = TABLE3_CONFIGURATIONS["OP"]
         for phase in range(3):
-            execute_job(make_job(small_profile, configuration, phase=phase), memo_cap=2)
+            execute_batch([make_job(small_profile, configuration, phase=phase)], memo_cap=2)
             assert len(_TRACE_MEMO) <= 2
         assert len(_TRACE_MEMO) == 2
-
-    def test_runner_rejects_non_positive_cap(self):
-        with pytest.raises(ValueError):
-            ParallelRunner(trace_memo_cap=0)
-
-    def test_malformed_env_var_warns_and_falls_back(self, monkeypatch):
-        """A non-integer cap in the environment cannot crash a run: it warns
-        (naming the variable) and the width-scaled default applies."""
-        monkeypatch.setenv(TRACE_MEMO_CAP_ENV, "plenty")
-        with pytest.warns(RuntimeWarning, match=TRACE_MEMO_CAP_ENV):
-            assert resolve_trace_memo_cap() == DEFAULT_TRACE_MEMO_CAP
-        with pytest.warns(RuntimeWarning, match=TRACE_MEMO_CAP_ENV):
-            assert resolve_trace_memo_cap(None, batch_width=8.0) == 2
-
-    def test_blank_env_var_is_unset_and_silent(self, monkeypatch):
-        """``REPRO_TRACE_MEMO_CAP= cmd`` is how shells express "unset": an
-        empty or whitespace-only value resolves to the width-scaled default
-        without any malformed-value warning."""
-        for blank in ("", "   ", "\t"):
-            monkeypatch.setenv(TRACE_MEMO_CAP_ENV, blank)
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                assert resolve_trace_memo_cap() == DEFAULT_TRACE_MEMO_CAP
-                assert resolve_trace_memo_cap(None, batch_width=8.0) == 2
-
-    def test_negative_env_var_warns_and_falls_back(self, monkeypatch):
-        """A negative or zero cap is nonsense, not 'clamp to 1': warn and use
-        the width-scaled default instead."""
-        for bad in ("-3", "0"):
-            monkeypatch.setenv(TRACE_MEMO_CAP_ENV, bad)
-            with pytest.warns(RuntimeWarning, match=TRACE_MEMO_CAP_ENV):
-                assert resolve_trace_memo_cap() == DEFAULT_TRACE_MEMO_CAP
-
-    def test_explicit_cap_suppresses_env_validation(self, monkeypatch):
-        """An explicit cap wins outright -- a broken environment value is
-        never even consulted (and so never warns)."""
-        monkeypatch.setenv(TRACE_MEMO_CAP_ENV, "plenty")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert resolve_trace_memo_cap(5) == 5
 
 
 # ---------------------------------------------------------------------------

@@ -173,6 +173,44 @@ class TestScenarioSpecSerialization:
         with pytest.raises(ValueError, match="unknown scenario fields"):
             ScenarioSpec.from_dict({"name": "x", "bogus_knob": 3})
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("benchmarks", "164.gzip-1"),
+            ("configurations", "VC"),
+            ("sweep", "link_latency"),
+            ("sweep", {"link_latency": []}),
+            ("name", 5),
+            ("trace_length", "abc"),
+            ("trace_length", -5),
+            ("trace_length", 2.5),
+            ("trace_length", True),
+            ("max_phases", 0),
+            ("num_virtual_clusters", 0),
+            ("num_virtual_clusters", False),
+            ("region_size", None),
+        ],
+        ids=[
+            "benchmarks-string",
+            "configurations-string",
+            "sweep-string",
+            "sweep-mapping",
+            "name-int",
+            "trace_length-string",
+            "trace_length-negative",
+            "trace_length-float",
+            "trace_length-bool",
+            "max_phases-zero",
+            "num_virtual_clusters-zero",
+            "num_virtual_clusters-bool",
+            "region_size-none",
+        ],
+    )
+    def test_malformed_field_rejected_naming_it(self, field, value):
+        """A wrongly typed field fails in ``from_dict``, not mid-run."""
+        with pytest.raises(ValueError, match=f"scenario '{field}' must be"):
+            ScenarioSpec.from_dict({"name": "x", field: value})
+
     def test_invalid_json_file_rejected(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("not json{", encoding="utf-8")
