@@ -16,7 +16,7 @@ variables:
 The reproduced rows are attached to each benchmark's ``extra_info`` so they
 appear in ``pytest-benchmark``'s JSON output, and are also printed so that
 ``pytest benchmarks/ --benchmark-only -s`` shows the same tables the paper
-reports.  EXPERIMENTS.md records a full-scale run.
+reports.
 """
 
 from __future__ import annotations

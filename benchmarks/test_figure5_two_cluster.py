@@ -3,7 +3,7 @@
 Paper headline (panel c): one-cluster 12.19 %, OB 6.50 %, RHOP 5.40 %,
 VC 2.62 % average slowdown versus the hardware-only occupancy-aware baseline.
 The reproduction checks the *ordering* and the magnitude bands, not the
-absolute numbers (see EXPERIMENTS.md).
+absolute numbers.
 """
 
 from __future__ import annotations

@@ -4,7 +4,7 @@ Paper headline (panel c): OB 12.45 %, RHOP 12.69 %, VC(4->4) 12.96 %,
 VC(2->4) 3.64 % average slowdown versus OP, and VC(4->4) generates about 28 %
 more copies than VC(2->4) (Section 5.4).
 
-Reproduced shape (see EXPERIMENTS.md for the honest discussion): the gap
+Reproduced shape: the gap
 between the software-only schemes and OP widens relative to the 2-cluster
 machine, and VC(2->4) stays within a few percent of OP -- but our synthetic
 regions contain enough independent chains that VC(4->4) does not degrade the

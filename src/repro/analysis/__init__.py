@@ -10,18 +10,11 @@
   resource contention in the intended cluster").
 * :mod:`repro.analysis.stats` -- descriptive statistics of DDGs and programs
   used by reports, tests and the workload generator's self-checks.
-* :mod:`repro.analysis.framework` -- the static-analysis framework: shared
-  findings, suppressions, fingerprint baseline and CLI for the repo-wide
-  lint passes (DESIGN.md §7).  Run them as ``python -m repro.analysis`` or
-  ``repro analyze --pass <name>``:
-
-  - :mod:`repro.analysis.detlint` (DET1xx) -- determinism hazards that
-    break the bit-identity contract.
-  - :mod:`repro.analysis.lifelint` (RES3xx) -- resource lifecycles in the
-    shm/pool substrate.
-
-  None of these are imported eagerly here so the numeric analyses stay
-  side-effect free.
+* :mod:`repro.analysis.detlint` (DET1xx) -- the repo-wide determinism
+  lint that guards the bit-identity contract, driven by
+  :mod:`repro.analysis.framework` (DESIGN.md §7).  Run it as
+  ``python -m repro.analysis [paths]``.  Not imported eagerly here, so the
+  numeric analyses stay side-effect free.
 """
 
 from repro.analysis.completion_time import CompletionTimeEstimator

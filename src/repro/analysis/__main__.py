@@ -1,8 +1,7 @@
-"""``python -m repro.analysis``: run the static-analysis passes.
+"""``python -m repro.analysis``: run detlint.
 
-Defaults to every registered pass (detlint, lifelint); select one
-with ``--pass``.  See :mod:`repro.analysis.framework` for the shared
-suppression/baseline machinery and DESIGN.md §7 for the model.
+See :mod:`repro.analysis.framework` for the driver and DESIGN.md §7 for the
+model.
 """
 
 import sys

@@ -13,32 +13,45 @@ dataflow.  Where a pattern has a sanctioned idiom (seeded ``default_rng``,
 ``sorted(...)`` around a set, env reads inside the ``resolve_*`` helper
 family) the rule recognises it and stays silent; everything else is a
 finding that must be fixed or explicitly suppressed with
-``# detlint: ok <RULE>`` on the offending line.
+``# detlint: ok <RULE> (rationale)`` on the offending line.
 """
 
 from __future__ import annotations
 
 import ast
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
-from repro.analysis.framework import (
-    AnalysisPass,
-    Finding,
-    PassScanner,
-    Rule,
-    register_pass,
-)
-
 __all__ = [
-    "DETLINT_PASS",
     "Finding",
     "Rule",
     "RULES",
     "RULES_BY_ID",
     "check_module",
-    "check_tree",
 ]
+
+
+@dataclass(frozen=True)
+class Finding:
+    """One rule violation at one source location."""
+
+    rule: str
+    path: str
+    line: int
+    message: str
+
+    def render(self) -> str:
+        return f"{self.path}:{self.line}: {self.rule} {self.message}"
+
+
+@dataclass(frozen=True)
+class Rule:
+    """Static description of one lint rule (the check lives in the visitor)."""
+
+    rule_id: str
+    name: str
+    hazard: str
 
 
 #: The rule catalogue, in rule-id order (DESIGN.md §7 documents each).
@@ -655,8 +668,13 @@ def _fs_order_findings(tree: ast.Module, visitor: _Visitor) -> Iterator[Finding]
             )
 
 
-def check_tree(tree: ast.Module, path: str, module_name: str = "") -> List[Finding]:
-    """All findings for one parsed module (unsuppressed, unbaselined)."""
+def check_module(source: str, path: str, module_name: str = "") -> List[Finding]:
+    """All findings for one module's source text (before suppressions apply).
+
+    Raises :class:`SyntaxError` when the source does not parse; the caller
+    turns that into its own diagnostics channel.
+    """
+    tree = ast.parse(source, filename=path)
     visitor = _Visitor(path, module_name or path)
     visitor.visit(tree)
     findings = list(visitor.findings)
@@ -669,35 +687,3 @@ def check_tree(tree: ast.Module, path: str, module_name: str = "") -> List[Findi
             seen.add(key)
             unique.append(finding)
     return unique
-
-
-def check_module(source: str, path: str, module_name: str = "") -> List[Finding]:
-    """All findings for one module's source text (unsuppressed, unbaselined).
-
-    Raises :class:`SyntaxError` when the source does not parse; the caller
-    turns that into its own diagnostics channel.
-    """
-    return check_tree(ast.parse(source, filename=path), path, module_name)
-
-
-class _Scanner(PassScanner):
-    def check(
-        self, tree: ast.Module, source: str, path: str, module_name: str
-    ) -> List[Finding]:
-        return check_tree(tree, path, module_name)
-
-
-#: detlint as a registered framework pass (the first; the framework hosts
-#: the suppression/baseline machinery it shares with lifelint).
-DETLINT_PASS = register_pass(
-    AnalysisPass(
-        name="detlint",
-        description=(
-            "determinism hazards that break the bit-identity contract "
-            "(unseeded RNG, wall clocks, env reads, unordered iteration, "
-            "shared-column writes)"
-        ),
-        rules=RULES,
-        scanner=_Scanner,
-    )
-)

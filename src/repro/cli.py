@@ -8,7 +8,6 @@ Exposes the experiment drivers without writing any Python::
     python -m repro list-configs
     python -m repro quickstart --benchmark 178.galgel --trace-length 4000
     python -m repro list-benchmarks --suite fp
-    python -m repro analyze --strict src
 
 Every experiment is a *scenario*: a declarative, JSON-serializable
 description of machine, workloads, configurations and sweep axes (see
@@ -87,11 +86,8 @@ in-memory compiled trace on one reused processor.  Reports end with a
 from __future__ import annotations
 
 import argparse
-import io
 import os
 from typing import List, Optional, Sequence
-
-from repro.analysis.framework import run as run_analysis
 
 from repro.engine import AUTO_TRACE_ROOT, ParallelRunner, ResultCache
 from repro.experiments.configs import TABLE3_CONFIGURATIONS
@@ -428,33 +424,6 @@ def cmd_quickstart(args: argparse.Namespace) -> str:
     return _execute_spec(spec, args)
 
 
-def cmd_analyze(args: argparse.Namespace) -> str:
-    """``analyze``: the static-analysis passes (:mod:`repro.analysis.framework`).
-
-    ``--pass`` selects detlint / lifelint / all.  Exit codes follow
-    the framework (0 clean, 1 fresh findings, 2 scan errors); the report ends
-    with one ``[<pass>] ...`` footer per selected pass.
-    """
-    argv: List[str] = list(args.paths)
-    argv.extend(["--pass", args.pass_name])
-    if args.strict:
-        argv.append("--strict")
-    if args.baseline:
-        argv.extend(["--baseline", args.baseline])
-    if args.no_baseline:
-        argv.append("--no-baseline")
-    if args.write_baseline:
-        argv.append("--write-baseline")
-    if args.prune_baseline:
-        argv.append("--prune-baseline")
-    if args.list_rules:
-        argv.append("--list-rules")
-    argv.extend(["--format", args.format])
-    buffer = io.StringIO()
-    args.exit_code = run_analysis(argv, out=buffer)
-    return buffer.getvalue().rstrip("\n")
-
-
 def build_parser() -> argparse.ArgumentParser:
     """Build the argument parser (exposed for testing and docs)."""
     parser = argparse.ArgumentParser(
@@ -492,37 +461,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_engine_options(quick_parser)
     quick_parser.set_defaults(handler=cmd_quickstart)
 
-    analyze_parser = subparsers.add_parser(
-        "analyze",
-        help="static analysis: determinism and resource-lifecycle checks",
-    )
-    analyze_parser.add_argument(
-        "paths", nargs="*", default=["src"], help="files or trees to scan (default: src)"
-    )
-    analyze_parser.add_argument(
-        "--pass",
-        dest="pass_name",
-        choices=("detlint", "lifelint", "all"),
-        default="all",
-        help="which analysis pass to run (default: all)",
-    )
-    analyze_parser.add_argument(
-        "--strict", action="store_true", help="ignore the baseline (CI mode)"
-    )
-    analyze_parser.add_argument("--baseline", metavar="FILE", default=None)
-    analyze_parser.add_argument("--no-baseline", action="store_true")
-    analyze_parser.add_argument("--write-baseline", action="store_true")
-    analyze_parser.add_argument(
-        "--prune-baseline",
-        action="store_true",
-        help="drop baseline entries that no longer match any finding",
-    )
-    analyze_parser.add_argument(
-        "--format", choices=("text", "json", "github"), default="text"
-    )
-    analyze_parser.add_argument("--list-rules", action="store_true")
-    analyze_parser.set_defaults(handler=cmd_analyze)
-
     return parser
 
 
@@ -531,7 +469,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     print(args.handler(args))
-    return getattr(args, "exit_code", 0)
+    return 0
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via subprocess in examples

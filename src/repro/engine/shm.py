@@ -264,7 +264,8 @@ class SharedTraceSegment:
         if not self.owner:
             raise RuntimeError(f"segment {self.name!r} is attached, not owned; not unlinking")
         try:
-            _shared_memory.SharedMemory(name=self.name).unlink()  # lifelint: ok RES302 (owner guard above; re-open by name is how the owner unlinks after close)
+            # Re-opening by name is how the owner unlinks after close().
+            _shared_memory.SharedMemory(name=self.name).unlink()
         except FileNotFoundError:
             pass
 

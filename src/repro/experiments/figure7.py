@@ -85,17 +85,6 @@ class Figure7Result:
         return (total_4 / total_2 - 1.0) * 100.0
 
 
-def _vc_variant(name: str, num_virtual_clusters: int) -> SteeringConfiguration:
-    """A VC configuration with an explicit virtual-cluster count and display name.
-
-    Thin alias of :func:`repro.experiments.configs.vc_variant`, kept for
-    backwards compatibility; the shared helper pins the virtual-cluster count
-    on the declarative configuration so the variant is cacheable and
-    process-parallel like the stock Table 3 configurations.
-    """
-    return vc_variant(name, num_virtual_clusters)
-
-
 def run_figure7(
     settings: Optional[ExperimentSettings] = None,
     benchmarks: Optional[Sequence[str]] = None,
@@ -118,8 +107,8 @@ def run_figure7(
             TABLE3_CONFIGURATIONS["OP"],
             TABLE3_CONFIGURATIONS["OB"],
             TABLE3_CONFIGURATIONS["RHOP"],
-            _vc_variant("VC(4->4)", 4),
-            _vc_variant("VC(2->4)", 2),
+            vc_variant("VC(4->4)", 4),
+            vc_variant("VC(2->4)", 2),
         ]
     if len(configurations) < 2:
         raise ValueError("Figure 7 needs a baseline plus at least one configuration")

@@ -33,11 +33,17 @@ class TestParser:
             args = parser.parse_args(argv)
             assert callable(args.handler)
 
+    def test_help_lists_five_subcommands(self):
+        help_text = build_parser().format_help()
+        assert "{run,scenarios,list-configs,list-benchmarks,quickstart}" in help_text
+
     @pytest.mark.parametrize(
-        "command", ["table1", "figure5", "figure6", "figure7", "ablations"]
+        "command", ["table1", "figure5", "figure6", "figure7", "ablations", "analyze"]
     )
     def test_removed_commands_are_invalid_choices(self, command, capsys):
-        """The pre-scenario commands are gone; ``run <scenario>`` replaces them."""
+        """The pre-scenario commands are gone (``run <scenario>`` replaces
+        them), and so is ``analyze`` (``python -m repro.analysis`` is the
+        lint's only front end)."""
         with pytest.raises(SystemExit) as excinfo:
             main([command])
         assert excinfo.value.code == 2

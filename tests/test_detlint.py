@@ -1,7 +1,4 @@
-"""The determinism lint: rules, suppression, baseline, CLI.
-
-detlint runs as a pass of :mod:`repro.analysis.framework`; every scan and
-CLI call below selects exactly that pass.
+"""The determinism lint: rules, suppression, CLI.
 
 Contracts pinned here:
 
@@ -10,13 +7,12 @@ Contracts pinned here:
   wrappers, ``resolve_*`` helpers, benchmark timing code, ...).  The
   violations live in :data:`CASES` as source *strings*, so the lint scanning
   this test tree sees no code to flag.
-* **Suppression is line-scoped and rule-scoped.**  ``# detlint: ok`` mutes
-  everything on its line, ``# detlint: ok DET103`` only that rule, and a
-  trailing rationale does not break parsing.
-* **The baseline grandfathers by content, not line number** -- moving a
-  finding does not resurrect it -- and strict mode ignores it entirely.
-* **Exit codes**: 0 clean/suppressed/baselined, 1 fresh findings, 2 scan or
-  usage errors.  ``repro analyze`` forwards them.
+* **Suppression is line-scoped and rule-scoped.**  ``# detlint: ok
+  (reason)`` mutes everything on its line, ``# detlint: ok DET103
+  (reason)`` only that rule, and a trailing rationale does not break parsing.
+* **Exit codes**: 0 clean/suppressed, 1 fresh findings, 2 scan or usage
+  errors -- including a run that scans no ``.py`` file, so a mistyped path
+  cannot pass the gate.
 * **DET109's column table tracks the IR**: ``TRACE_COLUMN_ATTRS`` must equal
   ``CompiledTrace.STORED_FIELDS`` (synced by this test, not by an import, so
   the linter needs no numpy).
@@ -25,33 +21,24 @@ Contracts pinned here:
 from __future__ import annotations
 
 import io
-import json
 from pathlib import Path
 
 import pytest
 
 from repro.analysis import framework
 from repro.analysis.detlint.rules import (
-    DETLINT_PASS,
     RULES,
     RULES_BY_ID,
     TRACE_COLUMN_ATTRS,
     check_module,
 )
-from repro.analysis.framework import Baseline, fingerprint, parse_suppression
+from repro.analysis.framework import parse_suppression, scan_paths
 from repro.uops.compiled import CompiledTrace
-
-
-def scan_paths(paths, baseline=None, strict=False):
-    """A detlint-only framework scan."""
-    return framework.scan_paths(
-        paths, passes=(DETLINT_PASS,), baseline=baseline, strict=strict
-    )
 
 
 def suppressed_rules(line):
     """The rule ids a ``# detlint: ok`` comment on ``line`` suppresses, or ``None``."""
-    suppression = parse_suppression(line, tag="detlint")
+    suppression = parse_suppression(line)
     return None if suppression is None else suppression.rules
 
 
@@ -286,60 +273,13 @@ class TestSuppression:
 
 
 # ---------------------------------------------------------------------------
-# Fingerprints and the baseline
-# ---------------------------------------------------------------------------
-
-
-class TestBaseline:
-    def _scan(self, tmp_path, source, baseline=None, strict=False):
-        target = tmp_path / "mod.py"
-        target.write_text(source)
-        return scan_paths([target], baseline=baseline, strict=strict)
-
-    def test_fingerprint_survives_a_line_move(self, tmp_path):
-        before = self._scan(tmp_path, "import time\nstamp = time.time()\n")
-        moved = self._scan(
-            tmp_path, "import time\n\n# a comment pushed it down\nstamp = time.time()\n"
-        )
-        assert before.findings[0].fingerprint == moved.findings[0].fingerprint
-        assert before.findings[0].finding.line != moved.findings[0].finding.line
-
-    def test_duplicate_lines_get_distinct_fingerprints(self, tmp_path):
-        result = self._scan(tmp_path, "import time\na = time.time()\na = time.time()\n")
-        prints = [item.fingerprint for item in result.findings]
-        assert len(prints) == 2 and len(set(prints)) == 2
-
-    def test_baselined_findings_are_not_fresh(self, tmp_path):
-        source = "import time\nstamp = time.time()\n"
-        first = self._scan(tmp_path, source)
-        baseline = Baseline(fingerprints=frozenset(i.fingerprint for i in first.findings))
-        again = self._scan(tmp_path, source, baseline=baseline)
-        assert [item.status for item in again.findings] == ["baselined"]
-
-    def test_strict_ignores_the_baseline(self, tmp_path):
-        source = "import time\nstamp = time.time()\n"
-        first = self._scan(tmp_path, source)
-        baseline = Baseline(fingerprints=frozenset(i.fingerprint for i in first.findings))
-        strict = self._scan(tmp_path, source, baseline=baseline, strict=True)
-        assert [item.status for item in strict.findings] == ["fresh"]
-
-    def test_fingerprint_is_deterministic(self):
-        assert fingerprint("a.py", "DET101", "x = 1", 0) == fingerprint(
-            "a.py", "DET101", "x  =  1", 0  # whitespace-normalised
-        )
-        assert fingerprint("a.py", "DET101", "x = 1", 0) != fingerprint(
-            "a.py", "DET101", "x = 1", 1
-        )
-
-
-# ---------------------------------------------------------------------------
-# CLI: exit codes, reports, baseline round-trip
+# CLI: exit codes and reports
 # ---------------------------------------------------------------------------
 
 
 def _run(*argv):
     out = io.StringIO()
-    code = framework.run([*argv, "--pass", "detlint"], out=out)
+    code = framework.run(list(argv), out=out)
     return code, out.getvalue()
 
 
@@ -352,29 +292,17 @@ class TestCli:
 
     def test_fresh_finding_exits_one_and_renders_line(self, tmp_path):
         (tmp_path / "bad.py").write_text("import time\nstamp = time.time()\n")
-        code, text = _run(str(tmp_path), "--no-baseline")
+        code, text = _run(str(tmp_path))
         assert code == 1
         assert "DET102" in text and "stamp = time.time()" in text
 
     def test_suppressed_finding_exits_zero(self, tmp_path):
         (tmp_path / "bad.py").write_text(
-            "import time\nstamp = time.time()  # detlint: ok DET102\n"
+            "import time\nstamp = time.time()  # detlint: ok DET102 (display only)\n"
         )
-        code, text = _run(str(tmp_path), "--no-baseline")
+        code, text = _run(str(tmp_path))
         assert code == 0
         assert "suppressed=1" in text
-
-    def test_write_baseline_then_rescan_exits_zero(self, tmp_path, monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        (tmp_path / "bad.py").write_text("import time\nstamp = time.time()\n")
-        code, text = _run("bad.py", "--write-baseline")
-        assert code == 0 and "wrote baseline" in text
-        code, text = _run("bad.py")
-        assert code == 0
-        assert "baselined=1" in text
-        # ... but strict mode sees through the baseline.
-        code, _ = _run("bad.py", "--strict")
-        assert code == 1
 
     def test_missing_path_exits_two(self, tmp_path):
         code, text = _run(str(tmp_path / "nope"))
@@ -382,46 +310,29 @@ class TestCli:
 
     def test_syntax_error_exits_two(self, tmp_path):
         (tmp_path / "broken.py").write_text("def f(:\n")
-        code, text = _run(str(tmp_path), "--no-baseline")
+        code, text = _run(str(tmp_path))
         assert code == 2 and "error:" in text
 
-    def test_corrupt_baseline_exits_two(self, tmp_path):
-        (tmp_path / "ok.py").write_text("value = 1\n")
-        bad = tmp_path / "base.json"
-        bad.write_text('{"version": 99}')
-        code, text = _run(str(tmp_path), "--baseline", str(bad))
-        assert code == 2 and "cannot load baseline" in text
+    @pytest.mark.parametrize(
+        "target, message",
+        [("README.md", "not a .py file: "), ("docs", "no .py file under ")],
+        ids=["non-py-file", "no-py-under-dir"],
+    )
+    def test_scan_of_no_python_file_exits_two(self, tmp_path, target, message):
+        """A mistyped path must not pass the gate by scanning nothing."""
+        (tmp_path / "README.md").write_text("# notes\n")
+        (tmp_path / "docs").mkdir()
+        (tmp_path / "docs" / "index.md").write_text("text\n")
+        code, text = _run(str(tmp_path / target))
+        assert code == 2
+        assert f"error: {message}{tmp_path / target}" in text
+        assert "files=0" in text
 
     def test_list_rules_names_every_rule(self):
         code, text = _run("--list-rules")
         assert code == 0
         for rule in RULES:
             assert rule.rule_id in text
-
-    def test_json_report_parses(self, tmp_path):
-        (tmp_path / "bad.py").write_text("import time\nstamp = time.time()\n")
-        code, text = _run(str(tmp_path), "--no-baseline", "--format", "json")
-        assert code == 1
-        payload = json.loads(text)
-        assert payload["counts"]["fresh"] == 1
-        assert payload["findings"][0]["rule"] == "DET102"
-
-
-class TestReproAnalyze:
-    """`repro analyze` forwards the lint's report and exit code."""
-
-    def test_analyze_clean_and_dirty(self, tmp_path, capsys):
-        from repro.cli import main as repro_main
-
-        clean = tmp_path / "clean.py"
-        clean.write_text("value = 1\n")
-        assert repro_main(["analyze", str(clean), "--no-baseline"]) == 0
-        assert "[detlint]" in capsys.readouterr().out
-
-        dirty = tmp_path / "dirty.py"
-        dirty.write_text("import time\nstamp = time.time()\n")
-        assert repro_main(["analyze", str(dirty), "--no-baseline"]) == 1
-        assert "DET102" in capsys.readouterr().out
 
 
 # ---------------------------------------------------------------------------
@@ -432,11 +343,6 @@ class TestReproAnalyze:
 class TestRepositoryIsClean:
     def test_src_is_finding_free_in_strict_mode(self):
         root = Path(__file__).resolve().parent.parent
-        result = scan_paths([root / "src"], strict=True)
+        result = scan_paths([root / "src"])
         assert result.errors == []
         assert [i.finding.render() for i in result.fresh] == []
-
-    def test_committed_baseline_is_empty(self):
-        root = Path(__file__).resolve().parent.parent
-        baseline = Baseline.load(root / "detlint-baseline.json")
-        assert baseline.fingerprints == frozenset()

@@ -8,8 +8,9 @@ Contracts pinned here:
   round-trip, and attached columns are zero-copy read-only views.
 * **Lifetime is refcounted and leak-free.**  A segment is unlinked exactly
   when its last reference is released; registry close (and the finalizer
-  backstop) unlinks everything; worker crashes cannot leak ``/dev/shm``
-  blocks or executor processes.
+  backstop) unlinks everything; a fault while publishing a segment or
+  submitting a task, or a worker crash, cannot leak ``/dev/shm`` blocks,
+  task references or executor processes.
 * **Scheduling mode is invisible in results.**  Shared-memory, pickle-path,
   serial and cache-replay runs of the same jobs are bit-identical.
 * **The pool is persistent but not precious.**  ``run`` after ``shutdown``
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 import gc
 import os
+import types
 from pathlib import Path
 
 import numpy as np
@@ -224,13 +226,33 @@ class TestSegmentRoundTrip:
             segment.close()
             segment.unlink()
 
+    def test_fault_after_create_leaves_no_segment(self, monkeypatch, small_profile):
+        """A column copy that raises after ``SharedMemory(create=True)``
+        re-raises, and the half-written block is closed and unlinked (the
+        autouse fixture checks ``/dev/shm`` too)."""
+        import repro.engine.shm as shm_module
+
+        def failing_view(*args, **kwargs):
+            raise MemoryError("injected fault in the column copy")
+
+        program, compiled = WorkloadGenerator(small_profile).generate_compiled_trace(300)
+        monkeypatch.setattr(
+            shm_module,
+            "np",
+            types.SimpleNamespace(ascontiguousarray=np.ascontiguousarray, ndarray=failing_view),
+        )
+        name = f"repro-{os.getpid()}-fault"
+        with pytest.raises(MemoryError, match="injected fault"):
+            SharedTraceSegment.create("fault", program, compiled, name=name)
+        assert _segment_is_gone(name)
+
     def test_attached_segment_refuses_unlink(self, small_profile):
         program, compiled = WorkloadGenerator(small_profile).generate_compiled_trace(300)
         segment = SharedTraceSegment.create("k", program, compiled)
         try:
             attached = SharedTraceSegment.attach(segment.name)
             with pytest.raises(RuntimeError, match="attached, not owned"):
-                attached.unlink()  # lifelint: ok RES302 (the test asserts this very refusal)
+                attached.unlink()
             attached.close()
         finally:
             segment.close()
@@ -285,7 +307,8 @@ class TestSegmentRegistry:
         names = []
         for key in ("a", "b"):
             names.append(registry.publish(key, self._loader(small_profile)).name)
-        registry.acquire("a")  # lifelint: ok RES306 (deliberately outstanding ref: close() must unlink anyway)
+        # A deliberately outstanding ref: close() must unlink anyway.
+        registry.acquire("a")
         registry.close()
         assert all(_segment_is_gone(name) for name in names)
         registry.close()  # idempotent
@@ -557,6 +580,35 @@ class TestRunnerLifecycle:
             results = [m.to_dict() for m in runner.run(jobs)]
             serial = [execute_job(job) for job in jobs]
             assert results == serial
+        finally:
+            runner.shutdown()
+
+    def test_submit_failure_releases_every_task_reference(self, monkeypatch, small_profile):
+        """``submit`` raising on the second task leaves no task reference
+        behind: every segment is back to the registry's resident reference,
+        so dropping that one brings every refcount to zero."""
+        jobs = [make_job(small_profile, c, phase=p) for p in (0, 1) for c in CONFIGURATIONS]
+        runner = ParallelRunner(max_workers=2, trace_root=None, shared_memory=True)
+        try:
+            real_submit = runner._pool.submit
+            calls = []
+
+            def submit_failing_second(fn, *args, **kwargs):
+                calls.append(fn)
+                if len(calls) == 2:
+                    raise RuntimeError("injected submit failure")
+                return real_submit(fn, *args, **kwargs)
+
+            monkeypatch.setattr(runner._pool, "submit", submit_failing_second)
+            with pytest.raises(RuntimeError, match="injected submit failure"):
+                runner.run(jobs)
+            registry = runner._segment_registry()
+            keys = sorted({job.trace_key() for job in jobs})
+            assert len(calls) == 2 and len(registry) == len(keys)
+            for key in keys:
+                registry.discard(key)
+            assert len(registry) == 0
+            assert registry.stats["unlinked"] == len(keys)
         finally:
             runner.shutdown()
 

@@ -4,7 +4,7 @@ These tests exercise the full stack (workload generation, compile-time
 passes, the clustered simulator and the experiment harness) and assert the
 *shape* of the paper's results -- who wins, who loses -- on a small but
 representative benchmark subset.  Absolute numbers are not checked (the
-substrate is synthetic); EXPERIMENTS.md records the full-scale comparison.
+substrate is synthetic).
 """
 
 from __future__ import annotations
@@ -57,8 +57,7 @@ class TestFigure5Shape:
         # galgel is the paper's showcase benchmark for the hybrid scheme.  At
         # the short trace lengths used in tests individual comparisons can
         # tie, so VC is required to beat the *average* of the two
-        # software-only schemes (the full-scale comparison is in
-        # EXPERIMENTS.md).
+        # software-only schemes.
         slowdowns = figure5_subset.slowdowns["178.galgel"]
         software_only = (slowdowns["OB"] + slowdowns["RHOP"]) / 2.0
         assert slowdowns["VC"] < software_only

@@ -4,6 +4,7 @@
   version is the package's own ``repro.__version__``.
 * ``import repro.cli`` loads no optional graph library: every CLI start pays
   for what the import pulls in, and ``networkx`` alone cost about 0.1 s.
+  Nor does it load the lint driver, which has its own front end.
 """
 
 from __future__ import annotations
@@ -33,3 +34,13 @@ def test_cli_import_leaves_networkx_unloaded():
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     result = subprocess.run([sys.executable, "-c", code], env=env, timeout=120)
     assert result.returncode == 0, "import repro.cli pulled in networkx"
+
+
+def test_cli_import_leaves_the_lint_driver_unloaded():
+    code = (
+        "import sys, repro.cli; "
+        "sys.exit(int('repro.analysis.framework' in sys.modules))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    result = subprocess.run([sys.executable, "-c", code], env=env, timeout=120)
+    assert result.returncode == 0, "import repro.cli pulled in the lint driver"
