@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import pickle
 
 import pytest
@@ -12,9 +13,6 @@ from repro.experiments.configs import (
     TABLE3_CONFIGURATIONS,
     vc_variant,
 )
-from repro.experiments.figure5 import run_figure5
-from repro.experiments.report import format_table
-from repro.experiments.runner import ExperimentRunner, ExperimentSettings
 from repro.scenarios.builtin import builtin_scenario
 from repro.scenarios.registry import (
     MACHINES,
@@ -26,10 +24,30 @@ from repro.scenarios.registry import (
     build_policy,
 )
 from repro.scenarios.runner import REPORT_KINDS, run_scenario
-from repro.scenarios.spec import MachineSpec, ScenarioSpec, StoppingRule, SweepAxis
+from repro.scenarios.spec import (
+    MachineSpec,
+    ScenarioSpec,
+    StoppingRule,
+    SweepAxis,
+    scenario_overrides,
+)
 
 #: Small settings so scenario tests stay fast.
 SMALL = {"benchmarks": ("164.gzip-1", "178.galgel"), "trace_length": 700, "max_phases": 1}
+
+
+#: SHA-256 of each built-in report at two benchmarks, 600 µops, one phase.
+REPORT_DIGESTS = {
+    "figure5": "266c70d63b6dd0e6c3d631b126736582bd2d7a6983585a0c51f9f8f4b83b5989",
+    "figure6": "52e0b3dacd75785e1a0ddf4356092e7c149d7547bc238857a9094c747f486ed6",
+    "figure7": "981e4b20bf0b3587df4b9acac9416e9b4ac0100d7f172236e57a0503e5983a01",
+    "table1": "a917d894b2edc6e316a66c67daf5192f48922fca784d39be6ea776e6c7246f64",
+    "quickstart": "bda40aae686cb5ec379b4ae1eb5513455ee85360f974314dea30592b7cc9f035",
+    "sweep-virtual-clusters": "8ce6d3cb0be0672f79d8e1d10f1b4febd7bff05409c163207ed94f3883aa53a8",
+    "sweep-link-latency": "2a6a6f7d6ca2a62df8d56364ae140a59d3e867163ec52e11abd2a4b4268a9dd2",
+    "sweep-region-size": "a88f8639c2d79ca3a3157f5bb9f602d3f2ded730e3c20a0f18f7d7aa162c2e0f",
+    "sweep-issue-queue-size": "cdce76703b1001e5b152abb760ac486f137be9b399da853a975d252664d004fc",
+}
 
 
 def small(spec: ScenarioSpec, **extra) -> ScenarioSpec:
@@ -348,40 +366,19 @@ class TestSweepExpansion:
 
 
 class TestScenarioExecution:
-    def test_json_loaded_figure5_matches_legacy_driver_bit_identically(self, tmp_path):
-        """The acceptance check: a JSON-roundtripped figure5 scenario emits
-        exactly the tables the legacy ``run_figure5`` driver produces."""
-        path = tmp_path / "figure5.json"
-        builtin_scenario("figure5").save(path)
-        spec = small(ScenarioSpec.from_file(path))
-
-        scenario_text = run_scenario(spec, jobs=2)
-
-        settings = ExperimentSettings(
-            num_clusters=2, num_virtual_clusters=2,
-            trace_length=SMALL["trace_length"], max_phases=SMALL["max_phases"],
+    @pytest.mark.parametrize("name", sorted(REPORT_DIGESTS))
+    def test_builtin_report_text_is_pinned(self, name):
+        """Every built-in report kind prints exactly the pinned text: a
+        refactor of the experiment layer must not move a single byte."""
+        spec = scenario_overrides(
+            builtin_scenario(name),
+            benchmarks=["164.gzip-1", "178.galgel"],
+            trace_length=600,
+            max_phases=1,
         )
-        result = run_figure5(
-            settings, benchmarks=list(SMALL["benchmarks"]), runner=ExperimentRunner(settings)
-        )
-        legacy_text = "\n".join(
-            [
-                format_table(
-                    result.benchmark_rows("int"),
-                    title="Figure 5(a) -- SPECint slowdown vs OP (%)",
-                ),
-                format_table(
-                    result.benchmark_rows("fp"),
-                    title="Figure 5(b) -- SPECfp slowdown vs OP (%)",
-                ),
-                format_table(
-                    result.averages_table(),
-                    title="Figure 5(c) -- average slowdown vs OP (%)",
-                ),
-                "",
-            ]
-        )
-        assert scenario_text == legacy_text
+        text = run_scenario(spec)
+        digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+        assert digest == REPORT_DIGESTS[name], f"{name} report changed:\n{text}"
 
     def test_sweep_scenario_runs(self):
         spec = small(
