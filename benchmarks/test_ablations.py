@@ -1,6 +1,7 @@
 """Ablation benchmarks for the design choices called out in DESIGN.md.
 
-These go beyond the paper's figures:
+These go beyond the paper's figures and run the four built-in sweep
+scenarios at small settings:
 
 * virtual-cluster count sweep (generalising the VC(2) / VC(4) study),
 * inter-cluster link latency sweep (how fast copy cost grows),
@@ -10,108 +11,70 @@ These go beyond the paper's figures:
 
 from __future__ import annotations
 
-from repro.experiments.ablations import (
-    sweep_issue_queue_size,
-    sweep_link_latency,
-    sweep_region_size,
-    sweep_virtual_clusters,
-)
-from repro.experiments.runner import ExperimentSettings
+import dataclasses
+
+from repro.engine.parallel import ParallelRunner
+from repro.scenarios.builtin import builtin_scenario
+from repro.scenarios.runner import sweep_rows
 
 #: Small, fixed settings: ablations multiply the number of simulations, so
 #: they use shorter traces than the figure benchmarks.
-ABLATION_SETTINGS = ExperimentSettings(
-    num_clusters=2, num_virtual_clusters=2, trace_length=1500, max_phases=1
-)
 ABLATION_BENCHMARKS = ("164.gzip-1", "181.mcf", "178.galgel")
+ABLATION_TRACE_LENGTH = 1500
 
 
-def _points_table(result):
-    return [
-        {
-            "value": point.value,
-            "configuration": point.configuration,
-            "cycles": round(point.cycles, 1),
-            "copies": round(point.copies, 1),
-            "slowdown_vs_op": None
-            if point.slowdown_vs_op is None
-            else round(point.slowdown_vs_op, 2),
-        }
-        for point in result.points
+def _sweep(benchmark, name, values):
+    """Run built-in sweep ``name`` over ``values`` at the small settings."""
+    base = builtin_scenario(name)
+    (axis,) = base.sweep
+    spec = dataclasses.replace(
+        base,
+        benchmarks=ABLATION_BENCHMARKS,
+        trace_length=ABLATION_TRACE_LENGTH,
+        max_phases=1,
+        sweep=(dataclasses.replace(axis, values=values),),
+    )
+    rows = benchmark.pedantic(sweep_rows, args=(spec, ParallelRunner()), rounds=1, iterations=1)
+    benchmark.extra_info["sweep"] = rows
+    return axis.parameter, rows
+
+
+def _cycles(rows, parameter, value, configuration):
+    """Summed cycles of one configuration at one swept value."""
+    (row,) = [
+        row for row in rows if row[parameter] == value and row["configuration"] == configuration
     ]
+    return row["cycles"]
 
 
 def test_ablation_virtual_cluster_count(benchmark):
     """Sweep the number of virtual clusters on the 2-cluster machine."""
-
-    def run():
-        return sweep_virtual_clusters(
-            counts=(1, 2, 4),
-            benchmarks=ABLATION_BENCHMARKS,
-            base_settings=ABLATION_SETTINGS,
-        )
-
-    result = benchmark.pedantic(run, rounds=1, iterations=1)
-    benchmark.extra_info["sweep"] = _points_table(result)
+    parameter, rows = _sweep(benchmark, "sweep-virtual-clusters", (1, 2, 4))
     # With a single virtual cluster the hybrid scheme degenerates towards
     # one-cluster behaviour whenever remaps are rare; 2 virtual clusters must
     # not be slower than 1 on a 2-cluster machine.
-    by_value = {
-        value: [p for p in result.for_value(value) if p.configuration.startswith("VC")]
-        for value in result.values()
-    }
-    assert by_value[2][0].cycles <= by_value[1][0].cycles * 1.05
+    assert _cycles(rows, parameter, 2, "VC") <= _cycles(rows, parameter, 1, "VC") * 1.05
 
 
 def test_ablation_link_latency(benchmark):
     """Sweep the inter-cluster link latency (VC and RHOP versus OP)."""
-
-    def run():
-        return sweep_link_latency(
-            latencies=(1, 4),
-            benchmarks=ABLATION_BENCHMARKS,
-            base_settings=ABLATION_SETTINGS,
-        )
-
-    result = benchmark.pedantic(run, rounds=1, iterations=1)
-    benchmark.extra_info["sweep"] = _points_table(result)
+    parameter, rows = _sweep(benchmark, "sweep-link-latency", (1, 4))
     # Every configuration gets slower (or at best equal) when communication
     # cost quadruples.
     for name in ("OP", "RHOP", "VC"):
-        cheap = [p for p in result.for_value(1) if p.configuration == name][0]
-        expensive = [p for p in result.for_value(4) if p.configuration == name][0]
-        assert expensive.cycles >= cheap.cycles * 0.98
+        cheap = _cycles(rows, parameter, 1, name)
+        assert _cycles(rows, parameter, 4, name) >= cheap * 0.98
 
 
 def test_ablation_region_size(benchmark):
     """Sweep the compiler window used by the software passes."""
-
-    def run():
-        return sweep_region_size(
-            sizes=(16, 128),
-            benchmarks=ABLATION_BENCHMARKS,
-            base_settings=ABLATION_SETTINGS,
-        )
-
-    result = benchmark.pedantic(run, rounds=1, iterations=1)
-    benchmark.extra_info["sweep"] = _points_table(result)
-    vc_points = [p for p in result.points if p.configuration == "VC"]
-    assert len(vc_points) == 2
+    _, rows = _sweep(benchmark, "sweep-region-size", (16, 128))
+    vc_rows = [row for row in rows if row["configuration"] == "VC"]
+    assert len(vc_rows) == 2
 
 
 def test_ablation_issue_queue_size(benchmark):
     """Sweep the per-cluster issue-queue sizes (smaller queues stress balance)."""
-
-    def run():
-        return sweep_issue_queue_size(
-            sizes=(16, 48),
-            benchmarks=ABLATION_BENCHMARKS,
-            base_settings=ABLATION_SETTINGS,
-        )
-
-    result = benchmark.pedantic(run, rounds=1, iterations=1)
-    benchmark.extra_info["sweep"] = _points_table(result)
+    parameter, rows = _sweep(benchmark, "sweep-issue-queue-size", (16, 48))
     # Shrinking the queues can only hurt (or leave unchanged) the baseline.
-    op_small = [p for p in result.for_value(16) if p.configuration == "OP"][0]
-    op_large = [p for p in result.for_value(48) if p.configuration == "OP"][0]
-    assert op_small.cycles >= op_large.cycles * 0.98
+    assert _cycles(rows, parameter, 16, "OP") >= _cycles(rows, parameter, 48, "OP") * 0.98

@@ -29,11 +29,10 @@ benchmarks/BENCH_engine.json``.
 from __future__ import annotations
 
 from repro.engine.parallel import _TRACE_MEMO, ParallelRunner
-from repro.experiments.ablations import aggregate_suite
 from repro.experiments.runner import ExperimentRunner
 from repro.scenarios.adaptive import replicate_profile
 from repro.scenarios.builtin import builtin_scenario
-from repro.scenarios.runner import run_scenario
+from repro.scenarios.runner import aggregate_suite, run_scenario
 from repro.workloads.spec2000 import profile_for
 
 # ---------------------------------------------------------------------------

@@ -8,15 +8,21 @@ absolute numbers.
 
 from __future__ import annotations
 
-from repro.experiments.figure5 import run_figure5
 from repro.experiments.report import format_table
+from repro.experiments.runner import ExperimentRunner
+from repro.experiments.slowdown import run_slowdown
+from repro.scenarios.builtin import builtin_scenario
 
 
 def test_figure5_slowdown_vs_op(benchmark, two_cluster_settings, bench_benchmarks):
     """Regenerate Figure 5 (panels a, b and c) on the evaluation subset."""
 
     def run():
-        return run_figure5(two_cluster_settings, benchmarks=bench_benchmarks)
+        return run_slowdown(
+            ExperimentRunner(two_cluster_settings),
+            bench_benchmarks,
+            builtin_scenario("figure5").configurations,
+        )
 
     result = benchmark.pedantic(run, rounds=1, iterations=1)
 

@@ -12,19 +12,24 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.experiments.figure6 import FIGURE6_COMPARISONS, run_figure6
+from repro.experiments.figure6 import run_figure6
 from repro.experiments.report import format_key_values
+from repro.experiments.runner import ExperimentRunner
+from repro.scenarios.builtin import builtin_scenario
+
+#: Figure 6's line-up: the subject (VC) first, then the comparison schemes.
+FIGURE6 = builtin_scenario("figure6").configurations
 
 
 def test_figure6_copy_and_balance_tradeoff(benchmark, two_cluster_settings, bench_benchmarks):
     """Regenerate the Figure 6 scatter data and its per-panel summaries."""
 
     def run():
-        return run_figure6(two_cluster_settings, benchmarks=bench_benchmarks)
+        return run_figure6(ExperimentRunner(two_cluster_settings), bench_benchmarks, FIGURE6)
 
     result = benchmark.pedantic(run, rounds=1, iterations=1)
 
-    summaries = {comparison: result.summary(comparison) for comparison in FIGURE6_COMPARISONS}
+    summaries = {comparison: result.summary(comparison) for comparison in result.comparisons}
     # VC speeds up over both software-only schemes on average.
     assert summaries["OB"]["mean_speedup"] > 0.0
     assert summaries["RHOP"]["mean_speedup"] > 0.0
@@ -35,7 +40,7 @@ def test_figure6_copy_and_balance_tradeoff(benchmark, two_cluster_settings, benc
 
     benchmark.extra_info["figure6_summaries"] = summaries
     print()
-    for comparison in FIGURE6_COMPARISONS:
+    for comparison in result.comparisons:
         print(
             format_key_values(
                 summaries[comparison], title=f"Figure 6 -- VC vs {comparison} (per-trace scatter summary)"
@@ -66,7 +71,7 @@ def test_figure6_correlation_between_copies_and_speedup(benchmark, two_cluster_s
     subset = ["164.gzip-1", "176.gcc-1", "181.mcf", "178.galgel", "188.ammp"]
 
     def run():
-        return run_figure6(two_cluster_settings, benchmarks=subset)
+        return run_figure6(ExperimentRunner(two_cluster_settings), subset, FIGURE6)
 
     result = benchmark.pedantic(run, rounds=1, iterations=1)
     points = result.for_comparison("OB") + result.for_comparison("RHOP")

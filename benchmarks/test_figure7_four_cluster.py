@@ -13,15 +13,21 @@ way the paper reports, so that specific sub-claim is checked only loosely.
 
 from __future__ import annotations
 
-from repro.experiments.figure7 import run_figure7
 from repro.experiments.report import format_table
+from repro.experiments.runner import ExperimentRunner
+from repro.experiments.slowdown import run_slowdown
+from repro.scenarios.builtin import builtin_scenario
 
 
 def test_figure7_four_cluster_slowdowns(benchmark, four_cluster_settings, bench_benchmarks):
     """Regenerate Figure 7 (panels a, b, c) plus the copy comparison of Section 5.4."""
 
     def run():
-        return run_figure7(four_cluster_settings, benchmarks=bench_benchmarks)
+        return run_slowdown(
+            ExperimentRunner(four_cluster_settings),
+            bench_benchmarks,
+            builtin_scenario("figure7").configurations,
+        )
 
     result = benchmark.pedantic(run, rounds=1, iterations=1)
 
@@ -45,12 +51,13 @@ def test_figure7_four_cluster_slowdowns(benchmark, four_cluster_settings, bench_
         "VC(4->4)": 12.96,
         "VC(2->4)": 3.64,
     }
-    benchmark.extra_info["copy_overhead_4to4_vs_2to4_percent"] = result.copy_overhead_4to4_vs_2to4()
+    copy_overhead = result.copy_overhead("VC(4->4)", "VC(2->4)")
+    benchmark.extra_info["copy_overhead_4to4_vs_2to4_percent"] = copy_overhead
     benchmark.extra_info["paper_copy_overhead_percent"] = 28.0
 
     print()
     print(format_table(result.averages_table(), title="Figure 7(c) -- 4-cluster average slowdown vs OP (%)"))
     print(
         f"VC(4->4) copies relative to VC(2->4): "
-        f"{result.copy_overhead_4to4_vs_2to4():+.1f} % (paper: +28 %)\n"
+        f"{copy_overhead:+.1f} % (paper: +28 %)\n"
     )

@@ -30,6 +30,7 @@ import time
 
 from repro.cluster.processor import ClusteredProcessor
 from repro.engine.artifacts import TraceArtifactStore
+from repro.engine.parallel import ParallelRunner
 from repro.experiments.configs import TABLE3_CONFIGURATIONS
 from repro.experiments.runner import ExperimentRunner, ExperimentSettings
 from repro.partition.rhop_partitioner import RhopPartitioner
@@ -282,20 +283,21 @@ def test_engine_parallel_speedup(benchmark):
     # pay it too.  (Trace artifacts are disabled so this benchmark keeps
     # measuring raw engine scaling; the artifact benchmark above covers the
     # load-instead-of-regenerate path.)
-    ExperimentRunner(settings, jobs=1, trace_dir=None).run_suite(benchmarks, configurations)
+    ExperimentRunner(settings).run_suite(benchmarks, configurations)
 
     start = time.perf_counter()
-    serial = ExperimentRunner(settings, jobs=1, trace_dir=None).run_suite(
-        benchmarks, configurations
-    )
+    serial = ExperimentRunner(settings).run_suite(benchmarks, configurations)
     serial_seconds = time.perf_counter() - start
 
-    def run_parallel():
-        return ExperimentRunner(settings, jobs=workers, trace_dir=None).run_suite(
-            benchmarks, configurations
-        )
+    engine = ParallelRunner(max_workers=workers)
 
-    parallel = benchmark.pedantic(run_parallel, rounds=1, iterations=1)
+    def run_parallel():
+        return ExperimentRunner(settings, engine=engine).run_suite(benchmarks, configurations)
+
+    try:
+        parallel = benchmark.pedantic(run_parallel, rounds=1, iterations=1)
+    finally:
+        engine.shutdown()
     # Parallel results must match the serial run bit-for-bit.
     for name in benchmarks:
         for configuration in ("OP", "VC"):

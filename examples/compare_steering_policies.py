@@ -15,9 +15,9 @@ from __future__ import annotations
 
 import sys
 
-from repro.experiments import ExperimentSettings, run_figure5, run_figure6
-from repro.experiments.figure6 import FIGURE6_COMPARISONS
+from repro.experiments import ExperimentRunner, ExperimentSettings, run_figure6, run_slowdown
 from repro.experiments.report import format_key_values, format_table
+from repro.scenarios.builtin import builtin_scenario
 from repro.workloads import all_trace_names
 
 DEFAULT_BENCHMARKS = ["164.gzip-1", "176.gcc-1", "181.mcf", "178.galgel", "171.swim"]
@@ -30,12 +30,14 @@ def main() -> None:
     if unknown:
         raise SystemExit(f"unknown benchmarks: {unknown}")
 
-    settings = ExperimentSettings(
-        num_clusters=2, num_virtual_clusters=2, trace_length=trace_length, max_phases=2
+    runner = ExperimentRunner(
+        ExperimentSettings(
+            num_clusters=2, num_virtual_clusters=2, trace_length=trace_length, max_phases=2
+        )
     )
 
     print(f"Figure 5 (subset): {len(benchmarks)} benchmarks, {trace_length} µops/phase\n")
-    figure5 = run_figure5(settings, benchmarks=benchmarks)
+    figure5 = run_slowdown(runner, benchmarks, builtin_scenario("figure5").configurations)
     rows = []
     for name in benchmarks:
         row = {"benchmark": name}
@@ -45,8 +47,8 @@ def main() -> None:
     print(format_table(figure5.averages_table(), title="Average slowdown vs OP (%)"))
 
     print("Figure 6 (subset): copy / balance trade-off of VC\n")
-    figure6 = run_figure6(settings, benchmarks=benchmarks)
-    for comparison in FIGURE6_COMPARISONS:
+    figure6 = run_figure6(runner, benchmarks, builtin_scenario("figure6").configurations)
+    for comparison in figure6.comparisons:
         print(format_key_values(figure6.summary(comparison), title=f"VC vs {comparison}"))
 
 

@@ -24,7 +24,14 @@ import sys
 import tempfile
 from pathlib import Path
 
-from repro import ScenarioSpec, SteeringConfiguration, register_policy, run_scenario
+from repro import (
+    ParallelRunner,
+    ResultCache,
+    ScenarioSpec,
+    SteeringConfiguration,
+    register_policy,
+    run_scenario,
+)
 from repro.experiments.configs import TABLE3_CONFIGURATIONS
 from repro.scenarios.spec import MachineSpec, SweepAxis
 from repro.steering.base import SteeringContext, SteeringHardware, SteeringPolicy
@@ -105,7 +112,8 @@ def main() -> None:
         assert ScenarioSpec.from_file(path) == spec
 
         # -- 4. run it: 2 worker processes + on-disk cache, like any built-in ------
-        print(run_scenario(ScenarioSpec.from_file(path), jobs=2, cache_dir=f"{tmp}/cache"))
+        with ParallelRunner(max_workers=2, cache=ResultCache(f"{tmp}/cache")) as engine:
+            print(run_scenario(ScenarioSpec.from_file(path), engine))
 
     print(
         "Reading guide: custom registered policies are first-class citizens --\n"

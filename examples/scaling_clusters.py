@@ -15,8 +15,9 @@ from __future__ import annotations
 
 import sys
 
-from repro.experiments import ExperimentSettings, run_figure5, run_figure7
+from repro.experiments import ExperimentRunner, ExperimentSettings, run_slowdown
 from repro.experiments.report import format_table
+from repro.scenarios.builtin import builtin_scenario
 
 BENCHMARKS = ["164.gzip-1", "176.gcc-1", "181.mcf", "186.crafty", "178.galgel", "200.sixtrack"]
 
@@ -32,15 +33,19 @@ def main() -> None:
     )
 
     print("2-cluster machine (Figure 5 subset)...")
-    figure5 = run_figure5(two_cluster, benchmarks=BENCHMARKS)
+    figure5 = run_slowdown(
+        ExperimentRunner(two_cluster), BENCHMARKS, builtin_scenario("figure5").configurations
+    )
     print(format_table(figure5.averages_table(), title="2 clusters: average slowdown vs OP (%)"))
 
     print("4-cluster machine (Figure 7 subset)...")
-    figure7 = run_figure7(four_cluster, benchmarks=BENCHMARKS)
+    figure7 = run_slowdown(
+        ExperimentRunner(four_cluster), BENCHMARKS, builtin_scenario("figure7").configurations
+    )
     print(format_table(figure7.averages_table(), title="4 clusters: average slowdown vs OP (%)"))
     print(
         f"VC(4->4) copy µops relative to VC(2->4): "
-        f"{figure7.copy_overhead_4to4_vs_2to4():+.1f} %  (paper reports +28 %)\n"
+        f"{figure7.copy_overhead('VC(4->4)', 'VC(2->4)'):+.1f} %  (paper reports +28 %)\n"
     )
 
     print(

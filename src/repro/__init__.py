@@ -15,7 +15,8 @@ scratch in Python:
 * a **synthetic SPEC CPU2000 workload substrate** with PinPoints-style
   weighted simulation points (:mod:`repro.workloads`);
 * the **experiment harness** regenerating every table and figure of the
-  evaluation (:mod:`repro.experiments`).
+  evaluation as built-in scenarios (:mod:`repro.scenarios`, computed by
+  :mod:`repro.experiments`).
 
 Quickstart
 ----------
@@ -38,14 +39,7 @@ from repro.cluster import (
     two_cluster_config,
 )
 from repro.engine import ParallelRunner, ResultCache, SimulationJob, TraceArtifactStore
-from repro.experiments import (
-    ExperimentRunner,
-    ExperimentSettings,
-    run_figure5,
-    run_figure6,
-    run_figure7,
-    run_table1,
-)
+from repro.experiments import ExperimentRunner, ExperimentSettings, run_table1
 from repro.experiments.configs import (
     SteeringConfiguration,
     TABLE3_CONFIGURATIONS,
@@ -138,9 +132,6 @@ __all__ = [
     "TABLE3_CONFIGURATIONS",
     "make_configuration",
     "vc_variant",
-    "run_figure5",
-    "run_figure6",
-    "run_figure7",
     "run_table1",
     "quick_comparison",
 ]
@@ -184,8 +175,12 @@ def quick_comparison(
         trace_length=trace_length,
         max_phases=max_phases,
     )
-    runner = ExperimentRunner(settings, jobs=jobs, cache_dir=cache_dir)
-    per_config = runner.run_suite([benchmark], list(TABLE3_CONFIGURATIONS.values()))[benchmark]
+    cache = ResultCache(cache_dir) if cache_dir is not None else None
+    with ParallelRunner(max_workers=jobs, cache=cache) as engine:
+        runner = ExperimentRunner(settings, engine=engine)
+        per_config = runner.run_suite([benchmark], list(TABLE3_CONFIGURATIONS.values()))[
+            benchmark
+        ]
     # Surface the first phase's metrics object; weighted aggregates are in
     # the BenchmarkResult itself.
     return {name: per_config[name].phase_results[0].metrics for name in TABLE3_CONFIGURATIONS}

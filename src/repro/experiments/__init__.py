@@ -1,27 +1,23 @@
-"""Experiment harness: the paper's evaluation, end to end.
+"""Experiment harness: the computations behind the paper's evaluation.
+
+What each figure, table and sweep runs -- machine, benchmarks, line-up --
+is its built-in scenario (:mod:`repro.scenarios.builtin`); this package
+holds only the computation the scenario report kinds call.
 
 * :mod:`repro.experiments.configs` -- the five configurations of Table 3
   (OP, one-cluster, OB, RHOP, VC) as declarative specs naming their
   compile-time pass and run-time policy in the scenario registries.
 * :mod:`repro.experiments.runner` -- runs a benchmark (all of its PinPoints
   phases) under one configuration and aggregates weighted metrics.
-* :mod:`repro.experiments.figure5` -- 2-cluster slowdown vs OP (Figure 5).
+* :mod:`repro.experiments.slowdown` -- per-benchmark slowdown versus a
+  baseline (Figures 5 and 7), including the VC(4->4) vs VC(2->4) copy
+  comparison of Section 5.4.
 * :mod:`repro.experiments.figure6` -- copy-reduction / workload-balance
   trade-off scatter data (Figure 6).
-* :mod:`repro.experiments.figure7` -- 4-cluster scalability study (Figure 7),
-  including the VC(4->4) vs VC(2->4) copy comparison of Section 5.4.
 * :mod:`repro.experiments.table1` -- steering-unit complexity (Table 1).
-* :mod:`repro.experiments.ablations` -- sensitivity studies beyond the paper.
 * :mod:`repro.experiments.report` -- plain-text table formatting.
 """
 
-from repro.experiments.ablations import (
-    AblationResult,
-    sweep_issue_queue_size,
-    sweep_link_latency,
-    sweep_region_size,
-    sweep_virtual_clusters,
-)
 from repro.experiments.configs import (
     SteeringConfiguration,
     TABLE3_CONFIGURATIONS,
@@ -29,15 +25,14 @@ from repro.experiments.configs import (
     table3_configurations,
     vc_variant,
 )
-from repro.experiments.figure5 import Figure5Result, run_figure5
 from repro.experiments.figure6 import Figure6Point, Figure6Result, run_figure6
-from repro.experiments.figure7 import Figure7Result, run_figure7
 from repro.experiments.report import format_table
 from repro.experiments.runner import (
     BenchmarkResult,
     ExperimentRunner,
     ExperimentSettings,
 )
+from repro.experiments.slowdown import SlowdownResult, run_slowdown
 from repro.experiments.table1 import run_table1
 
 __all__ = [
@@ -49,18 +44,11 @@ __all__ = [
     "ExperimentRunner",
     "ExperimentSettings",
     "BenchmarkResult",
-    "Figure5Result",
-    "run_figure5",
+    "SlowdownResult",
+    "run_slowdown",
     "Figure6Point",
     "Figure6Result",
     "run_figure6",
-    "Figure7Result",
-    "run_figure7",
     "run_table1",
-    "AblationResult",
-    "sweep_virtual_clusters",
-    "sweep_link_latency",
-    "sweep_region_size",
-    "sweep_issue_queue_size",
     "format_table",
 ]

@@ -324,9 +324,6 @@ def vc_variant(display_name: str, num_virtual_clusters: int) -> SteeringConfigur
     )
 
 
-def table3_configurations(include_baseline: bool = True) -> List[SteeringConfiguration]:
-    """All Table 3 configurations, optionally excluding the OP baseline."""
-    names = ["OP", "one-cluster", "OB", "RHOP", "VC"]
-    if not include_baseline:
-        names.remove("OP")
-    return [TABLE3_CONFIGURATIONS[name] for name in names]
+def table3_configurations() -> List[SteeringConfiguration]:
+    """All Table 3 configurations, OP baseline first."""
+    return [TABLE3_CONFIGURATIONS[name] for name in ("OP", "one-cluster", "OB", "RHOP", "VC")]

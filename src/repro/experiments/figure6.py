@@ -3,7 +3,8 @@
 Figure 6 plots, for every PinPoints trace, the speedup of VC over a
 comparison scheme (x-axis) against either the copy reduction (panels a.1-a.3)
 or the workload-balance improvement (panels b.1-b.3) of VC over that scheme.
-The comparison schemes are OB (a.1/b.1), RHOP (a.2/b.2) and OP (a.3/b.3).
+The comparison schemes are OB (a.1/b.1), RHOP (a.2/b.2) and OP (a.3/b.3);
+the line-up is the built-in ``figure6`` scenario.
 
 Workload-balance improvement follows the paper's definition: "the total
 reduction of the allocation stalls in the issue queues" (Section 5.3).
@@ -21,21 +22,13 @@ The qualitative claims the reproduction targets:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 import numpy as np
 
-from repro.experiments.configs import TABLE3_CONFIGURATIONS, SteeringConfiguration
-from repro.experiments.runner import (
-    ExperimentRunner,
-    ExperimentSettings,
-    reduction_percent,
-    speedup_percent,
-)
-from repro.workloads.spec2000 import all_trace_names, profile_for
-
-#: The three comparisons of Figure 6, in panel order.
-FIGURE6_COMPARISONS = ("OB", "RHOP", "OP")
+from repro.experiments.configs import SteeringConfiguration
+from repro.experiments.runner import ExperimentRunner, reduction_percent, speedup_percent
+from repro.workloads.spec2000 import profile_for
 
 
 @dataclass(frozen=True)
@@ -53,9 +46,9 @@ class Figure6Point:
 class Figure6Result:
     """All scatter points of Figure 6, grouped by comparison scheme."""
 
-    points: List[Figure6Point] = field(default_factory=list)
     #: Comparison scheme names, in panel order.
-    comparisons: List[str] = field(default_factory=lambda: list(FIGURE6_COMPARISONS))
+    comparisons: List[str]
+    points: List[Figure6Point] = field(default_factory=list)
 
     def for_comparison(self, comparison: str) -> List[Figure6Point]:
         """Points of one panel column (``"OB"``, ``"RHOP"`` or ``"OP"``)."""
@@ -89,23 +82,12 @@ class Figure6Result:
 
 
 def run_figure6(
-    settings: Optional[ExperimentSettings] = None,
-    benchmarks: Optional[Sequence[str]] = None,
-    runner: Optional[ExperimentRunner] = None,
-    configurations: Optional[Sequence[SteeringConfiguration]] = None,
+    runner: ExperimentRunner,
+    benchmarks: Sequence[str],
+    configurations: Sequence[SteeringConfiguration],
 ) -> Figure6Result:
-    """Reproduce the Figure 6 scatter data on the 2-cluster machine.
-
-    ``configurations`` lists the subject scheme first (VC in the paper), then
-    the comparison schemes, one panel column each.
-    """
-    settings = settings or ExperimentSettings(num_clusters=2, num_virtual_clusters=2)
-    runner = runner or ExperimentRunner(settings)
-    names = list(benchmarks) if benchmarks is not None else all_trace_names("all")
-    if configurations is None:
-        configurations = [TABLE3_CONFIGURATIONS[name] for name in ("VC", "OB", "RHOP", "OP")]
-    if len(configurations) < 2:
-        raise ValueError("Figure 6 needs a subject plus at least one comparison scheme")
+    """The Figure 6 scatter data: the first configuration (the subject, VC
+    in the paper) versus each of the others, one panel column each."""
     subject = configurations[0].name
     comparisons = [configuration.name for configuration in configurations[1:]]
     result = Figure6Result(comparisons=comparisons)
@@ -113,8 +95,8 @@ def run_figure6(
     # refers to a trace gathered by the PinPoints tool").  The whole
     # benchmark x configuration x phase matrix is one engine batch, so a
     # parallel runner simulates every scatter point concurrently.
-    matrix = runner.run_phase_matrix(names, list(configurations))
-    for name in names:
+    matrix = runner.run_phase_matrix(benchmarks, configurations)
+    for name in benchmarks:
         profile = profile_for(name)
         points = runner.simulation_points(profile)
         per_config = matrix[name]

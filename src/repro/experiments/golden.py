@@ -46,14 +46,14 @@ GOLDEN_CASES = (
 )
 
 
-def compute_golden_snapshot(jobs: int = 1) -> Dict[str, object]:
+def compute_golden_snapshot() -> Dict[str, object]:
     """Simulate the golden cases and return the snapshot payload.
 
     The payload is JSON-compatible and deterministic: integer counters stay
     integers and the only float (IPC) is derived from them, so an exact
     comparison against the committed file is meaningful.
     """
-    runner = ExperimentRunner(GOLDEN_SETTINGS, jobs=jobs)
+    runner = ExperimentRunner(GOLDEN_SETTINGS)
     cases: List[Dict[str, object]] = []
     for benchmark, configuration_name in GOLDEN_CASES:
         result = runner.run_benchmark(benchmark, TABLE3_CONFIGURATIONS[configuration_name])

@@ -1,8 +1,8 @@
 """Plain-text table formatting for experiment results.
 
 The harness prints the same rows/series the paper reports; this module turns
-lists of row dictionaries into aligned plain-text tables (and optionally
-Markdown) without pulling in any plotting dependency.
+lists of row dictionaries into aligned plain-text tables without pulling in
+any plotting dependency.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ def _stringify(value: object) -> str:
     return str(value)
 
 
-def format_table(rows: Sequence[Dict[str, object]], title: str = "", markdown: bool = False) -> str:
+def format_table(rows: Sequence[Dict[str, object]], title: str = "") -> str:
     """Format ``rows`` (list of dicts sharing keys) as an aligned text table.
 
     Parameters
@@ -25,9 +25,6 @@ def format_table(rows: Sequence[Dict[str, object]], title: str = "", markdown: b
         Table rows; the column order is taken from the first row.
     title:
         Optional heading printed above the table.
-    markdown:
-        Emit a GitHub-flavoured Markdown table instead of an aligned
-        plain-text one.
     """
     if not rows:
         return f"{title}\n(no data)\n" if title else "(no data)\n"
@@ -39,17 +36,10 @@ def format_table(rows: Sequence[Dict[str, object]], title: str = "", markdown: b
     lines: List[str] = []
     if title:
         lines.append(title)
-    if markdown:
-        lines.append("| " + " | ".join(columns) + " |")
-        lines.append("|" + "|".join("-" * (w + 2) for w in widths) + "|")
-        for line in table:
-            lines.append("| " + " | ".join(line) + " |")
-    else:
-        header = "  ".join(column.ljust(widths[i]) for i, column in enumerate(columns))
-        lines.append(header)
-        lines.append("  ".join("-" * widths[i] for i in range(len(columns))))
-        for line in table:
-            lines.append("  ".join(line[i].ljust(widths[i]) for i in range(len(columns))))
+    lines.append("  ".join(column.ljust(widths[i]) for i, column in enumerate(columns)))
+    lines.append("  ".join("-" * widths[i] for i in range(len(columns))))
+    for line in table:
+        lines.append("  ".join(line[i].ljust(widths[i]) for i in range(len(columns))))
     return "\n".join(lines) + "\n"
 
 

@@ -10,7 +10,7 @@ All simulation is routed through the experiment engine
 (:mod:`repro.engine`): the runner expands its work into independent
 ``benchmark x phase x configuration`` :class:`~repro.engine.job.SimulationJob`
 units, hands them to a :class:`~repro.engine.parallel.ParallelRunner` (serial
-by default, process-parallel with ``jobs > 1``, optionally backed by an
+by default; the caller's engine may be process-parallel and backed by an
 on-disk result cache) and reassembles the PinPoints-weighted aggregates in a
 fixed order -- so serial, parallel and cache-replay runs are bit-identical.
 """
@@ -22,9 +22,8 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.cluster.config import ClusterConfig
 from repro.cluster.metrics import SimulationMetrics
-from repro.engine.cache import ResultCache
 from repro.engine.job import SimulationJob
-from repro.engine.parallel import AUTO_TRACE_ROOT, ParallelRunner
+from repro.engine.parallel import ParallelRunner
 from repro.experiments.configs import SteeringConfiguration
 from repro.uops.registers import DEFAULT_REGISTER_SPACE, RegisterSpace
 from repro.workloads.generator import BenchmarkProfile
@@ -128,70 +127,24 @@ class ExperimentRunner:
     ----------
     settings:
         Shared experiment knobs (machine geometry, trace length, phases).
+    engine:
+        The :class:`~repro.engine.parallel.ParallelRunner` every simulation
+        goes through; several runners may share one (its cache, worker pool
+        and resident trace segments).  The caller owns it and shuts it down.
+        Defaults to a serial, uncached engine.
     register_space:
         Architectural register namespace of the generated traces.
-    jobs:
-        Worker processes for simulation; ``1`` (the default) runs everything
-        inline in this process.  Any value produces bit-identical results.
-    cache_dir:
-        Directory for the on-disk result cache; ``None`` disables caching.
-    trace_dir:
-        Directory for the on-disk compiled-trace artifacts workers load
-        instead of regenerating phase traces.  The default derives it from
-        the result cache (``<cache_dir>/traces``; no artifacts without a
-        cache); ``None`` disables artifacts explicitly.
-    shared_memory:
-        Publish compiled traces into shared-memory segments for parallel
-        batched runs (``None`` = where available, the default); results are
-        bit-identical either way.
-    engine:
-        Pre-built :class:`~repro.engine.parallel.ParallelRunner` to use
-        instead of constructing one from ``jobs`` / ``cache_dir`` /
-        ``trace_dir`` / ``shared_memory`` (lets several
-        runners share one cache, one worker pool and one set of resident
-        trace segments).
     """
 
     def __init__(
         self,
         settings: Optional[ExperimentSettings] = None,
-        register_space: RegisterSpace = DEFAULT_REGISTER_SPACE,
-        jobs: int = 1,
-        cache_dir: Optional[str] = None,
-        trace_dir: Optional[str] = AUTO_TRACE_ROOT,
-        shared_memory: Optional[bool] = None,
         engine: Optional[ParallelRunner] = None,
+        register_space: RegisterSpace = DEFAULT_REGISTER_SPACE,
     ) -> None:
         self.settings = settings or ExperimentSettings()
+        self.engine = engine if engine is not None else ParallelRunner()
         self.register_space = register_space
-        if engine is None:
-            cache = ResultCache(cache_dir) if cache_dir is not None else None
-            engine = ParallelRunner(
-                max_workers=jobs,
-                cache=cache,
-                trace_root=trace_dir,
-                shared_memory=shared_memory,
-            )
-        self.engine = engine
-
-    # -- lifecycle --------------------------------------------------------------------
-    def shutdown(self) -> None:
-        """Release the engine's worker pool and shared-memory segments.
-
-        Idempotent and non-terminal (the substrate respawns on the next
-        simulation), so it is always safe to call -- including on an engine
-        the caller passed in and keeps using afterwards.  Long-lived
-        processes (notebooks, services) should call it -- or use the runner
-        as a context manager -- once a sweep is done, so worker processes
-        and ``/dev/shm`` segments are returned promptly.
-        """
-        self.engine.shutdown()
-
-    def __enter__(self) -> "ExperimentRunner":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.shutdown()
 
     # -- job expansion ----------------------------------------------------------------
     def simulation_points(self, profile: BenchmarkProfile) -> List[SimulationPoint]:
@@ -374,7 +327,7 @@ class ExperimentRunner:
         """Per-phase results of every benchmark under every configuration.
 
         The full ``benchmark x configuration x phase`` matrix is expanded
-        into one engine run, so with ``jobs > 1`` every cell simulates
+        into one engine run, so on a parallel engine every cell simulates
         concurrently.  Returns ``results[benchmark][configuration]`` as a
         phase-ordered list of :class:`PhaseRunResult`.
         """
@@ -395,7 +348,7 @@ class ExperimentRunner:
 
 
 # ---------------------------------------------------------------------------
-# Comparison helpers shared by the figure drivers
+# Comparison helpers shared by the figure drivers and report kinds
 # ---------------------------------------------------------------------------
 
 

@@ -99,7 +99,7 @@ class PointSampler:
     A *cell* is one full seed block: every benchmark of the scenario,
     replicated to the cell's seed block, simulated under the cell's
     configuration, PinPoints-weighted per benchmark and summed over the
-    benchmark set (exactly :func:`~repro.experiments.ablations.aggregate_suite`'s
+    benchmark set (exactly :func:`~repro.scenarios.runner.aggregate_suite`'s
     arithmetic, so cell values line up with the ``"sweep"`` report).  Cells
     are memoised; :meth:`ensure` executes the missing ones in a single
     engine call -- the round barrier -- and :meth:`sample_round` is the

@@ -10,10 +10,19 @@ scenario files.
 
 from __future__ import annotations
 
-from repro.experiments.ablations import DEFAULT_ABLATION_BENCHMARKS
 from repro.experiments.configs import TABLE3_CONFIGURATIONS, table3_configurations, vc_variant
 from repro.scenarios.registry import SCENARIOS, register_scenario
 from repro.scenarios.spec import MachineSpec, ScenarioSpec, StoppingRule, SweepAxis
+
+#: Benchmark subset of the ablation sweeps: a mix of regular FP, irregular
+#: INT and memory-bound traces.
+DEFAULT_ABLATION_BENCHMARKS = (
+    "164.gzip-1",
+    "176.gcc-1",
+    "181.mcf",
+    "178.galgel",
+    "171.swim",
+)
 
 
 def builtin_scenario(name: str) -> ScenarioSpec:

@@ -8,11 +8,11 @@ built-in kinds cover the paper's evaluation and the generic cases:
     Weighted per-benchmark tables of every configuration (cycles, slowdown
     versus the first configuration, IPC, copies, balance stalls).
 ``figure5`` / ``figure6`` / ``figure7`` / ``table1``
-    The paper's figures and Table 1, byte-identical to the legacy CLI
-    commands they replace.
+    The paper's figures and Table 1.  ``figure5`` and ``figure7`` check
+    that the spec runs on the 2- and 4-cluster machine respectively.
 ``sweep``
     Grid-expand the spec's sweep axes and aggregate each point over the
-    benchmark set (the ablation-sweep shape).
+    benchmark set (the ablation-sweep shape, see :func:`sweep_rows`).
 ``replicated`` / ``race`` / ``crossover``
     The statistical kinds (:mod:`repro.scenarios.adaptive`): replicated
     estimation with CI stopping, configuration racing, and crossover
@@ -30,14 +30,11 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Dict, List, Optional, Sequence
 
-from repro.engine.cache import ResultCache
-from repro.engine.parallel import AUTO_TRACE_ROOT, ParallelRunner
-from repro.experiments.ablations import aggregate_suite
-from repro.experiments.figure5 import run_figure5
+from repro.engine.parallel import ParallelRunner
 from repro.experiments.figure6 import run_figure6
-from repro.experiments.figure7 import run_figure7
 from repro.experiments.report import format_key_values, format_table
-from repro.experiments.runner import ExperimentRunner, slowdown_percent
+from repro.experiments.runner import BenchmarkResult, ExperimentRunner, slowdown_percent
+from repro.experiments.slowdown import SlowdownResult, run_slowdown
 from repro.experiments.table1 import run_table1
 from repro.scenarios.registry import Registry
 from repro.scenarios.spec import ScenarioSpec
@@ -51,10 +48,6 @@ REPORT_KINDS = Registry("report kind", builtin_modules=("repro.scenarios.adaptiv
 def run_scenario(
     spec: ScenarioSpec,
     engine: Optional[ParallelRunner] = None,
-    jobs: int = 1,
-    cache_dir: Optional[str] = None,
-    trace_dir: Optional[str] = AUTO_TRACE_ROOT,
-    shared_memory: Optional[bool] = None,
     adaptive: Optional[bool] = None,
 ) -> str:
     """Execute ``spec`` and return its report text.
@@ -64,23 +57,10 @@ def run_scenario(
     spec:
         The scenario to run.
     engine:
-        Pre-built engine to use (lets callers share one worker pool, one set
-        of resident shared-memory segments and one cache across scenarios);
-        built from ``jobs`` / ``cache_dir`` / ``trace_dir`` /
-        ``shared_memory`` when omitted.  An engine built here is shut down
-        before returning (its pool and segments do not outlive the call);
-        a caller-provided engine is left running for reuse.
-    jobs / cache_dir:
-        Engine knobs when no engine is passed: worker processes (results are
-        bit-identical for any count) and the optional on-disk result cache.
-    trace_dir:
-        Directory of the shared compiled-trace artifacts (see
-        :class:`~repro.engine.artifacts.TraceArtifactStore`).  Defaults to
-        ``<cache_dir>/traces``; pass ``None`` to regenerate traces instead.
-    shared_memory:
-        Publish compiled traces into shared-memory segments for parallel
-        batched runs (``None`` = where available, the default); results are
-        bit-identical either way.
+        The engine every simulation goes through (lets callers share one
+        worker pool, one set of resident shared-memory segments and one
+        cache across scenarios).  The caller owns it and shuts it down.
+        Defaults to a serial, uncached engine.
     adaptive:
         Override the spec's :class:`~repro.scenarios.spec.StoppingRule`
         enablement (the CLI's ``--adaptive`` / ``--no-adaptive``): ``False``
@@ -91,25 +71,16 @@ def run_scenario(
     """
     if adaptive is not None and spec.stopping is not None:
         spec = replace(spec, stopping=replace(spec.stopping, enabled=adaptive))
-    owned = engine is None
-    if engine is None:
-        cache = ResultCache(cache_dir) if cache_dir is not None else None
-        engine = ParallelRunner(
-            max_workers=jobs,
-            cache=cache,
-            trace_root=trace_dir,
-            shared_memory=shared_memory,
-        )
     handler = REPORT_KINDS.get(spec.report)
-    try:
-        return handler(spec, engine)
-    finally:
-        if owned:
-            engine.shutdown()
+    return handler(spec, engine if engine is not None else ParallelRunner())
 
 
 def _join(parts: Sequence[str]) -> str:
-    """Join report blocks exactly like the legacy CLI commands did."""
+    """Join report blocks with one blank line between them and after the last.
+
+    The CLI appends its engine footer right after the report, and the
+    perfbench reference tables pin this layout byte for byte.
+    """
     return "\n".join(list(parts) + [""])
 
 
@@ -162,20 +133,24 @@ def _table_report(spec: ScenarioSpec, engine: ParallelRunner) -> str:
     return _join(parts)
 
 
-@REPORT_KINDS.register("figure5")
-def _figure5_report(spec: ScenarioSpec, engine: ParallelRunner) -> str:
-    """Figure 5 panels (a)-(c): per-benchmark and average slowdowns."""
+def _slowdown_figure(
+    spec: ScenarioSpec, engine: ParallelRunner, figure: int, num_clusters: int
+) -> SlowdownResult:
+    """Run a slowdown figure (5 or 7), checking the spec's machine first."""
     _reject_sweep(spec)
     configurations = _require_configurations(spec, minimum=2)
     settings = spec.settings()
+    if settings.num_clusters != num_clusters:
+        raise ValueError(f"Figure {figure} is defined for the {num_clusters}-cluster machine")
     runner = ExperimentRunner(settings, engine=engine)
-    result = run_figure5(
-        settings,
-        benchmarks=list(spec.benchmarks) or None,
-        runner=runner,
-        configurations=configurations,
-    )
-    baseline = configurations[0].name
+    return run_slowdown(runner, spec.resolved_benchmarks(), configurations)
+
+
+@REPORT_KINDS.register("figure5")
+def _figure5_report(spec: ScenarioSpec, engine: ParallelRunner) -> str:
+    """Figure 5 panels (a)-(c): per-benchmark and average slowdowns."""
+    result = _slowdown_figure(spec, engine, figure=5, num_clusters=2)
+    baseline = spec.configurations[0].name
     return _join(
         [
             format_table(
@@ -199,14 +174,8 @@ def _figure6_report(spec: ScenarioSpec, engine: ParallelRunner) -> str:
     """Figure 6 summaries: the subject scheme versus each comparison scheme."""
     _reject_sweep(spec)
     configurations = _require_configurations(spec, minimum=2)
-    settings = spec.settings()
-    runner = ExperimentRunner(settings, engine=engine)
-    result = run_figure6(
-        settings,
-        benchmarks=list(spec.benchmarks) or None,
-        runner=runner,
-        configurations=configurations,
-    )
+    runner = ExperimentRunner(spec.settings(), engine=engine)
+    result = run_figure6(runner, spec.resolved_benchmarks(), configurations)
     subject = configurations[0].name
     return _join(
         [
@@ -221,17 +190,8 @@ def _figure6_report(spec: ScenarioSpec, engine: ParallelRunner) -> str:
 @REPORT_KINDS.register("figure7")
 def _figure7_report(spec: ScenarioSpec, engine: ParallelRunner) -> str:
     """Figure 7 panel (c) plus the Section 5.4 copy comparison."""
-    _reject_sweep(spec)
-    configurations = _require_configurations(spec, minimum=2)
-    settings = spec.settings()
-    runner = ExperimentRunner(settings, engine=engine)
-    result = run_figure7(
-        settings,
-        benchmarks=list(spec.benchmarks) or None,
-        runner=runner,
-        configurations=configurations,
-    )
-    baseline = configurations[0].name
+    result = _slowdown_figure(spec, engine, figure=7, num_clusters=4)
+    baseline = spec.configurations[0].name
     parts = [
         format_table(
             result.averages_table(),
@@ -241,7 +201,7 @@ def _figure7_report(spec: ScenarioSpec, engine: ParallelRunner) -> str:
     if "VC(4->4)" in result.plotted and "VC(2->4)" in result.plotted:
         parts.append(
             "VC(4->4) copies relative to VC(2->4): "
-            f"{result.copy_overhead_4to4_vs_2to4():+.1f} % (paper: +28 %)\n"
+            f"{result.copy_overhead('VC(4->4)', 'VC(2->4)'):+.1f} % (paper: +28 %)\n"
         )
     return _join(parts)
 
@@ -259,13 +219,31 @@ def _table1_report(spec: ScenarioSpec, engine: ParallelRunner) -> str:
     return format_table(rows, title="Table 1 -- steering-unit complexity")
 
 
-@REPORT_KINDS.register("sweep")
-def _sweep_report(spec: ScenarioSpec, engine: ParallelRunner) -> str:
-    """Grid-expand the sweep axes; aggregate each point over the benchmarks.
+def aggregate_suite(
+    suite: Dict[str, Dict[str, BenchmarkResult]],
+    benchmarks: Sequence[str],
+    configuration_name: str,
+) -> Dict[str, float]:
+    """Sum one configuration's weighted cycles/copies/stalls over ``benchmarks``."""
+    cycles = copies = stalls = 0.0
+    for name in benchmarks:
+        result = suite[name][configuration_name]
+        cycles += result.cycles
+        copies += result.copies
+        stalls += result.allocation_stalls
+    return {"cycles": cycles, "copies": copies, "allocation_stalls": stalls}
 
-    Every point's jobs go into one engine run, so all the points touching a
-    trace share one batch: the trace is acquired once, and its compile-time
-    annotations and warmed caches are computed once for the whole sweep.
+
+def sweep_rows(spec: ScenarioSpec, engine: ParallelRunner) -> List[Dict[str, object]]:
+    """Grid-expand the sweep axes; one row per point and configuration.
+
+    Each row holds the point's axis values, the configuration name and its
+    cycles, copies and allocation stalls summed over the benchmarks, plus
+    the slowdown versus the first configuration when there are several
+    (``"-"`` on the baseline's own rows).  Every point's jobs go into one
+    engine run, so all the points touching a trace share one batch: the
+    trace is acquired once, and its compile-time annotations and warmed
+    caches are computed once for the whole sweep.
     """
     configurations = _require_configurations(spec)
     baseline_name = configurations[0].name if len(configurations) > 1 else None
@@ -300,7 +278,13 @@ def _sweep_report(spec: ScenarioSpec, engine: ParallelRunner) -> str:
                     else round(slowdown_percent(data["cycles"], baseline_cycles), 2)
                 )
             rows.append(row)
+    return rows
+
+
+@REPORT_KINDS.register("sweep")
+def _sweep_report(spec: ScenarioSpec, engine: ParallelRunner) -> str:
+    """The :func:`sweep_rows` table of the spec's sweep axes."""
     swept = ", ".join(axis.parameter for axis in spec.sweep) or spec.name
-    # No trailing blank line: the legacy ablations command concatenated its
-    # table and engine footer directly, and the shim stays format-compatible.
-    return format_table(rows, title=f"Ablation sweep -- {swept}")
+    # No trailing blank line, unlike _join: the perfbench sweep reference
+    # tables and the CLI footer that follows pin this layout.
+    return format_table(sweep_rows(spec, engine), title=f"Ablation sweep -- {swept}")

@@ -47,6 +47,12 @@ _SWEEPABLE_SPEC_FIELDS = ("trace_length", "max_phases", "region_size", "num_virt
 #: ClusterConfig fields a sweep axis may target (applied as machine overrides).
 _MACHINE_FIELDS = tuple(f.name for f in fields(ClusterConfig))
 
+#: The value type of every sweepable field (every one is an int or a bool).
+_FIELD_TYPES = {
+    **{name: int for name in _SWEEPABLE_SPEC_FIELDS},
+    **{name: type(getattr(ClusterConfig(), name)) for name in _MACHINE_FIELDS},
+}
+
 
 @dataclass(frozen=True)
 class MachineSpec:
@@ -100,7 +106,9 @@ class SweepAxis:
     :class:`~repro.cluster.config.ClusterConfig` field (``link_latency``,
     ``iq_int_size``...).  When one logical parameter drives several machine
     fields (the issue-queue sweep sets the INT and FP queues together), list
-    them in ``fields`` and ``parameter`` becomes the display name.
+    them in ``fields`` and ``parameter`` becomes the display name.  The
+    values must be distinct and of the target fields' type (``int``, or
+    ``bool`` for the boolean machine fields).
     """
 
     parameter: str
@@ -108,6 +116,10 @@ class SweepAxis:
     fields: Tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
+        if not isinstance(self.values, (list, tuple)):
+            raise ValueError(
+                f"sweep axis {self.parameter!r}: 'values' must be a list, not {self.values!r}"
+            )
         object.__setattr__(self, "values", tuple(self.values))
         object.__setattr__(self, "fields", tuple(self.fields))
         if not self.values:
@@ -117,6 +129,19 @@ class SweepAxis:
                 raise ValueError(
                     f"cannot sweep {field_name!r}; expected a simulation knob "
                     f"{_SWEEPABLE_SPEC_FIELDS} or a ClusterConfig field"
+                )
+            expected = _FIELD_TYPES[field_name]
+            for value in self.values:
+                # bool is an int subclass: an int field takes no True/False.
+                if type(value) is not expected:
+                    raise ValueError(
+                        f"sweep axis {self.parameter!r}: value {value!r} for field "
+                        f"{field_name!r} must be {expected.__name__}"
+                    )
+        for index, value in enumerate(self.values):
+            if value in self.values[:index]:
+                raise ValueError(
+                    f"sweep axis {self.parameter!r}: duplicate value {value!r} in 'values'"
                 )
 
     @property
@@ -137,7 +162,7 @@ class SweepAxis:
             raise ValueError(f"unknown sweep-axis fields {sorted(unknown)}")
         return cls(
             parameter=str(data["parameter"]),
-            values=tuple(data["values"]),
+            values=data["values"],
             fields=tuple(data.get("fields", ())),
         )
 
@@ -272,7 +297,7 @@ class ScenarioSpec:
         :class:`~repro.experiments.runner.ExperimentSettings`.
     sweep:
         Sweep axes, grid-expanded by :meth:`expand_sweep` (used by the
-        ``"sweep"`` report kind).
+        ``"sweep"`` report kind).  No two axes may set the same field.
     replications:
         Seed blocks per configuration: replication ``r`` re-runs the whole
         benchmark set with every profile's ``base_seed`` shifted by the
@@ -310,6 +335,15 @@ class ScenarioSpec:
             raise ValueError(f"duplicate configuration names: {sorted(duplicates)}")
         if self.replications < 1:
             raise ValueError("replications must be at least 1")
+        swept: Dict[str, str] = {}
+        for axis in self.sweep:
+            for field_name in axis.target_fields:
+                if field_name in swept:
+                    raise ValueError(
+                        f"sweep axes {swept[field_name]!r} and {axis.parameter!r} "
+                        f"both set field {field_name!r}"
+                    )
+                swept[field_name] = axis.parameter
 
     # -- execution-facing views --------------------------------------------------
     def settings(self) -> ExperimentSettings:

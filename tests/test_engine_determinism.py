@@ -14,6 +14,8 @@ from __future__ import annotations
 from typing import Dict, List, Tuple
 
 from repro.cluster.metrics import SimulationMetrics
+from repro.engine.cache import ResultCache
+from repro.engine.parallel import ParallelRunner
 from repro.experiments.configs import TABLE3_CONFIGURATIONS
 from repro.experiments.runner import ExperimentRunner, ExperimentSettings
 
@@ -22,6 +24,12 @@ SETTINGS = ExperimentSettings(
 )
 BENCHMARKS = ["164.gzip-1", "178.galgel"]
 CONFIGURATIONS = [TABLE3_CONFIGURATIONS["OP"], TABLE3_CONFIGURATIONS["VC"]]
+
+
+def _runner(settings=SETTINGS, jobs=1, cache_dir=None) -> ExperimentRunner:
+    """A runner on its own engine: ``jobs`` workers and an optional result cache."""
+    cache = ResultCache(cache_dir) if cache_dir is not None else None
+    return ExperimentRunner(settings, engine=ParallelRunner(max_workers=jobs, cache=cache))
 
 
 def _phase_metrics(runner: ExperimentRunner) -> Dict[Tuple[str, str, int], SimulationMetrics]:
@@ -59,20 +67,20 @@ def assert_identical(
 
 class TestSerialVsParallel:
     def test_phase_metrics_bit_identical(self):
-        serial = _phase_metrics(ExperimentRunner(SETTINGS, jobs=1))
-        parallel = _phase_metrics(ExperimentRunner(SETTINGS, jobs=2))
+        serial = _phase_metrics(_runner(jobs=1))
+        parallel = _phase_metrics(_runner(jobs=2))
         assert_identical(serial, parallel)
 
     def test_weighted_aggregates_bit_identical(self):
         # Exact float equality is intentional: the weighted reassembly runs
         # in the parent process in a fixed order in both modes.
-        assert _aggregates(ExperimentRunner(SETTINGS, jobs=1)) == _aggregates(
-            ExperimentRunner(SETTINGS, jobs=2)
+        assert _aggregates(_runner(jobs=1)) == _aggregates(
+            _runner(jobs=2)
         )
 
     def test_single_phase_api_matches_batched(self):
         """run_phase (one job) and run_suite (batched) agree exactly."""
-        runner = ExperimentRunner(SETTINGS)
+        runner = _runner()
         from repro.workloads.spec2000 import profile_for
 
         profile = profile_for("164.gzip-1")
@@ -114,13 +122,13 @@ class TestCustomRegisteredConfigurations:
 
     def test_custom_configuration_runs_parallel_and_caches(self, tmp_path):
         configuration = self._custom_configuration()
-        runner = ExperimentRunner(SETTINGS, jobs=2, cache_dir=str(tmp_path / "cache"))
+        runner = _runner(jobs=2, cache_dir=str(tmp_path / "cache"))
         result = runner.run_benchmark("164.gzip-1", configuration)
         assert result.cycles > 0
         # Every phase was simulated (in worker processes) and stored.
         assert runner.engine.cache.stats()["stores"] == len(result.phase_results)
 
-        replay_runner = ExperimentRunner(SETTINGS, jobs=1, cache_dir=str(tmp_path / "cache"))
+        replay_runner = _runner(jobs=1, cache_dir=str(tmp_path / "cache"))
         replay = replay_runner.run_benchmark("164.gzip-1", configuration)
         assert replay_runner.engine.cache.misses == 0
         assert [r.metrics for r in result.phase_results] == [
@@ -129,8 +137,8 @@ class TestCustomRegisteredConfigurations:
 
     def test_custom_configuration_matches_serial(self):
         configuration = self._custom_configuration()
-        serial = ExperimentRunner(SETTINGS, jobs=1).run_benchmark("164.gzip-1", configuration)
-        parallel = ExperimentRunner(SETTINGS, jobs=2).run_benchmark("164.gzip-1", configuration)
+        serial = _runner(jobs=1).run_benchmark("164.gzip-1", configuration)
+        parallel = _runner(jobs=2).run_benchmark("164.gzip-1", configuration)
         assert [r.metrics for r in serial.phase_results] == [
             r.metrics for r in parallel.phase_results
         ]
@@ -151,10 +159,10 @@ class TestCustomRegisteredConfigurations:
             base, name="vc-4", num_virtual_clusters=4, uses_virtual_clusters=False
         )
         cache_dir = str(tmp_path / "cache")
-        cached = ExperimentRunner(SETTINGS, cache_dir=cache_dir)
+        cached = _runner(cache_dir=cache_dir)
         cached_2 = cached.run_benchmark("164.gzip-1", vc2)
         cached_4 = cached.run_benchmark("164.gzip-1", vc4)
-        fresh = ExperimentRunner(SETTINGS)
+        fresh = _runner()
         fresh_2 = fresh.run_benchmark("164.gzip-1", vc2)
         fresh_4 = fresh.run_benchmark("164.gzip-1", vc4)
         assert [r.metrics for r in cached_2.phase_results] == [
@@ -170,10 +178,10 @@ class TestCustomRegisteredConfigurations:
 
         configuration = self._custom_configuration()
         cache_dir = str(tmp_path / "cache")
-        first = ExperimentRunner(SETTINGS, cache_dir=cache_dir)
+        first = _runner(cache_dir=cache_dir)
         first.run_benchmark("164.gzip-1", configuration)
         renamed = dataclasses.replace(configuration, name="pinned-1-renamed")
-        second = ExperimentRunner(SETTINGS, cache_dir=cache_dir)
+        second = _runner(cache_dir=cache_dir)
         second.run_benchmark("164.gzip-1", renamed)
         assert second.engine.cache.misses == 0
 
@@ -181,11 +189,11 @@ class TestCustomRegisteredConfigurations:
 class TestCacheReplay:
     def test_cached_replay_bit_identical(self, tmp_path):
         cache_dir = str(tmp_path / "cache")
-        fresh_runner = ExperimentRunner(SETTINGS, cache_dir=cache_dir)
+        fresh_runner = _runner(cache_dir=cache_dir)
         fresh = _phase_metrics(fresh_runner)
         assert fresh_runner.engine.cache.stores == len(fresh)
 
-        replay_runner = ExperimentRunner(SETTINGS, cache_dir=cache_dir)
+        replay_runner = _runner(cache_dir=cache_dir)
         replay = _phase_metrics(replay_runner)
         # Every job must have been served from the cache, none re-simulated.
         assert replay_runner.engine.cache.hits == len(replay)
@@ -194,8 +202,8 @@ class TestCacheReplay:
 
     def test_parallel_populates_cache_serial_replays_it(self, tmp_path):
         cache_dir = str(tmp_path / "cache")
-        parallel = _phase_metrics(ExperimentRunner(SETTINGS, jobs=2, cache_dir=cache_dir))
-        replay_runner = ExperimentRunner(SETTINGS, jobs=1, cache_dir=cache_dir)
+        parallel = _phase_metrics(_runner(jobs=2, cache_dir=cache_dir))
+        replay_runner = _runner(jobs=1, cache_dir=cache_dir)
         replay = _phase_metrics(replay_runner)
         assert replay_runner.engine.cache.misses == 0
         assert_identical(parallel, replay)
@@ -203,11 +211,11 @@ class TestCacheReplay:
     def test_cache_keys_depend_on_trace_length(self, tmp_path):
         """A different trace length must never hit the same cache entries."""
         cache_dir = str(tmp_path / "cache")
-        _phase_metrics(ExperimentRunner(SETTINGS, cache_dir=cache_dir))
+        _phase_metrics(_runner(cache_dir=cache_dir))
         other_settings = ExperimentSettings(
             num_clusters=2, num_virtual_clusters=2, trace_length=700, max_phases=2
         )
-        other_runner = ExperimentRunner(other_settings, cache_dir=cache_dir)
+        other_runner = _runner(other_settings, cache_dir=cache_dir)
         other = _phase_metrics(other_runner)
         assert other_runner.engine.cache.hits == 0
         assert other_runner.engine.cache.stores == len(other)

@@ -548,19 +548,6 @@ class TestRunnerLifecycle:
         assert runner.shm_stats()["segments"] == 0
         assert runner.shm_stats()["unlinked"] == 2
 
-    def test_experiment_runner_context_manager_releases_engine(self, small_profile):
-        from repro.experiments.runner import ExperimentRunner, ExperimentSettings
-
-        engine = ParallelRunner(max_workers=2, trace_root=None, shared_memory=True)
-        jobs = [make_job(small_profile, c, phase=p) for p in (0, 1) for c in CONFIGURATIONS]
-        with ExperimentRunner(ExperimentSettings(), engine=engine) as runner:
-            runner.engine.run(jobs)
-            assert runner.engine.shm_stats()["segments"] == 2
-        assert engine.shm_stats()["segments"] == 0
-        # Non-terminal: the engine respawns transparently on the next use.
-        assert len(engine.run(jobs)) == len(jobs)
-        engine.shutdown()
-
     def test_worker_crash_is_contained(self, monkeypatch, small_profile):
         """A dying worker surfaces as a clear error, leaks neither segments
         nor executor processes, and the next run works."""

@@ -2,17 +2,17 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
-from repro.experiments.ablations import sweep_link_latency, sweep_virtual_clusters
+from repro.engine.parallel import ParallelRunner
 from repro.experiments.configs import (
     TABLE3_CONFIGURATIONS,
     make_configuration,
     table3_configurations,
 )
-from repro.experiments.figure5 import FIGURE5_CONFIGURATIONS, run_figure5
-from repro.experiments.figure6 import FIGURE6_COMPARISONS, run_figure6
-from repro.experiments.figure7 import FIGURE7_CONFIGURATIONS, run_figure7
+from repro.experiments.figure6 import run_figure6
 from repro.experiments.report import format_key_values, format_table
 from repro.experiments.runner import (
     ExperimentRunner,
@@ -21,11 +21,28 @@ from repro.experiments.runner import (
     slowdown_percent,
     speedup_percent,
 )
+from repro.experiments.slowdown import run_slowdown
+from repro.scenarios.builtin import builtin_scenario
+from repro.scenarios.runner import run_scenario, sweep_rows
+from repro.scenarios.spec import MachineSpec, SweepAxis, scenario_overrides
 
 #: Tiny settings so harness tests stay fast.
 FAST = ExperimentSettings(num_clusters=2, num_virtual_clusters=2, trace_length=800, max_phases=1)
 FAST4 = ExperimentSettings(num_clusters=4, num_virtual_clusters=4, trace_length=800, max_phases=1)
 SMALL_SET = ["164.gzip-1", "178.galgel"]
+
+
+def lineup(name: str):
+    """The configurations of a built-in scenario (baseline or subject first)."""
+    return builtin_scenario(name).configurations
+
+
+def small_scenario(name: str, **fields):
+    """A built-in scenario at the FAST settings on ``SMALL_SET``."""
+    spec = scenario_overrides(
+        builtin_scenario(name), benchmarks=SMALL_SET, trace_length=800, max_phases=1
+    )
+    return dataclasses.replace(spec, **fields)
 
 
 class TestConfigs:
@@ -52,7 +69,6 @@ class TestConfigs:
     def test_table3_order(self):
         names = [c.name for c in table3_configurations()]
         assert names == ["OP", "one-cluster", "OB", "RHOP", "VC"]
-        assert "OP" not in [c.name for c in table3_configurations(include_baseline=False)]
 
 
 class TestComparisonHelpers:
@@ -105,31 +121,33 @@ class TestRunner:
 
 
 class TestFigure5:
-    def test_structure_and_baseline(self):
-        result = run_figure5(FAST, benchmarks=SMALL_SET)
+    @pytest.fixture(scope="class")
+    def result(self):
+        return run_slowdown(ExperimentRunner(FAST), SMALL_SET, lineup("figure5"))
+
+    def test_structure_and_baseline(self, result):
         assert set(result.slowdowns) == set(SMALL_SET)
         for per_config in result.slowdowns.values():
-            assert set(per_config) == set(FIGURE5_CONFIGURATIONS)
+            assert set(per_config) == {"one-cluster", "OB", "RHOP", "VC"}
+        assert set(result.copies) == set(SMALL_SET)
         assert result.int_benchmarks == ["164.gzip-1"]
         assert result.fp_benchmarks == ["178.galgel"]
 
-    def test_averages_table_rows(self):
-        result = run_figure5(FAST, benchmarks=SMALL_SET)
+    def test_averages_table_rows(self, result):
         rows = result.averages_table()
-        assert [row["configuration"] for row in rows] == list(FIGURE5_CONFIGURATIONS)
+        assert [row["configuration"] for row in rows] == ["one-cluster", "OB", "RHOP", "VC"]
         for row in rows:
             assert "CPU2000 AVG (%)" in row
 
-    def test_one_cluster_is_clearly_slower_than_op(self):
-        result = run_figure5(FAST, benchmarks=SMALL_SET)
+    def test_one_cluster_is_clearly_slower_than_op(self, result):
         assert result.average("one-cluster", "all") > 10.0
 
     def test_requires_two_cluster_machine(self):
-        with pytest.raises(ValueError):
-            run_figure5(FAST4, benchmarks=SMALL_SET)
+        spec = small_scenario("figure5", machine=MachineSpec(preset="table2-4c"))
+        with pytest.raises(ValueError, match="Figure 5 is defined for the 2-cluster machine"):
+            run_scenario(spec)
 
-    def test_benchmark_rows(self):
-        result = run_figure5(FAST, benchmarks=SMALL_SET)
+    def test_benchmark_rows(self, result):
         rows = result.benchmark_rows("int")
         assert rows[0]["benchmark"] == "164.gzip-1"
         assert "VC (%)" in rows[0]
@@ -137,68 +155,77 @@ class TestFigure5:
 
 class TestFigure6:
     def test_points_cover_all_comparisons(self):
-        result = run_figure6(FAST, benchmarks=["164.gzip-1"])
+        result = run_figure6(ExperimentRunner(FAST), ["164.gzip-1"], lineup("figure6"))
         comparisons = {p.comparison for p in result.points}
-        assert comparisons == set(FIGURE6_COMPARISONS)
+        assert comparisons == {"OB", "RHOP", "OP"}
         # One phase, three comparisons.
         assert len(result.points) == 3
 
     def test_summary_fields(self):
-        result = run_figure6(FAST, benchmarks=SMALL_SET)
+        result = run_figure6(ExperimentRunner(FAST), SMALL_SET, lineup("figure6"))
         summary = result.summary("OB")
         assert summary["num_traces"] == 2.0
         assert 0.0 <= summary["fraction_with_copy_reduction"] <= 1.0
         assert result.summary("nonexistent")["num_traces"] == 0.0
 
     def test_points_reference_phase_labels(self):
-        result = run_figure6(FAST, benchmarks=["164.gzip-1"])
+        result = run_figure6(ExperimentRunner(FAST), ["164.gzip-1"], lineup("figure6"))
         assert all(point.trace.startswith("164.gzip-1/p") for point in result.points)
 
 
 class TestFigure7:
     def test_structure(self):
-        result = run_figure7(FAST4, benchmarks=SMALL_SET)
+        result = run_slowdown(ExperimentRunner(FAST4), SMALL_SET, lineup("figure7"))
+        plotted = ["OB", "RHOP", "VC(4->4)", "VC(2->4)"]
         for per_config in result.slowdowns.values():
-            assert set(per_config) == set(FIGURE7_CONFIGURATIONS)
+            assert set(per_config) == set(plotted)
         rows = result.averages_table()
-        assert [row["configuration"] for row in rows] == list(FIGURE7_CONFIGURATIONS)
-        assert isinstance(result.copy_overhead_4to4_vs_2to4(), float)
+        assert [row["configuration"] for row in rows] == plotted
+        assert isinstance(result.copy_overhead("VC(4->4)", "VC(2->4)"), float)
 
     def test_requires_four_cluster_machine(self):
-        with pytest.raises(ValueError):
-            run_figure7(FAST, benchmarks=SMALL_SET)
+        spec = small_scenario("figure7", machine=MachineSpec(preset="table2-2c"))
+        with pytest.raises(ValueError, match="Figure 7 is defined for the 4-cluster machine"):
+            run_scenario(spec)
 
 
 class TestAblations:
     def test_virtual_cluster_sweep_structure(self):
-        result = sweep_virtual_clusters(
-            counts=(1, 2),
-            benchmarks=["164.gzip-1"],
-            base_settings=FAST,
+        spec = small_scenario(
+            "sweep-virtual-clusters",
+            benchmarks=("164.gzip-1",),
+            sweep=(SweepAxis(parameter="num_virtual_clusters", values=(1, 2)),),
         )
-        assert result.parameter == "num_virtual_clusters"
-        assert result.values() == [1, 2]
-        for value in result.values():
-            names = {p.configuration for p in result.for_value(value)}
-            assert "OP" in names
+        rows = sweep_rows(spec, ParallelRunner())
+        assert [(row["num_virtual_clusters"], row["configuration"]) for row in rows] == [
+            (1, "OP"),
+            (1, "VC"),
+            (2, "OP"),
+            (2, "VC"),
+        ]
 
     def test_link_latency_sweep_records_slowdowns(self):
-        result = sweep_link_latency(
-            latencies=(1, 4), benchmarks=["164.gzip-1"], base_settings=FAST
+        spec = small_scenario(
+            "sweep-link-latency",
+            benchmarks=("164.gzip-1",),
+            sweep=(SweepAxis(parameter="link_latency", values=(1, 4)),),
         )
-        vc_points = [p for p in result.points if p.configuration == "VC"]
-        assert all(p.slowdown_vs_op is not None for p in vc_points)
-        op_points = [p for p in result.points if p.configuration == "OP"]
-        assert all(p.slowdown_vs_op is None for p in op_points)
+        rows = sweep_rows(spec, ParallelRunner())
+        assert len(rows) == 6
+        for row in rows:
+            slowdown = row["slowdown vs OP (%)"]
+            if row["configuration"] == "OP":
+                assert slowdown == "-"
+            else:
+                assert isinstance(slowdown, float)
 
 
 class TestReport:
-    def test_format_table_plain_and_markdown(self):
+    def test_format_table_plain(self):
         rows = [{"name": "a", "value": 1.234}, {"name": "bb", "value": 5.0}]
         plain = format_table(rows, title="T")
-        markdown = format_table(rows, markdown=True)
-        assert "T" in plain and "1.23" in plain
-        assert markdown.startswith("| name | value |")
+        assert plain.splitlines()[:2] == ["T", "name  value"]
+        assert "1.23" in plain
 
     def test_format_table_empty(self):
         assert "(no data)" in format_table([], title="x")

@@ -14,9 +14,10 @@ import pytest
 
 from repro import quick_comparison
 from repro.experiments.configs import TABLE3_CONFIGURATIONS
-from repro.experiments.figure5 import run_figure5
 from repro.experiments.figure6 import run_figure6
 from repro.experiments.runner import ExperimentRunner, ExperimentSettings
+from repro.experiments.slowdown import run_slowdown
+from repro.scenarios.builtin import builtin_scenario
 
 #: A representative mix: regular integer, branchy integer, memory-bound
 #: integer, high-ILP floating point.
@@ -29,7 +30,9 @@ SETTINGS = ExperimentSettings(
 
 @pytest.fixture(scope="module")
 def figure5_subset():
-    return run_figure5(SETTINGS, benchmarks=SUBSET)
+    return run_slowdown(
+        ExperimentRunner(SETTINGS), SUBSET, builtin_scenario("figure5").configurations
+    )
 
 
 class TestFigure5Shape:
@@ -66,7 +69,9 @@ class TestFigure5Shape:
 class TestFigure6Shape:
     @pytest.fixture(scope="class")
     def figure6_subset(self):
-        return run_figure6(SETTINGS, benchmarks=SUBSET)
+        return run_figure6(
+            ExperimentRunner(SETTINGS), SUBSET, builtin_scenario("figure6").configurations
+        )
 
     def test_vc_speeds_up_over_software_only_on_most_traces(self, figure6_subset):
         for comparison in ("OB", "RHOP"):

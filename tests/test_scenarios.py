@@ -5,9 +5,12 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import pickle
+import re
 
 import pytest
 
+from repro.engine.cache import ResultCache
+from repro.engine.parallel import ParallelRunner
 from repro.experiments.configs import (
     SteeringConfiguration,
     TABLE3_CONFIGURATIONS,
@@ -364,6 +367,65 @@ class TestSweepExpansion:
         with pytest.raises(ValueError, match="has no values"):
             SweepAxis(parameter="trace_length", values=())
 
+    @pytest.mark.parametrize(
+        "sweep, message",
+        [
+            (
+                [{"parameter": "link_latency", "values": "1248"}],
+                "sweep axis 'link_latency': 'values' must be a list",
+            ),
+            (
+                [{"parameter": "link_latency", "values": [1, 1]}],
+                "sweep axis 'link_latency': duplicate value 1",
+            ),
+            (
+                [{"parameter": "link_latency", "values": [1, "4"]}],
+                "sweep axis 'link_latency': value '4' for field 'link_latency' must be int",
+            ),
+            (
+                [{"parameter": "region_size", "values": [64, 2.5]}],
+                "sweep axis 'region_size': value 2.5 for field 'region_size' must be int",
+            ),
+            (
+                [{"parameter": "link_latency", "values": [1, True]}],
+                "sweep axis 'link_latency': value True for field 'link_latency' must be int",
+            ),
+            (
+                [{"parameter": "warm_caches", "values": [0, 1]}],
+                "sweep axis 'warm_caches': value 0 for field 'warm_caches' must be bool",
+            ),
+            (
+                [
+                    {"parameter": "issue_queue_size", "values": [16, 32],
+                     "fields": ["iq_int_size", "iq_fp_size"]},
+                    {"parameter": "iq_fp_size", "values": [8]},
+                ],
+                "sweep axes 'issue_queue_size' and 'iq_fp_size' both set field 'iq_fp_size'",
+            ),
+            (
+                [
+                    {"parameter": "link_latency", "values": [1, 2]},
+                    {"parameter": "link_latency", "values": [4, 8]},
+                ],
+                "sweep axes 'link_latency' and 'link_latency' both set field 'link_latency'",
+            ),
+        ],
+        ids=[
+            "values-string",
+            "duplicate-value",
+            "string-for-int",
+            "float-for-int",
+            "bool-for-int",
+            "int-for-bool",
+            "overlapping-fields",
+            "same-axis-twice",
+        ],
+    )
+    def test_malformed_axis_rejected_naming_it(self, sweep, message):
+        """A bad sweep axis fails in ``from_dict``, naming the axis and field."""
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ScenarioSpec.from_dict({"name": "x", "report": "sweep", "sweep": sweep})
+
 
 class TestScenarioExecution:
     @pytest.mark.parametrize("name", sorted(REPORT_DIGESTS))
@@ -412,9 +474,10 @@ class TestScenarioExecution:
                 SteeringConfiguration(name="balance", policy="test-balance"),
             ),
         )
-        cache_dir = str(tmp_path / "cache")
-        first = run_scenario(spec, jobs=2, cache_dir=cache_dir)
-        second = run_scenario(spec, jobs=1, cache_dir=cache_dir)
+        cache = ResultCache(tmp_path / "cache")
+        with ParallelRunner(max_workers=2, cache=cache) as engine:
+            first = run_scenario(spec, engine)
+        second = run_scenario(spec, ParallelRunner(cache=cache))
         assert first == second
         assert "balance" in first
 

@@ -217,9 +217,7 @@ class TestEngineIntegration:
             num_clusters=2, num_virtual_clusters=2, trace_length=500, max_phases=2
         )
         configurations = [TABLE3_CONFIGURATIONS["OP"], TABLE3_CONFIGURATIONS["VC"]]
-        serial = ExperimentRunner(settings, jobs=1, trace_dir=None).run_suite(
-            [small_profile], configurations
-        )
+        serial = ExperimentRunner(settings).run_suite([small_profile], configurations)
         _TRACE_MEMO.clear()
         artifact_runner = ExperimentRunner(
             settings,
