@@ -83,9 +83,9 @@ Serial, parallel and cache-replay runs of the same experiment are
   the same :func:`~repro.workloads.pinpoints.weighted_average` arithmetic as
   the original serial runner.
 
-The experiment harness (:class:`~repro.experiments.runner.ExperimentRunner`,
-the figure drivers and the ablation sweeps) routes all simulation through
-this engine; ``repro.cli`` exposes it as ``--jobs N``, ``--cache-dir PATH``,
+The experiment harness (:class:`~repro.experiments.runner.ExperimentRunner`
+and every scenario report kind) routes all simulation through this engine;
+``repro.cli`` builds it and exposes it as ``--jobs N``, ``--cache-dir PATH``,
 ``--no-cache``, ``--trace-dir PATH`` and ``--no-trace-artifacts`` on every
 experiment command.
 """

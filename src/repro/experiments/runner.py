@@ -348,7 +348,7 @@ class ExperimentRunner:
 
 
 # ---------------------------------------------------------------------------
-# Comparison helpers shared by the figure drivers and report kinds
+# Comparison helpers shared by the figure computations and report kinds
 # ---------------------------------------------------------------------------
 
 
