@@ -28,7 +28,7 @@ Quickstart
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.cluster import (
     ClusterConfig,
@@ -138,20 +138,15 @@ __all__ = [
 
 
 def quick_comparison(
-    benchmark: str = "164.gzip-1",
-    trace_length: int = 2000,
-    num_clusters: int = 2,
-    num_virtual_clusters: int = 2,
-    max_phases: int = 1,
-    jobs: int = 1,
-    cache_dir: Optional[str] = None,
+    benchmark: str = "164.gzip-1", trace_length: int = 2000
 ) -> Dict[str, SimulationMetrics]:
     """Run every Table 3 configuration on one benchmark and return the metrics.
 
     This is the one-call entry point used by the quickstart example: it
-    generates the benchmark's first simulation point, annotates it with each
-    compile-time pass, simulates all five configurations on the same trace
-    and returns ``{configuration name: SimulationMetrics}``.
+    generates the benchmark's first simulation point on the 2-cluster
+    machine, annotates it with each compile-time pass, simulates all five
+    configurations on the same trace with the default serial engine and
+    returns ``{configuration name: SimulationMetrics}``.
 
     Parameters
     ----------
@@ -159,28 +154,10 @@ def quick_comparison(
         A SPEC CPU2000 trace name (see :func:`repro.workloads.all_trace_names`).
     trace_length:
         Dynamic µops per simulation point.
-    num_clusters / num_virtual_clusters:
-        Machine geometry.
-    max_phases:
-        Simulation points to run per benchmark.
-    jobs:
-        Worker processes for the simulation job matrix (1 = serial;
-        bit-identical results for any value).
-    cache_dir:
-        Optional on-disk result cache directory (``None`` disables caching).
     """
-    settings = ExperimentSettings(
-        num_clusters=num_clusters,
-        num_virtual_clusters=num_virtual_clusters,
-        trace_length=trace_length,
-        max_phases=max_phases,
-    )
-    cache = ResultCache(cache_dir) if cache_dir is not None else None
-    with ParallelRunner(max_workers=jobs, cache=cache) as engine:
-        runner = ExperimentRunner(settings, engine=engine)
-        per_config = runner.run_suite([benchmark], list(TABLE3_CONFIGURATIONS.values()))[
-            benchmark
-        ]
+    settings = ExperimentSettings(trace_length=trace_length, max_phases=1)
+    runner = ExperimentRunner(settings)
+    per_config = runner.run_suite([benchmark], list(TABLE3_CONFIGURATIONS.values()))[benchmark]
     # Surface the first phase's metrics object; weighted aggregates are in
     # the BenchmarkResult itself.
     return {name: per_config[name].phase_results[0].metrics for name in TABLE3_CONFIGURATIONS}

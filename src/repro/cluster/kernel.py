@@ -66,9 +66,6 @@ _FORM_CALLBACK = 0
 _FORM_CODES = {name: code for code, name in enumerate(SPEC_FORMS, start=1)}
 _FORM_CONSTANT = _FORM_CODES["constant"]
 _FORM_TABLE = _FORM_CODES["static-table"]
-_FORM_MODULO = _FORM_CODES["modulo"]
-_FORM_LEAST = _FORM_CODES["least-loaded"]
-_FORM_DEP = _FORM_CODES["dependence-count"]
 _FORM_OCC = _FORM_CODES["occupancy-stall"]
 _FORM_MAP = _FORM_CODES["mapping-table"]
 
@@ -146,11 +143,9 @@ def _resolve_spec(steering, num_clusters: int) -> Tuple[Optional[CompiledSteerin
     return spec, form
 
 
-def _sync_spec_state(steering, form: int, mod_next: int, vc_map, vc_remaps: int) -> None:
+def _sync_spec_state(steering, form: int, vc_map, vc_remaps: int) -> None:
     """Hand a fused run's final policy state back to the policy object."""
-    if form == _FORM_MODULO:
-        steering.sync_compiled_state({"next": mod_next})
-    elif form == _FORM_MAP:
+    if form == _FORM_MAP:
         steering.sync_compiled_state(
             {"mapping": tuple(vc_map), "remap_count": vc_remaps}
         )
@@ -293,7 +288,6 @@ class VectorizedKernel(SteeringContext):
         # Per-form precomputation of the fused fast path (cheap, per run).
         const_cluster = 0
         table: List[int] = []
-        mod_next = 0
         idle_fraction = 0.0
         srcs_rows = None
         counts_buf: List[int] = []
@@ -316,7 +310,7 @@ class VectorizedKernel(SteeringContext):
                 )
                 % num_clusters
             ).tolist()
-        elif form == _FORM_DEP or form == _FORM_OCC:
+        elif form == _FORM_OCC:
             srcs_rows = self._compiled.src_tuples()
             counts_buf = [0] * num_clusters
             idle_fraction = spec.idle_fraction
@@ -763,42 +757,8 @@ class VectorizedKernel(SteeringContext):
                                     cluster = vc_map[vc]
                         elif form == _FORM_CONSTANT:
                             cluster = const_cluster
-                        elif form == _FORM_TABLE:
+                        else:  # _FORM_TABLE
                             cluster = table[index]
-                        elif form == _FORM_MODULO:
-                            cluster = mod_next
-                            mod_next = cluster + 1
-                            if mod_next >= num_clusters:
-                                mod_next = 0
-                        elif form == _FORM_LEAST:
-                            cluster = 0
-                            best_occ = inflight[0]
-                            for c in range(1, num_clusters):
-                                occupancy = inflight[c]
-                                if occupancy < best_occ:
-                                    cluster = c
-                                    best_occ = occupancy
-                        else:  # _FORM_DEP
-                            for c in range(num_clusters):
-                                counts_buf[c] = 0
-                            for reg in srcs_rows[index]:
-                                d = cur_def[reg]
-                                mask = (
-                                    all_mask
-                                    if d < 0
-                                    else def_mask[d] | (1 << def_home[d])
-                                )
-                                for c in range(num_clusters):
-                                    if mask >> c & 1:
-                                        counts_buf[c] += 1
-                            best_count = 0
-                            for c in range(num_clusters):
-                                if counts_buf[c] > best_count:
-                                    best_count = counts_buf[c]
-                            if best_count == 0:
-                                cluster = 0
-                            else:
-                                cluster = counts_buf.index(best_count)
                         # ---- resource checks (the interpreter's _try_dispatch) --
                         if dispatch_pos - commit_idx >= rob_size:
                             m_rob += 1
@@ -1030,7 +990,7 @@ class VectorizedKernel(SteeringContext):
                         m_mispredict_stalls += stalled
                 cycle = goal
         finally:
-            _sync_spec_state(steering, form, mod_next, vc_map, vc_remaps)
+            _sync_spec_state(steering, form, vc_map, vc_remaps)
             proc.cycle = cycle
             metrics.committed_uops += commit_idx  # commit is in trace order
             metrics.dispatched_uops += dispatch_pos  # dispatch is in trace order

@@ -50,7 +50,6 @@ from repro.cluster.metrics import SimulationMetrics
 from repro.cluster.regfile import RegisterFiles
 from repro.cluster.rename import RegisterLocationTable, Value
 from repro.cluster.rob import ReorderBuffer
-from repro.sanitize import resolve_sanitize
 from repro.steering.base import SteeringContext, SteeringPolicy
 from repro.uops.compiled import CompiledTrace, CompiledUopView, compile_trace
 from repro.uops.opcodes import IssueQueueKind
@@ -237,16 +236,13 @@ class ClusteredProcessor(SteeringContext):
         state.  Annotation columns are *not* snapshotted here -- each run
         re-reads them, so callers may re-annotate the compiled trace (via
         :meth:`~repro.uops.compiled.CompiledTrace.annotate_from`) between
-        runs.  Returns the bound :class:`CompiledTrace`.
+        runs.  The bound trace is frozen (its stored columns become
+        read-only): it may be shared with sibling batches through the
+        memo/artifact/shm layers, so an in-place write raises at the
+        offending line instead of corrupting a sibling's run (DESIGN.md
+        §7.3).  Returns the bound :class:`CompiledTrace`.
         """
-        compiled = compile_trace(trace)
-        if resolve_sanitize():
-            # Write sanitizer (`$REPRO_SANITIZE=1`): the bound trace may be
-            # shared with sibling batches through the memo/artifact/shm
-            # layers, so freeze its stored columns -- any in-place mutation
-            # then raises at the offending line instead of corrupting a
-            # sibling's run (see repro/sanitize.py and DESIGN.md §7).
-            compiled.freeze()
+        compiled = compile_trace(trace).freeze()
         self._bind_trace(compiled)
         self._bound = compiled
         return compiled

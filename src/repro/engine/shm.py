@@ -51,9 +51,10 @@ shapes (the derived columns are recomputed by ``CompiledTrace.__init__``
 exactly as on every other construction path), and the annotation scatter
 (:meth:`CompiledTrace.annotate_from`) *replaces* the annotation arrays
 rather than writing in place, so the block itself is effectively immutable
--- attached views are marked read-only unconditionally (sanitizer or not;
-see :mod:`repro.sanitize`) so an in-place write from a worker raises at the
-offending line instead of corrupting every sibling attached to the block.
+-- attached views are marked read-only (as every bound trace is; see
+:meth:`ClusteredProcessor.bind`) so an in-place write from a worker raises
+at the offending line instead of corrupting every sibling attached to the
+block.
 Simulating against an attached trace is therefore bit-identical to
 simulating against the original (pinned by the round-trip property tests).
 """

@@ -95,6 +95,8 @@ class RegionPartitioner(abc.ABC):
     def __init__(self, num_targets: int, region_size: int = 128) -> None:
         if num_targets < 1:
             raise ValueError("num_targets must be positive")
+        if region_size < 1:
+            raise ValueError(f"region_size must be at least 1, got {region_size}")
         self.num_targets = int(num_targets)
         self.region_size = int(region_size)
 

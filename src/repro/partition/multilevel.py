@@ -108,16 +108,22 @@ class MultilevelPartitioner:
         spread over the clusters, otherwise a region that is balanced only in
         total instruction counts can still execute serially (one block on one
         cluster, the next block on the other).
+
+        A ``node_groups`` of the wrong length or an edge endpoint outside
+        ``0..n-1`` raises ``ValueError``.
         """
         n = len(node_weights)
+        groups = list(int(g) for g in node_groups) if node_groups is not None else [0] * n
+        if len(groups) != n:
+            raise ValueError("node_groups length does not match node_weights")
+        for u, v in edge_weights:
+            if not (0 <= u < n and 0 <= v < n):
+                raise ValueError(f"edge {(u, v)} has an endpoint outside nodes 0..{n - 1}")
         if n == 0:
             return []
         if self.num_parts == 1 or n <= self.num_parts:
             # Trivial cases: everything in one part, or one node per part.
             return [min(i, self.num_parts - 1) for i in range(n)]
-        groups = list(int(g) for g in node_groups) if node_groups is not None else [0] * n
-        if len(groups) != n:
-            raise ValueError("node_groups length does not match node_weights")
         # Normalise edges to an undirected canonical form.
         undirected: Dict[Tuple[int, int], int] = {}
         for (u, v), w in edge_weights.items():

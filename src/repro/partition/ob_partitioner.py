@@ -58,6 +58,8 @@ class OperationBasedPartitioner(RegionPartitioner):
         balance_bias: float = 0.25,
     ) -> None:
         super().__init__(num_targets=num_clusters, region_size=region_size)
+        if issue_width < 1:
+            raise ValueError(f"issue_width must be at least 1, got {issue_width}")
         self.issue_width = int(issue_width)
         self.communication_latency = int(communication_latency)
         self.balance_bias = float(balance_bias)

@@ -64,6 +64,8 @@ class VirtualClusterPartitioner(RegionPartitioner):
         criticality_first: bool = True,
     ) -> None:
         super().__init__(num_targets=num_virtual_clusters, region_size=region_size)
+        if issue_width < 1:
+            raise ValueError(f"issue_width must be at least 1, got {issue_width}")
         self.issue_width = int(issue_width)
         self.communication_latency = int(communication_latency)
         self.criticality_first = bool(criticality_first)

@@ -371,11 +371,15 @@ class ScenarioSpec:
         )
 
     def validate(self) -> None:
-        """Check every registry name the spec refers to, before running.
+        """Check every name and parameter the spec refers to, before running.
 
         A typo'd policy, partitioner, machine preset, report kind or
         benchmark name raises here (``KeyError``/``ValueError`` with the
-        known names listed) instead of surfacing mid-run.
+        known names listed) instead of surfacing mid-run.  Each
+        configuration's policy and partitioner is built once per distinct
+        sweep-point geometry, so a bad parameter (an unknown keyword, an
+        out-of-range value) raises a ``ValueError`` naming the configuration
+        before any configuration of the batch has simulated.
         """
         from repro.scenarios.registry import MACHINES, PARTITIONERS, POLICIES
         from repro.scenarios.runner import REPORT_KINDS
@@ -387,6 +391,24 @@ class ScenarioSpec:
             POLICIES.get(configuration.policy)
             if configuration.partitioner is not None:
                 PARTITIONERS.get(configuration.partitioner)
+        geometries = set()
+        for _, point in self.expand_sweep():
+            try:
+                num_clusters = point.machine.resolve().num_clusters
+            except TypeError as exc:  # an unknown machine override field
+                raise ValueError(f"machine {self.machine.preset!r}: {exc}") from exc
+            geometries.add((num_clusters, point.num_virtual_clusters, point.region_size))
+        for configuration in self.configurations:
+            for num_clusters, num_virtual_clusters, region_size in sorted(geometries):
+                try:
+                    configuration.make_policy(num_clusters, num_virtual_clusters)
+                    configuration.make_partitioner(
+                        num_clusters, num_virtual_clusters, region_size
+                    )
+                except (TypeError, ValueError) as exc:
+                    raise ValueError(
+                        f"configuration {configuration.name!r}: {exc}"
+                    ) from exc
         known = set(all_trace_names("all"))
         unknown = [name for name in self.benchmarks if name not in known]
         if unknown:

@@ -14,7 +14,8 @@ is sent to.  The policies mirror the configurations of Table 3:
   the paper's hybrid scheme: a tiny mapping table plus workload counters,
   updated only at chain leaders (Figure 4).
 * :mod:`repro.steering.baselines` -- extra hardware-only baselines
-  (round-robin, load-only, dependence-only) used by the ablation studies.
+  (round-robin, load-only, dependence-only) outside Table 3, registered
+  for custom scenarios; no built-in scenario runs them.
 
 Each policy also declares which hardware structures it needs
 (:class:`~repro.steering.base.SteeringHardware`), feeding the Table 1

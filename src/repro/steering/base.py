@@ -39,15 +39,6 @@ SPEC_FORMS = (
     # pick_cluster == (static_cluster[i] if annotated else default) % N
     # (software-only OB/RHOP steering).
     "static-table",
-    # pick_cluster == counter; counter = (counter + 1) % N on every pick,
-    # including picks whose dispatch is subsequently stalled (round-robin).
-    "modulo",
-    # pick_cluster == argmin over cluster occupancy, lowest index wins ties
-    # (load-balance).
-    "least-loaded",
-    # pick_cluster == argmax over per-cluster located-source counts
-    # (duplicates preserved), 0 when no source is located (dependence-only).
-    "dependence-count",
     # The paper's OP baseline: argmax located sources with occupancy
     # tie-breaks, then queue-full stalling with idle diversion.  May STALL.
     "occupancy-stall",
@@ -206,10 +197,10 @@ class SteeringPolicy(abc.ABC):
 
         Called exactly once at the end of a run that executed this policy's
         :meth:`compiled_spec` instead of ``pick_cluster``.  ``state`` carries
-        the form's run-time state (``modulo``: ``{"next": int}``;
-        ``mapping-table``: ``{"mapping": tuple, "remap_count": int}``;
-        stateless forms: ``{}``), so post-run introspection -- e.g. the
-        ``vc_remaps`` metric -- matches the callback path exactly.
+        the form's run-time state (``mapping-table``: ``{"mapping": tuple,
+        "remap_count": int}``; stateless forms: ``{}``), so post-run
+        introspection -- e.g. the ``vc_remaps`` metric -- matches the
+        callback path exactly.
         """
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -1,9 +1,9 @@
-"""Extra hardware-only steering baselines used in ablation studies.
+"""Extra hardware-only steering baselines outside the paper's Table 3.
 
-These are not part of the paper's Table 3 but are standard points of
-comparison in the clustered-microarchitecture literature (e.g. Baniasadi &
-Moshovos' Mod-N and load-balance heuristics) and help characterise where the
-hybrid scheme's benefit comes from:
+These are standard points of comparison in the clustered-microarchitecture
+literature (e.g. Baniasadi & Moshovos' Mod-N and load-balance heuristics).
+No built-in scenario runs them: they are registered for custom scenarios
+and run on the per-µop callback path (they have no fused lowering).
 
 * :class:`RoundRobinSteering` ignores both dependences and occupancy,
 * :class:`LoadBalanceSteering` uses only the workload counters,
@@ -12,15 +12,10 @@ hybrid scheme's benefit comes from:
 
 from __future__ import annotations
 
-from typing import Mapping, Optional
+from typing import Optional
 
 from repro.scenarios.registry import register_policy
-from repro.steering.base import (
-    CompiledSteeringSpec,
-    SteeringContext,
-    SteeringHardware,
-    SteeringPolicy,
-)
+from repro.steering.base import SteeringContext, SteeringHardware, SteeringPolicy
 from repro.uops.uop import DynamicUop
 
 
@@ -42,21 +37,6 @@ class RoundRobinSteering(SteeringPolicy):
         self._next = (self._next + 1) % context.num_clusters
         return cluster
 
-    def compiled_spec(self) -> Optional[CompiledSteeringSpec]:
-        """Lower to the ``modulo`` form.
-
-        The counter advances on every *pick* -- including picks whose
-        dispatch is then stalled by a resource check -- and the fused path
-        replicates exactly that (the pick point is identical in both tiers),
-        so :meth:`sync_compiled_state` restores the same ``_next`` the
-        callback path would have left behind.
-        """
-        return CompiledSteeringSpec(form="modulo")
-
-    def sync_compiled_state(self, state: Mapping[str, object]) -> None:
-        """Adopt the fused run's final counter."""
-        self._next = int(state["next"])
-
     def hardware(self) -> SteeringHardware:
         """Just a modulo counter plus the copy generator."""
         return SteeringHardware(copy_generator=True)
@@ -70,10 +50,6 @@ class LoadBalanceSteering(SteeringPolicy):
     def pick_cluster(self, uop: DynamicUop, context: SteeringContext) -> Optional[int]:
         """Least-loaded cluster, ignoring operand locations."""
         return context.least_loaded_cluster()
-
-    def compiled_spec(self) -> Optional[CompiledSteeringSpec]:
-        """Lower to the ``least-loaded`` form (argmin occupancy, lowest index wins)."""
-        return CompiledSteeringSpec(form="least-loaded")
 
     def hardware(self) -> SteeringHardware:
         """Workload counters plus the copy generator."""
@@ -98,11 +74,6 @@ class DependenceOnlySteering(SteeringPolicy):
         if best == 0:
             return 0
         return counts.index(best)
-
-    def compiled_spec(self) -> Optional[CompiledSteeringSpec]:
-        """Lower to the ``dependence-count`` form (argmax located sources,
-        duplicates preserved, cluster 0 when nothing is located)."""
-        return CompiledSteeringSpec(form="dependence-count")
 
     def hardware(self) -> SteeringHardware:
         """Dependence-check table plus the copy generator."""

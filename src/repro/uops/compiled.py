@@ -14,8 +14,8 @@ The representation has three layers:
   static id, basic block, µop class, effective address, mispredict bit, the
   steering annotations (``vc_id`` / ``chain_leader`` / ``static_cluster``,
   with ``-1`` encoding "unannotated"), and CSR-style (offsets + flat values)
-  source/destination register lists.  These are exactly what
-  :meth:`CompiledTrace.save` persists, so on-disk trace artifacts stay small
+  source/destination register lists.  These are exactly what the trace
+  artifact store persists, so on-disk trace artifacts stay small
   and independent of the latency/queue tables.
 * **derived columns**, recomputed from the µop class at construction time
   via vectorised table lookups: issue-queue kind, functional-unit latency and
@@ -36,7 +36,6 @@ round-trip property the test suite pins.
 from __future__ import annotations
 
 from itertools import chain
-from pathlib import Path
 from typing import (
     Callable,
     Dict,
@@ -209,7 +208,7 @@ class CompiledTrace:
         "_cache",
     )
 
-    #: Stored columns, in ``save``/``load`` order.
+    #: Stored columns, in the order every persistence layer writes them.
     STORED_FIELDS = (
         "seq",
         "sid",
@@ -491,28 +490,18 @@ class CompiledTrace:
         return self.memo("dep_plan", build)
 
     # ---------------------------------------------------------------- freezing --
-    @property
-    def frozen(self) -> bool:
-        """Whether the stored columns are marked read-only (write sanitizer).
-
-        ``seq`` is the marker: it is never replaced after construction (only
-        the annotation columns are, and :meth:`install_annotations`
-        re-freezes those on frozen traces), so its flag reflects the whole
-        trace.
-        """
-        return not self.seq.flags.writeable
-
     def freeze(self) -> "CompiledTrace":
         """Mark every stored column read-only; in-place writes then raise.
 
-        This is the write sanitizer's teeth (``$REPRO_SANITIZE=1``; see
-        :mod:`repro.sanitize`): traces are shared across the memo, the
-        artifact store, shm segments and every configuration of a batch, so
-        a frozen trace turns any in-place mutation of shared state into a
-        ``ValueError`` at the offending line.  Views attached over
-        shared-memory segments arrive frozen already; freezing is idempotent
-        and irreversible for a given array (callers needing a mutable trace
-        rebuild one from copies).  Returns ``self`` for chaining.
+        :meth:`ClusteredProcessor.bind` freezes every trace it binds:
+        traces are shared across the memo, the artifact store, shm segments
+        and every configuration of a batch, so a frozen trace turns any
+        in-place mutation of shared state into a ``ValueError`` at the
+        offending line (the static half of this contract is detlint rule
+        DET109).  Views attached over shared-memory segments arrive frozen
+        already; freezing is idempotent and irreversible for a given array
+        (callers needing a mutable trace rebuild one from copies).  Returns
+        ``self`` for chaining.
         """
         for name in self.STORED_FIELDS:
             array = getattr(self, name)
@@ -563,14 +552,12 @@ class CompiledTrace:
         """Make ``columns`` (``ANNOTATION_FIELDS`` order) the annotation columns.
 
         The arrays *replace* the current ones and are never written into,
-        so a memoised value can be installed as-is.  Frozen traces stay
-        frozen: the installed arrays are marked read-only, as the sanitizer
-        relies on.  Returns ``self`` for chaining.
+        so a memoised value can be installed as-is.  The installed arrays
+        are marked read-only, so a frozen trace stays frozen across
+        re-annotation.  Returns ``self`` for chaining.
         """
-        refreeze = self.frozen
         for name, column in zip(self.ANNOTATION_FIELDS, columns):
-            if refreeze:
-                column.flags.writeable = False
+            column.flags.writeable = False
             setattr(self, name, column)
             self._cache.pop(name, None)
         return self
@@ -616,8 +603,8 @@ class CompiledTrace:
         """The stored columns as ``{name: array}``, in ``STORED_FIELDS`` order.
 
         This is the serialisation surface shared by every persistence layer:
-        :meth:`save` compresses these arrays to ``.npz``, the artifact store
-        adds the program pickle, and the shared-memory segment layer copies
+        the artifact store compresses these arrays to ``.npz`` next to the
+        program pickle, and the shared-memory segment layer copies
         their raw bytes into a block.  Passing the dict straight back to the
         constructor (``CompiledTrace(**columns)``) is zero-copy when dtypes
         already match -- the derived columns are recomputed, the stored ones
@@ -629,21 +616,6 @@ class CompiledTrace:
     def stored_nbytes(self) -> int:
         """Total payload bytes of the stored columns (uncompressed)."""
         return sum(array.nbytes for array in self.stored_columns().values())
-
-    def save(self, path: Union[str, Path]) -> None:
-        """Write the stored columns to a compressed ``.npz`` file."""
-        np.savez_compressed(
-            str(path), **{name: getattr(self, name) for name in self.STORED_FIELDS}
-        )
-
-    @classmethod
-    def load(cls, path: Union[str, Path]) -> "CompiledTrace":
-        """Rebuild a compiled trace from a :meth:`save` artifact."""
-        with np.load(str(path), allow_pickle=False) as data:
-            missing = [name for name in cls.STORED_FIELDS if name not in data]
-            if missing:
-                raise ValueError(f"trace artifact {path} is missing columns {missing}")
-            return cls(**{name: data[name] for name in cls.STORED_FIELDS})
 
     # ------------------------------------------------------------ constructors --
     @classmethod

@@ -13,7 +13,7 @@ Contracts pinned here:
 * **One warm-up per geometry.**  ``_warm_caches`` replays the access plan
   once per (trace, cache geometry); later runs start from a copy with zeroed
   statistics and report identical metrics, cache summary included.
-* **Memoised values are read-only**, with or without ``$REPRO_SANITIZE``.
+* **Memoised values are read-only**, on a trace that was never bound.
 * **One engine run per sweep** leaves the result-cache keys unchanged.
 """
 
@@ -38,7 +38,6 @@ from repro.engine.parallel import (
 from repro.experiments.configs import TABLE3_CONFIGURATIONS
 from repro.experiments.runner import ExperimentRunner
 from repro.partition.base import RegionPartitioner
-from repro.sanitize import SANITIZE_ENV
 from repro.scenarios.builtin import builtin_scenario
 from repro.scenarios.runner import run_scenario
 from repro.scenarios.spec import ScenarioSpec, SweepAxis
@@ -131,13 +130,12 @@ class TestAnnotationMemo:
             for name in CompiledTrace.ANNOTATION_FIELDS:
                 assert np.array_equal(getattr(compiled, name), getattr(fresh, name)), name
 
-    def test_memoised_columns_are_read_only(self, monkeypatch, small_profile):
-        monkeypatch.delenv(SANITIZE_ENV, raising=False)
+    def test_memoised_columns_are_read_only(self, small_profile):
         program, compiled = WorkloadGenerator(small_profile).generate_compiled_trace(500)
         _prepare_job(make_job(small_profile, VC), program, compiled)
         key = ("annotations", VC.partitioner_key(2, 2, 128))
         stored = compiled.memo(key, lambda: pytest.fail("annotations were not memoised"))
-        assert not compiled.frozen
+        assert compiled.seq.flags.writeable  # never bound, so never frozen
         for column in stored:
             assert not column.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
@@ -152,15 +150,6 @@ class TestAnnotationMemo:
         assert program.annotation_summary()["vc_annotated"] > 0
         _prepare_job(make_job(small_profile, OP), program, compiled)
         assert (compiled.vc_id == -1).all() and not compiled.chain_leader.any()
-
-    def test_sanitized_sweep_matches_plain(self, monkeypatch, small_profile):
-        jobs = sweep_jobs(small_profile)
-        monkeypatch.delenv(SANITIZE_ENV, raising=False)
-        plain = [m.to_dict() for m in ParallelRunner(trace_root=None).run(jobs)]
-        _TRACE_MEMO.clear()
-        monkeypatch.setenv(SANITIZE_ENV, "1")
-        sanitized = [m.to_dict() for m in ParallelRunner(trace_root=None).run(jobs)]
-        assert sanitized == plain
 
 
 @pytest.mark.parametrize("kernel", ["interpreter", "vectorized"])

@@ -113,13 +113,6 @@ class TestRoundTrip:
             existing = by_sid.setdefault(uop.static.sid, uop.static)
             assert uop.static is existing
 
-    def test_save_load_round_trip(self, tmp_path, small_trace):
-        _, trace = small_trace
-        compiled = compile_trace(trace)
-        path = tmp_path / "trace.npz"
-        compiled.save(path)
-        assert CompiledTrace.load(path).equals(compiled)
-
 
 class TestDerivedColumns:
     def test_derived_columns_match_opcode_tables(self, small_trace):

@@ -212,9 +212,9 @@ class TestSegmentRoundTrip:
     def test_worker_in_place_write_raises(self, small_profile):
         """A worker that writes an attached column in place must raise.
 
-        Attach views are read-only unconditionally (not only under
-        ``REPRO_SANITIZE``): a silent write would corrupt the trace for every
-        other attached worker and break bit-identity with the pickle path.
+        Attach views are read-only, like every bound trace: a silent write
+        would corrupt the trace for every other attached worker and break
+        bit-identity with the pickle path.
         """
         program, compiled = WorkloadGenerator(small_profile).generate_compiled_trace(300)
         segment = SharedTraceSegment.create("ro", program, compiled)

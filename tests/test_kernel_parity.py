@@ -16,10 +16,11 @@ These tests pin that contract:
 * the compiled steering tier: every builtin lowering (``compiled_spec``)
   runs fused and un-fused on the vectorized kernel and must be
   field-identical to the interpreter -- policy state included,
-* form coverage: the builtin policies lower to exactly
-  :data:`~repro.steering.base.SPEC_FORMS`, the kernel has a code for each,
-  and every form's fused dispatch matches the interpreter on a fixed trace
-  at two and four clusters,
+* form coverage: :data:`~repro.steering.base.SPEC_FORMS` holds exactly the
+  forms the Table 3 policies lower to, every Table 3 configuration resolves
+  to a fused form, the kernel has a code for each form, and every form's
+  fused dispatch matches the interpreter on a fixed trace at two and four
+  clusters,
 * mid-batch fallback: a ``run_many`` sweep mixing lowered and un-lowered
   policies must match fresh per-policy interpreter runs.
 """
@@ -40,10 +41,10 @@ from repro.cluster.kernel import (
     resolve_kernel,
 )
 from repro.cluster.processor import ClusteredProcessor, simulate_trace
+from repro.experiments.configs import TABLE3_CONFIGURATIONS
 from repro.experiments.golden import compute_golden_snapshot
 from repro.partition.ob_partitioner import OperationBasedPartitioner
 from repro.partition.vc_partitioner import VirtualClusterPartitioner
-from repro.sanitize import SANITIZE_ENV
 from repro.steering.base import SPEC_FORMS, CompiledSteeringSpec, SteeringPolicy
 from repro.steering.baselines import (
     DependenceOnlySteering,
@@ -146,10 +147,9 @@ def golden_by_kernel():
 class TestGoldenSuiteParity:
     @pytest.mark.parametrize("kernel", ["interpreter", "vectorized"])
     def test_golden_suite_keeps_conservation_laws(self, kernel, monkeypatch):
-        """Under the sanitizer every run checks its own conservation laws
-        (``SimulationMetrics.check_invariants``), so a clean golden run is
-        the check over the whole suite."""
-        monkeypatch.setenv(SANITIZE_ENV, "1")
+        """Every run checks its own conservation laws
+        (``SimulationMetrics.check_invariants``) on a frozen bound trace, so
+        a clean golden run is the check over the whole suite."""
         monkeypatch.setenv(KERNEL_ENV, kernel)
         assert compute_golden_snapshot()["cases"]
 
@@ -242,14 +242,11 @@ class TestSkipVsStepParity:
 
 #: One builtin policy per lowered form, built for ``n`` clusters, and the
 #: compile-time pass whose annotations it reads (``None``: reads none).
-#: The constant form targets the last cluster: on cluster 0 it would steer
-#: exactly like the dependence-count form, which falls back to cluster 0.
+#: The constant form targets the last cluster, so the fused branch is not
+#: checked only on the cluster every fallback picks.
 _FORM_POLICIES = {
     "constant": (lambda n: OneClusterSteering(n - 1), None),
     "static-table": (lambda n: StaticAssignmentSteering(), OperationBasedPartitioner),
-    "modulo": (lambda n: RoundRobinSteering(), None),
-    "least-loaded": (lambda n: LoadBalanceSteering(), None),
-    "dependence-count": (lambda n: DependenceOnlySteering(), None),
     "occupancy-stall": (lambda n: OccupancyAwareSteering(), None),
     "mapping-table": (VirtualClusterSteering, VirtualClusterPartitioner),
 }
@@ -268,14 +265,21 @@ class TestCompiledSpecs:
     """The lowering contract of the builtin policies and its validation."""
 
     def test_builtin_lowerings(self):
-        """The builtin policies lower to exactly the closed vocabulary, and
-        the kernel has a form code for each form."""
+        """The closed vocabulary is exactly the Table 3 policies' forms, the
+        kernel has a form code for each, and every Table 3 configuration
+        takes a fused path."""
+        assert SPEC_FORMS == ("constant", "static-table", "occupancy-stall", "mapping-table")
         assert set(_FORM_POLICIES) == set(SPEC_FORMS) == set(_FORM_CODES)
         for form, (factory, _) in _FORM_POLICIES.items():
             policy = factory(2)
             policy.reset(2)
             spec = policy.compiled_spec()
             assert spec is not None and spec.form == form, policy.name
+        assert sorted(TABLE3_CONFIGURATIONS) == ["OB", "OP", "RHOP", "VC", "one-cluster"]
+        for name, configuration in TABLE3_CONFIGURATIONS.items():
+            policy = configuration.make_policy(2, 2)
+            policy.reset(2)
+            assert _resolve_spec(policy, 2)[1] != _FORM_CALLBACK, name
 
     def test_unlowered_policy_takes_callback_form(self):
         spec, form = _resolve_spec(_CallbackOnlySteering(), 2)
@@ -286,20 +290,20 @@ class TestCompiledSpecs:
         ``compiled_spec`` must fall back to the callback path -- the parent's
         lowering no longer describes the subclass's decision function."""
 
-        class Shifted(RoundRobinSteering):
+        class Shifted(OneClusterSteering):
             def pick_cluster(self, uop, context):
                 return (super().pick_cluster(uop, context) + 1) % context.num_clusters
 
+        assert _resolve_spec(OneClusterSteering(), 2)[1] == _FORM_CODES["constant"]
         spec, form = _resolve_spec(Shifted(), 2)
         assert spec is None and form == _FORM_CALLBACK
-        # Redeclaring the lowering (even by delegation) re-arms it.
 
+        # Redeclaring the lowering (even by delegation) re-arms it.
         class Redeclared(Shifted):
             def compiled_spec(self):
-                return None
+                return super().compiled_spec()
 
-        spec, form = _resolve_spec(Redeclared(), 2)
-        assert spec is None and form == _FORM_CALLBACK
+        assert _resolve_spec(Redeclared(), 2)[1] == _FORM_CODES["constant"]
 
     def test_unknown_form_rejected(self):
         with pytest.raises(ValueError, match="unknown compiled-steering form"):
@@ -394,28 +398,6 @@ class TestLoweredSteeringParity:
             assert _policy_state(run_policy) == ref_state, (
                 f"{policy} final state diverged with fused={fused}"
             )
-
-    def test_lowered_parity_under_sanitizer(self, monkeypatch):
-        """The fused and callback paths never write the frozen bound trace."""
-        monkeypatch.setenv(SANITIZE_ENV, "1")
-        program, trace = WorkloadGenerator(profile_for("164.gzip-1")).generate_trace(
-            300, phase=0
-        )
-        VirtualClusterPartitioner(2).annotate_program(program)
-        compiled = compile_trace(trace)
-        compiled.annotate_from(program)
-        config = ClusterConfig(num_clusters=2, warm_caches=False)
-        for name, factory in _policy_factories().items():
-            reference, _ = _run_lowered_mode(
-                compiled, factory, config, "interpreter", True
-            )
-            for fused in (False, True):
-                metrics, _ = _run_lowered_mode(
-                    compiled, factory, config, "vectorized", fused
-                )
-                assert metrics == reference, (
-                    f"{name} diverged under sanitizer with fused={fused}"
-                )
 
 
 class TestEveryFormIsDispatched:

@@ -127,6 +127,20 @@ class TestMultilevelPartitioner:
         with pytest.raises(ValueError):
             MultilevelPartitioner(2).partition([1, 1, 1, 1], {}, node_groups=[0, 1])
 
+    @pytest.mark.parametrize(
+        "weights, edges, groups, message",
+        [
+            ([1, 1], {}, [0], "node_groups length"),
+            ([1, 1, 1], {(0, -1): 3}, None, r"edge \(0, -1\)"),
+            ([1, 1, 1, 1, 1], {(2, 5): 1}, None, r"edge \(2, 5\)"),
+            ([1, 1], {(0, 2): 1}, None, r"edge \(0, 2\)"),
+        ],
+        ids=["groups-trivial", "negative-endpoint", "endpoint-past-end", "endpoint-trivial"],
+    )
+    def test_malformed_inputs_rejected(self, weights, edges, groups, message):
+        with pytest.raises(ValueError, match=message):
+            MultilevelPartitioner(2).partition(weights, edges, node_groups=groups)
+
     def test_invalid_num_parts(self):
         with pytest.raises(ValueError):
             MultilevelPartitioner(0)

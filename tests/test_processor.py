@@ -309,10 +309,9 @@ class TestConservationLaws:
             metrics.check_invariants(compiled, config)
 
     def test_sanitized_runs_check_their_laws(self, small_profile, monkeypatch):
-        """Every run checks itself, with ``$REPRO_SANITIZE`` unset or set: a
-        kernel that miscounted would raise at the end of ``run_bound``."""
+        """Every run checks itself on its frozen bound trace: a kernel that
+        miscounted would raise at the end of ``run_bound``."""
         from repro.cluster.metrics import SimulationMetrics
-        from repro.sanitize import SANITIZE_ENV
 
         checked = []
         original = SimulationMetrics.check_invariants
@@ -322,11 +321,6 @@ class TestConservationLaws:
             lambda self, trace, config: checked.append(len(trace)) or original(self, trace, config),
         )
         _, compiled = WorkloadGenerator(small_profile).generate_compiled_trace(300)
-        monkeypatch.delenv(SANITIZE_ENV, raising=False)
         for kernel in ("interpreter", "vectorized"):
             ClusteredProcessor(ClusterConfig(), OneClusterSteering(), kernel=kernel).run(compiled)
         assert checked == [len(compiled)] * 2
-        monkeypatch.setenv(SANITIZE_ENV, "1")
-        for kernel in ("interpreter", "vectorized"):
-            ClusteredProcessor(ClusterConfig(), OneClusterSteering(), kernel=kernel).run(compiled)
-        assert checked == [len(compiled)] * 4

@@ -1,21 +1,18 @@
-"""The shared-memory write sanitizer: freeze-on-bind for compiled traces.
+"""Bound trace columns are read-only: freeze-on-bind for compiled traces.
 
 Contracts pinned here:
 
-* **``resolve_sanitize`` follows the ``$REPRO_*`` knob conventions**: unset,
-  blank and the usual false spellings disable; anything else enables; an
-  explicit argument wins over the environment.
 * **``CompiledTrace.freeze`` is total and sticky.**  Every stored column
   becomes read-only, a deliberate in-place write raises ``ValueError``, and
-  ``annotate_from`` (which *replaces* annotation arrays) re-freezes the
+  ``annotate_from`` (which *replaces* annotation arrays) installs read-only
   replacements.
-* **Under ``REPRO_SANITIZE=1`` the sanitizer is wired into ``bind``** for
-  both kernels: the bound trace is frozen, a deliberate in-place mutation of
-  a bound column is caught, and the simulated metrics are bit-identical to
-  an unsanitized run.
+* **``bind`` always freezes**, on both kernels and with no environment
+  set: a deliberate in-place mutation of a bound column is caught.
 """
 
 from __future__ import annotations
+
+import os
 
 import numpy as np
 import pytest
@@ -23,7 +20,6 @@ import pytest
 from repro.cluster.config import ClusterConfig
 from repro.cluster.processor import ClusteredProcessor
 from repro.experiments.configs import TABLE3_CONFIGURATIONS
-from repro.sanitize import SANITIZE_ENV, resolve_sanitize
 from repro.uops.compiled import CompiledTrace
 from repro.workloads.generator import WorkloadGenerator
 
@@ -39,35 +35,16 @@ def make_processor(kernel=None):
     return ClusteredProcessor(ClusterConfig(num_clusters=2), policy, kernel=kernel)
 
 
-class TestResolveSanitize:
-    def test_default_is_off(self, monkeypatch):
-        monkeypatch.delenv(SANITIZE_ENV, raising=False)
-        assert resolve_sanitize() is False
-
-    @pytest.mark.parametrize("value", ["", "0", "false", "OFF", " no "])
-    def test_false_spellings_disable(self, monkeypatch, value):
-        monkeypatch.setenv(SANITIZE_ENV, value)
-        assert resolve_sanitize() is False
-
-    @pytest.mark.parametrize("value", ["1", "true", "on", "yes", "anything"])
-    def test_everything_else_enables(self, monkeypatch, value):
-        monkeypatch.setenv(SANITIZE_ENV, value)
-        assert resolve_sanitize() is True
-
-    def test_explicit_argument_wins(self, monkeypatch):
-        monkeypatch.setenv(SANITIZE_ENV, "1")
-        assert resolve_sanitize(explicit=False) is False
-        monkeypatch.delenv(SANITIZE_ENV)
-        assert resolve_sanitize(explicit=True) is True
+def writable_columns(trace):
+    return [name for name in CompiledTrace.STORED_FIELDS if getattr(trace, name).flags.writeable]
 
 
 class TestFreeze:
     def test_freeze_marks_every_stored_column_read_only(self, compiled):
-        assert not compiled.frozen
+        assert writable_columns(compiled) == list(CompiledTrace.STORED_FIELDS)
         result = compiled.freeze()
-        assert result is compiled and compiled.frozen
-        for name in CompiledTrace.STORED_FIELDS:
-            assert not getattr(compiled, name).flags.writeable
+        assert result is compiled
+        assert writable_columns(compiled) == []
 
     def test_frozen_column_write_raises(self, compiled):
         compiled.freeze()
@@ -77,21 +54,13 @@ class TestFreeze:
     def test_freeze_is_idempotent(self, compiled):
         compiled.freeze()
         compiled.freeze()
-        assert compiled.frozen
+        assert writable_columns(compiled) == []
 
     def test_annotate_from_refreezes_replaced_columns(self, small_profile):
         program, compiled = WorkloadGenerator(small_profile).generate_compiled_trace(500)
         compiled.freeze()
         compiled.annotate_from(program)
-        assert compiled.frozen
-        for name in ("vc_id", "chain_leader", "static_cluster"):
-            assert not getattr(compiled, name).flags.writeable
-
-    def test_annotate_from_on_unfrozen_trace_stays_writable(self, small_profile):
-        program, compiled = WorkloadGenerator(small_profile).generate_compiled_trace(500)
-        compiled.annotate_from(program)
-        assert not compiled.frozen
-        assert compiled.vc_id.flags.writeable
+        assert writable_columns(compiled) == []
 
 
 @pytest.mark.parametrize("kernel", ["interpreter", "vectorized"])
@@ -99,45 +68,32 @@ class TestSanitizedBind:
     def test_bind_freezes_and_catches_deliberate_mutation(
         self, monkeypatch, compiled, kernel
     ):
-        monkeypatch.setenv(SANITIZE_ENV, "1")
+        """No environment variable is needed: every bound trace is frozen."""
+        for name in sorted(os.environ):
+            if name.startswith("REPRO_"):
+                monkeypatch.delenv(name)
         processor = make_processor(kernel)
         bound = processor.bind(compiled)
-        assert bound.frozen
-        # The deliberate in-place corruption the sanitizer exists to catch:
+        assert writable_columns(bound) == []
+        # The deliberate in-place corruption the freeze exists to catch:
         with pytest.raises(ValueError, match="read-only"):
             bound.opclass[:4] = 0  # detlint: ok DET109 (this write must raise)
 
-    def test_sanitized_run_is_bit_identical(self, monkeypatch, small_profile, kernel):
-        _, trace_a = WorkloadGenerator(small_profile).generate_compiled_trace(500)
-        _, trace_b = WorkloadGenerator(small_profile).generate_compiled_trace(500)
-        monkeypatch.delenv(SANITIZE_ENV, raising=False)
-        plain = make_processor(kernel).run(trace_a).to_dict()
-        monkeypatch.setenv(SANITIZE_ENV, "1")
-        sanitized = make_processor(kernel).run(trace_b).to_dict()
-        assert sanitized == plain
-
-    def test_bind_without_sanitizer_stays_writable(self, monkeypatch, compiled, kernel):
-        monkeypatch.delenv(SANITIZE_ENV, raising=False)
-        bound = make_processor(kernel).bind(compiled)
-        assert not bound.frozen
-        assert bound.opclass.flags.writeable
-
 
 class TestShmViewsAlwaysFrozen:
-    """Attach views are read-only regardless of the sanitizer (see shm.py)."""
+    """Attach views are read-only like every bound trace (see shm.py)."""
 
-    def test_attached_trace_reports_frozen(self, monkeypatch, small_profile):
+    def test_attached_trace_reports_frozen(self, small_profile):
         shm = pytest.importorskip("repro.engine.shm")
         if not shm.shared_memory_available():
             pytest.skip("multiprocessing.shared_memory unavailable")
-        monkeypatch.delenv(SANITIZE_ENV, raising=False)
         program, compiled = WorkloadGenerator(small_profile).generate_compiled_trace(300)
         segment = shm.SharedTraceSegment.create("frozen", program, compiled)
         try:
             attached = shm.SharedTraceSegment.attach(segment.name)
             try:
                 _, rebuilt = attached.load()
-                assert rebuilt.frozen
+                assert writable_columns(rebuilt) == []
                 with pytest.raises(ValueError, match="read-only"):
                     rebuilt.seq[0] = 99  # detlint: ok DET109 (this write must raise)
             finally:

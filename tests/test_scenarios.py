@@ -232,6 +232,43 @@ class TestScenarioSpecSerialization:
         with pytest.raises(ValueError, match=f"scenario '{field}' must be"):
             ScenarioSpec.from_dict({"name": "x", field: value})
 
+    @pytest.mark.parametrize(
+        "configuration, extra",
+        [
+            ({"partitioner": "OB", "partitioner_params": {"issue_widht": 2}}, {}),
+            ({"partitioner": "OB", "partitioner_params": {"issue_width": 0}}, {}),
+            ({"partitioner": "VC", "partitioner_params": {"issue_width": -1}}, {}),
+            ({"partitioner": "RHOP", "partitioner_params": {"region_size": 64}}, {}),
+            ({"partitioner": "RHOP"}, {"sweep": [{"parameter": "region_size", "values": [64, 0]}]}),
+            ({"policy_params": {"bogus": 1}}, {}),
+        ],
+        ids=[
+            "OB-unknown-keyword",
+            "OB-issue_width-zero",
+            "VC-issue_width-negative",
+            "RHOP-region_size-twice",
+            "RHOP-swept-region_size-zero",
+            "policy-unknown-keyword",
+        ],
+    )
+    def test_bad_configuration_parameter_fails_validation(self, configuration, extra):
+        """Every configuration's policy and partitioner is built at every
+        sweep point in ``validate``, so a bad parameter names its
+        configuration before any job of the batch simulates."""
+        bad = {"name": "bad", "policy": "static", **configuration}
+        spec = ScenarioSpec.from_dict(
+            {"name": "x", "configurations": ["OP", bad], "benchmarks": ["164.gzip-1"], **extra}
+        )
+        with pytest.raises(ValueError, match="^configuration 'bad': "):
+            spec.validate()
+
+    def test_unknown_machine_override_fails_validation(self):
+        spec = ScenarioSpec.from_dict(
+            {"name": "x", "machine": {"overrides": {"link_latncy": 3}}, "configurations": ["OP"]}
+        )
+        with pytest.raises(ValueError, match="^machine 'table2-2c': .*link_latncy"):
+            spec.validate()
+
     def test_invalid_json_file_rejected(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("not json{", encoding="utf-8")
