@@ -53,6 +53,40 @@ REPORT_DIGESTS = {
 }
 
 
+def adaptive_pin_spec(kind: str) -> ScenarioSpec:
+    """The adaptive report ``kind`` at the settings its pin was taken with.
+
+    ``race`` and ``replicated`` race every Table 3 configuration over four
+    replications of two benchmarks (700 µops, one phase); ``crossover``
+    bisects three link latencies with two replications.
+    """
+    if kind == "crossover":
+        return dataclasses.replace(
+            builtin_scenario("crossover-link-latency"),
+            trace_length=700,
+            max_phases=1,
+            replications=2,
+            sweep=(SweepAxis(parameter="link_latency", values=(4, 16, 64)),),
+        )
+    race = dataclasses.replace(builtin_scenario("adaptive-race"), replications=4, **SMALL)
+    if kind == "race":
+        return race
+    return dataclasses.replace(
+        race,
+        report="replicated",
+        stopping=StoppingRule(mode="ci", min_replications=2, rel_precision=0.1),
+    )
+
+
+#: SHA-256 and ``(planned, executed)`` runs of each adaptive report at
+#: :func:`adaptive_pin_spec`'s settings.
+ADAPTIVE_PINS = {
+    "race": ("64a012d8bfc4a70b3b4786b12ed9cfc04025bad047065899f5aab5c3cd86bc76", 40, 32),
+    "replicated": ("733c3ac67493cbae0971708edc0e5db01f488040fc4ccd3fdd2c5a2b5bc7b0ef", 40, 34),
+    "crossover": ("c7dc6d744ce99376ec3b5cc821abc14d48840aa13e921f484fc158d605404802", 24, 24),
+}
+
+
 def small(spec: ScenarioSpec, **extra) -> ScenarioSpec:
     """A fast variant of a spec (tiny traces, two benchmarks)."""
     return dataclasses.replace(spec, **{**SMALL, **extra})
@@ -478,6 +512,24 @@ class TestScenarioExecution:
         text = run_scenario(spec)
         digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
         assert digest == REPORT_DIGESTS[name], f"{name} report changed:\n{text}"
+
+    @pytest.mark.parametrize(
+        "engine_kwargs",
+        [{}, {"max_workers": 2, "shared_memory": False}],
+        ids=["serial", "parallel"],
+    )
+    @pytest.mark.parametrize("kind", sorted(ADAPTIVE_PINS))
+    def test_adaptive_report_text_is_pinned(self, kind, engine_kwargs):
+        """The statistical report kinds print the pinned text and run the
+        pinned number of simulations, on a serial and a 2-worker engine."""
+        digest, planned, executed = ADAPTIVE_PINS[kind]
+        with ParallelRunner(trace_root=None, **engine_kwargs) as engine:
+            text = run_scenario(adaptive_pin_spec(kind), engine)
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest, (
+            f"{kind} report changed:\n{text}"
+        )
+        stats = engine.adaptive_stats
+        assert (stats["planned"], stats["executed"]) == (planned, executed)
 
     def test_sweep_scenario_runs(self):
         spec = small(
