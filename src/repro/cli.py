@@ -166,20 +166,12 @@ def _engine_footer(engine: ParallelRunner) -> str:
             )
     batch_stats = engine.batch_stats
     if batch_stats["jobs"] > 0:
-        # The counters are kept consistent by the engine: configs ==
-        # executed + cached + cancelled in every scheduling combination.
-        # The cancelled field appears only when something was cancelled,
-        # so non-adaptive footers are unchanged.
-        cancelled = (
-            f"cancelled={batch_stats['cancelled_jobs']} "
-            if batch_stats["cancelled_jobs"] > 0
-            else ""
-        )
+        # After every completed run, configs == executed + cached.
         footer += (
             f"[batch] traces={batch_stats['batches']} configs={batch_stats['jobs']} "
             f"executed={batch_stats['executed_jobs']} cached={batch_stats['cached_jobs']} "
             f"max-width={batch_stats['max_width']} "
-            f"fully-cached-batches={batch_stats['cached_batches']} {cancelled} "
+            f"fully-cached-batches={batch_stats['cached_batches']}  "
             "(each batch runs all configurations of one trace)\n"
         )
     shm_stats = engine.shm_stats()

@@ -321,31 +321,6 @@ class ClusteredProcessor(SteeringContext):
         self.metrics.check_invariants(compiled, self.config)
         return self.metrics
 
-    def run_many(
-        self,
-        trace: Union[CompiledTrace, Sequence[DynamicUop]],
-        steerings: Sequence[SteeringPolicy],
-        max_cycles: Optional[int] = None,
-        prepare=None,
-    ) -> List[SimulationMetrics]:
-        """Run every policy in ``steerings`` against one in-memory trace.
-
-        The trace is bound once; each policy then simulates it via
-        :meth:`run_bound`, so the per-trace fixed costs are shared across the
-        whole configuration axis.  ``prepare`` (if given) is called with the
-        run index right before each run -- the engine uses it to refresh the
-        trace's steering annotations for the next configuration.  Metrics are
-        fresh objects per run, element-for-element identical to running each
-        policy on its own processor.
-        """
-        self.bind(trace)
-        results: List[SimulationMetrics] = []
-        for index, steering in enumerate(steerings):
-            if prepare is not None:
-                prepare(index)
-            results.append(self.run_bound(steering, max_cycles=max_cycles))
-        return results
-
     def _load_warm_caches(self, compiled: CompiledTrace) -> None:
         """Start the memory hierarchy warm, replaying the warm-up once per geometry.
 

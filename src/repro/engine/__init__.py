@@ -28,13 +28,11 @@ the cache-replay path:
     phase traces instead of regenerating them; every configuration of a
     phase shares one artifact.
 
-``RunPlan`` / ``JobBatch`` / ``RoundTask`` (:mod:`repro.engine.batch`)
+``RunPlan`` / ``JobBatch`` (:mod:`repro.engine.batch`)
     The batch-scheduling layer: a run's jobs partitioned into one batch per
     distinct trace key (deterministic order, job order preserved), so fixed
-    per-trace costs are paid once per trace instead of once per job.
-    ``RoundTask`` narrows a plan to its still-pending jobs -- the round
-    work units the runner executes and the adaptive scheduler cancels
-    against.
+    per-trace costs are paid once per trace instead of once per job.  The
+    runner narrows each batch to its uncached jobs and runs it as one task.
 
 Adaptive stopping rules (:mod:`repro.engine.adaptive`)
     Pure decision layer for adaptive sweeps: streaming
@@ -107,7 +105,7 @@ from repro.engine.adaptive import (
     t_critical,
 )
 from repro.engine.artifacts import TRACE_ARTIFACT_VERSION, TraceArtifactStore
-from repro.engine.batch import JobBatch, RoundTask, RunPlan
+from repro.engine.batch import JobBatch, RunPlan
 from repro.engine.cache import ResultCache
 from repro.engine.job import CACHE_SCHEMA_VERSION, SimulationJob
 from repro.engine.parallel import (
@@ -139,7 +137,6 @@ __all__ = [
     "ParallelRunner",
     "RaceOutcome",
     "ResultCache",
-    "RoundTask",
     "RunPlan",
     "SegmentRegistry",
     "SharedTraceSegment",

@@ -20,13 +20,15 @@ Two invariants make batching invisible in the results:
   produces the same plan.
 
 The plan is pure description: it never executes anything, and it never
-inspects configurations -- grouping depends only on the trace identity.
+inspects configurations -- grouping depends only on the trace identity.  The
+runner narrows each batch to its uncached jobs and ships what is left as one
+worker task.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Container, Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.engine.job import SimulationJob
 
@@ -56,28 +58,6 @@ class JobBatch:
     @property
     def width(self) -> int:
         """Number of configurations sharing this batch's trace."""
-        return len(self.jobs)
-
-
-@dataclass(frozen=True)
-class RoundTask:
-    """One schedulable work unit of a run round: a batch narrowed to its
-    still-pending jobs.
-
-    ``indices``/``jobs`` are the batch members that still need simulation
-    (possibly empty -- a fully cached batch still appears, so schedulers can
-    account it); ``cached`` counts the batch members the result cache
-    already served.
-    """
-
-    trace_key: str
-    indices: Tuple[int, ...]
-    jobs: Tuple[SimulationJob, ...]
-    cached: int
-
-    @property
-    def width(self) -> int:
-        """Jobs this task will actually execute."""
         return len(self.jobs)
 
 
@@ -123,32 +103,3 @@ class RunPlan:
     def mean_width(self) -> float:
         """Average configurations per trace."""
         return self.num_jobs / self.num_traces if self.batches else 0.0
-
-    def round_tasks(self, pending: Container[int]) -> List[RoundTask]:
-        """The plan narrowed to ``pending`` job indices, as round work units.
-
-        One :class:`RoundTask` per batch, in plan (trace-key) order -- the
-        deterministic round schedule the engine executes and the adaptive
-        scheduler cancels against.  Jobs outside ``pending`` are counted as
-        ``cached`` on their task; a batch with every job cached yields an
-        empty task rather than disappearing, so schedulers can account
-        fully-cached batches without re-deriving the grouping.
-        """
-        tasks: List[RoundTask] = []
-        for batch in self.batches:
-            indices = tuple(index for index in batch.indices if index in pending)
-            tasks.append(
-                RoundTask(
-                    trace_key=batch.trace_key,
-                    indices=indices,
-                    jobs=tuple(self.jobs_for(batch, indices)),
-                    cached=batch.width - len(indices),
-                )
-            )
-        return tasks
-
-    @staticmethod
-    def jobs_for(batch: JobBatch, indices: Sequence[int]) -> List[SimulationJob]:
-        """The jobs of ``batch`` at the given original-sequence ``indices``."""
-        by_index = dict(zip(batch.indices, batch.jobs))
-        return [by_index[index] for index in indices]

@@ -61,7 +61,7 @@ from repro.cluster.metrics import SimulationMetrics
 from repro.cluster.processor import ClusteredProcessor
 from repro.engine.adaptive import ZERO_ADAPTIVE_STATS
 from repro.engine.artifacts import TraceArtifactStore
-from repro.engine.batch import RoundTask, RunPlan
+from repro.engine.batch import JobBatch, RunPlan
 from repro.engine.cache import ResultCache
 from repro.engine.job import SimulationJob
 from repro.engine.pool import WorkerPool
@@ -349,12 +349,10 @@ class ParallelRunner:
         self._worker_trace_stats: Dict[str, int] = dict(_ZERO_TRACE_STATS)
         #: Cumulative batch-scheduling counters across this runner's runs
         #: (the CLI ``[batch]`` footer): distinct traces, total jobs, widest
-        #: batch, how many jobs actually executed in batch tasks, how many
-        #: batches/jobs the cache served outright, and how many jobs were
-        #: cancelled before starting (:meth:`cancel_pending`).  The counters
-        #: are kept consistent:
-        #: ``jobs == executed_jobs + cached_jobs + cancelled_jobs`` always,
-        #: including partially cached batches and aborted runs.
+        #: batch, how many jobs executed in batch tasks, and how many
+        #: batches/jobs the cache served outright.  After every completed run
+        #: ``jobs == executed_jobs + cached_jobs``, partially cached batches
+        #: included.
         self.batch_stats: Dict[str, int] = {
             "batches": 0,
             "jobs": 0,
@@ -362,7 +360,6 @@ class ParallelRunner:
             "executed_jobs": 0,
             "cached_batches": 0,
             "cached_jobs": 0,
-            "cancelled_jobs": 0,
         }
         #: Adaptive-scheduler counters (the CLI ``[adaptive]`` footer),
         #: recorded by the scenario layer's stopping-rule drivers -- the
@@ -370,14 +367,6 @@ class ParallelRunner:
         #: carries every footer's numbers.  All zero unless an adaptive
         #: scenario ran on this runner.
         self.adaptive_stats: Dict[str, int] = dict(ZERO_ADAPTIVE_STATS)
-        #: In-flight futures of the current parallel run, shared with
-        #: :meth:`cancel_pending` so a consumer can retire queued batches
-        #: mid-stream.  Maps future -> (original job indices, segment trace
-        #: key or ``None`` on the pickle path).
-        self._active_futures: Dict[Future, Tuple[List[int], Optional[str]]] = {}
-        #: Set by :meth:`cancel_pending`; the inline (serial) batch loop
-        #: checks it between tasks, and :meth:`run_stream` resets it.
-        self._cancel_requested = False
         self._pool = WorkerPool(max_workers)
         self._segments: Optional[SegmentRegistry] = None
         #: Closed-over shared-memory counters that survive registry release
@@ -484,50 +473,6 @@ class ParallelRunner:
                 self._worker_trace_stats[name] += stats.get(name, 0)
         return result["dumps"]
 
-    # ----------------------------------------------------------- cancellation --
-    def _cancel_queued(self) -> int:
-        """Cancel every queued (not yet started) task of the current run.
-
-        Pops successfully cancelled futures from the active set, releases
-        their shared-memory references, and moves their jobs from
-        ``executed_jobs`` to ``cancelled_jobs`` so the footer invariant
-        ``jobs == executed_jobs + cached_jobs + cancelled_jobs`` holds even
-        for abandoned runs.  Returns the number of jobs cancelled.
-        """
-        cancelled = 0
-        for future in list(self._active_futures):
-            if future.cancel():
-                indices, trace_key = self._active_futures.pop(future)
-                if self._segments is not None and trace_key is not None:
-                    self._segments.release(trace_key)
-                cancelled += len(indices)
-        if cancelled:
-            self.batch_stats["executed_jobs"] -= cancelled
-            self.batch_stats["cancelled_jobs"] += cancelled
-        return cancelled
-
-    def cancel_pending(self) -> int:
-        """Cancel the current run's not-yet-executed batches.
-
-        Safe to call from the consumer of :meth:`run_stream` at any point
-        (including when no run is active -- then it is a no-op).  Queued
-        worker tasks are cancelled immediately; batches the inline serial
-        loop has not reached yet are skipped when the generator resumes.
-        Tasks already executing are never interrupted -- their results still
-        stream back, and their jobs stay accounted as executed.  Cancelled
-        jobs move from the ``executed`` to the ``cancelled`` footer counter,
-        so ``configs == executed + cached + cancelled`` stays true.
-
-        Returns the number of jobs whose worker tasks were retired
-        immediately (the serial loop's later skips are not included -- they
-        are accounted when the generator resumes).
-
-        The next :meth:`run_stream` call clears the request; cancellation
-        never outlives the run it was aimed at.
-        """
-        self._cancel_requested = True
-        return self._cancel_queued()
-
     # ------------------------------------------------------------- execution --
     def run(self, jobs: Sequence[SimulationJob]) -> List[SimulationMetrics]:
         """Execute ``jobs`` and return their metrics in the same order.
@@ -556,7 +501,6 @@ class ParallelRunner:
         index is yielded exactly once; :meth:`run` is a thin order-restoring
         wrapper over this.
         """
-        self._cancel_requested = False
         keys: List[Optional[str]] = [None] * len(jobs)
         #: Later jobs sharing an earlier job's cache key, by that job's index.
         twins: Dict[int, List[int]] = {}
@@ -631,14 +575,19 @@ class ParallelRunner:
         stats["batches"] += plan.num_traces
         stats["jobs"] += plan.num_jobs
         stats["max_width"] = max(stats["max_width"], plan.max_width)
-        tasks: List[RoundTask] = []
-        for task in plan.round_tasks(set(pending)):
-            stats["cached_jobs"] += task.cached
-            if not task.indices:
+        uncached = set(pending)
+        tasks: List[JobBatch] = []
+        for batch in plan.batches:
+            members = [
+                (index, job) for index, job in zip(batch.indices, batch.jobs) if index in uncached
+            ]
+            stats["cached_jobs"] += batch.width - len(members)
+            if not members:
                 stats["cached_batches"] += 1
-            else:
-                stats["executed_jobs"] += task.width
-                tasks.append(task)
+                continue
+            stats["executed_jobs"] += len(members)
+            indices, batch_jobs = zip(*members)
+            tasks.append(JobBatch(batch.trace_key, indices, batch_jobs))
         if not tasks:
             return
         memo_cap = resolve_memo_cap(plan.mean_width)
@@ -647,13 +596,6 @@ class ParallelRunner:
             # already reported by trace_stats(); absorbing their deltas too
             # would double-count, so read the dumps directly.
             for task in tasks:
-                if self._cancel_requested:
-                    # cancel_pending() was called between yields; the tasks
-                    # not reached yet are skipped and re-accounted, exactly
-                    # like cancelled worker futures.
-                    stats["executed_jobs"] -= task.width
-                    stats["cancelled_jobs"] += task.width
-                    continue
                 result = execute_batch(
                     task.jobs,
                     trace_root=self.trace_root,
@@ -667,7 +609,7 @@ class ParallelRunner:
 
     def _run_batched_parallel(
         self,
-        tasks: List[RoundTask],
+        tasks: List[JobBatch],
         keys: List[Optional[str]],
         memo_cap: int,
     ) -> Iterator[Tuple[int, SimulationMetrics]]:
@@ -680,11 +622,6 @@ class ParallelRunner:
         ``as_completed`` loop streams results; a worker crash discards the
         poisoned pool (no leaked executor processes) and surfaces as a clear
         error, and outstanding segment references are always released.
-
-        In-flight futures live in ``self._active_futures`` so
-        :meth:`cancel_pending` can retire queued tasks from the consumer
-        side; retired futures leave the map, and the completion loop skips
-        whatever :mod:`concurrent.futures` still reports for them.
         """
         use_shm = self._use_shared_memory()
         registry = self._segment_registry() if use_shm else None
@@ -699,26 +636,18 @@ class ParallelRunner:
                 tasks,
                 key=lambda task: registry.get(task.trace_key) is None,
             )
-        futures = self._active_futures
-        futures.clear()
+        #: Submitted future -> its batch.
+        futures: Dict[Future, JobBatch] = {}
         try:
             for task in tasks:
-                if self._cancel_requested:
-                    # cancel_pending() landed while this loop was publishing
-                    # or submitting; do not submit the rest.
-                    self.batch_stats["executed_jobs"] -= task.width
-                    self.batch_stats["cancelled_jobs"] += task.width
-                    continue
-                indices = list(task.indices)
                 if registry is not None:
-                    trace_key = task.trace_key
                     segment = registry.publish(
-                        trace_key,
+                        task.trace_key,
                         lambda job=task.jobs[0]: _trace_for(
                             job, self.trace_root, self._trace_store, memo_cap
                         ),
                     )
-                    registry.acquire(trace_key)
+                    registry.acquire(task.trace_key)
                     try:
                         future = self._pool.submit(
                             _execute_segment_batch, task.jobs, segment.name
@@ -726,9 +655,8 @@ class ParallelRunner:
                     except BaseException:
                         # The task never existed, so the finally loop below
                         # will not release its reference -- do it here.
-                        registry.release(trace_key)
+                        registry.release(task.trace_key)
                         raise
-                    futures[future] = (indices, trace_key)
                 else:
                     future = self._pool.submit(
                         execute_batch,
@@ -736,14 +664,10 @@ class ParallelRunner:
                         trace_root=self.trace_root,
                         memo_cap=memo_cap,
                     )
-                    futures[future] = (indices, None)
+                futures[future] = task
             for future in as_completed(list(futures)):
-                entry = futures.get(future)
-                if entry is None:
-                    continue  # retired by cancel_pending() while queued
-                indices, _ = entry
                 dumps = self._absorb_task_result(future.result())
-                for index, dump in zip(indices, dumps):
+                for index, dump in zip(futures[future].indices, dumps):
                     yield self._store_result(index, dump, keys)
         except BrokenProcessPool as exc:
             self._pool.mark_broken()
@@ -753,10 +677,9 @@ class ParallelRunner:
                 "incomplete)"
             ) from exc
         finally:
-            # Retire whatever never started (keeps the footer invariant for
-            # abandoned runs), then drop references of the rest.
-            self._cancel_queued()
-            for _, trace_key in futures.values():
-                if registry is not None and trace_key is not None:
-                    registry.release(trace_key)
-            futures.clear()
+            # An abandoned stream leaves queued tasks behind: cancel the ones
+            # that never started, and drop every task's segment reference.
+            for future, task in futures.items():
+                future.cancel()
+                if registry is not None:
+                    registry.release(task.trace_key)

@@ -172,22 +172,6 @@ class ExperimentRunner:
         )
 
     # -- running ---------------------------------------------------------------------
-    def run_phase(
-        self,
-        profile: BenchmarkProfile,
-        point: SimulationPoint,
-        configuration: SteeringConfiguration,
-    ) -> PhaseRunResult:
-        """Simulate one simulation point under ``configuration``."""
-        metrics = self.engine.run([self.make_job(profile, point, configuration)])[0]
-        return PhaseRunResult(
-            benchmark=profile.name,
-            phase=point.phase,
-            weight=point.weight,
-            configuration=configuration.name,
-            metrics=metrics,
-        )
-
     def _assemble(
         self,
         profile: BenchmarkProfile,

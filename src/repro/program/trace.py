@@ -258,10 +258,6 @@ class TraceGenerator:
             static_clusters=static_clusters,
         )
 
-    def iterate(self, num_uops: int) -> Iterator[DynamicUop]:
-        """Iterator variant of :meth:`generate` (materialises the list once)."""
-        return iter(self.generate(num_uops))
-
 
 def expand_trace(
     program: Program,
@@ -281,23 +277,3 @@ def expand_trace(
         mispredict_rate=mispredict_rate,
     )
     return generator.generate(num_uops)
-
-
-def expand_compiled_trace(
-    program: Program,
-    num_uops: int,
-    seed: int = 0,
-    address_model: Optional[AddressModel] = None,
-    mispredict_rate: float = 0.02,
-) -> CompiledTrace:
-    """Convenience wrapper around :meth:`TraceGenerator.generate_compiled`.
-
-    See :class:`TraceGenerator` for parameter semantics.
-    """
-    generator = TraceGenerator(
-        program,
-        seed=seed,
-        address_model=address_model,
-        mispredict_rate=mispredict_rate,
-    )
-    return generator.generate_compiled(num_uops)

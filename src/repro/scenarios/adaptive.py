@@ -35,15 +35,13 @@ tables by construction, and the executed-cell sequence of an adaptive run
 is bit-identical across serial/parallel/shm/replay because engine results
 are.  Each sampling round is a barrier: the engine call is consumed to
 completion before any decision, so arrival order can never leak into the
-schedule.  On an abnormal exit mid-round the sampler cancels the engine's
-queued batches (:meth:`~repro.engine.parallel.ParallelRunner.cancel_pending`),
-keeping the ``[batch]`` footer invariant intact.
+schedule.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 from repro.engine.adaptive import (
     BisectOutcome,
@@ -52,15 +50,13 @@ from repro.engine.adaptive import (
     run_ci,
     run_race,
 )
-from repro.engine.job import SimulationJob
 from repro.engine.parallel import ParallelRunner
 from repro.experiments.configs import SteeringConfiguration
 from repro.experiments.report import format_table
-from repro.experiments.runner import ExperimentRunner, slowdown_percent
-from repro.scenarios.runner import REPORT_KINDS
+from repro.experiments.runner import ExperimentRunner, PhaseMatrix, slowdown_percent
+from repro.scenarios.runner import REPORT_KINDS, _require_configurations, aggregate_suite
 from repro.scenarios.spec import ScenarioSpec, StoppingRule
 from repro.workloads.generator import BenchmarkProfile
-from repro.workloads.pinpoints import SimulationPoint, weighted_average
 from repro.workloads.spec2000 import profile_for
 
 #: Seed-block stride between replications.  Prime and far larger than any
@@ -96,13 +92,15 @@ def replicate_profile(profile: BenchmarkProfile, rep: int) -> BenchmarkProfile:
 class PointSampler:
     """Execute ``(configuration, replication)`` cells of one sweep point.
 
-    A *cell* is one full seed block: every benchmark of the scenario,
-    replicated to the cell's seed block, simulated under the cell's
-    configuration, PinPoints-weighted per benchmark and summed over the
-    benchmark set (exactly :func:`~repro.scenarios.runner.aggregate_suite`'s
-    arithmetic, so cell values line up with the ``"sweep"`` report).  Cells
-    are memoised; :meth:`ensure` executes the missing ones in a single
-    engine call -- the round barrier -- and :meth:`sample_round` is the
+    A *cell* is one full seed block: the phase matrix of every benchmark of
+    the scenario, replicated to the cell's seed block, under the cell's
+    configuration
+    (:meth:`~repro.experiments.runner.ExperimentRunner.expand_phase_matrix`),
+    folded by :meth:`~repro.experiments.runner.ExperimentRunner.assemble_suite`
+    and :func:`~repro.scenarios.runner.aggregate_suite` -- so cell values
+    line up with the ``"sweep"`` report.  Cells are memoised; :meth:`ensure`
+    executes the missing ones in a single engine call -- the round
+    barrier -- and :meth:`sample_round` is the
     :data:`~repro.engine.adaptive.SampleRound` callback the stopping-rule
     drivers consume.
     """
@@ -119,8 +117,6 @@ class PointSampler:
         self.profiles: List[BenchmarkProfile] = [
             profile_for(name) for name in spec.resolved_benchmarks()
         ]
-        #: (benchmark, rep) -> (replicated profile, its simulation points).
-        self._blocks: Dict[Tuple[str, int], Tuple[BenchmarkProfile, List[SimulationPoint]]] = {}
         #: (configuration, rep) -> aggregated cell metrics.
         self._cells: Dict[Tuple[str, int], Dict[str, float]] = {}
         #: Cells in execution order -- the adaptive schedule itself, pinned
@@ -130,76 +126,48 @@ class PointSampler:
         self.executed_jobs = 0
 
     # ------------------------------------------------------------- planning --
-    def _block(self, profile: BenchmarkProfile, rep: int):
-        key = (profile.name, rep)
-        block = self._blocks.get(key)
-        if block is None:
-            replica = replicate_profile(profile, rep)
-            block = (replica, self.runner.simulation_points(replica))
-            self._blocks[key] = block
-        return block
-
     def planned_jobs(self) -> int:
         """Simulation jobs of the exhaustive grid (every cell of every config)."""
-        per_rep = [
-            sum(len(self._block(profile, rep)[1]) for profile in self.profiles)
+        per_config = sum(
+            len(self.runner.simulation_points(replicate_profile(profile, rep)))
             for rep in range(self.replications)
-        ]
-        return len(self.configurations) * sum(per_rep)
+            for profile in self.profiles
+        )
+        return len(self.configurations) * per_config
 
     # ------------------------------------------------------------ execution --
     def ensure(self, cells: Sequence[Tuple[str, int]]) -> None:
         """Execute the not-yet-sampled ``cells`` in one engine call.
 
         The call is a round barrier: it returns only once every requested
-        cell's metrics are assembled, and on an abnormal exit it cancels the
-        engine's queued batches so abandoned work is accounted, not leaked.
+        cell's metrics are assembled.  Jobs run cell by cell, each cell's
+        benchmark by benchmark and phase by phase.
         """
         missing = [cell for cell in cells if cell not in self._cells]
         if not missing:
             return
-        jobs: List[SimulationJob] = []
-        plan: List[Tuple[Tuple[str, int], str, float]] = []
+        matrices: List[PhaseMatrix] = []
         for name, rep in missing:
             if rep >= self.replications:
                 raise ValueError(
                     f"cell ({name!r}, {rep}) is outside the declared "
                     f"replications ({self.replications})"
                 )
-            configuration = self.configurations[name]
-            for profile in self.profiles:
-                replica, points = self._block(profile, rep)
-                for point in points:
-                    plan.append(((name, rep), profile.name, point.weight))
-                    jobs.append(self.runner.make_job(replica, point, configuration))
-        try:
-            metrics = self.engine.run(jobs)
-        except BaseException:
-            self.engine.cancel_pending()
-            raise
+            replicas = [replicate_profile(profile, rep) for profile in self.profiles]
+            matrices.append(
+                self.runner.expand_phase_matrix(replicas, [self.configurations[name]])
+            )
+        jobs = [job for matrix in matrices for job in matrix.jobs]
+        metrics = self.engine.run(jobs)
         self.executed_jobs += len(jobs)
         self.executed_cells.extend(missing)
-        # Fold phase metrics into per-benchmark weighted averages, then sum
-        # benchmarks in list order -- aggregate_suite's arithmetic.
-        per_phase: Dict[Tuple[Tuple[str, int], str], List[int]] = {}
-        for index, (cell, benchmark, _) in enumerate(plan):
-            per_phase.setdefault((cell, benchmark), []).append(index)
-        totals: Dict[Tuple[str, int], Dict[str, float]] = {
-            cell: {field: 0.0 for field in _CELL_FIELDS} for cell in missing
-        }
-        for (cell, benchmark), indices in per_phase.items():
-            _, points = self._blocks[(benchmark, cell[1])]
-            dumps = [metrics[index] for index in indices]
-            totals[cell]["cycles"] += weighted_average(
-                [m.cycles for m in dumps], points
-            )
-            totals[cell]["copies"] += weighted_average(
-                [m.copies_generated for m in dumps], points
-            )
-            totals[cell]["allocation_stalls"] += weighted_average(
-                [m.balance_stalls for m in dumps], points
-            )
-        self._cells.update(totals)
+        start = 0
+        for cell, matrix in zip(missing, matrices):
+            stop = start + len(matrix.jobs)
+            suite = self.runner.assemble_suite(matrix, metrics[start:stop])
+            start = stop
+            benchmarks = [profile.name for profile in matrix.profiles]
+            self._cells[cell] = aggregate_suite(suite, benchmarks, cell[0])
 
     def prefetch_all(self) -> None:
         """Execute the exhaustive grid in one engine call (``--no-adaptive``).
@@ -257,15 +225,6 @@ def _require_rule(spec: ScenarioSpec, mode: str) -> StoppingRule:
             f"got {spec.stopping.mode!r}"
         )
     return spec.stopping
-
-
-def _require_configurations(spec: ScenarioSpec, minimum: int = 1) -> List[SteeringConfiguration]:
-    if len(spec.configurations) < minimum:
-        raise ValueError(
-            f"scenario {spec.name!r} ({spec.report}) needs at least {minimum} "
-            f"configuration(s), got {len(spec.configurations)}"
-        )
-    return list(spec.configurations)
 
 
 def _record_stats(

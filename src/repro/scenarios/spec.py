@@ -170,6 +170,12 @@ class SweepAxis:
 #: Stopping-rule modes understood by the adaptive report kinds.
 _STOPPING_MODES = ("ci", "race", "bisect")
 
+#: Stopping-rule modes that sample ``min_replications`` before deciding.
+_REPLICATING_MODES = ("ci", "race")
+
+#: Built-in report kinds that run replication 0 only and take no stopping rule.
+_SINGLE_REPLICATION_REPORTS = ("table", "figure5", "figure6", "figure7", "table1", "sweep")
+
 
 @dataclass(frozen=True)
 class StoppingRule:
@@ -221,6 +227,21 @@ class StoppingRule:
         if self.mode not in _STOPPING_MODES:
             raise ValueError(
                 f"unknown stopping mode {self.mode!r}; expected one of {_STOPPING_MODES}"
+            )
+        if not isinstance(self.enabled, bool):
+            raise ValueError(f"stopping-rule 'enabled' must be a bool, not {self.enabled!r}")
+        if isinstance(self.min_replications, bool) or not isinstance(self.min_replications, int):
+            raise ValueError(
+                f"stopping-rule 'min_replications' must be an integer, "
+                f"not {self.min_replications!r}"
+            )
+        for name in ("confidence", "rel_precision", "tie_margin"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ValueError(f"stopping-rule {name!r} must be a number, not {value!r}")
+        if self.axis is not None and not isinstance(self.axis, str):
+            raise ValueError(
+                f"stopping-rule 'axis' must be a string or null, not {self.axis!r}"
             )
         if self.confidence not in SUPPORTED_CONFIDENCE:
             raise ValueError(
@@ -375,17 +396,20 @@ class ScenarioSpec:
 
         A typo'd policy, partitioner, machine preset, report kind or
         benchmark name raises here (``KeyError``/``ValueError`` with the
-        known names listed) instead of surfacing mid-run.  Each
-        configuration's policy and partitioner is built once per distinct
-        sweep-point geometry, so a bad parameter (an unknown keyword, an
-        out-of-range value) raises a ``ValueError`` naming the configuration
-        before any configuration of the batch has simulated.
+        known names listed) instead of surfacing mid-run, and so do
+        ``replications``/``stopping`` settings the report kind would ignore
+        or fail on.  Each configuration's policy and partitioner is built
+        once per distinct sweep-point geometry, so a bad parameter (an
+        unknown keyword, an out-of-range value) raises a ``ValueError``
+        naming the configuration before any configuration of the batch has
+        simulated.
         """
         from repro.scenarios.registry import MACHINES, PARTITIONERS, POLICIES
         from repro.scenarios.runner import REPORT_KINDS
         from repro.workloads.spec2000 import all_trace_names
 
         REPORT_KINDS.get(self.report)
+        self._validate_statistics()
         MACHINES.get(self.machine.preset)
         for configuration in self.configurations:
             POLICIES.get(configuration.policy)
@@ -413,6 +437,29 @@ class ScenarioSpec:
         unknown = [name for name in self.benchmarks if name not in known]
         if unknown:
             raise ValueError(f"unknown benchmarks: {unknown}")
+
+    def _validate_statistics(self) -> None:
+        """Reject statistical fields the report kind would ignore or fail on."""
+        rule = self.stopping
+        if self.report in _SINGLE_REPLICATION_REPORTS:
+            if self.replications != 1:
+                raise ValueError(
+                    f"report kind {self.report!r} runs one replication; "
+                    f"'replications' must be 1, not {self.replications}"
+                )
+            if rule is not None:
+                raise ValueError(f"report kind {self.report!r} takes no 'stopping' rule")
+        if rule is None:
+            return
+        if rule.axis is not None and rule.mode != "bisect":
+            raise ValueError(
+                f"stopping-rule 'axis' applies to mode 'bisect' only, not {rule.mode!r}"
+            )
+        if rule.mode in _REPLICATING_MODES and self.replications < rule.min_replications:
+            raise ValueError(
+                f"'replications' ({self.replications}) is below the stopping "
+                f"rule's 'min_replications' ({rule.min_replications})"
+            )
 
     def resolved_benchmarks(self) -> List[str]:
         """The benchmark list, defaulting to the full SPEC CPU2000 suite."""

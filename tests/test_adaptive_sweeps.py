@@ -1,15 +1,11 @@
-"""The adaptive sweep scheduler: stopping rules, cancellation, replay identity.
+"""The adaptive sweep scheduler: stopping rules and replay identity.
 
-Three contracts are pinned here:
+Two contracts are pinned here:
 
 * **The decision layer is pure** -- ``run_ci`` / ``run_race`` /
   ``run_bisection`` consume sampled values through round-barrier callbacks,
   request contiguous replication prefixes, and reproduce their decisions
   exactly when replayed over the recorded samples (property-tested).
-* **Cancellation keeps the books** -- :meth:`ParallelRunner.cancel_pending`
-  retires queued work mid-stream and the ``[batch]`` footer invariant
-  ``jobs == executed + cached + cancelled`` survives it, on both the queued-
-  future and the inline serial path.
 * **Adaptive equals exhaustive** -- the adaptive report kinds print tables
   byte-identical to ``--no-adaptive`` full-grid runs, across serial,
   parallel and shared-memory engines, and the executed-cell schedule of a
@@ -21,7 +17,6 @@ from __future__ import annotations
 import dataclasses
 import math
 import statistics
-from concurrent.futures import Future
 
 import pytest
 from hypothesis import given, settings
@@ -357,127 +352,6 @@ class TestRunBisection:
 
 
 # ---------------------------------------------------------------------------
-# Cancellation: the public cancel-queued-batches API
-# ---------------------------------------------------------------------------
-
-CONFIGURATIONS = [
-    TABLE3_CONFIGURATIONS["OP"],
-    TABLE3_CONFIGURATIONS["one-cluster"],
-    TABLE3_CONFIGURATIONS["OB"],
-]
-
-
-def make_job(profile, configuration, phase=0, trace_length=500):
-    from repro.engine.job import SimulationJob
-
-    return SimulationJob(
-        profile=profile,
-        phase=phase,
-        configuration=configuration,
-        trace_length=trace_length,
-        region_size=128,
-        num_clusters=2,
-        num_virtual_clusters=2,
-    )
-
-
-class TestCancelPending:
-    def test_retires_queued_futures_and_moves_the_counters(self):
-        """White-box: queued futures cancel, running ones are left alone, and
-        their jobs move from the executed to the cancelled counter."""
-        runner = ParallelRunner(trace_root=None)
-        queued, running = Future(), Future()
-        assert running.set_running_or_notify_cancel()
-        runner._active_futures[queued] = ([0, 1, 2], None)
-        runner._active_futures[running] = ([3, 4], None)
-        runner.batch_stats["executed_jobs"] = 5
-        assert runner.cancel_pending() == 3
-        assert runner.batch_stats["executed_jobs"] == 2
-        assert runner.batch_stats["cancelled_jobs"] == 3
-        assert queued not in runner._active_futures
-        assert running in runner._active_futures
-        assert runner._cancel_requested
-
-    def test_noop_outside_a_run(self):
-        runner = ParallelRunner(trace_root=None)
-        assert runner.cancel_pending() == 0
-        assert runner.batch_stats["cancelled_jobs"] == 0
-
-    def test_serial_stream_skips_batches_after_the_request(
-        self, small_profile, small_fp_profile
-    ):
-        """Integration: cancel_pending() between run_stream yields retires the
-        batches the inline loop has not reached, and the footer invariant
-        ``jobs == executed + cached + cancelled`` holds for the aborted run."""
-        jobs = [
-            make_job(profile, configuration)
-            for profile in (small_profile, small_fp_profile)
-            for configuration in CONFIGURATIONS
-        ]
-        runner = ParallelRunner(trace_root=None)
-        stream = runner.run_stream(jobs)
-        received = [next(stream)]
-        runner.cancel_pending()
-        received.extend(stream)
-        stats = runner.batch_stats
-        assert stats["cancelled_jobs"] == 3
-        assert stats["jobs"] == (
-            stats["executed_jobs"] + stats["cached_jobs"] + stats["cancelled_jobs"]
-        )
-        # Exactly one whole batch streamed back -- the one already running.
-        indices = sorted(index for index, _ in received)
-        assert indices in ([0, 1, 2], [3, 4, 5])
-
-    def test_cancellation_does_not_outlive_its_run(
-        self, small_profile, small_fp_profile
-    ):
-        jobs = [
-            make_job(profile, configuration)
-            for profile in (small_profile, small_fp_profile)
-            for configuration in CONFIGURATIONS
-        ]
-        runner = ParallelRunner(trace_root=None)
-        stream = runner.run_stream(jobs)
-        next(stream)
-        runner.cancel_pending()
-        list(stream)
-        # The next run starts clean: every job executes.
-        assert len(runner.run(jobs)) == len(jobs)
-        stats = runner.batch_stats
-        assert stats["jobs"] == 2 * len(jobs)
-        assert stats["cancelled_jobs"] == 3
-        assert stats["jobs"] == (
-            stats["executed_jobs"] + stats["cached_jobs"] + stats["cancelled_jobs"]
-        )
-
-    def test_parallel_run_after_cancel_keeps_the_invariant(
-        self, small_profile, small_fp_profile
-    ):
-        """The parallel path's finally-block retires whatever never started
-        when the consumer abandons the stream."""
-        jobs = [
-            make_job(profile, configuration, phase=phase)
-            for profile in (small_profile, small_fp_profile)
-            for phase in (0, 1)
-            for configuration in CONFIGURATIONS
-        ]
-        runner = ParallelRunner(max_workers=2, trace_root=None, shared_memory=False)
-        try:
-            stream = runner.run_stream(jobs)
-            next(stream)
-            runner.cancel_pending()
-            received = 1 + sum(1 for _ in stream)
-        finally:
-            runner.shutdown()
-        stats = runner.batch_stats
-        assert stats["jobs"] == len(jobs)
-        assert stats["jobs"] == (
-            stats["executed_jobs"] + stats["cached_jobs"] + stats["cancelled_jobs"]
-        )
-        assert received == stats["executed_jobs"]
-
-
-# ---------------------------------------------------------------------------
 # PointSampler: replication seed blocks and the round barrier
 # ---------------------------------------------------------------------------
 
@@ -601,24 +475,6 @@ class TestPointSampler:
             assert means[field] == pytest.approx(expected)
         with pytest.raises(ValueError, match="at least one replication"):
             sampler.prefix_means("OP", 0)
-
-    def test_abnormal_round_cancels_the_engines_queued_batches(self):
-        """A failing round barrier leaves the engine's books balanced: the
-        sampler cancels pending batches before propagating the error."""
-        engine = ParallelRunner(trace_root=None)
-        calls = []
-        original = engine.cancel_pending
-
-        def tracked():
-            calls.append(True)
-            return original()
-
-        engine.cancel_pending = tracked
-        engine.run = lambda jobs: (_ for _ in ()).throw(RuntimeError("boom"))
-        sampler = PointSampler(small_race_spec(), engine)
-        with pytest.raises(RuntimeError, match="boom"):
-            sampler.ensure([("OP", 0)])
-        assert calls == [True]
 
 
 # ---------------------------------------------------------------------------

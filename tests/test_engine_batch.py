@@ -244,12 +244,12 @@ class TestBatchedEquivalence:
 
 
 # ---------------------------------------------------------------------------
-# run_many / run_bound on the processor
+# bind / run_bound on the processor
 # ---------------------------------------------------------------------------
 
 
-class TestRunMany:
-    def test_run_many_matches_fresh_processors(self, small_profile):
+class TestRunBound:
+    def test_run_bound_matches_fresh_processors(self, small_profile):
         program, compiled = WorkloadGenerator(small_profile).generate_compiled_trace(600)
         config = ClusterConfig(num_clusters=2)
 
@@ -262,10 +262,11 @@ class TestRunMany:
             ClusteredProcessor(config, policy).run(compiled) for policy in policies()
         ]
         shared = ClusteredProcessor(config, policies()[0])
-        reused = shared.run_many(compiled, policies())
+        shared.bind(compiled)
+        reused = [shared.run_bound(policy) for policy in policies()]
         assert [m.to_dict() for m in reused] == [m.to_dict() for m in fresh]
 
-    def test_run_many_prepare_reannotates_between_runs(self, small_profile):
+    def test_run_bound_sees_reannotation_between_runs(self, small_profile):
         """Annotation changes between runs are visible: the VC run sees its
         partitioner's annotations, the OP run a cleared trace -- exactly as
         with fresh per-job processors."""
@@ -290,11 +291,11 @@ class TestRunMany:
 
         order = [vc, op, vc]
         shared = ClusteredProcessor(config, vc.make_policy(2, 2))
-        reused = shared.run_many(
-            compiled,
-            [configuration.make_policy(2, 2) for configuration in order],
-            prepare=lambda index: prepare_for(order[index]),
-        )
+        shared.bind(compiled)
+        reused = []
+        for configuration in order:
+            prepare_for(configuration)
+            reused.append(shared.run_bound(configuration.make_policy(2, 2)))
         assert [m.to_dict() for m in reused] == fresh
         assert fresh[0]["copies_generated"] != fresh[1]["copies_generated"] or (
             fresh[0] != fresh[1]
@@ -419,7 +420,6 @@ class TestTraceStatsAggregation:
             "executed_jobs": 6,
             "cached_batches": 0,
             "cached_jobs": 0,
-            "cancelled_jobs": 0,
         }
 
 

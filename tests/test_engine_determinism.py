@@ -79,15 +79,13 @@ class TestSerialVsParallel:
         )
 
     def test_single_phase_api_matches_batched(self):
-        """run_phase (one job) and run_suite (batched) agree exactly."""
+        """A one-benchmark, one-configuration run_suite and the full batched
+        suite agree exactly on every phase."""
         runner = _runner()
-        from repro.workloads.spec2000 import profile_for
-
-        profile = profile_for("164.gzip-1")
-        point = runner.simulation_points(profile)[0]
-        single = runner.run_phase(profile, point, TABLE3_CONFIGURATIONS["VC"])
-        batched = _phase_metrics(runner)[("164.gzip-1", "VC", point.phase)]
-        assert single.metrics == batched
+        single = runner.run_suite(["164.gzip-1"], [TABLE3_CONFIGURATIONS["VC"]])
+        batched = _phase_metrics(runner)
+        for phase in single["164.gzip-1"]["VC"].phase_results:
+            assert phase.metrics == batched[("164.gzip-1", "VC", phase.phase)]
 
 
 class TestCustomRegisteredConfigurations:

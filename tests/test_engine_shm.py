@@ -599,6 +599,29 @@ class TestRunnerLifecycle:
         finally:
             runner.shutdown()
 
+    def test_abandoned_stream_releases_every_task_reference(self, small_profile):
+        """Closing a stream after its first result cancels the tasks that never
+        started and drops every task reference: discarding each segment's
+        resident reference empties the registry, and the next run of the
+        same jobs matches a serial run."""
+        jobs = [
+            make_job(small_profile, c, phase=p) for p in (0, 1, 2, 3) for c in CONFIGURATIONS
+        ]
+        runner = ParallelRunner(max_workers=2, trace_root=None, shared_memory=True)
+        try:
+            stream = runner.run_stream(jobs)
+            next(stream)
+            stream.close()
+            registry = runner._segment_registry()
+            for key in sorted({job.trace_key() for job in jobs}):
+                registry.discard(key)
+            assert len(registry) == 0
+            results = [m.to_dict() for m in runner.run(jobs)]
+        finally:
+            runner.shutdown()
+        serial = ParallelRunner(trace_root=None).run(jobs)
+        assert results == [m.to_dict() for m in serial]
+
     def test_dropped_runner_does_not_leak_segments(self, small_profile):
         jobs = [make_job(small_profile, c, phase=p) for p in (0, 1) for c in CONFIGURATIONS]
         runner = ParallelRunner(max_workers=2, trace_root=None, shared_memory=True)

@@ -21,8 +21,8 @@ These tests pin that contract:
   to a fused form, the kernel has a code for each form, and every form's
   fused dispatch matches the interpreter on a fixed trace at two and four
   clusters,
-* mid-batch fallback: a ``run_many`` sweep mixing lowered and un-lowered
-  policies must match fresh per-policy interpreter runs.
+* mid-batch fallback: a ``bind``/``run_bound`` sweep mixing lowered and
+  un-lowered policies must match fresh per-policy interpreter runs.
 """
 
 from __future__ import annotations
@@ -447,7 +447,7 @@ class TestMidTraceFallback:
             RoundRobinSteering(),
         ]
 
-    def test_run_many_mixes_lowered_and_callback_policies(self):
+    def test_run_bound_mixes_lowered_and_callback_policies(self):
         program, trace = WorkloadGenerator(profile_for("178.galgel")).generate_trace(
             400, phase=0
         )
@@ -463,7 +463,8 @@ class TestMidTraceFallback:
         ]
         policies = self._policies()
         processor = ClusteredProcessor(config, policies[0], kernel="vectorized")
-        batch = [m.as_dict() for m in processor.run_many(compiled, policies)]
+        processor.bind(compiled)
+        batch = [processor.run_bound(policy).as_dict() for policy in policies]
         assert batch == reference
 
 

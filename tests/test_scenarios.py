@@ -352,6 +352,10 @@ class TestScenarioSpecSerialization:
         assert race["stopping"]["mode"] == "race"
 
 
+#: Built-in report kinds that run one replication and take no stopping rule.
+SINGLE_REPLICATION_REPORTS = ("table", "figure5", "figure6", "figure7", "table1", "sweep")
+
+
 class TestStoppingRuleSerialization:
     def test_round_trip_preserves_non_defaults(self):
         rule = StoppingRule(
@@ -392,6 +396,62 @@ class TestStoppingRuleSerialization:
             StoppingRule.from_dict({})
         with pytest.raises(ValueError, match="replications must be at least 1"):
             ScenarioSpec(name="x", replications=0)
+
+    @pytest.mark.parametrize(
+        "overrides, field",
+        [
+            ({"stopping": {"mode": "race", "min_replications": 2.5}}, "'min_replications'"),
+            ({"stopping": {"mode": "race", "min_replications": True}}, "'min_replications'"),
+            ({"stopping": {"mode": "race", "enabled": "no"}}, "'enabled'"),
+            ({"stopping": {"mode": "race", "tie_margin": "x"}}, "'tie_margin'"),
+            ({"stopping": {"mode": "race", "rel_precision": "0.1"}}, "'rel_precision'"),
+            ({"stopping": {"mode": "race", "confidence": True}}, "'confidence'"),
+            ({"stopping": {"mode": "bisect", "axis": 5}}, "'axis'"),
+            ({"stopping": {"mode": "race", "axis": "link_latency"}}, "'axis'"),
+            (
+                {"replications": 2, "stopping": {"mode": "race", "min_replications": 4}},
+                "'min_replications'",
+            ),
+        ]
+        + [
+            ({"report": kind, "replications": 3, "stopping": None}, "'replications'")
+            for kind in SINGLE_REPLICATION_REPORTS
+        ]
+        + [
+            ({"report": kind, "replications": 1}, "'stopping'")
+            for kind in SINGLE_REPLICATION_REPORTS
+        ],
+        ids=[
+            "min_replications-float",
+            "min_replications-bool",
+            "enabled-string",
+            "tie_margin-string",
+            "rel_precision-string",
+            "confidence-bool",
+            "axis-int",
+            "axis-on-race",
+            "replications-below-min",
+        ]
+        + [f"replications-on-{kind}" for kind in SINGLE_REPLICATION_REPORTS]
+        + [f"stopping-on-{kind}" for kind in SINGLE_REPLICATION_REPORTS],
+    )
+    def test_malformed_statistical_field_rejected_naming_it(self, overrides, field):
+        """A statistical field the report would mistype, ignore or fail on
+        is rejected by ``from_dict`` or ``validate``, naming the field."""
+        data = {
+            "name": "x",
+            "report": "race",
+            "configurations": ["OP", "VC"],
+            "replications": 4,
+            "stopping": {"mode": "race"},
+            **overrides,
+        }
+        with pytest.raises(ValueError, match=re.escape(field)):
+            ScenarioSpec.from_dict(data).validate()
+
+    @pytest.mark.parametrize("name", sorted(SCENARIOS.names()))
+    def test_builtin_scenarios_validate(self, name):
+        builtin_scenario(name).validate()
 
 
 class TestSweepExpansion:
