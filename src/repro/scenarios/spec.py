@@ -170,9 +170,6 @@ class SweepAxis:
 #: Stopping-rule modes understood by the adaptive report kinds.
 _STOPPING_MODES = ("ci", "race", "bisect")
 
-#: Stopping-rule modes that sample ``min_replications`` before deciding.
-_REPLICATING_MODES = ("ci", "race")
-
 #: Built-in report kinds that run replication 0 only and take no stopping rule.
 _SINGLE_REPLICATION_REPORTS = ("table", "figure5", "figure6", "figure7", "table1", "sweep")
 
@@ -449,13 +446,13 @@ class ScenarioSpec:
                 )
             if rule is not None:
                 raise ValueError(f"report kind {self.report!r} takes no 'stopping' rule")
-        if rule is None:
-            return
-        if rule.axis is not None and rule.mode != "bisect":
+        if rule is None or rule.mode == "bisect":
+            return  # bisection samples every replication; min_replications is unused
+        if rule.axis is not None:
             raise ValueError(
                 f"stopping-rule 'axis' applies to mode 'bisect' only, not {rule.mode!r}"
             )
-        if rule.mode in _REPLICATING_MODES and self.replications < rule.min_replications:
+        if self.replications < rule.min_replications:
             raise ValueError(
                 f"'replications' ({self.replications}) is below the stopping "
                 f"rule's 'min_replications' ({rule.min_replications})"
