@@ -28,53 +28,12 @@ Quickstart
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import TYPE_CHECKING, Dict
 
-from repro.cluster import (
-    ClusterConfig,
-    ClusteredProcessor,
-    SimulationMetrics,
-    four_cluster_config,
-    simulate_trace,
-    two_cluster_config,
-)
-from repro.engine import ParallelRunner, ResultCache, SimulationJob, TraceArtifactStore
-from repro.experiments import ExperimentRunner, ExperimentSettings, run_table1
-from repro.experiments.configs import (
-    SteeringConfiguration,
-    TABLE3_CONFIGURATIONS,
-    make_configuration,
-    vc_variant,
-)
-from repro.partition import (
-    OperationBasedPartitioner,
-    RhopPartitioner,
-    VirtualClusterPartitioner,
-)
-from repro.program import Program, build_ddg, expand_trace, form_regions
-from repro.scenarios import (
-    MachineSpec,
-    ScenarioSpec,
-    SweepAxis,
-    builtin_scenario,
-    register_machine,
-    register_partitioner,
-    register_policy,
-    run_scenario,
-)
-from repro.steering import (
-    OccupancyAwareSteering,
-    OneClusterSteering,
-    StaticAssignmentSteering,
-    VirtualClusterSteering,
-)
-from repro.uops import CompiledTrace, DynamicUop, StaticInstruction, UopClass, compile_trace
-from repro.workloads import (
-    BenchmarkProfile,
-    WorkloadGenerator,
-    all_trace_names,
-    profile_for,
-)
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.cluster.metrics import SimulationMetrics
 
 __version__ = "1.0.0"
 
@@ -136,6 +95,48 @@ __all__ = [
     "quick_comparison",
 ]
 
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".cluster.config": ("ClusterConfig", "two_cluster_config", "four_cluster_config"),
+        ".cluster.metrics": ("SimulationMetrics",),
+        ".cluster.processor": ("ClusteredProcessor", "simulate_trace"),
+        ".engine.artifacts": ("TraceArtifactStore",),
+        ".engine.cache": ("ResultCache",),
+        ".engine.job": ("SimulationJob",),
+        ".engine.parallel": ("ParallelRunner",),
+        ".experiments.configs": (
+            "SteeringConfiguration",
+            "TABLE3_CONFIGURATIONS",
+            "make_configuration",
+            "vc_variant",
+        ),
+        ".experiments.runner": ("ExperimentRunner", "ExperimentSettings"),
+        ".experiments.table1": ("run_table1",),
+        ".partition.ob_partitioner": ("OperationBasedPartitioner",),
+        ".partition.rhop_partitioner": ("RhopPartitioner",),
+        ".partition.vc_partitioner": ("VirtualClusterPartitioner",),
+        ".program.ddg": ("build_ddg",),
+        ".program.program": ("Program",),
+        ".program.regions": ("form_regions",),
+        ".program.trace": ("expand_trace",),
+        ".scenarios.builtin": ("builtin_scenario",),
+        ".scenarios.registry": ("register_machine", "register_partitioner", "register_policy"),
+        ".scenarios.runner": ("run_scenario",),
+        ".scenarios.spec": ("MachineSpec", "ScenarioSpec", "SweepAxis"),
+        ".steering.occupancy": ("OccupancyAwareSteering",),
+        ".steering.one_cluster": ("OneClusterSteering",),
+        ".steering.static_follow": ("StaticAssignmentSteering",),
+        ".steering.virtual_cluster": ("VirtualClusterSteering",),
+        ".uops.compiled": ("CompiledTrace", "compile_trace"),
+        ".uops.opcodes": ("UopClass",),
+        ".uops.uop": ("DynamicUop", "StaticInstruction"),
+        ".workloads.generator": ("WorkloadGenerator",),
+        ".workloads.profile": ("BenchmarkProfile",),
+        ".workloads.spec2000": ("all_trace_names", "profile_for"),
+    },
+)
+
 
 def quick_comparison(
     benchmark: str = "164.gzip-1", trace_length: int = 2000
@@ -155,6 +156,9 @@ def quick_comparison(
     trace_length:
         Dynamic µops per simulation point.
     """
+    from repro.experiments.configs import TABLE3_CONFIGURATIONS
+    from repro.experiments.runner import ExperimentRunner, ExperimentSettings
+
     settings = ExperimentSettings(trace_length=trace_length, max_phases=1)
     runner = ExperimentRunner(settings)
     per_config = runner.run_suite([benchmark], list(TABLE3_CONFIGURATIONS.values()))[benchmark]

@@ -17,10 +17,7 @@
   numeric analyses stay side-effect free.
 """
 
-from repro.analysis.completion_time import CompletionTimeEstimator
-from repro.analysis.criticality import CriticalityInfo, compute_criticality
-from repro.analysis.slack import SlackInfo, compute_slack
-from repro.analysis.stats import DDGStats, ddg_statistics, program_statistics
+from repro._lazy import lazy_exports
 
 __all__ = [
     "CriticalityInfo",
@@ -32,3 +29,13 @@ __all__ = [
     "ddg_statistics",
     "program_statistics",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".completion_time": ("CompletionTimeEstimator",),
+        ".criticality": ("CriticalityInfo", "compute_criticality"),
+        ".slack": ("SlackInfo", "compute_slack"),
+        ".stats": ("DDGStats", "ddg_statistics", "program_statistics"),
+    },
+)

@@ -6,12 +6,8 @@ Run it as ``python -m repro.analysis [paths]``.  See
 model.
 """
 
-from repro.analysis.detlint.rules import (
-    RULES,
-    RULES_BY_ID,
-    Finding,
-    Rule,
-    check_module,
-)
+from repro._lazy import lazy_exports
 
 __all__ = ["RULES", "RULES_BY_ID", "Finding", "Rule", "check_module"]
+
+__getattr__, __dir__ = lazy_exports(__name__, {".rules": __all__})

@@ -23,11 +23,7 @@ Sub-modules:
 * :mod:`repro.cluster.processor` -- the pipeline putting it all together.
 """
 
-from repro.cluster.cache import CacheStats, MemoryHierarchy, SetAssociativeCache
-from repro.cluster.config import ClusterConfig, two_cluster_config, four_cluster_config
-from repro.cluster.interconnect import Interconnect
-from repro.cluster.metrics import SimulationMetrics
-from repro.cluster.processor import ClusteredProcessor, simulate_trace
+from repro._lazy import lazy_exports
 
 __all__ = [
     "ClusterConfig",
@@ -41,3 +37,14 @@ __all__ = [
     "ClusteredProcessor",
     "simulate_trace",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".cache": ("CacheStats", "MemoryHierarchy", "SetAssociativeCache"),
+        ".config": ("ClusterConfig", "two_cluster_config", "four_cluster_config"),
+        ".interconnect": ("Interconnect",),
+        ".metrics": ("SimulationMetrics",),
+        ".processor": ("ClusteredProcessor", "simulate_trace"),
+    },
+)

@@ -17,6 +17,14 @@ from dataclasses import asdict, dataclass, field, fields
 from typing import Dict, List
 
 
+def _check_count(name: str, value: object) -> None:
+    """Raise ``ValueError`` unless ``value`` is a non-negative int (a bool is not)."""
+    if not (isinstance(value, int) and not isinstance(value, bool) and value >= 0):
+        raise ValueError(
+            f"SimulationMetrics field {name!r} must be a non-negative int, got {value!r}"
+        )
+
+
 @dataclass
 class SimulationMetrics:
     """Counters produced by one run of :class:`~repro.cluster.processor.ClusteredProcessor`."""
@@ -167,7 +175,10 @@ class SimulationMetrics:
         Unknown *and* missing keys are rejected so that stale cache entries
         written by an incompatible schema fail loudly instead of
         deserialising garbage (missing counters would otherwise silently
-        become zeros).
+        become zeros).  So is a dump no run can produce: a counter that is
+        not a non-negative int, fewer than one cluster, a per-cluster list
+        whose length is not ``num_clusters``, or a non-numeric ``cache``
+        value.  Each raises ``ValueError`` naming the field.
         """
         known = {f.name for f in fields(cls)}
         unknown = set(data) - known
@@ -177,11 +188,30 @@ class SimulationMetrics:
         if missing:
             raise ValueError(f"missing SimulationMetrics fields: {sorted(missing)}")
         kwargs = dict(data)
+        for f in fields(cls):
+            if f.type == "int":
+                _check_count(f.name, kwargs[f.name])
+        num_clusters = kwargs["num_clusters"]
+        if num_clusters < 1:
+            raise ValueError(
+                f"SimulationMetrics field 'num_clusters' must be at least 1, got {num_clusters}"
+            )
         for list_field in ("cluster_dispatch", "allocation_stalls", "cluster_copies"):
-            if list_field in kwargs:
-                kwargs[list_field] = list(kwargs[list_field])
-        if "cache" in kwargs:
-            kwargs["cache"] = dict(kwargs["cache"])
+            value = kwargs[list_field]
+            if not isinstance(value, (list, tuple)) or len(value) != num_clusters:
+                raise ValueError(
+                    f"SimulationMetrics field {list_field!r} must list one count per "
+                    f"cluster ({num_clusters}), got {value!r}"
+                )
+            for count in value:
+                _check_count(list_field, count)
+            kwargs[list_field] = list(value)
+        cache = kwargs["cache"]
+        if not isinstance(cache, dict) or not all(
+            isinstance(v, (int, float)) and not isinstance(v, bool) for v in cache.values()
+        ):
+            raise ValueError(f"SimulationMetrics field 'cache' must map to numbers, got {cache!r}")
+        kwargs["cache"] = dict(cache)
         return cls(**kwargs)
 
     def as_dict(self) -> Dict[str, float]:

@@ -7,10 +7,8 @@ in bits, and whether the steering decision is serialised across the dispatch
 group (the timing problem motivating the paper).
 """
 
-from repro.complexity.model import (
-    ComplexityEstimate,
-    SteeringComplexityModel,
-    complexity_table,
-)
+from repro._lazy import lazy_exports
 
 __all__ = ["ComplexityEstimate", "SteeringComplexityModel", "complexity_table"]
+
+__getattr__, __dir__ = lazy_exports(__name__, {".model": __all__})

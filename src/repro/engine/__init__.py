@@ -90,38 +90,7 @@ experiment command.
 
 from __future__ import annotations
 
-from repro.engine.adaptive import (
-    SUPPORTED_CONFIDENCE,
-    ZERO_ADAPTIVE_STATS,
-    BisectOutcome,
-    CIOutcome,
-    ConfigOutcome,
-    RaceOutcome,
-    Welford,
-    ci_halfwidth,
-    run_bisection,
-    run_ci,
-    run_race,
-    t_critical,
-)
-from repro.engine.artifacts import TRACE_ARTIFACT_VERSION, TraceArtifactStore
-from repro.engine.batch import JobBatch, RunPlan
-from repro.engine.cache import ResultCache
-from repro.engine.job import CACHE_SCHEMA_VERSION, SimulationJob
-from repro.engine.parallel import (
-    AUTO_TRACE_ROOT,
-    DEFAULT_MEMO_CAP,
-    ParallelRunner,
-    execute_batch,
-    execute_job,
-    resolve_memo_cap,
-)
-from repro.engine.pool import WorkerPool
-from repro.engine.shm import (
-    SegmentRegistry,
-    SharedTraceSegment,
-    shared_memory_available,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "AUTO_TRACE_ROOT",
@@ -154,3 +123,37 @@ __all__ = [
     "shared_memory_available",
     "t_critical",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".adaptive": (
+            "SUPPORTED_CONFIDENCE",
+            "ZERO_ADAPTIVE_STATS",
+            "BisectOutcome",
+            "CIOutcome",
+            "ConfigOutcome",
+            "RaceOutcome",
+            "Welford",
+            "ci_halfwidth",
+            "run_bisection",
+            "run_ci",
+            "run_race",
+            "t_critical",
+        ),
+        ".artifacts": ("TRACE_ARTIFACT_VERSION", "TraceArtifactStore"),
+        ".batch": ("JobBatch", "RunPlan"),
+        ".cache": ("ResultCache",),
+        ".job": ("CACHE_SCHEMA_VERSION", "SimulationJob"),
+        ".parallel": (
+            "AUTO_TRACE_ROOT",
+            "DEFAULT_MEMO_CAP",
+            "ParallelRunner",
+            "execute_batch",
+            "execute_job",
+            "resolve_memo_cap",
+        ),
+        ".pool": ("WorkerPool",),
+        ".shm": ("SegmentRegistry", "SharedTraceSegment", "shared_memory_available"),
+    },
+)

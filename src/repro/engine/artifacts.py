@@ -39,12 +39,13 @@ import pickle
 import tempfile
 import zipfile
 from pathlib import Path
-from typing import Dict, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Dict, Optional, Tuple, Union
 
-import numpy as np
+if TYPE_CHECKING:  # pragma: no cover - typing only; loaded where artifacts are read or written
+    import numpy as np
 
-from repro.program.program import Program
-from repro.uops.compiled import CompiledTrace
+    from repro.program.program import Program
+    from repro.uops.compiled import CompiledTrace
 
 #: Bump when the artifact layout changes (stored columns, program pickling).
 TRACE_ARTIFACT_VERSION = 1
@@ -63,6 +64,8 @@ def _write_npz(handle, arrays: Dict[str, np.ndarray]) -> None:
     The layout ``np.savez_compressed`` writes -- so ``np.load`` reads these
     files and older artifacts alike -- at :data:`ARTIFACT_DEFLATE_LEVEL`.
     """
+    import numpy as np
+
     with zipfile.ZipFile(
         handle,
         mode="w",
@@ -101,6 +104,10 @@ class TraceArtifactStore:
 
     def get(self, key: str) -> Optional[Tuple[Program, CompiledTrace]]:
         """Load the artifact for ``key``, or ``None`` on any kind of miss."""
+        import numpy as np
+
+        from repro.uops.compiled import CompiledTrace
+
         path = self._path(key)
         try:
             with np.load(path, allow_pickle=False) as data:
@@ -124,6 +131,8 @@ class TraceArtifactStore:
 
     def put(self, key: str, program: Program, trace: CompiledTrace) -> None:
         """Store ``(program, trace)`` under ``key`` (atomic, last-writer-wins)."""
+        import numpy as np
+
         path = self._path(key)
         path.parent.mkdir(parents=True, exist_ok=True)
         payload = dict(trace.stored_columns())

@@ -28,11 +28,11 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import asdict, dataclass
-from typing import TYPE_CHECKING, Tuple
+from typing import TYPE_CHECKING, Dict, Tuple
 
 from repro.cluster.config import ClusterConfig
 from repro.uops.registers import DEFAULT_REGISTER_SPACE, RegisterSpace
-from repro.workloads.generator import BenchmarkProfile
+from repro.workloads.profile import BenchmarkProfile
 
 if TYPE_CHECKING:  # import at type-check time only: repro.experiments imports
     # the engine back, and jobs only *hold* configurations (the instances
@@ -44,6 +44,11 @@ if TYPE_CHECKING:  # import at type-check time only: repro.experiments imports
 #: previously cached metrics stale.  (2: declarative registry-based
 #: configuration identities replaced the Table 3 base-name identities.)
 CACHE_SCHEMA_VERSION = 2
+
+
+#: ``asdict`` of each resolved machine by ``(num_clusters, config_overrides)``:
+#: the jobs of a figure run share one geometry, so each is converted once.
+_MACHINE_IDENTITIES: Dict[Tuple[object, ...], Dict[str, object]] = {}
 
 
 def _canonical_json(payload: object) -> str:
@@ -164,6 +169,10 @@ class SimulationJob:
             effective_vcs = configuration.effective_virtual_clusters(self.num_virtual_clusters)
         else:
             effective_vcs = None
+        geometry = (self.num_clusters, self.config_overrides)
+        machine = _MACHINE_IDENTITIES.get(geometry)
+        if machine is None:
+            machine = _MACHINE_IDENTITIES[geometry] = asdict(self.machine_config())
         payload = {
             "schema": CACHE_SCHEMA_VERSION,
             "profile": self.profile.identity,
@@ -172,7 +181,7 @@ class SimulationJob:
             "trace_length": self.trace_length,
             "region_size": self.region_size if configuration.uses_compiler else None,
             "num_virtual_clusters": effective_vcs,
-            "machine_config": asdict(self.machine_config()),
+            "machine_config": machine,
             "register_space": {
                 "num_int": self.register_space.num_int,
                 "num_fp": self.register_space.num_fp,

@@ -53,12 +53,10 @@ import warnings
 import weakref
 from collections import OrderedDict
 from concurrent.futures import Future, as_completed
-from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.cluster.metrics import SimulationMetrics
-from repro.cluster.processor import ClusteredProcessor
 from repro.engine.adaptive import ZERO_ADAPTIVE_STATS
 from repro.engine.artifacts import TraceArtifactStore
 from repro.engine.batch import JobBatch, RunPlan
@@ -66,7 +64,6 @@ from repro.engine.cache import ResultCache
 from repro.engine.job import SimulationJob
 from repro.engine.pool import WorkerPool
 from repro.engine.shm import SegmentRegistry, attach_segment, shared_memory_available
-from repro.workloads.generator import WorkloadGenerator
 
 class _AutoTraceRoot:
     """Unique sentinel type for :data:`AUTO_TRACE_ROOT` (compared by identity,
@@ -152,6 +149,8 @@ def _trace_for(
         return cached
     entry = store.get(trace_key) if store is not None else None
     if entry is None:
+        from repro.workloads.generator import WorkloadGenerator
+
         generator = WorkloadGenerator(job.profile, register_space=job.register_space)
         program, compiled = generator.generate_compiled_trace(job.trace_length, phase=job.phase)
         entry = (program, compiled)
@@ -205,6 +204,8 @@ def execute_job(
     the policy and a fresh machine, simulate.  The dict return type keeps the
     cross-process payload plain (cheap to pickle, schema-checked on rebuild).
     """
+    from repro.cluster.processor import ClusteredProcessor
+
     program, compiled = _trace_for(job, trace_root, trace_store)
     policy = _prepare_job(job, program, compiled)
     processor = ClusteredProcessor(job.machine_config(), policy, job.register_space)
@@ -223,6 +224,8 @@ def _simulate_batch(jobs: Sequence[SimulationJob], program, compiled) -> List[Di
     from clean state) is exactly :func:`execute_job`'s, so dumps are
     bit-identical to per-job execution.
     """
+    from repro.cluster.processor import ClusteredProcessor
+
     trace_key = jobs[0].trace_key()
     strays = [job.label for job in jobs[1:] if job.trace_key() != trace_key]
     if strays:
@@ -623,6 +626,13 @@ class ParallelRunner:
         poisoned pool (no leaked executor processes) and surfaces as a clear
         error, and outstanding segment references are always released.
         """
+        from concurrent.futures.process import BrokenProcessPool
+
+        # Workers are forked from this process: load the simulator and the
+        # trace generator once here, not once per worker.
+        import repro.cluster.processor  # noqa: F401
+        import repro.workloads.generator  # noqa: F401
+
         use_shm = self._use_shared_memory()
         registry = self._segment_registry() if use_shm else None
         if registry is not None:

@@ -23,8 +23,11 @@ run failed too.  :class:`WorkerPool` pins the rules down:
 
 from __future__ import annotations
 
-from concurrent.futures import Future, ProcessPoolExecutor
-from typing import Optional
+from concurrent.futures import Future
+from typing import TYPE_CHECKING, Optional
+
+if TYPE_CHECKING:  # pragma: no cover - typing only; imported when the pool spawns
+    from concurrent.futures import ProcessPoolExecutor
 
 
 class WorkerPool:
@@ -53,6 +56,8 @@ class WorkerPool:
     def executor(self) -> ProcessPoolExecutor:
         """The live executor, spawning the workers if needed."""
         if self._executor is None:
+            from concurrent.futures import ProcessPoolExecutor
+
             self._executor = ProcessPoolExecutor(max_workers=self.max_workers)
             self.spawn_count += 1
         return self._executor

@@ -66,16 +66,10 @@ import os
 import pickle
 import weakref
 from collections import OrderedDict
-from typing import Callable, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Optional, Tuple
 
-import numpy as np
-
-try:  # pragma: no cover - import succeeds on every supported platform
-    from multiprocessing import shared_memory as _shared_memory
-except ImportError:  # pragma: no cover - e.g. stripped-down interpreters
-    _shared_memory = None
-
-from repro.uops.compiled import CompiledTrace
+if TYPE_CHECKING:  # pragma: no cover - typing only; loaded where segments are built
+    from repro.uops.compiled import CompiledTrace
 
 #: Bump when the in-block layout changes (header schema, alignment).
 SEGMENT_LAYOUT_VERSION = 1
@@ -88,9 +82,18 @@ _ALIGN = 64
 _PREFIX = 8
 
 
+def _shared_memory():
+    """``multiprocessing.shared_memory``, or ``None`` where the platform lacks it."""
+    try:
+        from multiprocessing import shared_memory
+    except ImportError:  # pragma: no cover - e.g. stripped-down interpreters
+        return None
+    return shared_memory
+
+
 def shared_memory_available() -> bool:
     """Whether this platform can back :class:`SharedTraceSegment` at all."""
-    return _shared_memory is not None
+    return _shared_memory() is not None
 
 
 def _align(offset: int) -> int:
@@ -143,7 +146,10 @@ class SharedTraceSegment:
         extent), the pickled program, then the raw column bytes, each
         aligned to 64 bytes.
         """
-        if _shared_memory is None:  # pragma: no cover - guarded by callers
+        import numpy as np
+
+        shared_memory = _shared_memory()
+        if shared_memory is None:  # pragma: no cover - guarded by callers
             raise RuntimeError("multiprocessing.shared_memory is unavailable")
         program_bytes = pickle.dumps(program, protocol=pickle.HIGHEST_PROTOCOL)
         columns = compiled.stored_columns()
@@ -182,7 +188,7 @@ class SharedTraceSegment:
             slot = len(header_bytes) + _ALIGN
         total = data_base + relative
 
-        shm = _shared_memory.SharedMemory(create=True, size=max(total, 1), name=name)
+        shm = shared_memory.SharedMemory(create=True, size=max(total, 1), name=name)
         try:
             buffer = shm.buf
             buffer[0:_PREFIX] = len(header_bytes).to_bytes(_PREFIX, "little")
@@ -202,9 +208,10 @@ class SharedTraceSegment:
     @classmethod
     def attach(cls, name: str) -> "SharedTraceSegment":
         """Map an existing segment by name (no unlink responsibility)."""
-        if _shared_memory is None:  # pragma: no cover - guarded by callers
+        shared_memory = _shared_memory()
+        if shared_memory is None:  # pragma: no cover - guarded by callers
             raise RuntimeError("multiprocessing.shared_memory is unavailable")
-        shm = _shared_memory.SharedMemory(name=name)
+        shm = shared_memory.SharedMemory(name=name)
         _unregister_from_tracker(shm)
         header = cls._read_header(shm)
         return cls(shm, str(header["trace_key"]), owner=False)
@@ -229,6 +236,10 @@ class SharedTraceSegment:
         mutable copy -- annotation passes write to it); the trace columns are
         read-only zero-copy views over the shared buffer.
         """
+        import numpy as np
+
+        from repro.uops.compiled import CompiledTrace
+
         header = self._read_header(self._shm)
         program_offset, program_length = header["program"]
         program = pickle.loads(
@@ -266,7 +277,7 @@ class SharedTraceSegment:
             raise RuntimeError(f"segment {self.name!r} is attached, not owned; not unlinking")
         try:
             # Re-opening by name is how the owner unlinks after close().
-            _shared_memory.SharedMemory(name=self.name).unlink()
+            _shared_memory().SharedMemory(name=self.name).unlink()
         except FileNotFoundError:
             pass
 

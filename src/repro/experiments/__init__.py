@@ -18,22 +18,7 @@ holds only the computation the scenario report kinds call.
 * :mod:`repro.experiments.report` -- plain-text table formatting.
 """
 
-from repro.experiments.configs import (
-    SteeringConfiguration,
-    TABLE3_CONFIGURATIONS,
-    make_configuration,
-    table3_configurations,
-    vc_variant,
-)
-from repro.experiments.figure6 import Figure6Point, Figure6Result, run_figure6
-from repro.experiments.report import format_table
-from repro.experiments.runner import (
-    BenchmarkResult,
-    ExperimentRunner,
-    ExperimentSettings,
-)
-from repro.experiments.slowdown import SlowdownResult, run_slowdown
-from repro.experiments.table1 import run_table1
+from repro._lazy import lazy_exports
 
 __all__ = [
     "SteeringConfiguration",
@@ -52,3 +37,21 @@ __all__ = [
     "run_table1",
     "format_table",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".configs": (
+            "SteeringConfiguration",
+            "TABLE3_CONFIGURATIONS",
+            "make_configuration",
+            "table3_configurations",
+            "vc_variant",
+        ),
+        ".figure6": ("Figure6Point", "Figure6Result", "run_figure6"),
+        ".report": ("format_table",),
+        ".runner": ("BenchmarkResult", "ExperimentRunner", "ExperimentSettings"),
+        ".slowdown": ("SlowdownResult", "run_slowdown"),
+        ".table1": ("run_table1",),
+    },
+)

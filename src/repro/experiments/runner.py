@@ -26,8 +26,8 @@ from repro.engine.job import SimulationJob
 from repro.engine.parallel import ParallelRunner
 from repro.experiments.configs import SteeringConfiguration
 from repro.uops.registers import DEFAULT_REGISTER_SPACE, RegisterSpace
-from repro.workloads.generator import BenchmarkProfile
 from repro.workloads.pinpoints import SimulationPoint, select_simulation_points, weighted_average
+from repro.workloads.profile import BenchmarkProfile
 from repro.workloads.spec2000 import profile_for
 
 
@@ -45,7 +45,9 @@ class ExperimentSettings:
     trace_length:
         Dynamic µops per simulation point.  The paper uses 10 M; the default
         here is scaled down so a pure-Python simulation of the full suite
-        stays tractable -- relative results are stable well below 10 M.
+        stays tractable.  Measured on Figure 5 from 2,500 to 32,000 µops,
+        VC's lead over OB and RHOP holds at every length, but RHOP beats OB
+        only at 2,500.
     max_phases:
         Cap on simulation points per benchmark (the paper caps at 10).
     region_size:

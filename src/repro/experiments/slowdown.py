@@ -16,11 +16,43 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence
 
-import numpy as np
-
 from repro.experiments.configs import SteeringConfiguration
 from repro.experiments.runner import ExperimentRunner, slowdown_percent
 from repro.workloads.spec2000 import profile_for
+
+
+def _pairwise_sum(values: List[float]) -> float:
+    """numpy's pairwise float64 sum of ``values``, in numpy's exact order.
+
+    Below 8 values a plain loop; up to 128, eight strided accumulators
+    folded pairwise, then the tail; above 128, the sums of two halves split
+    at ``n // 2`` rounded down to a multiple of 8.
+    """
+    n = len(values)
+    if n < 8:
+        total = 0.0
+        for value in values:
+            total += value
+        return total
+    if n <= 128:
+        r = values[:8]
+        end = n - n % 8
+        for i in range(8, end, 8):
+            for j in range(8):
+                r[j] += values[i + j]
+        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        for value in values[end:]:
+            total += value
+        return total
+    half = n // 2
+    half -= half % 8
+    return _pairwise_sum(values[:half]) + _pairwise_sum(values[half:])
+
+
+def float64_mean(values: Sequence[float]) -> float:
+    """``float(np.mean(values))`` bit for bit, without numpy; 0.0 when empty."""
+    values = [float(value) for value in values]
+    return _pairwise_sum(values) / len(values) if values else 0.0
 
 
 @dataclass
@@ -48,8 +80,9 @@ class SlowdownResult:
             names = self.int_benchmarks + self.fp_benchmarks
         else:
             raise ValueError(f"unknown suite {suite!r}")
-        values = [self.slowdowns[name][configuration] for name in names if name in self.slowdowns]
-        return float(np.mean(values)) if values else 0.0
+        return float64_mean(
+            [self.slowdowns[name][configuration] for name in names if name in self.slowdowns]
+        )
 
     def averages_table(self) -> List[Dict[str, object]]:
         """Panel (c): INT / FP / CPU2000 average slowdowns of each configuration."""

@@ -18,12 +18,7 @@ write their results as annotations on the static instructions (the ISA
 extension modelled in :mod:`repro.uops.encoding`).
 """
 
-from repro.partition.base import PartitionReport, RegionPartitioner
-from repro.partition.chains import Chain, identify_chains
-from repro.partition.multilevel import MultilevelPartitioner, PartitionObjective
-from repro.partition.ob_partitioner import OperationBasedPartitioner
-from repro.partition.rhop_partitioner import RhopPartitioner
-from repro.partition.vc_partitioner import VirtualClusterPartitioner
+from repro._lazy import lazy_exports
 
 __all__ = [
     "PartitionReport",
@@ -36,3 +31,15 @@ __all__ = [
     "RhopPartitioner",
     "VirtualClusterPartitioner",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".base": ("PartitionReport", "RegionPartitioner"),
+        ".chains": ("Chain", "identify_chains"),
+        ".multilevel": ("MultilevelPartitioner", "PartitionObjective"),
+        ".ob_partitioner": ("OperationBasedPartitioner",),
+        ".rhop_partitioner": ("RhopPartitioner",),
+        ".vc_partitioner": ("VirtualClusterPartitioner",),
+    },
+)

@@ -19,12 +19,7 @@ baselines) operates on a conventional compiler IR:
   dynamic µop trace consumed by the simulator.
 """
 
-from repro.program.basic_block import BasicBlock
-from repro.program.cfg import ControlFlowGraph, CFGEdge
-from repro.program.ddg import DataDependenceGraph, build_ddg
-from repro.program.program import Program
-from repro.program.regions import Region, form_regions
-from repro.program.trace import TraceGenerator, expand_trace
+from repro._lazy import lazy_exports
 
 __all__ = [
     "BasicBlock",
@@ -38,3 +33,15 @@ __all__ = [
     "TraceGenerator",
     "expand_trace",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".basic_block": ("BasicBlock",),
+        ".cfg": ("ControlFlowGraph", "CFGEdge"),
+        ".ddg": ("DataDependenceGraph", "build_ddg"),
+        ".program": ("Program",),
+        ".regions": ("Region", "form_regions"),
+        ".trace": ("TraceGenerator", "expand_trace"),
+    },
+)

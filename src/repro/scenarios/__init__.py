@@ -19,6 +19,7 @@ else here loads lazily to keep the import graph acyclic.
 
 from __future__ import annotations
 
+from repro._lazy import lazy_exports
 from repro.scenarios.registry import (
     MACHINES,
     PARTITIONERS,
@@ -58,26 +59,15 @@ __all__ = [
     "REPORT_KINDS",
 ]
 
-#: Lazily imported public names -> defining submodule (PEP 562).  Eager
-#: imports here would cycle: spec/runner import the experiment harness, which
-#: imports the simulator, whose leaf modules import this package's registry.
-_LAZY = {
-    "MachineSpec": "repro.scenarios.spec",
-    "SweepAxis": "repro.scenarios.spec",
-    "ScenarioSpec": "repro.scenarios.spec",
-    "StoppingRule": "repro.scenarios.spec",
-    "PointSampler": "repro.scenarios.adaptive",
-    "replicate_profile": "repro.scenarios.adaptive",
-    "builtin_scenario": "repro.scenarios.builtin",
-    "run_scenario": "repro.scenarios.runner",
-    "REPORT_KINDS": "repro.scenarios.runner",
-}
-
-
-def __getattr__(name: str):
-    module_name = _LAZY.get(name)
-    if module_name is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    import importlib
-
-    return getattr(importlib.import_module(module_name), name)
+#: Eager imports of the rest would cycle: spec/runner import the experiment
+#: harness, which imports the simulator, whose leaf modules import this
+#: package's registry.
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".spec": ("MachineSpec", "SweepAxis", "ScenarioSpec", "StoppingRule"),
+        ".adaptive": ("PointSampler", "replicate_profile"),
+        ".builtin": ("builtin_scenario",),
+        ".runner": ("run_scenario", "REPORT_KINDS"),
+    },
+)

@@ -56,7 +56,7 @@ from repro.experiments.report import format_table
 from repro.experiments.runner import ExperimentRunner, PhaseMatrix, slowdown_percent
 from repro.scenarios.runner import REPORT_KINDS, _require_configurations, aggregate_suite
 from repro.scenarios.spec import ScenarioSpec, StoppingRule
-from repro.workloads.generator import BenchmarkProfile
+from repro.workloads.profile import BenchmarkProfile
 from repro.workloads.spec2000 import profile_for
 
 #: Seed-block stride between replications.  Prime and far larger than any

@@ -126,10 +126,26 @@ class Registry:
 
 
 #: Run-time steering policy builders.
-POLICIES = Registry("steering policy", builtin_modules=("repro.steering",))
+POLICIES = Registry(
+    "steering policy",
+    builtin_modules=(
+        "repro.steering.baselines",
+        "repro.steering.occupancy",
+        "repro.steering.one_cluster",
+        "repro.steering.static_follow",
+        "repro.steering.virtual_cluster",
+    ),
+)
 
 #: Compile-time partitioner builders.
-PARTITIONERS = Registry("partitioner", builtin_modules=("repro.partition",))
+PARTITIONERS = Registry(
+    "partitioner",
+    builtin_modules=(
+        "repro.partition.ob_partitioner",
+        "repro.partition.rhop_partitioner",
+        "repro.partition.vc_partitioner",
+    ),
+)
 
 #: Machine presets (Table 2 geometries).
 MACHINES = Registry("machine preset", builtin_modules=("repro.cluster.config",))

@@ -31,11 +31,9 @@ from dataclasses import replace
 from typing import Dict, List, Optional, Sequence
 
 from repro.engine.parallel import ParallelRunner
-from repro.experiments.figure6 import run_figure6
 from repro.experiments.report import format_key_values, format_table
 from repro.experiments.runner import BenchmarkResult, ExperimentRunner, slowdown_percent
 from repro.experiments.slowdown import SlowdownResult, run_slowdown
-from repro.experiments.table1 import run_table1
 from repro.scenarios.registry import Registry
 from repro.scenarios.spec import ScenarioSpec
 
@@ -172,6 +170,8 @@ def _figure5_report(spec: ScenarioSpec, engine: ParallelRunner) -> str:
 @REPORT_KINDS.register("figure6")
 def _figure6_report(spec: ScenarioSpec, engine: ParallelRunner) -> str:
     """Figure 6 summaries: the subject scheme versus each comparison scheme."""
+    from repro.experiments.figure6 import run_figure6
+
     _reject_sweep(spec)
     configurations = _require_configurations(spec, minimum=2)
     runner = ExperimentRunner(spec.settings(), engine=engine)
@@ -209,6 +209,8 @@ def _figure7_report(spec: ScenarioSpec, engine: ParallelRunner) -> str:
 @REPORT_KINDS.register("table1")
 def _table1_report(spec: ScenarioSpec, engine: ParallelRunner) -> str:
     """Table 1: steering-unit complexity of the spec's configurations."""
+    from repro.experiments.table1 import run_table1
+
     _reject_sweep(spec)
     configurations = _require_configurations(spec)
     rows = run_table1(

@@ -22,21 +22,7 @@ Each policy also declares which hardware structures it needs
 complexity comparison.
 """
 
-from repro.steering.base import (
-    STALL,
-    SteeringContext,
-    SteeringHardware,
-    SteeringPolicy,
-)
-from repro.steering.baselines import (
-    DependenceOnlySteering,
-    LoadBalanceSteering,
-    RoundRobinSteering,
-)
-from repro.steering.occupancy import OccupancyAwareSteering
-from repro.steering.one_cluster import OneClusterSteering
-from repro.steering.static_follow import StaticAssignmentSteering
-from repro.steering.virtual_cluster import VirtualClusterSteering
+from repro._lazy import lazy_exports
 
 __all__ = [
     "STALL",
@@ -51,3 +37,15 @@ __all__ = [
     "LoadBalanceSteering",
     "DependenceOnlySteering",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".base": ("STALL", "SteeringContext", "SteeringHardware", "SteeringPolicy"),
+        ".baselines": ("DependenceOnlySteering", "LoadBalanceSteering", "RoundRobinSteering"),
+        ".occupancy": ("OccupancyAwareSteering",),
+        ".one_cluster": ("OneClusterSteering",),
+        ".static_follow": ("StaticAssignmentSteering",),
+        ".virtual_cluster": ("VirtualClusterSteering",),
+    },
+)

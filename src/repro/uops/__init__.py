@@ -19,27 +19,7 @@ microarchitecture simulator (:mod:`repro.cluster`):
   consumes and the engine persists as on-disk artifacts (see DESIGN.md).
 """
 
-from repro.uops.compiled import (
-    NO_ANNOTATION,
-    CompiledTrace,
-    CompiledUopView,
-    compile_trace,
-)
-from repro.uops.encoding import SteeringAnnotation, encode_annotation, decode_annotation
-from repro.uops.opcodes import (
-    UopClass,
-    latency_of,
-    queue_of,
-    IssueQueueKind,
-    is_memory,
-    is_floating_point,
-    is_branch,
-    INT_OPCODES,
-    FP_OPCODES,
-    MEM_OPCODES,
-)
-from repro.uops.registers import RegisterSpace, RegisterKind
-from repro.uops.uop import StaticInstruction, DynamicUop
+from repro._lazy import lazy_exports
 
 __all__ = [
     "UopClass",
@@ -64,3 +44,25 @@ __all__ = [
     "encode_annotation",
     "decode_annotation",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".compiled": ("NO_ANNOTATION", "CompiledTrace", "CompiledUopView", "compile_trace"),
+        ".encoding": ("SteeringAnnotation", "encode_annotation", "decode_annotation"),
+        ".opcodes": (
+            "UopClass",
+            "IssueQueueKind",
+            "latency_of",
+            "queue_of",
+            "is_memory",
+            "is_floating_point",
+            "is_branch",
+            "INT_OPCODES",
+            "FP_OPCODES",
+            "MEM_OPCODES",
+        ),
+        ".registers": ("RegisterSpace", "RegisterKind"),
+        ".uop": ("StaticInstruction", "DynamicUop"),
+    },
+)

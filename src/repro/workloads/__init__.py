@@ -8,9 +8,11 @@ equivalent that exercises the same code paths:
 * :mod:`repro.workloads.kernels` -- building-block instruction patterns
   (serial chains, parallel chains, reductions, streaming loops, branchy
   integer code) with distinct DDG shapes.
+* :mod:`repro.workloads.profile` -- :class:`~repro.workloads.profile.BenchmarkProfile`,
+  the kernel kinds and per-phase seeds; plain data, loaded without numpy.
 * :mod:`repro.workloads.generator` -- a parametric program generator that
   composes kernels into basic blocks, loops and a CFG according to a
-  :class:`~repro.workloads.generator.BenchmarkProfile`.
+  :class:`~repro.workloads.profile.BenchmarkProfile`.
 * :mod:`repro.workloads.spec2000` -- one profile per SPEC CPU2000 trace used
   in Figures 5-7 (26 integer traces, 14 floating-point traces).
 * :mod:`repro.workloads.pinpoints` -- PinPoints-style weighted simulation
@@ -21,22 +23,7 @@ on DDG shape (chain length, ILP, criticality spread) and memory behaviour,
 which the profiles control explicitly.
 """
 
-from repro.workloads.generator import BenchmarkProfile, WorkloadGenerator, generate_program
-from repro.workloads.kernels import (
-    KernelKind,
-    branchy_kernel,
-    parallel_chains_kernel,
-    reduction_kernel,
-    serial_chain_kernel,
-    stream_kernel,
-)
-from repro.workloads.pinpoints import SimulationPoint, select_simulation_points, weighted_average
-from repro.workloads.spec2000 import (
-    SPEC_INT_TRACES,
-    SPEC_FP_TRACES,
-    all_trace_names,
-    profile_for,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "BenchmarkProfile",
@@ -56,3 +43,20 @@ __all__ = [
     "all_trace_names",
     "profile_for",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".generator": ("WorkloadGenerator", "generate_program"),
+        ".kernels": (
+            "branchy_kernel",
+            "parallel_chains_kernel",
+            "reduction_kernel",
+            "serial_chain_kernel",
+            "stream_kernel",
+        ),
+        ".pinpoints": ("SimulationPoint", "select_simulation_points", "weighted_average"),
+        ".profile": ("BenchmarkProfile", "KernelKind"),
+        ".spec2000": ("SPEC_INT_TRACES", "SPEC_FP_TRACES", "all_trace_names", "profile_for"),
+    },
+)

@@ -28,26 +28,16 @@ built from them are fully reproducible.
 
 from __future__ import annotations
 
-import enum
 from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from repro.uops.opcodes import UopClass
 from repro.uops.registers import RegisterSpace
+from repro.workloads.profile import KernelKind
 
 #: An instruction spec: (opclass, destination registers, source registers).
 InstructionSpec = Tuple[UopClass, Tuple[int, ...], Tuple[int, ...]]
-
-
-class KernelKind(enum.Enum):
-    """Enumeration of the available kernels, used by benchmark profiles."""
-
-    SERIAL_CHAIN = "serial_chain"
-    PARALLEL_CHAINS = "parallel_chains"
-    REDUCTION = "reduction"
-    STREAM = "stream"
-    BRANCHY = "branchy"
 
 
 class RegisterPool:

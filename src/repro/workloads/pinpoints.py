@@ -18,9 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Sequence
 
-import numpy as np
-
-from repro.workloads.generator import BenchmarkProfile, WorkloadGenerator
+from repro.workloads.profile import BenchmarkProfile, phase_seed
 
 #: Maximum number of phases per benchmark, as in the paper.
 MAX_PHASES = 10
@@ -49,24 +47,27 @@ def select_simulation_points(
     The number of points is ``min(profile.num_phases, max_phases)``.  Weights
     are drawn from a Dirichlet-like scheme seeded by the benchmark so that
     phases have unequal but reproducible importance (as PinPoints weights
-    do), and always sum to 1.
+    do), and always sum to 1.  A single point has weight 1.0.
     """
     if max_phases < 1:
         raise ValueError("max_phases must be positive")
     num = min(profile.num_phases, max_phases)
-    generator = WorkloadGenerator(profile)
-    rng = np.random.default_rng(profile.base_seed * 31 + 17)
-    raw = rng.dirichlet(np.ones(num) * 2.0) if num > 1 else np.array([1.0])
-    points = [
+    if num == 1:
+        weights = [1.0]
+    else:
+        import numpy as np
+
+        rng = np.random.default_rng(profile.base_seed * 31 + 17)
+        weights = [float(weight) for weight in rng.dirichlet(np.ones(num) * 2.0)]
+    return [
         SimulationPoint(
             benchmark=profile.name,
             phase=phase,
-            weight=float(raw[phase]),
-            seed=generator.phase_seed(phase),
+            weight=weights[phase],
+            seed=phase_seed(profile, phase),
         )
         for phase in range(num)
     ]
-    return points
 
 
 def weighted_average(values: Sequence[float], points: Sequence[SimulationPoint]) -> float:

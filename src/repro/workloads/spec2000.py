@@ -1,6 +1,6 @@
 """SPEC CPU2000 trace profiles.
 
-One :class:`~repro.workloads.generator.BenchmarkProfile` per trace used in
+One :class:`~repro.workloads.profile.BenchmarkProfile` per trace used in
 the paper's evaluation (Figures 5-7).  The x-axes of Figures 5 and 7 list the
 traces: several benchmarks contribute multiple PinPoints traces
 (``gzip-1``..``gzip-5``, ``gcc-1``..``gcc-5``, ...).
@@ -24,8 +24,7 @@ from __future__ import annotations
 
 from typing import Dict, List
 
-from repro.workloads.generator import BenchmarkProfile
-from repro.workloads.kernels import KernelKind
+from repro.workloads.profile import BenchmarkProfile, KernelKind
 
 # ---------------------------------------------------------------------------
 # Profile helpers

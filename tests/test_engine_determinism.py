@@ -11,6 +11,7 @@ every field including the per-cluster lists and the cache summary floats.
 
 from __future__ import annotations
 
+import json
 from typing import Dict, List, Tuple
 
 from repro.cluster.metrics import SimulationMetrics
@@ -205,6 +206,21 @@ class TestCacheReplay:
         replay = _phase_metrics(replay_runner)
         assert replay_runner.engine.cache.misses == 0
         assert_identical(parallel, replay)
+
+    def test_structurally_impossible_entry_is_a_miss(self, tmp_path):
+        """An entry with a negative counter is re-simulated, not served."""
+        cache_dir = tmp_path / "cache"
+        fresh = _phase_metrics(_runner(cache_dir=str(cache_dir)))
+        entry = sorted(cache_dir.glob("??/*.json"))[0]
+        dump = json.loads(entry.read_text(encoding="utf-8"))
+        dump["branches"] = -5
+        entry.write_text(json.dumps(dump), encoding="utf-8")
+
+        replay_runner = _runner(cache_dir=str(cache_dir))
+        replay = _phase_metrics(replay_runner)
+        assert replay_runner.engine.cache.hits == len(fresh) - 1
+        assert replay_runner.engine.cache.misses == 1
+        assert_identical(fresh, replay)
 
     def test_cache_keys_depend_on_trace_length(self, tmp_path):
         """A different trace length must never hit the same cache entries."""

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import gc
 import os
-import types
 from pathlib import Path
 
 import numpy as np
@@ -229,18 +228,15 @@ class TestSegmentRoundTrip:
     def test_fault_after_create_leaves_no_segment(self, monkeypatch, small_profile):
         """A column copy that raises after ``SharedMemory(create=True)``
         re-raises, and the half-written block is closed and unlinked (the
-        autouse fixture checks ``/dev/shm`` too)."""
-        import repro.engine.shm as shm_module
+        autouse fixture checks ``/dev/shm`` too).  ``create`` imports numpy
+        when it runs, so the fault goes into ``numpy.ndarray``, the column
+        views it copies into."""
 
         def failing_view(*args, **kwargs):
             raise MemoryError("injected fault in the column copy")
 
         program, compiled = WorkloadGenerator(small_profile).generate_compiled_trace(300)
-        monkeypatch.setattr(
-            shm_module,
-            "np",
-            types.SimpleNamespace(ascontiguousarray=np.ascontiguousarray, ndarray=failing_view),
-        )
+        monkeypatch.setattr(np, "ndarray", failing_view)
         name = f"repro-{os.getpid()}-fault"
         with pytest.raises(MemoryError, match="injected fault"):
             SharedTraceSegment.create("fault", program, compiled, name=name)

@@ -5,10 +5,15 @@
 * ``import repro.cli`` loads no optional graph library: every CLI start pays
   for what the import pulls in, and ``networkx`` alone cost about 0.1 s.
   Nor does it load the lint driver, which has its own front end.
+* A figure replayed from the result cache loads neither numpy nor the
+  simulator nor the worker pool: package exports resolve lazily, and each
+  module imports numpy where it touches arrays.
+* Every ``__all__`` name of every ``repro`` package still resolves.
 """
 
 from __future__ import annotations
 
+import importlib
 import os
 import subprocess
 import sys
@@ -17,6 +22,7 @@ from pathlib import Path
 import pytest
 
 import repro
+from repro.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -44,3 +50,63 @@ def test_cli_import_leaves_the_lint_driver_unloaded():
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     result = subprocess.run([sys.executable, "-c", code], env=env, timeout=120)
     assert result.returncode == 0, "import repro.cli pulled in the lint driver"
+
+
+#: Modules a cache replay must not load: they are what makes a cold start slow.
+REPLAY_UNLOADED = (
+    "numpy",
+    "multiprocessing",
+    "concurrent.futures.process",
+    "repro.cluster.kernel",
+    "repro.uops.compiled",
+)
+
+REPLAY_ARGV = [
+    "run", "figure5", "--benchmarks", "164.gzip-1", "178.galgel", "--trace-length", "600",
+]
+
+
+def _tables(report: str) -> str:
+    return "".join(line for line in report.splitlines(True) if not line.startswith("["))
+
+
+def test_cache_replay_leaves_numpy_and_the_simulator_unloaded(tmp_path, capsys):
+    cache_argv = REPLAY_ARGV + ["--cache-dir", str(tmp_path / "cache")]
+    assert main(cache_argv) == 0
+    filled = capsys.readouterr().out
+    code = (
+        "import sys\n"
+        "UNLOADED = {unloaded!r}\n"
+        "def loaded(stage):\n"
+        "    found = [name for name in UNLOADED if name in sys.modules]\n"
+        "    if found:\n"
+        "        sys.exit(f'{{stage}} loaded {{found}}')\n"
+        "import repro\n"
+        "loaded('import repro')\n"
+        "import repro.cli\n"
+        "loaded('import repro.cli')\n"
+        "repro.cli.main({argv!r})\n"
+        "loaded('the replay')\n"
+    ).format(unloaded=REPLAY_UNLOADED, argv=cache_argv)
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
+    assert "hits=10 misses=0" in result.stdout
+    assert _tables(result.stdout) == _tables(filled)
+
+
+def _packages():
+    src = ROOT / "src"
+    return sorted(
+        ".".join(path.parent.relative_to(src).parts)
+        for path in (src / "repro").rglob("__init__.py")
+    )
+
+
+@pytest.mark.parametrize("package", _packages())
+def test_every_exported_name_resolves(package):
+    module = importlib.import_module(package)
+    missing = [name for name in module.__all__ if not hasattr(module, name)]
+    assert not missing, f"{package}.__all__ names nothing for {missing}"

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import json
+import random
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -12,6 +14,7 @@ from repro.analysis.slack import compute_slack
 from repro.cluster.config import ClusterConfig
 from repro.cluster.metrics import SimulationMetrics
 from repro.cluster.processor import simulate_trace
+from repro.experiments.slowdown import float64_mean
 from repro.partition.chains import identify_chains
 from repro.partition.multilevel import MultilevelPartitioner
 from repro.partition.vc_partitioner import VirtualClusterPartitioner
@@ -360,6 +363,28 @@ class TestMetricsRoundTrip:
         with pytest.raises(ValueError):
             SimulationMetrics.from_dict({})
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("branches", -5),
+            ("cycles", 1.5),
+            ("vc_remaps", True),
+            ("num_clusters", 0),
+            ("cluster_dispatch", [1, 2, 3]),
+            ("allocation_stalls", [0, -1]),
+            ("cluster_copies", [0, False]),
+            ("cache", {"l1_hit_rate": "high"}),
+            ("cache", {"l1_misses": True}),
+        ],
+    )
+    def test_from_dict_rejects_impossible_dumps(self, field, value):
+        """A dump no run can produce fails naming its field, so the result
+        cache serves it as a miss instead of as metrics."""
+        dump = SimulationMetrics(num_clusters=2).to_dict()
+        dump[field] = value
+        with pytest.raises(ValueError, match=field):
+            SimulationMetrics.from_dict(dump)
+
     @settings(max_examples=5, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(instructions=instruction_sequences(min_size=5, max_size=40))
     def test_real_simulation_metrics_round_trip(self, instructions):
@@ -367,3 +392,20 @@ class TestMetricsRoundTrip:
         config = ClusterConfig(fetch_to_dispatch_latency=1, warm_caches=False)
         metrics = simulate_trace(trace, VirtualClusterSteering(2), config)
         assert SimulationMetrics.from_dict(json.loads(json.dumps(metrics.to_dict()))) == metrics
+
+
+# ---------------------------------------------------------------------------
+# Report arithmetic
+# ---------------------------------------------------------------------------
+
+class TestFloat64Mean:
+    @settings(max_examples=200, deadline=None)
+    @given(length=st.integers(min_value=0, max_value=300), seed=st.integers(0, 2**32 - 1))
+    def test_matches_numpy_mean_bit_for_bit(self, length, seed):
+        """Lengths 0-300 run the plain loop (< 8), the eight accumulators
+        (<= 128) and the recursive halving (> 128) of numpy's pairwise sum,
+        on magnitudes from 1e-3 to 1e3 of both signs."""
+        rng = random.Random(seed)
+        values = [rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-3.0, 3.0) for _ in range(length)]
+        expected = float(np.mean(values)) if values else 0.0
+        assert float64_mean(values).hex() == expected.hex()
