@@ -9,9 +9,9 @@ variables:
 ``REPRO_BENCH_FULL=1``
     Run the complete trace list (all 26 integer + 14 floating-point traces).
 ``REPRO_BENCH_SCALE=<float>``
-    Multiply the default trace length (2 500 µops per simulation point).
+    Multiply the figure scenario's trace length (µops per simulation point).
 ``REPRO_BENCH_PHASES=<int>``
-    Number of PinPoints phases per benchmark (default 1).
+    Number of PinPoints phases per benchmark (default: the scenario's).
 
 The reproduced rows are attached to each benchmark's ``extra_info`` so they
 appear in ``pytest-benchmark``'s JSON output, and are also printed so that
@@ -22,11 +22,13 @@ reports.
 from __future__ import annotations
 
 import os
+from typing import Optional
 
 import pytest
 
 from repro.cluster.config import ClusterConfig
-from repro.experiments.runner import ExperimentSettings
+from repro.scenarios.builtin import builtin_scenario
+from repro.scenarios.spec import ScenarioSpec, scenario_overrides
 from repro.workloads.generator import WorkloadGenerator
 from repro.workloads.spec2000 import all_trace_names, profile_for
 
@@ -51,19 +53,15 @@ def resolve_bench_scale() -> float:
     return float(os.environ.get("REPRO_BENCH_SCALE", "1.0"))
 
 
-def resolve_bench_phases() -> int:
-    """Phases per benchmark from ``REPRO_BENCH_PHASES``."""
-    return int(os.environ.get("REPRO_BENCH_PHASES", "1"))
+def resolve_bench_phases() -> Optional[int]:
+    """Phases per benchmark from ``REPRO_BENCH_PHASES`` (``None``: the scenario's)."""
+    phases = os.environ.get("REPRO_BENCH_PHASES")
+    return int(phases) if phases else None
 
 
 def resolve_bench_full() -> bool:
     """Whether ``REPRO_BENCH_FULL=1`` asks for the full trace list."""
     return os.environ.get("REPRO_BENCH_FULL", "0") == "1"
-
-
-def bench_trace_length() -> int:
-    """Dynamic µops per simulation point."""
-    return max(500, int(2500 * resolve_bench_scale()))
 
 
 def benchmark_names() -> list[str]:
@@ -73,26 +71,26 @@ def benchmark_names() -> list[str]:
     return list(DEFAULT_SUBSET)
 
 
-@pytest.fixture(scope="session")
-def two_cluster_settings() -> ExperimentSettings:
-    """Settings of the paper's base machine (2 clusters, 2 virtual clusters)."""
-    return ExperimentSettings(
-        num_clusters=2,
-        num_virtual_clusters=2,
-        trace_length=bench_trace_length(),
+def _bench_spec(name: str) -> ScenarioSpec:
+    """Built-in scenario ``name`` at the benchmark scale and phases."""
+    spec = builtin_scenario(name)
+    return scenario_overrides(
+        spec,
+        trace_length=max(500, int(spec.trace_length * resolve_bench_scale())),
         max_phases=resolve_bench_phases(),
     )
 
 
 @pytest.fixture(scope="session")
-def four_cluster_settings() -> ExperimentSettings:
-    """Settings of the scalability machine (4 clusters)."""
-    return ExperimentSettings(
-        num_clusters=4,
-        num_virtual_clusters=4,
-        trace_length=bench_trace_length(),
-        max_phases=resolve_bench_phases(),
-    )
+def two_cluster_settings() -> ScenarioSpec:
+    """The paper's base machine (2 clusters, 2 virtual clusters): Figure 5's spec."""
+    return _bench_spec("figure5")
+
+
+@pytest.fixture(scope="session")
+def four_cluster_settings() -> ScenarioSpec:
+    """The scalability machine (4 clusters, 4 virtual clusters): Figure 7's spec."""
+    return _bench_spec("figure7")
 
 
 @pytest.fixture(scope="session")

@@ -110,7 +110,7 @@ def _run_manual_grid():
     ]
     configurations = list(spec.configurations)
     with ParallelRunner(cache=None, trace_root=None) as engine:
-        runner = ExperimentRunner(spec.settings(), engine=engine)
+        runner = ExperimentRunner(spec, engine=engine)
         suite = runner.run_suite(profiles, configurations)
         names = [profile.name for profile in profiles]
         return {

@@ -32,9 +32,10 @@ from repro.cluster.processor import ClusteredProcessor
 from repro.engine.artifacts import TraceArtifactStore
 from repro.engine.parallel import ParallelRunner
 from repro.experiments.configs import TABLE3_CONFIGURATIONS
-from repro.experiments.runner import ExperimentRunner, ExperimentSettings
+from repro.experiments.runner import ExperimentRunner
 from repro.partition.rhop_partitioner import RhopPartitioner
 from repro.partition.vc_partitioner import VirtualClusterPartitioner
+from repro.scenarios.spec import ScenarioSpec
 from repro.steering.occupancy import OccupancyAwareSteering
 from repro.steering.virtual_cluster import VirtualClusterSteering
 from repro.uops.compiled import compile_trace
@@ -268,9 +269,7 @@ def test_engine_parallel_speedup(benchmark):
     machines.  On single-core runners the speedup naturally hovers at or
     below 1 (pool overhead); the number is still worth recording.
     """
-    settings = ExperimentSettings(
-        num_clusters=2, num_virtual_clusters=2, trace_length=1200, max_phases=1
-    )
+    spec = ScenarioSpec(name="engine-speedup", trace_length=1200, max_phases=1)
     benchmarks = ["164.gzip-1", "176.gcc-1", "178.galgel", "171.swim"]
     configurations = [TABLE3_CONFIGURATIONS["OP"], TABLE3_CONFIGURATIONS["VC"]]
     workers = os.cpu_count() or 1
@@ -283,16 +282,16 @@ def test_engine_parallel_speedup(benchmark):
     # pay it too.  (Trace artifacts are disabled so this benchmark keeps
     # measuring raw engine scaling; the artifact benchmark above covers the
     # load-instead-of-regenerate path.)
-    ExperimentRunner(settings).run_suite(benchmarks, configurations)
+    ExperimentRunner(spec).run_suite(benchmarks, configurations)
 
     start = time.perf_counter()
-    serial = ExperimentRunner(settings).run_suite(benchmarks, configurations)
+    serial = ExperimentRunner(spec).run_suite(benchmarks, configurations)
     serial_seconds = time.perf_counter() - start
 
     engine = ParallelRunner(max_workers=workers)
 
     def run_parallel():
-        return ExperimentRunner(settings, engine=engine).run_suite(benchmarks, configurations)
+        return ExperimentRunner(spec, engine=engine).run_suite(benchmarks, configurations)
 
     try:
         parallel = benchmark.pedantic(run_parallel, rounds=1, iterations=1)

@@ -15,29 +15,30 @@ from __future__ import annotations
 
 import sys
 
-from repro.experiments import ExperimentRunner, ExperimentSettings, run_figure6, run_slowdown
+from repro.experiments import ExperimentRunner, run_figure6, run_slowdown
 from repro.experiments.report import format_key_values, format_table
 from repro.scenarios.builtin import builtin_scenario
+from repro.scenarios.spec import scenario_overrides
 from repro.workloads import all_trace_names
 
 DEFAULT_BENCHMARKS = ["164.gzip-1", "176.gcc-1", "181.mcf", "178.galgel", "171.swim"]
 
 
 def main() -> None:
-    trace_length = int(sys.argv[1]) if len(sys.argv) > 1 else 2500
+    trace_length = int(sys.argv[1]) if len(sys.argv) > 1 else None
     benchmarks = sys.argv[2:] or DEFAULT_BENCHMARKS
     unknown = [name for name in benchmarks if name not in all_trace_names("all")]
     if unknown:
         raise SystemExit(f"unknown benchmarks: {unknown}")
 
-    runner = ExperimentRunner(
-        ExperimentSettings(
-            num_clusters=2, num_virtual_clusters=2, trace_length=trace_length, max_phases=2
-        )
+    # Figures 5 and 6 share the 2-cluster machine and the simulation knobs.
+    spec = scenario_overrides(
+        builtin_scenario("figure5"), benchmarks=benchmarks, trace_length=trace_length
     )
+    runner = ExperimentRunner(spec)
 
-    print(f"Figure 5 (subset): {len(benchmarks)} benchmarks, {trace_length} µops/phase\n")
-    figure5 = run_slowdown(runner, benchmarks, builtin_scenario("figure5").configurations)
+    print(f"Figure 5 (subset): {len(benchmarks)} benchmarks, {spec.trace_length} µops/phase\n")
+    figure5 = run_slowdown(runner, benchmarks, spec.configurations)
     rows = []
     for name in benchmarks:
         row = {"benchmark": name}

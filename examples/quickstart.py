@@ -10,7 +10,7 @@ Usage::
 
     python examples/quickstart.py [benchmark] [trace_length]
 
-    python examples/quickstart.py                 # 164.gzip-1, 3000 µops
+    python examples/quickstart.py                 # the quickstart scenario's defaults
     python examples/quickstart.py 178.galgel 5000
 """
 
@@ -20,12 +20,20 @@ import sys
 
 from repro import quick_comparison
 from repro.experiments.report import format_table
+from repro.scenarios.builtin import builtin_scenario
+from repro.scenarios.spec import scenario_overrides
 from repro.workloads import all_trace_names
 
 
 def main() -> None:
-    benchmark = sys.argv[1] if len(sys.argv) > 1 else "164.gzip-1"
-    trace_length = int(sys.argv[2]) if len(sys.argv) > 2 else 3000
+    # Omitted arguments fall back to the built-in quickstart scenario.
+    spec = scenario_overrides(
+        builtin_scenario("quickstart"),
+        benchmarks=sys.argv[1:2] or None,
+        trace_length=int(sys.argv[2]) if len(sys.argv) > 2 else None,
+    )
+    (benchmark,) = spec.benchmarks
+    trace_length = spec.trace_length
     if benchmark not in all_trace_names("all"):
         raise SystemExit(
             f"unknown benchmark {benchmark!r}; pick one of {', '.join(all_trace_names('all'))}"

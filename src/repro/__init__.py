@@ -21,14 +21,14 @@ scratch in Python:
 Quickstart
 ----------
 >>> from repro import quick_comparison
->>> results = quick_comparison("164.gzip-1", trace_length=2000)
+>>> results = quick_comparison("164.gzip-1")
 >>> sorted(results)  # doctest: +ELLIPSIS
 ['OB', 'OP', 'RHOP', 'VC', 'one-cluster']
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict
+from typing import TYPE_CHECKING, Dict, Optional
 
 from repro._lazy import lazy_exports
 
@@ -86,7 +86,6 @@ __all__ = [
     "register_machine",
     # experiments
     "ExperimentRunner",
-    "ExperimentSettings",
     "SteeringConfiguration",
     "TABLE3_CONFIGURATIONS",
     "make_configuration",
@@ -111,7 +110,7 @@ __getattr__, __dir__ = lazy_exports(
             "make_configuration",
             "vc_variant",
         ),
-        ".experiments.runner": ("ExperimentRunner", "ExperimentSettings"),
+        ".experiments.runner": ("ExperimentRunner",),
         ".experiments.table1": ("run_table1",),
         ".partition.ob_partitioner": ("OperationBasedPartitioner",),
         ".partition.rhop_partitioner": ("RhopPartitioner",),
@@ -139,29 +138,34 @@ __getattr__, __dir__ = lazy_exports(
 
 
 def quick_comparison(
-    benchmark: str = "164.gzip-1", trace_length: int = 2000
+    benchmark: Optional[str] = None, trace_length: Optional[int] = None
 ) -> Dict[str, SimulationMetrics]:
-    """Run every Table 3 configuration on one benchmark and return the metrics.
+    """Run the built-in ``quickstart`` scenario and return its phase-0 metrics.
 
-    This is the one-call entry point used by the quickstart example: it
-    generates the benchmark's first simulation point on the 2-cluster
-    machine, annotates it with each compile-time pass, simulates all five
-    configurations on the same trace with the default serial engine and
-    returns ``{configuration name: SimulationMetrics}``.
+    The one-call entry point used by the quickstart example: every Table 3
+    configuration simulates the benchmark's first simulation point on the
+    2-cluster machine, on the same trace, with the default serial engine.
+    Returns ``{configuration name: SimulationMetrics}``.
 
     Parameters
     ----------
     benchmark:
-        A SPEC CPU2000 trace name (see :func:`repro.workloads.all_trace_names`).
+        A SPEC CPU2000 trace name (see :func:`repro.workloads.all_trace_names`);
+        ``None`` means the scenario's benchmark.
     trace_length:
-        Dynamic µops per simulation point.
+        Dynamic µops per simulation point; ``None`` means the scenario's.
     """
-    from repro.experiments.configs import TABLE3_CONFIGURATIONS
-    from repro.experiments.runner import ExperimentRunner, ExperimentSettings
+    from repro.experiments.runner import ExperimentRunner
+    from repro.scenarios.builtin import builtin_scenario
+    from repro.scenarios.spec import scenario_overrides
 
-    settings = ExperimentSettings(trace_length=trace_length, max_phases=1)
-    runner = ExperimentRunner(settings)
-    per_config = runner.run_suite([benchmark], list(TABLE3_CONFIGURATIONS.values()))[benchmark]
+    spec = scenario_overrides(
+        builtin_scenario("quickstart"),
+        benchmarks=None if benchmark is None else [benchmark],
+        trace_length=trace_length,
+    )
+    (name,) = spec.benchmarks
+    per_config = ExperimentRunner(spec).run_suite([name], spec.configurations)[name]
     # Surface the first phase's metrics object; weighted aggregates are in
     # the BenchmarkResult itself.
-    return {name: per_config[name].phase_results[0].metrics for name in TABLE3_CONFIGURATIONS}
+    return {config: result.phase_results[0].metrics for config, result in per_config.items()}

@@ -360,9 +360,17 @@ def _load_scenario(ref: str) -> ScenarioSpec:
 # -- commands -------------------------------------------------------------------------
 
 
+def _overridden(spec: ScenarioSpec, **overrides) -> ScenarioSpec:
+    """:func:`scenario_overrides`, with a bad value (``--trace-length 0``) exiting cleanly."""
+    try:
+        return scenario_overrides(spec, **overrides)
+    except ValueError as exc:
+        raise SystemExit(f"invalid scenario {spec.name!r}: {exc}")
+
+
 def cmd_run(args: argparse.Namespace) -> str:
     """``run``: execute a built-in scenario or a JSON scenario file, overrides applied."""
-    spec = scenario_overrides(
+    spec = _overridden(
         _load_scenario(args.scenario),
         benchmarks=_benchmarks(args),
         trace_length=args.trace_length,
@@ -408,9 +416,9 @@ def cmd_list_benchmarks(args: argparse.Namespace) -> str:
 
 def cmd_quickstart(args: argparse.Namespace) -> str:
     """``quickstart``: the ``quickstart`` scenario with ``--benchmark`` applied."""
-    spec = scenario_overrides(
+    spec = _overridden(
         builtin_scenario("quickstart"),
-        benchmarks=[args.benchmark],
+        benchmarks=None if args.benchmark is None else [args.benchmark],
         trace_length=args.trace_length,
     )
     return _execute_spec(spec, args)
@@ -448,8 +456,11 @@ def build_parser() -> argparse.ArgumentParser:
     list_parser.set_defaults(handler=cmd_list_benchmarks)
 
     quick_parser = subparsers.add_parser("quickstart", help="five configurations on one benchmark")
-    quick_parser.add_argument("--benchmark", default="164.gzip-1")
-    quick_parser.add_argument("--trace-length", type=int, default=3000)
+    # Omitted options (None) take the quickstart scenario's values.
+    quick_parser.add_argument("--benchmark", help="trace name (default: the scenario's)")
+    quick_parser.add_argument(
+        "--trace-length", type=int, help="µops per simulation point (default: the scenario's)"
+    )
     _add_engine_options(quick_parser)
     quick_parser.set_defaults(handler=cmd_quickstart)
 

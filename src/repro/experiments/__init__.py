@@ -27,7 +27,6 @@ __all__ = [
     "table3_configurations",
     "vc_variant",
     "ExperimentRunner",
-    "ExperimentSettings",
     "BenchmarkResult",
     "SlowdownResult",
     "run_slowdown",
@@ -50,7 +49,7 @@ __getattr__, __dir__ = lazy_exports(
         ),
         ".figure6": ("Figure6Point", "Figure6Result", "run_figure6"),
         ".report": ("format_table",),
-        ".runner": ("BenchmarkResult", "ExperimentRunner", "ExperimentSettings"),
+        ".runner": ("BenchmarkResult", "ExperimentRunner"),
         ".slowdown": ("SlowdownResult", "run_slowdown"),
         ".table1": ("run_table1",),
     },

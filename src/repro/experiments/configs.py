@@ -147,7 +147,7 @@ class SteeringConfiguration:
         return num_virtual_clusters
 
     def partitioner_key(
-        self, num_clusters: int, num_virtual_clusters: int, region_size: int = 128
+        self, num_clusters: int, num_virtual_clusters: int, region_size: int
     ) -> Optional[Tuple[object, ...]]:
         """Every input of the compile-time pass's builder, or ``None`` without a pass.
 
@@ -168,7 +168,7 @@ class SteeringConfiguration:
         )
 
     def make_partitioner(
-        self, num_clusters: int, num_virtual_clusters: int, region_size: int = 128
+        self, num_clusters: int, num_virtual_clusters: int, region_size: int
     ) -> Optional["RegionPartitioner"]:
         """Instantiate the compile-time pass (or ``None``)."""
         key = self.partitioner_key(num_clusters, num_virtual_clusters, region_size)

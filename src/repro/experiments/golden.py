@@ -23,15 +23,23 @@ from pathlib import Path
 from typing import Dict, List
 
 from repro.experiments.configs import TABLE3_CONFIGURATIONS
-from repro.experiments.runner import ExperimentRunner, ExperimentSettings
+from repro.experiments.runner import ExperimentRunner
+from repro.scenarios.spec import MachineSpec, ScenarioSpec
 
 #: Committed snapshot location (inside the test tree so it ships with tests).
 GOLDEN_PATH = Path(__file__).resolve().parents[3] / "tests" / "golden" / "golden_metrics.json"
 
 #: Settings of the golden runs: deliberately small so the regression test is
 #: cheap, but long enough that steering differences show up in the counters.
-GOLDEN_SETTINGS = ExperimentSettings(
-    num_clusters=2, num_virtual_clusters=2, trace_length=800, max_phases=1
+#: Every knob is spelled out, so a change of the spec's defaults never moves
+#: the snapshot.
+GOLDEN_SETTINGS = ScenarioSpec(
+    name="golden",
+    machine=MachineSpec(preset="table2-2c"),
+    num_virtual_clusters=2,
+    trace_length=800,
+    max_phases=1,
+    region_size=128,
 )
 
 #: The pinned benchmark/configuration pairs: every Table 3 configuration,
@@ -76,7 +84,7 @@ def compute_golden_snapshot() -> Dict[str, object]:
         )
     return {
         "settings": {
-            "num_clusters": GOLDEN_SETTINGS.num_clusters,
+            "num_clusters": runner.num_clusters,
             "num_virtual_clusters": GOLDEN_SETTINGS.num_virtual_clusters,
             "trace_length": GOLDEN_SETTINGS.trace_length,
             "max_phases": GOLDEN_SETTINGS.max_phases,

@@ -17,8 +17,8 @@ fixed order -- so serial, parallel and cache-replay runs are bit-identical.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass, field, fields
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.cluster.config import ClusterConfig
 from repro.cluster.metrics import SimulationMetrics
@@ -30,46 +30,8 @@ from repro.workloads.pinpoints import SimulationPoint, select_simulation_points,
 from repro.workloads.profile import BenchmarkProfile
 from repro.workloads.spec2000 import profile_for
 
-
-@dataclass(frozen=True)
-class ExperimentSettings:
-    """Knobs shared by every experiment.
-
-    Parameters
-    ----------
-    num_clusters:
-        Physical clusters of the simulated machine.
-    num_virtual_clusters:
-        Virtual clusters used by the VC configuration (2 in the paper's base
-        setup; 2 or 4 in the Figure 7 study).
-    trace_length:
-        Dynamic µops per simulation point.  The paper uses 10 M; the default
-        here is scaled down so a pure-Python simulation of the full suite
-        stays tractable.  Measured on Figure 5 from 2,500 to 32,000 µops,
-        VC's lead over OB and RHOP holds at every length, but RHOP beats OB
-        only at 2,500.
-    max_phases:
-        Cap on simulation points per benchmark (the paper caps at 10).
-    region_size:
-        Compiler window (instructions per region) for the software passes.
-    config_overrides:
-        Extra :class:`~repro.cluster.config.ClusterConfig` field overrides
-        (used by the ablation sweeps).
-    """
-
-    num_clusters: int = 2
-    num_virtual_clusters: int = 2
-    trace_length: int = 4000
-    max_phases: int = 2
-    region_size: int = 128
-    config_overrides: Dict[str, object] = field(default_factory=dict)
-
-    def machine_config(self) -> ClusterConfig:
-        """The :class:`ClusterConfig` these settings describe."""
-        config = ClusterConfig(num_clusters=self.num_clusters)
-        if self.config_overrides:
-            config = config.with_overrides(**self.config_overrides)
-        return config
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.scenarios.spec import ScenarioSpec
 
 
 @dataclass
@@ -127,8 +89,11 @@ class ExperimentRunner:
 
     Parameters
     ----------
-    settings:
-        Shared experiment knobs (machine geometry, trace length, phases).
+    spec:
+        The experiment's :class:`~repro.scenarios.spec.ScenarioSpec`: its
+        machine, virtual-cluster count, trace length, phases and region size
+        fix every job (its benchmarks and configurations are the caller's
+        to pass, so one runner serves any subset).
     engine:
         The :class:`~repro.engine.parallel.ParallelRunner` every simulation
         goes through; several runners may share one (its cache, worker pool
@@ -140,18 +105,30 @@ class ExperimentRunner:
 
     def __init__(
         self,
-        settings: Optional[ExperimentSettings] = None,
+        spec: "ScenarioSpec",
         engine: Optional[ParallelRunner] = None,
         register_space: RegisterSpace = DEFAULT_REGISTER_SPACE,
     ) -> None:
-        self.settings = settings or ExperimentSettings()
+        self.spec = spec
         self.engine = engine if engine is not None else ParallelRunner()
         self.register_space = register_space
+        # The engine keys jobs by the geometry plus the fields that differ
+        # from the Table 2 machine of that cluster count.
+        machine = spec.machine.resolve()
+        default = ClusterConfig(num_clusters=machine.num_clusters)
+        self.num_clusters = machine.num_clusters
+        self.config_overrides = tuple(
+            sorted(
+                (f.name, getattr(machine, f.name))
+                for f in fields(ClusterConfig)
+                if getattr(machine, f.name) != getattr(default, f.name)
+            )
+        )
 
     # -- job expansion ----------------------------------------------------------------
     def simulation_points(self, profile: BenchmarkProfile) -> List[SimulationPoint]:
-        """Weighted simulation points of ``profile`` under the current settings."""
-        return select_simulation_points(profile, max_phases=self.settings.max_phases)
+        """Weighted simulation points of ``profile`` under the spec's phase cap."""
+        return select_simulation_points(profile, max_phases=self.spec.max_phases)
 
     def make_job(
         self,
@@ -160,16 +137,16 @@ class ExperimentRunner:
         configuration: SteeringConfiguration,
     ) -> SimulationJob:
         """The engine job simulating ``point`` of ``profile`` under ``configuration``."""
-        settings = self.settings
+        spec = self.spec
         return SimulationJob(
             profile=profile,
             phase=point.phase,
             configuration=configuration,
-            trace_length=settings.trace_length,
-            region_size=settings.region_size,
-            num_clusters=settings.num_clusters,
-            num_virtual_clusters=settings.num_virtual_clusters,
-            config_overrides=tuple(sorted(settings.config_overrides.items())),
+            trace_length=spec.trace_length,
+            region_size=spec.region_size,
+            num_clusters=self.num_clusters,
+            num_virtual_clusters=spec.num_virtual_clusters,
+            config_overrides=self.config_overrides,
             register_space=self.register_space,
         )
 

@@ -2,50 +2,40 @@
 
 The paper compares the hardware structures needed by the hardware-only
 occupancy-aware steering (OP) and the hybrid virtual clustering (VC).  This
-driver reproduces the table for all five Table 3 configurations (plus any
-extra policies the caller passes in) and adds the storage estimate and
-serialisation flag from :mod:`repro.complexity.model`.
+driver reproduces the table for a line-up of configurations -- the ``table1``
+scenario's is all five Table 3 configurations -- and adds the storage
+estimate and serialisation flag from :mod:`repro.complexity.model`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from repro.cluster.config import ClusterConfig
 from repro.complexity.model import complexity_table
-from repro.experiments.configs import SteeringConfiguration, TABLE3_CONFIGURATIONS
-from repro.steering.base import SteeringPolicy
+from repro.experiments.configs import SteeringConfiguration
 
 
 def run_table1(
-    config: Optional[ClusterConfig] = None,
-    num_virtual_clusters: int = 2,
-    extra_policies: Optional[Sequence[SteeringPolicy]] = None,
-    configurations: Optional[Sequence[SteeringConfiguration]] = None,
+    config: ClusterConfig,
+    num_virtual_clusters: int,
+    configurations: Sequence[SteeringConfiguration],
 ) -> List[Dict[str, object]]:
-    """Reproduce Table 1 (extended to all evaluated configurations).
+    """Reproduce Table 1 for ``configurations`` on the ``config`` machine.
 
     Parameters
     ----------
     config:
-        Machine configuration (2-cluster Table 2 machine by default).
+        Machine configuration.
     num_virtual_clusters:
         Mapping-table size of the VC policy.
-    extra_policies:
-        Additional policies (e.g. the ablation baselines) to include.
     configurations:
-        Configurations to compare; Table 3 when omitted.
+        Configurations to compare, one row each.
     """
-    config = config or ClusterConfig(num_clusters=2)
-    if configurations is None:
-        configurations = [
-            TABLE3_CONFIGURATIONS[name] for name in ("OP", "one-cluster", "OB", "RHOP", "VC")
-        ]
-    policies: List[SteeringPolicy] = []
-    for configuration in configurations:
-        policies.append(configuration.make_policy(config.num_clusters, num_virtual_clusters))
-    if extra_policies:
-        policies.extend(extra_policies)
+    policies = [
+        configuration.make_policy(config.num_clusters, num_virtual_clusters)
+        for configuration in configurations
+    ]
     return complexity_table(policies, config)
 
 

@@ -113,7 +113,7 @@ class PointSampler:
         self.configurations: Dict[str, SteeringConfiguration] = {
             configuration.name: configuration for configuration in spec.configurations
         }
-        self.runner = ExperimentRunner(spec.settings(), engine=engine)
+        self.runner = ExperimentRunner(spec, engine=engine)
         self.profiles: List[BenchmarkProfile] = [
             profile_for(name) for name in spec.resolved_benchmarks()
         ]

@@ -104,8 +104,7 @@ def _table_report(spec: ScenarioSpec, engine: ParallelRunner) -> str:
     """Weighted per-benchmark comparison tables of every configuration."""
     _reject_sweep(spec)
     configurations = _require_configurations(spec)
-    settings = spec.settings()
-    runner = ExperimentRunner(settings, engine=engine)
+    runner = ExperimentRunner(spec, engine=engine)
     benchmarks = spec.resolved_benchmarks()
     suite = runner.run_suite(benchmarks, configurations)
     baseline_name = configurations[0].name
@@ -137,10 +136,9 @@ def _slowdown_figure(
     """Run a slowdown figure (5 or 7), checking the spec's machine first."""
     _reject_sweep(spec)
     configurations = _require_configurations(spec, minimum=2)
-    settings = spec.settings()
-    if settings.num_clusters != num_clusters:
+    runner = ExperimentRunner(spec, engine=engine)
+    if runner.num_clusters != num_clusters:
         raise ValueError(f"Figure {figure} is defined for the {num_clusters}-cluster machine")
-    runner = ExperimentRunner(settings, engine=engine)
     return run_slowdown(runner, spec.resolved_benchmarks(), configurations)
 
 
@@ -174,7 +172,7 @@ def _figure6_report(spec: ScenarioSpec, engine: ParallelRunner) -> str:
 
     _reject_sweep(spec)
     configurations = _require_configurations(spec, minimum=2)
-    runner = ExperimentRunner(spec.settings(), engine=engine)
+    runner = ExperimentRunner(spec, engine=engine)
     result = run_figure6(runner, spec.resolved_benchmarks(), configurations)
     subject = configurations[0].name
     return _join(
@@ -252,7 +250,7 @@ def sweep_rows(spec: ScenarioSpec, engine: ParallelRunner) -> List[Dict[str, obj
     points = []
     jobs = []
     for point, point_spec in spec.expand_sweep():
-        runner = ExperimentRunner(point_spec.settings(), engine=engine)
+        runner = ExperimentRunner(point_spec, engine=engine)
         benchmarks = point_spec.resolved_benchmarks()
         matrix = runner.expand_phase_matrix(benchmarks, configurations)
         points.append((point, runner, benchmarks, matrix, len(jobs)))

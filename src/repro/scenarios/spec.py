@@ -38,7 +38,6 @@ from repro.experiments.configs import (
     freeze_params,
     thaw_params,
 )
-from repro.experiments.runner import ExperimentSettings
 from repro.scenarios.registry import build_machine
 
 #: ScenarioSpec fields a sweep axis may target directly.
@@ -91,7 +90,7 @@ class MachineSpec:
         if unknown:
             raise ValueError(f"unknown machine fields {sorted(unknown)}")
         return cls(
-            preset=str(data.get("preset", "table2-2c")),
+            preset=str(data.get("preset", cls.preset)),
             overrides=freeze_params(data.get("overrides")),
         )
 
@@ -276,7 +275,7 @@ class StoppingRule:
         return cls(**{name: data[name] for name in known if name in data})
 
 
-#: Scenario fields :meth:`ScenarioSpec.from_dict` requires to be positive ints.
+#: Scenario fields that must be positive ints.
 _POSITIVE_INT_FIELDS = (
     "num_virtual_clusters",
     "trace_length",
@@ -289,6 +288,11 @@ _POSITIVE_INT_FIELDS = (
 @dataclass(frozen=True)
 class ScenarioSpec:
     """One declaratively described experiment.
+
+    The spec is the only settings type: an
+    :class:`~repro.experiments.runner.ExperimentRunner` takes its machine
+    and simulation knobs from one, so these field defaults are the
+    experiment defaults everywhere.
 
     Parameters
     ----------
@@ -310,9 +314,17 @@ class ScenarioSpec:
         Trace names; empty means the full SPEC CPU2000 suite.
     configurations:
         Steering configurations, baseline (or comparison subject) first.
-    trace_length / max_phases / region_size:
-        Simulation knobs, as in
-        :class:`~repro.experiments.runner.ExperimentSettings`.
+    trace_length:
+        Dynamic µops per simulation point.  The paper uses 10 M; the
+        default is scaled down so a pure-Python simulation of the full
+        suite stays tractable.  Measured on Figure 5 from 2,500 to 32,000
+        µops, VC's lead over OB and RHOP holds at every length, but RHOP
+        beats OB only at 2,500.
+    max_phases:
+        Cap on PinPoints simulation points per benchmark (the paper caps
+        at 10).
+    region_size:
+        Compiler window (instructions per region) of the software passes.
     sweep:
         Sweep axes, grid-expanded by :meth:`expand_sweep` (used by the
         ``"sweep"`` report kind).  No two axes may set the same field.
@@ -351,8 +363,13 @@ class ScenarioSpec:
         duplicates = {name for name in names if names.count(name) > 1}
         if duplicates:
             raise ValueError(f"duplicate configuration names: {sorted(duplicates)}")
-        if self.replications < 1:
-            raise ValueError("replications must be at least 1")
+        for field_name in _POSITIVE_INT_FIELDS:
+            value = getattr(self, field_name)
+            # bool is an int subclass, but True is not a count.
+            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+                raise ValueError(
+                    f"scenario {field_name!r} must be a positive integer, not {value!r}"
+                )
         swept: Dict[str, str] = {}
         for axis in self.sweep:
             for field_name in axis.target_fields:
@@ -362,31 +379,6 @@ class ScenarioSpec:
                         f"both set field {field_name!r}"
                     )
                 swept[field_name] = axis.parameter
-
-    # -- execution-facing views --------------------------------------------------
-    def settings(self) -> ExperimentSettings:
-        """The :class:`ExperimentSettings` this spec describes.
-
-        The machine preset is resolved to a full
-        :class:`~repro.cluster.config.ClusterConfig` and re-expressed as the
-        geometry plus the fields that differ from the Table 2 defaults, which
-        is exactly what the engine keys its cache by.
-        """
-        machine_config = self.machine.resolve()
-        default = ClusterConfig(num_clusters=machine_config.num_clusters)
-        overrides = {
-            f.name: getattr(machine_config, f.name)
-            for f in fields(ClusterConfig)
-            if getattr(machine_config, f.name) != getattr(default, f.name)
-        }
-        return ExperimentSettings(
-            num_clusters=machine_config.num_clusters,
-            num_virtual_clusters=self.num_virtual_clusters,
-            trace_length=self.trace_length,
-            max_phases=self.max_phases,
-            region_size=self.region_size,
-            config_overrides=overrides,
-        )
 
     def validate(self) -> None:
         """Check every name and parameter the spec refers to, before running.
@@ -542,12 +534,6 @@ class ScenarioSpec:
                 raise ValueError(
                     f"scenario {field_name!r} must be a list, not {data[field_name]!r}"
                 )
-        for field_name in _POSITIVE_INT_FIELDS:
-            value = data.get(field_name, 1)
-            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-                raise ValueError(
-                    f"scenario {field_name!r} must be a positive integer, not {value!r}"
-                )
         kwargs: Dict[str, object] = {"name": data["name"]}
         for field_name in ("report", "description") + _POSITIVE_INT_FIELDS:
             if field_name in data:
@@ -593,7 +579,10 @@ def scenario_overrides(
     max_phases: Optional[int] = None,
 ) -> ScenarioSpec:
     """Apply the CLI's common overrides (``--benchmarks``/``--trace-length``/
-    ``--phases``) to a spec, leaving omitted knobs untouched."""
+    ``--phases``) to a spec, leaving omitted knobs untouched.
+
+    A value the spec rejects (``trace_length=0``) raises ``ValueError``
+    naming the field."""
     if benchmarks is not None:
         spec = replace(spec, benchmarks=tuple(benchmarks))
     if trace_length is not None:

@@ -225,7 +225,7 @@ class TestOneRunPerSweep:
 
     def test_figure5_cache_keys_are_unchanged(self):
         spec = builtin_scenario("figure5")
-        runner = ExperimentRunner(spec.settings())
+        runner = ExperimentRunner(spec)
         matrix = runner.expand_phase_matrix(spec.resolved_benchmarks(), spec.configurations)
         assert len(matrix.jobs) == 200
         digest = hashlib.sha256("".join(job.cache_key() for job in matrix.jobs).encode())

@@ -353,6 +353,20 @@ class TestScenarioCommands:
         with pytest.raises(SystemExit, match="invalid scenario file.*'trace_length'"):
             main(["run", str(path)])
 
+    @pytest.mark.parametrize(
+        "argv, field",
+        [
+            (["run", "quickstart", "--trace-length", "0"], "trace_length"),
+            (["run", "quickstart", "--phases", "0"], "max_phases"),
+            (["quickstart", "--trace-length", "0"], "trace_length"),
+        ],
+        ids=["run-trace-length", "run-phases", "quickstart-trace-length"],
+    )
+    def test_non_positive_override_fails_naming_the_field(self, argv, field):
+        message = f"invalid scenario 'quickstart': scenario '{field}' must be a positive integer"
+        with pytest.raises(SystemExit, match=message):
+            main(argv + ["--no-cache"])
+
     def test_run_unknown_policy_name_fails_cleanly(self, tmp_path):
         path = tmp_path / "typo.json"
         path.write_text(

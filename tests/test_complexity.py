@@ -2,10 +2,16 @@
 
 from __future__ import annotations
 
+import dataclasses
+
+import pytest
 
 from repro.cluster.config import ClusterConfig, four_cluster_config
 from repro.complexity.model import SteeringComplexityModel, complexity_table
+from repro.experiments.configs import SteeringConfiguration
 from repro.experiments.table1 import paper_table1_claims, run_table1
+from repro.scenarios.builtin import builtin_scenario
+from repro.scenarios.spec import MachineSpec, ScenarioSpec
 from repro.steering.occupancy import OccupancyAwareSteering
 from repro.steering.one_cluster import OneClusterSteering
 from repro.steering.virtual_cluster import VirtualClusterSteering
@@ -53,19 +59,26 @@ class TestComplexityModel:
         }
 
 
+def table1_rows(spec: ScenarioSpec) -> list:
+    """The Table 1 rows of a ``table1``-kind spec."""
+    return run_table1(spec.machine.resolve(), spec.num_virtual_clusters, spec.configurations)
+
+
 class TestTable1Reproduction:
-    def test_paper_claims_hold(self):
-        rows = run_table1()
-        claims = paper_table1_claims(rows)
+    @pytest.fixture
+    def spec(self) -> ScenarioSpec:
+        return builtin_scenario("table1")
+
+    def test_paper_claims_hold(self, spec):
+        claims = paper_table1_claims(table1_rows(spec))
         assert all(claims.values()), claims
 
-    def test_table_covers_all_five_configurations(self):
-        rows = run_table1()
-        names = {row["steering algorithm"] for row in rows}
+    def test_table_covers_all_five_configurations(self, spec):
+        names = {row["steering algorithm"] for row in table1_rows(spec)}
         assert names >= {"OP", "one-cluster", "OB", "RHOP", "VC"}
 
-    def test_table1_yes_no_pattern_matches_paper(self):
-        rows = {row["steering algorithm"]: row for row in run_table1()}
+    def test_table1_yes_no_pattern_matches_paper(self, spec):
+        rows = {row["steering algorithm"]: row for row in table1_rows(spec)}
         # Table 1 (paper): OP needs dependence check + vote unit, VC does not;
         # both manage workload balance.
         assert rows["OP"]["dependence check"] == "yes"
@@ -78,13 +91,16 @@ class TestTable1Reproduction:
         assert rows["RHOP"]["dependence check"] == "no"
         assert rows["OB"]["workload balance management"] == "no"
 
-    def test_extra_policies_included(self):
-        from repro.steering.baselines import RoundRobinSteering
+    def test_registered_policy_configuration_included(self, spec):
+        round_robin = SteeringConfiguration(name="RR", policy="round-robin")
+        extended = dataclasses.replace(
+            spec, configurations=spec.configurations + (round_robin,)
+        )
+        rows = table1_rows(extended)
+        assert [row["steering algorithm"] for row in rows][-1] == "round-robin"
 
-        rows = run_table1(extra_policies=[RoundRobinSteering()])
-        assert any(row["steering algorithm"] == "round-robin" for row in rows)
-
-    def test_four_cluster_machine_increases_op_cost(self):
-        two = {r["steering algorithm"]: r for r in run_table1(ClusterConfig(num_clusters=2))}
-        four = {r["steering algorithm"]: r for r in run_table1(four_cluster_config())}
+    def test_four_cluster_machine_increases_op_cost(self, spec):
+        four_cluster = dataclasses.replace(spec, machine=MachineSpec(preset="table2-4c"))
+        two = {r["steering algorithm"]: r for r in table1_rows(spec)}
+        four = {r["steering algorithm"]: r for r in table1_rows(four_cluster)}
         assert four["OP"]["storage bits"] > two["OP"]["storage bits"]

@@ -11,6 +11,7 @@ every field including the per-cluster lists and the cache summary floats.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from typing import Dict, List, Tuple
 
@@ -18,11 +19,10 @@ from repro.cluster.metrics import SimulationMetrics
 from repro.engine.cache import ResultCache
 from repro.engine.parallel import ParallelRunner
 from repro.experiments.configs import TABLE3_CONFIGURATIONS
-from repro.experiments.runner import ExperimentRunner, ExperimentSettings
+from repro.experiments.runner import ExperimentRunner
+from repro.scenarios.spec import ScenarioSpec
 
-SETTINGS = ExperimentSettings(
-    num_clusters=2, num_virtual_clusters=2, trace_length=600, max_phases=2
-)
+SETTINGS = ScenarioSpec(name="determinism", trace_length=600, max_phases=2)
 BENCHMARKS = ["164.gzip-1", "178.galgel"]
 CONFIGURATIONS = [TABLE3_CONFIGURATIONS["OP"], TABLE3_CONFIGURATIONS["VC"]]
 
@@ -226,9 +226,7 @@ class TestCacheReplay:
         """A different trace length must never hit the same cache entries."""
         cache_dir = str(tmp_path / "cache")
         _phase_metrics(_runner(cache_dir=cache_dir))
-        other_settings = ExperimentSettings(
-            num_clusters=2, num_virtual_clusters=2, trace_length=700, max_phases=2
-        )
+        other_settings = dataclasses.replace(SETTINGS, trace_length=700)
         other_runner = _runner(other_settings, cache_dir=cache_dir)
         other = _phase_metrics(other_runner)
         assert other_runner.engine.cache.hits == 0

@@ -16,7 +16,6 @@ from repro.experiments.figure6 import run_figure6
 from repro.experiments.report import format_key_values, format_table
 from repro.experiments.runner import (
     ExperimentRunner,
-    ExperimentSettings,
     reduction_percent,
     slowdown_percent,
     speedup_percent,
@@ -24,11 +23,17 @@ from repro.experiments.runner import (
 from repro.experiments.slowdown import run_slowdown
 from repro.scenarios.builtin import builtin_scenario
 from repro.scenarios.runner import run_scenario, sweep_rows
-from repro.scenarios.spec import MachineSpec, SweepAxis, scenario_overrides
+from repro.scenarios.spec import MachineSpec, ScenarioSpec, SweepAxis, scenario_overrides
 
 #: Tiny settings so harness tests stay fast.
-FAST = ExperimentSettings(num_clusters=2, num_virtual_clusters=2, trace_length=800, max_phases=1)
-FAST4 = ExperimentSettings(num_clusters=4, num_virtual_clusters=4, trace_length=800, max_phases=1)
+FAST = ScenarioSpec(name="fast", trace_length=800, max_phases=1)
+FAST4 = ScenarioSpec(
+    name="fast4",
+    machine=MachineSpec(preset="table2-4c"),
+    num_virtual_clusters=4,
+    trace_length=800,
+    max_phases=1,
+)
 SMALL_SET = ["164.gzip-1", "178.galgel"]
 
 
@@ -88,6 +93,10 @@ class TestComparisonHelpers:
 
 
 class TestRunner:
+    def test_spec_is_required(self):
+        with pytest.raises(TypeError):
+            ExperimentRunner()
+
     def test_benchmark_result_weighted_aggregates(self):
         runner = ExperimentRunner(FAST)
         result = runner.run_benchmark("164.gzip-1", TABLE3_CONFIGURATIONS["OP"])
@@ -109,10 +118,6 @@ class TestRunner:
         results = runner.run_suite(["164.gzip-1"], configurations)
         assert set(results) == {"164.gzip-1"}
         assert set(results["164.gzip-1"]) == {"OP", "VC"}
-
-    def test_machine_config_overrides(self):
-        settings = ExperimentSettings(config_overrides={"link_latency": 4})
-        assert settings.machine_config().link_latency == 4
 
     def test_runner_is_deterministic(self):
         a = ExperimentRunner(FAST).run_benchmark("164.gzip-1", TABLE3_CONFIGURATIONS["VC"])

@@ -9,23 +9,25 @@ substrate is synthetic).
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro import quick_comparison
+from repro.engine.parallel import ParallelRunner
 from repro.experiments.configs import TABLE3_CONFIGURATIONS
 from repro.experiments.figure6 import run_figure6
-from repro.experiments.runner import ExperimentRunner, ExperimentSettings
+from repro.experiments.runner import ExperimentRunner
 from repro.experiments.slowdown import run_slowdown
 from repro.scenarios.builtin import builtin_scenario
+from repro.scenarios.spec import MachineSpec, ScenarioSpec, scenario_overrides
 
 #: A representative mix: regular integer, branchy integer, memory-bound
 #: integer, high-ILP floating point.
 SUBSET = ["164.gzip-1", "176.gcc-1", "181.mcf", "178.galgel"]
 
-SETTINGS = ExperimentSettings(
-    num_clusters=2, num_virtual_clusters=2, trace_length=2500, max_phases=1
-)
+SETTINGS = ScenarioSpec(name="integration", trace_length=2500, max_phases=1)
 
 
 @pytest.fixture(scope="module")
@@ -103,6 +105,38 @@ class TestQuickComparison:
         results = quick_comparison("164.gzip-1", trace_length=1000)
         assert results["VC"].vc_remaps > 0
 
+    def test_submits_the_quickstart_scenario_jobs(self, monkeypatch):
+        """At its defaults it runs exactly the built-in scenario's jobs."""
+
+        def capture(engine, jobs):
+            raise _Submitted(list(jobs))
+
+        monkeypatch.setattr(ParallelRunner, "run", capture)
+        with pytest.raises(_Submitted) as submitted:
+            quick_comparison("164.gzip-1")
+        spec = builtin_scenario("quickstart")
+        with pytest.raises(_Submitted) as expected:
+            ExperimentRunner(spec).run_suite(spec.benchmarks, spec.configurations)
+        assert submitted.value.jobs == expected.value.jobs
+        assert {job.trace_length for job in submitted.value.jobs} == {spec.trace_length}
+
+    def test_phase0_metrics_match_the_quickstart_scenario(self):
+        results = quick_comparison("164.gzip-1", trace_length=600)
+        spec = scenario_overrides(builtin_scenario("quickstart"), trace_length=600)
+        suite = ExperimentRunner(spec).run_suite(spec.benchmarks, spec.configurations)
+        assert results == {
+            name: result.phase_results[0].metrics
+            for name, result in suite["164.gzip-1"].items()
+        }
+
+
+class _Submitted(Exception):
+    """Carries the jobs an engine run was handed, instead of running them."""
+
+    def __init__(self, jobs):
+        super().__init__(len(jobs))
+        self.jobs = jobs
+
 
 class TestCrossMachineConsistency:
     def test_same_trace_same_committed_uops_across_configurations(self):
@@ -118,7 +152,9 @@ class TestCrossMachineConsistency:
             "178.galgel", TABLE3_CONFIGURATIONS["OP"]
         )
         four = ExperimentRunner(
-            ExperimentSettings(num_clusters=4, num_virtual_clusters=4, trace_length=2500, max_phases=1)
+            dataclasses.replace(
+                SETTINGS, machine=MachineSpec(preset="table2-4c"), num_virtual_clusters=4
+            )
         ).run_benchmark("178.galgel", TABLE3_CONFIGURATIONS["OP"])
         # More clusters = more total issue bandwidth and queue capacity; the
         # hardware-only policy should never lose from the extra resources.

@@ -5,6 +5,7 @@
 * ``import repro.cli`` loads no optional graph library: every CLI start pays
   for what the import pulls in, and ``networkx`` alone cost about 0.1 s.
   Nor does it load the lint driver, which has its own front end.
+* ``python -m repro.analysis`` loads no numpy, so the lint jobs need none.
 * A figure replayed from the result cache loads neither numpy nor the
   simulator nor the worker pool: package exports resolve lazily, and each
   module imports numpy where it touches arrays.
@@ -50,6 +51,25 @@ def test_cli_import_leaves_the_lint_driver_unloaded():
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     result = subprocess.run([sys.executable, "-c", code], env=env, timeout=120)
     assert result.returncode == 0, "import repro.cli pulled in the lint driver"
+
+
+def test_lint_driver_leaves_numpy_unloaded():
+    """CI's lint jobs install no numpy: ``python -m repro.analysis`` must not need it."""
+    code = (
+        "import runpy, sys\n"
+        "sys.argv = ['repro.analysis', 'src']\n"
+        "try:\n"
+        "    runpy.run_module('repro.analysis', run_name='__main__', alter_sys=True)\n"
+        "except SystemExit as exc:\n"
+        "    if exc.code:\n"
+        "        raise\n"
+        "sys.exit(int('numpy' in sys.modules))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    result = subprocess.run(
+        [sys.executable, "-c", code], cwd=ROOT, env=env, capture_output=True, timeout=120
+    )
+    assert result.returncode == 0, "python -m repro.analysis pulled in numpy"
 
 
 #: Modules a cache replay must not load: they are what makes a cold start slow.

@@ -16,6 +16,7 @@ from repro.experiments.configs import (
     TABLE3_CONFIGURATIONS,
     vc_variant,
 )
+from repro.experiments.runner import ExperimentRunner
 from repro.scenarios.builtin import builtin_scenario
 from repro.scenarios.registry import (
     MACHINES,
@@ -34,6 +35,7 @@ from repro.scenarios.spec import (
     SweepAxis,
     scenario_overrides,
 )
+from repro.workloads.spec2000 import profile_for
 
 #: Small settings so scenario tests stay fast.
 SMALL = {"benchmarks": ("164.gzip-1", "178.galgel"), "trace_length": 700, "max_phases": 1}
@@ -273,7 +275,6 @@ class TestScenarioSpecSerialization:
             ({"partitioner": "OB", "partitioner_params": {"issue_width": 0}}, {}),
             ({"partitioner": "VC", "partitioner_params": {"issue_width": -1}}, {}),
             ({"partitioner": "RHOP", "partitioner_params": {"region_size": 64}}, {}),
-            ({"partitioner": "RHOP"}, {"sweep": [{"parameter": "region_size", "values": [64, 0]}]}),
             ({"policy_params": {"bogus": 1}}, {}),
         ],
         ids=[
@@ -281,7 +282,6 @@ class TestScenarioSpecSerialization:
             "OB-issue_width-zero",
             "VC-issue_width-negative",
             "RHOP-region_size-twice",
-            "RHOP-swept-region_size-zero",
             "policy-unknown-keyword",
         ],
     )
@@ -294,6 +294,18 @@ class TestScenarioSpecSerialization:
             {"name": "x", "configurations": ["OP", bad], "benchmarks": ["164.gzip-1"], **extra}
         )
         with pytest.raises(ValueError, match="^configuration 'bad': "):
+            spec.validate()
+
+    def test_swept_non_positive_knob_fails_validation_naming_it(self):
+        """A sweep point is a spec, so it gets the spec's positive-int check."""
+        spec = ScenarioSpec.from_dict(
+            {
+                "name": "x",
+                "configurations": ["OP", "RHOP"],
+                "sweep": [{"parameter": "region_size", "values": [64, 0]}],
+            }
+        )
+        with pytest.raises(ValueError, match="scenario 'region_size' must be a positive integer"):
             spec.validate()
 
     def test_unknown_machine_override_fails_validation(self):
@@ -316,12 +328,17 @@ class TestScenarioSpecSerialization:
                 configurations=(TABLE3_CONFIGURATIONS["OP"], TABLE3_CONFIGURATIONS["OP"]),
             )
 
-    def test_settings_resolve_machine_and_overrides(self):
+    def test_runner_jobs_resolve_machine_and_overrides(self):
         spec = self.sample_spec()
-        settings = spec.settings()
-        assert settings.num_clusters == 2
-        assert settings.config_overrides == {"link_latency": 2}
-        assert settings.trace_length == 1234
+        runner = ExperimentRunner(spec)
+        profile = profile_for("164.gzip-1")
+        job = runner.make_job(
+            profile, runner.simulation_points(profile)[0], spec.configurations[0]
+        )
+        assert job.num_clusters == 2
+        assert job.config_overrides == (("link_latency", 2),)
+        assert job.trace_length == 1234
+        assert (job.num_virtual_clusters, job.region_size) == (4, 64)
         machine = spec.machine.resolve()
         assert machine.link_latency == 2
 
@@ -394,7 +411,7 @@ class TestStoppingRuleSerialization:
             StoppingRule(mode="race", tie_margin=-0.1)
         with pytest.raises(ValueError, match="needs a 'mode'"):
             StoppingRule.from_dict({})
-        with pytest.raises(ValueError, match="replications must be at least 1"):
+        with pytest.raises(ValueError, match="'replications' must be a positive integer"):
             ScenarioSpec(name="x", replications=0)
 
     @pytest.mark.parametrize(

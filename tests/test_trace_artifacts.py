@@ -9,14 +9,14 @@ from repro.engine.artifacts import TraceArtifactStore
 from repro.engine.cache import ResultCache
 from repro.engine.job import SimulationJob
 from repro.engine.parallel import (
-    AUTO_TRACE_ROOT,
     _TRACE_MEMO,
     ParallelRunner,
     execute_job,
     trace_store_for,
 )
 from repro.experiments.configs import TABLE3_CONFIGURATIONS
-from repro.experiments.runner import ExperimentRunner, ExperimentSettings
+from repro.experiments.runner import ExperimentRunner
+from repro.scenarios.spec import ScenarioSpec
 from repro.workloads.generator import WorkloadGenerator
 
 
@@ -213,9 +213,7 @@ class TestEngineIntegration:
         assert named_auto.trace_root == "auto"
 
     def test_parallel_runs_with_artifacts_stay_bit_identical(self, tmp_path, small_profile):
-        settings = ExperimentSettings(
-            num_clusters=2, num_virtual_clusters=2, trace_length=500, max_phases=2
-        )
+        settings = ScenarioSpec(name="artifacts", trace_length=500, max_phases=2)
         configurations = [TABLE3_CONFIGURATIONS["OP"], TABLE3_CONFIGURATIONS["VC"]]
         serial = ExperimentRunner(settings).run_suite([small_profile], configurations)
         _TRACE_MEMO.clear()
