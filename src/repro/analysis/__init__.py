@@ -4,10 +4,6 @@
   DDG node (Figure 2, step 1: "Computation of critical paths").
 * :mod:`repro.analysis.slack` -- slack of nodes and edges, the weighting
   information used by RHOP's multilevel partitioner.
-* :mod:`repro.analysis.completion_time` -- the completion-time estimator the
-  VC partitioner uses to evaluate the benefit of placing an instruction on a
-  given virtual cluster ("based on the dependences, the latencies, and the
-  resource contention in the intended cluster").
 * :mod:`repro.analysis.stats` -- descriptive statistics of DDGs and programs
   used by reports, tests and the workload generator's self-checks.
 * :mod:`repro.analysis.detlint` (DET1xx) -- the repo-wide determinism
@@ -24,7 +20,6 @@ __all__ = [
     "compute_criticality",
     "SlackInfo",
     "compute_slack",
-    "CompletionTimeEstimator",
     "DDGStats",
     "ddg_statistics",
     "program_statistics",
@@ -33,7 +28,6 @@ __all__ = [
 __getattr__, __dir__ = lazy_exports(
     __name__,
     {
-        ".completion_time": ("CompletionTimeEstimator",),
         ".criticality": ("CriticalityInfo", "compute_criticality"),
         ".slack": ("SlackInfo", "compute_slack"),
         ".stats": ("DDGStats", "ddg_statistics", "program_statistics"),

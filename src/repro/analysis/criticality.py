@@ -46,43 +46,39 @@ class CriticalityInfo:
 
 
 def compute_criticality(ddg: DataDependenceGraph) -> CriticalityInfo:
-    """Compute depth, height and criticality for every node of ``ddg``.
+    """Depth, height and criticality of every node of ``ddg``, computed once.
 
     Two linear traversals in topological order (forward for depth, backward
-    for height), as described in the paper.
+    for height), as described in the paper.  The result is memoised on the
+    graph, so the VC and RHOP passes over a region share one computation.
 
     Returns
     -------
     CriticalityInfo
         Per-node depth, height, criticality and the critical-path length.
     """
-    n = len(ddg)
-    order = ddg.topological_order()
-    depth = [0] * n
-    # Forward traversal: depth of a node is the max over predecessors of
-    # (depth(pred) + latency(pred)).
-    for node in order:
-        best = 0
-        for pred in ddg.preds[node]:
-            candidate = depth[pred] + ddg.edge_latency[(pred, node)]
-            if candidate > best:
-                best = candidate
-        depth[node] = best
-    # Backward traversal: height includes the node's own latency.
-    height = [0] * n
-    for node in reversed(order):
-        own_latency = ddg.latencies[node]
-        best = own_latency
-        for succ in ddg.succs[node]:
-            candidate = own_latency + height[succ]
-            if candidate > best:
-                best = candidate
-        height[node] = best
-    criticality = [depth[i] + height[i] for i in range(n)]
-    critical_path_length = max(criticality) if criticality else 0
+    return ddg.memo("criticality", lambda: _criticality(ddg))
+
+
+def _criticality(ddg: DataDependenceGraph) -> CriticalityInfo:
+    edges = (ddg.pred_nodes, ddg.edge_consumers)
+    # Forward traversal over the consumer-major edges: a producer's depth is
+    # final before its first out-edge, as every edge into it comes earlier.
+    depth = [0] * len(ddg)
+    for pred, node, latency in zip(*edges, ddg.edge_latencies):
+        if depth[pred] + latency > depth[node]:
+            depth[node] = depth[pred] + latency
+    # Backward traversal: height includes the node's own latency, and a
+    # consumer's height is final before its in-edges come up in reverse.
+    latencies = ddg.latencies
+    height = list(latencies)
+    for pred, node in zip(*map(reversed, edges)):
+        if latencies[pred] + height[node] > height[pred]:
+            height[pred] = latencies[pred] + height[node]
+    criticality = [d + h for d, h in zip(depth, height)]
     return CriticalityInfo(
         depth=tuple(depth),
         height=tuple(height),
         criticality=tuple(criticality),
-        critical_path_length=critical_path_length,
+        critical_path_length=max(criticality, default=0),
     )

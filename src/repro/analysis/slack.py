@@ -17,7 +17,7 @@ Definitions (relative to the critical-path length ``L`` of the DDG):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import List, Tuple
 
 from repro.analysis.criticality import CriticalityInfo, compute_criticality
 from repro.program.ddg import DataDependenceGraph
@@ -28,49 +28,53 @@ class SlackInfo:
     """Result of :func:`compute_slack` for one DDG."""
 
     node_slack: Tuple[int, ...]
-    edge_slack: Dict[Tuple[int, int], int]
+    #: Slack of every edge, in the graph's edge order.
+    edge_slack: Tuple[int, ...]
     criticality: CriticalityInfo
 
-    def edge_weight(self, edge: Tuple[int, int], max_weight: int = 16) -> int:
-        """RHOP-style edge weight: tighter (lower-slack) edges weigh more.
+    def edge_weights(self, max_weight: int = 16) -> List[int]:
+        """RHOP-style edge weights, in edge order: tighter (lower-slack) edges weigh more.
 
         Weights are clamped to ``[1, max_weight]`` so a zero-slack edge is
         ``max_weight`` times as attractive to coarsen as a very slack edge.
         """
-        slack = self.edge_slack[edge]
         length = max(1, self.criticality.critical_path_length)
         # Normalise slack to [0, 1] then invert.
-        normalized = min(1.0, slack / length)
-        return max(1, int(round(max_weight * (1.0 - normalized))))
+        return [
+            max(1, int(round(max_weight * (1.0 - min(1.0, slack / length)))))
+            for slack in self.edge_slack
+        ]
 
-    def node_weight(self, node: int) -> int:
-        """RHOP-style node weight: unit resource usage per operation.
+    def node_weights(self) -> List[int]:
+        """RHOP-style node weights: unit resource usage per operation.
 
         RHOP weights nodes by their resource usage estimate; with the
         homogeneous functional units of Table 2 every operation occupies one
-        issue slot, so the weight is 1.  Subclasses of the partitioner may
-        override this with latency-based weights for sensitivity studies.
+        issue slot, so every weight is 1.
         """
-        return 1
-
-    def is_edge_critical(self, edge: Tuple[int, int]) -> bool:
-        """True when the edge lies on a critical path (zero slack)."""
-        return self.edge_slack[edge] == 0
+        return [1] * len(self.node_slack)
 
 
 def compute_slack(ddg: DataDependenceGraph) -> SlackInfo:
-    """Compute node and edge slack for ``ddg``.
+    """Node and edge slack of ``ddg``, computed once and memoised on the graph.
 
     Returns
     -------
     SlackInfo
         Per-node slack, per-edge slack and the underlying criticality info.
     """
-    crit = compute_criticality(ddg)
-    length = crit.critical_path_length
-    node_slack = tuple(length - c for c in crit.criticality)
-    edge_slack: Dict[Tuple[int, int], int] = {}
-    for (u, v), latency in ddg.edge_latency.items():
-        through = crit.depth[u] + latency + crit.height[v]
-        edge_slack[(u, v)] = max(0, length - through)
-    return SlackInfo(node_slack=node_slack, edge_slack=edge_slack, criticality=crit)
+
+    def build() -> SlackInfo:
+        crit = compute_criticality(ddg)
+        length = crit.critical_path_length
+        depth, height = crit.depth, crit.height
+        return SlackInfo(
+            node_slack=tuple(length - c for c in crit.criticality),
+            edge_slack=tuple(
+                max(0, length - (depth[u] + latency + height[v]))
+                for u, v, latency in zip(ddg.pred_nodes, ddg.edge_consumers, ddg.edge_latencies)
+            ),
+            criticality=crit,
+        )
+
+    return ddg.memo("slack", build)

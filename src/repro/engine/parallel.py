@@ -183,6 +183,8 @@ def _prepare_job(job: SimulationJob, program, compiled):
             job.num_clusters, job.num_virtual_clusters, job.region_size
         )
         if partitioner is not None:
+            # Only the regions the trace runs need a partition (RegionPartitioner.executed_sids).
+            partitioner.executed_sids = set(compiled.sid.tolist())
             partitioner.annotate_program(program)
         else:
             program.clear_annotations()

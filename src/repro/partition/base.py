@@ -1,18 +1,24 @@
 """Shared driver for compile-time partitioning passes.
 
-Every pass works region by region: the driver forms superblock regions,
-builds the region DDG, asks the concrete partitioner for a per-node target
+Every pass works region by region: the driver takes the program's superblock
+regions and their flat-list DDGs (formed once per program and region size,
+:func:`region_ddgs`), asks the concrete partitioner for a per-node target
 (virtual cluster or physical cluster), and lets the partitioner write the
-corresponding annotations onto the static instructions.  A
-:class:`PartitionReport` summarising cut edges and balance is returned so
-examples, tests and reports can inspect what the compiler did.
+corresponding annotations onto the static instructions.  Regions are
+independent, so a pass told which static instructions a trace executes
+(:attr:`RegionPartitioner.executed_sids`) partitions only the regions holding
+one of them and leaves the rest unannotated.  A :class:`PartitionReport`
+summarising cut edges and balance is returned so examples, tests and reports
+can inspect what the compiler did.
 """
 
 from __future__ import annotations
 
 import abc
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from operator import attrgetter, ne
+from typing import AbstractSet, Dict, List, Optional, Sequence, Tuple
 
 from repro.program.ddg import DataDependenceGraph, build_ddg
 from repro.program.program import Program
@@ -25,13 +31,17 @@ class PartitionReport:
 
     program_name: str
     partitioner: str
+    #: Number of partitions the pass produces (targets ``0..num_targets-1``).
+    num_targets: int = 1
+    #: Regions formed over the program.
     num_regions: int = 0
+    #: Instructions of the regions the pass partitioned.
     num_instructions: int = 0
     #: Register dependence edges whose endpoints were placed on different targets.
     cut_edges: int = 0
     #: Total register dependence edges considered.
     total_edges: int = 0
-    #: Number of instructions assigned to each target, accumulated over regions.
+    #: Number of instructions assigned to each target that received any.
     target_loads: Dict[int, int] = field(default_factory=dict)
     #: Number of chain leaders marked (VC partitioner only).
     chain_leaders: int = 0
@@ -43,15 +53,16 @@ class PartitionReport:
 
     @property
     def balance(self) -> float:
-        """Load balance across targets in (0, 1]; 1 is perfectly even."""
-        if not self.target_loads:
-            return 1.0
-        loads = list(self.target_loads.values())
+        """Load balance over all ``num_targets`` targets in (0, 1]; 1 is perfectly even.
+
+        A target that received no instruction counts as load 0, so a pass that
+        puts everything on one of two targets reads 0.5.
+        """
+        loads = [self.target_loads.get(target, 0) for target in range(self.num_targets)]
         worst = max(loads)
         if worst == 0:
             return 1.0
-        ideal = sum(loads) / len(loads)
-        return min(1.0, ideal / worst)
+        return min(1.0, sum(loads) / len(loads) / worst)
 
 
 def region_ddgs(
@@ -91,6 +102,12 @@ class RegionPartitioner(abc.ABC):
 
     #: Short name used in reports; subclasses override.
     name = "base"
+    #: Static ids of the instructions that must be annotated, or ``None`` for
+    #: the whole program.  The engine sets it to the sids of the job's trace:
+    #: the columns ``CompiledTrace.annotate_from`` scatters read only those
+    #: sids, and every region is partitioned on its own, so skipping the
+    #: regions that hold none of them leaves those columns unchanged.
+    executed_sids: Optional[AbstractSet[int]] = None
 
     def __init__(self, num_targets: int, region_size: int = 128) -> None:
         if num_targets < 1:
@@ -109,18 +126,28 @@ class RegionPartitioner(abc.ABC):
         self, ddg: DataDependenceGraph, assignment: Sequence[int], report: PartitionReport
     ) -> None:
         """Write annotations for one region.  Default: bind to physical clusters."""
-        for node, target in enumerate(assignment):
-            ddg.instructions[node].static_cluster = int(target)
+        for inst, target in zip(ddg.instructions, assignment):
+            inst.static_cluster = int(target)
 
     # -- driver -------------------------------------------------------------------
     def annotate_program(self, program: Program) -> PartitionReport:
-        """Run the pass over every region of ``program`` and annotate it in place."""
+        """Clear ``program``'s annotations and annotate its regions in place.
+
+        Every region is partitioned unless :attr:`executed_sids` is set; then
+        only the regions holding at least one of those sids are.
+        """
         program.clear_annotations()
-        report = PartitionReport(program_name=program.name, partitioner=self.name)
+        report = PartitionReport(
+            program_name=program.name, partitioner=self.name, num_targets=self.num_targets
+        )
         regions, ddgs = region_ddgs(program, self.region_size)
         report.num_regions = len(regions)
+        executed = self.executed_sids
         for ddg in ddgs:
-            if ddg is None:
+            if ddg is None or (
+                executed is not None
+                and executed.isdisjoint(map(_SID, ddg.instructions))
+            ):
                 continue
             assignment = self.partition_region(ddg)
             if len(assignment) != len(ddg):
@@ -128,19 +155,18 @@ class RegionPartitioner(abc.ABC):
                     f"{self.name}: partition returned {len(assignment)} targets "
                     f"for {len(ddg)} nodes"
                 )
-            for target in assignment:
+            for target, count in Counter(assignment).items():
                 if not 0 <= target < self.num_targets:
                     raise ValueError(f"{self.name}: target {target} out of range")
+                report.target_loads[target] = report.target_loads.get(target, 0) + count
             self.apply_assignment(ddg, assignment, report)
-            # Book-keeping for the report.
             report.num_instructions += len(ddg)
-            for target in assignment:
-                report.target_loads[target] = report.target_loads.get(target, 0) + 1
-            for producer, consumer in ddg.edge_latency:
-                report.total_edges += 1
-                if assignment[producer] != assignment[consumer]:
-                    report.cut_edges += 1
-        report.chain_leaders = sum(
-            1 for inst in program.all_instructions() if inst.chain_leader
-        )
+            report.total_edges += ddg.num_edges
+            target_of = assignment.__getitem__
+            report.cut_edges += sum(
+                map(ne, map(target_of, ddg.pred_nodes), map(target_of, ddg.edge_consumers))
+            )
         return report
+
+
+_SID = attrgetter("sid")

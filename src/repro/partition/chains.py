@@ -54,6 +54,31 @@ class Chain:
         return len(self.nodes)
 
 
+def chain_leaders(ddg: DataDependenceGraph, assignment: Sequence[int]) -> List[bool]:
+    """Mark the chain leaders of a virtual-cluster ``assignment`` of ``ddg``.
+
+    A node leads a chain when it is the first of its virtual cluster or no
+    DDG predecessor shares its virtual cluster.
+    """
+    if len(assignment) != len(ddg):
+        raise ValueError("assignment length does not match the DDG")
+    seen = set()
+    leaders = []
+    pred_start, pred_nodes = ddg.pred_start, ddg.pred_nodes
+    for node, vc in enumerate(assignment):
+        if vc in seen:
+            for pred in pred_nodes[pred_start[node] : pred_start[node + 1]]:
+                if assignment[pred] == vc:
+                    leaders.append(False)
+                    break
+            else:
+                leaders.append(True)
+        else:
+            seen.add(vc)
+            leaders.append(True)
+    return leaders
+
+
 def identify_chains(
     ddg: DataDependenceGraph, assignment: Sequence[int]
 ) -> Tuple[List[Chain], List[bool]]:
@@ -69,37 +94,20 @@ def identify_chains(
     Returns
     -------
     (chains, leader_flags)
-        The list of :class:`Chain` objects (in order of creation) and a
-        per-node boolean list marking chain leaders.
+        The list of :class:`Chain` objects (in order of creation) and the
+        per-node leader marks of :func:`chain_leaders`; a non-leader joins
+        the chain open on its virtual cluster.
     """
-    if len(assignment) != len(ddg):
-        raise ValueError("assignment length does not match the DDG")
+    leaders = chain_leaders(ddg, assignment)
     chains: List[Chain] = []
-    leader_flags = [False] * len(ddg)
-    #: Open chain per virtual cluster (chain index into ``chains``).
-    open_chain: Dict[int, int] = {}
-    #: Fast membership test: node -> chain index.
-    chain_of_node: Dict[int, int] = {}
-    for node in range(len(ddg)):
-        vc = int(assignment[node])
-        current = open_chain.get(vc)
-        starts_new = current is None
-        if not starts_new:
-            # The node extends the open chain of its virtual cluster unless it
-            # starts a fresh dependence chain (no producer in the same VC).
-            has_same_vc_producer = any(
-                int(assignment[pred]) == vc for pred in ddg.preds[node]
-            )
-            starts_new = not has_same_vc_producer
-        if starts_new:
-            chain = Chain(chain_id=len(chains), vc_id=vc)
-            chains.append(chain)
-            open_chain[vc] = chain.chain_id
-            leader_flags[node] = True
-            current = chain.chain_id
-        chains[current].nodes.append(node)
-        chain_of_node[node] = current
-    return chains, leader_flags
+    open_chain: Dict[int, Chain] = {}
+    for node, (vc, leader) in enumerate(zip(assignment, leaders)):
+        vc = int(vc)
+        if leader:
+            open_chain[vc] = Chain(chain_id=len(chains), vc_id=vc)
+            chains.append(open_chain[vc])
+        open_chain[vc].nodes.append(node)
+    return chains, leaders
 
 
 def chain_length_histogram(chains: Sequence[Chain]) -> Dict[int, int]:

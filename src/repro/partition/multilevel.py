@@ -9,6 +9,9 @@ moves) improves the objective at every level.
 
 The engine here is independent of RHOP's specific weights; it partitions any
 weighted undirected graph given as node weights plus an edge-weight mapping.
+Every level of the hierarchy is held as flat lists (node weights and groups,
+undirected edge lists, per-node neighbour lists), and coarsening and
+refinement loop over those lists.
 :class:`~repro.partition.rhop_partitioner.RhopPartitioner` supplies
 slack-derived weights and the per-cluster balance constraint.
 """
@@ -16,7 +19,8 @@ slack-derived weights and the per-cluster balance constraint.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from itertools import accumulate, compress
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 
 @dataclass(frozen=True)
@@ -37,26 +41,68 @@ class PartitionObjective:
     max_imbalance: float = 0.25
 
 
+def _merge_edges(
+    us: Sequence[int], vs: Sequence[int], ws: Sequence[int], relabel: Sequence[int]
+) -> Tuple[List[int], List[int], List[int]]:
+    """Undirected edge lists of the edges ``(relabel[u], relabel[v], w)``.
+
+    Every pair appears once with ``u < v`` and its weights summed, in the
+    order the pair is first seen; self-loops are dropped.
+    """
+    n = len(relabel)
+    merged: Dict[int, int] = {}
+    for u, v, w in zip(us, vs, ws):
+        u = relabel[u]
+        v = relabel[v]
+        if u < v:
+            key = u * n + v
+        elif v < u:
+            key = v * n + u
+        else:
+            continue
+        merged[key] = merged.get(key, 0) + w
+    return [key // n for key in merged], [key % n for key in merged], list(merged.values())
+
+
 class _Level:
-    """One level of the multilevel hierarchy."""
+    """One level of the multilevel hierarchy, as flat per-node and per-edge lists.
+
+    ``edges`` holds the undirected edge lists of :func:`_merge_edges`;
+    ``neighbours[u]`` / ``neighbour_weights[u]`` list ``u``'s incident edges
+    in that edge order, which is the order coarsening and refinement visit
+    them in.
+    """
+
+    __slots__ = (
+        "node_weights", "node_groups", "edges", "fine_to_coarse", "pairs",
+        "neighbours", "neighbour_weights",
+    )
 
     def __init__(
         self,
         node_weights: List[int],
-        edges: Dict[Tuple[int, int], int],
         node_groups: List[int],
+        edges: Tuple[List[int], List[int], List[int]],
         fine_to_coarse: Optional[List[int]] = None,
+        pairs: Sequence[Tuple[int, int]] = (),
     ) -> None:
         self.node_weights = node_weights
-        self.edges = edges
         #: Balance group of every node (see ``MultilevelPartitioner.partition``).
         self.node_groups = node_groups
+        self.edges = edges
         #: Mapping from the finer level's node ids to this level's node ids.
         self.fine_to_coarse = fine_to_coarse
-        self.adjacency: List[Dict[int, int]] = [dict() for _ in node_weights]
-        for (u, v), w in edges.items():
-            self.adjacency[u][v] = self.adjacency[u].get(v, 0) + w
-            self.adjacency[v][u] = self.adjacency[v].get(u, 0) + w
+        #: The finer level's ``(representative, partner)`` node pairs merged here.
+        self.pairs = pairs
+        neighbours: List[List[int]] = [[] for _ in node_weights]
+        weights: List[List[int]] = [[] for _ in node_weights]
+        for u, v, w in zip(*edges):
+            neighbours[u].append(v)
+            weights[u].append(w)
+            neighbours[v].append(u)
+            weights[v].append(w)
+        self.neighbours = neighbours
+        self.neighbour_weights = weights
 
     @property
     def num_nodes(self) -> int:
@@ -113,93 +159,90 @@ class MultilevelPartitioner:
         ``0..n-1`` raises ``ValueError``.
         """
         n = len(node_weights)
-        groups = list(int(g) for g in node_groups) if node_groups is not None else [0] * n
+        groups = [int(g) for g in node_groups] if node_groups is not None else [0] * n
         if len(groups) != n:
             raise ValueError("node_groups length does not match node_weights")
         for u, v in edge_weights:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge {(u, v)} has an endpoint outside nodes 0..{n - 1}")
+        edges = _merge_edges(
+            [u for u, _ in edge_weights],
+            [v for _, v in edge_weights],
+            [int(w) for w in edge_weights.values()],
+            range(n),
+        )
+        return self.partition_edges([int(w) for w in node_weights], edges, groups)
+
+    def partition_edges(
+        self,
+        node_weights: List[int],
+        edges: Tuple[List[int], List[int], List[int]],
+        node_groups: List[int],
+    ) -> List[int]:
+        """:meth:`partition` of a graph given as flat, already-checked lists.
+
+        ``edges`` are parallel ``(us, vs, ws)`` lists with ``u < v`` and every
+        pair once -- a DDG's edges in insertion order qualify -- and
+        ``node_groups`` has one group per node.
+        """
+        n = len(node_weights)
         if n == 0:
             return []
         if self.num_parts == 1 or n <= self.num_parts:
             # Trivial cases: everything in one part, or one node per part.
             return [min(i, self.num_parts - 1) for i in range(n)]
-        # Normalise edges to an undirected canonical form.
-        undirected: Dict[Tuple[int, int], int] = {}
-        for (u, v), w in edge_weights.items():
-            if u == v:
-                continue
-            key = (min(u, v), max(u, v))
-            undirected[key] = undirected.get(key, 0) + int(w)
-        levels = [_Level(list(int(w) for w in node_weights), undirected, groups)]
+        levels = [_Level(node_weights, node_groups, edges)]
         # Coarsening: stop when the graph is small (a handful of nodes per
         # part, as RHOP stops when coarse nodes ~= number of clusters) or when
-        # matching makes no further progress.
-        while levels[-1].num_nodes > max(self.num_parts, 8):
-            coarser = self._coarsen(levels[-1])
-            if coarser.num_nodes == levels[-1].num_nodes:
-                break
-            levels.append(coarser)
-        # Initial partition on the coarsest level.
-        assignment = self._initial_partition(levels[-1])
-        assignment = self._refine(levels[-1], assignment)
-        # Uncoarsen and refine at every level.
-        for level_index in range(len(levels) - 1, 0, -1):
-            coarse = levels[level_index]
-            fine = levels[level_index - 1]
-            projected = [assignment[coarse.fine_to_coarse[i]] for i in range(fine.num_nodes)]
-            assignment = self._refine(fine, projected)
-        return assignment
+        # matching can make no further progress, which is exactly when no
+        # positive-weight edge is left.
+        while levels[-1].num_nodes > max(self.num_parts, 8) and max(
+            levels[-1].edges[2], default=0
+        ) > 0:
+            levels.append(self._coarsen(levels[-1]))
+        # Initial partition on the coarsest level, then uncoarsen and refine.
+        return self._refine(levels, self._initial_partition(levels[-1]))
 
     # -- coarsening ----------------------------------------------------------------
     def _coarsen(self, level: _Level) -> _Level:
         """Heavy-edge matching: collapse the heaviest available edge of each node."""
         n = level.num_nodes
+        neighbours = level.neighbours
+        neighbour_weights = level.neighbour_weights
         matched = [False] * n
-        merge_with: List[int] = list(range(n))
+        #: False for the partner of a merged pair, True for every coarse node's representative.
+        kept = [True] * n
+        pairs: List[Tuple[int, int]] = []
         # Visit nodes in order of decreasing heaviest incident edge so that the
         # most critical dependences are collapsed first (RHOP groups the
-        # critical path during coarsening).
-        heaviest = [max(level.adjacency[i].values(), default=0) for i in range(n)]
-        order = sorted(range(n), key=lambda i: -heaviest[i])
-        for u in order:
+        # critical path during coarsening); the sort is stable.  A node
+        # without neighbours matches nothing, so it is left out.
+        heaviest = [max(weights) if weights else 0 for weights in neighbour_weights]
+        for u in sorted(filter(neighbours.__getitem__, range(n)), key=heaviest.__getitem__, reverse=True):
             if matched[u]:
                 continue
+            matched[u] = True
             best_v = -1
             best_w = 0
-            for v, w in level.adjacency[u].items():
-                if not matched[v] and v != u and w > best_w:
-                    best_v, best_w = v, w
+            for v, w in zip(neighbours[u], neighbour_weights[u]):
+                if w > best_w and not matched[v]:
+                    best_v = v
+                    best_w = w
             if best_v >= 0:
-                matched[u] = matched[best_v] = True
-                merge_with[best_v] = u
-            else:
-                matched[u] = True
-        # Build the coarse node ids.
-        fine_to_coarse = [-1] * n
-        next_coarse = 0
-        for i in range(n):
-            if merge_with[i] == i:
-                fine_to_coarse[i] = next_coarse
-                next_coarse += 1
-        for i in range(n):
-            if merge_with[i] != i:
-                fine_to_coarse[i] = fine_to_coarse[merge_with[i]]
-        coarse_weights = [0] * next_coarse
-        coarse_groups = [0] * next_coarse
-        for i in range(n):
-            coarse_weights[fine_to_coarse[i]] += level.node_weights[i]
-            if merge_with[i] == i:
-                # The representative node defines the coarse node's balance group.
-                coarse_groups[fine_to_coarse[i]] = level.node_groups[i]
-        coarse_edges: Dict[Tuple[int, int], int] = {}
-        for (u, v), w in level.edges.items():
-            cu, cv = fine_to_coarse[u], fine_to_coarse[v]
-            if cu == cv:
-                continue
-            key = (min(cu, cv), max(cu, cv))
-            coarse_edges[key] = coarse_edges.get(key, 0) + w
-        return _Level(coarse_weights, coarse_edges, coarse_groups, fine_to_coarse)
+                matched[best_v] = True
+                kept[best_v] = False
+                pairs.append((u, best_v))
+        # Coarse node ids number the representatives in node order (a
+        # representative's id counts the representatives before it); the
+        # representative defines the coarse node's balance group.
+        fine_to_coarse = list(accumulate(kept, initial=-1))[1:]
+        coarse_weights = list(compress(level.node_weights, kept))
+        coarse_groups = list(compress(level.node_groups, kept))
+        for u, v in pairs:
+            fine_to_coarse[v] = fine_to_coarse[u]
+            coarse_weights[fine_to_coarse[u]] += level.node_weights[v]
+        coarse_edges = _merge_edges(*level.edges, fine_to_coarse)
+        return _Level(coarse_weights, coarse_groups, coarse_edges, fine_to_coarse, pairs)
 
     # -- initial partition -----------------------------------------------------------
     def _initial_partition(self, level: _Level) -> List[int]:
@@ -220,95 +263,168 @@ class MultilevelPartitioner:
         return assignment
 
     # -- refinement --------------------------------------------------------------------
-    def _group_weights(
-        self, level: _Level, assignment: Sequence[int]
-    ) -> Dict[int, List[int]]:
-        """Per-group, per-part node weight totals."""
-        weights: Dict[int, List[int]] = {}
-        for node, part in enumerate(assignment):
-            group = level.node_groups[node]
-            if group not in weights:
-                weights[group] = [0] * self.num_parts
-            weights[group][part] += level.node_weights[node]
-        return weights
+    def _refine(self, levels: List[_Level], assignment: List[int]) -> List[int]:
+        """Refine ``assignment`` of the coarsest level, then project it down level by level.
 
-    def _refine(self, level: _Level, assignment: List[int]) -> List[int]:
-        """Greedy single-node moves until no move improves the objective.
+        At every level, greedy single-node moves run until a pass moves
+        nothing (at most ``max_refinement_passes`` passes).  Nodes are
+        visited in order, and a node moves to the first candidate part with
+        a positive gain: the cut reduction minus the change of its balance
+        group's imbalance penalty, ``sum(|w_p - ideal|)`` over the parts.
+        Moves keep every group's total, so a group's ideal share is fixed;
+        the penalty sums run in part order, the float operations of the
+        plain ``sum(abs(w - ideal) for w in per_part)`` form.  Three
+        shortcuts leave every move unchanged:
 
-        The gain of moving a node is the cut reduction minus the change of
-        its balance group's imbalance penalty, ``sum(|w_p - ideal|)`` over
-        the parts.  Moves keep every group's total, so a group's ideal share
-        is fixed for the whole refinement and computed once; the penalty
-        sums run in part order, the float operations of the plain
-        ``sum(abs(w - ideal) for w in per_part)`` form.
+        * the balance term of a move depends only on its group's per-part
+          weights, its source and target parts and the node weight, so it
+          is kept per group until a node of the group moves;
+        * projection keeps every part's and, unless a merged pair spanned
+          two groups, every group's per-part weight, so those totals, the
+          ideal shares and the kept terms carry over to the finer level;
+        * only the nodes marked ``due`` are visited: a visited node that
+          does not move would make the same decision again until a
+          neighbour or a node of its group moves -- or, if a target was over
+          the part-weight cap (it is in ``capped``), until any node moves.
+          Projection carries the marks over (:meth:`_projected_due`).  An
+          extra mark only costs a visit, so ``capped`` may keep nodes that
+          were visited again.
         """
-        assignment = list(assignment)
         num_parts = self.num_parts
         parts = range(num_parts)
-        node_groups = level.node_groups
-        node_weights = level.node_weights
-        adjacency = level.adjacency
         cut_weight = self.objective.cut_weight
         imbalance_weight = self.objective.imbalance_weight
-        group_weights = self._group_weights(level, assignment)
-        group_ideal = {
-            group: sum(per_part) / num_parts for group, per_part in group_weights.items()
-        }
         part_weight = [0] * num_parts
-        for node, part in enumerate(assignment):
-            part_weight[part] += node_weights[node]
-        total_weight = sum(part_weight)
-        max_part = (total_weight / num_parts) * (1.0 + self.objective.max_imbalance)
+        for part, weight in zip(assignment, levels[-1].node_weights):
+            part_weight[part] += weight
+        max_part = (sum(part_weight) / num_parts) * (1.0 + self.objective.max_imbalance)
         # Targets of a node with no neighbour outside its part: every other
         # part, at zero external weight (read-only, shared per part).
         other_parts = [{p: 0 for p in parts if p != part} for part in parts]
-        for _ in range(self.max_refinement_passes):
-            improved = False
-            for node in range(level.num_nodes):
-                current = assignment[node]
-                group = node_groups[node]
-                weight = node_weights[node]
-                per_part = group_weights[group]
-                ideal = group_ideal[group]
-                # Gain of moving `node` to `target`: reduction in cut minus
-                # the change in the node's group imbalance penalty.
-                external: Dict[int, int] = {}
-                internal = 0
-                for neighbour, w in adjacency[node].items():
-                    part = assignment[neighbour]
-                    if part == current:
-                        internal += w
-                    else:
-                        external[part] = external.get(part, 0) + w
-                candidate_targets = external or other_parts[current]
-                imbalance_before = None
-                for target, external_weight in candidate_targets.items():
-                    if part_weight[target] + weight > max_part:
-                        continue
-                    if imbalance_before is None:
-                        imbalance_before = 0
-                        for w in per_part:
-                            imbalance_before += abs(w - ideal)
-                    imbalance_after = 0
-                    for p in parts:
-                        w = per_part[p]
-                        if p == current:
-                            w -= weight
-                        elif p == target:
-                            w += weight
-                        imbalance_after += abs(w - ideal)
-                    gain = (
-                        cut_weight * (external_weight - internal)
-                        + imbalance_weight * (imbalance_before - imbalance_after)
-                    )
-                    if gain > 0:
-                        per_part[current] -= weight
-                        per_part[target] += weight
-                        part_weight[current] -= weight
-                        part_weight[target] += weight
-                        assignment[node] = target
-                        improved = True
-                        break
-            if not improved:
-                break
+        due = [True] * levels[-1].num_nodes
+        capped: Set[int] = set()
+        regrouped = True
+        for index in range(len(levels) - 1, -1, -1):
+            level = levels[index]
+            node_groups = level.node_groups
+            node_weights = level.node_weights
+            neighbours = level.neighbours
+            neighbour_weights = level.neighbour_weights
+            if index < len(levels) - 1:
+                coarse = levels[index + 1]
+                assignment = list(map(assignment.__getitem__, coarse.fine_to_coarse))
+                due, regrouped = self._projected_due(level, coarse, due)
+                if capped:
+                    capped = {
+                        node for node, c in enumerate(coarse.fine_to_coarse) if c in capped
+                    }
+            if regrouped:
+                #: Per-group, per-part node weight totals.
+                group_weights: Dict[int, List[int]] = {}
+                for part, group, weight in zip(assignment, node_groups, node_weights):
+                    if group not in group_weights:
+                        group_weights[group] = [0] * num_parts
+                    group_weights[group][part] += weight
+                group_ideal = {
+                    group: sum(per_part) / num_parts
+                    for group, per_part in group_weights.items()
+                }
+                #: Balance term of a move per group, keyed ``(source, target, weight)``.
+                balance_terms: Dict[int, Dict[Tuple[int, int, int], float]] = {
+                    group: {} for group in group_weights
+                }
+            #: Nodes of a group, listed when one of them first moves.
+            members: Dict[int, List[int]] = {}
+            for _ in range(self.max_refinement_passes):
+                improved = False
+                # compress() reads each mark when it reaches the node, so a
+                # node marked during the pass is visited in the same pass.
+                for node in compress(range(level.num_nodes), due):
+                    due[node] = False
+                    current = assignment[node]
+                    external: Dict[int, int] = {}
+                    internal = 0
+                    for neighbour, w in zip(neighbours[node], neighbour_weights[node]):
+                        part = assignment[neighbour]
+                        if part == current:
+                            internal += w
+                        else:
+                            external[part] = external.get(part, 0) + w
+                    group = node_groups[node]
+                    weight = node_weights[node]
+                    terms = balance_terms[group]
+                    for target, external_weight in (external or other_parts[current]).items():
+                        if part_weight[target] + weight > max_part:
+                            capped.add(node)
+                            continue
+                        term = terms.get((current, target, weight))
+                        if term is None:
+                            per_part = group_weights[group]
+                            ideal = group_ideal[group]
+                            imbalance_before = 0
+                            for w in per_part:
+                                imbalance_before += abs(w - ideal)
+                            imbalance_after = 0
+                            for p in parts:
+                                w = per_part[p]
+                                if p == current:
+                                    w -= weight
+                                elif p == target:
+                                    w += weight
+                                imbalance_after += abs(w - ideal)
+                            term = imbalance_weight * (imbalance_before - imbalance_after)
+                            terms[(current, target, weight)] = term
+                        if cut_weight * (external_weight - internal) + term > 0:
+                            per_part = group_weights[group]
+                            per_part[current] -= weight
+                            per_part[target] += weight
+                            balance_terms[group] = {}
+                            part_weight[current] -= weight
+                            part_weight[target] += weight
+                            assignment[node] = target
+                            if group not in members:
+                                members[group] = [
+                                    other for other, g in enumerate(node_groups) if g == group
+                                ]
+                            for others in (members[group], neighbours[node], capped):
+                                for other in others:
+                                    due[other] = True
+                            capped.clear()
+                            improved = True
+                            break
+                if not improved:
+                    break
         return assignment
+
+    @staticmethod
+    def _projected_due(
+        fine: _Level, coarse: _Level, coarse_due: List[bool]
+    ) -> Tuple[List[bool], bool]:
+        """The ``due`` marks of ``fine``'s nodes after projecting ``coarse``'s partition.
+
+        The nodes of a merged pair are due, and so is a common neighbour of
+        both: its two edges to the pair were one coarse edge.  So is every
+        node of a group that lent or received weight through a pair of nodes
+        from different groups.  Any other node has exactly its coarse node's
+        weight, group, group weights, and neighbours with the same edge
+        weights in the same order and parts, so it would decide as its
+        coarse node did and inherits that node's mark.  Also returns whether
+        any pair spanned two groups.
+        """
+        due = list(map(coarse_due.__getitem__, coarse.fine_to_coarse))
+        groups = fine.node_groups
+        neighbours = fine.neighbours
+        changed = set()
+        for u, v in coarse.pairs:
+            due[u] = due[v] = True
+            of_u = set(neighbours[u])
+            for neighbour in neighbours[v]:
+                if neighbour in of_u:
+                    due[neighbour] = True
+            if groups[u] != groups[v]:
+                changed.update((groups[u], groups[v]))
+        if changed:
+            for node, group in enumerate(groups):
+                if group in changed:
+                    due[node] = True
+        return due, bool(changed)

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from typing import List
 
-from repro.analysis.completion_time import CompletionTimeEstimator
 from repro.partition.base import RegionPartitioner
 from repro.program.ddg import DataDependenceGraph
 from repro.scenarios.registry import register_partitioner
@@ -65,27 +64,44 @@ class OperationBasedPartitioner(RegionPartitioner):
         self.balance_bias = float(balance_bias)
 
     def partition_region(self, ddg: DataDependenceGraph) -> List[int]:
-        """Bind every DDG node to a physical cluster."""
-        estimator = CompletionTimeEstimator(
-            ddg,
-            num_virtual_clusters=self.num_targets,
-            issue_width=self.issue_width,
-            communication_latency=self.communication_latency,
-            contention_mode="absolute",
-        )
+        """Bind every DDG node to a physical cluster, in program order.
+
+        A node's estimated start on ``cluster`` is the later of its operands'
+        arrival (producer completion, plus the communication latency from
+        another cluster) and ``load // issue_width``: the ``k``-th operation
+        bound to a cluster cannot start before cycle ``k // issue_width``.
+        The score ``completion + balance_bias * load`` picks the cluster;
+        ties go to the less loaded, then the lower-numbered cluster.
+        """
+        num_clusters = self.num_targets
+        issue_width = self.issue_width
+        communication = self.communication_latency
+        balance_bias = self.balance_bias
+        pred_start, pred_nodes = ddg.pred_start, ddg.pred_nodes
+        completion = [0] * len(ddg)
         assignment = [0] * len(ddg)
-        for node in ddg.topological_order():
+        load = [0] * num_clusters
+        for node, latency in enumerate(ddg.latencies):
+            preds = pred_nodes[pred_start[node] : pred_start[node + 1]]
             best_cluster = 0
-            best_score = None
-            for cluster in range(self.num_targets):
-                completion = estimator.estimate(node, cluster)
-                score = completion + self.balance_bias * estimator.load[cluster]
-                key = (score, estimator.load[cluster], cluster)
-                if best_score is None or key < best_score:
-                    best_score = key
+            best_key = None
+            for cluster in range(num_clusters):
+                start = load[cluster] // issue_width
+                for pred in preds:
+                    arrival = completion[pred]
+                    if assignment[pred] != cluster:
+                        arrival += communication
+                    if arrival > start:
+                        start = arrival
+                end = start + latency
+                key = (end + balance_bias * load[cluster], load[cluster])
+                if best_key is None or key < best_key:
+                    best_key = key
                     best_cluster = cluster
-            estimator.assign(node, best_cluster)
+                    best_end = end
+            completion[node] = best_end
             assignment[node] = best_cluster
+            load[best_cluster] += 1
         return assignment
 
 

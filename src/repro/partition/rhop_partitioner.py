@@ -71,18 +71,13 @@ class RhopPartitioner(RegionPartitioner):
         if len(ddg) == 0:
             return []
         slack = compute_slack(ddg)
-        node_weights = [slack.node_weight(node) for node in range(len(ddg))]
-        edge_weights = {
-            edge: slack.edge_weight(edge, max_weight=self.max_edge_weight)
-            for edge in ddg.edge_latency
-        }
+        edges = (ddg.pred_nodes, ddg.edge_consumers, slack.edge_weights(self.max_edge_weight))
         # Balance groups: the basic block of every operation.  RHOP balances
         # the *estimated schedule*, not raw instruction counts; grouping by
         # block forces every part of the region that executes together to be
         # spread over the clusters (see MultilevelPartitioner.partition).
-        node_groups = [inst.block for inst in ddg.instructions]
         partitioner = MultilevelPartitioner(self.num_targets, objective=self.objective)
-        return partitioner.partition(node_weights, edge_weights, node_groups=node_groups)
+        return partitioner.partition_edges(slack.node_weights(), edges, ddg.blocks)
 
 
 @register_partitioner("RHOP")

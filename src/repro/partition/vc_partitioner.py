@@ -7,11 +7,11 @@ The pass performs the three steps of Figure 2:
 2. **Partition of DDG into virtual clusters** -- a top-down (topological)
    traversal that assigns each instruction to the virtual cluster with the
    best *benefit*, where the benefit is the estimated completion time of the
-   instruction on that virtual cluster
-   (:class:`~repro.analysis.completion_time.CompletionTimeEstimator`:
-   dependences, latencies and resource contention).  The traversal visits
-   more critical instructions first within each dependence level so that
-   critical chains claim their cluster before less important work does.
+   instruction on that virtual cluster: dependences, latencies and resource
+   contention (see :meth:`VirtualClusterPartitioner.partition_region`).
+   Ties go to the virtual cluster of the instruction's most critical
+   predecessor, so critical chains claim their cluster before less
+   important work does.
 3. **Identification of chains and chain leaders** -- chains are split where a
    run-time remap is free (:mod:`repro.partition.chains`), and leaders are
    marked so the hardware knows when to consult the workload counters.
@@ -25,10 +25,9 @@ from __future__ import annotations
 
 from typing import List, Sequence
 
-from repro.analysis.completion_time import CompletionTimeEstimator
 from repro.analysis.criticality import compute_criticality
 from repro.partition.base import PartitionReport, RegionPartitioner
-from repro.partition.chains import identify_chains
+from repro.partition.chains import chain_leaders
 from repro.program.ddg import DataDependenceGraph
 from repro.scenarios.registry import register_partitioner
 
@@ -72,36 +71,63 @@ class VirtualClusterPartitioner(RegionPartitioner):
 
     # -- Figure 2, steps 1 and 2 --------------------------------------------------
     def partition_region(self, ddg: DataDependenceGraph) -> List[int]:
-        """Assign every DDG node to a virtual cluster."""
-        criticality = compute_criticality(ddg)
-        estimator = CompletionTimeEstimator(
-            ddg,
-            num_virtual_clusters=self.num_targets,
-            issue_width=self.issue_width,
-            communication_latency=self.communication_latency,
-            contention_mode="relative",
-        )
+        """Assign every DDG node to a virtual cluster, in program order.
+
+        The completion-time estimate of a node on virtual cluster ``vc`` is
+        its start plus its latency.  The start is the later of
+
+        * its operands' arrival: every producer's completion time, plus the
+          communication latency when the producer sits on another virtual
+          cluster (the static estimate the paper says "may not be accurate
+          enough for a dynamically-scheduled processor", which is why the
+          hardware re-maps virtual clusters at run time), and
+        * the contention delay: only the excess of ``vc``'s load over the
+          average load delays a node, ``excess // issue_width`` cycles.  An
+          out-of-order core overlaps far more work than a static estimate
+          can see, so absolute occupancy is a poor predictor; what the
+          compiler can usefully penalise is imbalance.  With ``node``
+          instructions assigned so far the excess floors to
+          ``(V * load - node) // V``, so the delay is
+          ``(V * load - node) // (V * issue_width)`` in integers.
+
+        The lowest completion time wins; ties go to the virtual cluster of
+        the most critical predecessor (keeps critical chains whole), then to
+        the least loaded virtual cluster, then to the lowest index.
+        """
+        num_vcs = self.num_targets
+        vcs = range(num_vcs)
+        per_vc_slots = num_vcs * self.issue_width
+        communication = self.communication_latency
+        criticality_of = compute_criticality(ddg).criticality.__getitem__
+        pred_start, pred_nodes = ddg.pred_start, ddg.pred_nodes
+        completion = [0] * len(ddg)
         assignment = [0] * len(ddg)
-        criticality_of = criticality.criticality.__getitem__
-        for node in ddg.topological_order():
-            # Tie-breaking: prefer the virtual cluster of the most critical
-            # predecessor (keeps critical chains whole), then the least
-            # loaded virtual cluster, then the lowest index for determinism.
+        load = [0] * num_vcs
+        for node, latency in enumerate(ddg.latencies):
+            preds = pred_nodes[pred_start[node] : pred_start[node + 1]]
             preferred_vc = None
-            if self.criticality_first and ddg.preds[node]:
-                most_critical_pred = max(ddg.preds[node], key=criticality_of)
-                preferred_vc = estimator.assignment[most_critical_pred]
+            if self.criticality_first and preds:
+                preferred_vc = assignment[max(preds, key=criticality_of)]
             best_vc = 0
             best_key = None
-            for vc in range(self.num_targets):
-                completion = estimator.estimate(node, vc)
-                pred_bonus = -1 if preferred_vc == vc else 0
-                key = (completion, pred_bonus, estimator.load[vc], vc)
+            for vc in vcs:
+                ready = 0
+                for pred in preds:
+                    arrival = completion[pred]
+                    if assignment[pred] != vc:
+                        arrival += communication
+                    if arrival > ready:
+                        ready = arrival
+                excess = num_vcs * load[vc] - node
+                if excess > 0 and excess // per_vc_slots > ready:
+                    ready = excess // per_vc_slots
+                key = (ready, -1 if preferred_vc == vc else 0, load[vc])
                 if best_key is None or key < best_key:
                     best_key = key
                     best_vc = vc
-            estimator.assign(node, best_vc)
+            completion[node] = best_key[0] + latency
             assignment[node] = best_vc
+            load[best_vc] += 1
         return assignment
 
     # -- Figure 2, step 3 ----------------------------------------------------------
@@ -109,11 +135,11 @@ class VirtualClusterPartitioner(RegionPartitioner):
         self, ddg: DataDependenceGraph, assignment: Sequence[int], report: PartitionReport
     ) -> None:
         """Write ``vc_id`` and the chain-leader marks onto the instructions."""
-        chains, leaders = identify_chains(ddg, assignment)
-        for node, vc in enumerate(assignment):
-            inst = ddg.instructions[node]
+        leaders = chain_leaders(ddg, assignment)
+        report.chain_leaders += sum(leaders)
+        for inst, vc, leader in zip(ddg.instructions, assignment, leaders):
             inst.vc_id = int(vc)
-            inst.chain_leader = bool(leaders[node])
+            inst.chain_leader = leader
             # The hybrid scheme never binds instructions to physical clusters
             # at compile time; make sure stale annotations cannot leak through.
             inst.static_cluster = None

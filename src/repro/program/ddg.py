@@ -11,47 +11,55 @@ registers), so they are not represented.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from itertools import accumulate, chain
+from operator import lt
+from typing import Callable, Dict, Hashable, List, Sequence, Tuple
 
 from repro.uops.uop import StaticInstruction
 
 
 class DataDependenceGraph:
-    """DDG over the instructions of one compilation region.
+    """DDG over the instructions of one compilation region, as flat arrays.
 
     Nodes are integer positions ``0..n-1`` into the region's instruction
     sequence; :attr:`instructions` maps positions back to
-    :class:`~repro.uops.uop.StaticInstruction` objects.  Edges are stored as
-    adjacency lists (``succs`` / ``preds``) with the producer latency as the
-    edge weight, which is what the criticality and slack analyses need.
+    :class:`~repro.uops.uop.StaticInstruction` objects, and :attr:`latencies`
+    and :attr:`blocks` hold every node's functional-unit latency and
+    basic-block id.  Every edge runs forward, so program order is the one
+    topological order.  Edges are stored consumer-major in CSR form: node
+    ``v``'s producers are ``pred_nodes[pred_start[v]:pred_start[v + 1]]``, in
+    the order :func:`build_ddg` found them, and edge ``k`` runs from
+    ``pred_nodes[k]`` to ``edge_consumers[k]`` with the producer latency
+    ``edge_latencies[k]``.  That is the graph's edge order.  Analyses of the
+    graph (criticality, slack) are memoised on it (:meth:`memo`), so every
+    pass over the region shares one copy.
     """
 
-    def __init__(self, instructions: Sequence[StaticInstruction]) -> None:
+    def __init__(
+        self, instructions: Sequence[StaticInstruction], preds: Sequence[Sequence[int]]
+    ) -> None:
         self.instructions: List[StaticInstruction] = list(instructions)
-        #: Functional-unit latency of every node (looked up once, not per query).
         self.latencies: List[int] = [inst.latency for inst in self.instructions]
-        n = len(self.instructions)
-        self.succs: List[List[int]] = [[] for _ in range(n)]
-        self.preds: List[List[int]] = [[] for _ in range(n)]
-        #: Edge latency keyed by ``(producer, consumer)`` node pair.
-        self.edge_latency: Dict[Tuple[int, int], int] = {}
+        self.blocks: List[int] = [inst.block for inst in self.instructions]
+        if len(preds) != len(self.instructions):
+            raise ValueError("need one predecessor list per instruction")
+        self.pred_start: List[int] = list(accumulate(map(len, preds), initial=0))
+        self.pred_nodes: List[int] = list(chain.from_iterable(preds))
+        self.edge_consumers: List[int] = [c for c, producers in enumerate(preds) for _ in producers]
+        if min(self.pred_nodes, default=0) < 0 or not all(
+            map(lt, self.pred_nodes, self.edge_consumers)
+        ):
+            raise ValueError("every edge must run forward from a node of the region")
+        self.edge_latencies: List[int] = [self.latencies[p] for p in self.pred_nodes]
+        self._memo: Dict[Hashable, object] = {}
 
-    # -- construction ------------------------------------------------------------
-    def add_edge(self, producer: int, consumer: int, latency: Optional[int] = None) -> None:
-        """Add a true-dependence edge from node ``producer`` to node ``consumer``."""
-        n = len(self.instructions)
-        if not (0 <= producer < n and 0 <= consumer < n):
-            raise ValueError(f"edge ({producer}, {consumer}) out of range for {n} nodes")
-        if producer == consumer:
-            raise ValueError("self-dependences are not allowed in a DDG")
-        key = (producer, consumer)
-        if key in self.edge_latency:
-            return
-        if latency is None:
-            latency = self.latencies[producer]
-        self.succs[producer].append(consumer)
-        self.preds[consumer].append(producer)
-        self.edge_latency[key] = int(latency)
+    def memo(self, key: Hashable, build: Callable[[], object]) -> object:
+        """The analysis stored on this graph under ``key``; ``build()`` makes it once."""
+        value = self._memo.get(key)
+        if value is None:
+            value = build()
+            self._memo[key] = value
+        return value
 
     # -- queries -----------------------------------------------------------------
     def __len__(self) -> int:
@@ -60,28 +68,34 @@ class DataDependenceGraph:
     @property
     def num_edges(self) -> int:
         """Number of dependence edges."""
-        return len(self.edge_latency)
+        return len(self.pred_nodes)
+
+    @property
+    def edge_latency(self) -> Dict[Tuple[int, int], int]:
+        """The edges as ``{(producer, consumer): latency}`` in edge order, built per call."""
+        return dict(zip(zip(self.pred_nodes, self.edge_consumers), self.edge_latencies))
+
+    def predecessors(self, node: int) -> List[int]:
+        """The producers ``node`` depends on."""
+        return self.pred_nodes[self.pred_start[node] : self.pred_start[node + 1]]
+
+    def successors(self, node: int) -> List[int]:
+        """The consumers depending on ``node`` (a scan over the edges)."""
+        return [c for p, c in zip(self.pred_nodes, self.edge_consumers) if p == node]
 
     def roots(self) -> List[int]:
         """Nodes with no predecessors (region live-in consumers or constants)."""
-        return [i for i in range(len(self.instructions)) if not self.preds[i]]
+        start = self.pred_start
+        return [i for i in range(len(self)) if start[i] == start[i + 1]]
 
     def leaves(self) -> List[int]:
         """Nodes with no successors inside the region."""
-        return [i for i in range(len(self.instructions)) if not self.succs[i]]
+        producers = set(self.pred_nodes)
+        return [i for i in range(len(self)) if i not in producers]
 
     def topological_order(self) -> List[int]:
-        """Nodes in a topological order (program order is always valid).
-
-        The DDG is built from a single program-ordered instruction sequence,
-        so program order itself is a topological order; we return it directly
-        which also keeps partitioning deterministic.
-        """
-        return list(range(len(self.instructions)))
-
-    def instruction(self, node: int) -> StaticInstruction:
-        """Return the static instruction at DDG node ``node``."""
-        return self.instructions[node]
+        """Nodes in topological order: program order, as every edge runs forward."""
+        return list(range(len(self)))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"DataDependenceGraph(nodes={len(self)}, edges={self.num_edges})"
@@ -108,19 +122,20 @@ def build_ddg(
     DataDependenceGraph
         The register true-dependence graph of the region.
     """
-    ddg = DataDependenceGraph(instructions)
     last_writer: Dict[int, int] = {}
     last_stores: List[int] = []
+    preds: List[List[int]] = []
     for i, inst in enumerate(instructions):
-        for src in inst.srcs:
-            producer = last_writer.get(src)
-            if producer is not None:
-                ddg.add_edge(producer, i)
+        producers = [last_writer.get(src) for src in inst.srcs]
         if include_memory_edges and inst.is_load:
-            for store in last_stores:
-                ddg.add_edge(store, i)
+            producers.extend(last_stores)
+        node_preds: List[int] = []
+        for producer in producers:
+            if producer is not None and producer not in node_preds:
+                node_preds.append(producer)
+        preds.append(node_preds)
         for dst in inst.dests:
             last_writer[dst] = i
         if include_memory_edges and inst.is_store:
             last_stores.append(i)
-    return ddg
+    return DataDependenceGraph(instructions, preds)

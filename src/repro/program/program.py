@@ -102,8 +102,9 @@ class Program:
 
     def clear_annotations(self) -> None:
         """Remove all steering annotations (between compiler passes)."""
-        for inst in self.all_instructions():
-            inst.clear_annotations()
+        for block in self.blocks.values():
+            for inst in block.instructions:
+                inst.clear_annotations()
 
     def annotation_summary(self) -> Dict[str, int]:
         """Count annotated instructions; useful in tests and reports."""

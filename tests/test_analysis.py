@@ -5,10 +5,11 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.analysis.completion_time import CompletionTimeEstimator
 from repro.analysis.criticality import compute_criticality
 from repro.analysis.slack import compute_slack
 from repro.analysis.stats import ddg_statistics, program_statistics
+from repro.partition.ob_partitioner import OperationBasedPartitioner
+from repro.partition.vc_partitioner import VirtualClusterPartitioner
 from repro.program.ddg import build_ddg
 from repro.uops.opcodes import UopClass, latency_of
 from tests.conftest import make_instruction
@@ -62,7 +63,8 @@ class TestSlack:
         ddg = chain_ddg(5)
         slack = compute_slack(ddg)
         assert all(s == 0 for s in slack.node_slack)
-        assert all(slack.is_edge_critical(edge) for edge in ddg.edge_latency)
+        assert len(slack.edge_slack) == ddg.num_edges
+        assert all(s == 0 for s in slack.edge_slack)
 
     def test_off_critical_path_has_positive_slack(self):
         instructions = [
@@ -80,71 +82,63 @@ class TestSlack:
             make_instruction(1, UopClass.INT_ALU, dests=(11,), srcs=(1,)),
             make_instruction(2, UopClass.INT_ALU, dests=(12,), srcs=(10, 11)),
         ]
-        slack = compute_slack(build_ddg(instructions))
-        critical_weight = slack.edge_weight((0, 2))
-        slack_weight = slack.edge_weight((1, 2))
-        assert critical_weight >= slack_weight >= 1
+        ddg = build_ddg(instructions)
+        weight = dict(zip(ddg.edge_latency, compute_slack(ddg).edge_weights()))
+        assert weight[(0, 2)] >= weight[(1, 2)] >= 1
 
     def test_node_weight_is_unit(self):
-        slack = compute_slack(chain_ddg(3))
-        assert slack.node_weight(0) == 1
+        assert compute_slack(chain_ddg(3)).node_weights() == [1, 1, 1]
+
+    def test_computed_once_per_graph(self):
+        ddg = chain_ddg(4)
+        assert compute_slack(ddg) is compute_slack(ddg)
+        assert compute_slack(ddg).criticality is compute_criticality(ddg)
+
+
+def independent_ddg(size):
+    """``size`` operations with no dependence between them."""
+    return build_ddg([make_instruction(i, dests=(10 + i,), srcs=(i,)) for i in range(size)])
 
 
 class TestCompletionTimeEstimator:
+    """The completion-time estimate the OB and VC passes place instructions by."""
+
     def test_serial_chain_accumulates_latency(self):
-        ddg = chain_ddg(3)
-        estimator = CompletionTimeEstimator(ddg, num_virtual_clusters=2)
-        latency = latency_of(UopClass.INT_ALU)
-        assert estimator.assign(0, 0) == latency
-        assert estimator.assign(1, 0) == 2 * latency
-        assert estimator.assign(2, 0) == 3 * latency
+        # Staying on the producer's cluster always completes earliest.
+        placement = OperationBasedPartitioner(2, issue_width=8, balance_bias=0.0)
+        assert placement.partition_region(chain_ddg(3)) == [0, 0, 0]
 
     def test_cross_cluster_dependence_pays_communication(self):
-        ddg = chain_ddg(2)
-        estimator = CompletionTimeEstimator(ddg, num_virtual_clusters=2, communication_latency=3)
-        estimator.assign(0, 0)
-        same = estimator.estimate(1, 0)
-        other = estimator.estimate(1, 1)
-        assert other == same + 3
+        def placed(latency):
+            placement = OperationBasedPartitioner(
+                2, issue_width=8, communication_latency=latency, balance_bias=0.0
+            )
+            return placement.partition_region(chain_ddg(2))
 
-    def test_absolute_contention_grows_with_load(self, two_chain_block):
-        ddg = build_ddg(two_chain_block.instructions)
-        estimator = CompletionTimeEstimator(
-            ddg, num_virtual_clusters=2, issue_width=1, contention_mode="absolute"
+        # Free communication ties the clusters, and the idle one wins.
+        assert placed(0) == [0, 1]
+        assert placed(3) == [0, 0]
+
+    def test_absolute_contention_grows_with_load(self):
+        placement = OperationBasedPartitioner(2, issue_width=1, balance_bias=0.0)
+        assert placement.partition_region(independent_ddg(4)) == [0, 1, 0, 1]
+
+    def test_relative_contention_only_penalises_excess(self):
+        assignment = VirtualClusterPartitioner(2, issue_width=1).partition_region(
+            independent_ddg(6)
         )
-        for node in range(4):
-            estimator.assign(node, 0)
-        assert estimator.contention_delay(0) == 4
-        assert estimator.contention_delay(1) == 0
-
-    def test_relative_contention_only_penalises_excess(self, two_chain_block):
-        ddg = build_ddg(two_chain_block.instructions)
-        estimator = CompletionTimeEstimator(
-            ddg, num_virtual_clusters=2, issue_width=1, contention_mode="relative"
-        )
-        estimator.assign(0, 0)
-        estimator.assign(1, 1)
-        # Balanced load: no contention anywhere.
-        assert estimator.contention_delay(0) == 0
-        assert estimator.contention_delay(1) == 0
-
-    def test_balance_metric(self):
-        ddg = chain_ddg(4)
-        estimator = CompletionTimeEstimator(ddg, num_virtual_clusters=2)
-        assert estimator.balance() == 1.0
-        estimator.assign(0, 0)
-        estimator.assign(1, 0)
-        assert estimator.balance() == pytest.approx(0.5, abs=1e-9)
+        assert assignment.count(0) == assignment.count(1) == 3
+        # A serial chain pays no contention: only excess over the average
+        # load delays a node, and the chain's producer dominates.
+        assert len(set(VirtualClusterPartitioner(2).partition_region(chain_ddg(8)))) == 1
 
     def test_invalid_arguments(self):
-        ddg = chain_ddg(2)
         with pytest.raises(ValueError):
-            CompletionTimeEstimator(ddg, num_virtual_clusters=0)
+            VirtualClusterPartitioner(0)
         with pytest.raises(ValueError):
-            CompletionTimeEstimator(ddg, num_virtual_clusters=2, contention_mode="bogus")
-        estimator = CompletionTimeEstimator(ddg, num_virtual_clusters=2)
+            VirtualClusterPartitioner(2, issue_width=0)
         with pytest.raises(ValueError):
-            estimator.estimate(0, 5)
+            OperationBasedPartitioner(2, issue_width=0)
 
 
 class TestStats:

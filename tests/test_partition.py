@@ -214,7 +214,9 @@ class TestVirtualClusterPartitioner:
             for node, inst in enumerate(ddg.instructions):
                 if inst.chain_leader:
                     same_vc_preds = [
-                        p for p in ddg.preds[node] if ddg.instructions[p].vc_id == inst.vc_id
+                        p
+                        for p in ddg.predecessors(node)
+                        if ddg.instructions[p].vc_id == inst.vc_id
                     ]
                     assert not same_vc_preds
 

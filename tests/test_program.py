@@ -7,7 +7,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.program.basic_block import BasicBlock
 from repro.program.cfg import ControlFlowGraph
-from repro.program.ddg import build_ddg
+from repro.program.ddg import DataDependenceGraph, build_ddg
 from repro.program.program import Program
 from repro.program.regions import form_regions, region_of_block
 from repro.program.trace import AddressModel, TraceGenerator, expand_trace
@@ -158,17 +158,33 @@ class TestDDG:
         assert ddg.edge_latency[(0, 1)] == simple_block.instructions[0].latency
 
     def test_self_edge_rejected(self, simple_block):
+        """Self and backward edges are rejected: every edge runs forward."""
+        instructions = simple_block.instructions[:3]
+        for preds in ([[], [1], []], [[], [], [5]], [[], [], [-1]]):
+            with pytest.raises(ValueError):
+                DataDependenceGraph(instructions, preds)
+
+    def test_reading_and_writing_one_register_depends_on_the_previous_writer(self):
+        instructions = [
+            make_instruction(0, dests=(10,), srcs=(0,)),
+            make_instruction(1, dests=(10,), srcs=(10,)),  # R10 = R10 + ...
+        ]
+        assert build_ddg(instructions).edge_latency == {(0, 1): instructions[0].latency}
+
+    def test_csr_arrays_list_each_nodes_producers(self, simple_block):
         ddg = build_ddg(simple_block.instructions)
-        with pytest.raises(ValueError):
-            ddg.add_edge(1, 1)
+        assert ddg.pred_start == [0, 0, 1, 2, 2, 3]
+        assert ddg.pred_nodes == [0, 1, 2]
+        assert ddg.edge_consumers == [1, 2, 4]
+        assert ddg.predecessors(4) == [2] and ddg.successors(0) == [1]
 
     def test_edges_run_forward(self, simple_block):
         """Every edge runs from an earlier to a later region position, so the
         DDG is acyclic and program order is a topological order."""
         ddg = build_ddg(simple_block.instructions)
         for node in range(len(ddg)):
-            assert all(node < consumer for consumer in ddg.succs[node])
-            assert all(producer < node for producer in ddg.preds[node])
+            assert all(node < consumer for consumer in ddg.successors(node))
+            assert all(producer < node for producer in ddg.predecessors(node))
         assert ddg.topological_order() == list(range(len(ddg)))
 
 

@@ -86,8 +86,8 @@ class TestDDGProperties:
         # can close: program order is a topological order.
         ddg = build_ddg(instructions)
         for node in range(len(ddg)):
-            assert all(node < consumer for consumer in ddg.succs[node])
-            assert all(producer < node for producer in ddg.preds[node])
+            assert all(node < consumer for consumer in ddg.successors(node))
+            assert all(producer < node for producer in ddg.predecessors(node))
 
     @common_settings
     @given(instructions=instruction_sequences())
@@ -98,7 +98,7 @@ class TestDDGProperties:
             assert info.criticality[node] == info.depth[node] + info.height[node]
             assert info.height[node] >= ddg.instructions[node].latency
             assert info.criticality[node] <= info.critical_path_length
-            for pred in ddg.preds[node]:
+            for pred in ddg.predecessors(node):
                 assert info.depth[node] >= info.depth[pred] + ddg.edge_latency[(pred, node)]
 
     @common_settings
@@ -107,7 +107,7 @@ class TestDDGProperties:
         ddg = build_ddg(instructions)
         slack = compute_slack(ddg)
         assert all(s >= 0 for s in slack.node_slack)
-        assert all(s >= 0 for s in slack.edge_slack.values())
+        assert all(s >= 0 for s in slack.edge_slack)
         critical = slack.criticality.critical_nodes()
         assert critical, "every non-empty DDG has at least one critical node"
         assert all(slack.node_slack[node] == 0 for node in critical)
@@ -149,7 +149,7 @@ class TestPartitionProperties:
         ddg = build_ddg(instructions)
         slack = compute_slack(ddg)
         weights = [1] * len(ddg)
-        edges = {edge: slack.edge_weight(edge) for edge in ddg.edge_latency}
+        edges = dict(zip(ddg.edge_latency, slack.edge_weights()))
         assignment = MultilevelPartitioner(parts).partition(weights, edges)
         assert len(assignment) == len(ddg)
         assert all(0 <= part < parts for part in assignment)
