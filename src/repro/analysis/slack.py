@@ -39,11 +39,12 @@ class SlackInfo:
         ``max_weight`` times as attractive to coarsen as a very slack edge.
         """
         length = max(1, self.criticality.critical_path_length)
-        # Normalise slack to [0, 1] then invert.
-        return [
-            max(1, int(round(max_weight * (1.0 - min(1.0, slack / length)))))
-            for slack in self.edge_slack
-        ]
+        # Normalise slack to [0, 1] then invert, once per distinct slack.
+        weight_of = {
+            slack: max(1, int(round(max_weight * (1.0 - min(1.0, slack / length)))))
+            for slack in dict.fromkeys(self.edge_slack)
+        }
+        return list(map(weight_of.__getitem__, self.edge_slack))
 
     def node_weights(self) -> List[int]:
         """RHOP-style node weights: unit resource usage per operation.

@@ -1,15 +1,12 @@
 """Shared driver for compile-time partitioning passes.
 
 Every pass works region by region: the driver takes the program's superblock
-regions and their flat-list DDGs (formed once per program and region size,
-:func:`region_ddgs`), asks the concrete partitioner for a per-node target
-(virtual cluster or physical cluster), and lets the partitioner write the
-corresponding annotations onto the static instructions.  Regions are
-independent, so a pass told which static instructions a trace executes
-(:attr:`RegionPartitioner.executed_sids`) partitions only the regions holding
-one of them and leaves the rest unannotated.  A :class:`PartitionReport`
-summarising cut edges and balance is returned so examples, tests and reports
-can inspect what the compiler did.
+regions and their flat-array DDGs (:func:`region_ddgs`), asks the concrete
+partitioner for a per-node target (virtual or physical cluster), and lets it
+annotate the static instructions -- of every region, or only of those a trace
+executes (:attr:`RegionPartitioner.executed_sids`).  A
+:class:`PartitionReport` summarising cut edges and balance is returned so
+examples, tests and reports can inspect what the compiler did.
 """
 
 from __future__ import annotations
@@ -33,7 +30,6 @@ class PartitionReport:
     partitioner: str
     #: Number of partitions the pass produces (targets ``0..num_targets-1``).
     num_targets: int = 1
-    #: Regions formed over the program.
     num_regions: int = 0
     #: Instructions of the regions the pass partitioned.
     num_instructions: int = 0
@@ -102,11 +98,9 @@ class RegionPartitioner(abc.ABC):
 
     #: Short name used in reports; subclasses override.
     name = "base"
-    #: Static ids of the instructions that must be annotated, or ``None`` for
-    #: the whole program.  The engine sets it to the sids of the job's trace:
-    #: the columns ``CompiledTrace.annotate_from`` scatters read only those
-    #: sids, and every region is partitioned on its own, so skipping the
-    #: regions that hold none of them leaves those columns unchanged.
+    #: Static ids that must be annotated, or ``None`` for the whole program.
+    #: The engine sets the trace's sids: ``CompiledTrace.annotate_from`` reads
+    #: only those, and regions are partitioned independently.
     executed_sids: Optional[AbstractSet[int]] = None
 
     def __init__(self, num_targets: int, region_size: int = 128) -> None:
@@ -131,11 +125,8 @@ class RegionPartitioner(abc.ABC):
 
     # -- driver -------------------------------------------------------------------
     def annotate_program(self, program: Program) -> PartitionReport:
-        """Clear ``program``'s annotations and annotate its regions in place.
-
-        Every region is partitioned unless :attr:`executed_sids` is set; then
-        only the regions holding at least one of those sids are.
-        """
+        """Clear ``program``'s annotations and annotate its regions in place:
+        all of them, or those holding one of :attr:`executed_sids` if set."""
         program.clear_annotations()
         report = PartitionReport(
             program_name=program.name, partitioner=self.name, num_targets=self.num_targets
@@ -146,7 +137,7 @@ class RegionPartitioner(abc.ABC):
         for ddg in ddgs:
             if ddg is None or (
                 executed is not None
-                and executed.isdisjoint(map(_SID, ddg.instructions))
+                and executed.isdisjoint(map(attrgetter("sid"), ddg.instructions))
             ):
                 continue
             assignment = self.partition_region(ddg)
@@ -167,6 +158,3 @@ class RegionPartitioner(abc.ABC):
                 map(ne, map(target_of, ddg.pred_nodes), map(target_of, ddg.edge_consumers))
             )
         return report
-
-
-_SID = attrgetter("sid")

@@ -66,16 +66,9 @@ def chain_leaders(ddg: DataDependenceGraph, assignment: Sequence[int]) -> List[b
     leaders = []
     pred_start, pred_nodes = ddg.pred_start, ddg.pred_nodes
     for node, vc in enumerate(assignment):
-        if vc in seen:
-            for pred in pred_nodes[pred_start[node] : pred_start[node + 1]]:
-                if assignment[pred] == vc:
-                    leaders.append(False)
-                    break
-            else:
-                leaders.append(True)
-        else:
-            seen.add(vc)
-            leaders.append(True)
+        preds = pred_nodes[pred_start[node] : pred_start[node + 1]]
+        leaders.append(vc not in seen or vc not in map(assignment.__getitem__, preds))
+        seen.add(vc)
     return leaders
 
 

@@ -19,7 +19,8 @@ slack-derived weights and the per-cluster balance constraint.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate, compress
+from itertools import accumulate, compress, repeat
+from operator import floordiv, mod
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 
@@ -61,7 +62,8 @@ def _merge_edges(
         else:
             continue
         merged[key] = merged.get(key, 0) + w
-    return [key // n for key in merged], [key % n for key in merged], list(merged.values())
+    keys = list(merged)
+    return list(map(floordiv, keys, repeat(n))), list(map(mod, keys, repeat(n))), [*merged.values()]
 
 
 class _Level:
@@ -69,12 +71,11 @@ class _Level:
 
     ``edges`` holds the undirected edge lists of :func:`_merge_edges`;
     ``neighbours[u]`` / ``neighbour_weights[u]`` list ``u``'s incident edges
-    in that edge order, which is the order coarsening and refinement visit
-    them in.
+    in that order.  A coarse level also records how the finer one maps onto it.
     """
 
     __slots__ = (
-        "node_weights", "node_groups", "edges", "fine_to_coarse", "pairs",
+        "node_weights", "node_groups", "edges", "fine_to_coarse", "representatives", "pairs",
         "neighbours", "neighbour_weights",
     )
 
@@ -84,15 +85,18 @@ class _Level:
         node_groups: List[int],
         edges: Tuple[List[int], List[int], List[int]],
         fine_to_coarse: Optional[List[int]] = None,
+        representatives: Sequence[int] = (),
         pairs: Sequence[Tuple[int, int]] = (),
     ) -> None:
         self.node_weights = node_weights
         #: Balance group of every node (see ``MultilevelPartitioner.partition``).
         self.node_groups = node_groups
         self.edges = edges
-        #: Mapping from the finer level's node ids to this level's node ids.
+        #: The finer level's node ids mapped to this level's, this level's
+        #: nodes mapped to their finer representatives, and the merged
+        #: ``(representative, partner)`` pairs of finer nodes.
         self.fine_to_coarse = fine_to_coarse
-        #: The finer level's ``(representative, partner)`` node pairs merged here.
+        self.representatives = representatives
         self.pairs = pairs
         neighbours: List[List[int]] = [[] for _ in node_weights]
         weights: List[List[int]] = [[] for _ in node_weights]
@@ -179,12 +183,9 @@ class MultilevelPartitioner:
         edges: Tuple[List[int], List[int], List[int]],
         node_groups: List[int],
     ) -> List[int]:
-        """:meth:`partition` of a graph given as flat, already-checked lists.
-
-        ``edges`` are parallel ``(us, vs, ws)`` lists with ``u < v`` and every
-        pair once -- a DDG's edges in insertion order qualify -- and
-        ``node_groups`` has one group per node.
-        """
+        """:meth:`partition` of checked flat lists: ``edges`` are parallel
+        ``(us, vs, ws)`` lists holding each pair once with ``u < v`` (as a DDG's
+        edges do), and ``node_groups`` has one group per node."""
         n = len(node_weights)
         if n == 0:
             return []
@@ -217,8 +218,9 @@ class MultilevelPartitioner:
         # most critical dependences are collapsed first (RHOP groups the
         # critical path during coarsening); the sort is stable.  A node
         # without neighbours matches nothing, so it is left out.
-        heaviest = [max(weights) if weights else 0 for weights in neighbour_weights]
-        for u in sorted(filter(neighbours.__getitem__, range(n)), key=heaviest.__getitem__, reverse=True):
+        linked = list(filter(neighbours.__getitem__, range(n)))
+        heaviest = dict(zip(linked, map(max, map(neighbour_weights.__getitem__, linked))))
+        for u in sorted(linked, key=heaviest.__getitem__, reverse=True):
             if matched[u]:
                 continue
             matched[u] = True
@@ -242,7 +244,14 @@ class MultilevelPartitioner:
             fine_to_coarse[v] = fine_to_coarse[u]
             coarse_weights[fine_to_coarse[u]] += level.node_weights[v]
         coarse_edges = _merge_edges(*level.edges, fine_to_coarse)
-        return _Level(coarse_weights, coarse_groups, coarse_edges, fine_to_coarse, pairs)
+        return _Level(
+            coarse_weights,
+            coarse_groups,
+            coarse_edges,
+            fine_to_coarse,
+            list(compress(range(n), kept)),
+            pairs,
+        )
 
     # -- initial partition -----------------------------------------------------------
     def _initial_partition(self, level: _Level) -> List[int]:
@@ -264,31 +273,28 @@ class MultilevelPartitioner:
 
     # -- refinement --------------------------------------------------------------------
     def _refine(self, levels: List[_Level], assignment: List[int]) -> List[int]:
-        """Refine ``assignment`` of the coarsest level, then project it down level by level.
+        """Refine the coarsest level's ``assignment``, then project and refine each finer level.
 
         At every level, greedy single-node moves run until a pass moves
         nothing (at most ``max_refinement_passes`` passes).  Nodes are
-        visited in order, and a node moves to the first candidate part with
-        a positive gain: the cut reduction minus the change of its balance
-        group's imbalance penalty, ``sum(|w_p - ideal|)`` over the parts.
-        Moves keep every group's total, so a group's ideal share is fixed;
-        the penalty sums run in part order, the float operations of the
-        plain ``sum(abs(w - ideal) for w in per_part)`` form.  Three
+        visited in order and move to the first candidate part with a
+        positive gain: the cut reduction minus the change of the node's
+        balance-group penalty ``sum(|w_p - ideal|)``.  Moves keep group
+        totals, so ideal shares are fixed; the penalty sums run in part
+        order, the float operations of ``sum(abs(w - ideal) ...)``.  Three
         shortcuts leave every move unchanged:
 
-        * the balance term of a move depends only on its group's per-part
-          weights, its source and target parts and the node weight, so it
-          is kept per group until a node of the group moves;
-        * projection keeps every part's and, unless a merged pair spanned
-          two groups, every group's per-part weight, so those totals, the
-          ideal shares and the kept terms carry over to the finer level;
-        * only the nodes marked ``due`` are visited: a visited node that
-          does not move would make the same decision again until a
-          neighbour or a node of its group moves -- or, if a target was over
-          the part-weight cap (it is in ``capped``), until any node moves.
-          Projection carries the marks over (:meth:`_projected_due`).  An
-          extra mark only costs a visit, so ``capped`` may keep nodes that
-          were visited again.
+        * a move's balance term depends only on its group's per-part weights,
+          its parts and the node weight, so it is kept until the group moves;
+        * projection keeps every part's weight and, unless a merged pair spans
+          two groups, every group's, so these totals carry over;
+        * only ``due`` nodes are visited.  A node that stays put would decide
+          the same until a neighbour or group member moves, or -- if a target
+          was over the part-weight cap (``capped``) -- until a node leaves
+          that part.  After projection a node inherits its coarse node's mark
+          unless it was merged, neighbours both nodes of a pair (its coarse
+          edge merged two) or its group's weights changed.  An extra mark
+          only costs a visit.
         """
         num_parts = self.num_parts
         parts = range(num_parts)
@@ -302,23 +308,32 @@ class MultilevelPartitioner:
         # part, at zero external weight (read-only, shared per part).
         other_parts = [{p: 0 for p in parts if p != part} for part in parts]
         due = [True] * levels[-1].num_nodes
-        capped: Set[int] = set()
-        regrouped = True
+        capped: List[Set[int]] = [set() for _ in parts]
+        regrouped: Set[int] = set()
         for index in range(len(levels) - 1, -1, -1):
             level = levels[index]
             node_groups = level.node_groups
             node_weights = level.node_weights
             neighbours = level.neighbours
             neighbour_weights = level.neighbour_weights
+            nodes = range(level.num_nodes)
             if index < len(levels) - 1:
                 coarse = levels[index + 1]
                 assignment = list(map(assignment.__getitem__, coarse.fine_to_coarse))
-                due, regrouped = self._projected_due(level, coarse, due)
-                if capped:
-                    capped = {
-                        node for node, c in enumerate(coarse.fine_to_coarse) if c in capped
-                    }
-            if regrouped:
+                due = list(map(due.__getitem__, coarse.fine_to_coarse))
+                capped = [{coarse.representatives[c] for c in nodes} for nodes in capped]
+                for u, v in coarse.pairs:
+                    due[u] = due[v] = True
+                    of_u = set(neighbours[u])
+                    for neighbour in neighbours[v]:
+                        if neighbour in of_u:
+                            due[neighbour] = True
+                    if node_groups[u] != node_groups[v]:
+                        regrouped.update((node_groups[u], node_groups[v]))
+                for node in compress(nodes, map(regrouped.__contains__, node_groups)):
+                    due[node] = True
+            if regrouped or index == len(levels) - 1:
+                regrouped.clear()
                 #: Per-group, per-part node weight totals.
                 group_weights: Dict[int, List[int]] = {}
                 for part, group, weight in zip(assignment, node_groups, node_weights):
@@ -326,8 +341,7 @@ class MultilevelPartitioner:
                         group_weights[group] = [0] * num_parts
                     group_weights[group][part] += weight
                 group_ideal = {
-                    group: sum(per_part) / num_parts
-                    for group, per_part in group_weights.items()
+                    group: sum(per_part) / num_parts for group, per_part in group_weights.items()
                 }
                 #: Balance term of a move per group, keyed ``(source, target, weight)``.
                 balance_terms: Dict[int, Dict[Tuple[int, int, int], float]] = {
@@ -339,7 +353,7 @@ class MultilevelPartitioner:
                 improved = False
                 # compress() reads each mark when it reaches the node, so a
                 # node marked during the pass is visited in the same pass.
-                for node in compress(range(level.num_nodes), due):
+                for node in compress(nodes, due):
                     due[node] = False
                     current = assignment[node]
                     external: Dict[int, int] = {}
@@ -355,7 +369,7 @@ class MultilevelPartitioner:
                     terms = balance_terms[group]
                     for target, external_weight in (external or other_parts[current]).items():
                         if part_weight[target] + weight > max_part:
-                            capped.add(node)
+                            capped[target].add(node)
                             continue
                         term = terms.get((current, target, weight))
                         if term is None:
@@ -383,48 +397,13 @@ class MultilevelPartitioner:
                             part_weight[target] += weight
                             assignment[node] = target
                             if group not in members:
-                                members[group] = [
-                                    other for other, g in enumerate(node_groups) if g == group
-                                ]
-                            for others in (members[group], neighbours[node], capped):
+                                members[group] = [*compress(nodes, map(group.__eq__, node_groups))]
+                            for others in (members[group], neighbours[node], capped[current]):
                                 for other in others:
                                     due[other] = True
-                            capped.clear()
+                            capped[current].clear()
                             improved = True
                             break
                 if not improved:
                     break
         return assignment
-
-    @staticmethod
-    def _projected_due(
-        fine: _Level, coarse: _Level, coarse_due: List[bool]
-    ) -> Tuple[List[bool], bool]:
-        """The ``due`` marks of ``fine``'s nodes after projecting ``coarse``'s partition.
-
-        The nodes of a merged pair are due, and so is a common neighbour of
-        both: its two edges to the pair were one coarse edge.  So is every
-        node of a group that lent or received weight through a pair of nodes
-        from different groups.  Any other node has exactly its coarse node's
-        weight, group, group weights, and neighbours with the same edge
-        weights in the same order and parts, so it would decide as its
-        coarse node did and inherits that node's mark.  Also returns whether
-        any pair spanned two groups.
-        """
-        due = list(map(coarse_due.__getitem__, coarse.fine_to_coarse))
-        groups = fine.node_groups
-        neighbours = fine.neighbours
-        changed = set()
-        for u, v in coarse.pairs:
-            due[u] = due[v] = True
-            of_u = set(neighbours[u])
-            for neighbour in neighbours[v]:
-                if neighbour in of_u:
-                    due[neighbour] = True
-            if groups[u] != groups[v]:
-                changed.update((groups[u], groups[v]))
-        if changed:
-            for node, group in enumerate(groups):
-                if group in changed:
-                    due[node] = True
-        return due, bool(changed)

@@ -43,7 +43,7 @@ class VirtualClusterPartitioner(RegionPartitioner):
     region_size:
         Compiler window (instructions per region).
     issue_width:
-        Per-cluster issue bandwidth assumed by the completion-time estimator.
+        Per-cluster issue bandwidth assumed by the completion-time estimate.
     communication_latency:
         Assumed inter-cluster communication latency (cycles).
     criticality_first:
@@ -71,28 +71,18 @@ class VirtualClusterPartitioner(RegionPartitioner):
 
     # -- Figure 2, steps 1 and 2 --------------------------------------------------
     def partition_region(self, ddg: DataDependenceGraph) -> List[int]:
-        """Assign every DDG node to a virtual cluster, in program order.
+        """Assign every DDG node, in program order, to the virtual cluster where
+        it is estimated to complete first.
 
-        The completion-time estimate of a node on virtual cluster ``vc`` is
-        its start plus its latency.  The start is the later of
-
-        * its operands' arrival: every producer's completion time, plus the
-          communication latency when the producer sits on another virtual
-          cluster (the static estimate the paper says "may not be accurate
-          enough for a dynamically-scheduled processor", which is why the
-          hardware re-maps virtual clusters at run time), and
-        * the contention delay: only the excess of ``vc``'s load over the
-          average load delays a node, ``excess // issue_width`` cycles.  An
-          out-of-order core overlaps far more work than a static estimate
-          can see, so absolute occupancy is a poor predictor; what the
-          compiler can usefully penalise is imbalance.  With ``node``
-          instructions assigned so far the excess floors to
-          ``(V * load - node) // V``, so the delay is
-          ``(V * load - node) // (V * issue_width)`` in integers.
-
-        The lowest completion time wins; ties go to the virtual cluster of
-        the most critical predecessor (keeps critical chains whole), then to
-        the least loaded virtual cluster, then to the lowest index.
+        A node starts on ``vc`` at the later of its operands' arrival (each
+        producer's completion, plus the communication latency from another
+        virtual cluster) and a contention delay.  An out-of-order core
+        overlaps far more work than a static estimate sees, so only the
+        excess of ``vc``'s load over the average delays a node: with
+        ``node`` nodes placed on ``V`` virtual clusters that is
+        ``(V * load - node) // (V * issue_width)`` cycles, in integers.
+        Ties go to the most critical predecessor's virtual cluster (keeps
+        critical chains whole), then the less loaded, then the lower one.
         """
         num_vcs = self.num_targets
         vcs = range(num_vcs)

@@ -11,8 +11,8 @@ registers), so they are not represented.
 
 from __future__ import annotations
 
-from itertools import accumulate, chain
-from operator import lt
+from itertools import accumulate, chain, repeat
+from operator import attrgetter, lt
 from typing import Callable, Dict, Hashable, List, Sequence, Tuple
 
 from repro.uops.uop import StaticInstruction
@@ -39,18 +39,20 @@ class DataDependenceGraph:
         self, instructions: Sequence[StaticInstruction], preds: Sequence[Sequence[int]]
     ) -> None:
         self.instructions: List[StaticInstruction] = list(instructions)
-        self.latencies: List[int] = [inst.latency for inst in self.instructions]
-        self.blocks: List[int] = [inst.block for inst in self.instructions]
+        self.latencies: List[int] = list(map(attrgetter("latency"), self.instructions))
+        self.blocks: List[int] = list(map(attrgetter("block"), self.instructions))
         if len(preds) != len(self.instructions):
             raise ValueError("need one predecessor list per instruction")
         self.pred_start: List[int] = list(accumulate(map(len, preds), initial=0))
         self.pred_nodes: List[int] = list(chain.from_iterable(preds))
-        self.edge_consumers: List[int] = [c for c, producers in enumerate(preds) for _ in producers]
+        self.edge_consumers: List[int] = list(
+            chain.from_iterable(map(repeat, range(len(preds)), map(len, preds)))
+        )
         if min(self.pred_nodes, default=0) < 0 or not all(
             map(lt, self.pred_nodes, self.edge_consumers)
         ):
             raise ValueError("every edge must run forward from a node of the region")
-        self.edge_latencies: List[int] = [self.latencies[p] for p in self.pred_nodes]
+        self.edge_latencies: List[int] = list(map(self.latencies.__getitem__, self.pred_nodes))
         self._memo: Dict[Hashable, object] = {}
 
     def memo(self, key: Hashable, build: Callable[[], object]) -> object:
@@ -79,10 +81,6 @@ class DataDependenceGraph:
         """The producers ``node`` depends on."""
         return self.pred_nodes[self.pred_start[node] : self.pred_start[node + 1]]
 
-    def successors(self, node: int) -> List[int]:
-        """The consumers depending on ``node`` (a scan over the edges)."""
-        return [c for p, c in zip(self.pred_nodes, self.edge_consumers) if p == node]
-
     def roots(self) -> List[int]:
         """Nodes with no predecessors (region live-in consumers or constants)."""
         start = self.pred_start
@@ -92,10 +90,6 @@ class DataDependenceGraph:
         """Nodes with no successors inside the region."""
         producers = set(self.pred_nodes)
         return [i for i in range(len(self)) if i not in producers]
-
-    def topological_order(self) -> List[int]:
-        """Nodes in topological order: program order, as every edge runs forward."""
-        return list(range(len(self)))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"DataDependenceGraph(nodes={len(self)}, edges={self.num_edges})"
@@ -126,7 +120,7 @@ def build_ddg(
     last_stores: List[int] = []
     preds: List[List[int]] = []
     for i, inst in enumerate(instructions):
-        producers = [last_writer.get(src) for src in inst.srcs]
+        producers = list(map(last_writer.get, inst.srcs))
         if include_memory_edges and inst.is_load:
             producers.extend(last_stores)
         node_preds: List[int] = []

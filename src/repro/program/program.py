@@ -104,7 +104,8 @@ class Program:
         """Remove all steering annotations (between compiler passes)."""
         for block in self.blocks.values():
             for inst in block.instructions:
-                inst.clear_annotations()
+                inst.vc_id = inst.static_cluster = None
+                inst.chain_leader = False
 
     def annotation_summary(self) -> Dict[str, int]:
         """Count annotated instructions; useful in tests and reports."""

@@ -14,7 +14,9 @@ from repro.partition.ob_partitioner import OperationBasedPartitioner
 from repro.partition.rhop_partitioner import RhopPartitioner
 from repro.partition.vc_partitioner import VirtualClusterPartitioner
 from repro.program.ddg import build_ddg
-from repro.workloads.generator import generate_program
+from repro.scenarios.registry import PARTITIONERS, build_partitioner
+from repro.workloads.generator import WorkloadGenerator, generate_program
+from repro.workloads.spec2000 import all_trace_names, profile_for
 from tests.conftest import make_instruction
 
 
@@ -269,6 +271,25 @@ class TestPartitionReport:
         assert report.cut_fraction == 0.0
         assert report.balance == 1.0
 
+    def test_balance_counts_targets_without_load(self):
+        """Everything on one of two targets is as uneven as it gets."""
+        report = PartitionReport(
+            program_name="p", partitioner="x", num_targets=2, target_loads={0: 10}
+        )
+        assert report.balance == 0.5
+        assert PartitionReport(
+            program_name="p", partitioner="x", num_targets=2, target_loads={0: 5, 1: 5}
+        ).balance == 1.0
+
+    def test_pass_on_one_of_two_clusters_reads_unbalanced(self, small_profile):
+        class OneCluster(OperationBasedPartitioner):
+            def partition_region(self, ddg):
+                return [0] * len(ddg)
+
+        report = OneCluster(2).annotate_program(generate_program(small_profile))
+        assert report.target_loads == {0: report.num_instructions}
+        assert report.balance == 0.5
+
     def test_assignment_length_mismatch_detected(self, small_profile):
         class Broken(VirtualClusterPartitioner):
             def partition_region(self, ddg):
@@ -344,3 +365,43 @@ class TestSharedRegionDDGs:
             if ddg is not None
             for inst in ddg.instructions
         )
+
+
+class TestExecutedRegions:
+    """A pass told the trace's static ids partitions only the regions holding
+    one, and the trace's annotation columns equal the whole-program pass's."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        partitioner=st.sampled_from(sorted(PARTITIONERS.names())),
+        benchmark=st.sampled_from(all_trace_names()),
+        trace_length=st.integers(min_value=1, max_value=1500),
+        region_size=st.sampled_from([1, 128, 10**6]),
+        num_clusters=st.sampled_from([2, 4]),
+    )
+    def test_columns_match_the_whole_program_pass(
+        self, partitioner, benchmark, trace_length, region_size, num_clusters
+    ):
+        program, compiled = WorkloadGenerator(profile_for(benchmark)).generate_compiled_trace(
+            trace_length, phase=0
+        )
+
+        def columns(executed_sids):
+            compile_pass = build_partitioner(partitioner, {}, num_clusters, 2, region_size)
+            compile_pass.executed_sids = executed_sids
+            report = compile_pass.annotate_program(program)
+            return report, compiled.annotate_from(program).annotation_columns()
+
+        whole_report, whole = columns(None)
+        executed = set(compiled.sid.tolist())
+        report, skipped = columns(executed)
+        for full_column, column in zip(whole, skipped):
+            assert full_column.tolist() == column.tolist()
+        assert report.num_instructions <= whole_report.num_instructions
+        assert report.num_regions == whole_report.num_regions
+        annotated = {
+            inst.sid
+            for inst in program.all_instructions()
+            if inst.vc_id is not None or inst.static_cluster is not None
+        }
+        assert executed <= annotated

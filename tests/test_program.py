@@ -176,16 +176,15 @@ class TestDDG:
         assert ddg.pred_start == [0, 0, 1, 2, 2, 3]
         assert ddg.pred_nodes == [0, 1, 2]
         assert ddg.edge_consumers == [1, 2, 4]
-        assert ddg.predecessors(4) == [2] and ddg.successors(0) == [1]
+        assert ddg.predecessors(4) == [2] and ddg.predecessors(3) == []
 
     def test_edges_run_forward(self, simple_block):
         """Every edge runs from an earlier to a later region position, so the
         DDG is acyclic and program order is a topological order."""
         ddg = build_ddg(simple_block.instructions)
         for node in range(len(ddg)):
-            assert all(node < consumer for consumer in ddg.successors(node))
             assert all(producer < node for producer in ddg.predecessors(node))
-        assert ddg.topological_order() == list(range(len(ddg)))
+        assert all(p < c for p, c in zip(ddg.pred_nodes, ddg.edge_consumers))
 
 
 class TestRegions:

@@ -86,8 +86,8 @@ class TestDDGProperties:
         # can close: program order is a topological order.
         ddg = build_ddg(instructions)
         for node in range(len(ddg)):
-            assert all(node < consumer for consumer in ddg.successors(node))
             assert all(producer < node for producer in ddg.predecessors(node))
+        assert all(p < c for p, c in zip(ddg.pred_nodes, ddg.edge_consumers))
 
     @common_settings
     @given(instructions=instruction_sequences())
@@ -331,6 +331,15 @@ def metrics_objects(draw):
     )
 
 
+#: Any value a JSON cache entry can hold.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(min_value=-5, max_value=10**12)
+    | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+
+
 class TestMetricsRoundTrip:
     @common_settings
     @given(metrics=metrics_objects())
@@ -384,6 +393,32 @@ class TestMetricsRoundTrip:
         dump[field] = value
         with pytest.raises(ValueError, match=field):
             SimulationMetrics.from_dict(dump)
+
+    @settings(max_examples=200, deadline=None)
+    @given(metrics=metrics_objects(), data=st.data())
+    def test_from_dict_fuzz_rejects_naming_a_field(self, metrics, data):
+        """Replace, drop and add fields of a valid dump at random: every
+        rejection is a ``ValueError`` naming a field, and an accepted dump
+        round-trips."""
+        dump = metrics.to_dict()
+        names = sorted(dump)
+        for name in data.draw(st.lists(st.sampled_from(names), unique=True, max_size=3)):
+            dump[name] = data.draw(JSON_VALUES)
+        for name in data.draw(st.lists(st.sampled_from(names), unique=True, max_size=2)):
+            del dump[name]
+        extra = data.draw(
+            st.dictionaries(
+                st.text(max_size=8).filter(lambda key: key not in names), JSON_VALUES, max_size=2
+            )
+        )
+        dump.update(extra)
+        try:
+            rebuilt = SimulationMetrics.from_dict(dump)
+        except ValueError as error:
+            assert any(repr(name) in str(error) for name in [*names, *extra]), str(error)
+        else:
+            assert sorted(dump) == names
+            assert SimulationMetrics.from_dict(rebuilt.to_dict()) == rebuilt
 
     @settings(max_examples=5, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(instructions=instruction_sequences(min_size=5, max_size=40))
