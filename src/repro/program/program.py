@@ -104,8 +104,7 @@ class Program:
         """Remove all steering annotations (between compiler passes)."""
         for block in self.blocks.values():
             for inst in block.instructions:
-                inst.vc_id = inst.static_cluster = None
-                inst.chain_leader = False
+                inst.clear_annotations()
 
     def annotation_summary(self) -> Dict[str, int]:
         """Count annotated instructions; useful in tests and reports."""
