@@ -321,7 +321,8 @@ class MultilevelPartitioner:
                 coarse = levels[index + 1]
                 assignment = list(map(assignment.__getitem__, coarse.fine_to_coarse))
                 due = list(map(due.__getitem__, coarse.fine_to_coarse))
-                capped = [{coarse.representatives[c] for c in nodes} for nodes in capped]
+                if any(capped):
+                    capped = [{coarse.representatives[c] for c in nodes} for nodes in capped]
                 for u, v in coarse.pairs:
                     due[u] = due[v] = True
                     of_u = set(neighbours[u])
@@ -330,8 +331,9 @@ class MultilevelPartitioner:
                             due[neighbour] = True
                     if node_groups[u] != node_groups[v]:
                         regrouped.update((node_groups[u], node_groups[v]))
-                for node in compress(nodes, map(regrouped.__contains__, node_groups)):
-                    due[node] = True
+                if regrouped:
+                    for node in compress(nodes, map(regrouped.__contains__, node_groups)):
+                        due[node] = True
             if regrouped or index == len(levels) - 1:
                 regrouped.clear()
                 #: Per-group, per-part node weight totals.

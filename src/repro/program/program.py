@@ -102,9 +102,11 @@ class Program:
 
     def clear_annotations(self) -> None:
         """Remove all steering annotations (between compiler passes)."""
+        # StaticInstruction.clear_annotations inlined: every pass runs this.
         for block in self.blocks.values():
             for inst in block.instructions:
-                inst.clear_annotations()
+                inst.vc_id = inst.static_cluster = None
+                inst.chain_leader = False
 
     def annotation_summary(self) -> Dict[str, int]:
         """Count annotated instructions; useful in tests and reports."""
