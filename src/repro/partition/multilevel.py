@@ -321,8 +321,7 @@ class MultilevelPartitioner:
                 coarse = levels[index + 1]
                 assignment = list(map(assignment.__getitem__, coarse.fine_to_coarse))
                 due = list(map(due.__getitem__, coarse.fine_to_coarse))
-                if any(capped):
-                    capped = [{coarse.representatives[c] for c in nodes} for nodes in capped]
+                capped = [{coarse.representatives[c] for c in nodes} for nodes in capped]
                 for u, v in coarse.pairs:
                     due[u] = due[v] = True
                     of_u = set(neighbours[u])

@@ -85,7 +85,6 @@ class VirtualClusterPartitioner(RegionPartitioner):
         critical chains whole), then the less loaded, then the lower one.
         """
         num_vcs = self.num_targets
-        vcs = range(num_vcs)
         per_vc_slots = num_vcs * self.issue_width
         communication = self.communication_latency
         criticality_of = compute_criticality(ddg).criticality.__getitem__
@@ -100,7 +99,7 @@ class VirtualClusterPartitioner(RegionPartitioner):
                 preferred_vc = assignment[max(preds, key=criticality_of)]
             best_vc = 0
             best_key = None
-            for vc in vcs:
+            for vc in range(num_vcs):
                 ready = 0
                 for pred in preds:
                     arrival = completion[pred]
