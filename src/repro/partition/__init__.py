@@ -13,7 +13,7 @@ Three passes are implemented, matching the configurations of Table 3:
   with dynamic issue; greedy per-operation placement onto physical clusters
   using static latency and load estimates.
 
-All passes share the region-driver of :mod:`repro.partition.base`, read each
+All passes share the region loop of :mod:`repro.partition.base`, read each
 region's DDG as flat CSR arrays (:mod:`repro.program.ddg`) and write their
 results as annotations on the static instructions (the ISA extension
 modelled in :mod:`repro.uops.encoding`).

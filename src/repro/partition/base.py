@@ -1,6 +1,6 @@
 """Shared driver for compile-time partitioning passes.
 
-Every pass works region by region: the driver takes the program's superblock
+Every pass works region by region: ``annotate_program`` takes the program's superblock
 regions and their flat-array DDGs (:func:`region_ddgs`), asks the concrete
 partitioner for a per-node target (virtual or physical cluster), and lets it
 annotate the static instructions -- of every region, or only of those a trace

@@ -6,7 +6,7 @@ shipped settings is annotated the way the engine does it (the first job of a
 key through :func:`repro.engine.parallel._prepare_job`), and the SHA-256 of
 its ``vc_id``, ``chain_leader`` and ``static_cluster`` columns, in job order,
 is pinned per configuration.  A rewrite of a compile-time pass or of its
-driver must leave these digests unchanged.
+caller must leave these digests unchanged.
 """
 
 from __future__ import annotations
