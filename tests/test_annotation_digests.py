@@ -7,12 +7,16 @@ key through :func:`repro.engine.parallel._prepare_job`), and the SHA-256 of
 its ``vc_id``, ``chain_leader`` and ``static_cluster`` columns, in job order,
 is pinned per configuration.  A rewrite of a compile-time pass or of its
 caller must leave these digests unchanged.
+
+The dynamic µop streams themselves are pinned the same way: the SHA-256 of
+every trace's stored non-annotation columns, one trace per phase in job
+order, per scenario.  A change to trace generation must leave them unchanged.
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import Dict, List
+from typing import Dict, List, Optional
 
 import numpy as np
 import pytest
@@ -32,42 +36,50 @@ ANNOTATION_DIGESTS = {
     ("figure7", "VC(2->4)"): "7d4900281f5ebbe93083764a2ed2a85bd09d2b4d4af9493fed2ebc33d10cd1cf",
 }
 
+# Figure 7 runs figure 5's traces on a 4-cluster machine: one stream digest.
+STREAM_DIGESTS = {
+    "figure5": "acc4ef12bf9dde0e2c5684698146cd9487698bbc3cfb9c1958ed8618808afd2c",
+    "figure7": "acc4ef12bf9dde0e2c5684698146cd9487698bbc3cfb9c1958ed8618808afd2c",
+}
 
-def _column_bytes(compiled) -> bytes:
-    return b"".join(
-        np.ascontiguousarray(getattr(compiled, name)).tobytes()
-        for name in compiled.ANNOTATION_FIELDS
-    )
+
+def _column_bytes(compiled, names) -> bytes:
+    return b"".join(np.ascontiguousarray(getattr(compiled, name)).tobytes() for name in names)
+
+
+def _stream_fields(compiled):
+    return [n for n in compiled.STORED_FIELDS if n not in compiled.ANNOTATION_FIELDS]
 
 
 @pytest.fixture(scope="module")
-def scenario_digests() -> Dict[str, Dict[str, str]]:
-    """``{scenario: {configuration: sha256}}`` over the scenario's jobs."""
+def scenario_digests() -> Dict[str, Dict[Optional[str], str]]:
+    """``{scenario: {configuration: sha256, None: stream sha256}}`` over the jobs."""
     _TRACE_MEMO.clear()
-    out: Dict[str, Dict[str, str]] = {}
+    out: Dict[str, Dict[Optional[str], str]] = {}
     try:
         for scenario in ("figure5", "figure7"):
             spec = builtin_scenario(scenario)
             matrix = ExperimentRunner(spec).expand_phase_matrix(
                 spec.resolved_benchmarks(), spec.configurations
             )
-            hashes: Dict[str, "hashlib._Hash"] = {}
+            hashes: Dict[Optional[str], "hashlib._Hash"] = {None: hashlib.sha256()}
             seen: Dict[str, List[object]] = {}
             for job in matrix.jobs:
+                program, compiled = _trace_for(job)
+                done = seen.get(job.trace_key())
+                if done is None:
+                    done = seen[job.trace_key()] = []
+                    hashes[None].update(_column_bytes(compiled, _stream_fields(compiled)))
                 configuration = job.configuration
                 key = configuration.partitioner_key(
                     job.num_clusters, job.num_virtual_clusters, job.region_size
                 )
-                if key is None:
-                    continue
-                done = seen.setdefault(job.trace_key(), [])
-                if key in done:
+                if key is None or key in done:
                     continue
                 done.append(key)
-                program, compiled = _trace_for(job)
                 _prepare_job(job, program, compiled)
                 digest = hashes.setdefault(configuration.name, hashlib.sha256())
-                digest.update(_column_bytes(compiled))
+                digest.update(_column_bytes(compiled, compiled.ANNOTATION_FIELDS))
             out[scenario] = {name: digest.hexdigest() for name, digest in hashes.items()}
     finally:
         _TRACE_MEMO.clear()
@@ -75,7 +87,7 @@ def scenario_digests() -> Dict[str, Dict[str, str]]:
 
 
 def test_every_partitioned_configuration_is_pinned(scenario_digests):
-    pinned = {(s, c) for s, names in scenario_digests.items() for c in names}
+    pinned = {(s, c) for s, names in scenario_digests.items() for c in names if c is not None}
     assert pinned == set(ANNOTATION_DIGESTS)
 
 
@@ -84,3 +96,8 @@ def test_annotation_columns_are_unchanged(scenario_digests, scenario, configurat
     assert scenario_digests[scenario][configuration] == ANNOTATION_DIGESTS[
         (scenario, configuration)
     ]
+
+
+@pytest.mark.parametrize("scenario", sorted(STREAM_DIGESTS))
+def test_trace_streams_are_unchanged(scenario_digests, scenario):
+    assert scenario_digests[scenario][None] == STREAM_DIGESTS[scenario]
