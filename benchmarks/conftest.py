@@ -118,31 +118,16 @@ def substrate_config() -> ClusterConfig:
 
 @pytest.fixture(scope="session")
 def gzip_trace():
-    """Shared ``(program, trace)`` of 164.gzip-1 phase 0 at the substrate length.
+    """Shared ``(program, compiled trace)`` of 164.gzip-1 phase 0 at the substrate length.
 
     Session-scoped so the simulator-throughput benchmarks measure simulation
     only, not repeated trace synthesis.  Compile-time passes may (re)annotate
     the program freely: annotations never change the µop stream, and every
-    policy benchmark annotates or ignores them explicitly.
+    policy benchmark annotates or clears the program and then refreshes the
+    trace's annotation columns with ``annotate_from`` before running.
     """
     generator = WorkloadGenerator(profile_for("164.gzip-1"))
-    return generator.generate_trace(SUBSTRATE_TRACE_LENGTH, phase=0)
-
-
-@pytest.fixture(scope="session")
-def gzip_compiled_trace(gzip_trace):
-    """The compiled (structure-of-arrays) form of :func:`gzip_trace`.
-
-    Compiled once per session: the simulator-throughput benchmarks measure
-    the kernel, not trace compilation (which real runs pay once per phase and
-    then reuse from the artifact store).  Benchmarks that change the
-    program's annotations must refresh them with ``annotate_from`` before
-    running -- the compiled trace snapshots annotations.
-    """
-    from repro.uops.compiled import compile_trace
-
-    _, trace = gzip_trace
-    return compile_trace(trace)
+    return generator.generate_compiled_trace(SUBSTRATE_TRACE_LENGTH, phase=0)
 
 
 @pytest.fixture(scope="session")

@@ -1,23 +1,20 @@
 """Micro-benchmarks of the substrate itself (not a paper figure).
 
 These time the main building blocks -- simulator throughput, trace
-generation/compilation, the compile-time passes, the trace artifact store
+generation, the compile-time passes, the trace artifact store
 and the parallel experiment engine -- so performance regressions in the
 substrate are visible independently of the figure-level benchmarks.  Traces,
 programs and the machine configuration come from shared session fixtures in
 ``conftest.py`` (one synthesis, many measurements).
 
 The simulator-throughput benchmarks drive the production path: a
-pre-compiled :class:`~repro.uops.compiled.CompiledTrace` (what the engine
-loads from the artifact store) through the default (vectorized) kernel.
-The ``*_interpreter`` variants pin the µop-object interpreter kernel on the
-same trace -- the wall-clock ratio of the two is the kernel-speedup
+:class:`~repro.uops.compiled.CompiledTrace` (what the engine loads from the
+artifact store) through the default (vectorized) kernel.  The
+``*_interpreter`` variants pin the interpreter kernel on the same trace -- the wall-clock ratio of the two is the kernel-speedup
 headline that ``scripts/check_bench_regression.py`` guards.  The
 ``*_callback`` variants disable the compiled steering tier
 (``fused_steering=False``), so the default-vs-callback ratio is the
-fused-dispatch headline.  The ``*_uop_objects`` variant keeps the
-µop-object entry point timed as well, so the cost of compiling on entry
-stays visible.  Every simulator benchmark records ``uops_per_second`` in
+fused-dispatch headline.  Every simulator benchmark records ``uops_per_second`` in
 ``extra_info`` -- the number the DESIGN.md / README throughput claims refer
 to, tracked across commits by the CI benchmark job's ``--benchmark-json``
 artifact.
@@ -38,7 +35,6 @@ from repro.partition.vc_partitioner import VirtualClusterPartitioner
 from repro.scenarios.spec import ScenarioSpec
 from repro.steering.occupancy import OccupancyAwareSteering
 from repro.steering.virtual_cluster import VirtualClusterSteering
-from repro.uops.compiled import compile_trace
 from repro.workloads.generator import WorkloadGenerator
 from repro.workloads.spec2000 import profile_for
 
@@ -50,129 +46,11 @@ def _record_throughput(benchmark, metrics, num_uops: int) -> None:
     benchmark.extra_info["uops_per_second"] = round(num_uops / mean) if mean > 0 else 0
 
 
-def test_simulator_throughput_op(benchmark, gzip_trace, gzip_compiled_trace, substrate_config):
+def test_simulator_throughput_op(benchmark, gzip_trace, substrate_config):
     """µop throughput of the compiled kernel under the OP policy."""
-    program, _ = gzip_trace
-    program.clear_annotations()
-    gzip_compiled_trace.annotate_from(program)
-
-    def run():
-        return ClusteredProcessor(substrate_config, OccupancyAwareSteering()).run(
-            gzip_compiled_trace
-        )
-
-    metrics = benchmark(run)
-    _record_throughput(benchmark, metrics, len(gzip_compiled_trace))
-    assert metrics.committed_uops == len(gzip_compiled_trace)
-
-
-def test_simulator_throughput_vc(benchmark, gzip_trace, gzip_compiled_trace, substrate_config):
-    """µop throughput of the compiled kernel under the hybrid VC policy."""
-    program, _ = gzip_trace
-    VirtualClusterPartitioner(2).annotate_program(program)
-    gzip_compiled_trace.annotate_from(program)
-
-    def run():
-        return ClusteredProcessor(substrate_config, VirtualClusterSteering(2)).run(
-            gzip_compiled_trace
-        )
-
-    metrics = benchmark(run)
-    _record_throughput(benchmark, metrics, len(gzip_compiled_trace))
-    assert metrics.committed_uops == len(gzip_compiled_trace)
-
-
-def test_simulator_throughput_op_callback(
-    benchmark, gzip_trace, gzip_compiled_trace, substrate_config
-):
-    """The vectorized kernel with the compiled steering tier disabled.
-
-    Same workload as ``test_simulator_throughput_op`` but with
-    ``fused_steering=False``, so the OP policy takes the per-µop callback
-    path; the ratio of the two is the fused-dispatch speedup headline.
-    """
-    program, _ = gzip_trace
-    program.clear_annotations()
-    gzip_compiled_trace.annotate_from(program)
-
-    def run():
-        processor = ClusteredProcessor(substrate_config, OccupancyAwareSteering())
-        processor.fused_steering = False
-        return processor.run(gzip_compiled_trace)
-
-    metrics = benchmark(run)
-    _record_throughput(benchmark, metrics, len(gzip_compiled_trace))
-    assert metrics.committed_uops == len(gzip_compiled_trace)
-
-
-def test_simulator_throughput_vc_callback(
-    benchmark, gzip_trace, gzip_compiled_trace, substrate_config
-):
-    """The vectorized kernel, callback path, under the hybrid VC policy."""
-    program, _ = gzip_trace
-    VirtualClusterPartitioner(2).annotate_program(program)
-    gzip_compiled_trace.annotate_from(program)
-
-    def run():
-        processor = ClusteredProcessor(substrate_config, VirtualClusterSteering(2))
-        processor.fused_steering = False
-        return processor.run(gzip_compiled_trace)
-
-    metrics = benchmark(run)
-    _record_throughput(benchmark, metrics, len(gzip_compiled_trace))
-    assert metrics.committed_uops == len(gzip_compiled_trace)
-
-
-def test_simulator_throughput_op_interpreter(
-    benchmark, gzip_trace, gzip_compiled_trace, substrate_config
-):
-    """The interpreter (golden-reference) kernel under the OP policy.
-
-    Identical workload and metrics to ``test_simulator_throughput_op``; the
-    wall-clock ratio of the two benchmarks is the vectorized-kernel speedup
-    headline enforced by ``scripts/check_bench_regression.py``.
-    """
-    program, _ = gzip_trace
-    program.clear_annotations()
-    gzip_compiled_trace.annotate_from(program)
-
-    def run():
-        return ClusteredProcessor(
-            substrate_config, OccupancyAwareSteering(), kernel="interpreter"
-        ).run(gzip_compiled_trace)
-
-    metrics = benchmark(run)
-    _record_throughput(benchmark, metrics, len(gzip_compiled_trace))
-    assert metrics.committed_uops == len(gzip_compiled_trace)
-
-
-def test_simulator_throughput_vc_interpreter(
-    benchmark, gzip_trace, gzip_compiled_trace, substrate_config
-):
-    """The interpreter (golden-reference) kernel under the hybrid VC policy."""
-    program, _ = gzip_trace
-    VirtualClusterPartitioner(2).annotate_program(program)
-    gzip_compiled_trace.annotate_from(program)
-
-    def run():
-        return ClusteredProcessor(
-            substrate_config, VirtualClusterSteering(2), kernel="interpreter"
-        ).run(gzip_compiled_trace)
-
-    metrics = benchmark(run)
-    _record_throughput(benchmark, metrics, len(gzip_compiled_trace))
-    assert metrics.committed_uops == len(gzip_compiled_trace)
-
-
-def test_simulator_throughput_op_uop_objects(benchmark, gzip_trace, substrate_config):
-    """The µop-object entry point: compile-on-entry plus the kernel.
-
-    This is what ad-hoc callers of ``simulate_trace(list, ...)`` pay; the gap
-    to ``test_simulator_throughput_op`` is the per-run trace compilation that
-    the engine amortises through the artifact store.
-    """
     program, trace = gzip_trace
     program.clear_annotations()
+    trace.annotate_from(program)
 
     def run():
         return ClusteredProcessor(substrate_config, OccupancyAwareSteering()).run(trace)
@@ -182,15 +60,100 @@ def test_simulator_throughput_op_uop_objects(benchmark, gzip_trace, substrate_co
     assert metrics.committed_uops == len(trace)
 
 
-def test_trace_generation_throughput(benchmark, substrate_trace_length):
-    """Cost of synthesising a 4 000-µop trace from a SPEC profile."""
-    generator = WorkloadGenerator(profile_for("176.gcc-1"))
+def test_simulator_throughput_vc(benchmark, gzip_trace, substrate_config):
+    """µop throughput of the compiled kernel under the hybrid VC policy."""
+    program, trace = gzip_trace
+    VirtualClusterPartitioner(2).annotate_program(program)
+    trace.annotate_from(program)
 
     def run():
-        return generator.generate_trace(substrate_trace_length, phase=0)
+        return ClusteredProcessor(substrate_config, VirtualClusterSteering(2)).run(trace)
 
-    program, trace = benchmark(run)
-    assert len(trace) >= substrate_trace_length
+    metrics = benchmark(run)
+    _record_throughput(benchmark, metrics, len(trace))
+    assert metrics.committed_uops == len(trace)
+
+
+def test_simulator_throughput_op_callback(
+    benchmark, gzip_trace, substrate_config
+):
+    """The vectorized kernel with the compiled steering tier disabled.
+
+    Same workload as ``test_simulator_throughput_op`` but with
+    ``fused_steering=False``, so the OP policy takes the per-µop callback
+    path; the ratio of the two is the fused-dispatch speedup headline.
+    """
+    program, trace = gzip_trace
+    program.clear_annotations()
+    trace.annotate_from(program)
+
+    def run():
+        processor = ClusteredProcessor(substrate_config, OccupancyAwareSteering())
+        processor.fused_steering = False
+        return processor.run(trace)
+
+    metrics = benchmark(run)
+    _record_throughput(benchmark, metrics, len(trace))
+    assert metrics.committed_uops == len(trace)
+
+
+def test_simulator_throughput_vc_callback(
+    benchmark, gzip_trace, substrate_config
+):
+    """The vectorized kernel, callback path, under the hybrid VC policy."""
+    program, trace = gzip_trace
+    VirtualClusterPartitioner(2).annotate_program(program)
+    trace.annotate_from(program)
+
+    def run():
+        processor = ClusteredProcessor(substrate_config, VirtualClusterSteering(2))
+        processor.fused_steering = False
+        return processor.run(trace)
+
+    metrics = benchmark(run)
+    _record_throughput(benchmark, metrics, len(trace))
+    assert metrics.committed_uops == len(trace)
+
+
+def test_simulator_throughput_op_interpreter(
+    benchmark, gzip_trace, substrate_config
+):
+    """The interpreter (golden-reference) kernel under the OP policy.
+
+    Identical workload and metrics to ``test_simulator_throughput_op``; the
+    wall-clock ratio of the two benchmarks is the vectorized-kernel speedup
+    headline enforced by ``scripts/check_bench_regression.py``.
+    """
+    program, trace = gzip_trace
+    program.clear_annotations()
+    trace.annotate_from(program)
+
+    def run():
+        return ClusteredProcessor(
+            substrate_config, OccupancyAwareSteering(), kernel="interpreter"
+        ).run(trace)
+
+    metrics = benchmark(run)
+    _record_throughput(benchmark, metrics, len(trace))
+    assert metrics.committed_uops == len(trace)
+
+
+def test_simulator_throughput_vc_interpreter(
+    benchmark, gzip_trace, substrate_config
+):
+    """The interpreter (golden-reference) kernel under the hybrid VC policy."""
+    program, trace = gzip_trace
+    VirtualClusterPartitioner(2).annotate_program(program)
+    trace.annotate_from(program)
+
+    def run():
+        return ClusteredProcessor(
+            substrate_config, VirtualClusterSteering(2), kernel="interpreter"
+        ).run(trace)
+
+    metrics = benchmark(run)
+    _record_throughput(benchmark, metrics, len(trace))
+    assert metrics.committed_uops == len(trace)
 
 
 def test_compiled_trace_generation_throughput(benchmark, substrate_trace_length):
@@ -207,8 +170,9 @@ def test_compiled_trace_generation_throughput(benchmark, substrate_trace_length)
 def test_trace_artifact_load_throughput(benchmark, tmp_path_factory):
     """Loading a stored trace artifact versus regenerating the trace.
 
-    The ratio to ``test_trace_generation_throughput`` is the speedup workers
-    see on every warm phase; ``generation_seconds`` is recorded alongside.
+    The ratio to ``test_compiled_trace_generation_throughput`` is the
+    speedup workers see on every warm phase; ``generation_seconds`` is
+    recorded alongside.
     """
     generator = WorkloadGenerator(profile_for("176.gcc-1"))
     start = time.perf_counter()
@@ -227,17 +191,6 @@ def test_trace_artifact_load_throughput(benchmark, tmp_path_factory):
     benchmark.extra_info["speedup_vs_generation"] = (
         round(generation_seconds / mean, 1) if mean > 0 else 0.0
     )
-
-
-def test_trace_compilation_throughput(benchmark, gzip_trace):
-    """Cost of compiling an existing µop-object list to the SoA form."""
-    _, trace = gzip_trace
-
-    def run():
-        return compile_trace(trace)
-
-    compiled = benchmark(run)
-    assert len(compiled) == len(trace)
 
 
 def test_vc_partitioner_throughput(benchmark, galgel_program):

@@ -35,7 +35,7 @@ from repro import (
 from repro.experiments.configs import TABLE3_CONFIGURATIONS
 from repro.scenarios.spec import MachineSpec, SweepAxis
 from repro.steering.base import SteeringContext, SteeringHardware, SteeringPolicy
-from repro.uops.uop import DynamicUop
+from repro.uops.compiled import CompiledUopView
 
 
 # -- 1. a custom run-time policy, registered under a name ---------------------------
@@ -60,7 +60,7 @@ class StickySteering(SteeringPolicy):
         self._current = 0
         self._sent = 0
 
-    def pick_cluster(self, uop: DynamicUop, context: SteeringContext) -> int:
+    def pick_cluster(self, uop: CompiledUopView, context: SteeringContext) -> int:
         if self._sent >= self.streak:
             self._current = context.least_loaded_cluster()
             self._sent = 0

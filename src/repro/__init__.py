@@ -42,13 +42,10 @@ __all__ = [
     # µop / program model
     "UopClass",
     "StaticInstruction",
-    "DynamicUop",
     "CompiledTrace",
-    "compile_trace",
     "Program",
     "build_ddg",
     "form_regions",
-    "expand_trace",
     # compile-time passes
     "VirtualClusterPartitioner",
     "RhopPartitioner",
@@ -118,7 +115,6 @@ __getattr__, __dir__ = lazy_exports(
         ".program.ddg": ("build_ddg",),
         ".program.program": ("Program",),
         ".program.regions": ("form_regions",),
-        ".program.trace": ("expand_trace",),
         ".scenarios.builtin": ("builtin_scenario",),
         ".scenarios.registry": ("register_machine", "register_partitioner", "register_policy"),
         ".scenarios.runner": ("run_scenario",),
@@ -127,9 +123,9 @@ __getattr__, __dir__ = lazy_exports(
         ".steering.one_cluster": ("OneClusterSteering",),
         ".steering.static_follow": ("StaticAssignmentSteering",),
         ".steering.virtual_cluster": ("VirtualClusterSteering",),
-        ".uops.compiled": ("CompiledTrace", "compile_trace"),
+        ".uops.compiled": ("CompiledTrace",),
         ".uops.opcodes": ("UopClass",),
-        ".uops.uop": ("DynamicUop", "StaticInstruction"),
+        ".uops.uop": ("StaticInstruction",),
         ".workloads.generator": ("WorkloadGenerator",),
         ".workloads.profile": ("BenchmarkProfile",),
         ".workloads.spec2000": ("all_trace_names", "profile_for"),

@@ -121,14 +121,6 @@ RULES: Tuple[Rule, ...] = (
         "back in filesystem order; iterate them sorted or the walk order is "
         "host-dependent",
     ),
-    Rule(
-        "DET111",
-        "unguarded-accelerator-import",
-        "importing an optional accelerator (numba, ...) outside a "
-        "try/except ImportError guard hard-binds the module to hardware "
-        "the contract treats as optional; the compiled tier must degrade "
-        "to its pure-Python twin so results stay machine-independent",
-    ),
 )
 
 RULES_BY_ID: Dict[str, Rule] = {rule.rule_id: rule for rule in RULES}
@@ -179,16 +171,6 @@ _SET_METHODS = frozenset(
 #: Callables that consume an iterable in order (flagged when fed a set).
 _ORDER_MATERIALISERS = frozenset({"list", "tuple", "enumerate"})
 
-#: Optional-accelerator packages whose import must be guarded (DET111).
-#: These are deliberately absent from the baseline environment, so an
-#: unguarded import would make a module fail to load there.
-_ACCEL_MODULES = frozenset({"numba", "cupy", "numexpr", "pycuda", "triton"})
-
-#: Exception names whose handler sanctions an optional import (DET111).
-_IMPORT_GUARD_EXCEPTIONS = frozenset(
-    {"ImportError", "ModuleNotFoundError", "Exception", "BaseException"}
-)
-
 
 def _call_name(node: ast.AST) -> Optional[str]:
     """``f`` for a bare-name call ``f(...)``, else ``None``."""
@@ -228,9 +210,6 @@ class _Visitor(ast.NodeVisitor):
         self._owns_trace_columns = "/uops/" in path.replace("\\", "/") or (
             module_name.startswith("repro.uops")
         )
-        #: Depth of enclosing try-blocks whose handlers catch ImportError
-        #: (the sanctioned optional-import idiom for DET111).
-        self._import_guard = 0
 
     # ------------------------------------------------------------- helpers --
     def _report(self, rule_id: str, node: ast.AST, message: str) -> None:
@@ -303,7 +282,6 @@ class _Visitor(ast.NodeVisitor):
             )
             if alias.asname:
                 self._module_alias[alias.asname] = alias.name
-            self._check_accelerator_import(node, alias.name)
         self.generic_visit(node)
 
     def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
@@ -312,43 +290,7 @@ class _Visitor(ast.NodeVisitor):
                 self._from_imports[alias.asname or alias.name] = (
                     f"{node.module}.{alias.name}"
                 )
-            self._check_accelerator_import(node, node.module)
         self.generic_visit(node)
-
-    def _check_accelerator_import(self, node: ast.AST, module: str) -> None:
-        root = module.split(".")[0]
-        if root in _ACCEL_MODULES and not self._import_guard:
-            self._report(
-                "DET111",
-                node,
-                f"unguarded import of optional accelerator `{root}`; wrap it "
-                "in try/except ImportError and select the pure-Python twin "
-                "at run time",
-            )
-
-    def visit_Try(self, node: ast.Try) -> None:
-        if self._guards_import_error(node):
-            self._import_guard += 1
-            for child in node.body:
-                self.visit(child)
-            self._import_guard -= 1
-            for child in [*node.handlers, *node.orelse, *node.finalbody]:
-                self.visit(child)
-        else:
-            self.generic_visit(node)
-
-    @staticmethod
-    def _guards_import_error(node: ast.Try) -> bool:
-        """Whether any handler catches ImportError (or something broader)."""
-        for handler in node.handlers:
-            if handler.type is None:
-                return True
-            for sub in ast.walk(handler.type):
-                if isinstance(sub, ast.Name) and sub.id in _IMPORT_GUARD_EXCEPTIONS:
-                    return True
-                if isinstance(sub, ast.Attribute) and sub.attr in _IMPORT_GUARD_EXCEPTIONS:
-                    return True
-        return False
 
     # ----------------------------------------------------------- functions --
     def _visit_function(self, node) -> None:

@@ -26,7 +26,7 @@ loops only touch µops whose state changes, never the full contents of the
 :class:`~repro.uops.compiled.CompiledTrace` -- every per-µop fact (queue
 kind, latency, memory flags, deduplicated sources, destination register
 kinds) is precomputed into flat lists before the first cycle, so dispatch
-indexes instead of chasing ``DynamicUop`` properties -- and the cycle loop
+indexes instead of chasing object properties -- and the cycle loop
 *skips idle cycles*: when no µop is ready, no event is due and the front end
 is blocked or drained, the clock jumps straight to the next scheduled
 event/dispatch-ready cycle.  Both restructurings are bit-identical to the
@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
-from typing import Deque, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Deque, Dict, List, Optional, Tuple
 
 from repro.cluster.cache import MemoryHierarchy
 from repro.cluster.config import ClusterConfig
@@ -51,10 +51,9 @@ from repro.cluster.regfile import RegisterFiles
 from repro.cluster.rename import RegisterLocationTable, Value
 from repro.cluster.rob import ReorderBuffer
 from repro.steering.base import SteeringContext, SteeringPolicy
-from repro.uops.compiled import CompiledTrace, CompiledUopView, compile_trace
+from repro.uops.compiled import CompiledTrace, CompiledUopView
 from repro.uops.opcodes import IssueQueueKind
 from repro.uops.registers import DEFAULT_REGISTER_SPACE, RegisterSpace
-from repro.uops.uop import DynamicUop
 
 #: Issue-queue kinds in the order the issue stage services them.
 _ISSUE_KINDS = (IssueQueueKind.INT, IssueQueueKind.FP, IssueQueueKind.COPY)
@@ -228,10 +227,10 @@ class ClusteredProcessor(SteeringContext):
         return self.rename.location_mask(reg)
 
     # ----------------------------------------------------------------- running --
-    def bind(self, trace: Union[CompiledTrace, Sequence[DynamicUop]]) -> CompiledTrace:
+    def bind(self, trace: CompiledTrace) -> CompiledTrace:
         """Hoist ``trace``'s per-µop columns for repeated :meth:`run_bound` calls.
 
-        Binding pays the compile-and-hoist cost once; every subsequent
+        Binding pays the hoist cost once; every subsequent
         :meth:`run_bound` simulates the bound trace from a clean architectural
         state.  Annotation columns are *not* snapshotted here -- each run
         re-reads them, so callers may re-annotate the compiled trace (via
@@ -240,24 +239,20 @@ class ClusteredProcessor(SteeringContext):
         read-only): it may be shared with sibling batches through the
         memo/artifact/shm layers, so an in-place write raises at the
         offending line instead of corrupting a sibling's run (DESIGN.md
-        §7.3).  Returns the bound :class:`CompiledTrace`.
+        §7.3).  Returns the bound :class:`CompiledTrace`; anything else
+        raises ``TypeError``.
         """
-        compiled = compile_trace(trace).freeze()
-        self._bind_trace(compiled)
-        self._bound = compiled
-        return compiled
+        if not isinstance(trace, CompiledTrace):
+            raise TypeError(f"expected a CompiledTrace, got {type(trace).__name__}")
+        trace.freeze()
+        self._bind_trace(trace)
+        self._bound = trace
+        return trace
 
     def run(
-        self,
-        trace: Union[CompiledTrace, Sequence[DynamicUop]],
-        max_cycles: Optional[int] = None,
+        self, trace: CompiledTrace, max_cycles: Optional[int] = None
     ) -> SimulationMetrics:
         """Execute ``trace`` to completion and return the collected metrics.
-
-        ``trace`` may be a :class:`~repro.uops.compiled.CompiledTrace` (the
-        fast path -- compile once, simulate many times) or a plain sequence
-        of :class:`DynamicUop`, which is compiled on entry.  Both forms
-        produce bit-identical metrics.
 
         Raises
         ------
@@ -301,8 +296,7 @@ class ClusteredProcessor(SteeringContext):
             self._vkernel.run(limit)
         else:
             # Fresh per run, not per bind: the view snapshots annotation
-            # lists (and reconstructs statics from them), which change
-            # between the runs of a batch.
+            # lists, which change between the runs of a batch.
             self._view = CompiledUopView(compiled)
             idle_skip = self.idle_skip
             while not self._finished():
@@ -727,7 +721,7 @@ class ClusteredProcessor(SteeringContext):
 
 
 def simulate_trace(
-    trace: Union[CompiledTrace, Sequence[DynamicUop]],
+    trace: CompiledTrace,
     steering: SteeringPolicy,
     config: Optional[ClusterConfig] = None,
     register_space: RegisterSpace = DEFAULT_REGISTER_SPACE,
@@ -739,9 +733,8 @@ def simulate_trace(
     Parameters
     ----------
     trace:
-        Dynamic µops in program order -- a
-        :class:`~repro.uops.compiled.CompiledTrace` or a ``DynamicUop``
-        sequence (compiled on entry).
+        Dynamic µops in program order, as a
+        :class:`~repro.uops.compiled.CompiledTrace`.
     steering:
         Run-time steering policy.
     config:

@@ -15,8 +15,8 @@ baselines) operates on a conventional compiler IR:
 * :mod:`repro.program.regions` -- superblock-style region formation that gives
   the compiler the "bigger window of instructions" the paper credits
   software-only schemes with.
-* :mod:`repro.program.trace` -- expansion of a static :class:`Program` into a
-  dynamic µop trace consumed by the simulator.
+* :mod:`repro.program.trace` -- expansion of a static :class:`Program` into
+  the compiled dynamic µop trace the simulator consumes.
 """
 
 from repro._lazy import lazy_exports
@@ -31,7 +31,6 @@ __all__ = [
     "Region",
     "form_regions",
     "TraceGenerator",
-    "expand_trace",
 ]
 
 __getattr__, __dir__ = lazy_exports(
@@ -42,6 +41,6 @@ __getattr__, __dir__ = lazy_exports(
         ".ddg": ("DataDependenceGraph", "build_ddg"),
         ".program": ("Program",),
         ".regions": ("Region", "form_regions"),
-        ".trace": ("TraceGenerator", "expand_trace"),
+        ".trace": ("TraceGenerator",),
     },
 )

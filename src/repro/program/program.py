@@ -102,7 +102,6 @@ class Program:
 
     def clear_annotations(self) -> None:
         """Remove all steering annotations (between compiler passes)."""
-        # StaticInstruction.clear_annotations inlined: every pass runs this.
         for block in self.blocks.values():
             for inst in block.instructions:
                 inst.vc_id = inst.static_cluster = None

@@ -2,8 +2,8 @@
 
 The paper's simulator is trace-driven: it executes traces of IA32 binaries
 collected with Pin.  Our substitute expands a static :class:`~repro.program.program.Program`
-into a stream of :class:`~repro.uops.uop.DynamicUop` by walking the CFG with
-a seeded random generator:
+into a :class:`~repro.uops.compiled.CompiledTrace` by walking the CFG with a
+seeded random generator:
 
 * control flow follows the edge probabilities of the CFG (loops therefore
   iterate with their expected trip counts),
@@ -13,29 +13,23 @@ a seeded random generator:
 * branch µops are occasionally flagged as mispredicted, which the front end
   of the simulator turns into fetch redirect penalties.
 
-Everything is reproducible from the ``seed``.  Both output forms share one
-seeded CFG walk: :meth:`TraceGenerator.generate` materialises
-:class:`~repro.uops.uop.DynamicUop` objects referencing the program's static
-instructions (annotations stay shared by reference), while
-:meth:`TraceGenerator.generate_compiled` emits a
-:class:`~repro.uops.compiled.CompiledTrace` directly -- per-instruction facts
-are gathered once per static instruction and scattered across the dynamic
-stream, so no per-µop Python object is ever created on the fast path.  The
-two forms are interchangeable: ``generate_compiled(n)`` equals
-``compile_trace(generate(n))`` for the same seed.
+Everything is reproducible from the ``seed``.  The walk records only
+``(sid, address, mispredict)`` per µop; every static fact is gathered once
+per static instruction and scattered across the dynamic stream, so no
+per-µop Python object is created.  ``tests/test_annotation_digests.py`` pins
+the generated streams of the figure 5 and figure 7 scenarios.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.program.basic_block import BasicBlock
 from repro.program.program import Program
 from repro.uops.compiled import NO_ANNOTATION, CompiledTrace
-from repro.uops.uop import DynamicUop, StaticInstruction
+from repro.uops.uop import StaticInstruction
 
 #: Cache line size assumed by the address model (bytes).
 CACHE_LINE_BYTES = 64
@@ -149,58 +143,13 @@ class TraceGenerator:
         return targets, probabilities
 
     # -- expansion ---------------------------------------------------------------
-    def _walk_blocks(self, num_uops: int) -> Iterator[BasicBlock]:
-        """The seeded CFG walk shared by both trace forms.
-
-        Yields basic blocks until at least ``num_uops`` instructions have
-        been covered (the trace always ends at a block boundary).  Both
-        :meth:`generate` and :meth:`generate_compiled` consume this walk and
-        draw their per-µop randomness in the same order, which is what makes
-        the two forms bit-identical for one seed.
-        """
-        count = 0
-        bid = self.program.cfg.entry
-        guard = 0
-        max_blocks = num_uops * 4 + 16  # guard against degenerate CFGs with empty blocks
-        while count < num_uops and guard < max_blocks:
-            guard += 1
-            block = self.program.block(bid)
-            yield block
-            count += len(block.instructions)
-            bid = self._next_block(bid)
-
-    def generate(self, num_uops: int) -> List[DynamicUop]:
-        """Produce a trace of approximately ``num_uops`` dynamic µops.
+    def generate_compiled(self, num_uops: int) -> CompiledTrace:
+        """Produce a compiled trace of approximately ``num_uops`` dynamic µops.
 
         The trace always ends at a basic-block boundary, so the length may
-        exceed ``num_uops`` by at most one block.  The returned µops share
-        the program's :class:`StaticInstruction` instances, so compiler
-        annotations applied to the program after expansion are visible
-        through the trace.
-        """
-        if num_uops < 1:
-            raise ValueError("num_uops must be positive")
-        trace: List[DynamicUop] = []
-        seq = 0
-        for block in self._walk_blocks(num_uops):
-            for inst in block.instructions:
-                address = self._address_for(inst) if inst.is_memory else 0
-                mispredicted = bool(
-                    inst.is_branch and self._rng.random() < self.mispredict_rate
-                )
-                trace.append(DynamicUop(seq, inst, address=address, mispredicted=mispredicted))
-                seq += 1
-        if not trace:
-            raise ValueError("trace expansion produced no µops (empty program?)")
-        return trace
-
-    def generate_compiled(self, num_uops: int) -> CompiledTrace:
-        """Expand directly to a :class:`~repro.uops.compiled.CompiledTrace`.
-
-        Identical stream to :meth:`generate` (same walk, same per-µop
-        randomness), but no ``DynamicUop`` objects are created: the walk
-        only records ``(sid, address, mispredict)`` and every static fact is
-        gathered per distinct instruction afterwards.
+        exceed ``num_uops`` by at most one block.  It snapshots the
+        program's current annotations; after a compiler pass, refresh them
+        with :meth:`~repro.uops.compiled.CompiledTrace.annotate_from`.
         """
         if num_uops < 1:
             raise ValueError("num_uops must be positive")
@@ -211,21 +160,24 @@ class TraceGenerator:
         rate = self.mispredict_rate
         address_for = self._address_for
         # Per block, its instructions' (instruction, sid, memory, branch)
-        # facts, classified once per block rather than once per µop.  The
-        # per-µop draws happen in the same order as in ``generate``.
+        # facts, classified once per block rather than once per µop.
         block_facts: Dict[int, List[tuple]] = {}
-        for block in self._walk_blocks(num_uops):
-            facts = block_facts.get(block.bid)
+        bid = self.program.cfg.entry
+        guard = num_uops * 4 + 16  # bounds the walk on degenerate CFGs with empty blocks
+        while len(sids) < num_uops and guard:
+            guard -= 1
+            facts = block_facts.get(bid)
             if facts is None:
                 facts = [
                     (inst, inst.sid, inst.is_memory, inst.is_branch)
-                    for inst in block.instructions
+                    for inst in self.program.block(bid).instructions
                 ]
-                block_facts[block.bid] = facts
+                block_facts[bid] = facts
             for inst, sid, memory, branch in facts:
                 sids.append(sid)
                 addresses.append(address_for(inst) if memory else 0)
                 mispredicted.append(branch and rng_random() < rate)
+            bid = self._next_block(bid)
         if not sids:
             raise ValueError("trace expansion produced no µops (empty program?)")
         # Gather the static columns once per instruction, scatter per µop.
@@ -257,23 +209,3 @@ class TraceGenerator:
             chain_leaders=leaders,
             static_clusters=static_clusters,
         )
-
-
-def expand_trace(
-    program: Program,
-    num_uops: int,
-    seed: int = 0,
-    address_model: Optional[AddressModel] = None,
-    mispredict_rate: float = 0.02,
-) -> List[DynamicUop]:
-    """Convenience wrapper around :class:`TraceGenerator`.
-
-    See :class:`TraceGenerator` for parameter semantics.
-    """
-    generator = TraceGenerator(
-        program,
-        seed=seed,
-        address_model=address_model,
-        mispredict_rate=mispredict_rate,
-    )
-    return generator.generate(num_uops)

@@ -20,10 +20,12 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Tuple
+from typing import TYPE_CHECKING, Mapping, Optional, Tuple
 
 from repro.uops.opcodes import IssueQueueKind
-from repro.uops.uop import DynamicUop
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.uops.compiled import CompiledUopView
 
 #: Sentinel returned by a policy that decides to stall the front end this cycle.
 STALL: Optional[int] = None
@@ -162,7 +164,7 @@ class SteeringPolicy(abc.ABC):
         self._num_clusters = int(num_clusters)
 
     @abc.abstractmethod
-    def pick_cluster(self, uop: DynamicUop, context: SteeringContext) -> Optional[int]:
+    def pick_cluster(self, uop: CompiledUopView, context: SteeringContext) -> Optional[int]:
         """Return the destination cluster of ``uop``, or :data:`STALL`.
 
         Returning :data:`STALL` keeps the µop (and everything younger) in the

@@ -12,11 +12,13 @@ and run on the per-µop callback path (they have no fused lowering).
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro.scenarios.registry import register_policy
 from repro.steering.base import SteeringContext, SteeringHardware, SteeringPolicy
-from repro.uops.uop import DynamicUop
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.uops.compiled import CompiledUopView
 
 
 class RoundRobinSteering(SteeringPolicy):
@@ -31,7 +33,7 @@ class RoundRobinSteering(SteeringPolicy):
         super().reset(num_clusters)
         self._next = 0
 
-    def pick_cluster(self, uop: DynamicUop, context: SteeringContext) -> Optional[int]:
+    def pick_cluster(self, uop: CompiledUopView, context: SteeringContext) -> Optional[int]:
         """Rotate over the clusters regardless of anything else."""
         cluster = self._next
         self._next = (self._next + 1) % context.num_clusters
@@ -47,7 +49,7 @@ class LoadBalanceSteering(SteeringPolicy):
 
     name = "load-balance"
 
-    def pick_cluster(self, uop: DynamicUop, context: SteeringContext) -> Optional[int]:
+    def pick_cluster(self, uop: CompiledUopView, context: SteeringContext) -> Optional[int]:
         """Least-loaded cluster, ignoring operand locations."""
         return context.least_loaded_cluster()
 
@@ -61,7 +63,7 @@ class DependenceOnlySteering(SteeringPolicy):
 
     name = "dependence-only"
 
-    def pick_cluster(self, uop: DynamicUop, context: SteeringContext) -> Optional[int]:
+    def pick_cluster(self, uop: CompiledUopView, context: SteeringContext) -> Optional[int]:
         """Cluster holding most sources; cluster 0 when nothing is located."""
         num_clusters = context.num_clusters
         counts = [0] * num_clusters

@@ -21,7 +21,7 @@ generator (all four rows of Table 1).
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro.scenarios.registry import register_policy
 from repro.steering.base import (
@@ -31,7 +31,9 @@ from repro.steering.base import (
     SteeringHardware,
     SteeringPolicy,
 )
-from repro.uops.uop import DynamicUop
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.uops.compiled import CompiledUopView
 
 
 class OccupancyAwareSteering(SteeringPolicy):
@@ -52,7 +54,7 @@ class OccupancyAwareSteering(SteeringPolicy):
             raise ValueError("idle_fraction must be in [0, 1]")
         self.idle_fraction = float(idle_fraction)
 
-    def pick_cluster(self, uop: DynamicUop, context: SteeringContext) -> Optional[int]:
+    def pick_cluster(self, uop: CompiledUopView, context: SteeringContext) -> Optional[int]:
         """Steer ``uop`` using source locations, occupancy, and stalling.
 
         This is the hottest policy callback of the simulator (it runs once

@@ -7,7 +7,7 @@ cluster's worth of issue bandwidth, queue capacity and functional units.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro.scenarios.registry import register_policy
 from repro.steering.base import (
@@ -16,7 +16,9 @@ from repro.steering.base import (
     SteeringHardware,
     SteeringPolicy,
 )
-from repro.uops.uop import DynamicUop
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.uops.compiled import CompiledUopView
 
 
 class OneClusterSteering(SteeringPolicy):
@@ -37,7 +39,7 @@ class OneClusterSteering(SteeringPolicy):
                 f"{num_clusters}-cluster machine"
             )
 
-    def pick_cluster(self, uop: DynamicUop, context: SteeringContext) -> Optional[int]:
+    def pick_cluster(self, uop: CompiledUopView, context: SteeringContext) -> Optional[int]:
         """Always the configured cluster."""
         return self.target_cluster
 

@@ -13,7 +13,7 @@ to a configurable default cluster.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro.scenarios.registry import register_policy
 from repro.steering.base import (
@@ -22,7 +22,9 @@ from repro.steering.base import (
     SteeringHardware,
     SteeringPolicy,
 )
-from repro.uops.uop import DynamicUop
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.uops.compiled import CompiledUopView
 
 
 class StaticAssignmentSteering(SteeringPolicy):
@@ -44,7 +46,7 @@ class StaticAssignmentSteering(SteeringPolicy):
             raise ValueError("default_cluster must be non-negative")
         self.default_cluster = int(default_cluster)
 
-    def pick_cluster(self, uop: DynamicUop, context: SteeringContext) -> Optional[int]:
+    def pick_cluster(self, uop: CompiledUopView, context: SteeringContext) -> Optional[int]:
         """Return the compile-time binding (modulo the machine's cluster count)."""
         target = uop.static_cluster
         if target is None:

@@ -21,7 +21,7 @@ decision of µop *i-1* in the same dispatch group.
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Optional
+from typing import TYPE_CHECKING, Dict, Mapping, Optional
 
 from repro.scenarios.registry import register_policy
 from repro.steering.base import (
@@ -30,7 +30,9 @@ from repro.steering.base import (
     SteeringHardware,
     SteeringPolicy,
 )
-from repro.uops.uop import DynamicUop
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.uops.compiled import CompiledUopView
 
 
 class VirtualClusterSteering(SteeringPolicy):
@@ -73,7 +75,7 @@ class VirtualClusterSteering(SteeringPolicy):
         """Current virtual-to-physical mapping (copy; for inspection and tests)."""
         return dict(self._mapping)
 
-    def pick_cluster(self, uop: DynamicUop, context: SteeringContext) -> Optional[int]:
+    def pick_cluster(self, uop: CompiledUopView, context: SteeringContext) -> Optional[int]:
         """Figure 4: remap at chain leaders, follow the table otherwise."""
         vc = uop.vc_id
         if vc is None:

@@ -8,15 +8,14 @@ microarchitecture simulator (:mod:`repro.cluster`):
   routing (integer / floating-point / copy).
 * :mod:`repro.uops.registers` -- the architectural register model (integer and
   floating-point register namespaces).
-* :mod:`repro.uops.uop` -- :class:`StaticInstruction` (the compiler-visible
-  instruction) and :class:`DynamicUop` (one dynamic instance executed by the
-  simulator).
+* :mod:`repro.uops.uop` -- :class:`StaticInstruction`, the compiler-visible
+  instruction.
 * :mod:`repro.uops.encoding` -- the ISA extension of the paper: the
   ``vc_id`` / chain-leader annotation carried from the compiler to the
   hardware steering unit, including a compact binary encoding.
-* :mod:`repro.uops.compiled` -- :class:`CompiledTrace`, the
-  structure-of-arrays form of a dynamic trace that the simulation kernel
-  consumes and the engine persists as on-disk artifacts (see DESIGN.md).
+* :mod:`repro.uops.compiled` -- :class:`CompiledTrace`, the one form of a
+  dynamic trace: structure-of-arrays columns that both simulation kernels
+  consume and the engine persists as on-disk artifacts (see DESIGN.md).
 """
 
 from repro._lazy import lazy_exports
@@ -35,10 +34,8 @@ __all__ = [
     "RegisterSpace",
     "RegisterKind",
     "StaticInstruction",
-    "DynamicUop",
     "CompiledTrace",
     "CompiledUopView",
-    "compile_trace",
     "NO_ANNOTATION",
     "SteeringAnnotation",
     "encode_annotation",
@@ -48,7 +45,7 @@ __all__ = [
 __getattr__, __dir__ = lazy_exports(
     __name__,
     {
-        ".compiled": ("NO_ANNOTATION", "CompiledTrace", "CompiledUopView", "compile_trace"),
+        ".compiled": ("NO_ANNOTATION", "CompiledTrace", "CompiledUopView"),
         ".encoding": ("SteeringAnnotation", "encode_annotation", "decode_annotation"),
         ".opcodes": (
             "UopClass",
@@ -63,6 +60,6 @@ __getattr__, __dir__ = lazy_exports(
             "MEM_OPCODES",
         ),
         ".registers": ("RegisterSpace", "RegisterKind"),
-        ".uop": ("StaticInstruction", "DynamicUop"),
+        ".uop": ("StaticInstruction",),
     },
 )

@@ -1,12 +1,12 @@
 """Compiled µop traces: a structure-of-arrays intermediate representation.
 
-:class:`CompiledTrace` is the simulator-facing form of a dynamic µop stream.
-Where a list of :class:`~repro.uops.uop.DynamicUop` re-derives per-µop facts
-(issue queue, latency, memory flags, deduplicated sources) through Python
-property indirection on every dispatch, a compiled trace precomputes all of
-them once into flat numpy arrays -- the same hoist-everything-loop-invariant
-discipline the preconditioned-solver kernels in SNIPPETS.md apply: the inner
-loop should only ever index, never recompute (see DESIGN.md).
+:class:`CompiledTrace` is the one form of a dynamic µop stream: the trace
+generator emits it, the engine persists and shares it, and both simulation
+kernels execute it.  Every per-µop fact (issue queue, latency, memory flags,
+deduplicated sources) is precomputed once into flat numpy arrays -- the same
+hoist-everything-loop-invariant discipline the preconditioned-solver kernels
+in SNIPPETS.md apply: the inner loop should only ever index, never recompute
+(see DESIGN.md).
 
 The representation has three layers:
 
@@ -27,10 +27,10 @@ The representation has three layers:
   scalar per access and is *slower* than list indexing in pure Python, so
   the arrays are the storage format and the lists are the execution format.
 
-Losslessness: ``compile_trace(trace).materialize()`` rebuilds an equivalent
-``DynamicUop`` list (shared static instructions reconstructed per ``sid``),
-and ``compile_trace(materialize(c))`` equals ``c`` array-for-array -- the
-round-trip property the test suite pins.
+The constructor checks the CSR register columns (offsets rising from 0 to the
+flat length, no negative register id) and the static ids (none negative), so
+a malformed trace -- a tampered artifact, a bad hand-built column -- fails
+there with a ``ValueError`` instead of deep inside a run.
 """
 
 from __future__ import annotations
@@ -40,13 +40,11 @@ from typing import (
     Callable,
     Dict,
     Hashable,
-    Iterable,
     List,
     NamedTuple,
     Optional,
     Sequence,
     Tuple,
-    Union,
 )
 
 import numpy as np
@@ -60,10 +58,9 @@ from repro.uops.opcodes import (
     latency_of,
     queue_of,
 )
-from repro.uops.uop import DynamicUop, StaticInstruction
 
 #: Sentinel used in the ``vc_id`` / ``static_cluster`` columns for "no
-#: annotation" (the object model uses ``None``).
+#: annotation" (:class:`~repro.uops.uop.StaticInstruction` uses ``None``).
 NO_ANNOTATION = -1
 
 #: Vectorised per-class lookup tables (index = UopClass value).
@@ -176,12 +173,12 @@ class DependencePlan(NamedTuple):
 class CompiledTrace:
     """A dynamic µop trace compiled to structure-of-arrays form.
 
-    Instances are built by :func:`compile_trace` (from ``DynamicUop`` lists),
-    by :meth:`repro.program.trace.TraceGenerator.generate_compiled` (directly
-    from a static program, no intermediate objects) or by :meth:`load` (from
-    an on-disk artifact).  All constructor arguments are numpy arrays of
-    equal length ``n`` except the CSR pairs (offset arrays of length
-    ``n + 1``).
+    Instances are built by
+    :meth:`repro.program.trace.TraceGenerator.generate_compiled` (from a
+    static program), by :meth:`from_columns` (from per-µop Python columns)
+    or from the stored columns of an on-disk artifact or shared-memory
+    segment.  All constructor arguments are numpy arrays of equal length
+    ``n`` except the CSR pairs (offset arrays of length ``n + 1``).
     """
 
     __slots__ = (
@@ -262,9 +259,20 @@ class CompiledTrace:
                      "vc_id", "chain_leader", "static_cluster"):
             if len(getattr(self, name)) != n:
                 raise ValueError(f"column {name!r} has length {len(getattr(self, name))}, expected {n}")
-        for name in ("src_offsets", "dest_offsets"):
-            if len(getattr(self, name)) != n + 1:
-                raise ValueError(f"offset column {name!r} must have length n + 1")
+        for kind in ("src", "dest"):
+            offsets = getattr(self, f"{kind}_offsets")
+            regs = getattr(self, f"{kind}_regs")
+            if len(offsets) != n + 1:
+                raise ValueError(f"offset column '{kind}_offsets' must have length n + 1")
+            if offsets[0] != 0 or offsets[-1] != len(regs) or (np.diff(offsets) < 0).any():
+                raise ValueError(
+                    f"offset column '{kind}_offsets' must rise from 0 to "
+                    f"len({kind}_regs) = {len(regs)}"
+                )
+            if len(regs) and regs.min() < 0:
+                raise ValueError(f"column '{kind}_regs' holds a negative register id")
+        if n and self.sid.min() < 0:  # annotate_from indexes by sid
+            raise ValueError("column 'sid' holds a negative static id")
         # Derived columns: vectorised lookups on the µop class.
         self.queue = _QUEUE_TABLE[self.opclass]
         self.latency = _LATENCY_TABLE[self.opclass]
@@ -562,42 +570,6 @@ class CompiledTrace:
             self._cache.pop(name, None)
         return self
 
-    # ----------------------------------------------------------- materialise --
-    def materialize(self) -> List[DynamicUop]:
-        """Rebuild the equivalent :class:`DynamicUop` list.
-
-        One :class:`StaticInstruction` is reconstructed per distinct ``sid``
-        (dynamic instances of the same static instruction share it, exactly
-        like traces expanded from a program), annotations included.
-        """
-        statics: Dict[int, StaticInstruction] = {}
-        srcs = self.src_tuples()
-        dests = self.dest_tuples()
-        sids = self.sid.tolist()
-        blocks = self.block.tolist()
-        opclasses = self.opclass.tolist()
-        vc_ids = self.vc_id_list()
-        leaders = self.chain_leader_list()
-        static_clusters = self.static_cluster_list()
-        seqs = self.seq.tolist()
-        addresses = self.address_list()
-        mispredicts = self.mispredicted_list()
-        trace: List[DynamicUop] = []
-        for i, sid in enumerate(sids):
-            static = statics.get(sid)
-            if static is None:
-                static = StaticInstruction(
-                    sid, _UOP_CLASSES[opclasses[i]], dests[i], srcs[i], block=blocks[i]
-                )
-                static.vc_id = vc_ids[i]
-                static.chain_leader = leaders[i]
-                static.static_cluster = static_clusters[i]
-                statics[sid] = static
-            trace.append(
-                DynamicUop(seqs[i], static, address=addresses[i], mispredicted=mispredicts[i])
-            )
-        return trace
-
     # ------------------------------------------------------------ persistence --
     def stored_columns(self) -> Dict[str, np.ndarray]:
         """The stored columns as ``{name: array}``, in ``STORED_FIELDS`` order.
@@ -631,14 +603,16 @@ class CompiledTrace:
         vc_ids: Sequence[int],
         chain_leaders: Sequence[bool],
         static_clusters: Sequence[int],
-        seqs: Optional[Sequence[int]] = None,
     ) -> "CompiledTrace":
-        """Build a trace from per-µop Python columns (annotation sentinel ``-1``)."""
+        """Build a trace from per-µop Python columns (annotation sentinel ``-1``).
+
+        Sequence numbers run ``0 .. n - 1`` in column order.
+        """
         n = len(sids)
         src_offsets, src_regs = _csr(srcs)
         dest_offsets, dest_regs = _csr(dests)
         return cls(
-            seq=np.arange(n, dtype=np.int64) if seqs is None else np.asarray(seqs, dtype=np.int64),
+            seq=np.arange(n, dtype=np.int64),
             sid=np.asarray(sids, dtype=np.int64),
             block=np.asarray(blocks, dtype=np.int32),
             opclass=np.asarray(opclasses, dtype=np.uint8),
@@ -653,53 +627,20 @@ class CompiledTrace:
             dest_regs=dest_regs,
         )
 
-    @classmethod
-    def from_uops(cls, trace: Iterable[DynamicUop]) -> "CompiledTrace":
-        """Compile a :class:`DynamicUop` sequence (see :func:`compile_trace`)."""
-        sids, opclasses, srcs, dests, blocks = [], [], [], [], []
-        addresses, mispredicts, vc_ids, leaders, static_clusters, seqs = [], [], [], [], [], []
-        for uop in trace:
-            static = uop.static
-            sids.append(static.sid)
-            opclasses.append(int(static.opclass))
-            srcs.append(static.srcs)
-            dests.append(static.dests)
-            blocks.append(static.block)
-            addresses.append(uop.address)
-            mispredicts.append(uop.mispredicted)
-            vc_ids.append(NO_ANNOTATION if static.vc_id is None else int(static.vc_id))
-            leaders.append(bool(static.chain_leader))
-            static_clusters.append(
-                NO_ANNOTATION if static.static_cluster is None else int(static.static_cluster)
-            )
-            seqs.append(uop.seq)
-        return cls.from_columns(
-            sids, opclasses, srcs, dests, blocks, addresses, mispredicts,
-            vc_ids, leaders, static_clusters, seqs=seqs,
-        )
-
-
-def compile_trace(trace: Union[CompiledTrace, Sequence[DynamicUop]]) -> CompiledTrace:
-    """Compile ``trace`` into a :class:`CompiledTrace` (idempotent)."""
-    if isinstance(trace, CompiledTrace):
-        return trace
-    return CompiledTrace.from_uops(trace)
-
 
 class CompiledUopView:
-    """Flyweight µop: the :class:`DynamicUop` interface over compiled arrays.
+    """Flyweight µop: the steering policies' view of one row of a trace.
 
     The simulator passes one (mutable-cursor) view instance to the steering
-    policy per dispatch instead of materialising a ``DynamicUop`` -- policies
-    read ``uop.srcs`` / ``uop.queue`` / ``uop.vc_id`` exactly as before, but
-    each access is a single list index.  Setting :attr:`index` re-points the
-    view at another µop of the same trace.
+    policy per dispatch -- policies read ``uop.srcs`` / ``uop.queue`` /
+    ``uop.vc_id``, and key per-instruction state on ``uop.sid``; each access
+    is a single list index.  Setting :attr:`index` re-points the view at
+    another µop of the same trace.
     """
 
     __slots__ = (
         "trace",
         "index",
-        "_statics",
         "_srcs",
         "_dests",
         "_queues",
@@ -719,7 +660,6 @@ class CompiledUopView:
     def __init__(self, trace: CompiledTrace) -> None:
         self.trace = trace
         self.index = 0
-        self._statics: Dict[int, StaticInstruction] = {}
         self._srcs = trace.src_tuples()
         self._dests = trace.dest_tuples()
         self._queues = trace.queue_kinds()
@@ -735,8 +675,6 @@ class CompiledUopView:
         self._static_clusters = trace.static_cluster_list()
         self._seqs = trace.seq_list()
 
-    # The property set mirrors DynamicUop, so existing policies (including
-    # user-registered ones) work unchanged on the compiled path.
     @property
     def seq(self) -> int:
         """Sequence number of the µop."""
@@ -821,33 +759,6 @@ class CompiledUopView:
     def sid(self) -> int:
         """Static id of the underlying instruction."""
         return int(self.trace.sid[self.index])
-
-    @property
-    def static(self) -> StaticInstruction:
-        """The underlying static instruction, rebuilt on demand per ``sid``.
-
-        Policies keying per-instruction state on ``uop.static`` / ``.sid``
-        keep working: instances are cached per ``sid``, so every dynamic
-        occurrence of one instruction returns the same object (as on the
-        ``DynamicUop`` path).  Note it is a *reconstruction* carrying the
-        trace's annotation snapshot, not the program's own instance.
-        """
-        index = self.index
-        sid = int(self.trace.sid[index])
-        static = self._statics.get(sid)
-        if static is None:
-            static = StaticInstruction(
-                sid,
-                self.opclass,
-                self._dests[index],
-                self._srcs[index],
-                block=int(self.trace.block[index]),
-            )
-            static.vc_id = self._vc_ids[index]
-            static.chain_leader = self._leaders[index]
-            static.static_cluster = self._static_clusters[index]
-            self._statics[sid] = static
-        return static
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"CompiledUopView(index={self.index}, seq={self.seq}, {self.opclass.name})"

@@ -1,4 +1,4 @@
-"""Static instructions and dynamic µops.
+"""Static instructions.
 
 The paper's hybrid scheme relies on a strict split of responsibilities:
 
@@ -10,10 +10,10 @@ The paper's hybrid scheme relies on a strict split of responsibilities:
   instance of a static instruction and inherits its annotations through the
   ISA extension.
 
-:class:`StaticInstruction` and :class:`DynamicUop` model the two sides of
-that split.  Both are lightweight ``__slots__`` classes because the simulator
-creates one :class:`DynamicUop` per trace element (tens of thousands per
-simulation point).
+:class:`StaticInstruction` models the compiler's side, a lightweight
+``__slots__`` class.  The hardware's side is a
+:class:`~repro.uops.compiled.CompiledTrace`: one array row per dynamic µop,
+holding its static id and a copy of that instruction's annotations.
 """
 
 from __future__ import annotations
@@ -124,109 +124,9 @@ class StaticInstruction:
         """True for control-flow instructions."""
         return is_branch(self.opclass)
 
-    def clear_annotations(self) -> None:
-        """Remove any steering annotations left by a previous compiler pass."""
-        self.vc_id = None
-        self.chain_leader = False
-        self.static_cluster = None
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"StaticInstruction(sid={self.sid}, {self.opclass.name}, "
             f"dests={self.dests}, srcs={self.srcs}, block={self.block}, "
             f"vc={self.vc_id}, leader={self.chain_leader}, static_cluster={self.static_cluster})"
         )
-
-
-class DynamicUop:
-    """One dynamic µop executed by the simulator.
-
-    A dynamic µop references the static instruction it was fetched from and
-    carries the per-instance information the simulator needs: sequence number,
-    effective address of memory operations, and the branch outcome used to
-    model front-end redirects.
-    """
-
-    __slots__ = ("seq", "static", "address", "mispredicted")
-
-    def __init__(
-        self,
-        seq: int,
-        static: StaticInstruction,
-        address: int = 0,
-        mispredicted: bool = False,
-    ) -> None:
-        self.seq = int(seq)
-        self.static = static
-        self.address = int(address)
-        self.mispredicted = bool(mispredicted)
-
-    # Delegation properties keep the hot simulator loops readable while
-    # avoiding duplicated state per dynamic instance.
-    @property
-    def opclass(self) -> UopClass:
-        """µop class of the underlying static instruction."""
-        return self.static.opclass
-
-    @property
-    def dests(self) -> Tuple[int, ...]:
-        """Destination registers."""
-        return self.static.dests
-
-    @property
-    def srcs(self) -> Tuple[int, ...]:
-        """Source registers."""
-        return self.static.srcs
-
-    @property
-    def latency(self) -> int:
-        """Functional-unit latency."""
-        return self.static.latency
-
-    @property
-    def queue(self) -> IssueQueueKind:
-        """Issue queue kind."""
-        return self.static.queue
-
-    @property
-    def is_memory(self) -> bool:
-        """True for loads and stores."""
-        return self.static.is_memory
-
-    @property
-    def is_load(self) -> bool:
-        """True for loads."""
-        return self.static.is_load
-
-    @property
-    def is_store(self) -> bool:
-        """True for stores."""
-        return self.static.is_store
-
-    @property
-    def is_branch(self) -> bool:
-        """True for control-flow µops."""
-        return self.static.is_branch
-
-    @property
-    def is_fp(self) -> bool:
-        """True for floating-point arithmetic."""
-        return self.static.is_fp
-
-    @property
-    def vc_id(self) -> Optional[int]:
-        """Virtual cluster id inherited from the static instruction."""
-        return self.static.vc_id
-
-    @property
-    def chain_leader(self) -> bool:
-        """Chain-leader mark inherited from the static instruction."""
-        return self.static.chain_leader
-
-    @property
-    def static_cluster(self) -> Optional[int]:
-        """Static physical-cluster binding inherited from the static instruction."""
-        return self.static.static_cluster
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"DynamicUop(seq={self.seq}, sid={self.static.sid}, {self.opclass.name})"

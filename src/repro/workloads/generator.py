@@ -5,7 +5,7 @@ for instruction steering -- the mix of DDG shapes (kernels), the amount of
 instruction-level parallelism, the memory and floating-point intensity, the
 control-flow behaviour and the working-set size.  :class:`WorkloadGenerator`
 turns a profile (and a phase index) into a static
-:class:`~repro.program.program.Program` plus a dynamic µop trace.
+:class:`~repro.program.program.Program` plus a compiled dynamic µop trace.
 
 Phases model PinPoints simulation points: each phase uses a different seed
 and a slightly different working set / kernel emphasis, so the weighted
@@ -25,7 +25,7 @@ from repro.program.trace import AddressModel, TraceGenerator
 from repro.uops.compiled import CompiledTrace
 from repro.uops.opcodes import UopClass
 from repro.uops.registers import RegisterSpace
-from repro.uops.uop import DynamicUop, StaticInstruction
+from repro.uops.uop import StaticInstruction
 from repro.workloads.kernels import KERNEL_FUNCTIONS, RegisterPool
 from repro.workloads.profile import BenchmarkProfile, KernelKind, phase_seed
 
@@ -174,42 +174,25 @@ class WorkloadGenerator:
             strided_fraction=profile.strided_fraction,
         )
 
-    def _trace_generator(self, phase: int, program: Program) -> TraceGenerator:
-        """The seeded expander both trace forms share for ``phase``."""
-        return TraceGenerator(
+    def generate_compiled_trace(
+        self, num_uops: int, phase: int = 0, program: Optional[Program] = None
+    ) -> Tuple[Program, CompiledTrace]:
+        """Build (or reuse) the phase program and expand a compiled trace from it.
+
+        Returns the program, so callers can run compiler passes on it, and
+        the trace.  The trace snapshots the program's current annotations;
+        after running a compiler pass, refresh them with
+        :meth:`~repro.uops.compiled.CompiledTrace.annotate_from`.
+        """
+        if program is None:
+            program = self.generate_program(phase)
+        generator = TraceGenerator(
             program,
             seed=self.phase_seed(phase) ^ 0x5BD1E995,
             address_model=self.address_model(phase),
             mispredict_rate=self.profile.mispredict_rate,
         )
-
-    def generate_trace(
-        self, num_uops: int, phase: int = 0, program: Optional[Program] = None
-    ) -> Tuple[Program, List[DynamicUop]]:
-        """Build (or reuse) the phase program and expand a dynamic trace from it.
-
-        Returns the program (so callers can run compiler passes on it before
-        or after expanding the trace -- annotations are shared by reference)
-        and the list of dynamic µops.
-        """
-        if program is None:
-            program = self.generate_program(phase)
-        return program, self._trace_generator(phase, program).generate(num_uops)
-
-    def generate_compiled_trace(
-        self, num_uops: int, phase: int = 0, program: Optional[Program] = None
-    ) -> Tuple[Program, CompiledTrace]:
-        """Build (or reuse) the phase program and expand a *compiled* trace.
-
-        Bit-identical stream to :meth:`generate_trace` (same seed and walk),
-        emitted directly in the simulator's structure-of-arrays form.  The
-        compiled trace snapshots the program's current annotations; after
-        running a compiler pass, refresh them with
-        :meth:`~repro.uops.compiled.CompiledTrace.annotate_from`.
-        """
-        if program is None:
-            program = self.generate_program(phase)
-        return program, self._trace_generator(phase, program).generate_compiled(num_uops)
+        return program, generator.generate_compiled(num_uops)
 
 
 def generate_program(profile: BenchmarkProfile, phase: int = 0) -> Program:

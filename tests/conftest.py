@@ -7,6 +7,7 @@ import pytest
 from repro.program.basic_block import BasicBlock
 from repro.program.cfg import ControlFlowGraph
 from repro.program.program import Program
+from repro.uops.compiled import NO_ANNOTATION, CompiledTrace
 from repro.uops.opcodes import UopClass
 from repro.uops.uop import StaticInstruction
 from repro.workloads.generator import BenchmarkProfile, WorkloadGenerator
@@ -16,6 +17,32 @@ from repro.workloads.kernels import KernelKind
 def make_instruction(sid, opclass=UopClass.INT_ALU, dests=(), srcs=(), block=0):
     """Convenience constructor used across the test suite."""
     return StaticInstruction(sid, opclass, dests, srcs, block=block)
+
+
+def make_trace(instructions, addresses=None, mispredicted=None):
+    """A hand-made trace: one µop per entry of ``instructions``, in order.
+
+    Each µop copies its static instruction's registers, block and
+    annotations; ``addresses`` and ``mispredicted`` give the per-µop
+    dynamic facts (0 and ``False`` when omitted).
+    """
+    n = len(instructions)
+
+    def annotation(value):
+        return NO_ANNOTATION if value is None else value
+
+    return CompiledTrace.from_columns(
+        sids=[inst.sid for inst in instructions],
+        opclasses=[int(inst.opclass) for inst in instructions],
+        srcs=[inst.srcs for inst in instructions],
+        dests=[inst.dests for inst in instructions],
+        blocks=[inst.block for inst in instructions],
+        addresses=[0] * n if addresses is None else addresses,
+        mispredicted=[False] * n if mispredicted is None else mispredicted,
+        vc_ids=[annotation(inst.vc_id) for inst in instructions],
+        chain_leaders=[inst.chain_leader for inst in instructions],
+        static_clusters=[annotation(inst.static_cluster) for inst in instructions],
+    )
 
 
 @pytest.fixture
@@ -108,6 +135,6 @@ def small_fp_profile():
 
 @pytest.fixture
 def small_trace(small_profile):
-    """A (program, trace) pair of ~800 µops from the small profile."""
+    """A (program, compiled trace) pair of ~800 µops from the small profile."""
     generator = WorkloadGenerator(small_profile)
-    return generator.generate_trace(800, phase=0)
+    return generator.generate_compiled_trace(800, phase=0)

@@ -1,16 +1,20 @@
-"""The compiled-trace IR: losslessness, equivalence with the µop-object path.
+"""The compiled-trace IR: derived columns, the policy view, validation.
 
-Three guarantees are pinned here (plus the golden-metrics suite, which pins
-the compiled kernel against the pre-compilation simulator's exact output):
+Pinned here (the golden-metrics suite pins the kernels' exact output and
+``tests/test_annotation_digests.py`` the generated streams):
 
-* **round trip** -- ``compile_trace(trace).materialize()`` rebuilds an
-  equivalent ``DynamicUop`` list, and re-compiling it reproduces the same
-  arrays (property-tested over random traces);
-* **direct emission** -- ``TraceGenerator.generate_compiled`` produces
-  array-for-array the same trace as compiling ``generate``'s object list;
-* **kernel equivalence** -- for every Table 3 configuration, simulating the
-  legacy ``DynamicUop`` list and the pre-compiled trace yields identical
-  metrics on every counter.
+* **derived columns** -- queue, latency and the memory/branch flags are
+  the opcode tables' values, and the CSR register columns unpack to the
+  per-µop tuples;
+* **the policy view** -- :class:`CompiledUopView` reads every µop fact of
+  the row it points at;
+* **dependence plan** -- the array-native last-writer plan equals a plain
+  program-order reference loop (property-tested);
+* **annotation refresh** -- ``annotate_from`` scatters a program's
+  annotations across the per-µop columns;
+* **validation** -- the constructor rejects malformed CSR register columns,
+  and the processor rejects anything but a :class:`CompiledTrace`;
+* **engine equivalence** -- ``execute_job`` equals a by-hand simulation.
 """
 
 from __future__ import annotations
@@ -25,17 +29,13 @@ from repro.engine.job import SimulationJob
 from repro.engine.parallel import execute_job
 from repro.experiments.configs import TABLE3_CONFIGURATIONS
 from repro.partition.vc_partitioner import VirtualClusterPartitioner
-from repro.uops.compiled import (
-    NO_ANNOTATION,
-    CompiledTrace,
-    CompiledUopView,
-    compile_trace,
-)
+from repro.steering.one_cluster import OneClusterSteering
+from repro.uops.compiled import NO_ANNOTATION, CompiledTrace, CompiledUopView
 from repro.uops.opcodes import UopClass, latency_of, queue_of
 from repro.uops.registers import DEFAULT_REGISTER_SPACE
-from repro.uops.uop import DynamicUop, StaticInstruction
+from repro.uops.uop import StaticInstruction
 from repro.workloads.generator import WorkloadGenerator
-from repro.workloads.spec2000 import profile_for
+from tests.conftest import make_trace
 
 
 def fast_config(**overrides):
@@ -44,129 +44,47 @@ def fast_config(**overrides):
     return ClusterConfig(**defaults)
 
 
-# -- random µop traces for the property tests -----------------------------------
-
-_CLASSES = [c for c in UopClass if c != UopClass.COPY]  # copies are hardware-inserted
-
-
-@st.composite
-def uop_traces(draw):
-    """A short random trace over a random static instruction pool."""
-    num_static = draw(st.integers(min_value=1, max_value=12))
-    statics = []
-    for sid in range(num_static):
-        opclass = draw(st.sampled_from(_CLASSES))
-        dests = draw(st.lists(st.integers(0, 127), max_size=2))
-        srcs = draw(st.lists(st.integers(0, 127), max_size=4))
-        inst = StaticInstruction(sid, opclass, dests, srcs, block=draw(st.integers(0, 3)))
-        if draw(st.booleans()):
-            inst.vc_id = draw(st.integers(0, 3))
-            inst.chain_leader = draw(st.booleans())
-        if draw(st.booleans()):
-            inst.static_cluster = draw(st.integers(0, 3))
-        statics.append(inst)
-    length = draw(st.integers(min_value=1, max_value=40))
-    trace = []
-    for seq in range(length):
-        inst = statics[draw(st.integers(0, num_static - 1))]
-        trace.append(
-            DynamicUop(
-                seq,
-                inst,
-                address=draw(st.integers(0, 1 << 20)) if inst.is_memory else 0,
-                mispredicted=draw(st.booleans()) if inst.is_branch else False,
-            )
-        )
-    return trace
-
-
-class TestRoundTrip:
-    @settings(max_examples=60, deadline=None)
-    @given(trace=uop_traces())
-    def test_compile_materialize_compile_is_identity(self, trace):
-        """compile -> materialize -> compile reproduces the same arrays."""
-        compiled = compile_trace(trace)
-        rebuilt = compile_trace(compiled.materialize())
-        assert rebuilt.equals(compiled)
-
-    @settings(max_examples=30, deadline=None)
-    @given(trace=uop_traces())
-    def test_materialized_uops_match_originals(self, trace):
-        materialized = compile_trace(trace).materialize()
-        assert len(materialized) == len(trace)
-        for original, copy in zip(trace, materialized):
-            assert copy.seq == original.seq
-            assert copy.opclass == original.opclass
-            assert copy.srcs == original.srcs
-            assert copy.dests == original.dests
-            assert copy.address == original.address
-            assert copy.mispredicted == original.mispredicted
-            assert copy.vc_id == original.vc_id
-            assert copy.chain_leader == original.chain_leader
-            assert copy.static_cluster == original.static_cluster
-
-    def test_materialize_shares_statics_per_sid(self, small_trace):
-        _, trace = small_trace
-        materialized = compile_trace(trace).materialize()
-        by_sid = {}
-        for uop in materialized:
-            existing = by_sid.setdefault(uop.static.sid, uop.static)
-            assert uop.static is existing
-
-
 class TestDerivedColumns:
     def test_derived_columns_match_opcode_tables(self, small_trace):
-        _, trace = small_trace
-        compiled = compile_trace(trace)
-        for i, uop in enumerate(trace):
-            assert compiled.queue_kinds()[i] == queue_of(uop.opclass)
-            assert compiled.latency_list()[i] == latency_of(uop.opclass)
-            assert compiled.is_memory_list()[i] == uop.is_memory
-            assert compiled.is_load_list()[i] == uop.is_load
-            assert compiled.is_branch_list()[i] == uop.is_branch
+        _, compiled = small_trace
+        for i, opclass in enumerate(compiled.opclass.tolist()):
+            opclass = UopClass(opclass)
+            assert compiled.queue_kinds()[i] == queue_of(opclass)
+            assert compiled.latency_list()[i] == latency_of(opclass)
+            assert compiled.is_memory_list()[i] == (opclass in (UopClass.LOAD, UopClass.STORE))
+            assert compiled.is_load_list()[i] == (opclass == UopClass.LOAD)
+            assert compiled.is_branch_list()[i] == (opclass == UopClass.BRANCH)
 
     def test_unique_srcs_preserve_first_occurrence_order(self):
         inst = StaticInstruction(0, UopClass.INT_ALU, dests=(5,), srcs=(3, 7, 3, 1, 7))
-        compiled = compile_trace([DynamicUop(0, inst)])
+        compiled = make_trace([inst])
         assert compiled.src_tuples()[0] == (3, 7, 3, 1, 7)
         assert compiled.unique_src_tuples()[0] == (3, 7, 1)
 
     def test_dest_kind_counts(self, small_trace):
-        program, trace = small_trace
-        compiled = compile_trace(trace)
+        program, compiled = small_trace
         space = program.register_space
-        for i, uop in enumerate(trace):
-            expected_fp = sum(1 for reg in uop.dests if reg >= space.num_int)
-            assert compiled.dest_kind_counts(space)[i] == (
-                len(uop.dests) - expected_fp,
-                expected_fp,
-            )
+        for i, dests in enumerate(compiled.dest_tuples()):
+            expected_fp = sum(1 for reg in dests if reg >= space.num_int)
+            assert compiled.dest_kind_counts(space)[i] == (len(dests) - expected_fp, expected_fp)
 
-    def test_view_mirrors_dynamic_uops(self, small_trace):
-        _, trace = small_trace
-        view = CompiledUopView(compile_trace(trace))
-        for i, uop in enumerate(trace):
+    def test_view_mirrors_trace_rows(self, small_profile):
+        program, compiled = WorkloadGenerator(small_profile).generate_compiled_trace(500)
+        VirtualClusterPartitioner(2).annotate_program(program)
+        compiled.annotate_from(program)
+        by_sid = {inst.sid: inst for inst in program.all_instructions()}
+        view = CompiledUopView(compiled)
+        for i, sid in enumerate(compiled.sid.tolist()):
             view.index = i
+            inst = by_sid[sid]
+            assert view.sid == sid and view.seq == i
             for attribute in (
-                "seq", "opclass", "srcs", "dests", "queue", "latency", "is_memory",
-                "is_load", "is_store", "is_branch", "is_fp", "address", "mispredicted",
-                "vc_id", "chain_leader", "static_cluster",
+                "opclass", "srcs", "dests", "queue", "latency", "is_memory", "is_load",
+                "is_store", "is_branch", "is_fp", "vc_id", "chain_leader", "static_cluster",
             ):
-                assert getattr(view, attribute) == getattr(uop, attribute), attribute
-            # The static backref is rebuilt per sid and shared across the
-            # dynamic occurrences of one instruction, like on DynamicUop.
-            assert view.sid == uop.static.sid
-            assert view.static.srcs == uop.static.srcs
-            assert view.static is not None and view.static.sid == uop.static.sid
-
-    def test_view_static_shared_per_sid(self, small_trace):
-        _, trace = small_trace
-        view = CompiledUopView(compile_trace(trace))
-        seen = {}
-        for i in range(len(trace)):
-            view.index = i
-            static = view.static
-            assert seen.setdefault(static.sid, static) is static
+                assert getattr(view, attribute) == getattr(inst, attribute), attribute
+            assert view.address == compiled.address[i]
+            assert view.mispredicted == compiled.mispredicted[i]
 
 
 def _reference_dedup(row):
@@ -212,19 +130,10 @@ def operand_rows(draw):
 
 
 def _operand_trace(srcs, dests):
-    n = len(srcs)
-    return CompiledTrace.from_columns(
-        sids=list(range(n)),
-        opclasses=[int(UopClass.INT_ALU)] * n,
-        srcs=srcs,
-        dests=dests,
-        blocks=[0] * n,
-        addresses=[0] * n,
-        mispredicted=[False] * n,
-        vc_ids=[NO_ANNOTATION] * n,
-        chain_leaders=[False] * n,
-        static_clusters=[NO_ANNOTATION] * n,
-    )
+    return make_trace([
+        StaticInstruction(i, UopClass.INT_ALU, written, read)
+        for i, (read, written) in enumerate(zip(srcs, dests))
+    ])
 
 
 class TestDependencePlan:
@@ -276,35 +185,49 @@ class TestAnnotationRefresh:
         assert all(v is None for v in compiled.vc_id_list())
 
 
-class TestDirectEmission:
-    @pytest.mark.parametrize("trace_name,phase", [("164.gzip-1", 0), ("178.galgel", 1)])
-    def test_generate_compiled_equals_compiled_generate(self, trace_name, phase):
-        """Both trace forms come from one seeded walk: identical streams."""
-        generator = WorkloadGenerator(profile_for(trace_name))
-        _, object_trace = generator.generate_trace(1500, phase=phase)
-        _, compiled = generator.generate_compiled_trace(1500, phase=phase)
-        assert compiled.equals(compile_trace(object_trace))
+class TestValidation:
+    """Malformed CSR register columns fail in the constructor, naming the column."""
+
+    @staticmethod
+    def _columns(**changes):
+        trace = make_trace([
+            StaticInstruction(0, UopClass.INT_ALU, dests=(3,), srcs=(1, 2)),
+            StaticInstruction(1, UopClass.INT_ALU, dests=(4,), srcs=(3,)),
+        ])
+        columns = {name: array.copy() for name, array in trace.stored_columns().items()}
+        columns.update(changes)
+        return columns
+
+    def test_well_formed_columns_build(self):
+        assert len(CompiledTrace(**self._columns())) == 2
+
+    @pytest.mark.parametrize(
+        "column, value",
+        [
+            ("src_offsets", [1, 2, 3]),  # does not start at 0
+            ("src_offsets", [0, 4, 3]),  # decreases
+            ("src_offsets", [0, 2, 4]),  # ends past len(src_regs)
+            ("dest_offsets", [0, 3, 2]),  # decreases
+            ("dest_offsets", [0, 1, 1]),  # ends short of len(dest_regs)
+        ],
+    )
+    def test_malformed_offsets_rejected(self, column, value):
+        with pytest.raises(ValueError, match=column):
+            CompiledTrace(**self._columns(**{column: np.array(value)}))
+
+    @pytest.mark.parametrize("column", ["src_regs", "dest_regs", "sid"])
+    def test_negative_id_rejected(self, column):
+        regs = self._columns()[column]
+        regs[-1] = -1
+        with pytest.raises(ValueError, match=column):
+            CompiledTrace(**self._columns(**{column: regs}))
+
+    def test_processor_rejects_anything_but_a_compiled_trace(self):
+        with pytest.raises(TypeError, match="CompiledTrace"):
+            simulate_trace([], OneClusterSteering(), fast_config())
 
 
 class TestKernelEquivalence:
-    @pytest.mark.parametrize("name", sorted(TABLE3_CONFIGURATIONS))
-    def test_list_and_compiled_paths_identical(self, name, small_profile):
-        """Every Table 3 configuration: µop-object path == compiled path."""
-        configuration = TABLE3_CONFIGURATIONS[name]
-        generator = WorkloadGenerator(small_profile)
-        program, trace = generator.generate_trace(800, phase=0)
-        partitioner = configuration.make_partitioner(2, 2, 128)
-        if partitioner is not None:
-            partitioner.annotate_program(program)
-        else:
-            program.clear_annotations()
-        compiled = compile_trace(trace)
-        policy_a = configuration.make_policy(2, 2)
-        policy_b = configuration.make_policy(2, 2)
-        from_list = simulate_trace(trace, policy_a, fast_config())
-        from_compiled = simulate_trace(compiled, policy_b, fast_config())
-        assert from_list == from_compiled
-
     @pytest.mark.parametrize("name", sorted(TABLE3_CONFIGURATIONS))
     def test_execute_job_matches_direct_simulation(self, name, small_profile):
         """The engine's artifact-backed path equals a by-hand simulation."""
@@ -320,12 +243,11 @@ class TestKernelEquivalence:
         )
         engine_dump = execute_job(job)
         generator = WorkloadGenerator(small_profile)
-        program, trace = generator.generate_trace(700, phase=0)
+        program, trace = generator.generate_compiled_trace(700, phase=0)
         partitioner = configuration.make_partitioner(2, 2, 128)
         if partitioner is not None:
             partitioner.annotate_program(program)
-        else:
-            program.clear_annotations()
+            trace.annotate_from(program)
         direct = simulate_trace(trace, configuration.make_policy(2, 2), job.machine_config())
         assert engine_dump == direct.to_dict()
 
@@ -369,22 +291,17 @@ class TestIssueQueueLoadHeaps:
         assert queues.pop_ready(0, IssueQueueKind.INT) == "load-2"
 
     def test_load_port_pressure_completes_under_any_port_count(self, small_profile):
-        """Saturated or idle ports, every µop still commits on both paths.
+        """Saturated or idle ports, every µop still commits.
 
         (Cycle counts are *not* monotone in the port count: issuing loads
         earlier legally perturbs cache interleaving and steering decisions.)
         """
         generator = WorkloadGenerator(small_profile)
-        _, trace = generator.generate_trace(600, phase=0)
-        compiled = compile_trace(trace)
+        _, compiled = generator.generate_compiled_trace(600, phase=0)
         from repro.steering.occupancy import OccupancyAwareSteering
 
         for ports in (1, 2, 8):
-            from_list = simulate_trace(
-                trace, OccupancyAwareSteering(), fast_config(l1_read_ports=ports)
-            )
-            from_compiled = simulate_trace(
+            metrics = simulate_trace(
                 compiled, OccupancyAwareSteering(), fast_config(l1_read_ports=ports)
             )
-            assert from_list == from_compiled
-            assert from_compiled.committed_uops == len(trace)
+            assert metrics.committed_uops == len(compiled)

@@ -163,21 +163,6 @@ CASES = [
         bad_line=2,
         good="from pathlib import Path\nentries = sorted(Path('.').iterdir())\n",
     ),
-    Case(
-        "DET111",
-        bad="import numba\n",
-        bad_line=1,
-        good="try:\n    import numba\nexcept ImportError:\n    numba = None\n",
-    ),
-    Case(
-        "DET111",
-        bad="from numba import njit\nfast = njit(abs)\n",
-        bad_line=1,
-        good=(
-            "try:\n    from numba import njit\n"
-            "except ImportError:\n    njit = None\n"
-        ),
-    ),
 ]
 
 

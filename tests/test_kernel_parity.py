@@ -1,9 +1,10 @@
 """Parity contract between the interpreter and vectorized kernels.
 
-The interpreter kernel (per-µop objects, one ``_step`` per cycle) is the
-golden reference; the vectorized kernel runs the array tier over the SoA IR
-and calls back into Python only on policy-acting cycles.  Both must produce
-bit-identical metrics on every trace, with idle-cycle skipping on or off.
+The interpreter kernel (one ``_step`` per cycle over the compiled trace) is
+the golden reference; the vectorized kernel runs the array tier over the
+same trace and calls back into Python only on policy-acting cycles.  Both
+must produce bit-identical metrics on every trace, with idle-cycle skipping
+on or off.
 These tests pin that contract:
 
 * ``resolve_kernel`` precedence (explicit argument > ``$REPRO_KERNEL`` >
@@ -55,11 +56,11 @@ from repro.steering.occupancy import OccupancyAwareSteering
 from repro.steering.one_cluster import OneClusterSteering
 from repro.steering.static_follow import StaticAssignmentSteering
 from repro.steering.virtual_cluster import VirtualClusterSteering
-from repro.uops.compiled import compile_trace
 from repro.uops.opcodes import UopClass
-from repro.uops.uop import DynamicUop, StaticInstruction
+from repro.uops.uop import StaticInstruction
 from repro.workloads.generator import WorkloadGenerator
 from repro.workloads.spec2000 import profile_for
+from tests.conftest import make_trace
 
 
 class TestResolveKernel:
@@ -211,11 +212,10 @@ class TestSkipVsStepParity:
         policy=st.sampled_from(["OP", "VC", "LD", "RR", "1C"]),
     )
     def test_same_trace_same_metrics(self, benchmark, length, phase, policy):
-        program, trace = WorkloadGenerator(profile_for(benchmark)).generate_trace(
+        program, compiled = WorkloadGenerator(profile_for(benchmark)).generate_compiled_trace(
             length, phase=phase
         )
         _annotate_for(policy, program)
-        compiled = compile_trace(trace)
         compiled.annotate_from(program)
         config = ClusterConfig(num_clusters=2, warm_caches=False)
         results = _run_all_modes(compiled, _policy_factories()[policy], config)
@@ -227,10 +227,9 @@ class TestSkipVsStepParity:
         """The skip path accounts redirect-stall cycles in bulk; pin a trace
         that actually exercises that branch (mispredict_stalls > 0) and check
         all four modes still agree bit-for-bit."""
-        program, trace = WorkloadGenerator(profile_for("164.gzip-1")).generate_trace(
+        program, compiled = WorkloadGenerator(profile_for("164.gzip-1")).generate_compiled_trace(
             800, phase=0
         )
-        compiled = compile_trace(trace)
         compiled.annotate_from(program)
         config = ClusterConfig(num_clusters=2, warm_caches=False)
         results = _run_all_modes(compiled, OccupancyAwareSteering, config)
@@ -378,11 +377,10 @@ class TestLoweredSteeringParity:
     def test_lowered_policies_match_interpreter(
         self, benchmark, length, phase, policy, num_clusters
     ):
-        program, trace = WorkloadGenerator(profile_for(benchmark)).generate_trace(
+        program, compiled = WorkloadGenerator(profile_for(benchmark)).generate_compiled_trace(
             length, phase=phase
         )
         _annotate_for(policy, program)
-        compiled = compile_trace(trace)
         compiled.annotate_from(program)
         config = ClusterConfig(num_clusters=num_clusters, warm_caches=False)
         factory = _policy_factories()[policy]
@@ -412,12 +410,11 @@ class TestEveryFormIsDispatched:
     @pytest.mark.parametrize("form", SPEC_FORMS)
     def test_fused_form_matches_interpreter(self, form, num_clusters):
         factory, partitioner = _FORM_POLICIES[form]
-        program, trace = WorkloadGenerator(profile_for("164.gzip-1")).generate_trace(
+        program, compiled = WorkloadGenerator(profile_for("164.gzip-1")).generate_compiled_trace(
             400, phase=0
         )
         if partitioner is not None:
             partitioner(num_clusters).annotate_program(program)
-        compiled = compile_trace(trace)
         compiled.annotate_from(program)
         config = ClusterConfig(num_clusters=num_clusters)
         policy = factory(num_clusters)
@@ -448,11 +445,10 @@ class TestMidTraceFallback:
         ]
 
     def test_run_bound_mixes_lowered_and_callback_policies(self):
-        program, trace = WorkloadGenerator(profile_for("178.galgel")).generate_trace(
+        program, compiled = WorkloadGenerator(profile_for("178.galgel")).generate_compiled_trace(
             400, phase=0
         )
         VirtualClusterPartitioner(2).annotate_program(program)
-        compiled = compile_trace(trace)
         compiled.annotate_from(program)
         config = ClusterConfig(num_clusters=2, warm_caches=False)
         reference = [
@@ -535,12 +531,15 @@ class TestCopySlotGrowth:
         remote cluster and each def has a single consumer -- forcing
         two fresh copy µops in one dispatch."""
         reg = lambda i: 8 + (i % 97)  # noqa: E731
-        trace = []
-        for i in range(length):
-            srcs = (reg(i - 1), reg(i - 3)) if i % 4 == 3 else (0,)
-            static = StaticInstruction(i, UopClass.INT_ALU, dests=(reg(i),), srcs=srcs)
-            trace.append(DynamicUop(i, static))
-        return compile_trace(trace)
+        return make_trace([
+            StaticInstruction(
+                i,
+                UopClass.INT_ALU,
+                dests=(reg(i),),
+                srcs=(reg(i - 1), reg(i - 3)) if i % 4 == 3 else (0,),
+            )
+            for i in range(length)
+        ])
 
     # Lengths chosen so a two-copy dispatch lands on the capacity boundary
     # (these crashed before the fix; neighbours keep coverage robust).

@@ -12,19 +12,21 @@ from repro.steering.occupancy import OccupancyAwareSteering
 from repro.steering.one_cluster import OneClusterSteering
 from repro.steering.static_follow import StaticAssignmentSteering
 from repro.steering.virtual_cluster import VirtualClusterSteering
-from repro.uops.opcodes import UopClass
-from repro.uops.uop import DynamicUop, StaticInstruction
+from repro.uops.opcodes import IssueQueueKind, UopClass
+from repro.uops.uop import StaticInstruction
 from repro.workloads.generator import WorkloadGenerator
+from tests.conftest import make_trace
 
 
 def straight_line_trace(length=50, dependent=False):
     """A synthetic trace of INT ALU µops (optionally one serial chain)."""
-    trace = []
+    instructions = []
     for i in range(length):
         srcs = (10 + (i - 1) % 40,) if (dependent and i > 0) else (0,)
-        static = StaticInstruction(i, UopClass.INT_ALU, dests=(10 + i % 40,), srcs=srcs)
-        trace.append(DynamicUop(i, static))
-    return trace
+        instructions.append(
+            StaticInstruction(i, UopClass.INT_ALU, dests=(10 + i % 40,), srcs=srcs)
+        )
+    return make_trace(instructions)
 
 
 def fast_config(**overrides):
@@ -77,7 +79,7 @@ class TestBasicExecution:
     def test_empty_dests_and_stores_commit(self):
         static_store = StaticInstruction(0, UopClass.STORE, dests=(), srcs=(0, 1))
         static_branch = StaticInstruction(1, UopClass.BRANCH, dests=(), srcs=(0,))
-        trace = [DynamicUop(0, static_store, address=64), DynamicUop(1, static_branch)]
+        trace = make_trace([static_store, static_branch], addresses=[64, 0])
         metrics = simulate_trace(trace, OneClusterSteering(), fast_config())
         assert metrics.committed_uops == 2
 
@@ -94,7 +96,7 @@ class TestCopies:
         producer.static_cluster = 0
         consumer = StaticInstruction(1, UopClass.INT_ALU, dests=(11,), srcs=(10,))
         consumer.static_cluster = 1
-        trace = [DynamicUop(0, producer), DynamicUop(1, consumer)]
+        trace = make_trace([producer, consumer])
         metrics = simulate_trace(trace, StaticAssignmentSteering(), fast_config())
         assert metrics.copies_generated == 1
         assert metrics.cluster_copies[0] == 1  # inserted in the producing cluster
@@ -104,7 +106,7 @@ class TestCopies:
         producer.static_cluster = 1
         consumer = StaticInstruction(1, UopClass.INT_ALU, dests=(11,), srcs=(10,))
         consumer.static_cluster = 1
-        trace = [DynamicUop(0, producer), DynamicUop(1, consumer)]
+        trace = make_trace([producer, consumer])
         metrics = simulate_trace(trace, StaticAssignmentSteering(), fast_config())
         assert metrics.copies_generated == 0
 
@@ -118,7 +120,7 @@ class TestCopies:
             inst = StaticInstruction(i, UopClass.INT_ALU, dests=(10 + i,), srcs=(10,))
             inst.static_cluster = 1
             consumers.append(inst)
-        trace = [DynamicUop(0, producer)] + [DynamicUop(i, c) for i, c in enumerate(consumers, 1)]
+        trace = make_trace([producer, *consumers])
         metrics = simulate_trace(trace, StaticAssignmentSteering(), fast_config())
         assert metrics.copies_generated == 1
 
@@ -128,7 +130,7 @@ class TestCopies:
             producer.static_cluster = 0
             consumer = StaticInstruction(1, UopClass.INT_ALU, dests=(11,), srcs=(10,))
             consumer.static_cluster = cluster_of_consumer
-            return [DynamicUop(0, producer), DynamicUop(1, consumer)]
+            return make_trace([producer, consumer])
 
         local = simulate_trace(chain(0), StaticAssignmentSteering(), fast_config())
         remote = simulate_trace(chain(1), StaticAssignmentSteering(), fast_config())
@@ -169,7 +171,7 @@ class TestStructuralLimits:
 
     def test_branch_mispredictions_slow_execution(self, small_profile):
         generator = WorkloadGenerator(small_profile.with_overrides(mispredict_rate=0.2))
-        _, trace = generator.generate_trace(600, phase=0)
+        _, trace = generator.generate_compiled_trace(600, phase=0)
         with_penalty = simulate_trace(trace, OccupancyAwareSteering(), fast_config())
         without_penalty = simulate_trace(
             trace, OccupancyAwareSteering(), fast_config(model_branch_mispredictions=False)
@@ -189,10 +191,10 @@ class TestSteeringContextView:
     def test_processor_exposes_context_interface(self, small_trace):
         _, trace = small_trace
         processor = ClusteredProcessor(fast_config(), OccupancyAwareSteering())
-        processor.run(trace[:200])
+        processor.run(trace)
         assert processor.num_clusters == 2
         assert processor.cluster_occupancy(0) >= 0
-        assert processor.queue_free(0, trace[0].queue) >= 0
+        assert processor.queue_free(0, IssueQueueKind(trace.queue[0])) >= 0
         assert processor.register_location_mask(0) > 0
 
     def test_invalid_policy_cluster_detected(self, small_trace):
@@ -203,14 +205,15 @@ class TestSteeringContextView:
         _, trace = small_trace
         processor = ClusteredProcessor(fast_config(), Broken())
         with pytest.raises(ValueError):
-            processor.run(trace[:10])
+            processor.run(trace)
 
     def test_vc_remaps_recorded_in_metrics(self, small_profile):
         from repro.partition.vc_partitioner import VirtualClusterPartitioner
 
         generator = WorkloadGenerator(small_profile)
-        program, trace = generator.generate_trace(500, phase=0)
+        program, trace = generator.generate_compiled_trace(500, phase=0)
         VirtualClusterPartitioner(2).annotate_program(program)
+        trace.annotate_from(program)
         metrics = simulate_trace(trace, VirtualClusterSteering(2), fast_config())
         assert metrics.vc_remaps > 0
 

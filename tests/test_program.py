@@ -10,7 +10,7 @@ from repro.program.cfg import ControlFlowGraph
 from repro.program.ddg import DataDependenceGraph, build_ddg
 from repro.program.program import Program
 from repro.program.regions import form_regions, region_of_block
-from repro.program.trace import AddressModel, TraceGenerator, expand_trace
+from repro.program.trace import AddressModel, TraceGenerator
 from repro.uops.opcodes import UopClass
 from tests.conftest import make_instruction
 
@@ -217,47 +217,47 @@ class TestRegions:
         assert len(sids) == len(set(sids)) == program.num_instructions
 
 
+def _expand(program, num_uops, **options):
+    return TraceGenerator(program, **options).generate_compiled(num_uops)
+
+
 class TestTraceGeneration:
     def test_deterministic_for_same_seed(self, tiny_program):
-        a = expand_trace(tiny_program, 200, seed=3)
-        b = expand_trace(tiny_program, 200, seed=3)
-        assert [u.static.sid for u in a] == [u.static.sid for u in b]
-        assert [u.address for u in a] == [u.address for u in b]
+        a = _expand(tiny_program, 200, seed=3)
+        b = _expand(tiny_program, 200, seed=3)
+        assert a.equals(b)
 
     def test_different_seeds_differ(self, tiny_program):
-        a = expand_trace(tiny_program, 300, seed=1)
-        b = expand_trace(tiny_program, 300, seed=2)
-        assert [u.static.sid for u in a] != [u.static.sid for u in b]
+        a = _expand(tiny_program, 300, seed=1)
+        b = _expand(tiny_program, 300, seed=2)
+        assert a.sid.tolist() != b.sid.tolist()
 
     def test_length_is_at_least_requested(self, tiny_program):
-        trace = expand_trace(tiny_program, 123, seed=0)
+        trace = _expand(tiny_program, 123, seed=0)
         assert len(trace) >= 123
 
     def test_sequence_numbers_are_consecutive(self, tiny_program):
-        trace = expand_trace(tiny_program, 100, seed=0)
-        assert [u.seq for u in trace] == list(range(len(trace)))
+        trace = _expand(tiny_program, 100, seed=0)
+        assert trace.seq.tolist() == list(range(len(trace)))
 
     def test_memory_uops_have_addresses_within_working_set(self, tiny_program):
         model = AddressModel(working_set_bytes=4096)
-        trace = expand_trace(tiny_program, 400, seed=5, address_model=model)
-        for uop in trace:
-            if uop.is_memory:
-                assert 0 <= uop.address < 4096
+        trace = _expand(tiny_program, 400, seed=5, address_model=model)
+        addresses = trace.address[trace.is_memory]
+        assert len(addresses) and ((0 <= addresses) & (addresses < 4096)).all()
 
     def test_mispredictions_only_on_branches(self, tiny_program):
-        trace = expand_trace(tiny_program, 400, seed=5, mispredict_rate=0.5)
-        assert any(u.mispredicted for u in trace)
-        for uop in trace:
-            if uop.mispredicted:
-                assert uop.is_branch
+        trace = _expand(tiny_program, 400, seed=5, mispredict_rate=0.5)
+        assert trace.mispredicted.any()
+        assert trace.is_branch[trace.mispredicted].all()
 
     def test_zero_mispredict_rate(self, tiny_program):
-        trace = expand_trace(tiny_program, 400, seed=5, mispredict_rate=0.0)
-        assert not any(u.mispredicted for u in trace)
+        trace = _expand(tiny_program, 400, seed=5, mispredict_rate=0.0)
+        assert not trace.mispredicted.any()
 
     def test_invalid_parameters_rejected(self, tiny_program):
         with pytest.raises(ValueError):
-            expand_trace(tiny_program, 0)
+            _expand(tiny_program, 0)
         with pytest.raises(ValueError):
             TraceGenerator(tiny_program, mispredict_rate=1.5)
 
@@ -268,6 +268,6 @@ class TestTraceGeneration:
     )
     @given(num_uops=st.integers(min_value=1, max_value=500), seed=st.integers(0, 2**16))
     def test_trace_uops_reference_program_instructions(self, tiny_program, num_uops, seed):
-        trace = expand_trace(tiny_program, num_uops, seed=seed)
+        trace = _expand(tiny_program, num_uops, seed=seed)
         valid_sids = {inst.sid for inst in tiny_program.all_instructions()}
-        assert all(u.static.sid in valid_sids for u in trace)
+        assert set(trace.sid.tolist()) <= valid_sids

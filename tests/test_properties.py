@@ -24,7 +24,8 @@ from repro.steering.one_cluster import OneClusterSteering
 from repro.steering.static_follow import StaticAssignmentSteering
 from repro.steering.virtual_cluster import VirtualClusterSteering
 from repro.uops.opcodes import UopClass
-from repro.uops.uop import DynamicUop, StaticInstruction
+from repro.uops.uop import StaticInstruction
+from tests.conftest import make_trace
 
 # ---------------------------------------------------------------------------
 # Strategies
@@ -161,11 +162,10 @@ class TestPartitionProperties:
 
 
 def trace_from_instructions(instructions):
-    trace = []
-    for i, inst in enumerate(instructions):
-        address = (i * 64) % 4096 if inst.is_memory else 0
-        trace.append(DynamicUop(i, inst, address=address))
-    return trace
+    addresses = [
+        (i * 64) % 4096 if inst.is_memory else 0 for i, inst in enumerate(instructions)
+    ]
+    return make_trace(instructions, addresses=addresses)
 
 
 class TestSimulatorProperties:
@@ -250,6 +250,7 @@ class TestSteeringAndCopyProperties:
         assert simulate_trace(trace, OneClusterSteering(), two).copies_generated == 0
 
         _annotate_static_clusters(instructions, [0] * len(instructions))
+        trace = trace_from_instructions(instructions)
         assert simulate_trace(trace, StaticAssignmentSteering(), two).copies_generated == 0
 
     @settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])

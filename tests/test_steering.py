@@ -14,8 +14,10 @@ from repro.steering.occupancy import OccupancyAwareSteering
 from repro.steering.one_cluster import OneClusterSteering
 from repro.steering.static_follow import StaticAssignmentSteering
 from repro.steering.virtual_cluster import VirtualClusterSteering
+from repro.uops.compiled import CompiledUopView
 from repro.uops.opcodes import IssueQueueKind, UopClass
-from repro.uops.uop import DynamicUop, StaticInstruction
+from repro.uops.uop import StaticInstruction
+from tests.conftest import make_trace
 
 
 class FakeContext(SteeringContext):
@@ -47,7 +49,7 @@ def make_uop(seq=0, opclass=UopClass.INT_ALU, srcs=(), dests=(10,), vc_id=None,
     static.vc_id = vc_id
     static.chain_leader = chain_leader
     static.static_cluster = static_cluster
-    return DynamicUop(seq, static)
+    return CompiledUopView(make_trace([static]))
 
 
 class TestOneCluster:

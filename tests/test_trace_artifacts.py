@@ -171,6 +171,35 @@ class TestEngineIntegration:
         assert store.hits >= 1
         assert first == second
 
+    @pytest.mark.parametrize(
+        "tamper", ["offset-past-end", "offsets-decrease", "negative-dest", "negative-sid"]
+    )
+    def test_tampered_artifact_is_a_miss_and_regenerated(self, tmp_path, small_profile, tamper):
+        """Malformed CSR columns fail in the trace constructor: the store
+        counts a miss and the job regenerates the untampered trace."""
+        root = tmp_path / "traces"
+        job = make_job(small_profile)
+        expected = execute_job(job, trace_root=str(root))
+        store = trace_store_for(str(root))
+        path = store._path(job.trace_key())
+        data = dict(np.load(path, allow_pickle=False))
+        offsets = data["src_offsets"]
+        if tamper == "offset-past-end":
+            offsets[-1] += 1
+        elif tamper == "offsets-decrease":
+            assert offsets[2] < offsets[-1]
+            offsets[1] = offsets[-1]
+        elif tamper == "negative-dest":
+            data["dest_regs"][0] = -1
+        else:
+            data["sid"][0] = -1
+        np.savez_compressed(path.with_suffix(""), **data)  # savez re-appends .npz
+        _TRACE_MEMO.clear()
+        misses = store.misses
+        assert execute_job(job, trace_root=str(root)) == expected
+        assert store.misses == misses + 1
+        assert store.get(job.trace_key()) is not None  # the regenerated trace was stored
+
     def test_memo_entries_do_not_leak_across_trace_roots(self, tmp_path, small_profile):
         """A no-store memo entry must not satisfy a later artifact-enabled run."""
         root = tmp_path / "traces"

@@ -28,7 +28,7 @@ from repro.uops.opcodes import (
     queue_of,
 )
 from repro.uops.registers import RegisterKind, RegisterSpace
-from repro.uops.uop import DynamicUop, StaticInstruction
+from repro.uops.uop import StaticInstruction
 
 
 class TestOpcodes:
@@ -116,38 +116,13 @@ class TestStaticInstruction:
         assert inst.dests == (10,)
         assert inst.srcs == (1, 2)
 
-    def test_annotations_default_empty_and_clear(self):
+    def test_annotations_default_empty(self):
         inst = StaticInstruction(0, UopClass.INT_ALU)
-        assert inst.vc_id is None and not inst.chain_leader and inst.static_cluster is None
-        inst.vc_id = 1
-        inst.chain_leader = True
-        inst.static_cluster = 0
-        inst.clear_annotations()
         assert inst.vc_id is None and not inst.chain_leader and inst.static_cluster is None
 
     def test_fp_and_branch_flags(self):
         assert StaticInstruction(0, UopClass.FP_MUL, dests=(70,)).is_fp
         assert StaticInstruction(1, UopClass.BRANCH, srcs=(1,)).is_branch
-
-
-class TestDynamicUop:
-    def test_inherits_static_properties_and_annotations(self):
-        static = StaticInstruction(2, UopClass.STORE, dests=(), srcs=(1, 2))
-        static.vc_id = 1
-        static.chain_leader = True
-        uop = DynamicUop(17, static, address=4096)
-        assert uop.opclass == UopClass.STORE
-        assert uop.is_store and uop.is_memory
-        assert uop.address == 4096
-        assert uop.vc_id == 1 and uop.chain_leader
-        assert uop.srcs == (1, 2)
-
-    def test_annotation_changes_are_visible_through_dynamic_instances(self):
-        static = StaticInstruction(0, UopClass.INT_ALU, dests=(9,))
-        uop = DynamicUop(0, static)
-        assert uop.static_cluster is None
-        static.static_cluster = 1
-        assert uop.static_cluster == 1
 
 
 class TestEncoding:
