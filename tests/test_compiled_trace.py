@@ -7,13 +7,14 @@ Pinned here (the golden-metrics suite pins the kernels' exact output and
   the opcode tables' values, and the CSR register columns unpack to the
   per-µop tuples;
 * **the policy view** -- :class:`CompiledUopView` reads every µop fact of
-  the row it points at;
+  the row it points at, and rows of one ``sid`` agree on the static ones;
 * **dependence plan** -- the array-native last-writer plan equals a plain
   program-order reference loop (property-tested);
 * **annotation refresh** -- ``annotate_from`` scatters a program's
   annotations across the per-µop columns;
-* **validation** -- the constructor rejects malformed CSR register columns,
-  and the processor rejects anything but a :class:`CompiledTrace`;
+* **validation** -- the constructor rejects columns of the wrong length and
+  malformed CSR register columns, and the processor rejects anything but a
+  :class:`CompiledTrace`;
 * **engine equivalence** -- ``execute_job`` equals a by-hand simulation.
 """
 
@@ -24,7 +25,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cluster.config import ClusterConfig
-from repro.cluster.processor import simulate_trace
+from repro.cluster.processor import ClusteredProcessor, simulate_trace
 from repro.engine.job import SimulationJob
 from repro.engine.parallel import execute_job
 from repro.experiments.configs import TABLE3_CONFIGURATIONS
@@ -85,6 +86,25 @@ class TestDerivedColumns:
                 assert getattr(view, attribute) == getattr(inst, attribute), attribute
             assert view.address == compiled.address[i]
             assert view.mispredicted == compiled.mispredicted[i]
+
+    def test_rows_of_one_sid_agree_on_static_facts(self, small_profile):
+        """``.sid`` is a sound key for per-instruction policy state: every
+        dynamic instance of one static instruction reads the same static
+        facts and annotations through the view."""
+        program, compiled = WorkloadGenerator(small_profile).generate_compiled_trace(800)
+        VirtualClusterPartitioner(2).annotate_program(program)
+        compiled.annotate_from(program)
+        view = CompiledUopView(compiled)
+        static_facts = (
+            "opclass", "srcs", "dests", "queue", "latency", "is_memory", "is_load",
+            "is_store", "is_branch", "is_fp", "vc_id", "chain_leader", "static_cluster",
+        )
+        first_seen = {}
+        for i in range(len(compiled)):
+            view.index = i
+            facts = tuple(getattr(view, attribute) for attribute in static_facts)
+            assert first_seen.setdefault(view.sid, facts) == facts, view.sid
+        assert len(first_seen) < len(compiled)  # some instruction ran twice
 
 
 def _reference_dedup(row):
@@ -222,9 +242,30 @@ class TestValidation:
         with pytest.raises(ValueError, match=column):
             CompiledTrace(**self._columns(**{column: regs}))
 
+    @pytest.mark.parametrize("column", ["block", "address", "vc_id"])
+    def test_column_of_wrong_length_rejected(self, column):
+        short = self._columns()[column][:1]
+        with pytest.raises(ValueError, match=column):
+            CompiledTrace(**self._columns(**{column: short}))
+
+    @pytest.mark.parametrize("column", ["src_offsets", "dest_offsets"])
+    def test_offsets_of_wrong_length_rejected(self, column):
+        # One row short of n + 1 entries, though still rising from 0 to len(regs).
+        offsets = self._columns()[column]
+        short = np.concatenate([offsets[:1], offsets[2:]])
+        with pytest.raises(ValueError, match=column):
+            CompiledTrace(**self._columns(**{column: short}))
+
     def test_processor_rejects_anything_but_a_compiled_trace(self):
         with pytest.raises(TypeError, match="CompiledTrace"):
             simulate_trace([], OneClusterSteering(), fast_config())
+
+    @pytest.mark.parametrize("entry_point", ["bind", "run"])
+    def test_bind_and_run_reject_a_list_of_instructions(self, entry_point):
+        instructions = [StaticInstruction(0, UopClass.INT_ALU, dests=(3,), srcs=(1,))]
+        processor = ClusteredProcessor(fast_config(), OneClusterSteering())
+        with pytest.raises(TypeError, match="CompiledTrace, got list"):
+            getattr(processor, entry_point)(instructions)
 
 
 class TestKernelEquivalence:
