@@ -121,10 +121,10 @@ def gzip_trace():
     """Shared ``(program, compiled trace)`` of 164.gzip-1 phase 0 at the substrate length.
 
     Session-scoped so the simulator-throughput benchmarks measure simulation
-    only, not repeated trace synthesis.  Compile-time passes may (re)annotate
-    the program freely: annotations never change the µop stream, and every
-    policy benchmark annotates or clears the program and then refreshes the
-    trace's annotation columns with ``annotate_from`` before running.
+    only, not repeated trace synthesis.  Compile-time passes only read the
+    program, and annotations never change the µop stream: every policy
+    benchmark installs its own annotation columns on the trace
+    (``annotate_from`` a pass's columns, or unannotated ones) before running.
     """
     generator = WorkloadGenerator(profile_for("164.gzip-1"))
     return generator.generate_compiled_trace(SUBSTRATE_TRACE_LENGTH, phase=0)

@@ -35,6 +35,7 @@ from repro.partition.vc_partitioner import VirtualClusterPartitioner
 from repro.scenarios.spec import ScenarioSpec
 from repro.steering.occupancy import OccupancyAwareSteering
 from repro.steering.virtual_cluster import VirtualClusterSteering
+from repro.uops.compiled import empty_annotations
 from repro.workloads.generator import WorkloadGenerator
 from repro.workloads.spec2000 import profile_for
 
@@ -49,8 +50,7 @@ def _record_throughput(benchmark, metrics, num_uops: int) -> None:
 def test_simulator_throughput_op(benchmark, gzip_trace, substrate_config):
     """µop throughput of the compiled kernel under the OP policy."""
     program, trace = gzip_trace
-    program.clear_annotations()
-    trace.annotate_from(program)
+    trace.install_annotations(empty_annotations(len(trace)))
 
     def run():
         return ClusteredProcessor(substrate_config, OccupancyAwareSteering()).run(trace)
@@ -63,8 +63,7 @@ def test_simulator_throughput_op(benchmark, gzip_trace, substrate_config):
 def test_simulator_throughput_vc(benchmark, gzip_trace, substrate_config):
     """µop throughput of the compiled kernel under the hybrid VC policy."""
     program, trace = gzip_trace
-    VirtualClusterPartitioner(2).annotate_program(program)
-    trace.annotate_from(program)
+    trace.annotate_from(VirtualClusterPartitioner(2).annotate_program(program).columns)
 
     def run():
         return ClusteredProcessor(substrate_config, VirtualClusterSteering(2)).run(trace)
@@ -84,8 +83,7 @@ def test_simulator_throughput_op_callback(
     path; the ratio of the two is the fused-dispatch speedup headline.
     """
     program, trace = gzip_trace
-    program.clear_annotations()
-    trace.annotate_from(program)
+    trace.install_annotations(empty_annotations(len(trace)))
 
     def run():
         processor = ClusteredProcessor(substrate_config, OccupancyAwareSteering())
@@ -102,8 +100,7 @@ def test_simulator_throughput_vc_callback(
 ):
     """The vectorized kernel, callback path, under the hybrid VC policy."""
     program, trace = gzip_trace
-    VirtualClusterPartitioner(2).annotate_program(program)
-    trace.annotate_from(program)
+    trace.annotate_from(VirtualClusterPartitioner(2).annotate_program(program).columns)
 
     def run():
         processor = ClusteredProcessor(substrate_config, VirtualClusterSteering(2))
@@ -125,8 +122,7 @@ def test_simulator_throughput_op_interpreter(
     headline enforced by ``scripts/check_bench_regression.py``.
     """
     program, trace = gzip_trace
-    program.clear_annotations()
-    trace.annotate_from(program)
+    trace.install_annotations(empty_annotations(len(trace)))
 
     def run():
         return ClusteredProcessor(
@@ -143,8 +139,7 @@ def test_simulator_throughput_vc_interpreter(
 ):
     """The interpreter (golden-reference) kernel under the hybrid VC policy."""
     program, trace = gzip_trace
-    VirtualClusterPartitioner(2).annotate_program(program)
-    trace.annotate_from(program)
+    trace.annotate_from(VirtualClusterPartitioner(2).annotate_program(program).columns)
 
     def run():
         return ClusteredProcessor(

@@ -25,9 +25,9 @@ from repro.partition import (
     RhopPartitioner,
     VirtualClusterPartitioner,
 )
+from repro.partition.base import program_regions, region_ddg
 from repro.partition.chains import identify_chains
-from repro.program import build_ddg, form_regions
-from repro.uops.encoding import annotation_of, encode_annotation
+from repro.uops.encoding import SteeringAnnotation, encode_annotation
 from repro.workloads import WorkloadGenerator, profile_for
 
 
@@ -56,12 +56,13 @@ def main() -> None:
         )
     print(format_table(rows, title="Compile-time partitioners on the same program"))
 
-    # 2. Re-run the VC pass and show chains/leaders for the first region.
+    # 2. Show the VC pass's chains/leaders for the first region.  The pass
+    #    returns its annotations as columns indexed by static id.
     vc_pass = VirtualClusterPartitioner(num_virtual_clusters=2)
-    vc_pass.annotate_program(program)
-    region = form_regions(program, max_instructions=vc_pass.region_size)[0]
-    ddg = build_ddg(region.instructions)
-    assignment = [inst.vc_id for inst in region.instructions]
+    vc = vc_pass.annotate_program(program)
+    region, sids = program_regions(program, vc_pass.region_size)[0]
+    ddg = region_ddg(program, vc_pass.region_size, region)
+    assignment = vc.vc_id[list(sids)].tolist()
     chains, leaders = identify_chains(ddg, assignment)
     print(f"First region: {len(region)} instructions, "
           f"{len(chains)} chains, {sum(leaders)} chain leaders")
@@ -71,13 +72,15 @@ def main() -> None:
     # 3. Show the ISA-extension encoding of the first few instructions.
     rows = []
     for inst in region.instructions[:8]:
-        annotation = annotation_of(inst)
+        annotation = SteeringAnnotation(
+            vc_id=int(vc.vc_id[inst.sid]), chain_leader=bool(vc.chain_leader[inst.sid])
+        )
         rows.append(
             {
                 "sid": inst.sid,
                 "opclass": inst.opclass.name,
-                "vc_id": inst.vc_id,
-                "chain leader": inst.chain_leader,
+                "vc_id": annotation.vc_id,
+                "chain leader": annotation.chain_leader,
                 "encoded word": f"0b{encode_annotation(annotation):010b}",
             }
         )

@@ -6,7 +6,8 @@ Shows the lower-level API that the experiment harness is built on:
 1. define a :class:`~repro.workloads.BenchmarkProfile` describing a new
    workload (here: a wide, memory-heavy streaming kernel mix),
 2. generate its static program and compiled dynamic trace,
-3. run the VC compile-time pass and copy its annotations onto the trace,
+3. run the VC compile-time pass and install the annotation columns it
+   returns (indexed by static id) on the trace,
 4. simulate it on a customised machine (different link latency and issue
    queue sizes) under both the hybrid and the hardware-only policy.
 
@@ -52,7 +53,7 @@ def main() -> None:
 
     # Compile-time half of the hybrid scheme.
     report = VirtualClusterPartitioner(num_virtual_clusters=2).annotate_program(program)
-    trace.annotate_from(program)
+    trace.annotate_from(report.columns)
     print(f"VC pass: {report.num_regions} regions, {report.chain_leaders} chain leaders, "
           f"{100 * report.cut_fraction:.1f} % of dependence edges cross virtual clusters\n")
 

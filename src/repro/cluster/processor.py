@@ -233,7 +233,7 @@ class ClusteredProcessor(SteeringContext):
         Binding pays the hoist cost once; every subsequent
         :meth:`run_bound` simulates the bound trace from a clean architectural
         state.  Annotation columns are *not* snapshotted here -- each run
-        re-reads them, so callers may re-annotate the compiled trace (via
+        re-reads them, so callers may install another pass's columns (via
         :meth:`~repro.uops.compiled.CompiledTrace.annotate_from`) between
         runs.  The bound trace is frozen (its stored columns become
         read-only): it may be shared with sibling batches through the
@@ -277,8 +277,8 @@ class ClusteredProcessor(SteeringContext):
         ``reset``) is rebuilt per run, so a ``run_bound`` is bit-identical to
         a fresh processor's :meth:`run` of the same trace (the batch
         determinism suite pins this).  Only the steering-annotation columns
-        are re-read each run: callers may ``annotate_from`` the compiled
-        trace between runs.
+        are re-read each run: callers may install another pass's columns
+        with ``annotate_from`` between runs.
         """
         compiled = self._bound
         if compiled is None:

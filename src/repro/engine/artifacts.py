@@ -14,8 +14,9 @@ regenerating the trace; the per-process ``_TRACE_MEMO`` in
 :mod:`repro.engine.parallel` is just a thin in-memory layer over this store.
 
 Trace artifacts are independent of the steering configuration by design:
-annotation columns are refreshed per job via
-:meth:`CompiledTrace.annotate_from`, and the µop-class-derived columns
+a compile-time pass never changes the program, its sid-indexed columns are
+installed per job via :meth:`CompiledTrace.annotate_from`, and the
+µop-class-derived columns
 (latency, queue routing) are recomputed on load, so neither compiler passes
 nor opcode-table edits can stale an artifact.  What *does* invalidate them
 -- changes to the workload synthesis itself -- is exactly what
@@ -25,7 +26,9 @@ for layout changes.
 
 Writes are atomic (temporary sibling + ``os.replace``) so concurrent workers
 sharing one cache directory race benignly; corrupt, truncated or
-version-mismatched files are treated as misses and rewritten.
+version-mismatched files are treated as misses and rewritten, and so is an
+artifact whose trace does not fit its program (a ``sid`` with no
+instruction, or an ``opclass`` other than that instruction's).
 
 Security note: the program half of an artifact is a pickle, so artifacts are
 trusted local cache state (the same trust level as the result cache), not an
@@ -48,7 +51,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only; loaded where artifacts are 
     from repro.uops.compiled import CompiledTrace
 
 #: Bump when the artifact layout changes (stored columns, program pickling).
-TRACE_ARTIFACT_VERSION = 1
+#: 2: static instructions no longer carry annotation slots.
+TRACE_ARTIFACT_VERSION = 2
 
 
 #: Deflate level of artifact members.  Level 1 keeps the files within about
@@ -117,6 +121,12 @@ class TraceArtifactStore:
                     **{name: data[name] for name in CompiledTrace.STORED_FIELDS}
                 )
                 program = pickle.loads(data["program_pickle"].tobytes())
+            opclass_of = program.sid_opclasses()
+            if len(trace) and (
+                int(trace.sid.max()) >= len(opclass_of)
+                or (opclass_of[trace.sid] != trace.opclass).any()
+            ):
+                raise ValueError("trace does not match its program")
         except (OSError, ValueError, KeyError, TypeError, EOFError, IndexError,
                 AttributeError, ImportError, zipfile.BadZipFile,
                 pickle.UnpicklingError):

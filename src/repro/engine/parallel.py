@@ -167,11 +167,12 @@ def _prepare_job(job: SimulationJob, program, compiled):
 
     The shared per-configuration step of both execution paths.  Annotations
     are a value of the trace, memoised on it per
-    :meth:`~repro.experiments.configs.SteeringConfiguration.partitioner_key`
-    (``None`` for hardware-only schemes): the first job of a key runs the
-    compile-time pass over ``program`` (or clears stale annotations) and
-    scatters the result with ``annotate_from``; every later job of that key
-    installs the stored read-only columns without touching ``program``.
+    :meth:`~repro.experiments.configs.SteeringConfiguration.partitioner_key`:
+    the first job of a key runs the compile-time pass over ``program``
+    (which only reads it) and gathers the returned sid-indexed columns with
+    ``annotate_from``; a hardware-only key (``None``) gets constant
+    unannotated columns without reading ``program``.  Every later job of a
+    key installs the stored read-only columns.
     """
     configuration = job.configuration
     key = configuration.partitioner_key(
@@ -182,13 +183,14 @@ def _prepare_job(job: SimulationJob, program, compiled):
         partitioner = configuration.make_partitioner(
             job.num_clusters, job.num_virtual_clusters, job.region_size
         )
-        if partitioner is not None:
-            # Only the regions the trace runs need a partition (RegionPartitioner.executed_sids).
-            partitioner.executed_sids = set(compiled.sid.tolist())
-            partitioner.annotate_program(program)
-        else:
-            program.clear_annotations()
-        return compiled.annotate_from(program).annotation_columns()
+        if partitioner is None:
+            from repro.uops.compiled import empty_annotations
+
+            return empty_annotations(len(compiled))
+        # Only the regions the trace runs need a partition (RegionPartitioner.executed_sids).
+        partitioner.executed_sids = set(compiled.sid.tolist())
+        report = partitioner.annotate_program(program)
+        return compiled.annotate_from(report.columns).annotation_columns()
 
     compiled.install_annotations(compiled.memo(("annotations", key), annotate))
     return configuration.make_policy(job.num_clusters, job.num_virtual_clusters)
@@ -222,7 +224,7 @@ def _simulate_batch(jobs: Sequence[SimulationJob], program, compiled) -> List[Di
     the trace and reused across configurations via
     :meth:`ClusteredProcessor.run_bound` -- architectural state is reset
     between runs while the hoisted SoA columns stay alive.  Per job the
-    sequence (annotate program, scatter annotations, build policy, simulate
+    sequence (run the pass, install its annotations, build policy, simulate
     from clean state) is exactly :func:`execute_job`'s, so dumps are
     bit-identical to per-job execution.
     """

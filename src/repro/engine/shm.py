@@ -232,9 +232,9 @@ class SharedTraceSegment:
     def load(self) -> Tuple[object, CompiledTrace]:
         """Rebuild ``(program, compiled trace)`` from the block.
 
-        The program is unpickled (each attaching process needs its own
-        mutable copy -- annotation passes write to it); the trace columns are
-        read-only zero-copy views over the shared buffer.
+        The program is unpickled into this process (the compile-time passes
+        only read it, and memoise their regions and DDGs on it); the trace
+        columns are read-only zero-copy views over the shared buffer.
         """
         import numpy as np
 

@@ -1,12 +1,14 @@
 """Shared driver for compile-time partitioning passes.
 
-Every pass works region by region: ``annotate_program`` takes the program's superblock
-regions and their flat-array DDGs (:func:`region_ddgs`), asks the concrete
+Every pass works region by region: ``annotate_program`` takes the program's
+superblock regions (:func:`program_regions`), builds the flat-array DDG of
+each region it partitions (:func:`region_ddg`), asks the concrete
 partitioner for a per-node target (virtual or physical cluster), and lets it
-annotate the static instructions -- of every region, or only of those a trace
-executes (:attr:`RegionPartitioner.executed_sids`).  A
-:class:`PartitionReport` summarising cut edges and balance is returned so
-examples, tests and reports can inspect what the compiler did.
+record the annotations of the region's instructions -- of every region, or
+only of those a trace executes (:attr:`RegionPartitioner.executed_sids`).
+The program is only read: the annotations are returned as sid-indexed
+columns on the :class:`PartitionReport`, which also summarises cut edges and
+balance so examples, tests and reports can inspect what the compiler did.
 """
 
 from __future__ import annotations
@@ -14,12 +16,18 @@ from __future__ import annotations
 import abc
 from collections import Counter
 from dataclasses import dataclass, field
-from operator import attrgetter, ne
-from typing import AbstractSet, Dict, List, Optional, Sequence, Tuple
+from operator import ne
+from typing import TYPE_CHECKING, AbstractSet, Dict, List, Optional, Sequence, Tuple
 
 from repro.program.ddg import DataDependenceGraph, build_ddg
 from repro.program.program import Program
 from repro.program.regions import Region, form_regions
+
+if TYPE_CHECKING:  # pragma: no cover - typing only; numpy loads when a pass runs
+    import numpy as np
+
+#: The sid-indexed ``vc_id``, ``chain_leader`` and ``static_cluster`` lists a pass fills.
+AnnotationLists = Tuple[List[int], List[bool], List[int]]
 
 
 @dataclass
@@ -41,6 +49,17 @@ class PartitionReport:
     target_loads: Dict[int, int] = field(default_factory=dict)
     #: Number of chain leaders marked (VC partitioner only).
     chain_leaders: int = 0
+    #: Read-only columns indexed by static id: virtual cluster, chain-leader
+    #: mark and static physical cluster (``-1``/``False`` for none).
+    vc_id: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
+    chain_leader: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
+    static_cluster: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
+
+    @property
+    def columns(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The annotation columns in ``CompiledTrace.ANNOTATION_FIELDS`` order,
+        ready for :meth:`~repro.uops.compiled.CompiledTrace.annotate_from`."""
+        return self.vc_id, self.chain_leader, self.static_cluster
 
     @property
     def cut_fraction(self) -> float:
@@ -61,27 +80,29 @@ class PartitionReport:
         return min(1.0, sum(loads) / len(loads) / worst)
 
 
-def region_ddgs(
-    program: Program, region_size: int
-) -> Tuple[List[Region], List[Optional[DataDependenceGraph]]]:
-    """The regions of ``program`` and their DDGs (``None`` for empty regions).
+def program_regions(program: Program, region_size: int) -> List[Tuple[Region, Tuple[int, ...]]]:
+    """The regions of ``program``, each with its instructions' static ids.
 
-    Regions and DDGs depend only on the program's blocks, CFG and operands
-    (``srcs``/``dests``/``opclass``), never on its annotations, so they are
-    formed once per ``(program, region_size)`` and held in the program's
-    memo: every compile-time pass over the program (OB, RHOP and VC alike)
-    reads the same objects.  Passes treat them as read-only and write only
-    the annotations of the instructions they reference -- the program's own.
+    Formed once per ``(program, region_size)`` and held in the program's
+    memo: every pass over the program (OB, RHOP and VC alike) reads them.
     """
 
-    def build() -> Tuple[List[Region], List[Optional[DataDependenceGraph]]]:
-        regions = form_regions(program, max_instructions=region_size)
-        return regions, [
-            build_ddg(region.instructions) if region.instructions else None
-            for region in regions
+    def build() -> List[Tuple[Region, Tuple[int, ...]]]:
+        return [
+            (region, tuple(inst.sid for inst in region.instructions))
+            for region in form_regions(program, max_instructions=region_size)
         ]
 
-    return program.memo(("region ddgs", region_size), build)
+    return program.memo(("regions", region_size), build)
+
+
+def region_ddg(program: Program, region_size: int, region: Region) -> DataDependenceGraph:
+    """The DDG of ``region`` (of ``program_regions(program, region_size)``),
+    built when a pass first partitions the region, then memoised on the
+    program; regions no trace executes never get one.  Read-only."""
+    return program.memo(
+        ("region ddg", region_size, region.rid), lambda: build_ddg(region.instructions)
+    )
 
 
 class RegionPartitioner(abc.ABC):
@@ -100,7 +121,8 @@ class RegionPartitioner(abc.ABC):
     name = "base"
     #: Static ids that must be annotated, or ``None`` for the whole program.
     #: The engine sets the trace's sids: ``CompiledTrace.annotate_from`` reads
-    #: only those, and regions are partitioned independently.
+    #: only those, and regions are partitioned independently.  A region none
+    #: of them falls in is neither partitioned nor given a DDG.
     executed_sids: Optional[AbstractSet[int]] = None
 
     def __init__(self, num_targets: int, region_size: int = 128) -> None:
@@ -117,29 +139,46 @@ class RegionPartitioner(abc.ABC):
         """Return the target index (``0..num_targets-1``) of every DDG node."""
 
     def apply_assignment(
-        self, ddg: DataDependenceGraph, assignment: Sequence[int], report: PartitionReport
+        self,
+        ddg: DataDependenceGraph,
+        assignment: Sequence[int],
+        columns: AnnotationLists,
+        report: PartitionReport,
     ) -> None:
-        """Write annotations for one region.  Default: bind to physical clusters."""
+        """Record one region's annotations in the sid-indexed ``columns``.
+
+        Default: bind every instruction to its physical cluster.
+        """
+        static_cluster = columns[2]
         for inst, target in zip(ddg.instructions, assignment):
-            inst.static_cluster = int(target)
+            static_cluster[inst.sid] = target
 
     # -- driver -------------------------------------------------------------------
     def annotate_program(self, program: Program) -> PartitionReport:
-        """Clear ``program``'s annotations and annotate its regions in place:
-        all of them, or those holding one of :attr:`executed_sids` if set."""
-        program.clear_annotations()
+        """Partition ``program``'s regions -- all of them, or those holding one
+        of :attr:`executed_sids` if set -- and return the report carrying
+        their annotations as sid-indexed columns.  ``program`` is not changed.
+        """
+        import numpy as np
+
+        from repro.uops.compiled import NO_ANNOTATION
+
         report = PartitionReport(
             program_name=program.name, partitioner=self.name, num_targets=self.num_targets
         )
-        regions, ddgs = region_ddgs(program, self.region_size)
+        size = len(program.sid_opclasses())
+        columns: AnnotationLists = (
+            [NO_ANNOTATION] * size,
+            [False] * size,
+            [NO_ANNOTATION] * size,
+        )
+        regions = program_regions(program, self.region_size)
         report.num_regions = len(regions)
         executed = self.executed_sids
-        for ddg in ddgs:
-            if ddg is None or (
-                executed is not None
-                and executed.isdisjoint(map(attrgetter("sid"), ddg.instructions))
-            ):
+        for region, sids in regions:
+            if not sids or (executed is not None and executed.isdisjoint(sids)):
                 continue
+            ddg = region_ddg(program, self.region_size, region)
             assignment = self.partition_region(ddg)
             if len(assignment) != len(ddg):
                 raise ValueError(
@@ -150,11 +189,17 @@ class RegionPartitioner(abc.ABC):
                 if not 0 <= target < self.num_targets:
                     raise ValueError(f"{self.name}: target {target} out of range")
                 report.target_loads[target] = report.target_loads.get(target, 0) + count
-            self.apply_assignment(ddg, assignment, report)
+            self.apply_assignment(ddg, assignment, columns, report)
             report.num_instructions += len(ddg)
             report.total_edges += ddg.num_edges
             target_of = assignment.__getitem__
             report.cut_edges += sum(
                 map(ne, map(target_of, ddg.pred_nodes), map(target_of, ddg.edge_consumers))
             )
+        for name, values, dtype in zip(
+            ("vc_id", "chain_leader", "static_cluster"), columns, (np.int32, bool, np.int32)
+        ):
+            column = np.array(values, dtype=dtype)
+            column.flags.writeable = False
+            setattr(report, name, column)
         return report

@@ -13,8 +13,8 @@ algorithm:
   hierarchy while greedy moves improve the combined workload-balance /
   communication objective.
 
-The output binds every static instruction to a *physical* cluster
-(``static_cluster``); at run time the hardware follows that binding blindly
+The output binds every static instruction to a *physical* cluster (the
+report's sid-indexed ``static_cluster`` column); at run time the hardware follows that binding blindly
 (:class:`repro.steering.static_follow.StaticAssignmentSteering`), which is
 precisely the weakness the hybrid scheme addresses: the compile-time workload
 estimate cannot anticipate dynamic behaviour in an out-of-order core.

@@ -16,9 +16,9 @@ The pass performs the three steps of Figure 2:
    run-time remap is free (:mod:`repro.partition.chains`), and leaders are
    marked so the hardware knows when to consult the workload counters.
 
-The output is written onto the static instructions as ``vc_id`` plus the
-``chain_leader`` mark -- exactly the information the paper's ISA extension
-carries.
+The output is the ``vc_id`` and ``chain_leader`` columns of the returned
+report, indexed by static id -- exactly the information the paper's ISA
+extension carries.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from __future__ import annotations
 from typing import List, Sequence
 
 from repro.analysis.criticality import compute_criticality
-from repro.partition.base import PartitionReport, RegionPartitioner
+from repro.partition.base import AnnotationLists, PartitionReport, RegionPartitioner
 from repro.partition.chains import chain_leaders
 from repro.program.ddg import DataDependenceGraph
 from repro.scenarios.registry import register_partitioner
@@ -121,17 +121,23 @@ class VirtualClusterPartitioner(RegionPartitioner):
 
     # -- Figure 2, step 3 ----------------------------------------------------------
     def apply_assignment(
-        self, ddg: DataDependenceGraph, assignment: Sequence[int], report: PartitionReport
+        self,
+        ddg: DataDependenceGraph,
+        assignment: Sequence[int],
+        columns: AnnotationLists,
+        report: PartitionReport,
     ) -> None:
-        """Write ``vc_id`` and the chain-leader marks onto the instructions."""
+        """Record ``vc_id`` and the chain-leader marks of the region's instructions.
+
+        The hybrid scheme never binds instructions to physical clusters at
+        compile time, so ``static_cluster`` stays unset.
+        """
+        vc_id, chain_leader, _ = columns
         leaders = chain_leaders(ddg, assignment)
         report.chain_leaders += sum(leaders)
         for inst, vc, leader in zip(ddg.instructions, assignment, leaders):
-            inst.vc_id = int(vc)
-            inst.chain_leader = leader
-            # The hybrid scheme never binds instructions to physical clusters
-            # at compile time; make sure stale annotations cannot leak through.
-            inst.static_cluster = None
+            vc_id[inst.sid] = vc
+            chain_leader[inst.sid] = leader
 
 
 @register_partitioner("VC")

@@ -13,9 +13,9 @@ from repro.uops.uop import StaticInstruction
 class Program:
     """A static program: basic blocks plus a control-flow graph.
 
-    This is the unit the compile-time partitioners annotate and the trace
-    expander executes.  Blocks are stored by id; the CFG references the same
-    ids.
+    This is the unit the compile-time partitioners read and the trace
+    expander executes; neither changes it.  Blocks are stored by id; the CFG
+    references the same ids.
 
     Parameters
     ----------
@@ -51,8 +51,8 @@ class Program:
         """The value stored on this program under ``key``; ``build()`` makes it once.
 
         For values derived from the program's structure -- blocks, CFG and
-        instruction operands, never annotations -- such as the compile-time
-        passes' region DDGs (:func:`repro.partition.base.region_ddgs`).  The
+        instruction operands -- such as the compile-time passes' regions and
+        region DDGs (:func:`repro.partition.base.region_ddg`).  The
         program's structure must not change once such a value is built.
         ``key`` must cover every input of ``build`` besides the program.
         """
@@ -93,31 +93,20 @@ class Program:
         for bid in sorted(self.blocks):
             yield from self.blocks[bid].instructions
 
-    def instruction_by_sid(self, sid: int) -> StaticInstruction:
-        """Find the instruction with static id ``sid`` (linear scan)."""
-        for inst in self.all_instructions():
-            if inst.sid == sid:
-                return inst
-        raise KeyError(f"no instruction with sid {sid}")
+    def sid_opclasses(self):
+        """The µop class of every static id as a read-only ``int16`` column
+        (``-1`` where no instruction has that id): it sizes the passes'
+        sid-indexed columns and checks a trace's ``sid``/``opclass`` rows."""
+        import numpy as np
 
-    def clear_annotations(self) -> None:
-        """Remove all steering annotations (between compiler passes)."""
-        for block in self.blocks.values():
-            for inst in block.instructions:
-                inst.vc_id = inst.static_cluster = None
-                inst.chain_leader = False
+        def build():
+            sids = [inst.sid for inst in self.all_instructions()]
+            column = np.full(max(sids, default=-1) + 1, -1, dtype=np.int16)
+            column[sids] = [int(inst.opclass) for inst in self.all_instructions()]
+            column.flags.writeable = False
+            return column
 
-    def annotation_summary(self) -> Dict[str, int]:
-        """Count annotated instructions; useful in tests and reports."""
-        vc = leaders = static = 0
-        for inst in self.all_instructions():
-            if inst.vc_id is not None:
-                vc += 1
-            if inst.chain_leader:
-                leaders += 1
-            if inst.static_cluster is not None:
-                static += 1
-        return {"vc_annotated": vc, "chain_leaders": leaders, "static_cluster_bound": static}
+        return self.memo("sid opclasses", build)
 
     def validate(self) -> None:
         """Check structural invariants of the program.

@@ -28,7 +28,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from repro.program.program import Program
-from repro.uops.compiled import NO_ANNOTATION, CompiledTrace
+from repro.uops.compiled import CompiledTrace
 from repro.uops.uop import StaticInstruction
 
 #: Cache line size assumed by the address model (bytes).
@@ -147,9 +147,9 @@ class TraceGenerator:
         """Produce a compiled trace of approximately ``num_uops`` dynamic µops.
 
         The trace always ends at a basic-block boundary, so the length may
-        exceed ``num_uops`` by at most one block.  It snapshots the
-        program's current annotations; after a compiler pass, refresh them
-        with :meth:`~repro.uops.compiled.CompiledTrace.annotate_from`.
+        exceed ``num_uops`` by at most one block.  It is unannotated; a
+        compile-time pass's columns are installed with
+        :meth:`~repro.uops.compiled.CompiledTrace.annotate_from`.
         """
         if num_uops < 1:
             raise ValueError("num_uops must be positive")
@@ -182,21 +182,11 @@ class TraceGenerator:
             raise ValueError("trace expansion produced no µops (empty program?)")
         # Gather the static columns once per instruction, scatter per µop.
         rows = {
-            inst.sid: (
-                int(inst.opclass),
-                inst.srcs,
-                inst.dests,
-                inst.block,
-                NO_ANNOTATION if inst.vc_id is None else int(inst.vc_id),
-                bool(inst.chain_leader),
-                NO_ANNOTATION if inst.static_cluster is None else int(inst.static_cluster),
-            )
+            inst.sid: (int(inst.opclass), inst.srcs, inst.dests, inst.block)
             for block in self.program.blocks.values()
             for inst in block.instructions
         }
-        opclasses, srcs, dests, blocks, vc_ids, leaders, static_clusters = zip(
-            *[rows[sid] for sid in sids]
-        )
+        opclasses, srcs, dests, blocks = zip(*[rows[sid] for sid in sids])
         return CompiledTrace.from_columns(
             sids=sids,
             opclasses=opclasses,
@@ -205,7 +195,4 @@ class TraceGenerator:
             blocks=blocks,
             addresses=addresses,
             mispredicted=mispredicted,
-            vc_ids=vc_ids,
-            chain_leaders=leaders,
-            static_clusters=static_clusters,
         )

@@ -13,10 +13,11 @@ The representation has three layers:
 * **stored columns** (numpy arrays, one element per µop): sequence number,
   static id, basic block, µop class, effective address, mispredict bit, the
   steering annotations (``vc_id`` / ``chain_leader`` / ``static_cluster``,
-  with ``-1`` encoding "unannotated"), and CSR-style (offsets + flat values)
-  source/destination register lists.  These are exactly what the trace
-  artifact store persists, so on-disk trace artifacts stay small
-  and independent of the latency/queue tables.
+  with ``-1`` encoding "unannotated"; :meth:`CompiledTrace.annotate_from`
+  gathers a compile-time pass's sid-indexed columns into them), and
+  CSR-style (offsets + flat values) source/destination register lists.
+  These are exactly what the trace artifact store persists, so on-disk
+  trace artifacts stay small and independent of the latency/queue tables.
 * **derived columns**, recomputed from the µop class at construction time
   via vectorised table lookups: issue-queue kind, functional-unit latency and
   the memory/load/store/branch flags.  Editing
@@ -60,7 +61,7 @@ from repro.uops.opcodes import (
 )
 
 #: Sentinel used in the ``vc_id`` / ``static_cluster`` columns for "no
-#: annotation" (:class:`~repro.uops.uop.StaticInstruction` uses ``None``).
+#: annotation" (the policies' view reads it as ``None``).
 NO_ANNOTATION = -1
 
 #: Vectorised per-class lookup tables (index = UopClass value).
@@ -75,6 +76,16 @@ _FP_TABLE = np.array([is_floating_point(c) for c in UopClass], dtype=bool)
 #: Singleton enum members, indexable by the integer class/queue codes.
 _UOP_CLASSES = list(UopClass)
 _QUEUE_KINDS = list(IssueQueueKind)
+
+
+def empty_annotations(size: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(vc_id, chain_leader, static_cluster)`` columns of ``size`` unannotated
+    rows: ``-1``, ``False`` and ``-1``, in the trace's dtypes."""
+    return (
+        np.full(size, NO_ANNOTATION, dtype=np.int32),
+        np.zeros(size, dtype=bool),
+        np.full(size, NO_ANNOTATION, dtype=np.int32),
+    )
 
 
 def _csr(rows: Sequence[Tuple[int, ...]]) -> Tuple[np.ndarray, np.ndarray]:
@@ -376,6 +387,16 @@ class CompiledTrace:
         """Per-µop mispredict bit as plain bools."""
         return self.memo("mispredicted", self.mispredicted.tolist)
 
+    def sid_list(self) -> List[int]:
+        """Per-µop static id as plain ints."""
+        return self.memo("sid", self.sid.tolist)
+
+    def opclass_list(self) -> List[UopClass]:
+        """Per-µop µop class as enum singletons."""
+        return self.memo(
+            "opclasses", lambda: [_UOP_CLASSES[c] for c in self.opclass.tolist()]
+        )
+
     def vc_id_list(self) -> List[Optional[int]]:
         """Per-µop virtual-cluster id (``None`` when unannotated)."""
         return self.memo(
@@ -518,30 +539,17 @@ class CompiledTrace:
         return self
 
     # ------------------------------------------------------------- annotations --
-    def annotate_from(self, program) -> "CompiledTrace":
-        """Refresh the steering-annotation columns from ``program``'s statics.
+    def annotate_from(self, columns: Sequence[np.ndarray]) -> "CompiledTrace":
+        """Install a compile-time pass's sid-indexed annotation columns.
 
         The dynamic µop stream never depends on annotations, so one compiled
         trace is shared by every steering configuration of a phase; a
-        configuration's compile-time pass annotates the program (or clears
-        it) and this scatters the per-``sid`` annotations across the per-µop
-        columns.  Returns ``self`` for chaining.
+        configuration's pass returns one column per ``ANNOTATION_FIELDS``
+        entry, indexed by static id
+        (:attr:`~repro.partition.base.PartitionReport.columns`), and every
+        µop takes its instruction's value.  Returns ``self`` for chaining.
         """
-        size = int(self.sid.max()) + 1 if len(self.sid) else 0
-        vc = np.full(size, NO_ANNOTATION, dtype=np.int32)
-        leader = np.zeros(size, dtype=bool)
-        static_cluster = np.full(size, NO_ANNOTATION, dtype=np.int32)
-        for inst in program.all_instructions():
-            sid = inst.sid
-            if 0 <= sid < size:
-                vc[sid] = NO_ANNOTATION if inst.vc_id is None else int(inst.vc_id)
-                leader[sid] = bool(inst.chain_leader)
-                static_cluster[sid] = (
-                    NO_ANNOTATION if inst.static_cluster is None else int(inst.static_cluster)
-                )
-        return self.install_annotations(
-            (vc[self.sid], leader[self.sid], static_cluster[self.sid])
-        )
+        return self.install_annotations(tuple(column[self.sid] for column in columns))
 
     def annotation_columns(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Read-only copies of the annotation columns, in ``ANNOTATION_FIELDS`` order.
@@ -600,17 +608,19 @@ class CompiledTrace:
         blocks: Sequence[int],
         addresses: Sequence[int],
         mispredicted: Sequence[bool],
-        vc_ids: Sequence[int],
-        chain_leaders: Sequence[bool],
-        static_clusters: Sequence[int],
+        vc_ids: Optional[Sequence[int]] = None,
+        chain_leaders: Optional[Sequence[bool]] = None,
+        static_clusters: Optional[Sequence[int]] = None,
     ) -> "CompiledTrace":
         """Build a trace from per-µop Python columns (annotation sentinel ``-1``).
 
-        Sequence numbers run ``0 .. n - 1`` in column order.
+        Sequence numbers run ``0 .. n - 1`` in column order; an omitted
+        annotation column is unannotated.
         """
         n = len(sids)
         src_offsets, src_regs = _csr(srcs)
         dest_offsets, dest_regs = _csr(dests)
+        empty = empty_annotations(n)
         return cls(
             seq=np.arange(n, dtype=np.int64),
             sid=np.asarray(sids, dtype=np.int64),
@@ -618,9 +628,9 @@ class CompiledTrace:
             opclass=np.asarray(opclasses, dtype=np.uint8),
             address=np.asarray(addresses, dtype=np.int64),
             mispredicted=np.asarray(mispredicted, dtype=bool),
-            vc_id=np.asarray(vc_ids, dtype=np.int32),
-            chain_leader=np.asarray(chain_leaders, dtype=bool),
-            static_cluster=np.asarray(static_clusters, dtype=np.int32),
+            vc_id=empty[0] if vc_ids is None else vc_ids,
+            chain_leader=empty[1] if chain_leaders is None else chain_leaders,
+            static_cluster=empty[2] if static_clusters is None else static_clusters,
             src_offsets=src_offsets,
             src_regs=src_regs,
             dest_offsets=dest_offsets,
@@ -655,6 +665,8 @@ class CompiledUopView:
         "_leaders",
         "_static_clusters",
         "_seqs",
+        "_sids",
+        "_opclasses",
     )
 
     def __init__(self, trace: CompiledTrace) -> None:
@@ -674,6 +686,8 @@ class CompiledUopView:
         self._leaders = trace.chain_leader_list()
         self._static_clusters = trace.static_cluster_list()
         self._seqs = trace.seq_list()
+        self._sids = trace.sid_list()
+        self._opclasses = trace.opclass_list()
 
     @property
     def seq(self) -> int:
@@ -683,7 +697,7 @@ class CompiledUopView:
     @property
     def opclass(self) -> UopClass:
         """µop class."""
-        return _UOP_CLASSES[self.trace.opclass[self.index]]
+        return self._opclasses[self.index]
 
     @property
     def srcs(self) -> Tuple[int, ...]:
@@ -758,7 +772,7 @@ class CompiledUopView:
     @property
     def sid(self) -> int:
         """Static id of the underlying instruction."""
-        return int(self.trace.sid[self.index])
+        return self._sids[self.index]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"CompiledUopView(index={self.index}, seq={self.seq}, {self.opclass.name})"

@@ -24,8 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.uops.uop import StaticInstruction
-
 #: Maximum number of virtual clusters representable by the encoding.
 MAX_VIRTUAL_CLUSTERS = 16
 
@@ -42,7 +40,10 @@ class SteeringAnnotation:
 
     ``vc_id`` / ``chain_leader`` are produced by the hybrid VC partitioner;
     ``static_cluster`` is produced by the software-only partitioners (OB and
-    RHOP) which bind instructions directly to physical clusters.
+    RHOP) which bind instructions directly to physical clusters.  A pass
+    returns them as sid-indexed columns
+    (:attr:`repro.partition.base.PartitionReport.columns`); one instruction's
+    entries make one annotation.
     """
 
     vc_id: Optional[int] = None
@@ -53,22 +54,6 @@ class SteeringAnnotation:
     def is_empty(self) -> bool:
         """True when the instruction carries no steering information."""
         return self.vc_id is None and self.static_cluster is None and not self.chain_leader
-
-
-def annotation_of(inst: StaticInstruction) -> SteeringAnnotation:
-    """Extract the :class:`SteeringAnnotation` carried by ``inst``."""
-    return SteeringAnnotation(
-        vc_id=inst.vc_id,
-        chain_leader=inst.chain_leader,
-        static_cluster=inst.static_cluster,
-    )
-
-
-def apply_annotation(inst: StaticInstruction, annotation: SteeringAnnotation) -> None:
-    """Write ``annotation`` onto ``inst`` (overwrites previous annotations)."""
-    inst.vc_id = annotation.vc_id
-    inst.chain_leader = annotation.chain_leader
-    inst.static_cluster = annotation.static_cluster
 
 
 def encode_annotation(annotation: SteeringAnnotation) -> int:

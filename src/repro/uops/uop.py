@@ -3,32 +3,26 @@
 The paper's hybrid scheme relies on a strict split of responsibilities:
 
 * the **compiler** works on *static* instructions organised in basic blocks
-  and data-dependence graphs, and attaches steering annotations (virtual
-  cluster id, chain-leader mark, or a static physical-cluster binding) to
+  and data-dependence graphs, and derives steering annotations (virtual
+  cluster id, chain-leader mark, or a static physical-cluster binding) for
   them;
 * the **hardware** executes a *dynamic* stream of µops, each of which is an
   instance of a static instruction and inherits its annotations through the
   ISA extension.
 
-:class:`StaticInstruction` models the compiler's side, a lightweight
-``__slots__`` class.  The hardware's side is a
+:class:`StaticInstruction` models the compiler's side, a lightweight,
+never-mutated ``__slots__`` class.  A pass's annotations are a value, not
+fields of the instruction: columns indexed by static id
+(:class:`~repro.partition.base.PartitionReport`).  The hardware's side is a
 :class:`~repro.uops.compiled.CompiledTrace`: one array row per dynamic µop,
 holding its static id and a copy of that instruction's annotations.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
-from repro.uops.opcodes import (
-    IssueQueueKind,
-    UopClass,
-    is_branch,
-    is_floating_point,
-    is_memory,
-    latency_of,
-    queue_of,
-)
+from repro.uops.opcodes import UopClass, is_branch, is_memory, latency_of
 
 
 class StaticInstruction:
@@ -46,30 +40,9 @@ class StaticInstruction:
         Source architectural register ids.
     block:
         Id of the basic block containing the instruction.
-
-    Attributes
-    ----------
-    vc_id:
-        Virtual cluster assigned by the compile-time VC partitioner
-        (``None`` when the pass has not run).
-    chain_leader:
-        ``True`` when this instruction starts a new chain (Figure 3); only
-        meaningful when ``vc_id`` is set.
-    static_cluster:
-        Physical cluster chosen by a software-only partitioner (OB / RHOP);
-        ``None`` for hardware-only or hybrid steering.
     """
 
-    __slots__ = (
-        "sid",
-        "opclass",
-        "dests",
-        "srcs",
-        "block",
-        "vc_id",
-        "chain_leader",
-        "static_cluster",
-    )
+    __slots__ = ("sid", "opclass", "dests", "srcs", "block")
 
     def __init__(
         self,
@@ -84,20 +57,12 @@ class StaticInstruction:
         self.dests: Tuple[int, ...] = tuple(map(int, dests))
         self.srcs: Tuple[int, ...] = tuple(map(int, srcs))
         self.block = int(block)
-        self.vc_id: Optional[int] = None
-        self.chain_leader: bool = False
-        self.static_cluster: Optional[int] = None
 
     # -- classification helpers -------------------------------------------------
     @property
     def latency(self) -> int:
         """Functional-unit latency of the instruction."""
         return latency_of(self.opclass)
-
-    @property
-    def queue(self) -> IssueQueueKind:
-        """Issue queue this instruction is allocated into."""
-        return queue_of(self.opclass)
 
     @property
     def is_memory(self) -> bool:
@@ -115,11 +80,6 @@ class StaticInstruction:
         return self.opclass == UopClass.STORE
 
     @property
-    def is_fp(self) -> bool:
-        """True for floating-point arithmetic."""
-        return is_floating_point(self.opclass)
-
-    @property
     def is_branch(self) -> bool:
         """True for control-flow instructions."""
         return is_branch(self.opclass)
@@ -127,6 +87,5 @@ class StaticInstruction:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"StaticInstruction(sid={self.sid}, {self.opclass.name}, "
-            f"dests={self.dests}, srcs={self.srcs}, block={self.block}, "
-            f"vc={self.vc_id}, leader={self.chain_leader}, static_cluster={self.static_cluster})"
+            f"dests={self.dests}, srcs={self.srcs}, block={self.block})"
         )

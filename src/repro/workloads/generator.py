@@ -180,9 +180,9 @@ class WorkloadGenerator:
         """Build (or reuse) the phase program and expand a compiled trace from it.
 
         Returns the program, so callers can run compiler passes on it, and
-        the trace.  The trace snapshots the program's current annotations;
-        after running a compiler pass, refresh them with
-        :meth:`~repro.uops.compiled.CompiledTrace.annotate_from`.
+        the unannotated trace; install a pass's columns with
+        ``trace.annotate_from(report.columns)``
+        (:meth:`~repro.uops.compiled.CompiledTrace.annotate_from`).
         """
         if program is None:
             program = self.generate_program(phase)

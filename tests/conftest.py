@@ -19,17 +19,28 @@ def make_instruction(sid, opclass=UopClass.INT_ALU, dests=(), srcs=(), block=0):
     return StaticInstruction(sid, opclass, dests, srcs, block=block)
 
 
-def make_trace(instructions, addresses=None, mispredicted=None):
+def make_trace(
+    instructions,
+    addresses=None,
+    mispredicted=None,
+    vc_ids=None,
+    chain_leaders=None,
+    static_clusters=None,
+):
     """A hand-made trace: one µop per entry of ``instructions``, in order.
 
-    Each µop copies its static instruction's registers, block and
-    annotations; ``addresses`` and ``mispredicted`` give the per-µop
-    dynamic facts (0 and ``False`` when omitted).
+    Each µop copies its static instruction's registers and block;
+    ``addresses`` and ``mispredicted`` give the per-µop dynamic facts (0 and
+    ``False`` when omitted) and ``vc_ids`` / ``chain_leaders`` /
+    ``static_clusters`` its annotations (``None`` entries, or an omitted
+    column, read unannotated).
     """
     n = len(instructions)
 
-    def annotation(value):
-        return NO_ANNOTATION if value is None else value
+    def annotation(values):
+        if values is None:
+            return None
+        return [NO_ANNOTATION if value is None else value for value in values]
 
     return CompiledTrace.from_columns(
         sids=[inst.sid for inst in instructions],
@@ -39,9 +50,9 @@ def make_trace(instructions, addresses=None, mispredicted=None):
         blocks=[inst.block for inst in instructions],
         addresses=[0] * n if addresses is None else addresses,
         mispredicted=[False] * n if mispredicted is None else mispredicted,
-        vc_ids=[annotation(inst.vc_id) for inst in instructions],
-        chain_leaders=[inst.chain_leader for inst in instructions],
-        static_clusters=[annotation(inst.static_cluster) for inst in instructions],
+        vc_ids=annotation(vc_ids),
+        chain_leaders=chain_leaders,
+        static_clusters=annotation(static_clusters),
     )
 
 

@@ -8,8 +8,8 @@ Contracts pinned here:
   every other job of that key installs the memoised columns.  Results equal
   fresh per-job execution field for field.
 * **Order independence.**  Interleaving configurations on one trace gives
-  each the metrics and annotation columns it gets alone: a memo hit never
-  sees stale program annotations or stale columns.
+  each the metrics and annotation columns it gets alone: passes never
+  change the program, and a memo hit never sees stale columns.
 * **One warm-up per geometry.**  ``_warm_caches`` replays the access plan
   once per (trace, cache geometry); later runs start from a copy with zeroed
   statistics and report identical metrics, cache summary included.
@@ -20,6 +20,7 @@ Contracts pinned here:
 from __future__ import annotations
 
 import hashlib
+import pickle
 
 import numpy as np
 import pytest
@@ -142,14 +143,23 @@ class TestAnnotationMemo:
                 column[0] = 0
 
     def test_hardware_only_key_ignores_the_program(self, small_profile):
-        """A hit never reads the program: stale program annotations left by
-        another pass do not leak into a hardware-only configuration."""
+        """A hardware-only key installs constant unannotated columns without
+        reading the program, before and after another pass ran on the trace."""
         program, compiled = WorkloadGenerator(small_profile).generate_compiled_trace(500)
-        _prepare_job(make_job(small_profile, OP), program, compiled)
-        _prepare_job(make_job(small_profile, VC), program, compiled)
-        assert program.annotation_summary()["vc_annotated"] > 0
-        _prepare_job(make_job(small_profile, OP), program, compiled)
+        _prepare_job(make_job(small_profile, OP), None, compiled)
         assert (compiled.vc_id == -1).all() and not compiled.chain_leader.any()
+        _prepare_job(make_job(small_profile, VC), program, compiled)
+        assert (compiled.vc_id >= 0).all()
+        _prepare_job(make_job(small_profile, OP), None, compiled)
+        assert (compiled.vc_id == -1).all() and not compiled.chain_leader.any()
+        assert (compiled.static_cluster == -1).all()
+
+    def test_prepare_job_leaves_the_program_unchanged(self, small_profile):
+        program, compiled = WorkloadGenerator(small_profile).generate_compiled_trace(500)
+        before = pickle.dumps(program)
+        for configuration in (OP, VC, RHOP):
+            _prepare_job(make_job(small_profile, configuration), program, compiled)
+        assert pickle.dumps(program) == before
 
 
 @pytest.mark.parametrize("kernel", ["interpreter", "vectorized"])

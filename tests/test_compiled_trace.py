@@ -10,8 +10,8 @@ Pinned here (the golden-metrics suite pins the kernels' exact output and
   the row it points at, and rows of one ``sid`` agree on the static ones;
 * **dependence plan** -- the array-native last-writer plan equals a plain
   program-order reference loop (property-tested);
-* **annotation refresh** -- ``annotate_from`` scatters a program's
-  annotations across the per-µop columns;
+* **annotation refresh** -- ``annotate_from`` gathers a pass's sid-indexed
+  columns into the per-µop columns;
 * **validation** -- the constructor rejects columns of the wrong length and
   malformed CSR register columns, and the processor rejects anything but a
   :class:`CompiledTrace`;
@@ -31,8 +31,13 @@ from repro.engine.parallel import execute_job
 from repro.experiments.configs import TABLE3_CONFIGURATIONS
 from repro.partition.vc_partitioner import VirtualClusterPartitioner
 from repro.steering.one_cluster import OneClusterSteering
-from repro.uops.compiled import NO_ANNOTATION, CompiledTrace, CompiledUopView
-from repro.uops.opcodes import UopClass, latency_of, queue_of
+from repro.uops.compiled import (
+    NO_ANNOTATION,
+    CompiledTrace,
+    CompiledUopView,
+    empty_annotations,
+)
+from repro.uops.opcodes import UopClass, is_floating_point, latency_of, queue_of
 from repro.uops.registers import DEFAULT_REGISTER_SPACE
 from repro.uops.uop import StaticInstruction
 from repro.workloads.generator import WorkloadGenerator
@@ -71,8 +76,8 @@ class TestDerivedColumns:
 
     def test_view_mirrors_trace_rows(self, small_profile):
         program, compiled = WorkloadGenerator(small_profile).generate_compiled_trace(500)
-        VirtualClusterPartitioner(2).annotate_program(program)
-        compiled.annotate_from(program)
+        report = VirtualClusterPartitioner(2).annotate_program(program)
+        compiled.annotate_from(report.columns)
         by_sid = {inst.sid: inst for inst in program.all_instructions()}
         view = CompiledUopView(compiled)
         for i, sid in enumerate(compiled.sid.tolist()):
@@ -80,20 +85,37 @@ class TestDerivedColumns:
             inst = by_sid[sid]
             assert view.sid == sid and view.seq == i
             for attribute in (
-                "opclass", "srcs", "dests", "queue", "latency", "is_memory", "is_load",
-                "is_store", "is_branch", "is_fp", "vc_id", "chain_leader", "static_cluster",
+                "opclass", "srcs", "dests", "latency", "is_memory", "is_load",
+                "is_store", "is_branch",
             ):
                 assert getattr(view, attribute) == getattr(inst, attribute), attribute
+            assert view.queue == queue_of(inst.opclass)
+            assert view.is_fp == is_floating_point(inst.opclass)
+            vc_id, leader, static_cluster = (column[sid].item() for column in report.columns)
+            assert view.vc_id == (None if vc_id == NO_ANNOTATION else vc_id)
+            assert view.chain_leader == leader
+            assert view.static_cluster == (
+                None if static_cluster == NO_ANNOTATION else static_cluster
+            )
             assert view.address == compiled.address[i]
             assert view.mispredicted == compiled.mispredicted[i]
+
+    def test_view_sid_and_opclass_are_plain_values(self, small_trace):
+        """``.sid`` and ``.opclass`` read hoisted lists, like every other view
+        property: a Python ``int`` and a ``UopClass`` member, not numpy scalars."""
+        _, compiled = small_trace
+        view = CompiledUopView(compiled)
+        for i in (0, len(compiled) - 1):
+            view.index = i
+            assert type(view.sid) is int and view.sid == int(compiled.sid[i])
+            assert view.opclass is UopClass(int(compiled.opclass[i]))
 
     def test_rows_of_one_sid_agree_on_static_facts(self, small_profile):
         """``.sid`` is a sound key for per-instruction policy state: every
         dynamic instance of one static instruction reads the same static
         facts and annotations through the view."""
         program, compiled = WorkloadGenerator(small_profile).generate_compiled_trace(800)
-        VirtualClusterPartitioner(2).annotate_program(program)
-        compiled.annotate_from(program)
+        compiled.annotate_from(VirtualClusterPartitioner(2).annotate_program(program).columns)
         view = CompiledUopView(compiled)
         static_facts = (
             "opclass", "srcs", "dests", "queue", "latency", "is_memory", "is_load",
@@ -187,22 +209,26 @@ class TestDependencePlan:
 
 
 class TestAnnotationRefresh:
-    def test_annotate_from_scatters_program_annotations(self, small_profile):
+    def test_annotate_from_gathers_pass_columns(self, small_profile):
         generator = WorkloadGenerator(small_profile)
         program, compiled = generator.generate_compiled_trace(500, phase=0)
         assert all(v == NO_ANNOTATION for v in compiled.vc_id.tolist())
-        VirtualClusterPartitioner(2).annotate_program(program)
-        compiled.annotate_from(program)
-        by_sid = {inst.sid: inst for inst in program.all_instructions()}
+        assert not compiled.chain_leader.any() and (compiled.static_cluster == -1).all()
+        report = VirtualClusterPartitioner(2).annotate_program(program)
+        compiled.annotate_from(report.columns)
         for i, sid in enumerate(compiled.sid.tolist()):
-            inst = by_sid[sid]
-            assert compiled.vc_id_list()[i] == inst.vc_id
-            assert compiled.chain_leader_list()[i] == inst.chain_leader
-            assert compiled.static_cluster_list()[i] == inst.static_cluster
-        program.clear_annotations()
-        compiled.annotate_from(program)
+            assert compiled.vc_id_list()[i] == report.vc_id[sid]
+            assert compiled.chain_leader_list()[i] == report.chain_leader[sid]
+            assert compiled.static_cluster_list()[i] is None
+        compiled.install_annotations(empty_annotations(len(compiled)))
         assert not np.any(compiled.chain_leader)
         assert all(v is None for v in compiled.vc_id_list())
+
+    def test_empty_annotations_have_the_trace_dtypes(self, small_trace):
+        _, compiled = small_trace
+        for name, column in zip(compiled.ANNOTATION_FIELDS, empty_annotations(3)):
+            assert column.dtype == getattr(compiled, name).dtype
+            assert column.tolist() == ([False] * 3 if name == "chain_leader" else [-1] * 3)
 
 
 class TestValidation:
@@ -287,8 +313,7 @@ class TestKernelEquivalence:
         program, trace = generator.generate_compiled_trace(700, phase=0)
         partitioner = configuration.make_partitioner(2, 2, 128)
         if partitioner is not None:
-            partitioner.annotate_program(program)
-            trace.annotate_from(program)
+            trace.annotate_from(partitioner.annotate_program(program).columns)
         direct = simulate_trace(trace, configuration.make_policy(2, 2), job.machine_config())
         assert engine_dump == direct.to_dict()
 

@@ -38,6 +38,7 @@ from repro.engine.parallel import (
 from repro.experiments.configs import TABLE3_CONFIGURATIONS, vc_variant
 from repro.experiments.golden import GOLDEN_CASES, GOLDEN_SETTINGS
 from repro.experiments.runner import ExperimentRunner
+from repro.uops.compiled import empty_annotations
 from repro.workloads.generator import WorkloadGenerator
 from repro.workloads.spec2000 import profile_for
 
@@ -268,8 +269,8 @@ class TestRunBound:
 
     def test_run_bound_sees_reannotation_between_runs(self, small_profile):
         """Annotation changes between runs are visible: the VC run sees its
-        partitioner's annotations, the OP run a cleared trace -- exactly as
-        with fresh per-job processors."""
+        partitioner's annotations, the OP run an unannotated trace -- exactly
+        as with fresh per-job processors."""
         program, compiled = WorkloadGenerator(small_profile).generate_compiled_trace(600)
         config = ClusterConfig(num_clusters=2)
         vc = TABLE3_CONFIGURATIONS["VC"]
@@ -278,10 +279,9 @@ class TestRunBound:
         def prepare_for(configuration):
             partitioner = configuration.make_partitioner(2, 2, 128)
             if partitioner is not None:
-                partitioner.annotate_program(program)
+                compiled.annotate_from(partitioner.annotate_program(program).columns)
             else:
-                program.clear_annotations()
-            compiled.annotate_from(program)
+                compiled.install_annotations(empty_annotations(len(compiled)))
 
         fresh = []
         for configuration in (vc, op, vc):

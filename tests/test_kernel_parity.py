@@ -180,12 +180,13 @@ def _policy_factories():
     }
 
 
-def _annotate_for(policy, program):
-    """Run the compile-time pass whose annotations the policy consumes."""
+def _annotate_for(policy, program, compiled):
+    """Install the annotations of the compile-time pass the policy consumes
+    (a generated trace is unannotated)."""
     if policy == "VC":
-        VirtualClusterPartitioner(2).annotate_program(program)
+        compiled.annotate_from(VirtualClusterPartitioner(2).annotate_program(program).columns)
     elif policy == "STATIC":
-        OperationBasedPartitioner(2).annotate_program(program)
+        compiled.annotate_from(OperationBasedPartitioner(2).annotate_program(program).columns)
 
 
 def _run_all_modes(compiled, policy_factory, config):
@@ -215,8 +216,7 @@ class TestSkipVsStepParity:
         program, compiled = WorkloadGenerator(profile_for(benchmark)).generate_compiled_trace(
             length, phase=phase
         )
-        _annotate_for(policy, program)
-        compiled.annotate_from(program)
+        _annotate_for(policy, program, compiled)
         config = ClusterConfig(num_clusters=2, warm_caches=False)
         results = _run_all_modes(compiled, _policy_factories()[policy], config)
         reference = results[("interpreter", False)]
@@ -227,10 +227,9 @@ class TestSkipVsStepParity:
         """The skip path accounts redirect-stall cycles in bulk; pin a trace
         that actually exercises that branch (mispredict_stalls > 0) and check
         all four modes still agree bit-for-bit."""
-        program, compiled = WorkloadGenerator(profile_for("164.gzip-1")).generate_compiled_trace(
+        _, compiled = WorkloadGenerator(profile_for("164.gzip-1")).generate_compiled_trace(
             800, phase=0
         )
-        compiled.annotate_from(program)
         config = ClusterConfig(num_clusters=2, warm_caches=False)
         results = _run_all_modes(compiled, OccupancyAwareSteering, config)
         reference = results[("interpreter", False)]
@@ -380,8 +379,7 @@ class TestLoweredSteeringParity:
         program, compiled = WorkloadGenerator(profile_for(benchmark)).generate_compiled_trace(
             length, phase=phase
         )
-        _annotate_for(policy, program)
-        compiled.annotate_from(program)
+        _annotate_for(policy, program, compiled)
         config = ClusterConfig(num_clusters=num_clusters, warm_caches=False)
         factory = _policy_factories()[policy]
         reference, ref_policy = _run_lowered_mode(
@@ -414,8 +412,7 @@ class TestEveryFormIsDispatched:
             400, phase=0
         )
         if partitioner is not None:
-            partitioner(num_clusters).annotate_program(program)
-        compiled.annotate_from(program)
+            compiled.annotate_from(partitioner(num_clusters).annotate_program(program).columns)
         config = ClusterConfig(num_clusters=num_clusters)
         policy = factory(num_clusters)
         policy.reset(num_clusters)
@@ -448,8 +445,7 @@ class TestMidTraceFallback:
         program, compiled = WorkloadGenerator(profile_for("178.galgel")).generate_compiled_trace(
             400, phase=0
         )
-        VirtualClusterPartitioner(2).annotate_program(program)
-        compiled.annotate_from(program)
+        compiled.annotate_from(VirtualClusterPartitioner(2).annotate_program(program).columns)
         config = ClusterConfig(num_clusters=2, warm_caches=False)
         reference = [
             ClusteredProcessor(config, policy, kernel="interpreter")
@@ -488,8 +484,7 @@ class TestTinyCacheParity:
         program, compiled = WorkloadGenerator(
             profile_for(trace_name)
         ).generate_compiled_trace(1200, phase=0)
-        _annotate_for(policy, program)
-        compiled.annotate_from(program)
+        _annotate_for(policy, program, compiled)
         config = ClusterConfig(
             num_clusters=2,
             l1_size_kb=1,

@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import pickle
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.partition.base import PartitionReport, region_ddgs
+from repro.partition import base
+from repro.partition.base import PartitionReport, program_regions, region_ddg
 from repro.partition.chains import chain_length_histogram, identify_chains
 from repro.partition.multilevel import MultilevelPartitioner, PartitionObjective
 from repro.partition.ob_partitioner import OperationBasedPartitioner
@@ -170,18 +172,19 @@ class TestMultilevelPartitioner:
 
 
 class TestVirtualClusterPartitioner:
-    def test_annotations_written(self, small_profile):
+    def test_annotations_returned(self, small_profile):
         program = generate_program(small_profile)
         report = VirtualClusterPartitioner(2).annotate_program(program)
-        summary = program.annotation_summary()
-        assert summary["vc_annotated"] == program.num_instructions
-        assert summary["chain_leaders"] == report.chain_leaders > 0
-        assert summary["static_cluster_bound"] == 0
+        assert len(report.vc_id) == program.num_instructions  # sids 0 .. n - 1
+        assert int((report.vc_id >= 0).sum()) == program.num_instructions
+        assert int(report.chain_leader.sum()) == report.chain_leaders > 0
+        assert (report.static_cluster == -1).all()
 
     def test_vc_ids_within_range(self, small_profile):
         program = generate_program(small_profile)
-        VirtualClusterPartitioner(4).annotate_program(program)
-        assert all(0 <= inst.vc_id < 4 for inst in program.all_instructions())
+        report = VirtualClusterPartitioner(4).annotate_program(program)
+        sids = [inst.sid for inst in program.all_instructions()]
+        assert ((report.vc_id[sids] >= 0) & (report.vc_id[sids] < 4)).all()
 
     def test_dependent_serial_chain_stays_in_one_vc(self):
         instructions = [make_instruction(0, dests=(10,), srcs=(0,))]
@@ -209,16 +212,16 @@ class TestVirtualClusterPartitioner:
         from repro.program.regions import form_regions
 
         program = generate_program(small_profile)
-        partitioner = VirtualClusterPartitioner(2)
-        partitioner.annotate_program(program)
+        report = VirtualClusterPartitioner(2).annotate_program(program)
+        vc_of = report.vc_id.tolist()
         for region in form_regions(program, 128):
             ddg = build_ddg(region.instructions)
             for node, inst in enumerate(ddg.instructions):
-                if inst.chain_leader:
+                if report.chain_leader[inst.sid]:
                     same_vc_preds = [
                         p
                         for p in ddg.predecessors(node)
-                        if ddg.instructions[p].vc_id == inst.vc_id
+                        if vc_of[ddg.instructions[p].sid] == vc_of[inst.sid]
                     ]
                     assert not same_vc_preds
 
@@ -227,9 +230,8 @@ class TestRhopPartitioner:
     def test_static_cluster_annotations(self, small_profile):
         program = generate_program(small_profile)
         report = RhopPartitioner(2).annotate_program(program)
-        summary = program.annotation_summary()
-        assert summary["static_cluster_bound"] == program.num_instructions
-        assert summary["vc_annotated"] == 0
+        assert int((report.static_cluster >= 0).sum()) == program.num_instructions
+        assert (report.vc_id == -1).all() and not report.chain_leader.any()
         assert report.chain_leaders == 0
 
     def test_balance_is_high(self, small_profile):
@@ -239,9 +241,8 @@ class TestRhopPartitioner:
 
     def test_four_cluster_partition_uses_all_clusters(self, small_fp_profile):
         program = generate_program(small_fp_profile)
-        RhopPartitioner(4).annotate_program(program)
-        used = {inst.static_cluster for inst in program.all_instructions()}
-        assert used == {0, 1, 2, 3}
+        report = RhopPartitioner(4).annotate_program(program)
+        assert set(report.static_cluster.tolist()) == {0, 1, 2, 3}
 
     def test_empty_region_handled(self):
         assert RhopPartitioner(2).partition_region(build_ddg([])) == []
@@ -250,8 +251,9 @@ class TestRhopPartitioner:
 class TestOperationBasedPartitioner:
     def test_static_cluster_annotations(self, small_profile):
         program = generate_program(small_profile)
-        OperationBasedPartitioner(2).annotate_program(program)
-        assert all(inst.static_cluster in (0, 1) for inst in program.all_instructions())
+        report = OperationBasedPartitioner(2).annotate_program(program)
+        assert set(report.static_cluster.tolist()) == {0, 1}
+        assert (report.vc_id == -1).all()
 
     def test_spreads_independent_work(self, two_chain_block):
         ddg = build_ddg(two_chain_block.instructions)
@@ -309,15 +311,13 @@ class TestPartitionReport:
             Broken(2).annotate_program(program)
 
 
-def _annotations(program):
-    return [
-        (inst.sid, inst.vc_id, inst.chain_leader, inst.static_cluster)
-        for inst in program.all_instructions()
-    ]
+def _columns(report):
+    return [column.tolist() for column in report.columns]
 
 
-class TestSharedRegionDDGs:
-    """Regions and DDGs are formed once per (program, region size) and shared."""
+class TestSharedRegions:
+    """Regions are formed once per (program, region size) and shared; a
+    region's DDG is built once, when a pass first partitions it."""
 
     PASSES = (
         lambda: OperationBasedPartitioner(num_clusters=2),
@@ -325,46 +325,114 @@ class TestSharedRegionDDGs:
         lambda: VirtualClusterPartitioner(num_virtual_clusters=2),
     )
 
-    def test_ob_rhop_vc_on_shared_ddgs_match_fresh_programs(self, small_profile):
+    def test_ob_rhop_vc_on_shared_regions_match_fresh_programs(self, small_profile):
         shared = generate_program(small_profile, phase=1)
-        memo = region_ddgs(shared, 128)
+        regions = program_regions(shared, 128)
+        ddgs = [region_ddg(shared, 128, region) for region, _ in regions]
         for make_pass in self.PASSES:
             report = make_pass().annotate_program(shared)
-            assert region_ddgs(shared, 128) is memo  # built once, reused
+            assert program_regions(shared, 128) is regions  # formed once, reused
+            assert all(
+                region_ddg(shared, 128, region) is ddg for (region, _), ddg in zip(regions, ddgs)
+            )
             fresh = generate_program(small_profile, phase=1)
             fresh_report = make_pass().annotate_program(fresh)
-            assert _annotations(shared) == _annotations(fresh)
+            assert _columns(report) == _columns(fresh_report)
             assert report == fresh_report
 
     def test_memo_is_keyed_by_region_size(self, small_profile):
         program = generate_program(small_profile, phase=0)
-        small_regions, _ = region_ddgs(program, 16)
-        large_regions, _ = region_ddgs(program, 128)
+        small_regions = program_regions(program, 16)
+        large_regions = program_regions(program, 128)
         assert len(small_regions) > len(large_regions)
-        assert region_ddgs(program, 16)[0] is small_regions
+        assert program_regions(program, 16) is small_regions
+
+    def test_region_sids_list_the_region_instructions(self, small_profile):
+        program = generate_program(small_profile, phase=0)
+        for region, sids in program_regions(program, 128):
+            assert sids == tuple(inst.sid for inst in region.instructions)
+
+    def test_ddgs_are_built_only_for_executed_regions(self, small_profile, monkeypatch):
+        program = generate_program(small_profile, phase=0)
+        regions = program_regions(program, 128)
+        assert len(regions) > 1
+        built = []
+        build_ddg = base.build_ddg
+
+        def counted(instructions):
+            built.append(instructions[0].sid)
+            return build_ddg(instructions)
+
+        monkeypatch.setattr(base, "build_ddg", counted)
+        first_region, first_sids = regions[0]
+        compile_pass = VirtualClusterPartitioner(num_virtual_clusters=2)
+        compile_pass.executed_sids = {first_sids[0]}
+        report = compile_pass.annotate_program(program)
+        assert built == [first_sids[0]]
+        assert report.num_instructions == len(first_region)
+        compile_pass.annotate_program(program)
+        assert built == [first_sids[0]]  # memoised: built once
+        compile_pass.executed_sids = None
+        compile_pass.annotate_program(program)
+        assert len(built) == sum(1 for _, sids in regions if sids)
 
     def test_pickled_program_carries_no_memo(self, small_profile):
         partitioned = generate_program(small_profile, phase=0)
-        for make_pass in self.PASSES:
-            make_pass().annotate_program(partitioned)
+        reports = [make_pass().annotate_program(partitioned) for make_pass in self.PASSES]
         assert "_memo" not in partitioned.__getstate__()
         restored = pickle.loads(pickle.dumps(partitioned))
         assert restored._memo == {}
-        assert _annotations(restored) == _annotations(partitioned)
-        # Byte-identical to a program with the same annotations but no memo
-        # entries besides VC's: the memo never reaches the pickle.
-        fresh = generate_program(small_profile, phase=0)
-        VirtualClusterPartitioner(num_virtual_clusters=2).annotate_program(fresh)
-        assert pickle.dumps(partitioned) == pickle.dumps(fresh)
-        # The restored program rebuilds its own DDGs over its own instructions.
-        _, ddgs = region_ddgs(restored, 128)
+        # Byte-identical to a program no pass ever ran on: the passes write
+        # nothing onto it, and the memo never reaches the pickle.
+        assert pickle.dumps(partitioned) == pickle.dumps(generate_program(small_profile, phase=0))
+        # The restored program rebuilds its own DDGs over its own instructions
+        # and its passes return the same columns.
         by_sid = {inst.sid: inst for inst in restored.all_instructions()}
-        assert all(
-            inst is by_sid[inst.sid]
-            for ddg in ddgs
-            if ddg is not None
-            for inst in ddg.instructions
-        )
+        for region, sids in program_regions(restored, 128):
+            if sids:
+                ddg = region_ddg(restored, 128, region)
+                assert all(inst is by_sid[inst.sid] for inst in ddg.instructions)
+        for make_pass, report in zip(self.PASSES, reports):
+            assert _columns(make_pass().annotate_program(restored)) == _columns(report)
+
+
+class TestProgramIsNotMutated:
+    """Compile-time passes only read the program: their annotations are the
+    sid-indexed columns of the returned report."""
+
+    PASSES = TestSharedRegions.PASSES
+
+    @pytest.mark.parametrize("trace_name", ["164.gzip-1", "178.galgel"])
+    def test_ob_rhop_vc_in_turn_leave_the_program_unchanged(self, trace_name):
+        generator = WorkloadGenerator(profile_for(trace_name))
+        program = generator.generate_program(0)
+        before = pickle.dumps(program)
+        reports = [make_pass().annotate_program(program) for make_pass in self.PASSES]
+        assert pickle.dumps(program) == before
+        for make_pass, report in zip(self.PASSES, reports):
+            fresh = make_pass().annotate_program(generator.generate_program(0))
+            assert _columns(report) == _columns(fresh)
+
+    def test_columns_are_read_only_and_sid_indexed(self, small_profile):
+        program = generate_program(small_profile)
+        size = max(inst.sid for inst in program.all_instructions()) + 1
+        for make_pass in self.PASSES:
+            report = make_pass().annotate_program(program)
+            for column, dtype in zip(report.columns, (np.int32, bool, np.int32)):
+                assert len(column) == size and column.dtype == dtype
+                assert not column.flags.writeable
+                with pytest.raises(ValueError):
+                    column[0] = column[0]
+
+    def test_unpartitioned_regions_read_unannotated(self, small_profile):
+        program = generate_program(small_profile)
+        compile_pass = OperationBasedPartitioner(num_clusters=2)
+        regions = program_regions(program, compile_pass.region_size)
+        compile_pass.executed_sids = set(regions[0][1])
+        report = compile_pass.annotate_program(program)
+        for region, sids in regions[1:]:
+            assert (report.static_cluster[list(sids)] == -1).all()
+        assert (report.static_cluster[list(regions[0][1])] >= 0).all()
 
 
 class TestExecutedRegions:
@@ -390,7 +458,7 @@ class TestExecutedRegions:
             compile_pass = build_partitioner(partitioner, {}, num_clusters, 2, region_size)
             compile_pass.executed_sids = executed_sids
             report = compile_pass.annotate_program(program)
-            return report, compiled.annotate_from(program).annotation_columns()
+            return report, compiled.annotate_from(report.columns).annotation_columns()
 
         whole_report, whole = columns(None)
         executed = set(compiled.sid.tolist())
@@ -399,9 +467,7 @@ class TestExecutedRegions:
             assert full_column.tolist() == column.tolist()
         assert report.num_instructions <= whole_report.num_instructions
         assert report.num_regions == whole_report.num_regions
-        annotated = {
-            inst.sid
-            for inst in program.all_instructions()
-            if inst.vc_id is not None or inst.static_cluster is not None
-        }
+        annotated = set(
+            np.flatnonzero((report.vc_id >= 0) | (report.static_cluster >= 0)).tolist()
+        )
         assert executed <= annotated

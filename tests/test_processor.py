@@ -93,20 +93,16 @@ class TestCopies:
     def test_cross_cluster_dependence_generates_copy(self):
         # µop 0 runs on cluster 0, µop 1 depends on it and is forced to cluster 1.
         producer = StaticInstruction(0, UopClass.INT_ALU, dests=(10,), srcs=(0,))
-        producer.static_cluster = 0
         consumer = StaticInstruction(1, UopClass.INT_ALU, dests=(11,), srcs=(10,))
-        consumer.static_cluster = 1
-        trace = make_trace([producer, consumer])
+        trace = make_trace([producer, consumer], static_clusters=[0, 1])
         metrics = simulate_trace(trace, StaticAssignmentSteering(), fast_config())
         assert metrics.copies_generated == 1
         assert metrics.cluster_copies[0] == 1  # inserted in the producing cluster
 
     def test_same_cluster_dependence_needs_no_copy(self):
         producer = StaticInstruction(0, UopClass.INT_ALU, dests=(10,), srcs=(0,))
-        producer.static_cluster = 1
         consumer = StaticInstruction(1, UopClass.INT_ALU, dests=(11,), srcs=(10,))
-        consumer.static_cluster = 1
-        trace = make_trace([producer, consumer])
+        trace = make_trace([producer, consumer], static_clusters=[1, 1])
         metrics = simulate_trace(trace, StaticAssignmentSteering(), fast_config())
         assert metrics.copies_generated == 0
 
@@ -114,23 +110,18 @@ class TestCopies:
         # One producer on cluster 0 feeding two consumers on cluster 1: a
         # single copy suffices (the rename table knows the value location).
         producer = StaticInstruction(0, UopClass.INT_ALU, dests=(10,), srcs=(0,))
-        producer.static_cluster = 0
-        consumers = []
-        for i in (1, 2):
-            inst = StaticInstruction(i, UopClass.INT_ALU, dests=(10 + i,), srcs=(10,))
-            inst.static_cluster = 1
-            consumers.append(inst)
-        trace = make_trace([producer, *consumers])
+        consumers = [
+            StaticInstruction(i, UopClass.INT_ALU, dests=(10 + i,), srcs=(10,)) for i in (1, 2)
+        ]
+        trace = make_trace([producer, *consumers], static_clusters=[0, 1, 1])
         metrics = simulate_trace(trace, StaticAssignmentSteering(), fast_config())
         assert metrics.copies_generated == 1
 
     def test_copy_adds_latency(self):
         def chain(cluster_of_consumer):
             producer = StaticInstruction(0, UopClass.INT_ALU, dests=(10,), srcs=(0,))
-            producer.static_cluster = 0
             consumer = StaticInstruction(1, UopClass.INT_ALU, dests=(11,), srcs=(10,))
-            consumer.static_cluster = cluster_of_consumer
-            return make_trace([producer, consumer])
+            return make_trace([producer, consumer], static_clusters=[0, cluster_of_consumer])
 
         local = simulate_trace(chain(0), StaticAssignmentSteering(), fast_config())
         remote = simulate_trace(chain(1), StaticAssignmentSteering(), fast_config())
@@ -212,8 +203,7 @@ class TestSteeringContextView:
 
         generator = WorkloadGenerator(small_profile)
         program, trace = generator.generate_compiled_trace(500, phase=0)
-        VirtualClusterPartitioner(2).annotate_program(program)
-        trace.annotate_from(program)
+        trace.annotate_from(VirtualClusterPartitioner(2).annotate_program(program).columns)
         metrics = simulate_trace(trace, VirtualClusterSteering(2), fast_config())
         assert metrics.vc_remaps > 0
 

@@ -91,7 +91,7 @@ class TestProgram:
     def test_validation_and_counts(self, tiny_program):
         assert tiny_program.num_blocks == 2
         assert tiny_program.num_instructions == 8
-        assert tiny_program.instruction_by_sid(10).opclass == UopClass.INT_ALU
+        assert tiny_program.sid_opclasses()[10] == UopClass.INT_ALU
 
     def test_duplicate_sid_rejected(self, simple_block):
         other = BasicBlock(1, [make_instruction(0, dests=(20,))])
@@ -110,15 +110,20 @@ class TestProgram:
         with pytest.raises(ValueError):
             program.validate()
 
-    def test_clear_annotations_and_summary(self, tiny_program):
-        for inst in tiny_program.all_instructions():
-            inst.vc_id = 0
-            inst.chain_leader = True
-        summary = tiny_program.annotation_summary()
-        assert summary["vc_annotated"] == tiny_program.num_instructions
-        tiny_program.clear_annotations()
-        summary = tiny_program.annotation_summary()
-        assert summary["vc_annotated"] == 0 and summary["chain_leaders"] == 0
+    def test_sid_opclasses_column(self):
+        """One entry per static id up to the largest; ``-1`` marks a gap."""
+        block = BasicBlock(
+            0,
+            [
+                make_instruction(0, UopClass.LOAD, dests=(10,)),
+                make_instruction(3, UopClass.BRANCH, srcs=(10,)),
+            ],
+        )
+        cfg = ControlFlowGraph(entry=0)
+        cfg.add_block(0)
+        column = Program("gaps", [block], cfg).sid_opclasses()
+        assert column.tolist() == [int(UopClass.LOAD), -1, -1, int(UopClass.BRANCH)]
+        assert not column.flags.writeable
 
 
 class TestDDG:

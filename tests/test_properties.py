@@ -161,11 +161,11 @@ class TestPartitionProperties:
 # ---------------------------------------------------------------------------
 
 
-def trace_from_instructions(instructions):
+def trace_from_instructions(instructions, static_clusters=None):
     addresses = [
         (i * 64) % 4096 if inst.is_memory else 0 for i, inst in enumerate(instructions)
     ]
-    return make_trace(instructions, addresses=addresses)
+    return make_trace(instructions, addresses=addresses, static_clusters=static_clusters)
 
 
 class TestSimulatorProperties:
@@ -214,11 +214,6 @@ class TestSimulatorProperties:
 # ---------------------------------------------------------------------------
 
 
-def _annotate_static_clusters(instructions, assignment):
-    for inst, cluster in zip(instructions, assignment):
-        inst.static_cluster = cluster
-
-
 class TestSteeringAndCopyProperties:
     @settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(
@@ -249,8 +244,7 @@ class TestSteeringAndCopyProperties:
         two = ClusterConfig(num_clusters=2, fetch_to_dispatch_latency=1, warm_caches=False)
         assert simulate_trace(trace, OneClusterSteering(), two).copies_generated == 0
 
-        _annotate_static_clusters(instructions, [0] * len(instructions))
-        trace = trace_from_instructions(instructions)
+        trace = trace_from_instructions(instructions, static_clusters=[0] * len(instructions))
         assert simulate_trace(trace, StaticAssignmentSteering(), two).copies_generated == 0
 
     @settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -260,8 +254,7 @@ class TestSteeringAndCopyProperties:
         register dependence connects instructions on different clusters
         (live-ins are ready in every cluster, so they never need copies)."""
         assignment = [sid % 2 for sid in range(len(instructions))]
-        _annotate_static_clusters(instructions, assignment)
-        trace = trace_from_instructions(instructions)
+        trace = trace_from_instructions(instructions, static_clusters=assignment)
         config = ClusterConfig(num_clusters=2, fetch_to_dispatch_latency=1, warm_caches=False)
         metrics = simulate_trace(trace, StaticAssignmentSteering(), config)
 
@@ -285,8 +278,7 @@ class TestSteeringAndCopyProperties:
         cluster 1 -- the value must traverse the interconnect exactly once."""
         producer = StaticInstruction(0, UopClass.INT_ALU, (1,), ())
         consumer = StaticInstruction(1, UopClass.INT_ALU, (2,), (1,))
-        _annotate_static_clusters([producer, consumer], [0, 1])
-        trace = trace_from_instructions([producer, consumer])
+        trace = trace_from_instructions([producer, consumer], static_clusters=[0, 1])
         config = ClusterConfig(num_clusters=2, fetch_to_dispatch_latency=1, warm_caches=False)
         metrics = simulate_trace(trace, StaticAssignmentSteering(), config)
         assert metrics.copies_generated == 1

@@ -4,8 +4,8 @@ Contracts pinned here:
 
 * **``CompiledTrace.freeze`` is total and sticky.**  Every stored column
   becomes read-only, a deliberate in-place write raises ``ValueError``, and
-  ``annotate_from`` (which *replaces* annotation arrays) installs read-only
-  replacements.
+  ``annotate_from`` and ``install_annotations`` (which *replace* annotation
+  arrays) install read-only replacements.
 * **``bind`` always freezes**, on both kernels and with no environment
   set: a deliberate in-place mutation of a bound column is caught.
 """
@@ -20,7 +20,8 @@ import pytest
 from repro.cluster.config import ClusterConfig
 from repro.cluster.processor import ClusteredProcessor
 from repro.experiments.configs import TABLE3_CONFIGURATIONS
-from repro.uops.compiled import CompiledTrace
+from repro.partition.vc_partitioner import VirtualClusterPartitioner
+from repro.uops.compiled import CompiledTrace, empty_annotations
 from repro.workloads.generator import WorkloadGenerator
 
 
@@ -59,7 +60,9 @@ class TestFreeze:
     def test_annotate_from_refreezes_replaced_columns(self, small_profile):
         program, compiled = WorkloadGenerator(small_profile).generate_compiled_trace(500)
         compiled.freeze()
-        compiled.annotate_from(program)
+        compiled.annotate_from(VirtualClusterPartitioner(2).annotate_program(program).columns)
+        assert writable_columns(compiled) == []
+        compiled.install_annotations(empty_annotations(len(compiled)))
         assert writable_columns(compiled) == []
 
 

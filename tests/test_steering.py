@@ -46,10 +46,14 @@ class FakeContext(SteeringContext):
 def make_uop(seq=0, opclass=UopClass.INT_ALU, srcs=(), dests=(10,), vc_id=None,
              chain_leader=False, static_cluster=None):
     static = StaticInstruction(seq, opclass, dests, srcs)
-    static.vc_id = vc_id
-    static.chain_leader = chain_leader
-    static.static_cluster = static_cluster
-    return CompiledUopView(make_trace([static]))
+    return CompiledUopView(
+        make_trace(
+            [static],
+            vc_ids=[vc_id],
+            chain_leaders=[chain_leader],
+            static_clusters=[static_cluster],
+        )
+    )
 
 
 class TestOneCluster:

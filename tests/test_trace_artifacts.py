@@ -83,6 +83,31 @@ class TestStore:
         np.savez_compressed(path.with_suffix(""), **data)  # savez re-appends .npz
         assert store.get(key) is None
 
+    @pytest.mark.parametrize("tamper", ["other-opclass", "unknown-sid"])
+    def test_trace_that_does_not_fit_its_program_is_a_miss(
+        self, tmp_path, small_profile, tamper
+    ):
+        """A trace row whose ``sid`` names an instruction of another opclass,
+        or no instruction at all, is caught at load: a miss, not a trace
+        served against the wrong program."""
+        store = TraceArtifactStore(tmp_path / "traces")
+        program, compiled = WorkloadGenerator(small_profile).generate_compiled_trace(300)
+        key = "c3" * 32
+        store.put(key, program, compiled)
+        assert store.get(key) is not None
+        path = store._path(key)
+        data = dict(np.load(path, allow_pickle=False))
+        opclass = int(data["opclass"][0])
+        if tamper == "other-opclass":
+            data["sid"][0] = next(
+                inst.sid for inst in program.all_instructions() if int(inst.opclass) != opclass
+            )
+        else:
+            data["sid"][0] = max(inst.sid for inst in program.all_instructions()) + 1
+        np.savez_compressed(path.with_suffix(""), **data)  # savez re-appends .npz
+        assert store.get(key) is None
+        assert store.stats() == {"hits": 1, "misses": 1, "stores": 1}
+
     def test_version_mismatch_is_a_miss(self, tmp_path, small_profile, monkeypatch):
         store = TraceArtifactStore(tmp_path / "traces")
         program, compiled = WorkloadGenerator(small_profile).generate_compiled_trace(300)
@@ -150,10 +175,10 @@ class TestStore:
         program, compiled = WorkloadGenerator(small_profile).generate_compiled_trace(500)
         store.put("11" * 32, program, compiled)
         loaded_program, loaded_trace = store.get("11" * 32)
-        VirtualClusterPartitioner(2).annotate_program(program)
-        VirtualClusterPartitioner(2).annotate_program(loaded_program)
-        compiled.annotate_from(program)
-        loaded_trace.annotate_from(loaded_program)
+        compiled.annotate_from(VirtualClusterPartitioner(2).annotate_program(program).columns)
+        loaded_trace.annotate_from(
+            VirtualClusterPartitioner(2).annotate_program(loaded_program).columns
+        )
         assert np.array_equal(loaded_trace.vc_id, compiled.vc_id)
         assert np.array_equal(loaded_trace.chain_leader, compiled.chain_leader)
 
@@ -172,11 +197,14 @@ class TestEngineIntegration:
         assert first == second
 
     @pytest.mark.parametrize(
-        "tamper", ["offset-past-end", "offsets-decrease", "negative-dest", "negative-sid"]
+        "tamper",
+        ["offset-past-end", "offsets-decrease", "negative-dest", "negative-sid", "foreign-sid"],
     )
     def test_tampered_artifact_is_a_miss_and_regenerated(self, tmp_path, small_profile, tamper):
-        """Malformed CSR columns fail in the trace constructor: the store
-        counts a miss and the job regenerates the untampered trace."""
+        """Malformed CSR columns fail in the trace constructor, and a trace
+        row naming an instruction of another opclass fails the program
+        check: the store counts a miss and the job regenerates the
+        untampered trace."""
         root = tmp_path / "traces"
         job = make_job(small_profile)
         expected = execute_job(job, trace_root=str(root))
@@ -191,6 +219,9 @@ class TestEngineIntegration:
             offsets[1] = offsets[-1]
         elif tamper == "negative-dest":
             data["dest_regs"][0] = -1
+        elif tamper == "foreign-sid":
+            other = np.flatnonzero(data["opclass"] != data["opclass"][0])[0]
+            data["sid"][0] = data["sid"][other]
         else:
             data["sid"][0] = -1
         np.savez_compressed(path.with_suffix(""), **data)  # savez re-appends .npz

@@ -10,8 +10,6 @@ from repro.uops.encoding import (
     MAX_PHYSICAL_CLUSTERS,
     MAX_VIRTUAL_CLUSTERS,
     SteeringAnnotation,
-    annotation_of,
-    apply_annotation,
     decode_annotation,
     encode_annotation,
 )
@@ -111,18 +109,22 @@ class TestStaticInstruction:
         inst = StaticInstruction(5, UopClass.LOAD, dests=(10,), srcs=(1, 2), block=3)
         assert inst.sid == 5
         assert inst.is_memory and inst.is_load and not inst.is_store
-        assert inst.queue == IssueQueueKind.INT
+        assert inst.latency == latency_of(UopClass.LOAD)
         assert inst.block == 3
         assert inst.dests == (10,)
         assert inst.srcs == (1, 2)
 
-    def test_annotations_default_empty(self):
+    def test_carries_no_annotation(self):
+        """Annotations are a pass's sid-indexed columns, never instruction fields."""
         inst = StaticInstruction(0, UopClass.INT_ALU)
-        assert inst.vc_id is None and not inst.chain_leader and inst.static_cluster is None
+        for name in ("vc_id", "chain_leader", "static_cluster"):
+            assert not hasattr(inst, name)
+            with pytest.raises(AttributeError):
+                setattr(inst, name, 0)
 
-    def test_fp_and_branch_flags(self):
-        assert StaticInstruction(0, UopClass.FP_MUL, dests=(70,)).is_fp
+    def test_branch_flag(self):
         assert StaticInstruction(1, UopClass.BRANCH, srcs=(1,)).is_branch
+        assert not StaticInstruction(0, UopClass.FP_MUL, dests=(70,)).is_branch
 
 
 class TestEncoding:
@@ -153,12 +155,24 @@ class TestEncoding:
         with pytest.raises(ValueError):
             decode_annotation(-1)
 
-    def test_apply_and_extract(self):
-        inst = StaticInstruction(0, UopClass.INT_ALU, dests=(10,))
-        annotation = SteeringAnnotation(vc_id=1, chain_leader=True)
-        apply_annotation(inst, annotation)
-        assert inst.vc_id == 1 and inst.chain_leader
-        assert annotation_of(inst) == annotation
+    def test_pass_columns_encode_per_instruction(self, small_profile):
+        """Every instruction's entries of a pass's columns fit the ISA field."""
+        from repro.partition import OperationBasedPartitioner, VirtualClusterPartitioner
+        from repro.workloads.generator import generate_program
+
+        program = generate_program(small_profile)
+        vc = VirtualClusterPartitioner(2).annotate_program(program)
+        ob = OperationBasedPartitioner(2).annotate_program(program)
+        for inst in program.all_instructions():
+            for report in (vc, ob):
+                vc_id, leader, cluster = (column[inst.sid].item() for column in report.columns)
+                annotation = SteeringAnnotation(
+                    vc_id=None if vc_id < 0 else vc_id,
+                    chain_leader=leader,
+                    static_cluster=None if cluster < 0 else cluster,
+                )
+                assert not annotation.is_empty
+                assert decode_annotation(encode_annotation(annotation)).chain_leader == leader
 
     @given(
         vc=st.integers(min_value=0, max_value=MAX_VIRTUAL_CLUSTERS - 1),
