@@ -28,6 +28,7 @@ from repro.partition import (
 from repro.partition.base import program_regions, region_ddg
 from repro.partition.chains import identify_chains
 from repro.uops.encoding import SteeringAnnotation, encode_annotation
+from repro.uops.opcodes import UopClass
 from repro.workloads import WorkloadGenerator, profile_for
 
 
@@ -60,9 +61,9 @@ def main() -> None:
     #    returns its annotations as columns indexed by static id.
     vc_pass = VirtualClusterPartitioner(num_virtual_clusters=2)
     vc = vc_pass.annotate_program(program)
-    region, sids = program_regions(program, vc_pass.region_size)[0]
+    region = program_regions(program, vc_pass.region_size)[0]
     ddg = region_ddg(program, vc_pass.region_size, region)
-    assignment = vc.vc_id[list(sids)].tolist()
+    assignment = vc.vc_id[list(region.sids)].tolist()
     chains, leaders = identify_chains(ddg, assignment)
     print(f"First region: {len(region)} instructions, "
           f"{len(chains)} chains, {sum(leaders)} chain leaders")
@@ -71,14 +72,14 @@ def main() -> None:
 
     # 3. Show the ISA-extension encoding of the first few instructions.
     rows = []
-    for inst in region.instructions[:8]:
+    for sid in region.sids[:8]:
         annotation = SteeringAnnotation(
-            vc_id=int(vc.vc_id[inst.sid]), chain_leader=bool(vc.chain_leader[inst.sid])
+            vc_id=int(vc.vc_id[sid]), chain_leader=bool(vc.chain_leader[sid])
         )
         rows.append(
             {
-                "sid": inst.sid,
-                "opclass": inst.opclass.name,
+                "sid": sid,
+                "opclass": UopClass(program.opclass[sid]).name,
                 "vc_id": annotation.vc_id,
                 "chain leader": annotation.chain_leader,
                 "encoded word": f"0b{encode_annotation(annotation):010b}",

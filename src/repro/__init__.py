@@ -41,7 +41,6 @@ __all__ = [
     "__version__",
     # µop / program model
     "UopClass",
-    "StaticInstruction",
     "CompiledTrace",
     "Program",
     "build_ddg",
@@ -125,7 +124,6 @@ __getattr__, __dir__ = lazy_exports(
         ".steering.virtual_cluster": ("VirtualClusterSteering",),
         ".uops.compiled": ("CompiledTrace",),
         ".uops.opcodes": ("UopClass",),
-        ".uops.uop": ("StaticInstruction",),
         ".workloads.generator": ("WorkloadGenerator",),
         ".workloads.profile": ("BenchmarkProfile",),
         ".workloads.spec2000": ("all_trace_names", "profile_for"),

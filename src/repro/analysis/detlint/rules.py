@@ -110,9 +110,9 @@ RULES: Tuple[Rule, ...] = (
     Rule(
         "DET109",
         "trace-column-write",
-        "in-place writes to CompiledTrace stored columns mutate state that "
-        "may be shared (memo, artifact cache, shm segment) by sibling "
-        "batches; columns must be replaced, never edited",
+        "in-place writes to CompiledTrace or Program columns mutate state "
+        "that may be shared (memo, shm segment) by sibling batches; columns "
+        "must be replaced, never edited",
     ),
     Rule(
         "DET110",
@@ -146,14 +146,18 @@ _DATETIME_CALLS = frozenset({"now", "utcnow", "today"})
 #: Directory-listing callables whose result order is filesystem-dependent.
 _FS_LIST_CALLS = frozenset({"listdir", "scandir", "glob", "iglob", "rglob", "iterdir"})
 
-#: CompiledTrace stored-column attribute names (DET109).  Kept in sync with
-#: ``CompiledTrace.STORED_FIELDS`` by a unit test rather than an import so
-#: the linter stays importable without numpy.
+#: CompiledTrace and Program column attribute names (DET109): a trace is
+#: shared by the memo, shm attachments and every configuration of a batch,
+#: and a program with it, with the regions and DDGs memoised on it.  Kept in
+#: sync with ``CompiledTrace.STORED_FIELDS`` and ``Program.COLUMNS`` by a
+#: unit test rather than an import so the linter stays importable without
+#: numpy.
 TRACE_COLUMN_ATTRS = frozenset(
     {
         "seq", "sid", "block", "opclass", "address", "mispredicted",
         "vc_id", "chain_leader", "static_cluster",
         "src_offsets", "src_regs", "dest_offsets", "dest_regs",
+        "block_start", "edge_src", "edge_dst", "edge_probability", "edge_back",
     }
 )
 

@@ -62,34 +62,29 @@ def program_statistics(program: Program) -> Dict[str, float]:
     ``memory_fraction``, ``branch_fraction``, ``mean_block_ilp``,
     ``mean_critical_path``.
     """
+    total = program.num_instructions
+    if total == 0:
+        raise ValueError("program has no instructions")
     block_sizes: List[int] = []
     ilps: List[float] = []
     critical_paths: List[int] = []
-    class_counts: Dict[UopClass, int] = {}
-    total = 0
-    for bid in sorted(program.blocks):
-        block = program.block(bid)
-        if len(block) == 0:
+    for bid in range(program.num_blocks):
+        sids = program.block_sids(bid)
+        if not sids:
             continue
-        block_sizes.append(len(block))
-        stats = ddg_statistics(build_ddg(block.instructions))
+        block_sizes.append(len(sids))
+        stats = ddg_statistics(build_ddg(program, sids))
         ilps.append(stats.ilp)
         critical_paths.append(stats.critical_path_length)
-        for inst in block.instructions:
-            class_counts[inst.opclass] = class_counts.get(inst.opclass, 0) + 1
-            total += 1
-    if total == 0:
-        raise ValueError("program has no instructions")
-    fp = sum(class_counts.get(c, 0) for c in (UopClass.FP_ADD, UopClass.FP_MUL, UopClass.FP_DIV))
-    mem = class_counts.get(UopClass.LOAD, 0) + class_counts.get(UopClass.STORE, 0)
-    br = class_counts.get(UopClass.BRANCH, 0)
+    counts = np.bincount(program.opclass, minlength=len(UopClass)).tolist()
+    fp = sum(counts[c] for c in (UopClass.FP_ADD, UopClass.FP_MUL, UopClass.FP_DIV))
     return {
         "num_blocks": float(program.num_blocks),
         "num_instructions": float(total),
         "mean_block_size": float(np.mean(block_sizes)),
         "fp_fraction": fp / total,
-        "memory_fraction": mem / total,
-        "branch_fraction": br / total,
+        "memory_fraction": (counts[UopClass.LOAD] + counts[UopClass.STORE]) / total,
+        "branch_fraction": counts[UopClass.BRANCH] / total,
         "mean_block_ilp": float(np.mean(ilps)),
         "mean_critical_path": float(np.mean(critical_paths)),
     }

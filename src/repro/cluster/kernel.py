@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import heapq
 import os
+import weakref
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -197,7 +198,10 @@ class VectorizedKernel(SteeringContext):
     )
 
     def __init__(self, processor) -> None:
-        self._processor = processor
+        # A weak reference: the processor owns its kernel, and a cycle would
+        # keep a finished batch's processor and bound trace alive until the
+        # next cyclic garbage collection.
+        self._processor = weakref.ref(processor)
         config = processor.config
         self.num_clusters = config.num_clusters
         self._all_mask = (1 << config.num_clusters) - 1
@@ -246,13 +250,14 @@ class VectorizedKernel(SteeringContext):
         offsets = plan.dest_offsets
         self._dest_ranges = [range(lo, hi) for lo, hi in zip(offsets, offsets[1:])]
         self._num_defs = plan.num_defs
-        self._u_meta = compiled.dispatch_meta(self._processor.register_space)
+        register_space = self._processor().register_space
+        self._u_meta = compiled.dispatch_meta(register_space)
         self._u_latency = compiled.latency_list()
         # Issue-to-writeback delay of a non-memory µop (at least one cycle).
         self._u_exec_latency = [lat if lat > 1 else 1 for lat in self._u_latency]
         self._u_is_memory = compiled.is_memory_list()
         self._u_address = compiled.address_list()
-        self._u_dest_counts = compiled.dest_kind_counts(self._processor.register_space)
+        self._u_dest_counts = compiled.dest_kind_counts(register_space)
 
     # ------------------------------------------------------------------- running --
     def run(self, limit: int) -> None:
@@ -263,7 +268,7 @@ class VectorizedKernel(SteeringContext):
         parity suites.  On return ``processor.cycle`` and the scalar metric
         counters are written back; list-valued metrics are updated in place.
         """
-        proc = self._processor
+        proc = self._processor()
         config = proc.config
         num_clusters = self.num_clusters
         metrics = proc.metrics

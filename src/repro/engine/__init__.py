@@ -22,11 +22,11 @@ the cache-replay path:
     points; integer counters survive the JSON round trip bit-for-bit.
 
 ``TraceArtifactStore`` (:mod:`repro.engine.artifacts`)
-    Content-addressed on-disk store of compiled trace artifacts
-    (:class:`~repro.uops.compiled.CompiledTrace` columns plus the pickled
-    static program) keyed by :meth:`SimulationJob.trace_key`.  Workers load
-    phase traces instead of regenerating them; every configuration of a
-    phase shares one artifact.
+    Content-addressed on-disk store of compiled trace artifacts (the static
+    program's columns plus the trace's dynamic ``sid``/``address``/
+    ``mispredicted`` columns, no pickle) keyed by
+    :meth:`SimulationJob.trace_key`.  Workers load phase traces instead of
+    regenerating them; every configuration of a phase shares one artifact.
 
 ``RunPlan`` / ``JobBatch`` (:mod:`repro.engine.batch`)
     The batch-scheduling layer: a run's jobs partitioned into one batch per

@@ -6,12 +6,16 @@ after the simulation itself, and it is *shared*: every configuration of a
 ``(benchmark, phase)`` pair consumes the exact same stream (the paper's
 methodology).  :class:`TraceArtifactStore` makes that stream a durable
 artifact: one ``.npz`` file per :meth:`SimulationJob.trace_key
-<repro.engine.job.SimulationJob.trace_key>`, holding the
-:class:`~repro.uops.compiled.CompiledTrace` columns plus the pickled static
-program, stored under ``<root>/<key[:2]>/<key>.npz``.  Parallel workers (and
-later invocations, sweeps, figure reruns) load the artifact instead of
-regenerating the trace; the per-process ``_TRACE_MEMO`` in
-:mod:`repro.engine.parallel` is just a thin in-memory layer over this store.
+<repro.engine.job.SimulationJob.trace_key>`, stored under
+``<root>/<key[:2]>/<key>.npz``, holding the layout of
+:func:`repro.program.program.pack`: the static program's sid-indexed columns,
+the trace's dynamic ``sid``/``address``/``mispredicted`` columns and a JSON
+``meta`` member (the program's name, entry block and register space).  The
+trace's static columns are gathered back from the program by sid at load.
+Parallel workers (and later invocations, sweeps, figure reruns) load the
+artifact instead of regenerating the trace; the per-process ``_TRACE_MEMO``
+in :mod:`repro.engine.parallel` is just a thin in-memory layer over this
+store.
 
 Trace artifacts are independent of the steering configuration by design:
 a compile-time pass never changes the program, its sid-indexed columns are
@@ -27,18 +31,18 @@ for layout changes.
 Writes are atomic (temporary sibling + ``os.replace``) so concurrent workers
 sharing one cache directory race benignly; corrupt, truncated or
 version-mismatched files are treated as misses and rewritten, and so is an
-artifact whose trace does not fit its program (a ``sid`` with no
-instruction, or an ``opclass`` other than that instruction's).
+artifact whose columns fail the program's validation or whose trace names a
+``sid`` the program does not have.
 
-Security note: the program half of an artifact is a pickle, so artifacts are
-trusted local cache state (the same trust level as the result cache), not an
-interchange format.
+Security note: artifacts hold only numeric columns and a JSON member, and
+``np.load`` (by default) refuses object members, so an edited artifact is at
+worst a miss or a different valid program, never code run at load.
 """
 
 from __future__ import annotations
 
+import json
 import os
-import pickle
 import tempfile
 import zipfile
 from pathlib import Path
@@ -50,9 +54,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only; loaded where artifacts are 
     from repro.program.program import Program
     from repro.uops.compiled import CompiledTrace
 
-#: Bump when the artifact layout changes (stored columns, program pickling).
+#: Bump when the artifact layout changes.
 #: 2: static instructions no longer carry annotation slots.
-TRACE_ARTIFACT_VERSION = 2
+#: 3: program columns plus the trace's dynamic columns, all numeric.
+TRACE_ARTIFACT_VERSION = 3
 
 
 #: Deflate level of artifact members.  Level 1 keeps the files within about
@@ -79,7 +84,7 @@ def _write_npz(handle, arrays: Dict[str, np.ndarray]) -> None:
     ) as archive:
         for name, array in arrays.items():
             with archive.open(f"{name}.npy", mode="w", force_zip64=True) as member:
-                np.lib.format.write_array(member, np.asanyarray(array), allow_pickle=False)
+                np.lib.format.write_array(member, np.asanyarray(array))
 
 
 class TraceArtifactStore:
@@ -110,30 +115,20 @@ class TraceArtifactStore:
         """Load the artifact for ``key``, or ``None`` on any kind of miss."""
         import numpy as np
 
-        from repro.uops.compiled import CompiledTrace
+        from repro.program.program import LAYOUT_DTYPES, unpack
 
         path = self._path(key)
         try:
-            with np.load(path, allow_pickle=False) as data:
+            with np.load(path) as data:
                 if int(data["artifact_version"][0]) != TRACE_ARTIFACT_VERSION:
                     raise ValueError("trace artifact version mismatch")
-                trace = CompiledTrace(
-                    **{name: data[name] for name in CompiledTrace.STORED_FIELDS}
-                )
-                program = pickle.loads(data["program_pickle"].tobytes())
-            opclass_of = program.sid_opclasses()
-            if len(trace) and (
-                int(trace.sid.max()) >= len(opclass_of)
-                or (opclass_of[trace.sid] != trace.opclass).any()
-            ):
-                raise ValueError("trace does not match its program")
+                meta = json.loads(data["meta"].tobytes())
+                columns = {name: data[name] for name in LAYOUT_DTYPES}
+            program, trace = unpack(meta, columns)
         except (OSError, ValueError, KeyError, TypeError, EOFError, IndexError,
-                AttributeError, ImportError, zipfile.BadZipFile,
-                pickle.UnpicklingError):
-            # Missing, corrupt, truncated or incompatible artifact: a miss.
-            # IndexError covers out-of-range opclass codes hitting the derived
-            # lookup tables; AttributeError/ImportError cover program pickles
-            # written by builds whose classes have since moved or changed.
+                zipfile.BadZipFile):
+            # Missing, corrupt, truncated, incompatible or invalid artifact:
+            # a miss.  IndexError covers an empty version member.
             self.misses += 1
             return None
         self.hits += 1
@@ -143,12 +138,12 @@ class TraceArtifactStore:
         """Store ``(program, trace)`` under ``key`` (atomic, last-writer-wins)."""
         import numpy as np
 
+        from repro.program.program import pack
+
         path = self._path(key)
         path.parent.mkdir(parents=True, exist_ok=True)
-        payload = dict(trace.stored_columns())
-        payload["program_pickle"] = np.frombuffer(
-            pickle.dumps(program, protocol=pickle.HIGHEST_PROTOCOL), dtype=np.uint8
-        )
+        meta, payload = pack(program, trace)
+        payload["meta"] = np.frombuffer(json.dumps(meta, sort_keys=True).encode(), dtype=np.uint8)
         payload["artifact_version"] = np.array([TRACE_ARTIFACT_VERSION], dtype=np.int64)
         fd, tmp_name = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
         try:

@@ -35,8 +35,8 @@ workers acquire traces themselves from the artifact store or by
 regeneration.
 
 Traces also move through two durable cache layers.  The content-addressed
-:class:`~repro.engine.artifacts.TraceArtifactStore` persists compiled traces
-(plus their static programs) as ``.npz`` artifacts keyed by
+:class:`~repro.engine.artifacts.TraceArtifactStore` persists static programs
+with their traces' dynamic columns as ``.npz`` artifacts keyed by
 :meth:`SimulationJob.trace_key`, shared by every worker process, every
 configuration of a phase and every later invocation.  On top of it each
 process keeps a small in-memory memo (``_TRACE_MEMO``) so the jobs of one
@@ -170,9 +170,10 @@ def _prepare_job(job: SimulationJob, program, compiled):
     :meth:`~repro.experiments.configs.SteeringConfiguration.partitioner_key`:
     the first job of a key runs the compile-time pass over ``program``
     (which only reads it) and gathers the returned sid-indexed columns with
-    ``annotate_from``; a hardware-only key (``None``) gets constant
-    unannotated columns without reading ``program``.  Every later job of a
-    key installs the stored read-only columns.
+    ``annotate_from``, whose installed read-only arrays are the memoised
+    value; a hardware-only key (``None``) gets constant unannotated columns
+    without reading ``program``.  Every later job of a key installs the
+    memoised arrays again.
     """
     configuration = job.configuration
     key = configuration.partitioner_key(
@@ -190,7 +191,8 @@ def _prepare_job(job: SimulationJob, program, compiled):
         # Only the regions the trace runs need a partition (RegionPartitioner.executed_sids).
         partitioner.executed_sids = set(compiled.sid.tolist())
         report = partitioner.annotate_program(program)
-        return compiled.annotate_from(report.columns).annotation_columns()
+        compiled.annotate_from(report.columns)
+        return tuple(getattr(compiled, name) for name in compiled.ANNOTATION_FIELDS)
 
     compiled.install_annotations(compiled.memo(("annotations", key), annotate))
     return configuration.make_policy(job.num_clusters, job.num_virtual_clusters)

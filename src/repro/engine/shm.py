@@ -8,13 +8,14 @@ survives between :meth:`ParallelRunner.run` calls except the per-process
 memo.  This module makes a compiled trace a process-shared resource instead:
 
 :class:`SharedTraceSegment`
-    One ``multiprocessing.shared_memory`` block holding a
-    :class:`~repro.uops.compiled.CompiledTrace`'s stored columns (raw,
-    uncompressed, 64-byte aligned) plus the pickled static program and a
-    small JSON header describing the layout.  The parent *publishes* a
-    segment once per trace; workers *attach* by name and rebuild the trace
-    as zero-copy numpy views over the block -- no column bytes ever travel
-    through the task queue or the filesystem.
+    One ``multiprocessing.shared_memory`` block holding the layout of
+    :func:`repro.program.program.pack` -- the static program's sid-indexed
+    columns plus the trace's dynamic ``sid``/``address``/``mispredicted``
+    columns (raw, uncompressed, 64-byte aligned) -- and a small JSON header
+    describing it.  The parent *publishes* a segment once per trace; workers
+    *attach* by name, view the program's columns zero-copy over the block,
+    and gather the trace's static columns from them by sid -- no column
+    bytes ever travel through the task queue or the filesystem.
 
 :class:`SegmentRegistry`
     The parent-side owner of all segments of one
@@ -45,16 +46,15 @@ closes), so parent-side cleanup never races worker-side use.
 
 Correctness invariant
 ---------------------
-Attached traces are bit-identical to published ones: the stored columns are
+Attached traces are bit-identical to published ones: the columns are
 copied byte-for-byte into the block and viewed back with the same dtypes and
-shapes (the derived columns are recomputed by ``CompiledTrace.__init__``
-exactly as on every other construction path), and the annotation scatter
-(:meth:`CompiledTrace.annotate_from`) *replaces* the annotation arrays
-rather than writing in place, so the block itself is effectively immutable
--- attached views are marked read-only (as every bound trace is; see
-:meth:`ClusteredProcessor.bind`) so an in-place write from a worker raises
-at the offending line instead of corrupting every sibling attached to the
-block.
+shapes, and the trace is gathered from them exactly as trace generation and
+the artifact store build it (:meth:`Program.trace
+<repro.program.program.Program.trace>`).  The views over the block are
+read-only, and the rebuilt trace arrives frozen (as every bound trace is;
+see :meth:`ClusteredProcessor.bind`), so an in-place write from a worker
+raises at the offending line.  A block whose columns fail the program's
+validation raises ``ValueError`` at :meth:`SharedTraceSegment.load`.
 Simulating against an attached trace is therefore bit-identical to
 simulating against the original (pinned by the round-trip property tests).
 """
@@ -63,16 +63,17 @@ from __future__ import annotations
 
 import json
 import os
-import pickle
 import weakref
 from collections import OrderedDict
 from typing import TYPE_CHECKING, Callable, Dict, Optional, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - typing only; loaded where segments are built
+    from repro.program.program import Program
     from repro.uops.compiled import CompiledTrace
 
 #: Bump when the in-block layout changes (header schema, alignment).
-SEGMENT_LAYOUT_VERSION = 1
+#: 2: program columns plus the trace's dynamic columns, all numeric.
+SEGMENT_LAYOUT_VERSION = 2
 
 #: Column start alignment inside a segment; generous enough for every dtype
 #: the stored columns use and cache-line friendly.
@@ -118,7 +119,7 @@ def _unregister_from_tracker(shm) -> None:
 
 
 class SharedTraceSegment:
-    """A compiled trace (plus its program) published in one shared block.
+    """A program and its compiled trace published in one shared block.
 
     Instances come in two flavours: *owners* (built by :meth:`create`, the
     only side that may :meth:`unlink`) and *attachments* (built by
@@ -137,22 +138,23 @@ class SharedTraceSegment:
     # ------------------------------------------------------------- publish --
     @classmethod
     def create(
-        cls, trace_key: str, program, compiled: CompiledTrace, name: Optional[str] = None
+        cls, trace_key: str, program: Program, compiled: CompiledTrace, name: Optional[str] = None
     ) -> "SharedTraceSegment":
         """Publish ``(program, compiled)`` as a new shared block.
 
         The block holds an 8-byte header-length prefix, a JSON header
-        (layout version, trace key, per-column dtype/shape/offset, program
-        extent), the pickled program, then the raw column bytes, each
-        aligned to 64 bytes.
+        (layout version, trace key, the program's meta, per-column
+        dtype/shape/offset), then the raw column bytes, each aligned to 64
+        bytes.
         """
         import numpy as np
+
+        from repro.program.program import pack
 
         shared_memory = _shared_memory()
         if shared_memory is None:  # pragma: no cover - guarded by callers
             raise RuntimeError("multiprocessing.shared_memory is unavailable")
-        program_bytes = pickle.dumps(program, protocol=pickle.HIGHEST_PROTOCOL)
-        columns = compiled.stored_columns()
+        meta, columns = pack(program, compiled)
         arrays = {key: np.ascontiguousarray(array) for key, array in columns.items()}
 
         # Column offsets relative to the start of the data region.
@@ -167,12 +169,11 @@ class SharedTraceSegment:
         # at most two passes -- only offset digit counts can move it).
         slot = 512
         while True:
-            program_offset = _align(_PREFIX + slot)
-            data_base = _align(program_offset + len(program_bytes))
+            data_base = _align(_PREFIX + slot)
             header: Dict[str, object] = {
                 "version": SEGMENT_LAYOUT_VERSION,
                 "trace_key": trace_key,
-                "program": [program_offset, len(program_bytes)],
+                "program": meta,
                 "columns": {
                     key: {
                         "dtype": arrays[key].dtype.str,
@@ -193,7 +194,6 @@ class SharedTraceSegment:
             buffer = shm.buf
             buffer[0:_PREFIX] = len(header_bytes).to_bytes(_PREFIX, "little")
             buffer[_PREFIX:_PREFIX + len(header_bytes)] = header_bytes
-            buffer[program_offset:program_offset + len(program_bytes)] = program_bytes
             for key, array in arrays.items():
                 offset = header["columns"][key]["offset"]
                 target = np.ndarray(array.shape, dtype=array.dtype, buffer=buffer, offset=offset)
@@ -229,34 +229,35 @@ class SharedTraceSegment:
             )
         return header
 
-    def load(self) -> Tuple[object, CompiledTrace]:
+    def load(self) -> Tuple[Program, CompiledTrace]:
         """Rebuild ``(program, compiled trace)`` from the block.
 
-        The program is unpickled into this process (the compile-time passes
-        only read it, and memoise their regions and DDGs on it); the trace
-        columns are read-only zero-copy views over the shared buffer.
+        The program's columns are read-only zero-copy views over the shared
+        buffer (the compile-time passes only read them, and memoise their
+        regions and DDGs on the program); the trace is gathered from them
+        and frozen.  Raises ``ValueError`` when a column has an unexpected
+        dtype or fails the program's validation.
         """
         import numpy as np
 
-        from repro.uops.compiled import CompiledTrace
+        from repro.program.program import LAYOUT_DTYPES, unpack
 
         header = self._read_header(self._shm)
-        program_offset, program_length = header["program"]
-        program = pickle.loads(
-            bytes(self._shm.buf[program_offset:program_offset + program_length])
-        )
         columns: Dict[str, np.ndarray] = {}
-        for key in CompiledTrace.STORED_FIELDS:
+        for key, dtype in LAYOUT_DTYPES.items():
             spec = header["columns"][key]
+            if np.dtype(spec["dtype"]) != dtype:
+                raise ValueError(f"segment column {key!r} has dtype {spec['dtype']}")
             view = np.ndarray(
                 tuple(spec["shape"]),
-                dtype=np.dtype(spec["dtype"]),
+                dtype=dtype,
                 buffer=self._shm.buf,
                 offset=int(spec["offset"]),
             )
             view.flags.writeable = False
             columns[key] = view
-        return program, CompiledTrace(**columns)
+        program, compiled = unpack(header["program"], columns)
+        return program, compiled.freeze()
 
     # ------------------------------------------------------------- cleanup --
     def close(self) -> None:
@@ -345,7 +346,7 @@ class SegmentRegistry:
         return entry[0] if entry is not None else None
 
     def publish(
-        self, trace_key: str, loader: Callable[[], Tuple[object, CompiledTrace]]
+        self, trace_key: str, loader: Callable[[], Tuple[Program, CompiledTrace]]
     ) -> SharedTraceSegment:
         """The segment for ``trace_key``, creating it from ``loader()`` if new."""
         entry = self._entries.get(trace_key)
@@ -424,14 +425,14 @@ class SegmentRegistry:
 #: Per-process ``segment name -> (segment, program, compiled)`` LRU.  One
 #: batch task per trace attaches; later batches of the same trace (warm
 #: workers across runs) reuse the mapping and the rebuilt objects.
-_ATTACHMENTS: "OrderedDict[str, Tuple[SharedTraceSegment, object, CompiledTrace]]" = OrderedDict()
+_ATTACHMENTS: "OrderedDict[str, Tuple[SharedTraceSegment, Program, CompiledTrace]]" = OrderedDict()
 
 #: Default attachment-cache capacity; like the trace memo it only needs to
 #: cover the traces a worker cycles through, not a whole suite.
 DEFAULT_ATTACH_CAP = 8
 
 
-def attach_segment(name: str, cap: int = DEFAULT_ATTACH_CAP) -> Tuple[object, CompiledTrace]:
+def attach_segment(name: str, cap: int = DEFAULT_ATTACH_CAP) -> Tuple[Program, CompiledTrace]:
     """The ``(program, compiled trace)`` of segment ``name``, cached per process."""
     entry = _ATTACHMENTS.get(name)
     if entry is not None:

@@ -80,20 +80,15 @@ class PartitionReport:
         return min(1.0, sum(loads) / len(loads) / worst)
 
 
-def program_regions(program: Program, region_size: int) -> List[Tuple[Region, Tuple[int, ...]]]:
-    """The regions of ``program``, each with its instructions' static ids.
+def program_regions(program: Program, region_size: int) -> List[Region]:
+    """The regions of ``program``.
 
     Formed once per ``(program, region_size)`` and held in the program's
     memo: every pass over the program (OB, RHOP and VC alike) reads them.
     """
-
-    def build() -> List[Tuple[Region, Tuple[int, ...]]]:
-        return [
-            (region, tuple(inst.sid for inst in region.instructions))
-            for region in form_regions(program, max_instructions=region_size)
-        ]
-
-    return program.memo(("regions", region_size), build)
+    return program.memo(
+        ("regions", region_size), lambda: form_regions(program, max_instructions=region_size)
+    )
 
 
 def region_ddg(program: Program, region_size: int, region: Region) -> DataDependenceGraph:
@@ -101,7 +96,7 @@ def region_ddg(program: Program, region_size: int, region: Region) -> DataDepend
     built when a pass first partitions the region, then memoised on the
     program; regions no trace executes never get one.  Read-only."""
     return program.memo(
-        ("region ddg", region_size, region.rid), lambda: build_ddg(region.instructions)
+        ("region ddg", region_size, region.rid), lambda: build_ddg(program, region.sids)
     )
 
 
@@ -150,8 +145,8 @@ class RegionPartitioner(abc.ABC):
         Default: bind every instruction to its physical cluster.
         """
         static_cluster = columns[2]
-        for inst, target in zip(ddg.instructions, assignment):
-            static_cluster[inst.sid] = target
+        for sid, target in zip(ddg.sids, assignment):
+            static_cluster[sid] = target
 
     # -- driver -------------------------------------------------------------------
     def annotate_program(self, program: Program) -> PartitionReport:
@@ -166,7 +161,7 @@ class RegionPartitioner(abc.ABC):
         report = PartitionReport(
             program_name=program.name, partitioner=self.name, num_targets=self.num_targets
         )
-        size = len(program.sid_opclasses())
+        size = program.num_instructions
         columns: AnnotationLists = (
             [NO_ANNOTATION] * size,
             [False] * size,
@@ -175,8 +170,8 @@ class RegionPartitioner(abc.ABC):
         regions = program_regions(program, self.region_size)
         report.num_regions = len(regions)
         executed = self.executed_sids
-        for region, sids in regions:
-            if not sids or (executed is not None and executed.isdisjoint(sids)):
+        for region in regions:
+            if not region.sids or (executed is not None and executed.isdisjoint(region.sids)):
                 continue
             ddg = region_ddg(program, self.region_size, region)
             assignment = self.partition_region(ddg)

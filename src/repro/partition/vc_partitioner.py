@@ -135,9 +135,9 @@ class VirtualClusterPartitioner(RegionPartitioner):
         vc_id, chain_leader, _ = columns
         leaders = chain_leaders(ddg, assignment)
         report.chain_leaders += sum(leaders)
-        for inst, vc, leader in zip(ddg.instructions, assignment, leaders):
-            vc_id[inst.sid] = vc
-            chain_leader[inst.sid] = leader
+        for sid, vc, leader in zip(ddg.sids, assignment, leaders):
+            vc_id[sid] = vc
+            chain_leader[sid] = leader
 
 
 @register_partitioner("VC")

@@ -1,17 +1,16 @@
 """Compiler intermediate representation.
 
 The compile-time half of the hybrid steering scheme (and both software-only
-baselines) operates on a conventional compiler IR:
+baselines) operates on a conventional compiler IR, held as data:
 
-* :mod:`repro.program.basic_block` -- straight-line sequences of
-  :class:`~repro.uops.uop.StaticInstruction`.
-* :mod:`repro.program.cfg` -- the control-flow graph with edge probabilities
-  and loop back-edges, used both by region formation and by the dynamic trace
-  expander.
-* :mod:`repro.program.program` -- the :class:`Program` container tying blocks,
-  CFG and live-in registers together.
+* :mod:`repro.program.program` -- the :class:`Program`: read-only columns
+  indexed by static id (µop class, block, source and destination registers)
+  plus the basic blocks' extents and the control-flow graph's edge lists
+  with their probabilities and loop back-edges.  It also gathers a compiled
+  trace from dynamic ``(sid, address, mispredicted)`` rows, and packs the
+  one layout trace artifacts and shared-memory segments store.
 * :mod:`repro.program.ddg` -- data-dependence graph construction over a
-  sequence of static instructions (the object all partitioners work on).
+  sequence of static ids (the object all partitioners work on).
 * :mod:`repro.program.regions` -- superblock-style region formation that gives
   the compiler the "bigger window of instructions" the paper credits
   software-only schemes with.
@@ -22,9 +21,6 @@ baselines) operates on a conventional compiler IR:
 from repro._lazy import lazy_exports
 
 __all__ = [
-    "BasicBlock",
-    "ControlFlowGraph",
-    "CFGEdge",
     "Program",
     "DataDependenceGraph",
     "build_ddg",
@@ -36,8 +32,6 @@ __all__ = [
 __getattr__, __dir__ = lazy_exports(
     __name__,
     {
-        ".basic_block": ("BasicBlock",),
-        ".cfg": ("ControlFlowGraph", "CFGEdge"),
         ".ddg": ("DataDependenceGraph", "build_ddg"),
         ".program": ("Program",),
         ".regions": ("Region", "form_regions"),

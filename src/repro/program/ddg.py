@@ -12,36 +12,37 @@ registers), so they are not represented.
 from __future__ import annotations
 
 from itertools import accumulate, chain, repeat
-from operator import attrgetter, lt
-from typing import Callable, Dict, Hashable, List, Sequence, Tuple
+from operator import lt
+from typing import TYPE_CHECKING, Callable, Dict, Hashable, List, Sequence, Tuple
 
-from repro.uops.uop import StaticInstruction
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.program.program import Program
 
 
 class DataDependenceGraph:
     """DDG over the instructions of one compilation region, as flat arrays.
 
     Nodes are integer positions ``0..n-1`` into the region's instruction
-    sequence; :attr:`instructions` maps positions back to
-    :class:`~repro.uops.uop.StaticInstruction` objects, and :attr:`latencies`
-    and :attr:`blocks` hold every node's functional-unit latency and
-    basic-block id.  Every edge runs forward, so program order is the one
-    topological order.  Edges are stored consumer-major in CSR form: node
-    ``v``'s producers are ``pred_nodes[pred_start[v]:pred_start[v + 1]]``, in
-    the order :func:`build_ddg` found them, and edge ``k`` runs from
-    ``pred_nodes[k]`` to ``edge_consumers[k]`` with the producer latency
-    ``edge_latencies[k]``.  That is the graph's edge order.  Analyses of the
-    graph (criticality, slack) are memoised on it (:meth:`memo`), so every
-    pass over the region shares one copy.
+    sequence; :attr:`sids` maps positions back to the program's static ids,
+    and :attr:`latencies` and :attr:`blocks` hold every node's
+    functional-unit latency and basic-block id.  Every edge runs forward, so
+    program order is the one topological order.  Edges are stored
+    consumer-major in CSR form: node ``v``'s producers are
+    ``pred_nodes[pred_start[v]:pred_start[v + 1]]``, in the order
+    :func:`build_ddg` found them, and edge ``k`` runs from ``pred_nodes[k]``
+    to ``edge_consumers[k]`` with the producer latency ``edge_latencies[k]``.
+    That is the graph's edge order.  Analyses of the graph (criticality,
+    slack) are memoised on it (:meth:`memo`), so every pass over the region
+    shares one copy.
     """
 
     def __init__(
-        self, instructions: Sequence[StaticInstruction], preds: Sequence[Sequence[int]]
+        self, program: Program, sids: Sequence[int], preds: Sequence[Sequence[int]]
     ) -> None:
-        self.instructions: List[StaticInstruction] = list(instructions)
-        self.latencies: List[int] = list(map(attrgetter("latency"), self.instructions))
-        self.blocks: List[int] = list(map(attrgetter("block"), self.instructions))
-        if len(preds) != len(self.instructions):
+        self.sids: List[int] = list(sids)
+        self.latencies: List[int] = list(map(program.latency_list().__getitem__, self.sids))
+        self.blocks: List[int] = list(map(program.block_list().__getitem__, self.sids))
+        if len(preds) != len(self.sids):
             raise ValueError("need one predecessor list per instruction")
         self.pred_start: List[int] = list(accumulate(map(len, preds), initial=0))
         self.pred_nodes: List[int] = list(chain.from_iterable(preds))
@@ -65,7 +66,7 @@ class DataDependenceGraph:
 
     # -- queries -----------------------------------------------------------------
     def __len__(self) -> int:
-        return len(self.instructions)
+        return len(self.sids)
 
     @property
     def num_edges(self) -> int:
@@ -95,41 +96,19 @@ class DataDependenceGraph:
         return f"DataDependenceGraph(nodes={len(self)}, edges={self.num_edges})"
 
 
-def build_ddg(
-    instructions: Sequence[StaticInstruction],
-    include_memory_edges: bool = False,
-) -> DataDependenceGraph:
-    """Build the DDG of a program-ordered instruction sequence.
-
-    Parameters
-    ----------
-    instructions:
-        Instructions in program order (one compilation region).
-    include_memory_edges:
-        When ``True``, add a conservative dependence edge from every store to
-        every later load (same-region memory ordering).  The paper's
-        steering algorithms work on register dependences only; the option is
-        provided for sensitivity studies.
-
-    Returns
-    -------
-    DataDependenceGraph
-        The register true-dependence graph of the region.
-    """
+def build_ddg(program: Program, sids: Sequence[int]) -> DataDependenceGraph:
+    """Build the register true-dependence graph of ``program``'s instructions
+    ``sids``, in program order (one compilation region)."""
+    srcs = program.src_tuples()
+    dests = program.dest_tuples()
     last_writer: Dict[int, int] = {}
-    last_stores: List[int] = []
     preds: List[List[int]] = []
-    for i, inst in enumerate(instructions):
-        producers = list(map(last_writer.get, inst.srcs))
-        if include_memory_edges and inst.is_load:
-            producers.extend(last_stores)
+    for i, sid in enumerate(sids):
         node_preds: List[int] = []
-        for producer in producers:
+        for producer in map(last_writer.get, srcs[sid]):
             if producer is not None and producer not in node_preds:
                 node_preds.append(producer)
         preds.append(node_preds)
-        for dst in inst.dests:
+        for dst in dests[sid]:
             last_writer[dst] = i
-        if include_memory_edges and inst.is_store:
-            last_stores.append(i)
-    return DataDependenceGraph(instructions, preds)
+    return DataDependenceGraph(program, sids, preds)

@@ -15,29 +15,28 @@ annotates the whole program.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence
+from typing import List, Set, Tuple
 
 from repro.program.program import Program
-from repro.uops.uop import StaticInstruction
+
+#: Stop growing a region when the probability of the path from its seed
+#: falls below this threshold.
+MIN_PATH_PROBABILITY = 0.05
 
 
 @dataclass
 class Region:
-    """One compilation region: an ordered list of block ids and their instructions."""
+    """One compilation region: an ordered list of block ids and their instructions' sids."""
 
     rid: int
     block_ids: List[int] = field(default_factory=list)
-    instructions: List[StaticInstruction] = field(default_factory=list)
+    sids: Tuple[int, ...] = ()
 
     def __len__(self) -> int:
-        return len(self.instructions)
+        return len(self.sids)
 
 
-def form_regions(
-    program: Program,
-    max_instructions: int = 128,
-    min_path_probability: float = 0.05,
-) -> List[Region]:
+def form_regions(program: Program, max_instructions: int = 128) -> List[Region]:
     """Partition ``program`` into superblock regions.
 
     Parameters
@@ -47,9 +46,6 @@ def form_regions(
     max_instructions:
         Upper bound on the number of instructions in a region (the compiler's
         window size).
-    min_path_probability:
-        Stop growing a region when the cumulative probability of the path
-        from its seed falls below this threshold.
 
     Returns
     -------
@@ -58,48 +54,39 @@ def form_regions(
     """
     if max_instructions < 1:
         raise ValueError("max_instructions must be positive")
-    claimed: Dict[int, int] = {}
+    claimed: Set[int] = set()
     regions: List[Region] = []
-    order = sorted(program.blocks)
+    entry = program.entry
     # Seed regions starting from the CFG entry first, then any unclaimed block
     # in id order; this mirrors trace-based superblock formation seeded at the
     # hottest unvisited block without requiring a profile.
-    seeds = [program.cfg.entry] + [b for b in order if b != program.cfg.entry]
+    seeds = [entry] + [b for b in range(program.num_blocks) if b != entry]
     for seed in seeds:
         if seed in claimed:
             continue
-        region = Region(rid=len(regions))
+        block_ids: List[int] = []
+        sids: List[int] = []
         bid = seed
         path_probability = 1.0
         while (
             bid is not None
             and bid not in claimed
-            and len(region.instructions) < max_instructions
-            and path_probability >= min_path_probability
+            and len(sids) < max_instructions
+            and path_probability >= MIN_PATH_PROBABILITY
         ):
-            block = program.block(bid)
-            if region.instructions and len(region.instructions) + len(block) > max_instructions:
+            block = program.block_sids(bid)
+            if sids and len(sids) + len(block) > max_instructions:
                 break
-            claimed[bid] = region.rid
-            region.block_ids.append(bid)
-            region.instructions.extend(block.instructions)
-            # Follow the most likely forward successor.
-            succ = program.cfg.most_likely_successor(bid, exclude_back_edges=True)
-            best_probability = 0.0
-            for edge in program.cfg.successors(bid):
-                if not edge.is_back_edge and edge.dst == succ:
-                    best_probability = max(best_probability, edge.probability)
-            path_probability *= best_probability
-            bid = succ
-        if region.block_ids:
-            regions.append(region)
+            claimed.add(bid)
+            block_ids.append(bid)
+            sids.extend(block)
+            # Follow the most likely forward successor; the first of equally
+            # likely edges wins.
+            best = None
+            for dst, probability, back in program.successors(bid):
+                if not back and (best is None or probability > best[1]):
+                    best = (dst, probability)
+            bid, probability = best if best is not None else (None, 0.0)
+            path_probability *= probability
+        regions.append(Region(len(regions), block_ids, tuple(sids)))
     return regions
-
-
-def region_of_block(regions: Sequence[Region]) -> Dict[int, int]:
-    """Return a mapping from block id to region id."""
-    out: Dict[int, int] = {}
-    for region in regions:
-        for bid in region.block_ids:
-            out[bid] = region.rid
-    return out

@@ -14,10 +14,10 @@ seeded random generator:
   of the simulator turns into fetch redirect penalties.
 
 Everything is reproducible from the ``seed``.  The walk records only
-``(sid, address, mispredict)`` per µop; every static fact is gathered once
-per static instruction and scattered across the dynamic stream, so no
-per-µop Python object is created.  ``tests/test_annotation_digests.py`` pins
-the generated streams of the figure 5 and figure 7 scenarios.
+``(sid, address, mispredict)`` per µop; :meth:`Program.trace
+<repro.program.program.Program.trace>` gathers every static column by sid,
+so no per-µop Python object is created.  ``tests/test_annotation_digests.py``
+pins the generated streams of the figure 5 and figure 7 scenarios.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import numpy as np
 
 from repro.program.program import Program
 from repro.uops.compiled import CompiledTrace
-from repro.uops.uop import StaticInstruction
+from repro.uops.opcodes import is_branch, is_memory
 
 #: Cache line size assumed by the address model (bytes).
 CACHE_LINE_BYTES = 64
@@ -95,10 +95,9 @@ class TraceGenerator:
         self._successors: Dict[int, tuple] = {}
 
     # -- address streams ---------------------------------------------------------
-    def _address_for(self, inst: StaticInstruction) -> int:
-        """Next effective address for a dynamic instance of ``inst``."""
+    def _address_for(self, sid: int) -> int:
+        """Next effective address for a dynamic instance of instruction ``sid``."""
         model = self.address_model
-        sid = inst.sid
         if sid not in self._stream_is_strided:
             self._stream_is_strided[sid] = bool(self._rng.random() < model.strided_fraction)
             base = int(self._rng.integers(0, max(1, model.working_set_bytes // CACHE_LINE_BYTES)))
@@ -129,13 +128,13 @@ class TraceGenerator:
         edges: back to the entry; one edge; or no positive weight), so no
         random draw is made -- exactly when the walk draws none.
         """
-        edges = self.program.cfg.successors(bid)
+        edges = self.program.successors(bid)
         if not edges:
-            return [self.program.cfg.entry], None
-        targets = [edge.dst for edge in edges]
+            return [self.program.entry], None
+        targets = [dst for dst, _, _ in edges]
         if len(edges) == 1:
             return targets, None
-        probabilities = np.array([e.probability for e in edges], dtype=float)
+        probabilities = np.array([probability for _, probability, _ in edges], dtype=float)
         total = probabilities.sum()
         if total <= 0:
             return targets, None
@@ -159,40 +158,27 @@ class TraceGenerator:
         rng_random = self._rng.random
         rate = self.mispredict_rate
         address_for = self._address_for
-        # Per block, its instructions' (instruction, sid, memory, branch)
-        # facts, classified once per block rather than once per µop.
+        program = self.program
+        opclasses = program.opclass.tolist()
+        # Per block, its instructions' (sid, memory, branch) facts,
+        # classified once per block rather than once per µop.
         block_facts: Dict[int, List[tuple]] = {}
-        bid = self.program.cfg.entry
+        bid = program.entry
         guard = num_uops * 4 + 16  # bounds the walk on degenerate CFGs with empty blocks
         while len(sids) < num_uops and guard:
             guard -= 1
             facts = block_facts.get(bid)
             if facts is None:
                 facts = [
-                    (inst, inst.sid, inst.is_memory, inst.is_branch)
-                    for inst in self.program.block(bid).instructions
+                    (sid, is_memory(opclasses[sid]), is_branch(opclasses[sid]))
+                    for sid in program.block_sids(bid)
                 ]
                 block_facts[bid] = facts
-            for inst, sid, memory, branch in facts:
+            for sid, memory, branch in facts:
                 sids.append(sid)
-                addresses.append(address_for(inst) if memory else 0)
+                addresses.append(address_for(sid) if memory else 0)
                 mispredicted.append(branch and rng_random() < rate)
             bid = self._next_block(bid)
         if not sids:
             raise ValueError("trace expansion produced no µops (empty program?)")
-        # Gather the static columns once per instruction, scatter per µop.
-        rows = {
-            inst.sid: (int(inst.opclass), inst.srcs, inst.dests, inst.block)
-            for block in self.program.blocks.values()
-            for inst in block.instructions
-        }
-        opclasses, srcs, dests, blocks = zip(*[rows[sid] for sid in sids])
-        return CompiledTrace.from_columns(
-            sids=sids,
-            opclasses=opclasses,
-            srcs=srcs,
-            dests=dests,
-            blocks=blocks,
-            addresses=addresses,
-            mispredicted=mispredicted,
-        )
+        return program.trace(sids, addresses, mispredicted)

@@ -2,20 +2,21 @@
 
 This package defines the instruction representation shared by the compiler
 substrate (:mod:`repro.program`, :mod:`repro.partition`) and the clustered
-microarchitecture simulator (:mod:`repro.cluster`):
+microarchitecture simulator (:mod:`repro.cluster`).  A static instruction is
+a row of the program's sid-indexed columns (:mod:`repro.program.program`),
+not an object:
 
 * :mod:`repro.uops.opcodes` -- µop classes, execution latencies and issue-queue
   routing (integer / floating-point / copy).
 * :mod:`repro.uops.registers` -- the architectural register model (integer and
   floating-point register namespaces).
-* :mod:`repro.uops.uop` -- :class:`StaticInstruction`, the compiler-visible
-  instruction.
 * :mod:`repro.uops.encoding` -- the ISA extension of the paper: the
   ``vc_id`` / chain-leader annotation carried from the compiler to the
   hardware steering unit, including a compact binary encoding.
 * :mod:`repro.uops.compiled` -- :class:`CompiledTrace`, the one form of a
   dynamic trace: structure-of-arrays columns that both simulation kernels
-  consume and the engine persists as on-disk artifacts (see DESIGN.md).
+  consume.  Artifacts and shared-memory segments store only its dynamic
+  columns next to the program's (see DESIGN.md).
 """
 
 from repro._lazy import lazy_exports
@@ -33,7 +34,6 @@ __all__ = [
     "MEM_OPCODES",
     "RegisterSpace",
     "RegisterKind",
-    "StaticInstruction",
     "CompiledTrace",
     "CompiledUopView",
     "NO_ANNOTATION",
@@ -60,6 +60,5 @@ __getattr__, __dir__ = lazy_exports(
             "MEM_OPCODES",
         ),
         ".registers": ("RegisterSpace", "RegisterKind"),
-        ".uop": ("StaticInstruction",),
     },
 )

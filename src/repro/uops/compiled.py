@@ -16,8 +16,10 @@ The representation has three layers:
   with ``-1`` encoding "unannotated"; :meth:`CompiledTrace.annotate_from`
   gathers a compile-time pass's sid-indexed columns into them), and
   CSR-style (offsets + flat values) source/destination register lists.
-  These are exactly what the trace artifact store persists, so on-disk
-  trace artifacts stay small and independent of the latency/queue tables.
+  Only ``sid``, ``address`` and ``mispredicted`` are dynamic: trace
+  artifacts and shared-memory segments store those three next to the
+  program's columns, and :meth:`repro.program.program.Program.trace`
+  gathers the static ones back by sid.
 * **derived columns**, recomputed from the µop class at construction time
   via vectorised table lookups: issue-queue kind, functional-unit latency and
   the memory/load/store/branch flags.  Editing
@@ -88,7 +90,7 @@ def empty_annotations(size: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     )
 
 
-def _csr(rows: Sequence[Tuple[int, ...]]) -> Tuple[np.ndarray, np.ndarray]:
+def csr_from_rows(rows: Sequence[Tuple[int, ...]]) -> Tuple[np.ndarray, np.ndarray]:
     """Pack variable-length integer rows into (offsets, flat values) arrays."""
     offsets = np.zeros(len(rows) + 1, dtype=np.int64)
     np.cumsum(np.fromiter(map(len, rows), dtype=np.int64, count=len(rows)), out=offsets[1:])
@@ -96,11 +98,23 @@ def _csr(rows: Sequence[Tuple[int, ...]]) -> Tuple[np.ndarray, np.ndarray]:
     return offsets, flat
 
 
-def _uncsr(offsets: np.ndarray, flat: np.ndarray) -> List[Tuple[int, ...]]:
+def rows_from_csr(offsets: np.ndarray, flat: np.ndarray) -> List[Tuple[int, ...]]:
     """Unpack CSR arrays back into a list of tuples of Python ints."""
     bounds = offsets.tolist()
     values = flat.tolist()
     return [tuple(values[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+
+
+def gather_csr(
+    offsets: np.ndarray, flat: np.ndarray, rows: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The CSR pair of ``rows`` (an index array) of the CSR pair ``(offsets, flat)``."""
+    starts = offsets[rows]
+    counts = offsets[rows + 1] - starts
+    gathered = np.zeros(len(rows) + 1, dtype=np.int64)
+    np.cumsum(counts, out=gathered[1:])
+    index = np.repeat(starts - gathered[:-1], counts) + np.arange(gathered[-1])
+    return gathered, flat[index]
 
 
 def _row_owner(offsets: np.ndarray) -> np.ndarray:
@@ -184,12 +198,12 @@ class DependencePlan(NamedTuple):
 class CompiledTrace:
     """A dynamic µop trace compiled to structure-of-arrays form.
 
-    Instances are built by
-    :meth:`repro.program.trace.TraceGenerator.generate_compiled` (from a
-    static program), by :meth:`from_columns` (from per-µop Python columns)
-    or from the stored columns of an on-disk artifact or shared-memory
-    segment.  All constructor arguments are numpy arrays of equal length
-    ``n`` except the CSR pairs (offset arrays of length ``n + 1``).
+    Instances are built by :meth:`repro.program.program.Program.trace`
+    (gathering a program's columns by sid: trace generation, artifacts and
+    shared-memory segments) or by :meth:`from_columns` (from per-µop Python
+    columns).  All constructor arguments are numpy arrays of equal length
+    ``n`` except the CSR pairs (offset arrays of length ``n + 1``); the
+    constructor adopts them as-is when their dtypes already match.
     """
 
     __slots__ = (
@@ -216,7 +230,7 @@ class CompiledTrace:
         "_cache",
     )
 
-    #: Stored columns, in the order every persistence layer writes them.
+    #: The constructor's columns, in order (derived columns are recomputed).
     STORED_FIELDS = (
         "seq",
         "sid",
@@ -329,7 +343,7 @@ class CompiledTrace:
 
     def src_tuples(self) -> List[Tuple[int, ...]]:
         """Per-µop source registers, duplicates preserved (the steering view)."""
-        return self.memo("srcs", lambda: _uncsr(self.src_offsets, self.src_regs))
+        return self.memo("srcs", lambda: rows_from_csr(self.src_offsets, self.src_regs))
 
     def unique_src_tuples(self) -> List[Tuple[int, ...]]:
         """Per-µop sources deduplicated in first-occurrence order (dispatch planning)."""
@@ -343,7 +357,7 @@ class CompiledTrace:
 
     def dest_tuples(self) -> List[Tuple[int, ...]]:
         """Per-µop destination registers."""
-        return self.memo("dests", lambda: _uncsr(self.dest_offsets, self.dest_regs))
+        return self.memo("dests", lambda: rows_from_csr(self.dest_offsets, self.dest_regs))
 
     def queue_kinds(self) -> List[IssueQueueKind]:
         """Per-µop issue-queue kind as enum singletons."""
@@ -506,7 +520,7 @@ class CompiledTrace:
         """
         def build() -> DependencePlan:
             return DependencePlan(
-                deps=_uncsr(
+                deps=rows_from_csr(
                     *_last_writers(
                         self.src_offsets, self.src_regs, self.dest_offsets, self.dest_regs
                     )
@@ -523,8 +537,8 @@ class CompiledTrace:
         """Mark every stored column read-only; in-place writes then raise.
 
         :meth:`ClusteredProcessor.bind` freezes every trace it binds:
-        traces are shared across the memo, the artifact store, shm segments
-        and every configuration of a batch, so a frozen trace turns any
+        traces are shared across the memo, shm attachments and every
+        configuration of a batch, so a frozen trace turns any
         in-place mutation of shared state into a ``ValueError`` at the
         offending line (the static half of this contract is detlint rule
         DET109).  Views attached over shared-memory segments arrive frozen
@@ -551,19 +565,6 @@ class CompiledTrace:
         """
         return self.install_annotations(tuple(column[self.sid] for column in columns))
 
-    def annotation_columns(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Read-only copies of the annotation columns, in ``ANNOTATION_FIELDS`` order.
-
-        The value form of a configuration's annotations: it can be memoised
-        (:meth:`memo`) and handed to :meth:`install_annotations` by every
-        later configuration with the same compile-time pass, and nothing
-        can edit it in place.
-        """
-        columns = tuple(getattr(self, name).copy() for name in self.ANNOTATION_FIELDS)
-        for column in columns:
-            column.flags.writeable = False
-        return columns
-
     def install_annotations(self, columns: Sequence[np.ndarray]) -> "CompiledTrace":
         """Make ``columns`` (``ANNOTATION_FIELDS`` order) the annotation columns.
 
@@ -577,25 +578,6 @@ class CompiledTrace:
             setattr(self, name, column)
             self._cache.pop(name, None)
         return self
-
-    # ------------------------------------------------------------ persistence --
-    def stored_columns(self) -> Dict[str, np.ndarray]:
-        """The stored columns as ``{name: array}``, in ``STORED_FIELDS`` order.
-
-        This is the serialisation surface shared by every persistence layer:
-        the artifact store compresses these arrays to ``.npz`` next to the
-        program pickle, and the shared-memory segment layer copies
-        their raw bytes into a block.  Passing the dict straight back to the
-        constructor (``CompiledTrace(**columns)``) is zero-copy when dtypes
-        already match -- the derived columns are recomputed, the stored ones
-        are adopted as-is (including read-only views over shared buffers).
-        """
-        return {name: getattr(self, name) for name in self.STORED_FIELDS}
-
-    @property
-    def stored_nbytes(self) -> int:
-        """Total payload bytes of the stored columns (uncompressed)."""
-        return sum(array.nbytes for array in self.stored_columns().values())
 
     # ------------------------------------------------------------ constructors --
     @classmethod
@@ -618,8 +600,8 @@ class CompiledTrace:
         annotation column is unannotated.
         """
         n = len(sids)
-        src_offsets, src_regs = _csr(srcs)
-        dest_offsets, dest_regs = _csr(dests)
+        src_offsets, src_regs = csr_from_rows(srcs)
+        dest_offsets, dest_regs = csr_from_rows(dests)
         empty = empty_annotations(n)
         return cls(
             seq=np.arange(n, dtype=np.int64),

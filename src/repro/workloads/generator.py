@@ -18,14 +18,11 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.program.basic_block import BasicBlock
-from repro.program.cfg import ControlFlowGraph
-from repro.program.program import Program
+from repro.program.program import EdgeRow, InstructionRow, Program
 from repro.program.trace import AddressModel, TraceGenerator
 from repro.uops.compiled import CompiledTrace
 from repro.uops.opcodes import UopClass
 from repro.uops.registers import RegisterSpace
-from repro.uops.uop import StaticInstruction
 from repro.workloads.kernels import KERNEL_FUNCTIONS, RegisterPool
 from repro.workloads.profile import BenchmarkProfile, KernelKind, phase_seed
 
@@ -113,56 +110,36 @@ class WorkloadGenerator:
         """Build the static program for simulation point ``phase``."""
         profile = self.profile
         rng = np.random.default_rng(self.phase_seed(phase))
-        blocks: List[BasicBlock] = []
-        cfg = ControlFlowGraph(entry=0)
-        next_sid = 0
+        blocks: List[List[InstructionRow]] = []
         num_blocks = profile.num_blocks
         for bid in range(num_blocks):
             pool = self._pool_for_block(bid)
             kind = self._pick_kernel(rng)
             size = max(3, int(rng.normal(profile.block_size_mean, profile.block_size_mean * 0.25)))
-            specs = self._emit_kernel(kind, rng, size, pool)
-            block = BasicBlock(bid, name=f"{kind.value}_{bid}")
-            for opclass, dests, srcs in specs:
-                block.append(StaticInstruction(next_sid, opclass, dests, srcs, block=bid))
-                next_sid += 1
+            rows: List[InstructionRow] = list(self._emit_kernel(kind, rng, size, pool))
             # Every block ends with a branch reading the last produced value
             # (or a live-in when the kernel produced only stores).
-            last_value = None
-            for inst in reversed(block.instructions):
-                if inst.dests:
-                    last_value = inst.dests[0]
-                    break
-            if last_value is None:
-                last_value = 0
-            block.append(StaticInstruction(next_sid, UopClass.BRANCH, (), (last_value,), block=bid))
-            next_sid += 1
-            blocks.append(block)
+            last_value = next((dests[0] for _, dests, _ in reversed(rows) if dests), 0)
+            rows.append((UopClass.BRANCH, (), (last_value,)))
+            blocks.append(rows)
 
         # Control flow: a ring of blocks with optional self-loops and skip
         # edges; the last block always wraps around to the entry.
+        edges: List[EdgeRow] = []
         for bid in range(num_blocks):
             succ = (bid + 1) % num_blocks
             if rng.random() < profile.loop_fraction:
                 trips = max(2.0, rng.normal(profile.loop_trip_mean, profile.loop_trip_mean * 0.3))
                 p_back = 1.0 - 1.0 / trips
-                cfg.add_edge(bid, bid, probability=p_back, is_back_edge=True)
-                cfg.add_edge(bid, succ, probability=1.0 - p_back)
-                cfg.set_loop_trip_count(bid, trips)
+                edges += [(bid, bid, p_back, True), (bid, succ, 1.0 - p_back, False)]
             elif rng.random() < profile.skip_fraction and bid + 2 < num_blocks:
-                cfg.add_edge(bid, succ, probability=0.7)
-                cfg.add_edge(bid, bid + 2, probability=0.3)
+                edges += [(bid, succ, 0.7, False), (bid, bid + 2, 0.3, False)]
             else:
-                cfg.add_edge(bid, succ, probability=1.0)
+                edges.append((bid, succ, 1.0, False))
 
-        program = Program(
-            name=f"{profile.name}.p{phase}",
-            blocks=blocks,
-            cfg=cfg,
-            register_space=self.register_space,
+        return Program.from_blocks(
+            f"{profile.name}.p{phase}", blocks, edges, register_space=self.register_space
         )
-        program.validate()
-        return program
 
     # -- trace construction ------------------------------------------------------
     def address_model(self, phase: int = 0) -> AddressModel:

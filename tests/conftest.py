@@ -2,21 +2,59 @@
 
 from __future__ import annotations
 
+from typing import NamedTuple, Tuple
+
 import pytest
 
-from repro.program.basic_block import BasicBlock
-from repro.program.cfg import ControlFlowGraph
+from repro.program.ddg import build_ddg
 from repro.program.program import Program
 from repro.uops.compiled import NO_ANNOTATION, CompiledTrace
-from repro.uops.opcodes import UopClass
-from repro.uops.uop import StaticInstruction
+from repro.uops.opcodes import UopClass, is_memory, latency_of
 from repro.workloads.generator import BenchmarkProfile, WorkloadGenerator
 from repro.workloads.kernels import KernelKind
 
 
+class Instruction(NamedTuple):
+    """A hand-made static instruction: one program row plus its sid and block."""
+
+    sid: int
+    opclass: UopClass
+    dests: Tuple[int, ...] = ()
+    srcs: Tuple[int, ...] = ()
+    block: int = 0
+
+    @property
+    def latency(self) -> int:
+        return latency_of(self.opclass)
+
+    @property
+    def is_memory(self) -> bool:
+        return is_memory(self.opclass)
+
+
 def make_instruction(sid, opclass=UopClass.INT_ALU, dests=(), srcs=(), block=0):
     """Convenience constructor used across the test suite."""
-    return StaticInstruction(sid, opclass, dests, srcs, block=block)
+    return Instruction(int(sid), UopClass(opclass), tuple(dests), tuple(srcs), int(block))
+
+
+def make_program(*blocks, edges=(), entry=0, name="test"):
+    """A program whose block ``b`` holds the instructions ``blocks[b]``, in
+    order; sids number them in block order (their own ``sid`` is ignored)."""
+    rows = [[(inst.opclass, inst.dests, inst.srcs) for inst in block] for block in blocks]
+    return Program.from_blocks(name, rows, edges, entry=entry)
+
+
+def program_bytes(program):
+    """Every column of ``program``, plus its name, entry and register space."""
+    meta = (program.name, program.entry, program.register_space)
+    return repr(meta).encode() + b"".join(
+        getattr(program, name).tobytes() for name in Program.COLUMNS
+    )
+
+
+def block_ddg(instructions):
+    """The DDG of ``instructions`` as the one block of a program."""
+    return build_ddg(make_program(instructions), range(len(instructions)))
 
 
 def make_trace(
@@ -63,20 +101,19 @@ def simple_block():
     R10 = R0 + R1 ; R11 = load(R10) ; R12 = R11 + R2 ; R13 = R3 + R4 ;
     branch(R12)
     """
-    instructions = [
+    return [
         make_instruction(0, UopClass.INT_ALU, dests=(10,), srcs=(0, 1)),
         make_instruction(1, UopClass.LOAD, dests=(11,), srcs=(10,)),
         make_instruction(2, UopClass.INT_ALU, dests=(12,), srcs=(11, 2)),
         make_instruction(3, UopClass.INT_ALU, dests=(13,), srcs=(3, 4)),
         make_instruction(4, UopClass.BRANCH, dests=(), srcs=(12,)),
     ]
-    return BasicBlock(0, instructions)
 
 
 @pytest.fixture
 def two_chain_block():
     """A block with two completely independent dependence chains."""
-    instructions = [
+    return [
         make_instruction(0, UopClass.INT_ALU, dests=(10,), srcs=(0,)),
         make_instruction(1, UopClass.INT_ALU, dests=(20,), srcs=(1,)),
         make_instruction(2, UopClass.INT_ALU, dests=(11,), srcs=(10,)),
@@ -84,28 +121,18 @@ def two_chain_block():
         make_instruction(4, UopClass.INT_ALU, dests=(12,), srcs=(11,)),
         make_instruction(5, UopClass.INT_ALU, dests=(22,), srcs=(21,)),
     ]
-    return BasicBlock(0, instructions)
 
 
 @pytest.fixture
 def tiny_program(simple_block):
-    """A two-block program with a loop on the first block."""
-    second = BasicBlock(
-        1,
-        [
-            make_instruction(10, UopClass.INT_ALU, dests=(14,), srcs=(12, 13)),
-            make_instruction(11, UopClass.STORE, dests=(), srcs=(0, 14)),
-            make_instruction(12, UopClass.BRANCH, dests=(), srcs=(14,)),
-        ],
-    )
-    cfg = ControlFlowGraph(entry=0)
-    cfg.add_edge(0, 0, probability=0.75, is_back_edge=True)
-    cfg.add_edge(0, 1, probability=0.25)
-    cfg.add_edge(1, 0, probability=1.0)
-    cfg.set_loop_trip_count(0, 4.0)
-    program = Program("tiny", [simple_block, second], cfg)
-    program.validate()
-    return program
+    """A two-block program with a loop on the first block (sids 0-4 and 5-7)."""
+    second = [
+        make_instruction(5, UopClass.INT_ALU, dests=(14,), srcs=(12, 13), block=1),
+        make_instruction(6, UopClass.STORE, dests=(), srcs=(0, 14), block=1),
+        make_instruction(7, UopClass.BRANCH, dests=(), srcs=(14,), block=1),
+    ]
+    edges = [(0, 0, 0.75, True), (0, 1, 0.25, False), (1, 0, 1.0, False)]
+    return make_program(simple_block, second, edges=edges, name="tiny")
 
 
 @pytest.fixture

@@ -10,9 +10,8 @@ from repro.analysis.slack import compute_slack
 from repro.analysis.stats import ddg_statistics, program_statistics
 from repro.partition.ob_partitioner import OperationBasedPartitioner
 from repro.partition.vc_partitioner import VirtualClusterPartitioner
-from repro.program.ddg import build_ddg
 from repro.uops.opcodes import UopClass, latency_of
-from tests.conftest import make_instruction
+from tests.conftest import block_ddg, make_instruction
 
 
 def chain_ddg(length, opclass=UopClass.INT_ALU):
@@ -20,7 +19,7 @@ def chain_ddg(length, opclass=UopClass.INT_ALU):
     instructions = [make_instruction(0, opclass, dests=(10,), srcs=(0,))]
     for i in range(1, length):
         instructions.append(make_instruction(i, opclass, dests=(10 + i,), srcs=(9 + i,)))
-    return build_ddg(instructions)
+    return block_ddg(instructions)
 
 
 class TestCriticality:
@@ -35,11 +34,11 @@ class TestCriticality:
         assert info.critical_path_length == 4 * latency
 
     def test_independent_nodes_have_zero_depth(self, two_chain_block):
-        info = compute_criticality(build_ddg(two_chain_block.instructions))
+        info = compute_criticality(block_ddg(two_chain_block))
         assert info.depth[0] == 0 and info.depth[1] == 0
 
     def test_criticality_is_depth_plus_height(self, simple_block):
-        info = compute_criticality(build_ddg(simple_block.instructions))
+        info = compute_criticality(block_ddg(simple_block))
         for node in range(len(info.depth)):
             assert info.criticality[node] == info.depth[node] + info.height[node]
 
@@ -49,12 +48,12 @@ class TestCriticality:
             make_instruction(1, UopClass.INT_ALU, dests=(11,), srcs=(1,)),
             make_instruction(2, UopClass.INT_ALU, dests=(12,), srcs=(10,)),
         ]
-        info = compute_criticality(build_ddg(instructions))
+        info = compute_criticality(block_ddg(instructions))
         assert info.is_critical(0)
         assert not info.is_critical(1)
 
     def test_empty_ddg(self):
-        info = compute_criticality(build_ddg([]))
+        info = compute_criticality(block_ddg([]))
         assert info.critical_path_length == 0
 
 
@@ -72,7 +71,7 @@ class TestSlack:
             make_instruction(1, UopClass.INT_ALU, dests=(11,), srcs=(1,)),  # 1 cycle, slack
             make_instruction(2, UopClass.INT_ALU, dests=(12,), srcs=(10, 11)),
         ]
-        slack = compute_slack(build_ddg(instructions))
+        slack = compute_slack(block_ddg(instructions))
         assert slack.node_slack[1] > 0
         assert slack.node_slack[0] == 0
 
@@ -82,7 +81,7 @@ class TestSlack:
             make_instruction(1, UopClass.INT_ALU, dests=(11,), srcs=(1,)),
             make_instruction(2, UopClass.INT_ALU, dests=(12,), srcs=(10, 11)),
         ]
-        ddg = build_ddg(instructions)
+        ddg = block_ddg(instructions)
         weight = dict(zip(ddg.edge_latency, compute_slack(ddg).edge_weights()))
         assert weight[(0, 2)] >= weight[(1, 2)] >= 1
 
@@ -97,7 +96,7 @@ class TestSlack:
 
 def independent_ddg(size):
     """``size`` operations with no dependence between them."""
-    return build_ddg([make_instruction(i, dests=(10 + i,), srcs=(i,)) for i in range(size)])
+    return block_ddg([make_instruction(i, dests=(10 + i,), srcs=(i,)) for i in range(size)])
 
 
 class TestCompletionTimeEstimator:
@@ -148,12 +147,12 @@ class TestStats:
         assert stats.critical_fraction == 1.0
 
     def test_parallel_chains_have_higher_ilp(self, two_chain_block):
-        stats = ddg_statistics(build_ddg(two_chain_block.instructions))
+        stats = ddg_statistics(block_ddg(two_chain_block))
         serial = ddg_statistics(chain_ddg(6))
         assert stats.ilp > serial.ilp
 
     def test_empty_ddg_statistics(self):
-        stats = ddg_statistics(build_ddg([]))
+        stats = ddg_statistics(block_ddg([]))
         assert stats.num_nodes == 0 and stats.ilp == 0.0
 
     def test_program_statistics_fields(self, tiny_program):
@@ -180,4 +179,4 @@ class TestStats:
         info = compute_criticality(ddg)
         for node in range(length):
             assert info.criticality[node] <= info.critical_path_length
-            assert info.height[node] >= ddg.instructions[node].latency
+            assert info.height[node] >= ddg.latencies[node]

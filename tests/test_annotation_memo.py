@@ -20,7 +20,6 @@ Contracts pinned here:
 from __future__ import annotations
 
 import hashlib
-import pickle
 
 import numpy as np
 import pytest
@@ -44,6 +43,7 @@ from repro.scenarios.runner import run_scenario
 from repro.scenarios.spec import ScenarioSpec, SweepAxis
 from repro.uops.compiled import CompiledTrace
 from repro.workloads.generator import WorkloadGenerator
+from tests.conftest import program_bytes
 
 OP, RHOP, VC = (TABLE3_CONFIGURATIONS[name] for name in ("OP", "RHOP", "VC"))
 LATENCIES = (1, 4, 8)
@@ -156,10 +156,10 @@ class TestAnnotationMemo:
 
     def test_prepare_job_leaves_the_program_unchanged(self, small_profile):
         program, compiled = WorkloadGenerator(small_profile).generate_compiled_trace(500)
-        before = pickle.dumps(program)
+        before = program_bytes(program)
         for configuration in (OP, VC, RHOP):
             _prepare_job(make_job(small_profile, configuration), program, compiled)
-        assert pickle.dumps(program) == before
+        assert program_bytes(program) == before
 
 
 @pytest.mark.parametrize("kernel", ["interpreter", "vectorized"])

@@ -39,9 +39,8 @@ from repro.uops.compiled import (
 )
 from repro.uops.opcodes import UopClass, is_floating_point, latency_of, queue_of
 from repro.uops.registers import DEFAULT_REGISTER_SPACE
-from repro.uops.uop import StaticInstruction
 from repro.workloads.generator import WorkloadGenerator
-from tests.conftest import make_trace
+from tests.conftest import make_instruction, make_trace
 
 
 def fast_config(**overrides):
@@ -62,7 +61,7 @@ class TestDerivedColumns:
             assert compiled.is_branch_list()[i] == (opclass == UopClass.BRANCH)
 
     def test_unique_srcs_preserve_first_occurrence_order(self):
-        inst = StaticInstruction(0, UopClass.INT_ALU, dests=(5,), srcs=(3, 7, 3, 1, 7))
+        inst = make_instruction(0, UopClass.INT_ALU, dests=(5,), srcs=(3, 7, 3, 1, 7))
         compiled = make_trace([inst])
         assert compiled.src_tuples()[0] == (3, 7, 3, 1, 7)
         assert compiled.unique_src_tuples()[0] == (3, 7, 1)
@@ -78,19 +77,21 @@ class TestDerivedColumns:
         program, compiled = WorkloadGenerator(small_profile).generate_compiled_trace(500)
         report = VirtualClusterPartitioner(2).annotate_program(program)
         compiled.annotate_from(report.columns)
-        by_sid = {inst.sid: inst for inst in program.all_instructions()}
         view = CompiledUopView(compiled)
         for i, sid in enumerate(compiled.sid.tolist()):
             view.index = i
-            inst = by_sid[sid]
+            opclass = UopClass(program.opclass[sid])
             assert view.sid == sid and view.seq == i
-            for attribute in (
-                "opclass", "srcs", "dests", "latency", "is_memory", "is_load",
-                "is_store", "is_branch",
-            ):
-                assert getattr(view, attribute) == getattr(inst, attribute), attribute
-            assert view.queue == queue_of(inst.opclass)
-            assert view.is_fp == is_floating_point(inst.opclass)
+            assert view.opclass == opclass
+            assert view.srcs == program.src_tuples()[sid]
+            assert view.dests == program.dest_tuples()[sid]
+            assert view.latency == program.latency_list()[sid]
+            assert view.is_memory == (opclass in (UopClass.LOAD, UopClass.STORE))
+            assert view.is_load == (opclass == UopClass.LOAD)
+            assert view.is_store == (opclass == UopClass.STORE)
+            assert view.is_branch == (opclass == UopClass.BRANCH)
+            assert view.queue == queue_of(opclass)
+            assert view.is_fp == is_floating_point(opclass)
             vc_id, leader, static_cluster = (column[sid].item() for column in report.columns)
             assert view.vc_id == (None if vc_id == NO_ANNOTATION else vc_id)
             assert view.chain_leader == leader
@@ -173,7 +174,7 @@ def operand_rows(draw):
 
 def _operand_trace(srcs, dests):
     return make_trace([
-        StaticInstruction(i, UopClass.INT_ALU, written, read)
+        make_instruction(i, UopClass.INT_ALU, written, read)
         for i, (read, written) in enumerate(zip(srcs, dests))
     ])
 
@@ -237,10 +238,10 @@ class TestValidation:
     @staticmethod
     def _columns(**changes):
         trace = make_trace([
-            StaticInstruction(0, UopClass.INT_ALU, dests=(3,), srcs=(1, 2)),
-            StaticInstruction(1, UopClass.INT_ALU, dests=(4,), srcs=(3,)),
+            make_instruction(0, UopClass.INT_ALU, dests=(3,), srcs=(1, 2)),
+            make_instruction(1, UopClass.INT_ALU, dests=(4,), srcs=(3,)),
         ])
-        columns = {name: array.copy() for name, array in trace.stored_columns().items()}
+        columns = {name: getattr(trace, name).copy() for name in CompiledTrace.STORED_FIELDS}
         columns.update(changes)
         return columns
 
@@ -288,7 +289,7 @@ class TestValidation:
 
     @pytest.mark.parametrize("entry_point", ["bind", "run"])
     def test_bind_and_run_reject_a_list_of_instructions(self, entry_point):
-        instructions = [StaticInstruction(0, UopClass.INT_ALU, dests=(3,), srcs=(1,))]
+        instructions = [make_instruction(0, UopClass.INT_ALU, dests=(3,), srcs=(1,))]
         processor = ClusteredProcessor(fast_config(), OneClusterSteering())
         with pytest.raises(TypeError, match="CompiledTrace, got list"):
             getattr(processor, entry_point)(instructions)

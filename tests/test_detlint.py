@@ -14,8 +14,8 @@ Contracts pinned here:
   errors -- including a run that scans no ``.py`` file, so a mistyped path
   cannot pass the gate.
 * **DET109's column table tracks the IR**: ``TRACE_COLUMN_ATTRS`` must equal
-  ``CompiledTrace.STORED_FIELDS`` (synced by this test, not by an import, so
-  the linter needs no numpy).
+  ``CompiledTrace.STORED_FIELDS`` plus ``Program.COLUMNS`` (synced by this
+  test, not by an import, so the linter needs no numpy).
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from repro.analysis.detlint.rules import (
     check_module,
 )
 from repro.analysis.framework import parse_suppression, scan_paths
+from repro.program.program import Program
 from repro.uops.compiled import CompiledTrace
 
 
@@ -181,7 +182,9 @@ class TestRuleCatalogue:
         assert {case.rule for case in CASES} == set(RULES_BY_ID)
 
     def test_trace_column_table_matches_compiled_trace(self):
-        assert TRACE_COLUMN_ATTRS == frozenset(CompiledTrace.STORED_FIELDS)
+        assert TRACE_COLUMN_ATTRS == frozenset(CompiledTrace.STORED_FIELDS) | frozenset(
+            Program.COLUMNS
+        )
 
 
 @pytest.mark.parametrize("case", CASES, ids=lambda c: f"{c.rule}-{c.bad_line}")

@@ -2,10 +2,11 @@
 
 Contracts pinned here:
 
-* **Segment round-trips are lossless.**  Publishing a compiled trace and
-  attaching it back yields array-for-array identical stored columns
-  (property-tested over random traces), the program survives its pickle
-  round-trip, and attached columns are zero-copy read-only views.
+* **Segment round-trips are lossless.**  Publishing a program and its
+  compiled trace and attaching them back yields array-for-array identical
+  columns (property-tested over random programs and traces); the program's
+  columns are zero-copy read-only views, and a bad column raises
+  ``ValueError`` at load.
 * **Lifetime is refcounted and leak-free.**  A segment is unlinked exactly
   when its last reference is released; registry close (and the finalizer
   backstop) unlinks everything; a fault while publishing a segment or
@@ -45,6 +46,7 @@ from repro.engine.shm import (
     shared_memory_available,
 )
 from repro.experiments.configs import TABLE3_CONFIGURATIONS, vc_variant
+from repro.program.program import Program
 from repro.uops.compiled import CompiledTrace
 from repro.uops.opcodes import UopClass
 from repro.workloads.generator import WorkloadGenerator
@@ -124,6 +126,10 @@ def _segment_is_gone(name: str) -> bool:
 # ---------------------------------------------------------------------------
 
 
+def _program_columns(program):
+    return {name: getattr(program, name).tolist() for name in Program.COLUMNS}
+
+
 class TestSegmentRoundTrip:
     def test_generated_trace_round_trips(self, small_profile):
         program, compiled = WorkloadGenerator(small_profile).generate_compiled_trace(600)
@@ -133,16 +139,17 @@ class TestSegmentRoundTrip:
             try:
                 rebuilt_program, rebuilt = attached.load()
                 assert compiled.equals(rebuilt)
-                # The program survives its pickle round-trip structurally.
-                assert len(list(rebuilt_program.all_instructions())) == len(
-                    list(program.all_instructions())
-                )
-                # Columns are views over the shared buffer: read-only, and
-                # byte-identical without any serialisation format between.
-                for name in CompiledTrace.STORED_FIELDS:
-                    column = getattr(rebuilt, name)
+                assert _program_columns(rebuilt_program) == _program_columns(program)
+                assert rebuilt_program.name == program.name
+                # The program's columns are views over the shared buffer:
+                # read-only, and byte-identical without any serialisation
+                # format between.  The gathered trace arrives frozen.
+                for name in Program.COLUMNS:
+                    column = getattr(rebuilt_program, name)
                     assert not column.flags.writeable
                     assert not column.flags.owndata
+                for name in CompiledTrace.STORED_FIELDS:
+                    assert not getattr(rebuilt, name).flags.writeable
             finally:
                 attached.close()
         finally:
@@ -152,44 +159,52 @@ class TestSegmentRoundTrip:
     @settings(max_examples=25, deadline=None)
     @given(data=st.data())
     def test_arbitrary_columns_round_trip(self, data):
-        """Property: shared-memory round-trip of CompiledTrace columns is
-        lossless for arbitrary well-formed traces, empty ones included."""
+        """Property: the shared-memory round-trip of a program and a trace
+        gathered from it is lossless for arbitrary well-formed columns,
+        empty ones included."""
         n = data.draw(st.integers(0, 40), label="n")
-        opclasses = data.draw(
-            st.lists(
-                st.integers(0, len(UopClass) - 1), min_size=n, max_size=n
-            ),
-            label="opclasses",
-        )
-        srcs = [
-            tuple(reg for (reg,) in data.draw(st.lists(st.tuples(st.integers(0, 63)), max_size=3)))
+        registers = st.lists(st.integers(0, 127), max_size=3).map(tuple)
+        rows = [
+            (data.draw(st.integers(0, len(UopClass) - 1)), data.draw(registers), data.draw(registers))
             for _ in range(n)
         ]
-        dests = [
-            tuple(reg for (reg,) in data.draw(st.lists(st.tuples(st.integers(0, 63)), max_size=2)))
-            for _ in range(n)
-        ]
-        compiled = CompiledTrace.from_columns(
-            sids=list(range(n)),
-            opclasses=opclasses,
-            srcs=srcs,
-            dests=dests,
-            blocks=[0] * n,
-            addresses=data.draw(
-                st.lists(st.integers(0, 2**40), min_size=n, max_size=n)
-            ),
-            mispredicted=data.draw(st.lists(st.booleans(), min_size=n, max_size=n)),
-            vc_ids=data.draw(st.lists(st.integers(-1, 7), min_size=n, max_size=n)),
-            chain_leaders=data.draw(st.lists(st.booleans(), min_size=n, max_size=n)),
-            static_clusters=data.draw(st.lists(st.integers(-1, 3), min_size=n, max_size=n)),
+        program = Program.from_blocks(f"prop{n}", [rows[: n // 2], rows[n // 2 :]])
+        length = data.draw(st.integers(0, 60 if n else 0), label="length")
+        compiled = program.trace(
+            data.draw(st.lists(st.integers(0, max(n - 1, 0)), min_size=length, max_size=length)),
+            data.draw(st.lists(st.integers(0, 2**40), min_size=length, max_size=length)),
+            data.draw(st.lists(st.booleans(), min_size=length, max_size=length)),
         )
-        segment = SharedTraceSegment.create("prop", {"marker": n}, compiled)
+        segment = SharedTraceSegment.create("prop", program, compiled)
         try:
             attached = SharedTraceSegment.attach(segment.name)
             try:
-                payload, rebuilt = attached.load()
-                assert payload == {"marker": n}
+                rebuilt_program, rebuilt = attached.load()
+                assert _program_columns(rebuilt_program) == _program_columns(program)
                 assert compiled.equals(rebuilt)
+            finally:
+                attached.close()
+        finally:
+            segment.close()
+            segment.unlink()
+
+    def test_bad_column_raises_value_error(self, small_profile):
+        """A block whose ``block_start`` no longer covers every sid fails the
+        program's validation at load."""
+        program, compiled = WorkloadGenerator(small_profile).generate_compiled_trace(300)
+        segment = SharedTraceSegment.create("bad", program, compiled)
+        try:
+            spec = SharedTraceSegment._read_header(segment._shm)["columns"]["block_start"]
+            view = np.ndarray(
+                tuple(spec["shape"]), dtype=spec["dtype"], buffer=segment._shm.buf,
+                offset=spec["offset"],
+            )
+            view[-1] -= 1
+            del view
+            attached = SharedTraceSegment.attach(segment.name)
+            try:
+                with pytest.raises(ValueError, match="block_start"):
+                    attached.load()
             finally:
                 attached.close()
         finally:
@@ -198,11 +213,11 @@ class TestSegmentRoundTrip:
 
     def test_stored_columns_are_zero_copy(self, small_profile):
         _, compiled = WorkloadGenerator(small_profile).generate_compiled_trace(400)
-        columns = compiled.stored_columns()
-        rebuilt = CompiledTrace(**columns)
+        rebuilt = CompiledTrace(
+            **{name: getattr(compiled, name) for name in CompiledTrace.STORED_FIELDS}
+        )
         for name in CompiledTrace.STORED_FIELDS:
             assert np.shares_memory(getattr(rebuilt, name), getattr(compiled, name))
-        assert compiled.stored_nbytes == sum(a.nbytes for a in columns.values())
 
     def test_attach_unknown_name_raises(self):
         with pytest.raises(FileNotFoundError):

@@ -57,10 +57,9 @@ from repro.steering.one_cluster import OneClusterSteering
 from repro.steering.static_follow import StaticAssignmentSteering
 from repro.steering.virtual_cluster import VirtualClusterSteering
 from repro.uops.opcodes import UopClass
-from repro.uops.uop import StaticInstruction
 from repro.workloads.generator import WorkloadGenerator
 from repro.workloads.spec2000 import profile_for
-from tests.conftest import make_trace
+from tests.conftest import make_instruction, make_trace
 
 
 class TestResolveKernel:
@@ -527,7 +526,7 @@ class TestCopySlotGrowth:
         two fresh copy µops in one dispatch."""
         reg = lambda i: 8 + (i % 97)  # noqa: E731
         return make_trace([
-            StaticInstruction(
+            make_instruction(
                 i,
                 UopClass.INT_ALU,
                 dests=(reg(i),),

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import pickle
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,10 +14,11 @@ from repro.partition.ob_partitioner import OperationBasedPartitioner
 from repro.partition.rhop_partitioner import RhopPartitioner
 from repro.partition.vc_partitioner import VirtualClusterPartitioner
 from repro.program.ddg import build_ddg
+from repro.program.program import pack, unpack
 from repro.scenarios.registry import PARTITIONERS, build_partitioner
 from repro.workloads.generator import WorkloadGenerator, generate_program
 from repro.workloads.spec2000 import all_trace_names, profile_for
-from tests.conftest import make_instruction
+from tests.conftest import block_ddg, make_instruction, program_bytes
 
 
 def figure3_ddg():
@@ -37,7 +36,7 @@ def figure3_ddg():
         make_instruction(4, dests=(21,), srcs=(10,)),  # E   vc1 (depends on A only)
         make_instruction(5, dests=(22,), srcs=(21, 20)),  # F vc1 (depends on E and B)
     ]
-    ddg = build_ddg(instructions)
+    ddg = block_ddg(instructions)
     assignment = [0, 1, 0, 0, 1, 1]
     return ddg, assignment
 
@@ -77,7 +76,7 @@ class TestChains:
         assert sum(length * count for length, count in histogram.items()) == len(ddg)
 
     def test_single_vc_has_single_leader_per_independent_chain(self, two_chain_block):
-        ddg = build_ddg(two_chain_block.instructions)
+        ddg = block_ddg(two_chain_block)
         chains, leaders = identify_chains(ddg, [0] * len(ddg))
         # Both independent chains start fresh (no same-VC producer), so two leaders.
         assert sum(leaders) == 2
@@ -86,7 +85,7 @@ class TestChains:
 
 class TestMultilevelPartitioner:
     def test_partition_covers_all_parts_when_possible(self, two_chain_block):
-        ddg = build_ddg(two_chain_block.instructions)
+        ddg = block_ddg(two_chain_block)
         partitioner = MultilevelPartitioner(2)
         weights = [1] * len(ddg)
         edges = {edge: 10 for edge in ddg.edge_latency}
@@ -94,7 +93,7 @@ class TestMultilevelPartitioner:
         assert set(assignment) == {0, 1}
 
     def test_independent_chains_not_split(self, two_chain_block):
-        ddg = build_ddg(two_chain_block.instructions)
+        ddg = block_ddg(two_chain_block)
         partitioner = MultilevelPartitioner(2)
         edges = {edge: 10 for edge in ddg.edge_latency}
         assignment = partitioner.partition([1] * len(ddg), edges)
@@ -183,19 +182,18 @@ class TestVirtualClusterPartitioner:
     def test_vc_ids_within_range(self, small_profile):
         program = generate_program(small_profile)
         report = VirtualClusterPartitioner(4).annotate_program(program)
-        sids = [inst.sid for inst in program.all_instructions()]
-        assert ((report.vc_id[sids] >= 0) & (report.vc_id[sids] < 4)).all()
+        assert ((report.vc_id >= 0) & (report.vc_id < 4)).all()
 
     def test_dependent_serial_chain_stays_in_one_vc(self):
         instructions = [make_instruction(0, dests=(10,), srcs=(0,))]
         for i in range(1, 10):
             instructions.append(make_instruction(i, dests=(10 + i,), srcs=(9 + i,)))
-        ddg = build_ddg(instructions)
+        ddg = block_ddg(instructions)
         assignment = VirtualClusterPartitioner(2).partition_region(ddg)
         assert len(set(assignment)) == 1
 
     def test_independent_chains_spread_over_vcs(self, two_chain_block):
-        ddg = build_ddg(two_chain_block.instructions)
+        ddg = block_ddg(two_chain_block)
         assignment = VirtualClusterPartitioner(2).partition_region(ddg)
         assert set(assignment) == {0, 1}
         # Each chain is kept whole.
@@ -215,13 +213,11 @@ class TestVirtualClusterPartitioner:
         report = VirtualClusterPartitioner(2).annotate_program(program)
         vc_of = report.vc_id.tolist()
         for region in form_regions(program, 128):
-            ddg = build_ddg(region.instructions)
-            for node, inst in enumerate(ddg.instructions):
-                if report.chain_leader[inst.sid]:
+            ddg = build_ddg(program, region.sids)
+            for node, sid in enumerate(ddg.sids):
+                if report.chain_leader[sid]:
                     same_vc_preds = [
-                        p
-                        for p in ddg.predecessors(node)
-                        if vc_of[ddg.instructions[p].sid] == vc_of[inst.sid]
+                        p for p in ddg.predecessors(node) if vc_of[ddg.sids[p]] == vc_of[sid]
                     ]
                     assert not same_vc_preds
 
@@ -245,7 +241,7 @@ class TestRhopPartitioner:
         assert set(report.static_cluster.tolist()) == {0, 1, 2, 3}
 
     def test_empty_region_handled(self):
-        assert RhopPartitioner(2).partition_region(build_ddg([])) == []
+        assert RhopPartitioner(2).partition_region(block_ddg([])) == []
 
 
 class TestOperationBasedPartitioner:
@@ -256,7 +252,7 @@ class TestOperationBasedPartitioner:
         assert (report.vc_id == -1).all()
 
     def test_spreads_independent_work(self, two_chain_block):
-        ddg = build_ddg(two_chain_block.instructions)
+        ddg = block_ddg(two_chain_block)
         assignment = OperationBasedPartitioner(2).partition_region(ddg)
         assert set(assignment) == {0, 1}
 
@@ -328,12 +324,12 @@ class TestSharedRegions:
     def test_ob_rhop_vc_on_shared_regions_match_fresh_programs(self, small_profile):
         shared = generate_program(small_profile, phase=1)
         regions = program_regions(shared, 128)
-        ddgs = [region_ddg(shared, 128, region) for region, _ in regions]
+        ddgs = [region_ddg(shared, 128, region) for region in regions]
         for make_pass in self.PASSES:
             report = make_pass().annotate_program(shared)
             assert program_regions(shared, 128) is regions  # formed once, reused
             assert all(
-                region_ddg(shared, 128, region) is ddg for (region, _), ddg in zip(regions, ddgs)
+                region_ddg(shared, 128, region) is ddg for region, ddg in zip(regions, ddgs)
             )
             fresh = generate_program(small_profile, phase=1)
             fresh_report = make_pass().annotate_program(fresh)
@@ -347,10 +343,12 @@ class TestSharedRegions:
         assert len(small_regions) > len(large_regions)
         assert program_regions(program, 16) is small_regions
 
-    def test_region_sids_list_the_region_instructions(self, small_profile):
+    def test_region_sids_list_the_region_blocks(self, small_profile):
         program = generate_program(small_profile, phase=0)
-        for region, sids in program_regions(program, 128):
-            assert sids == tuple(inst.sid for inst in region.instructions)
+        for region in program_regions(program, 128):
+            assert region.sids == tuple(
+                sid for bid in region.block_ids for sid in program.block_sids(bid)
+            )
 
     def test_ddgs_are_built_only_for_executed_regions(self, small_profile, monkeypatch):
         program = generate_program(small_profile, phase=0)
@@ -359,12 +357,13 @@ class TestSharedRegions:
         built = []
         build_ddg = base.build_ddg
 
-        def counted(instructions):
-            built.append(instructions[0].sid)
-            return build_ddg(instructions)
+        def counted(program, sids):
+            built.append(sids[0])
+            return build_ddg(program, sids)
 
         monkeypatch.setattr(base, "build_ddg", counted)
-        first_region, first_sids = regions[0]
+        first_region = regions[0]
+        first_sids = first_region.sids
         compile_pass = VirtualClusterPartitioner(num_virtual_clusters=2)
         compile_pass.executed_sids = {first_sids[0]}
         report = compile_pass.annotate_program(program)
@@ -374,24 +373,19 @@ class TestSharedRegions:
         assert built == [first_sids[0]]  # memoised: built once
         compile_pass.executed_sids = None
         compile_pass.annotate_program(program)
-        assert len(built) == sum(1 for _, sids in regions if sids)
+        assert len(built) == sum(1 for region in regions if region.sids)
 
-    def test_pickled_program_carries_no_memo(self, small_profile):
-        partitioned = generate_program(small_profile, phase=0)
+    def test_unpacked_program_carries_no_memo(self, small_profile):
+        """A program rebuilt from its stored columns (as artifacts and segments
+        rebuild it) starts with an empty memo, builds its own DDGs, and its
+        passes return the same columns."""
+        partitioned, compiled = WorkloadGenerator(small_profile).generate_compiled_trace(300)
         reports = [make_pass().annotate_program(partitioned) for make_pass in self.PASSES]
-        assert "_memo" not in partitioned.__getstate__()
-        restored = pickle.loads(pickle.dumps(partitioned))
+        restored, _ = unpack(*pack(partitioned, compiled))
         assert restored._memo == {}
-        # Byte-identical to a program no pass ever ran on: the passes write
-        # nothing onto it, and the memo never reaches the pickle.
-        assert pickle.dumps(partitioned) == pickle.dumps(generate_program(small_profile, phase=0))
-        # The restored program rebuilds its own DDGs over its own instructions
-        # and its passes return the same columns.
-        by_sid = {inst.sid: inst for inst in restored.all_instructions()}
-        for region, sids in program_regions(restored, 128):
-            if sids:
-                ddg = region_ddg(restored, 128, region)
-                assert all(inst is by_sid[inst.sid] for inst in ddg.instructions)
+        for region in program_regions(restored, 128):
+            if region.sids:
+                assert region_ddg(restored, 128, region).sids == list(region.sids)
         for make_pass, report in zip(self.PASSES, reports):
             assert _columns(make_pass().annotate_program(restored)) == _columns(report)
 
@@ -406,16 +400,17 @@ class TestProgramIsNotMutated:
     def test_ob_rhop_vc_in_turn_leave_the_program_unchanged(self, trace_name):
         generator = WorkloadGenerator(profile_for(trace_name))
         program = generator.generate_program(0)
-        before = pickle.dumps(program)
+        before = program_bytes(program)
         reports = [make_pass().annotate_program(program) for make_pass in self.PASSES]
-        assert pickle.dumps(program) == before
+        assert program_bytes(program) == before
+        assert before == program_bytes(generator.generate_program(0))
         for make_pass, report in zip(self.PASSES, reports):
             fresh = make_pass().annotate_program(generator.generate_program(0))
             assert _columns(report) == _columns(fresh)
 
     def test_columns_are_read_only_and_sid_indexed(self, small_profile):
         program = generate_program(small_profile)
-        size = max(inst.sid for inst in program.all_instructions()) + 1
+        size = program.num_instructions
         for make_pass in self.PASSES:
             report = make_pass().annotate_program(program)
             for column, dtype in zip(report.columns, (np.int32, bool, np.int32)):
@@ -428,11 +423,11 @@ class TestProgramIsNotMutated:
         program = generate_program(small_profile)
         compile_pass = OperationBasedPartitioner(num_clusters=2)
         regions = program_regions(program, compile_pass.region_size)
-        compile_pass.executed_sids = set(regions[0][1])
+        compile_pass.executed_sids = set(regions[0].sids)
         report = compile_pass.annotate_program(program)
-        for region, sids in regions[1:]:
-            assert (report.static_cluster[list(sids)] == -1).all()
-        assert (report.static_cluster[list(regions[0][1])] >= 0).all()
+        for region in regions[1:]:
+            assert (report.static_cluster[list(region.sids)] == -1).all()
+        assert (report.static_cluster[list(regions[0].sids)] >= 0).all()
 
 
 class TestExecutedRegions:
@@ -458,7 +453,8 @@ class TestExecutedRegions:
             compile_pass = build_partitioner(partitioner, {}, num_clusters, 2, region_size)
             compile_pass.executed_sids = executed_sids
             report = compile_pass.annotate_program(program)
-            return report, compiled.annotate_from(report.columns).annotation_columns()
+            compiled.annotate_from(report.columns)
+            return report, [getattr(compiled, name) for name in compiled.ANNOTATION_FIELDS]
 
         whole_report, whole = columns(None)
         executed = set(compiled.sid.tolist())

@@ -18,14 +18,12 @@ from repro.experiments.slowdown import float64_mean
 from repro.partition.chains import identify_chains
 from repro.partition.multilevel import MultilevelPartitioner
 from repro.partition.vc_partitioner import VirtualClusterPartitioner
-from repro.program.ddg import build_ddg
 from repro.steering.occupancy import OccupancyAwareSteering
 from repro.steering.one_cluster import OneClusterSteering
 from repro.steering.static_follow import StaticAssignmentSteering
 from repro.steering.virtual_cluster import VirtualClusterSteering
 from repro.uops.opcodes import UopClass
-from repro.uops.uop import StaticInstruction
-from tests.conftest import make_trace
+from tests.conftest import block_ddg, make_instruction, make_trace
 
 # ---------------------------------------------------------------------------
 # Strategies
@@ -56,7 +54,7 @@ def instruction_sequences(draw, min_size=2, max_size=60):
             dests = ()
         else:
             dests = (draw(st.integers(min_value=0, max_value=31)),)
-        instructions.append(StaticInstruction(sid, opclass, dests, srcs))
+        instructions.append(make_instruction(sid, opclass, dests, srcs))
     return instructions
 
 
@@ -76,7 +74,7 @@ class TestDDGProperties:
     @common_settings
     @given(instructions=instruction_sequences())
     def test_ddg_edges_respect_program_order(self, instructions):
-        ddg = build_ddg(instructions)
+        ddg = block_ddg(instructions)
         for producer, consumer in ddg.edge_latency:
             assert producer < consumer
 
@@ -85,7 +83,7 @@ class TestDDGProperties:
     def test_ddg_is_acyclic(self, instructions):
         # Every adjacency-list edge runs forward in the region, so no cycle
         # can close: program order is a topological order.
-        ddg = build_ddg(instructions)
+        ddg = block_ddg(instructions)
         for node in range(len(ddg)):
             assert all(producer < node for producer in ddg.predecessors(node))
         assert all(p < c for p, c in zip(ddg.pred_nodes, ddg.edge_consumers))
@@ -93,11 +91,11 @@ class TestDDGProperties:
     @common_settings
     @given(instructions=instruction_sequences())
     def test_criticality_consistency(self, instructions):
-        ddg = build_ddg(instructions)
+        ddg = block_ddg(instructions)
         info = compute_criticality(ddg)
         for node in range(len(ddg)):
             assert info.criticality[node] == info.depth[node] + info.height[node]
-            assert info.height[node] >= ddg.instructions[node].latency
+            assert info.height[node] >= ddg.latencies[node]
             assert info.criticality[node] <= info.critical_path_length
             for pred in ddg.predecessors(node):
                 assert info.depth[node] >= info.depth[pred] + ddg.edge_latency[(pred, node)]
@@ -105,7 +103,7 @@ class TestDDGProperties:
     @common_settings
     @given(instructions=instruction_sequences())
     def test_slack_non_negative_and_zero_on_critical_path(self, instructions):
-        ddg = build_ddg(instructions)
+        ddg = block_ddg(instructions)
         slack = compute_slack(ddg)
         assert all(s >= 0 for s in slack.node_slack)
         assert all(s >= 0 for s in slack.edge_slack)
@@ -123,7 +121,7 @@ class TestPartitionProperties:
     @common_settings
     @given(instructions=instruction_sequences(), vcs=st.integers(min_value=1, max_value=4))
     def test_vc_partition_complete_and_in_range(self, instructions, vcs):
-        ddg = build_ddg(instructions)
+        ddg = block_ddg(instructions)
         assignment = VirtualClusterPartitioner(vcs).partition_region(ddg)
         assert len(assignment) == len(ddg)
         assert all(0 <= vc < vcs for vc in assignment)
@@ -131,7 +129,7 @@ class TestPartitionProperties:
     @common_settings
     @given(instructions=instruction_sequences(), vcs=st.integers(min_value=1, max_value=4))
     def test_chains_partition_the_ddg(self, instructions, vcs):
-        ddg = build_ddg(instructions)
+        ddg = block_ddg(instructions)
         assignment = VirtualClusterPartitioner(vcs).partition_region(ddg)
         chains, leaders = identify_chains(ddg, assignment)
         nodes = sorted(n for chain in chains for n in chain.nodes)
@@ -147,7 +145,7 @@ class TestPartitionProperties:
         parts=st.integers(min_value=2, max_value=4),
     )
     def test_multilevel_partition_respects_parts(self, instructions, parts):
-        ddg = build_ddg(instructions)
+        ddg = block_ddg(instructions)
         slack = compute_slack(ddg)
         weights = [1] * len(ddg)
         edges = dict(zip(ddg.edge_latency, slack.edge_weights()))
@@ -258,7 +256,7 @@ class TestSteeringAndCopyProperties:
         config = ClusterConfig(num_clusters=2, fetch_to_dispatch_latency=1, warm_caches=False)
         metrics = simulate_trace(trace, StaticAssignmentSteering(), config)
 
-        ddg = build_ddg(instructions)
+        ddg = block_ddg(instructions)
         crossing = [
             (producer, consumer)
             for producer, consumer in ddg.edge_latency
@@ -276,8 +274,8 @@ class TestSteeringAndCopyProperties:
     def test_remote_operand_forces_exactly_one_copy(self):
         """Deterministic 'if' direction: producer on cluster 0, consumer on
         cluster 1 -- the value must traverse the interconnect exactly once."""
-        producer = StaticInstruction(0, UopClass.INT_ALU, (1,), ())
-        consumer = StaticInstruction(1, UopClass.INT_ALU, (2,), (1,))
+        producer = make_instruction(0, UopClass.INT_ALU, (1,), ())
+        consumer = make_instruction(1, UopClass.INT_ALU, (2,), (1,))
         trace = trace_from_instructions([producer, consumer], static_clusters=[0, 1])
         config = ClusterConfig(num_clusters=2, fetch_to_dispatch_latency=1, warm_caches=False)
         metrics = simulate_trace(trace, StaticAssignmentSteering(), config)

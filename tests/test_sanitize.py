@@ -108,6 +108,8 @@ class TestShmViewsAlwaysFrozen:
     def test_frozen_columns_are_still_zero_copy(self, small_profile):
         _, compiled = WorkloadGenerator(small_profile).generate_compiled_trace(300)
         compiled.freeze()
-        rebuilt = CompiledTrace(**compiled.stored_columns())
+        rebuilt = CompiledTrace(
+            **{name: getattr(compiled, name) for name in CompiledTrace.STORED_FIELDS}
+        )
         for name in CompiledTrace.STORED_FIELDS:
             assert np.shares_memory(getattr(rebuilt, name), getattr(compiled, name))

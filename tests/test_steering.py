@@ -16,8 +16,7 @@ from repro.steering.static_follow import StaticAssignmentSteering
 from repro.steering.virtual_cluster import VirtualClusterSteering
 from repro.uops.compiled import CompiledUopView
 from repro.uops.opcodes import IssueQueueKind, UopClass
-from repro.uops.uop import StaticInstruction
-from tests.conftest import make_trace
+from tests.conftest import make_instruction, make_trace
 
 
 class FakeContext(SteeringContext):
@@ -45,7 +44,7 @@ class FakeContext(SteeringContext):
 
 def make_uop(seq=0, opclass=UopClass.INT_ALU, srcs=(), dests=(10,), vc_id=None,
              chain_leader=False, static_cluster=None):
-    static = StaticInstruction(seq, opclass, dests, srcs)
+    static = make_instruction(seq, opclass, dests, srcs)
     return CompiledUopView(
         make_trace(
             [static],

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,9 @@ from repro.engine.parallel import (
 )
 from repro.experiments.configs import TABLE3_CONFIGURATIONS
 from repro.experiments.runner import ExperimentRunner
+from repro.partition.base import program_regions
+from repro.program.program import LAYOUT_DTYPES, Program, pack
+from repro.scenarios.registry import build_partitioner
 from repro.scenarios.spec import ScenarioSpec
 from repro.workloads.generator import WorkloadGenerator
 
@@ -26,6 +31,14 @@ def fresh_trace_memo():
     _TRACE_MEMO.clear()
     yield
     _TRACE_MEMO.clear()
+
+
+def program_columns(program):
+    return {name: getattr(program, name).tolist() for name in Program.COLUMNS}
+
+
+def write_artifact(path, columns):
+    np.savez_compressed(path.with_suffix(""), **columns)  # savez re-appends .npz
 
 
 def make_job(profile, **overrides) -> SimulationJob:
@@ -51,10 +64,10 @@ class TestStore:
         assert loaded is not None
         loaded_program, loaded_trace = loaded
         assert loaded_trace.equals(compiled)
-        assert loaded_program.num_instructions == program.num_instructions
-        assert [i.sid for i in loaded_program.all_instructions()] == [
-            i.sid for i in program.all_instructions()
-        ]
+        assert program_columns(loaded_program) == program_columns(program)
+        assert (loaded_program.name, loaded_program.entry, loaded_program.register_space) == (
+            program.name, program.entry, program.register_space
+        )
         assert store.stats() == {"hits": 1, "misses": 0, "stores": 1}
 
     def test_missing_key_is_a_miss(self, tmp_path):
@@ -78,33 +91,51 @@ class TestStore:
         key = "aa" * 32
         store.put(key, program, compiled)
         path = store._path(key)
-        data = dict(np.load(path, allow_pickle=False))
+        data = dict(np.load(path))
         data["opclass"] = np.full_like(data["opclass"], 250)
-        np.savez_compressed(path.with_suffix(""), **data)  # savez re-appends .npz
+        write_artifact(path, data)
         assert store.get(key) is None
 
-    @pytest.mark.parametrize("tamper", ["other-opclass", "unknown-sid"])
-    def test_trace_that_does_not_fit_its_program_is_a_miss(
-        self, tmp_path, small_profile, tamper
-    ):
-        """A trace row whose ``sid`` names an instruction of another opclass,
-        or no instruction at all, is caught at load: a miss, not a trace
-        served against the wrong program."""
+    @pytest.mark.parametrize(
+        "tamper",
+        [
+            "offsets-not-rising",
+            "register-outside-space",
+            "block-start-short",
+            "edge-to-unknown-block",
+            "out-probabilities",
+            "sid-past-end",
+            "object-member",
+        ],
+    )
+    def test_tampered_program_columns_are_a_miss(self, tmp_path, small_profile, tamper):
+        """Columns that fail the program's validation, a trace ``sid`` the
+        program does not have, and a pickled member are each caught at load:
+        a miss, not a program or trace served from bad bytes."""
         store = TraceArtifactStore(tmp_path / "traces")
         program, compiled = WorkloadGenerator(small_profile).generate_compiled_trace(300)
         key = "c3" * 32
         store.put(key, program, compiled)
         assert store.get(key) is not None
         path = store._path(key)
-        data = dict(np.load(path, allow_pickle=False))
-        opclass = int(data["opclass"][0])
-        if tamper == "other-opclass":
-            data["sid"][0] = next(
-                inst.sid for inst in program.all_instructions() if int(inst.opclass) != opclass
-            )
+        data = dict(np.load(path))
+        if tamper == "offsets-not-rising":
+            offsets = data["src_offsets"]
+            assert offsets[2] < offsets[-1]
+            offsets[1] = offsets[-1]
+        elif tamper == "register-outside-space":
+            data["dest_regs"][0] = program.register_space.total
+        elif tamper == "block-start-short":
+            data["block_start"][-1] -= 1
+        elif tamper == "edge-to-unknown-block":
+            data["edge_dst"][0] = program.num_blocks
+        elif tamper == "out-probabilities":
+            data["edge_probability"][0] *= 0.5
+        elif tamper == "sid-past-end":
+            data["sid"][0] = program.num_instructions
         else:
-            data["sid"][0] = max(inst.sid for inst in program.all_instructions()) + 1
-        np.savez_compressed(path.with_suffix(""), **data)  # savez re-appends .npz
+            data["sid"] = data["sid"].astype(object)
+        write_artifact(path, data)
         assert store.get(key) is None
         assert store.stats() == {"hits": 1, "misses": 1, "stores": 1}
 
@@ -119,7 +150,7 @@ class TestStore:
     def test_savez_compressed_layout_still_loads(self, tmp_path, small_profile):
         """Artifacts written as ``np.savez_compressed`` files (the store's
         earlier writer) stay hits: same members, default deflate level."""
-        import pickle
+        import json
 
         from repro.engine.artifacts import TRACE_ARTIFACT_VERSION
 
@@ -128,10 +159,8 @@ class TestStore:
         key = "5a" * 32
         path = store._path(key)
         path.parent.mkdir(parents=True)
-        payload = dict(compiled.stored_columns())
-        payload["program_pickle"] = np.frombuffer(
-            pickle.dumps(program, protocol=pickle.HIGHEST_PROTOCOL), dtype=np.uint8
-        )
+        meta, payload = pack(program, compiled)
+        payload["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
         payload["artifact_version"] = np.array([TRACE_ARTIFACT_VERSION], dtype=np.int64)
         with open(path, "wb") as handle:
             np.savez_compressed(handle, **payload)
@@ -139,15 +168,12 @@ class TestStore:
         assert loaded is not None
         loaded_program, loaded_trace = loaded
         assert loaded_trace.equals(compiled)
-
-        def operands(prog):
-            return [(i.sid, i.opclass, i.srcs, i.dests) for i in prog.all_instructions()]
-
-        assert operands(loaded_program) == operands(program)
+        assert program_columns(loaded_program) == program_columns(program)
         assert store.stats() == {"hits": 1, "misses": 0, "stores": 0}
 
     def test_written_artifact_is_a_standard_npz(self, tmp_path, small_profile):
-        """``put`` writes the ``np.savez`` member layout, deflate-compressed."""
+        """``put`` writes the ``np.savez`` member layout, deflate-compressed:
+        the program's columns, the trace's dynamic columns, meta and version."""
         import zipfile
 
         store = TraceArtifactStore(tmp_path / "traces")
@@ -157,15 +183,16 @@ class TestStore:
         with zipfile.ZipFile(store._path(key)) as archive:
             members = archive.infolist()
         assert sorted(member.filename for member in members) == sorted(
-            f"{name}.npy"
-            for name in (*compiled.STORED_FIELDS, "program_pickle", "artifact_version")
+            f"{name}.npy" for name in (*LAYOUT_DTYPES, "meta", "artifact_version")
         )
         assert {member.compress_type for member in members} == {zipfile.ZIP_DEFLATED}
-        with np.load(store._path(key), allow_pickle=False) as data:
-            for name in compiled.STORED_FIELDS:
-                stored = data[name]
-                assert stored.dtype == getattr(compiled, name).dtype
-                assert np.array_equal(stored, getattr(compiled, name))
+        with np.load(store._path(key)) as data:
+            for name, dtype in LAYOUT_DTYPES.items():
+                assert data[name].dtype == dtype
+            for name in ("sid", "address", "mispredicted"):
+                assert np.array_equal(data[name], getattr(compiled, name))
+            for name in Program.COLUMNS:
+                assert np.array_equal(data[name], getattr(program, name))
 
     def test_loaded_program_supports_compiler_passes(self, tmp_path, small_profile):
         """Annotating a loaded program must reproduce the fresh-program pass."""
@@ -183,6 +210,56 @@ class TestStore:
         assert np.array_equal(loaded_trace.chain_leader, compiled.chain_leader)
 
 
+class TestLoadingNeverUnpickles:
+    """Artifacts and shared-memory segments hold numeric columns only: with
+    pickle disabled, both still serve a program whose regions and
+    compile-time passes equal a freshly generated one's."""
+
+    def test_artifact_and_segment_loads_need_no_pickle(self, tmp_path, small_profile, monkeypatch):
+        from repro.engine import shm
+
+        generator = WorkloadGenerator(small_profile)
+        program, compiled = generator.generate_compiled_trace(500, phase=1)
+        store = TraceArtifactStore(tmp_path / "traces")
+        store.put("7c" * 32, program, compiled)
+        segment = None
+        if shm.shared_memory_available():
+            segment = shm.SharedTraceSegment.create("7c", program, compiled)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a trace load unpickled")
+
+        fresh = generator.generate_program(1)
+
+        def regions(prog):
+            return [(region.block_ids, region.sids) for region in program_regions(prog, 128)]
+
+        def columns(name, prog):
+            report = build_partitioner(name, {}, 2, 2, 128).annotate_program(prog)
+            return [column.tolist() for column in report.columns]
+
+        def check(loaded):
+            loaded_program, loaded_trace = loaded
+            assert loaded_trace.equals(compiled)
+            assert regions(loaded_program) == regions(fresh)
+            for name in ("OB", "RHOP", "VC"):
+                assert columns(name, loaded_program) == columns(name, fresh), name
+
+        monkeypatch.setattr(pickle, "loads", refuse)
+        monkeypatch.setattr(pickle, "load", refuse)
+        check(store.get("7c" * 32))
+        if segment is not None:
+            # The attached program's columns view the block: check them
+            # before the mapping closes.
+            attached = shm.SharedTraceSegment.attach(segment.name)
+            try:
+                check(attached.load())
+            finally:
+                attached.close()
+                segment.close()
+                segment.unlink()
+
+
 class TestEngineIntegration:
     def test_execute_job_populates_and_reuses_artifacts(self, tmp_path, small_profile):
         root = tmp_path / "traces"
@@ -198,19 +275,18 @@ class TestEngineIntegration:
 
     @pytest.mark.parametrize(
         "tamper",
-        ["offset-past-end", "offsets-decrease", "negative-dest", "negative-sid", "foreign-sid"],
+        ["offset-past-end", "offsets-decrease", "negative-dest", "negative-sid", "sid-past-end"],
     )
     def test_tampered_artifact_is_a_miss_and_regenerated(self, tmp_path, small_profile, tamper):
-        """Malformed CSR columns fail in the trace constructor, and a trace
-        row naming an instruction of another opclass fails the program
-        check: the store counts a miss and the job regenerates the
-        untampered trace."""
+        """Malformed program columns fail the program's validation, and a
+        trace row naming no instruction fails the gather: the store counts a
+        miss and the job regenerates the untampered trace."""
         root = tmp_path / "traces"
         job = make_job(small_profile)
         expected = execute_job(job, trace_root=str(root))
         store = trace_store_for(str(root))
         path = store._path(job.trace_key())
-        data = dict(np.load(path, allow_pickle=False))
+        data = dict(np.load(path))
         offsets = data["src_offsets"]
         if tamper == "offset-past-end":
             offsets[-1] += 1
@@ -219,12 +295,11 @@ class TestEngineIntegration:
             offsets[1] = offsets[-1]
         elif tamper == "negative-dest":
             data["dest_regs"][0] = -1
-        elif tamper == "foreign-sid":
-            other = np.flatnonzero(data["opclass"] != data["opclass"][0])[0]
-            data["sid"][0] = data["sid"][other]
+        elif tamper == "sid-past-end":
+            data["sid"][0] = len(data["opclass"])
         else:
             data["sid"][0] = -1
-        np.savez_compressed(path.with_suffix(""), **data)  # savez re-appends .npz
+        write_artifact(path, data)
         _TRACE_MEMO.clear()
         misses = store.misses
         assert execute_job(job, trace_root=str(root)) == expected

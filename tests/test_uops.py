@@ -26,7 +26,7 @@ from repro.uops.opcodes import (
     queue_of,
 )
 from repro.uops.registers import RegisterKind, RegisterSpace
-from repro.uops.uop import StaticInstruction
+from tests.conftest import make_instruction, make_program
 
 
 class TestOpcodes:
@@ -104,27 +104,31 @@ class TestRegisterSpace:
         assert space.name(7) == "F3"
 
 
-class TestStaticInstruction:
+class TestStaticInstructionRows:
+    """A static instruction is one row of its program's sid-indexed columns."""
+
     def test_basic_properties(self):
-        inst = StaticInstruction(5, UopClass.LOAD, dests=(10,), srcs=(1, 2), block=3)
-        assert inst.sid == 5
-        assert inst.is_memory and inst.is_load and not inst.is_store
-        assert inst.latency == latency_of(UopClass.LOAD)
-        assert inst.block == 3
-        assert inst.dests == (10,)
-        assert inst.srcs == (1, 2)
+        program = make_program(
+            [make_instruction(0)], [make_instruction(1, UopClass.LOAD, dests=(10,), srcs=(1, 2))],
+            edges=[(0, 1, 1.0, False)],
+        )
+        assert program.opclass[1] == UopClass.LOAD
+        assert program.latency_list()[1] == latency_of(UopClass.LOAD)
+        assert program.block[1] == 1
+        assert program.dest_tuples()[1] == (10,)
+        assert program.src_tuples()[1] == (1, 2)
 
     def test_carries_no_annotation(self):
-        """Annotations are a pass's sid-indexed columns, never instruction fields."""
-        inst = StaticInstruction(0, UopClass.INT_ALU)
+        """Annotations are a pass's sid-indexed columns, never program columns."""
+        program = make_program([make_instruction(0)])
         for name in ("vc_id", "chain_leader", "static_cluster"):
-            assert not hasattr(inst, name)
-            with pytest.raises(AttributeError):
-                setattr(inst, name, 0)
+            assert not hasattr(program, name)
 
     def test_branch_flag(self):
-        assert StaticInstruction(1, UopClass.BRANCH, srcs=(1,)).is_branch
-        assert not StaticInstruction(0, UopClass.FP_MUL, dests=(70,)).is_branch
+        program = make_program(
+            [make_instruction(0, UopClass.FP_MUL, dests=(70,)), make_instruction(1, UopClass.BRANCH)]
+        )
+        assert program.trace([0, 1], [0, 0], [False, False]).is_branch.tolist() == [False, True]
 
 
 class TestEncoding:
@@ -163,9 +167,9 @@ class TestEncoding:
         program = generate_program(small_profile)
         vc = VirtualClusterPartitioner(2).annotate_program(program)
         ob = OperationBasedPartitioner(2).annotate_program(program)
-        for inst in program.all_instructions():
+        for sid in range(program.num_instructions):
             for report in (vc, ob):
-                vc_id, leader, cluster = (column[inst.sid].item() for column in report.columns)
+                vc_id, leader, cluster = (column[sid].item() for column in report.columns)
                 annotation = SteeringAnnotation(
                     vc_id=None if vc_id < 0 else vc_id,
                     chain_leader=leader,

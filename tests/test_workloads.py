@@ -7,6 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.analysis.stats import program_statistics
+from repro.program.program import Program
 from repro.uops.opcodes import UopClass
 from repro.uops.registers import RegisterSpace
 from repro.workloads.generator import BenchmarkProfile, WorkloadGenerator, generate_program
@@ -52,26 +53,24 @@ class TestKernels:
             rng, 30, make_pool(), num_chains=3, load_fraction=0.0, store_fraction=0.0,
             cross_chain_fraction=0.0,
         )
-        from repro.program.ddg import build_ddg
-        from repro.uops.uop import StaticInstruction
+        from tests.conftest import block_ddg, make_instruction
 
         instructions = [
-            StaticInstruction(i, op, dests, srcs) for i, (op, dests, srcs) in enumerate(specs)
+            make_instruction(i, op, dests, srcs) for i, (op, dests, srcs) in enumerate(specs)
         ]
-        ddg = build_ddg(instructions)
+        ddg = block_ddg(instructions)
         # With no cross-chain edges there are exactly 3 independent roots.
         assert len(ddg.roots()) == 3
 
     def test_reduction_converges_to_single_value(self):
         rng = np.random.default_rng(2)
         specs = reduction_kernel(rng, 16, make_pool(), fp=True)
-        from repro.program.ddg import build_ddg
-        from repro.uops.uop import StaticInstruction
+        from tests.conftest import block_ddg, make_instruction
 
         instructions = [
-            StaticInstruction(i, op, dests, srcs) for i, (op, dests, srcs) in enumerate(specs)
+            make_instruction(i, op, dests, srcs) for i, (op, dests, srcs) in enumerate(specs)
         ]
-        ddg = build_ddg(instructions)
+        ddg = block_ddg(instructions)
         # A reduction tree funnels into exactly one final leaf value.
         producing_leaves = [n for n in ddg.leaves() if instructions[n].dests]
         assert len(producing_leaves) == 1
@@ -129,18 +128,15 @@ class TestWorkloadGenerator:
     def test_program_is_valid_and_deterministic(self, small_profile):
         a = generate_program(small_profile, phase=0)
         b = generate_program(small_profile, phase=0)
-        a.validate()
-        assert [i.sid for i in a.all_instructions()] == [i.sid for i in b.all_instructions()]
-        assert [i.opclass for i in a.all_instructions()] == [
-            i.opclass for i in b.all_instructions()
-        ]
+        for name in Program.COLUMNS:
+            assert np.array_equal(getattr(a, name), getattr(b, name)), name
+        # Rebuilding the program from its columns runs the validation again.
+        Program(a.name, {name: getattr(a, name) for name in Program.COLUMNS})
 
     def test_phases_differ(self, small_profile):
         a = generate_program(small_profile, phase=0)
         b = generate_program(small_profile, phase=1)
-        assert [i.opclass for i in a.all_instructions()] != [
-            i.opclass for i in b.all_instructions()
-        ]
+        assert a.opclass.tolist() != b.opclass.tolist()
 
     def test_block_count_matches_profile(self, small_profile):
         program = generate_program(small_profile)
@@ -148,8 +144,9 @@ class TestWorkloadGenerator:
 
     def test_every_block_ends_with_branch(self, small_profile):
         program = generate_program(small_profile)
-        for block in program.blocks.values():
-            assert block.terminator is not None
+        last = program.block_start[1:] - 1
+        assert (program.opclass[last] == UopClass.BRANCH).all()
+        assert (program.block[last] == np.arange(program.num_blocks)).all()
 
     def test_fp_profile_produces_fp_instructions(self, small_fp_profile):
         program = generate_program(small_fp_profile)
@@ -164,8 +161,7 @@ class TestWorkloadGenerator:
     def test_trace_generation_reuses_program(self, small_profile):
         generator = WorkloadGenerator(small_profile)
         program, trace = generator.generate_compiled_trace(500, phase=0)
-        sids = {inst.sid for inst in program.all_instructions()}
-        assert set(trace.sid.tolist()) <= sids
+        assert set(trace.sid.tolist()) <= set(range(program.num_instructions))
         assert len(trace) >= 500
 
     def test_address_model_scales_with_phase(self, small_profile):
@@ -216,8 +212,7 @@ class TestSpec2000:
     def test_profiles_generate_valid_programs(self):
         # Spot-check a few representative profiles end to end.
         for name in ("164.gzip-1", "176.gcc-2", "181.mcf", "178.galgel", "301.apsi"):
-            program = generate_program(profile_for(name))
-            program.validate()
+            program = generate_program(profile_for(name))  # validated as it is built
             assert program.num_instructions > 50
 
 
