@@ -9,8 +9,8 @@ is pinned per configuration.  A rewrite of a compile-time pass or of its
 caller must leave these digests unchanged.
 
 The dynamic µop streams themselves are pinned the same way: the SHA-256 of
-every trace's stored non-annotation columns, one trace per phase in job
-order, per scenario.  A change to trace generation must leave them unchanged.
+every trace's :data:`STREAM_FIELDS` columns, one trace per phase in job order,
+per scenario.  A change to trace generation must leave them unchanged.
 """
 
 from __future__ import annotations
@@ -38,17 +38,27 @@ ANNOTATION_DIGESTS = {
 
 # Figure 7 runs figure 5's traces on a 4-cluster machine: one stream digest.
 STREAM_DIGESTS = {
-    "figure5": "acc4ef12bf9dde0e2c5684698146cd9487698bbc3cfb9c1958ed8618808afd2c",
-    "figure7": "acc4ef12bf9dde0e2c5684698146cd9487698bbc3cfb9c1958ed8618808afd2c",
+    "figure5": "3cb75bd280ef44c01089f1d05eef57eccbba3458390f3adef432f23281dbff13",
+    "figure7": "3cb75bd280ef44c01089f1d05eef57eccbba3458390f3adef432f23281dbff13",
 }
+
+#: The columns of a dynamic µop stream: the dynamic rows and the static
+#: facts gathered by sid.
+STREAM_FIELDS = (
+    "sid",
+    "block",
+    "opclass",
+    "address",
+    "mispredicted",
+    "src_offsets",
+    "src_regs",
+    "dest_offsets",
+    "dest_regs",
+)
 
 
 def _column_bytes(compiled, names) -> bytes:
     return b"".join(np.ascontiguousarray(getattr(compiled, name)).tobytes() for name in names)
-
-
-def _stream_fields(compiled):
-    return [n for n in compiled.STORED_FIELDS if n not in compiled.ANNOTATION_FIELDS]
 
 
 @pytest.fixture(scope="module")
@@ -69,7 +79,7 @@ def scenario_digests() -> Dict[str, Dict[Optional[str], str]]:
                 done = seen.get(job.trace_key())
                 if done is None:
                     done = seen[job.trace_key()] = []
-                    hashes[None].update(_column_bytes(compiled, _stream_fields(compiled)))
+                    hashes[None].update(_column_bytes(compiled, STREAM_FIELDS))
                 configuration = job.configuration
                 key = configuration.partitioner_key(
                     job.num_clusters, job.num_virtual_clusters, job.region_size
