@@ -14,7 +14,7 @@ four-configuration sweep executed four times on one persistent runner --
 the recurring-sweep shape of the ablation studies.  On the pickle path every worker acquires each of its batches'
 traces itself, run after run (bounded only by its memo); on the
 shared-memory path the parent publishes each trace once, workers attach
-zero-copy, and every warm run finds every segment resident.
+by name, and every warm run finds every segment resident.
 
 ``benchmarks/BENCH_engine.json`` holds a committed reference snapshot of
 this file's numbers (regenerate with ``pytest benchmarks/test_engine_sweep.py
@@ -212,7 +212,7 @@ def test_multi_trace_sweep_pickle(benchmark):
 
 def test_multi_trace_sweep_shm(benchmark):
     """The same recurring sweep on the shared-memory substrate: each trace is
-    published once, workers attach zero-copy, and warm runs find every
+    published once, workers attach by name, and warm runs find every
     segment resident.  The wall-clock ratio against
     ``test_multi_trace_sweep_pickle`` is the substrate speedup recorded in
     BENCH_engine.json (>=1.0x floor: matching at worst)."""

@@ -37,60 +37,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "__version__",
-    # µop / program model
-    "UopClass",
-    "CompiledTrace",
-    "Program",
-    "build_ddg",
-    "form_regions",
-    # compile-time passes
-    "VirtualClusterPartitioner",
-    "RhopPartitioner",
-    "OperationBasedPartitioner",
-    # run-time policies
-    "OccupancyAwareSteering",
-    "OneClusterSteering",
-    "StaticAssignmentSteering",
-    "VirtualClusterSteering",
-    # simulator
-    "ClusterConfig",
-    "two_cluster_config",
-    "four_cluster_config",
-    "ClusteredProcessor",
-    "SimulationMetrics",
-    "simulate_trace",
-    # workloads
-    "BenchmarkProfile",
-    "WorkloadGenerator",
-    "all_trace_names",
-    "profile_for",
-    # engine
-    "ParallelRunner",
-    "ResultCache",
-    "SimulationJob",
-    "TraceArtifactStore",
-    # scenarios
-    "ScenarioSpec",
-    "MachineSpec",
-    "SweepAxis",
-    "builtin_scenario",
-    "run_scenario",
-    "register_policy",
-    "register_partitioner",
-    "register_machine",
-    # experiments
-    "ExperimentRunner",
-    "SteeringConfiguration",
-    "TABLE3_CONFIGURATIONS",
-    "make_configuration",
-    "vc_variant",
-    "run_table1",
-    "quick_comparison",
-]
-
-__getattr__, __dir__ = lazy_exports(
+__getattr__, __dir__, __all__ = lazy_exports(
     __name__,
     {
         ".cluster.config": ("ClusterConfig", "two_cluster_config", "four_cluster_config"),
@@ -128,6 +75,7 @@ __getattr__, __dir__ = lazy_exports(
         ".workloads.profile": ("BenchmarkProfile",),
         ".workloads.spec2000": ("all_trace_names", "profile_for"),
     },
+    eager=("__version__", "quick_comparison"),
 )
 
 

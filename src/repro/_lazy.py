@@ -14,11 +14,14 @@ from typing import Callable, Dict, Iterable, List, Mapping, Tuple
 
 
 def lazy_exports(
-    package: str, exports: Mapping[str, Iterable[str]]
-) -> Tuple[Callable[[str], object], Callable[[], List[str]]]:
-    """``(__getattr__, __dir__)`` for ``package``, whose ``exports`` map submodule -> names.
+    package: str, exports: Mapping[str, Iterable[str]], eager: Iterable[str] = ()
+) -> Tuple[Callable[[str], object], Callable[[], List[str]], List[str]]:
+    """``(__getattr__, __dir__, __all__)`` for ``package``, whose ``exports``
+    map submodule -> names.
 
     Submodules may be named relative to ``package`` (``".config"``).
+    ``__all__`` lists ``eager`` -- the names the package defines itself --
+    then every lazily exported name, in map order.
 
     A resolved name is stored in the package namespace, so later lookups
     skip ``__getattr__`` altogether.
@@ -38,4 +41,4 @@ def lazy_exports(
     def __dir__() -> List[str]:
         return sorted(set(vars(sys.modules[package])) | set(origin))
 
-    return __getattr__, __dir__
+    return __getattr__, __dir__, [*eager, *origin]

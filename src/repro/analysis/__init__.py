@@ -15,17 +15,7 @@
 
 from repro._lazy import lazy_exports
 
-__all__ = [
-    "CriticalityInfo",
-    "compute_criticality",
-    "SlackInfo",
-    "compute_slack",
-    "DDGStats",
-    "ddg_statistics",
-    "program_statistics",
-]
-
-__getattr__, __dir__ = lazy_exports(
+__getattr__, __dir__, __all__ = lazy_exports(
     __name__,
     {
         ".criticality": ("CriticalityInfo", "compute_criticality"),

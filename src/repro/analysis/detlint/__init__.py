@@ -8,6 +8,6 @@ model.
 
 from repro._lazy import lazy_exports
 
-__all__ = ["RULES", "RULES_BY_ID", "Finding", "Rule", "check_module"]
-
-__getattr__, __dir__ = lazy_exports(__name__, {".rules": __all__})
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__, {".rules": ("RULES", "RULES_BY_ID", "Finding", "Rule", "check_module")}
+)

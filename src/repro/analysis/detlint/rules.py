@@ -154,7 +154,7 @@ _FS_LIST_CALLS = frozenset({"listdir", "scandir", "glob", "iglob", "rglob", "ite
 #: numpy.
 TRACE_COLUMN_ATTRS = frozenset(
     {
-        "seq", "sid", "block", "opclass", "address", "mispredicted",
+        "sid", "block", "opclass", "address", "mispredicted",
         "vc_id", "chain_leader", "static_cluster",
         "src_offsets", "src_regs", "dest_offsets", "dest_regs",
         "block_start", "edge_src", "edge_dst", "edge_probability", "edge_back",

@@ -60,7 +60,7 @@ engine (:mod:`repro.engine`) and accepts these knobs:
     Shared-memory trace residency for parallel runs (on by default
     where the platform supports it): each distinct compiled trace is
     published once into a ``multiprocessing.shared_memory`` segment and
-    workers attach by name as zero-copy views, instead of every worker
+    workers attach by name and copy it out, instead of every worker
     acquiring the trace on its own.  Segments are unlinked when the run's
     engine shuts down; reports end with a ``[shm] segments=... bytes=...``
     footer when segments were used.  Bit-identical to ``--no-shared-mem``
@@ -180,7 +180,7 @@ def _engine_footer(engine: ParallelRunner) -> str:
             f"[shm] segments={shm_stats['segments']} bytes={shm_stats['bytes']} "
             f"published={shm_stats['published']} reused={shm_stats['reused']}  "
             "(compiled traces resident in shared memory; workers attach "
-            "zero-copy; --no-shared-mem restores the pickle path)\n"
+            "by name; --no-shared-mem restores the pickle path)\n"
         )
     adaptive = engine.adaptive_stats
     if adaptive["planned"] > 0:
@@ -263,7 +263,7 @@ def _add_engine_options(parser: argparse.ArgumentParser) -> None:
         action="store_true",
         default=None,
         help="publish each compiled trace once into shared memory so parallel "
-        "workers attach zero-copy (default: on where the platform supports "
+        "workers attach by name (default: on where the platform supports "
         "it; bit-identical either way)",
     )
     parser.add_argument(

@@ -25,20 +25,7 @@ Sub-modules:
 
 from repro._lazy import lazy_exports
 
-__all__ = [
-    "ClusterConfig",
-    "two_cluster_config",
-    "four_cluster_config",
-    "SetAssociativeCache",
-    "MemoryHierarchy",
-    "CacheStats",
-    "Interconnect",
-    "SimulationMetrics",
-    "ClusteredProcessor",
-    "simulate_trace",
-]
-
-__getattr__, __dir__ = lazy_exports(
+__getattr__, __dir__, __all__ = lazy_exports(
     __name__,
     {
         ".cache": ("CacheStats", "MemoryHierarchy", "SetAssociativeCache"),

@@ -46,10 +46,6 @@ class RegisterFiles:
         """The *live* per-cluster free-FP-register list (mutated in place)."""
         return self._free_fp
 
-    def free_registers(self, cluster: int, kind: RegisterKind) -> int:
-        """Free physical registers of ``kind`` in ``cluster``."""
-        return self._pool(kind)[cluster]
-
     def can_allocate(self, cluster: int, dests) -> bool:
         """True when every destination in ``dests`` can get a physical register."""
         need_int = need_fp = 0

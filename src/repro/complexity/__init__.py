@@ -9,6 +9,6 @@ group (the timing problem motivating the paper).
 
 from repro._lazy import lazy_exports
 
-__all__ = ["ComplexityEstimate", "SteeringComplexityModel", "complexity_table"]
-
-__getattr__, __dir__ = lazy_exports(__name__, {".model": __all__})
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__, {".model": ("ComplexityEstimate", "SteeringComplexityModel", "complexity_table")}
+)

@@ -48,9 +48,9 @@ Adaptive stopping rules (:mod:`repro.engine.adaptive`)
 ``SharedTraceSegment`` / ``SegmentRegistry`` (:mod:`repro.engine.shm`)
     The shared-memory substrate: each distinct compiled trace published once
     into a ``multiprocessing.shared_memory`` block (refcounted, unlinked on
-    release), which warm workers attach to by name as zero-copy numpy views
-    -- no column bytes cross the task queue, and segments stay resident
-    across runs.
+    release), which warm workers attach to by name and copy out -- no
+    column bytes cross the task queue, and segments stay resident across
+    runs.
 
 ``WorkerPool`` (:mod:`repro.engine.pool`)
     The persistent process pool: spawned once per runner, reused across
@@ -92,39 +92,7 @@ from __future__ import annotations
 
 from repro._lazy import lazy_exports
 
-__all__ = [
-    "AUTO_TRACE_ROOT",
-    "CACHE_SCHEMA_VERSION",
-    "DEFAULT_MEMO_CAP",
-    "SUPPORTED_CONFIDENCE",
-    "TRACE_ARTIFACT_VERSION",
-    "ZERO_ADAPTIVE_STATS",
-    "BisectOutcome",
-    "CIOutcome",
-    "ConfigOutcome",
-    "JobBatch",
-    "ParallelRunner",
-    "RaceOutcome",
-    "ResultCache",
-    "RunPlan",
-    "SegmentRegistry",
-    "SharedTraceSegment",
-    "SimulationJob",
-    "TraceArtifactStore",
-    "Welford",
-    "WorkerPool",
-    "ci_halfwidth",
-    "execute_batch",
-    "execute_job",
-    "resolve_memo_cap",
-    "run_bisection",
-    "run_ci",
-    "run_race",
-    "shared_memory_available",
-    "t_critical",
-]
-
-__getattr__, __dir__ = lazy_exports(
+__getattr__, __dir__, __all__ = lazy_exports(
     __name__,
     {
         ".adaptive": (

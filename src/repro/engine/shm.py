@@ -13,9 +13,9 @@ memo.  This module makes a compiled trace a process-shared resource instead:
     columns plus the trace's dynamic ``sid``/``address``/``mispredicted``
     columns (raw, uncompressed, 64-byte aligned) -- and a small JSON header
     describing it.  The parent *publishes* a segment once per trace; workers
-    *attach* by name, view the program's columns zero-copy over the block,
-    and gather the trace's static columns from them by sid -- no column
-    bytes ever travel through the task queue or the filesystem.
+    *attach* by name, copy the columns out of the block, close the mapping
+    and gather the trace's static columns from the program by sid -- no
+    column bytes ever travel through the task queue or the filesystem.
 
 :class:`SegmentRegistry`
     The parent-side owner of all segments of one
@@ -28,10 +28,11 @@ memo.  This module makes a compiled trace a process-shared resource instead:
     backstops ``close()`` so a dropped runner cannot leak ``/dev/shm``
     blocks.
 
-Worker-side attachments are cached per process (:func:`attach_segment`) in a
-small LRU keyed by segment name, mirroring the trace memo: one batch task
-per trace attaches once, later batches of the same trace reuse the mapping.
-Attachments deliberately *unregister* from the ``multiprocessing`` resource
+Worker-side loads are cached per process (:func:`attach_segment`) in a small
+LRU keyed by segment name, mirroring the trace memo: one batch task per trace
+attaches and loads once, later batches of the same trace reuse the rebuilt
+program and trace.  No mapping outlives the load, so no array ever points
+into a closed block.  Attachments deliberately *unregister* from the ``multiprocessing`` resource
 tracker -- on Python < 3.13 an attaching process otherwise claims unlink
 responsibility for a block it does not own, and its exit would tear the
 segment out from under the parent (and spam spurious leak warnings).
@@ -47,13 +48,13 @@ closes), so parent-side cleanup never races worker-side use.
 Correctness invariant
 ---------------------
 Attached traces are bit-identical to published ones: the columns are
-copied byte-for-byte into the block and viewed back with the same dtypes and
-shapes, and the trace is gathered from them exactly as trace generation and
-the artifact store build it (:meth:`Program.trace
-<repro.program.program.Program.trace>`).  The views over the block are
-read-only, and the rebuilt trace arrives frozen (as every bound trace is;
-see :meth:`ClusteredProcessor.bind`), so an in-place write from a worker
-raises at the offending line.  A block whose columns fail the program's
+copied byte-for-byte into the block and copied back out with the same dtypes
+and shapes, and the trace is gathered from them exactly as trace generation
+and the artifact store build it (the
+:class:`~repro.uops.compiled.CompiledTrace` constructor).  The program's
+columns are read-only, and the rebuilt trace arrives frozen (as every bound
+trace is; see :meth:`ClusteredProcessor.bind`), so an in-place write from a
+worker raises at the offending line.  A block whose columns fail the program's
 validation raises ``ValueError`` at :meth:`SharedTraceSegment.load`.
 Simulating against an attached trace is therefore bit-identical to
 simulating against the original (pinned by the round-trip property tests).
@@ -232,11 +233,11 @@ class SharedTraceSegment:
     def load(self) -> Tuple[Program, CompiledTrace]:
         """Rebuild ``(program, compiled trace)`` from the block.
 
-        The program's columns are read-only zero-copy views over the shared
-        buffer (the compile-time passes only read them, and memoise their
-        regions and DDGs on the program); the trace is gathered from them
-        and frozen.  Raises ``ValueError`` when a column has an unexpected
-        dtype or fails the program's validation.
+        Every column is copied out of the block (12-24 KB of program columns
+        per figure 5 trace), so the result stays valid after the mapping
+        closes; the trace is gathered from the program and frozen.
+        Raises ``ValueError`` when a column has an unexpected dtype or fails
+        the program's validation.
         """
         import numpy as np
 
@@ -248,14 +249,12 @@ class SharedTraceSegment:
             spec = header["columns"][key]
             if np.dtype(spec["dtype"]) != dtype:
                 raise ValueError(f"segment column {key!r} has dtype {spec['dtype']}")
-            view = np.ndarray(
+            columns[key] = np.ndarray(
                 tuple(spec["shape"]),
                 dtype=dtype,
                 buffer=self._shm.buf,
                 offset=int(spec["offset"]),
-            )
-            view.flags.writeable = False
-            columns[key] = view
+            ).copy()
         program, compiled = unpack(header["program"], columns)
         return program, compiled.freeze()
 
@@ -422,10 +421,10 @@ class SegmentRegistry:
 # Worker-side attachment cache
 # --------------------------------------------------------------------------
 
-#: Per-process ``segment name -> (segment, program, compiled)`` LRU.  One
-#: batch task per trace attaches; later batches of the same trace (warm
-#: workers across runs) reuse the mapping and the rebuilt objects.
-_ATTACHMENTS: "OrderedDict[str, Tuple[SharedTraceSegment, Program, CompiledTrace]]" = OrderedDict()
+#: Per-process ``segment name -> (program, compiled)`` LRU.  One batch task
+#: per trace attaches and loads; later batches of the same trace (warm
+#: workers across runs) reuse the rebuilt objects.
+_ATTACHMENTS: "OrderedDict[str, Tuple[Program, CompiledTrace]]" = OrderedDict()
 
 #: Default attachment-cache capacity; like the trace memo it only needs to
 #: cover the traces a worker cycles through, not a whole suite.
@@ -433,22 +432,25 @@ DEFAULT_ATTACH_CAP = 8
 
 
 def attach_segment(name: str, cap: int = DEFAULT_ATTACH_CAP) -> Tuple[Program, CompiledTrace]:
-    """The ``(program, compiled trace)`` of segment ``name``, cached per process."""
+    """The ``(program, compiled trace)`` of segment ``name``, cached per process.
+
+    The mapping is closed before this returns: the loaded columns are copies.
+    """
     entry = _ATTACHMENTS.get(name)
     if entry is not None:
         _ATTACHMENTS.move_to_end(name)
-        return entry[1], entry[2]
+        return entry
     segment = SharedTraceSegment.attach(name)
-    program, compiled = segment.load()
-    _ATTACHMENTS[name] = (segment, program, compiled)
+    try:
+        entry = segment.load()
+    finally:
+        segment.close()
+    _ATTACHMENTS[name] = entry
     while len(_ATTACHMENTS) > max(1, cap):
-        _, (old_segment, _, _) = _ATTACHMENTS.popitem(last=False)
-        old_segment.close()
-    return program, compiled
+        _ATTACHMENTS.popitem(last=False)
+    return entry
 
 
 def drop_attachments() -> None:
-    """Close every cached attachment (test isolation; idempotent)."""
-    while _ATTACHMENTS:
-        _, (segment, _, _) = _ATTACHMENTS.popitem(last=False)
-        segment.close()
+    """Forget every cached load (test isolation; idempotent)."""
+    _ATTACHMENTS.clear()

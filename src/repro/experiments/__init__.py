@@ -20,24 +20,7 @@ holds only the computation the scenario report kinds call.
 
 from repro._lazy import lazy_exports
 
-__all__ = [
-    "SteeringConfiguration",
-    "TABLE3_CONFIGURATIONS",
-    "make_configuration",
-    "table3_configurations",
-    "vc_variant",
-    "ExperimentRunner",
-    "BenchmarkResult",
-    "SlowdownResult",
-    "run_slowdown",
-    "Figure6Point",
-    "Figure6Result",
-    "run_figure6",
-    "run_table1",
-    "format_table",
-]
-
-__getattr__, __dir__ = lazy_exports(
+__getattr__, __dir__, __all__ = lazy_exports(
     __name__,
     {
         ".configs": (

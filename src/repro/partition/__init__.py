@@ -21,19 +21,7 @@ modelled in :mod:`repro.uops.encoding`).
 
 from repro._lazy import lazy_exports
 
-__all__ = [
-    "PartitionReport",
-    "RegionPartitioner",
-    "Chain",
-    "identify_chains",
-    "MultilevelPartitioner",
-    "PartitionObjective",
-    "OperationBasedPartitioner",
-    "RhopPartitioner",
-    "VirtualClusterPartitioner",
-]
-
-__getattr__, __dir__ = lazy_exports(
+__getattr__, __dir__, __all__ = lazy_exports(
     __name__,
     {
         ".base": ("PartitionReport", "RegionPartitioner"),

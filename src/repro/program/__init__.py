@@ -20,16 +20,7 @@ baselines) operates on a conventional compiler IR, held as data:
 
 from repro._lazy import lazy_exports
 
-__all__ = [
-    "Program",
-    "DataDependenceGraph",
-    "build_ddg",
-    "Region",
-    "form_regions",
-    "TraceGenerator",
-]
-
-__getattr__, __dir__ = lazy_exports(
+__getattr__, __dir__, __all__ = lazy_exports(
     __name__,
     {
         ".ddg": ("DataDependenceGraph", "build_ddg"),

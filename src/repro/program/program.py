@@ -19,9 +19,10 @@ plus the entry block, the name and the register space.  Every program is
 built through one validation (:meth:`Program.__init__`), so columns read
 from a tampered artifact or segment fail there with a ``ValueError``.
 
-:meth:`Program.trace` gathers the static columns by sid into a compiled
-trace, and :func:`pack`/:func:`unpack` are the one layout trace artifacts
-and shared-memory segments store: the program's columns plus the trace's
+A compiled trace is the program's rows:
+:class:`~repro.uops.compiled.CompiledTrace` gathers the static columns by
+sid.  :func:`pack`/:func:`unpack` are the one layout trace artifacts and
+shared-memory segments store: the program's columns plus the trace's
 ``sid``, ``address`` and ``mispredicted``, every one a numeric column.
 """
 
@@ -270,35 +271,6 @@ class Program:
         """Number of static instructions."""
         return len(self.opclass)
 
-    def trace(self, sid, address, mispredicted) -> CompiledTrace:
-        """The unannotated compiled trace of the dynamic rows ``(sid, address,
-        mispredicted)``: every static column is gathered by ``sid``."""
-        import numpy as np
-
-        from repro.uops.compiled import CompiledTrace, empty_annotations, gather_csr
-
-        sid = np.asarray(sid, dtype=np.int64)
-        if len(sid) and (sid.min() < 0 or sid.max() >= self.num_instructions):
-            raise ValueError("column 'sid' names no instruction of the program")
-        src_offsets, src_regs = gather_csr(self.src_offsets, self.src_regs, sid)
-        dest_offsets, dest_regs = gather_csr(self.dest_offsets, self.dest_regs, sid)
-        vc_id, chain_leader, static_cluster = empty_annotations(len(sid))
-        return CompiledTrace(
-            seq=np.arange(len(sid), dtype=np.int64),
-            sid=sid,
-            block=self.block[sid],
-            opclass=self.opclass[sid],
-            address=address,
-            mispredicted=mispredicted,
-            vc_id=vc_id,
-            chain_leader=chain_leader,
-            static_cluster=static_cluster,
-            src_offsets=src_offsets,
-            src_regs=src_regs,
-            dest_offsets=dest_offsets,
-            dest_regs=dest_regs,
-        )
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"Program(name={self.name!r}, blocks={self.num_blocks}, "
@@ -341,4 +313,8 @@ def unpack(
         entry=int(meta["entry"]),
         register_space=RegisterSpace(int(meta["num_int"]), int(meta["num_fp"])),
     )
-    return program, program.trace(columns["sid"], columns["address"], columns["mispredicted"])
+    from repro.uops.compiled import CompiledTrace
+
+    return program, CompiledTrace(
+        program, columns["sid"], columns["address"], columns["mispredicted"]
+    )

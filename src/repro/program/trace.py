@@ -14,9 +14,9 @@ seeded random generator:
   of the simulator turns into fetch redirect penalties.
 
 Everything is reproducible from the ``seed``.  The walk records only
-``(sid, address, mispredict)`` per µop; :meth:`Program.trace
-<repro.program.program.Program.trace>` gathers every static column by sid,
-so no per-µop Python object is created.  ``tests/test_annotation_digests.py``
+``(sid, address, mispredict)`` per µop; the
+:class:`~repro.uops.compiled.CompiledTrace` constructor gathers every static
+column by sid, so no per-µop Python object is created.  ``tests/test_annotation_digests.py``
 pins the generated streams of the figure 5 and figure 7 scenarios.
 """
 
@@ -181,4 +181,4 @@ class TraceGenerator:
             bid = self._next_block(bid)
         if not sids:
             raise ValueError("trace expansion produced no µops (empty program?)")
-        return program.trace(sids, addresses, mispredicted)
+        return CompiledTrace(program, sids, addresses, mispredicted)

@@ -24,21 +24,7 @@ complexity comparison.
 
 from repro._lazy import lazy_exports
 
-__all__ = [
-    "STALL",
-    "SteeringContext",
-    "SteeringHardware",
-    "SteeringPolicy",
-    "OccupancyAwareSteering",
-    "OneClusterSteering",
-    "StaticAssignmentSteering",
-    "VirtualClusterSteering",
-    "RoundRobinSteering",
-    "LoadBalanceSteering",
-    "DependenceOnlySteering",
-]
-
-__getattr__, __dir__ = lazy_exports(
+__getattr__, __dir__, __all__ = lazy_exports(
     __name__,
     {
         ".base": ("STALL", "SteeringContext", "SteeringHardware", "SteeringPolicy"),

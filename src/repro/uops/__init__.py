@@ -21,28 +21,7 @@ not an object:
 
 from repro._lazy import lazy_exports
 
-__all__ = [
-    "UopClass",
-    "IssueQueueKind",
-    "latency_of",
-    "queue_of",
-    "is_memory",
-    "is_floating_point",
-    "is_branch",
-    "INT_OPCODES",
-    "FP_OPCODES",
-    "MEM_OPCODES",
-    "RegisterSpace",
-    "RegisterKind",
-    "CompiledTrace",
-    "CompiledUopView",
-    "NO_ANNOTATION",
-    "SteeringAnnotation",
-    "encode_annotation",
-    "decode_annotation",
-]
-
-__getattr__, __dir__ = lazy_exports(
+__getattr__, __dir__, __all__ = lazy_exports(
     __name__,
     {
         ".compiled": ("NO_ANNOTATION", "CompiledTrace", "CompiledUopView"),

@@ -10,16 +10,16 @@ in SNIPPETS.md apply: the inner loop should only ever index, never recompute
 
 The representation has three layers:
 
-* **stored columns** (numpy arrays, one element per µop): sequence number,
-  static id, basic block, µop class, effective address, mispredict bit, the
-  steering annotations (``vc_id`` / ``chain_leader`` / ``static_cluster``,
-  with ``-1`` encoding "unannotated"; :meth:`CompiledTrace.annotate_from`
-  gathers a compile-time pass's sid-indexed columns into them), and
-  CSR-style (offsets + flat values) source/destination register lists.
-  Only ``sid``, ``address`` and ``mispredicted`` are dynamic: trace
-  artifacts and shared-memory segments store those three next to the
-  program's columns, and :meth:`repro.program.program.Program.trace`
-  gathers the static ones back by sid.
+* **stored columns** (numpy arrays, one element per µop).  Only ``sid``,
+  ``address`` and ``mispredicted`` are dynamic; trace artifacts and
+  shared-memory segments store those three next to the program's columns.
+  The static ones -- basic block, µop class and the CSR-style (offsets +
+  flat values) source/destination register lists -- are the program's
+  rows, gathered by sid when the trace is built.  The steering annotations
+  (``vc_id`` / ``chain_leader`` / ``static_cluster``, with ``-1`` encoding
+  "unannotated") start unannotated; :meth:`CompiledTrace.annotate_from`
+  gathers a compile-time pass's sid-indexed columns into them.  A µop's
+  sequence number is its row.
 * **derived columns**, recomputed from the µop class at construction time
   via vectorised table lookups: issue-queue kind, functional-unit latency and
   the memory/load/store/branch flags.  Editing
@@ -30,16 +30,18 @@ The representation has three layers:
   scalar per access and is *slower* than list indexing in pure Python, so
   the arrays are the storage format and the lists are the execution format.
 
-The constructor checks the CSR register columns (offsets rising from 0 to the
-flat length, no negative register id) and the static ids (none negative), so
-a malformed trace -- a tampered artifact, a bad hand-built column -- fails
-there with a ``ValueError`` instead of deep inside a run.
+The program's columns are validated once, when the
+:class:`~repro.program.program.Program` is built, so a gather of them at
+in-range sids is well-formed by construction; the constructor checks only
+what the program cannot: the dynamic columns are one-dimensional and of one
+length, and every sid names an instruction of the program.
 """
 
 from __future__ import annotations
 
 from itertools import chain
 from typing import (
+    TYPE_CHECKING,
     Callable,
     Dict,
     Hashable,
@@ -61,6 +63,9 @@ from repro.uops.opcodes import (
     latency_of,
     queue_of,
 )
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.program.program import Program
 
 #: Sentinel used in the ``vc_id`` / ``static_cluster`` columns for "no
 #: annotation" (the policies' view reads it as ``None``).
@@ -198,16 +203,17 @@ class DependencePlan(NamedTuple):
 class CompiledTrace:
     """A dynamic µop trace compiled to structure-of-arrays form.
 
-    Instances are built by :meth:`repro.program.program.Program.trace`
-    (gathering a program's columns by sid: trace generation, artifacts and
-    shared-memory segments) or by :meth:`from_columns` (from per-µop Python
-    columns).  All constructor arguments are numpy arrays of equal length
-    ``n`` except the CSR pairs (offset arrays of length ``n + 1``); the
-    constructor adopts them as-is when their dtypes already match.
+    ``CompiledTrace(program, sid, address, mispredicted)`` is the one way to
+    build a trace: row ``i`` is the dynamic instance of instruction
+    ``sid[i]`` of ``program``, with effective address ``address[i]`` and
+    mispredict bit ``mispredicted[i]``.  The static columns (block, µop
+    class, source/destination registers) are gathered from the program's
+    validated columns by sid, the derived columns are looked up from the µop
+    class, and the trace starts unannotated.  The three dynamic columns are
+    adopted as-is when their dtypes already match.
     """
 
     __slots__ = (
-        "seq",
         "sid",
         "block",
         "opclass",
@@ -230,9 +236,8 @@ class CompiledTrace:
         "_cache",
     )
 
-    #: The constructor's columns, in order (derived columns are recomputed).
+    #: The stored columns (the derived ones are recomputed from ``opclass``).
     STORED_FIELDS = (
-        "seq",
         "sid",
         "block",
         "opclass",
@@ -250,54 +255,27 @@ class CompiledTrace:
     #: The steering-annotation columns, in the order annotation values hold them.
     ANNOTATION_FIELDS = ("vc_id", "chain_leader", "static_cluster")
 
-    def __init__(
-        self,
-        seq: np.ndarray,
-        sid: np.ndarray,
-        block: np.ndarray,
-        opclass: np.ndarray,
-        address: np.ndarray,
-        mispredicted: np.ndarray,
-        vc_id: np.ndarray,
-        chain_leader: np.ndarray,
-        static_cluster: np.ndarray,
-        src_offsets: np.ndarray,
-        src_regs: np.ndarray,
-        dest_offsets: np.ndarray,
-        dest_regs: np.ndarray,
-    ) -> None:
-        self.seq = np.asarray(seq, dtype=np.int64)
+    def __init__(self, program: Program, sid, address, mispredicted) -> None:
         self.sid = np.asarray(sid, dtype=np.int64)
-        self.block = np.asarray(block, dtype=np.int32)
-        self.opclass = np.asarray(opclass, dtype=np.uint8)
         self.address = np.asarray(address, dtype=np.int64)
         self.mispredicted = np.asarray(mispredicted, dtype=bool)
-        self.vc_id = np.asarray(vc_id, dtype=np.int32)
-        self.chain_leader = np.asarray(chain_leader, dtype=bool)
-        self.static_cluster = np.asarray(static_cluster, dtype=np.int32)
-        self.src_offsets = np.asarray(src_offsets, dtype=np.int64)
-        self.src_regs = np.asarray(src_regs, dtype=np.int32)
-        self.dest_offsets = np.asarray(dest_offsets, dtype=np.int64)
-        self.dest_regs = np.asarray(dest_regs, dtype=np.int32)
-        n = len(self.seq)
-        for name in ("sid", "block", "opclass", "address", "mispredicted",
-                     "vc_id", "chain_leader", "static_cluster"):
-            if len(getattr(self, name)) != n:
-                raise ValueError(f"column {name!r} has length {len(getattr(self, name))}, expected {n}")
-        for kind in ("src", "dest"):
-            offsets = getattr(self, f"{kind}_offsets")
-            regs = getattr(self, f"{kind}_regs")
-            if len(offsets) != n + 1:
-                raise ValueError(f"offset column '{kind}_offsets' must have length n + 1")
-            if offsets[0] != 0 or offsets[-1] != len(regs) or (np.diff(offsets) < 0).any():
-                raise ValueError(
-                    f"offset column '{kind}_offsets' must rise from 0 to "
-                    f"len({kind}_regs) = {len(regs)}"
-                )
-            if len(regs) and regs.min() < 0:
-                raise ValueError(f"column '{kind}_regs' holds a negative register id")
-        if n and self.sid.min() < 0:  # annotate_from indexes by sid
-            raise ValueError("column 'sid' holds a negative static id")
+        for name in ("sid", "address", "mispredicted"):
+            column = getattr(self, name)
+            if column.ndim != 1 or len(column) != len(self.sid):
+                raise ValueError(f"column {name!r} must be one-dimensional, one entry per µop")
+        n = len(self.sid)
+        if n and (self.sid.min() < 0 or self.sid.max() >= program.num_instructions):
+            raise ValueError("column 'sid' names no instruction of the program")
+        # Static columns: the program's rows, gathered by sid.
+        self.block = program.block[self.sid]
+        self.opclass = program.opclass[self.sid]
+        self.src_offsets, self.src_regs = gather_csr(
+            program.src_offsets, program.src_regs, self.sid
+        )
+        self.dest_offsets, self.dest_regs = gather_csr(
+            program.dest_offsets, program.dest_regs, self.sid
+        )
+        self.vc_id, self.chain_leader, self.static_cluster = empty_annotations(n)
         # Derived columns: vectorised lookups on the µop class.
         self.queue = _QUEUE_TABLE[self.opclass]
         self.latency = _LATENCY_TABLE[self.opclass]
@@ -311,7 +289,7 @@ class CompiledTrace:
 
     # ------------------------------------------------------------------ basics --
     def __len__(self) -> int:
-        return len(self.seq)
+        return len(self.sid)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"CompiledTrace({len(self)} µops, {int(self.src_offsets[-1])} source operands)"
@@ -372,10 +350,6 @@ class CompiledTrace:
     def latency_list(self) -> List[int]:
         """Per-µop functional-unit latency as plain ints."""
         return self.memo("latency", self.latency.tolist)
-
-    def seq_list(self) -> List[int]:
-        """Per-µop sequence number as plain ints."""
-        return self.memo("seq", self.seq.tolist)
 
     def address_list(self) -> List[int]:
         """Per-µop effective address as plain ints."""
@@ -541,7 +515,7 @@ class CompiledTrace:
         configuration of a batch, so a frozen trace turns any
         in-place mutation of shared state into a ``ValueError`` at the
         offending line (the static half of this contract is detlint rule
-        DET109).  Views attached over shared-memory segments arrive frozen
+        DET109).  Traces loaded from shared-memory segments arrive frozen
         already; freezing is idempotent and irreversible for a given array
         (callers needing a mutable trace rebuild one from copies).  Returns
         ``self`` for chaining.
@@ -579,46 +553,6 @@ class CompiledTrace:
             self._cache.pop(name, None)
         return self
 
-    # ------------------------------------------------------------ constructors --
-    @classmethod
-    def from_columns(
-        cls,
-        sids: Sequence[int],
-        opclasses: Sequence[int],
-        srcs: Sequence[Tuple[int, ...]],
-        dests: Sequence[Tuple[int, ...]],
-        blocks: Sequence[int],
-        addresses: Sequence[int],
-        mispredicted: Sequence[bool],
-        vc_ids: Optional[Sequence[int]] = None,
-        chain_leaders: Optional[Sequence[bool]] = None,
-        static_clusters: Optional[Sequence[int]] = None,
-    ) -> "CompiledTrace":
-        """Build a trace from per-µop Python columns (annotation sentinel ``-1``).
-
-        Sequence numbers run ``0 .. n - 1`` in column order; an omitted
-        annotation column is unannotated.
-        """
-        n = len(sids)
-        src_offsets, src_regs = csr_from_rows(srcs)
-        dest_offsets, dest_regs = csr_from_rows(dests)
-        empty = empty_annotations(n)
-        return cls(
-            seq=np.arange(n, dtype=np.int64),
-            sid=np.asarray(sids, dtype=np.int64),
-            block=np.asarray(blocks, dtype=np.int32),
-            opclass=np.asarray(opclasses, dtype=np.uint8),
-            address=np.asarray(addresses, dtype=np.int64),
-            mispredicted=np.asarray(mispredicted, dtype=bool),
-            vc_id=empty[0] if vc_ids is None else vc_ids,
-            chain_leader=empty[1] if chain_leaders is None else chain_leaders,
-            static_cluster=empty[2] if static_clusters is None else static_clusters,
-            src_offsets=src_offsets,
-            src_regs=src_regs,
-            dest_offsets=dest_offsets,
-            dest_regs=dest_regs,
-        )
-
 
 class CompiledUopView:
     """Flyweight µop: the steering policies' view of one row of a trace.
@@ -646,7 +580,6 @@ class CompiledUopView:
         "_vc_ids",
         "_leaders",
         "_static_clusters",
-        "_seqs",
         "_sids",
         "_opclasses",
     )
@@ -667,14 +600,8 @@ class CompiledUopView:
         self._vc_ids = trace.vc_id_list()
         self._leaders = trace.chain_leader_list()
         self._static_clusters = trace.static_cluster_list()
-        self._seqs = trace.seq_list()
         self._sids = trace.sid_list()
         self._opclasses = trace.opclass_list()
-
-    @property
-    def seq(self) -> int:
-        """Sequence number of the µop."""
-        return self._seqs[self.index]
 
     @property
     def opclass(self) -> UopClass:
@@ -757,4 +684,4 @@ class CompiledUopView:
         return self._sids[self.index]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"CompiledUopView(index={self.index}, seq={self.seq}, {self.opclass.name})"
+        return f"CompiledUopView(index={self.index}, {self.opclass.name})"

@@ -25,26 +25,7 @@ which the profiles control explicitly.
 
 from repro._lazy import lazy_exports
 
-__all__ = [
-    "BenchmarkProfile",
-    "WorkloadGenerator",
-    "generate_program",
-    "KernelKind",
-    "serial_chain_kernel",
-    "parallel_chains_kernel",
-    "reduction_kernel",
-    "stream_kernel",
-    "branchy_kernel",
-    "SimulationPoint",
-    "select_simulation_points",
-    "weighted_average",
-    "SPEC_INT_TRACES",
-    "SPEC_FP_TRACES",
-    "all_trace_names",
-    "profile_for",
-]
-
-__getattr__, __dir__ = lazy_exports(
+__getattr__, __dir__, __all__ = lazy_exports(
     __name__,
     {
         ".generator": ("WorkloadGenerator", "generate_program"),

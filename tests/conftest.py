@@ -4,11 +4,12 @@ from __future__ import annotations
 
 from typing import NamedTuple, Tuple
 
+import numpy as np
 import pytest
 
 from repro.program.ddg import build_ddg
 from repro.program.program import Program
-from repro.uops.compiled import NO_ANNOTATION, CompiledTrace
+from repro.uops.compiled import CompiledTrace, empty_annotations
 from repro.uops.opcodes import UopClass, is_memory, latency_of
 from repro.workloads.generator import BenchmarkProfile, WorkloadGenerator
 from repro.workloads.kernels import KernelKind
@@ -67,31 +68,25 @@ def make_trace(
 ):
     """A hand-made trace: one µop per entry of ``instructions``, in order.
 
-    Each µop copies its static instruction's registers and block;
-    ``addresses`` and ``mispredicted`` give the per-µop dynamic facts (0 and
-    ``False`` when omitted) and ``vc_ids`` / ``chain_leaders`` /
-    ``static_clusters`` its annotations (``None`` entries, or an omitted
-    column, read unannotated).
+    The instructions form the one block of a program (their ``sid`` and
+    ``block`` are ignored: µop ``i`` runs sid ``i``); ``addresses`` and
+    ``mispredicted`` give the per-µop dynamic facts (0 and ``False`` when
+    omitted) and ``vc_ids`` / ``chain_leaders`` / ``static_clusters`` its
+    annotations (``None`` entries, or an omitted column, read unannotated).
     """
     n = len(instructions)
-
-    def annotation(values):
-        if values is None:
-            return None
-        return [NO_ANNOTATION if value is None else value for value in values]
-
-    return CompiledTrace.from_columns(
-        sids=[inst.sid for inst in instructions],
-        opclasses=[int(inst.opclass) for inst in instructions],
-        srcs=[inst.srcs for inst in instructions],
-        dests=[inst.dests for inst in instructions],
-        blocks=[inst.block for inst in instructions],
-        addresses=[0] * n if addresses is None else addresses,
-        mispredicted=[False] * n if mispredicted is None else mispredicted,
-        vc_ids=annotation(vc_ids),
-        chain_leaders=chain_leaders,
-        static_clusters=annotation(static_clusters),
+    trace = CompiledTrace(
+        make_program(instructions),
+        np.arange(n),
+        [0] * n if addresses is None else addresses,
+        [False] * n if mispredicted is None else mispredicted,
     )
+    columns = empty_annotations(n)
+    for column, values in zip(columns, (vc_ids, chain_leaders, static_clusters)):
+        for i, value in enumerate(values or ()):
+            if value is not None:
+                column[i] = value
+    return trace.install_annotations(columns)
 
 
 @pytest.fixture

@@ -136,7 +136,7 @@ class TestAnnotationMemo:
         _prepare_job(make_job(small_profile, VC), program, compiled)
         key = ("annotations", VC.partitioner_key(2, 2, 128))
         stored = compiled.memo(key, lambda: pytest.fail("annotations were not memoised"))
-        assert compiled.seq.flags.writeable  # never bound, so never frozen
+        assert compiled.address.flags.writeable  # never bound, so never frozen
         for column in stored:
             assert not column.flags.writeable
             with pytest.raises(ValueError, match="read-only"):

@@ -12,9 +12,11 @@ Pinned here (the golden-metrics suite pins the kernels' exact output and
   program-order reference loop (property-tested);
 * **annotation refresh** -- ``annotate_from`` gathers a pass's sid-indexed
   columns into the per-µop columns;
-* **validation** -- the constructor rejects columns of the wrong length and
-  malformed CSR register columns, and the processor rejects anything but a
-  :class:`CompiledTrace`;
+* **gather** -- a trace's static columns are its program's rows, gathered
+  by sid into well-formed CSR pairs (property-tested);
+* **validation** -- the constructor rejects dynamic columns of the wrong
+  shape and sids outside the program, and the processor rejects anything
+  but a :class:`CompiledTrace`;
 * **engine equivalence** -- ``execute_job`` equals a by-hand simulation.
 """
 
@@ -40,7 +42,7 @@ from repro.uops.compiled import (
 from repro.uops.opcodes import UopClass, is_floating_point, latency_of, queue_of
 from repro.uops.registers import DEFAULT_REGISTER_SPACE
 from repro.workloads.generator import WorkloadGenerator
-from tests.conftest import make_instruction, make_trace
+from tests.conftest import make_instruction, make_program, make_trace
 
 
 def fast_config(**overrides):
@@ -81,7 +83,7 @@ class TestDerivedColumns:
         for i, sid in enumerate(compiled.sid.tolist()):
             view.index = i
             opclass = UopClass(program.opclass[sid])
-            assert view.sid == sid and view.seq == i
+            assert view.sid == sid
             assert view.opclass == opclass
             assert view.srcs == program.src_tuples()[sid]
             assert view.dests == program.dest_tuples()[sid]
@@ -209,6 +211,46 @@ class TestDependencePlan:
         assert plan.deps == [(), (0,), (2,)]
 
 
+class TestGather:
+    """A trace is its program's rows: every static column is the program's,
+    gathered by sid, and the gathered CSR pairs are well-formed."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(data=st.data())
+    def test_trace_rows_are_program_rows(self, data):
+        n = data.draw(st.integers(1, 12), label="n")
+        opclasses = st.sampled_from(list(UopClass))
+        registers = st.lists(st.integers(0, 127), max_size=4).map(tuple)
+        instructions = [
+            make_instruction(i, data.draw(opclasses), data.draw(registers), data.draw(registers))
+            for i in range(n)
+        ]
+        program = make_program(instructions[: n // 2], instructions[n // 2 :])
+        sids = data.draw(st.lists(st.integers(0, n - 1), max_size=30), label="sids")
+        trace = CompiledTrace(program, sids, [0] * len(sids), [False] * len(sids))
+        for kind in ("src", "dest"):
+            offsets, regs = getattr(trace, f"{kind}_offsets"), getattr(trace, f"{kind}_regs")
+            assert len(offsets) == len(sids) + 1 and offsets[0] == 0
+            assert offsets[-1] == len(regs) and (np.diff(offsets) >= 0).all()
+        assert trace.src_tuples() == [program.src_tuples()[sid] for sid in sids]
+        assert trace.dest_tuples() == [program.dest_tuples()[sid] for sid in sids]
+        assert trace.block.tolist() == [int(program.block[sid]) for sid in sids]
+        assert trace.opclass.tolist() == [int(program.opclass[sid]) for sid in sids]
+
+    def test_make_trace_reads_none_as_unannotated(self):
+        instructions = [make_instruction(i, UopClass.INT_ALU) for i in range(3)]
+        trace = make_trace(
+            instructions,
+            vc_ids=[None, 1, 0],
+            chain_leaders=[True, False, True],
+            static_clusters=[0, None, 1],
+        )
+        assert trace.vc_id_list() == [None, 1, 0]
+        assert trace.chain_leader_list() == [True, False, True]
+        assert trace.static_cluster_list() == [0, None, 1]
+        assert trace.sid.tolist() == [0, 1, 2]
+
+
 class TestAnnotationRefresh:
     def test_annotate_from_gathers_pass_columns(self, small_profile):
         generator = WorkloadGenerator(small_profile)
@@ -233,55 +275,52 @@ class TestAnnotationRefresh:
 
 
 class TestValidation:
-    """Malformed CSR register columns fail in the constructor, naming the column."""
+    """The constructor rejects what the program's validation cannot: dynamic
+    columns of the wrong shape, and sids the program does not have.  (The
+    program's own columns are checked when it is built; see
+    ``tests/test_program.py``.)"""
 
     @staticmethod
     def _columns(**changes):
-        trace = make_trace([
-            make_instruction(0, UopClass.INT_ALU, dests=(3,), srcs=(1, 2)),
-            make_instruction(1, UopClass.INT_ALU, dests=(4,), srcs=(3,)),
-        ])
-        columns = {name: getattr(trace, name).copy() for name in CompiledTrace.STORED_FIELDS}
+        columns = {
+            "sid": np.array([0, 1]),
+            "address": np.array([0, 64]),
+            "mispredicted": np.array([False, True]),
+        }
         columns.update(changes)
         return columns
 
+    @staticmethod
+    def _build(**changes):
+        program = make_program([
+            make_instruction(0, UopClass.INT_ALU, dests=(3,), srcs=(1, 2)),
+            make_instruction(1, UopClass.INT_ALU, dests=(4,), srcs=(3,)),
+        ])
+        return CompiledTrace(program, **TestValidation._columns(**changes))
+
     def test_well_formed_columns_build(self):
-        assert len(CompiledTrace(**self._columns())) == 2
+        assert len(self._build()) == 2
 
-    @pytest.mark.parametrize(
-        "column, value",
-        [
-            ("src_offsets", [1, 2, 3]),  # does not start at 0
-            ("src_offsets", [0, 4, 3]),  # decreases
-            ("src_offsets", [0, 2, 4]),  # ends past len(src_regs)
-            ("dest_offsets", [0, 3, 2]),  # decreases
-            ("dest_offsets", [0, 1, 1]),  # ends short of len(dest_regs)
-        ],
-    )
-    def test_malformed_offsets_rejected(self, column, value):
-        with pytest.raises(ValueError, match=column):
-            CompiledTrace(**self._columns(**{column: np.array(value)}))
+    def test_empty_trace_builds(self):
+        trace = self._build(sid=np.array([], dtype=np.int64), address=[], mispredicted=[])
+        assert len(trace) == 0 and trace.src_offsets.tolist() == [0]
 
-    @pytest.mark.parametrize("column", ["src_regs", "dest_regs", "sid"])
-    def test_negative_id_rejected(self, column):
-        regs = self._columns()[column]
-        regs[-1] = -1
-        with pytest.raises(ValueError, match=column):
-            CompiledTrace(**self._columns(**{column: regs}))
+    @pytest.mark.parametrize("sid", [-1, 2])
+    def test_sid_outside_the_program_rejected(self, sid):
+        with pytest.raises(ValueError, match="'sid' names no instruction"):
+            self._build(sid=np.array([0, sid]))
 
-    @pytest.mark.parametrize("column", ["block", "address", "vc_id"])
+    @pytest.mark.parametrize("column", ["address", "mispredicted"])
     def test_column_of_wrong_length_rejected(self, column):
         short = self._columns()[column][:1]
         with pytest.raises(ValueError, match=column):
-            CompiledTrace(**self._columns(**{column: short}))
+            self._build(**{column: short})
 
-    @pytest.mark.parametrize("column", ["src_offsets", "dest_offsets"])
-    def test_offsets_of_wrong_length_rejected(self, column):
-        # One row short of n + 1 entries, though still rising from 0 to len(regs).
-        offsets = self._columns()[column]
-        short = np.concatenate([offsets[:1], offsets[2:]])
+    @pytest.mark.parametrize("column", ["sid", "address", "mispredicted"])
+    def test_column_of_wrong_rank_rejected(self, column):
+        square = self._columns()[column].reshape(1, 2)
         with pytest.raises(ValueError, match=column):
-            CompiledTrace(**self._columns(**{column: short}))
+            self._build(**{column: square})
 
     def test_processor_rejects_anything_but_a_compiled_trace(self):
         with pytest.raises(TypeError, match="CompiledTrace"):

@@ -4,9 +4,9 @@ Contracts pinned here:
 
 * **Segment round-trips are lossless.**  Publishing a program and its
   compiled trace and attaching them back yields array-for-array identical
-  columns (property-tested over random programs and traces); the program's
-  columns are zero-copy read-only views, and a bad column raises
-  ``ValueError`` at load.
+  columns (property-tested over random programs and traces); the loaded
+  columns are read-only copies that outlive the mapping, and a bad column
+  raises ``ValueError`` at load.
 * **Lifetime is refcounted and leak-free.**  A segment is unlinked exactly
   when its last reference is released; registry close (and the finalizer
   backstop) unlinks everything; a fault while publishing a segment or
@@ -23,6 +23,8 @@ from __future__ import annotations
 
 import gc
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -141,13 +143,11 @@ class TestSegmentRoundTrip:
                 assert compiled.equals(rebuilt)
                 assert _program_columns(rebuilt_program) == _program_columns(program)
                 assert rebuilt_program.name == program.name
-                # The program's columns are views over the shared buffer:
-                # read-only, and byte-identical without any serialisation
-                # format between.  The gathered trace arrives frozen.
+                # The program's columns are read-only copies of the block,
+                # byte-identical without any serialisation format between.
+                # The gathered trace arrives frozen.
                 for name in Program.COLUMNS:
-                    column = getattr(rebuilt_program, name)
-                    assert not column.flags.writeable
-                    assert not column.flags.owndata
+                    assert not getattr(rebuilt_program, name).flags.writeable
                 for name in CompiledTrace.STORED_FIELDS:
                     assert not getattr(rebuilt, name).flags.writeable
             finally:
@@ -170,7 +170,8 @@ class TestSegmentRoundTrip:
         ]
         program = Program.from_blocks(f"prop{n}", [rows[: n // 2], rows[n // 2 :]])
         length = data.draw(st.integers(0, 60 if n else 0), label="length")
-        compiled = program.trace(
+        compiled = CompiledTrace(
+            program,
             data.draw(st.lists(st.integers(0, max(n - 1, 0)), min_size=length, max_size=length)),
             data.draw(st.lists(st.integers(0, 2**40), min_size=length, max_size=length)),
             data.draw(st.lists(st.booleans(), min_size=length, max_size=length)),
@@ -211,12 +212,10 @@ class TestSegmentRoundTrip:
             segment.close()
             segment.unlink()
 
-    def test_stored_columns_are_zero_copy(self, small_profile):
-        _, compiled = WorkloadGenerator(small_profile).generate_compiled_trace(400)
-        rebuilt = CompiledTrace(
-            **{name: getattr(compiled, name) for name in CompiledTrace.STORED_FIELDS}
-        )
-        for name in CompiledTrace.STORED_FIELDS:
+    def test_dynamic_columns_are_zero_copy(self, small_profile):
+        program, compiled = WorkloadGenerator(small_profile).generate_compiled_trace(400)
+        rebuilt = CompiledTrace(program, compiled.sid, compiled.address, compiled.mispredicted)
+        for name in ("sid", "address", "mispredicted"):
             assert np.shares_memory(getattr(rebuilt, name), getattr(compiled, name))
 
     def test_attach_unknown_name_raises(self):
@@ -226,9 +225,9 @@ class TestSegmentRoundTrip:
     def test_worker_in_place_write_raises(self, small_profile):
         """A worker that writes an attached column in place must raise.
 
-        Attach views are read-only, like every bound trace: a silent write
-        would corrupt the trace for every other attached worker and break
-        bit-identity with the pickle path.
+        Loaded traces are frozen, like every bound trace: a silent write
+        would corrupt the cached trace for every later batch of the worker
+        and break bit-identity with the pickle path.
         """
         program, compiled = WorkloadGenerator(small_profile).generate_compiled_trace(300)
         segment = SharedTraceSegment.create("ro", program, compiled)
@@ -404,6 +403,46 @@ class TestAttachmentCache:
             assert refreshed[1] is not first[1]
         finally:
             drop_attachments()
+            registry.close()
+
+    def test_evicted_attachment_stays_readable(self, small_profile):
+        """A program and trace loaded from a segment outlive its eviction.
+
+        The child attaches a segment, loads it, evicts it by attaching a
+        second one past a cap of 1, then reads every column.  Run in a
+        subprocess because a column still viewing a closed mapping would
+        crash the interpreter rather than raise.
+        """
+        registry = SegmentRegistry()
+        try:
+            traces = [
+                WorkloadGenerator(small_profile).generate_compiled_trace(200, phase=phase)
+                for phase in (0, 1)
+            ]
+            names = [
+                registry.publish(f"k{phase}", lambda t=trace: t).name
+                for phase, trace in enumerate(traces)
+            ]
+            code = (
+                "import sys\n"
+                "from repro.engine.shm import attach_segment\n"
+                "from repro.program.program import Program\n"
+                "program, compiled = attach_segment(sys.argv[1], cap=1)\n"
+                "attach_segment(sys.argv[2], cap=1)\n"
+                "columns = [getattr(program, name) for name in Program.COLUMNS]\n"
+                "columns += [getattr(compiled, name) for name in compiled.STORED_FIELDS]\n"
+                "print(sum(int(column.sum()) for column in columns))\n"
+            )
+            env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+            result = subprocess.run(
+                [sys.executable, "-c", code, *names], env=env, capture_output=True, timeout=120
+            )
+            program, compiled = traces[0]
+            columns = [getattr(program, name) for name in Program.COLUMNS]
+            columns += [getattr(compiled, name) for name in compiled.STORED_FIELDS]
+            assert result.returncode == 0, result.stderr.decode()
+            assert int(result.stdout) == sum(int(column.sum()) for column in columns)
+        finally:
             registry.close()
 
 

@@ -130,3 +130,10 @@ def test_every_exported_name_resolves(package):
     module = importlib.import_module(package)
     missing = [name for name in module.__all__ if not hasattr(module, name)]
     assert not missing, f"{package}.__all__ names nothing for {missing}"
+
+
+def test_all_lists_eager_names_then_lazy_names_in_map_order():
+    from repro._lazy import lazy_exports
+
+    _, _, names = lazy_exports("pkg", {".a": ("x", "y"), ".b": ("z",)}, eager=("v",))
+    assert names == ["v", "x", "y", "z"]

@@ -10,6 +10,7 @@ from repro.program.ddg import DataDependenceGraph, build_ddg
 from repro.program.program import Program
 from repro.program.regions import form_regions
 from repro.program.trace import AddressModel, TraceGenerator
+from repro.uops.compiled import CompiledTrace
 from repro.uops.opcodes import UopClass
 from tests.conftest import block_ddg, make_instruction, make_program
 
@@ -110,8 +111,13 @@ class TestProgram:
             ("edge_dst", [0, 2, 0], "not a block"),
             ("edge_probability", [0.75, 0.5, 1.0], "sum to 1"),
             ("opclass", [250] * 8, "no µop class"),
+            ("src_regs", [-1, 1, 10, 11, 2, 3, 4, 12, 12, 13, 0, 14, 14], "register space"),
+            ("dest_offsets", [0, 1, 2, 3, 4, 5, 5, 5], "one row per sid"),
         ],
-        ids=["offsets", "register", "block-start", "edge-endpoint", "out-probabilities", "opclass"],
+        ids=[
+            "offsets", "register", "block-start", "edge-endpoint", "out-probabilities", "opclass",
+            "negative-register", "offsets-one-row-short",
+        ],
     )
     def test_invalid_columns_rejected(self, tiny_program, column, value, message):
         columns = dict(_columns(tiny_program), **{column: value})
@@ -119,11 +125,13 @@ class TestProgram:
             Program("bad", columns)
 
     def test_gather_by_sid(self, tiny_program):
-        """``trace`` gathers every static column by sid; the trace is unannotated."""
+        """A trace gathers every static column by sid and starts unannotated."""
         sids = [5, 0, 7, 7, 1]
-        trace = tiny_program.trace(sids, [0, 8, 0, 0, 64], [False, False, True, False, False])
+        trace = CompiledTrace(
+            tiny_program, sids, [0, 8, 0, 0, 64], [False, False, True, False, False]
+        )
         srcs, dests = tiny_program.src_tuples(), tiny_program.dest_tuples()
-        assert trace.sid.tolist() == sids and trace.seq.tolist() == [0, 1, 2, 3, 4]
+        assert trace.sid.tolist() == sids
         assert trace.opclass.tolist() == tiny_program.opclass[sids].tolist()
         assert trace.block.tolist() == [1, 0, 1, 1, 0]
         assert trace.src_tuples() == [srcs[sid] for sid in sids]
@@ -133,7 +141,7 @@ class TestProgram:
     @pytest.mark.parametrize("sid", [-1, 8])
     def test_gather_rejects_unknown_sids(self, tiny_program, sid):
         with pytest.raises(ValueError, match="names no instruction"):
-            tiny_program.trace([0, sid], [0, 0], [False, False])
+            CompiledTrace(tiny_program, [0, sid], [0, 0], [False, False])
 
 
 class TestDDG:
@@ -259,10 +267,6 @@ class TestTraceGeneration:
     def test_length_is_at_least_requested(self, tiny_program):
         trace = _expand(tiny_program, 123, seed=0)
         assert len(trace) >= 123
-
-    def test_sequence_numbers_are_consecutive(self, tiny_program):
-        trace = _expand(tiny_program, 100, seed=0)
-        assert trace.seq.tolist() == list(range(len(trace)))
 
     def test_memory_uops_have_addresses_within_working_set(self, tiny_program):
         model = AddressModel(working_set_bytes=4096)

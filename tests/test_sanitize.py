@@ -84,7 +84,7 @@ class TestSanitizedBind:
 
 
 class TestShmViewsAlwaysFrozen:
-    """Attach views are read-only like every bound trace (see shm.py)."""
+    """Traces loaded from segments arrive frozen like every bound trace (see shm.py)."""
 
     def test_attached_trace_reports_frozen(self, small_profile):
         shm = pytest.importorskip("repro.engine.shm")
@@ -98,7 +98,7 @@ class TestShmViewsAlwaysFrozen:
                 _, rebuilt = attached.load()
                 assert writable_columns(rebuilt) == []
                 with pytest.raises(ValueError, match="read-only"):
-                    rebuilt.seq[0] = 99  # detlint: ok DET109 (this write must raise)
+                    rebuilt.sid[0] = 99  # detlint: ok DET109 (this write must raise)
             finally:
                 attached.close()
         finally:
@@ -106,10 +106,8 @@ class TestShmViewsAlwaysFrozen:
             segment.unlink()
 
     def test_frozen_columns_are_still_zero_copy(self, small_profile):
-        _, compiled = WorkloadGenerator(small_profile).generate_compiled_trace(300)
+        program, compiled = WorkloadGenerator(small_profile).generate_compiled_trace(300)
         compiled.freeze()
-        rebuilt = CompiledTrace(
-            **{name: getattr(compiled, name) for name in CompiledTrace.STORED_FIELDS}
-        )
-        for name in CompiledTrace.STORED_FIELDS:
+        rebuilt = CompiledTrace(program, compiled.sid, compiled.address, compiled.mispredicted)
+        for name in ("sid", "address", "mispredicted"):
             assert np.shares_memory(getattr(rebuilt, name), getattr(compiled, name))

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.uops.compiled import CompiledTrace
 from repro.uops.encoding import (
     ANNOTATION_BITS,
     MAX_PHYSICAL_CLUSTERS,
@@ -128,7 +129,8 @@ class TestStaticInstructionRows:
         program = make_program(
             [make_instruction(0, UopClass.FP_MUL, dests=(70,)), make_instruction(1, UopClass.BRANCH)]
         )
-        assert program.trace([0, 1], [0, 0], [False, False]).is_branch.tolist() == [False, True]
+        trace = CompiledTrace(program, [0, 1], [0, 0], [False, False])
+        assert trace.is_branch.tolist() == [False, True]
 
 
 class TestEncoding:
