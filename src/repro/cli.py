@@ -46,15 +46,14 @@ engine (:mod:`repro.engine`) and accepts these knobs:
 ``--no-cache``
     Disable the cache for this invocation (simulate everything afresh).
 
-``--trace-dir PATH`` / ``--no-trace-artifacts``
+``--trace-dir PATH``
     Compiled phase traces are persisted as content-addressed ``.npz``
     artifacts (default ``<cache dir>/traces``) so parallel workers and
     repeated runs *load* traces instead of regenerating them.  Artifacts are
     keyed by the trace inputs only (profile, phase, length, register space),
     so every steering configuration of a phase -- and every sweep touching
     the same phases -- shares one artifact.  ``--no-cache`` also disables
-    artifacts unless an explicit ``--trace-dir`` is given;
-    ``--no-trace-artifacts`` turns them off on their own.
+    artifacts unless an explicit ``--trace-dir`` is given.
 
 ``--shared-mem`` / ``--no-shared-mem``
     Shared-memory trace residency for parallel runs (on by default
@@ -89,7 +88,7 @@ import argparse
 import os
 from typing import List, Optional, Sequence
 
-from repro.engine import AUTO_TRACE_ROOT, ParallelRunner, ResultCache
+from repro.engine import ParallelRunner, ResultCache
 from repro.experiments.configs import TABLE3_CONFIGURATIONS
 from repro.scenarios.builtin import builtin_scenario
 from repro.scenarios.registry import MACHINES, PARTITIONERS, POLICIES, SCENARIOS
@@ -114,15 +113,6 @@ def _cache_dir(args: argparse.Namespace) -> Optional[str]:
     return args.cache_dir if args.cache_dir is not None else resolve_cache_dir()
 
 
-def _trace_root(args: argparse.Namespace):
-    """The trace-artifact directory selected by the trace/cache options."""
-    if getattr(args, "no_trace_artifacts", False):
-        return None
-    if getattr(args, "trace_dir", None) is not None:
-        return args.trace_dir
-    return AUTO_TRACE_ROOT  # follow the result cache (<cache dir>/traces)
-
-
 def _engine(args: argparse.Namespace) -> ParallelRunner:
     """The engine configured by the ``--jobs`` / cache / trace / shm options."""
     cache_dir = _cache_dir(args)
@@ -130,7 +120,7 @@ def _engine(args: argparse.Namespace) -> ParallelRunner:
     return ParallelRunner(
         max_workers=args.jobs,
         cache=cache,
-        trace_root=_trace_root(args),
+        trace_root=getattr(args, "trace_dir", None),  # None: <cache dir>/traces
         shared_memory=getattr(args, "shared_mem", None),
     )
 
@@ -251,11 +241,6 @@ def _add_engine_options(parser: argparse.ArgumentParser) -> None:
         help="directory for shared compiled-trace artifacts "
         "(default '<cache dir>/traces'; artifacts are keyed by the trace "
         "inputs, so all configurations of a phase share one file)",
-    )
-    parser.add_argument(
-        "--no-trace-artifacts",
-        action="store_true",
-        help="regenerate traces from their seeds instead of loading artifacts",
     )
     parser.add_argument(
         "--shared-mem",

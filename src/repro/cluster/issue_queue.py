@@ -150,21 +150,6 @@ class IssueQueues:
             return heapq.heappop(main)[1]
         return None
 
-    def peek_ready(self, cluster: int, kind: IssueQueueKind) -> Optional[object]:
-        """Oldest ready µop without removing it."""
-        slot = cluster * _NUM_KINDS + kind
-        main = self._ready[slot]
-        loads = self._ready_loads[slot]
-        if loads and (not main or loads[0][0] < main[0][0]):
-            return loads[0][1]
-        return main[0][1] if main else None
-
-    def requeue_ready(
-        self, cluster: int, kind: IssueQueueKind, seq: int, record: object, is_load: bool = False
-    ) -> None:
-        """Put a µop back on the ready list (e.g. when a shared port was exhausted)."""
-        self.push_ready(cluster, kind, seq, record, is_load=is_load)
-
     def ready_count(self, cluster: int, kind: IssueQueueKind) -> int:
         """Number of ready µops waiting in the queue."""
         slot = cluster * _NUM_KINDS + kind

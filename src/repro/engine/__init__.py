@@ -28,12 +28,6 @@ the cache-replay path:
     :meth:`SimulationJob.trace_key`.  Workers load phase traces instead of
     regenerating them; every configuration of a phase shares one artifact.
 
-``RunPlan`` / ``JobBatch`` (:mod:`repro.engine.batch`)
-    The batch-scheduling layer: a run's jobs partitioned into one batch per
-    distinct trace key (deterministic order, job order preserved), so fixed
-    per-trace costs are paid once per trace instead of once per job.  The
-    runner narrows each batch to its uncached jobs and runs it as one task.
-
 Adaptive stopping rules (:mod:`repro.engine.adaptive`)
     Pure decision layer for adaptive sweeps: streaming
     :class:`~repro.engine.adaptive.Welford` statistics feed Student-t
@@ -50,20 +44,27 @@ Adaptive stopping rules (:mod:`repro.engine.adaptive`)
     into a ``multiprocessing.shared_memory`` block (refcounted, unlinked on
     release), which warm workers attach to by name and copy out -- no
     column bytes cross the task queue, and segments stay resident across
-    runs.
+    runs.  A worker keeps what it loaded in the same per-process trace memo
+    as every other trace, keyed by trace.
 
 ``WorkerPool`` (:mod:`repro.engine.pool`)
     The persistent process pool: spawned once per runner, reused across
     runs, transparently respawned after ``shutdown()`` or a worker crash,
     context-manager friendly.
 
-``ParallelRunner`` (:mod:`repro.engine.parallel`)
-    Expands nothing and decides nothing about results -- it only chooses
-    where and in what grouping jobs run (inline for ``max_workers=1``, else
-    the persistent pool; always one batch per trace; shared-memory segments
-    where available, the pickle path otherwise) and consults the caches
-    first, per batch, so fully-cached batches never reach a worker.  ``run_stream`` delivers
-    results per batch as tasks complete instead of at a barrier.
+``ParallelRunner`` / ``execute_batch`` (:mod:`repro.engine.parallel`)
+    The runner expands nothing and decides nothing about results -- it only
+    chooses where and in what grouping jobs run (inline for
+    ``max_workers=1``, else the persistent pool; always one batch per
+    distinct trace key, in sorted key order with job order kept inside each
+    batch; shared-memory segments where available, the pickle path
+    otherwise) and consults the result cache first, so fully-cached batches
+    never reach a worker.  ``run_stream`` delivers results per batch as
+    tasks complete instead of at a barrier.  ``execute_batch`` is the one
+    executor: a single-job batch is the per-job reference (a fresh
+    processor, ``bind``, ``run_bound``).  Trace artifacts live under
+    ``<cache root>/traces`` unless an explicit ``trace_root`` is given, and
+    are off when there is neither.
 
 Determinism contract
 --------------------
@@ -84,8 +85,7 @@ Serial, parallel and cache-replay runs of the same experiment are
 The experiment harness (:class:`~repro.experiments.runner.ExperimentRunner`
 and every scenario report kind) routes all simulation through this engine;
 ``repro.cli`` builds it and exposes it as ``--jobs N``, ``--cache-dir PATH``,
-``--no-cache``, ``--trace-dir PATH`` and ``--no-trace-artifacts`` on every
-experiment command.
+``--no-cache`` and ``--trace-dir PATH`` on every experiment command.
 """
 
 from __future__ import annotations
@@ -110,15 +110,12 @@ __getattr__, __dir__, __all__ = lazy_exports(
             "t_critical",
         ),
         ".artifacts": ("TRACE_ARTIFACT_VERSION", "TraceArtifactStore"),
-        ".batch": ("JobBatch", "RunPlan"),
         ".cache": ("ResultCache",),
         ".job": ("CACHE_SCHEMA_VERSION", "SimulationJob"),
         ".parallel": (
-            "AUTO_TRACE_ROOT",
             "DEFAULT_MEMO_CAP",
             "ParallelRunner",
             "execute_batch",
-            "execute_job",
             "resolve_memo_cap",
         ),
         ".pool": ("WorkerPool",),

@@ -70,10 +70,10 @@ class ResultCache:
     def get_many(self, keys: List[str]) -> List[Optional[SimulationMetrics]]:
         """Look up several keys at once (one slot per key, ``None`` on miss).
 
-        The batch scheduler consults the cache per :class:`~repro.engine.batch.JobBatch`
-        before dispatching it, so a fully-cached batch -- every slot filled
-        -- never reaches a worker.  Counters advance exactly as per-key
-        :meth:`get` calls would.
+        The runner looks up a run's distinct keys before grouping its jobs
+        by trace, so a fully-cached batch -- every slot filled -- never
+        reaches a worker.  Counters advance exactly as per-key :meth:`get`
+        calls would.
         """
         return [self.get(key) for key in keys]
 

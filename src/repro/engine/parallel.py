@@ -1,24 +1,24 @@
 """Job execution: inline serial runs and persistent-pool fan-out.
 
-:func:`execute_job` turns one :class:`~repro.engine.job.SimulationJob` into
-metrics; :func:`execute_batch` does the same for *all* configurations of one
-trace at once, against a single in-memory
+:func:`execute_batch` turns *all* configurations of one trace into metrics
+at once, against a single in-memory
 :class:`~repro.uops.compiled.CompiledTrace` and a reused
 :class:`~repro.cluster.processor.ClusteredProcessor` (the
-``bind``/``run_bound`` path).  Because trace generation is fully seeded
-(profile + phase) and the simulator is deterministic, the same job produces
-bit-identical metrics in every mode -- serial, parallel, batched,
+``bind``/``run_bound`` path).  A single-job batch is the per-job reference:
+a fresh processor, ``bind``, then ``run_bound`` -- exactly what
+:meth:`ClusteredProcessor.run` does.  Because trace generation is fully
+seeded (profile + phase) and the simulator is deterministic, the same job
+produces bit-identical metrics in every mode -- serial, parallel, batched,
 shared-memory or cache-replayed; :class:`ParallelRunner` only decides
 *where* and *in what grouping* jobs run, never *what* they compute.
 
-Scheduling is batch-first: the runner partitions a run's jobs into per-trace
-:class:`~repro.engine.batch.JobBatch` groups (see
-:class:`~repro.engine.batch.RunPlan`), consults the result cache per batch --
-fully-cached batches never reach a worker -- and ships each remaining batch
-as one worker task, so every fixed per-trace cost (artifact load or
-generation, SoA hoisting, processor construction) is paid once per trace
-instead of once per job.  :func:`execute_job` -- one job on a fresh
-processor -- is the reference semantics batching must reproduce.
+Scheduling is batch-first: the runner groups a run's job indices by
+:meth:`~repro.engine.job.SimulationJob.trace_key` (in sorted trace-key order,
+job order kept inside each group), consults the result cache per group --
+fully-cached groups never reach a worker -- and ships the uncached members of
+each remaining group as one worker task, so every fixed per-trace cost
+(artifact load or generation, SoA hoisting, processor construction) is paid
+once per trace instead of once per job.
 
 Parallel batches ride a **persistent substrate**: the runner's
 :class:`~repro.engine.pool.WorkerPool` outlives individual :meth:`run` calls
@@ -39,11 +39,12 @@ Traces also move through two durable cache layers.  The content-addressed
 with their traces' dynamic columns as ``.npz`` artifacts keyed by
 :meth:`SimulationJob.trace_key`, shared by every worker process, every
 configuration of a phase and every later invocation.  On top of it each
-process keeps a small in-memory memo (``_TRACE_MEMO``) so the jobs of one
-batch do not even touch the filesystem twice.  The memo's capacity is sized
-to the run's batch width (:func:`resolve_memo_cap`) -- a batch task
-keeps its one trace alive for its whole duration, so the wider the batches,
-the fewer memo entries are worth holding.
+process keeps one small in-memory memo (``_TRACE_MEMO``), keyed by trace, so
+the batches of one trace do not even touch the filesystem or a shared-memory
+segment twice -- worker-side segment loads go through it too.  The memo's
+capacity is sized to the run's batch width (:func:`resolve_memo_cap`) -- a
+batch task keeps its one trace alive for its whole duration, so the wider the
+batches, the fewer memo entries are worth holding.
 """
 
 from __future__ import annotations
@@ -54,37 +55,25 @@ import weakref
 from collections import OrderedDict
 from concurrent.futures import Future, as_completed
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.cluster.metrics import SimulationMetrics
 from repro.engine.adaptive import ZERO_ADAPTIVE_STATS
 from repro.engine.artifacts import TraceArtifactStore
-from repro.engine.batch import JobBatch, RunPlan
 from repro.engine.cache import ResultCache
 from repro.engine.job import SimulationJob
 from repro.engine.pool import WorkerPool
 from repro.engine.shm import SegmentRegistry, attach_segment, shared_memory_available
 
-class _AutoTraceRoot:
-    """Unique sentinel type for :data:`AUTO_TRACE_ROOT` (compared by identity,
-    so a directory literally named ``"auto"`` is still a valid path)."""
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return "AUTO_TRACE_ROOT"
-
-
-#: Sentinel for :class:`ParallelRunner`'s ``trace_root``: derive the artifact
-#: directory from the result cache (``<cache root>/traces``).
-AUTO_TRACE_ROOT = _AutoTraceRoot()
 
 #: Per-process ``(trace root, trace_key) -> (program, compiled trace)`` memo.
 #: Keyed by the artifact root as well so a memo entry produced with artifacts
 #: disabled can never satisfy (and silently skip populating) a later run that
-#: requested a store.  Bounded so a full 40-trace suite cannot hold every
-#: generated trace alive at once.
+#: requested a store; shared-memory loads carry no store and use ``None``.
+#: Bounded so a full 40-trace suite cannot hold every trace alive at once.
 _TRACE_MEMO: "OrderedDict[Tuple[Optional[str], str], Tuple[object, object]]" = OrderedDict()
 
-#: Memo capacity of width-1 runs and of :func:`execute_job`.
+#: Memo capacity of width-1 runs and of direct :func:`execute_batch` calls.
 DEFAULT_MEMO_CAP = 16
 
 #: Per-process artifact-store instances, one per root directory, so one
@@ -96,6 +85,10 @@ _ZERO_TRACE_STATS = {"hits": 0, "misses": 0, "stores": 0}
 
 #: Zeroed shared-memory counters (template for :meth:`ParallelRunner.shm_stats`).
 _ZERO_SHM_STATS = {"segments": 0, "bytes": 0, "published": 0, "reused": 0, "unlinked": 0}
+
+#: One batch task: a trace key, the run indices of its uncached jobs
+#: (ascending) and those jobs, all sharing the key.
+_Task = Tuple[str, List[int], List[SimulationJob]]
 
 
 def resolve_memo_cap(batch_width: Optional[float] = None) -> int:
@@ -123,6 +116,19 @@ def trace_store_for(root: Union[str, Path, None]) -> Optional[TraceArtifactStore
     return store
 
 
+def _memoized(memo_key: Tuple[Optional[str], str], cap: int, load: Callable[[], Tuple]):
+    """``_TRACE_MEMO[memo_key]``, filled from ``load()`` on a miss (LRU, ``cap`` entries)."""
+    cached = _TRACE_MEMO.get(memo_key)
+    if cached is not None:
+        _TRACE_MEMO.move_to_end(memo_key)
+        return cached
+    entry = load()
+    _TRACE_MEMO[memo_key] = entry
+    while len(_TRACE_MEMO) > cap:
+        _TRACE_MEMO.popitem(last=False)
+    return entry
+
+
 def _trace_for(
     job: SimulationJob,
     trace_root: Optional[str] = None,
@@ -139,27 +145,22 @@ def _trace_for(
     """
     if store is None:
         store = trace_store_for(trace_root)
-    cap = memo_cap if memo_cap is not None else DEFAULT_MEMO_CAP
-    root_key = str(store.root) if store is not None else None
     trace_key = job.trace_key()
-    memo_key = (root_key, trace_key)
-    cached = _TRACE_MEMO.get(memo_key)
-    if cached is not None:
-        _TRACE_MEMO.move_to_end(memo_key)
-        return cached
-    entry = store.get(trace_key) if store is not None else None
-    if entry is None:
-        from repro.workloads.generator import WorkloadGenerator
 
-        generator = WorkloadGenerator(job.profile, register_space=job.register_space)
-        program, compiled = generator.generate_compiled_trace(job.trace_length, phase=job.phase)
-        entry = (program, compiled)
-        if store is not None:
-            store.put(trace_key, program, compiled)
-    _TRACE_MEMO[memo_key] = entry
-    while len(_TRACE_MEMO) > cap:
-        _TRACE_MEMO.popitem(last=False)
-    return entry
+    def load():
+        entry = store.get(trace_key) if store is not None else None
+        if entry is None:
+            from repro.workloads.generator import WorkloadGenerator
+
+            generator = WorkloadGenerator(job.profile, register_space=job.register_space)
+            entry = generator.generate_compiled_trace(job.trace_length, phase=job.phase)
+            if store is not None:
+                store.put(trace_key, *entry)
+        return entry
+
+    root_key = str(store.root) if store is not None else None
+    cap = memo_cap if memo_cap is not None else DEFAULT_MEMO_CAP
+    return _memoized((root_key, trace_key), cap, load)
 
 
 def _prepare_job(job: SimulationJob, program, compiled):
@@ -198,26 +199,6 @@ def _prepare_job(job: SimulationJob, program, compiled):
     return configuration.make_policy(job.num_clusters, job.num_virtual_clusters)
 
 
-def execute_job(
-    job: SimulationJob,
-    trace_root: Optional[str] = None,
-    trace_store: Optional[TraceArtifactStore] = None,
-) -> Dict[str, object]:
-    """Run one simulation job and return the lossless metrics dump.
-
-    The per-job execution path (and the reference semantics batching must
-    reproduce): load/build the compiled phase trace, annotate, instantiate
-    the policy and a fresh machine, simulate.  The dict return type keeps the
-    cross-process payload plain (cheap to pickle, schema-checked on rebuild).
-    """
-    from repro.cluster.processor import ClusteredProcessor
-
-    program, compiled = _trace_for(job, trace_root, trace_store)
-    policy = _prepare_job(job, program, compiled)
-    processor = ClusteredProcessor(job.machine_config(), policy, job.register_space)
-    return processor.run(compiled).to_dict()
-
-
 def _simulate_batch(jobs: Sequence[SimulationJob], program, compiled) -> List[Dict[str, object]]:
     """Run all ``jobs`` of one batch against an already-resident trace.
 
@@ -227,8 +208,8 @@ def _simulate_batch(jobs: Sequence[SimulationJob], program, compiled) -> List[Di
     :meth:`ClusteredProcessor.run_bound` -- architectural state is reset
     between runs while the hoisted SoA columns stay alive.  Per job the
     sequence (run the pass, install its annotations, build policy, simulate
-    from clean state) is exactly :func:`execute_job`'s, so dumps are
-    bit-identical to per-job execution.
+    from clean state) does not depend on the batch's other jobs, so every
+    dump is bit-identical to that job's single-job batch.
     """
     from repro.cluster.processor import ClusteredProcessor
 
@@ -237,7 +218,7 @@ def _simulate_batch(jobs: Sequence[SimulationJob], program, compiled) -> List[Di
     if strays:
         raise ValueError(
             f"a batch needs jobs sharing one trace_key; {strays} differ "
-            f"from {jobs[0].label} (group jobs with RunPlan.from_jobs first)"
+            f"from {jobs[0].label} (group jobs by trace_key first)"
         )
     processors: Dict[Tuple[object, ...], ClusteredProcessor] = {}
     dumps: List[Dict[str, object]] = []
@@ -284,18 +265,21 @@ def execute_batch(
 
 
 def _execute_segment_batch(
-    jobs: Sequence[SimulationJob], segment_name: str
+    jobs: Sequence[SimulationJob], segment_name: str, memo_cap: int
 ) -> Dict[str, object]:
-    """Worker task of the shared-memory path: attach by name and simulate.
+    """Worker task of the shared-memory path: fetch the trace, then simulate.
 
     The trace's columns never cross the task queue -- only the jobs and the
-    segment name do.  Attachments are cached per worker process, so later
-    batches of the same trace (across runs of a persistent pool) reuse the
-    mapping.  No artifact-store traffic happens here by construction; the
-    parent already accounted the trace's acquisition when it published the
-    segment.
+    segment name do.  The load goes through the per-process trace memo, keyed
+    by trace (no store, so ``(None, trace_key)``) rather than by segment
+    name: a warm worker serves later batches of the same trace -- across
+    runs, and across a republished segment -- without attaching again.  No
+    artifact-store traffic happens here by construction; the parent already
+    accounted the trace's acquisition when it published the segment.
     """
-    program, compiled = attach_segment(segment_name)
+    program, compiled = _memoized(
+        (None, jobs[0].trace_key()), memo_cap, lambda: attach_segment(segment_name)
+    )
     return {"dumps": _simulate_batch(jobs, program, compiled), "trace_stats": None}
 
 
@@ -313,10 +297,10 @@ class ParallelRunner:
         simulation entirely, results of fresh runs are stored back.
     trace_root:
         Directory of the on-disk compiled-trace artifacts shared by the
-        workers.  :data:`AUTO_TRACE_ROOT` (the default) places it next to the
-        result cache (``<cache root>/traces``) and disables artifacts when
-        there is no cache; ``None`` disables artifacts explicitly (traces are
-        regenerated from their seeds, as before).
+        workers.  ``None`` (the default) places it next to the result cache
+        (``<cache root>/traces``), and disables artifacts when there is no
+        cache (traces are regenerated from their seeds); an explicit path
+        always wins.
     shared_memory:
         ``None`` (the default) publishes each batch's compiled trace into a
         shared-memory segment whenever the platform supports it and the run
@@ -341,7 +325,7 @@ class ParallelRunner:
         self,
         max_workers: int = 1,
         cache: Optional[ResultCache] = None,
-        trace_root: Union[str, Path, None] = AUTO_TRACE_ROOT,
+        trace_root: Union[str, Path, None] = None,
         shared_memory: Optional[bool] = None,
     ) -> None:
         if max_workers < 1:
@@ -349,8 +333,8 @@ class ParallelRunner:
         self.max_workers = max_workers
         self.cache = cache
         self.shared_memory = shared_memory
-        if trace_root is AUTO_TRACE_ROOT:
-            trace_root = cache.root / "traces" if cache is not None else None
+        if trace_root is None and cache is not None:
+            trace_root = cache.root / "traces"
         self.trace_root: Optional[str] = None if trace_root is None else str(trace_root)
         self._trace_store: Optional[TraceArtifactStore] = (
             TraceArtifactStore(self.trace_root) if self.trace_root is not None else None
@@ -573,52 +557,52 @@ class ParallelRunner:
     ) -> Iterator[Tuple[int, SimulationMetrics]]:
         """Execute the uncached jobs as per-trace batches, streaming results.
 
-        One plan serves both purposes: its batches (narrowed to their
-        uncached jobs) are the work units, and its shape feeds the footer
-        counters -- fully-cached batches are counted and never reach a
-        worker, and partially cached batches account their cached jobs too
-        (so ``executed_jobs + cached_jobs == jobs`` holds).
+        Job indices are grouped by trace key; in sorted trace-key order each
+        group feeds the footer counters and, narrowed to its uncached members,
+        becomes one ``(trace_key, indices, jobs)`` task.  Fully-cached groups
+        are counted and never reach a worker, and partially cached groups
+        account their cached jobs too (so ``executed_jobs + cached_jobs ==
+        jobs`` holds).
         """
-        plan = RunPlan.from_jobs(jobs)
+        groups: Dict[str, List[int]] = {}
+        for index, job in enumerate(jobs):
+            groups.setdefault(job.trace_key(), []).append(index)
         stats = self.batch_stats
-        stats["batches"] += plan.num_traces
-        stats["jobs"] += plan.num_jobs
-        stats["max_width"] = max(stats["max_width"], plan.max_width)
+        stats["batches"] += len(groups)
+        stats["jobs"] += len(jobs)
         uncached = set(pending)
-        tasks: List[JobBatch] = []
-        for batch in plan.batches:
-            members = [
-                (index, job) for index, job in zip(batch.indices, batch.jobs) if index in uncached
-            ]
-            stats["cached_jobs"] += batch.width - len(members)
+        tasks: List[_Task] = []
+        for trace_key, indices in sorted(groups.items()):
+            stats["max_width"] = max(stats["max_width"], len(indices))
+            members = [index for index in indices if index in uncached]
+            stats["cached_jobs"] += len(indices) - len(members)
             if not members:
                 stats["cached_batches"] += 1
                 continue
             stats["executed_jobs"] += len(members)
-            indices, batch_jobs = zip(*members)
-            tasks.append(JobBatch(batch.trace_key, indices, batch_jobs))
+            tasks.append((trace_key, members, [jobs[index] for index in members]))
         if not tasks:
             return
-        memo_cap = resolve_memo_cap(plan.mean_width)
+        memo_cap = resolve_memo_cap(len(jobs) / len(groups))
         if self.max_workers == 1 or len(tasks) == 1:
             # Inline tasks hit this runner's own store, whose counters are
             # already reported by trace_stats(); absorbing their deltas too
             # would double-count, so read the dumps directly.
-            for task in tasks:
+            for _, indices, batch_jobs in tasks:
                 result = execute_batch(
-                    task.jobs,
+                    batch_jobs,
                     trace_root=self.trace_root,
                     trace_store=self._trace_store,
                     memo_cap=memo_cap,
                 )
-                for index, dump in zip(task.indices, result["dumps"]):
+                for index, dump in zip(indices, result["dumps"]):
                     yield self._store_result(index, dump, keys)
             return
         yield from self._run_batched_parallel(tasks, keys, memo_cap)
 
     def _run_batched_parallel(
         self,
-        tasks: List[JobBatch],
+        tasks: List[_Task],
         keys: List[Optional[str]],
         memo_cap: int,
     ) -> Iterator[Tuple[int, SimulationMetrics]]:
@@ -647,43 +631,42 @@ class ParallelRunner:
             # loads) the cold traces -- publish is parent-side work, and
             # front-loading the cheap submissions maximises its overlap with
             # worker execution.  Stable sort, so same-temperature batches
-            # keep their deterministic plan order.
-            tasks = sorted(
-                tasks,
-                key=lambda task: registry.get(task.trace_key) is None,
-            )
-        #: Submitted future -> its batch.
-        futures: Dict[Future, JobBatch] = {}
+            # keep their deterministic trace-key order.
+            tasks = sorted(tasks, key=lambda task: registry.get(task[0]) is None)
+        #: Submitted future -> its task.
+        futures: Dict[Future, _Task] = {}
         try:
             for task in tasks:
+                trace_key, _, batch_jobs = task
                 if registry is not None:
                     segment = registry.publish(
-                        task.trace_key,
-                        lambda job=task.jobs[0]: _trace_for(
+                        trace_key,
+                        lambda job=batch_jobs[0]: _trace_for(
                             job, self.trace_root, self._trace_store, memo_cap
                         ),
                     )
-                    registry.acquire(task.trace_key)
+                    registry.acquire(trace_key)
                     try:
                         future = self._pool.submit(
-                            _execute_segment_batch, task.jobs, segment.name
+                            _execute_segment_batch, batch_jobs, segment.name, memo_cap
                         )
                     except BaseException:
                         # The task never existed, so the finally loop below
                         # will not release its reference -- do it here.
-                        registry.release(task.trace_key)
+                        registry.release(trace_key)
                         raise
                 else:
                     future = self._pool.submit(
                         execute_batch,
-                        task.jobs,
+                        batch_jobs,
                         trace_root=self.trace_root,
                         memo_cap=memo_cap,
                     )
                 futures[future] = task
             for future in as_completed(list(futures)):
                 dumps = self._absorb_task_result(future.result())
-                for index, dump in zip(futures[future].indices, dumps):
+                _, indices, _ = futures[future]
+                for index, dump in zip(indices, dumps):
                     yield self._store_result(index, dump, keys)
         except BrokenProcessPool as exc:
             self._pool.mark_broken()
@@ -695,7 +678,7 @@ class ParallelRunner:
         finally:
             # An abandoned stream leaves queued tasks behind: cancel the ones
             # that never started, and drop every task's segment reference.
-            for future, task in futures.items():
+            for future, (trace_key, _, _) in futures.items():
                 future.cancel()
                 if registry is not None:
-                    registry.release(task.trace_key)
+                    registry.release(trace_key)

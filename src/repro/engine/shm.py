@@ -28,14 +28,15 @@ memo.  This module makes a compiled trace a process-shared resource instead:
     backstops ``close()`` so a dropped runner cannot leak ``/dev/shm``
     blocks.
 
-Worker-side loads are cached per process (:func:`attach_segment`) in a small
-LRU keyed by segment name, mirroring the trace memo: one batch task per trace
-attaches and loads once, later batches of the same trace reuse the rebuilt
-program and trace.  No mapping outlives the load, so no array ever points
-into a closed block.  Attachments deliberately *unregister* from the ``multiprocessing`` resource
-tracker -- on Python < 3.13 an attaching process otherwise claims unlink
-responsibility for a block it does not own, and its exit would tear the
-segment out from under the parent (and spam spurious leak warnings).
+A worker loads a segment with :func:`attach_segment` (attach, copy out,
+close); the engine memoises the result in its per-process trace memo, keyed
+by trace rather than by segment name, so later batches of the same trace
+reuse the rebuilt program and trace.  No mapping outlives the load, so no
+array ever points into a closed block.  Attachments deliberately
+*unregister* from the ``multiprocessing`` resource tracker -- on Python <
+3.13 an attaching process otherwise claims unlink responsibility for a block
+it does not own, and its exit would tear the segment out from under the
+parent (and spam spurious leak warnings).
 
 Lifetime invariant
 ------------------
@@ -417,40 +418,15 @@ class SegmentRegistry:
         self._cleanup(self._entries, self.stats)
 
 
-# --------------------------------------------------------------------------
-# Worker-side attachment cache
-# --------------------------------------------------------------------------
+def attach_segment(name: str) -> Tuple[Program, CompiledTrace]:
+    """The ``(program, compiled trace)`` of segment ``name``, loaded by a worker.
 
-#: Per-process ``segment name -> (program, compiled)`` LRU.  One batch task
-#: per trace attaches and loads; later batches of the same trace (warm
-#: workers across runs) reuse the rebuilt objects.
-_ATTACHMENTS: "OrderedDict[str, Tuple[Program, CompiledTrace]]" = OrderedDict()
-
-#: Default attachment-cache capacity; like the trace memo it only needs to
-#: cover the traces a worker cycles through, not a whole suite.
-DEFAULT_ATTACH_CAP = 8
-
-
-def attach_segment(name: str, cap: int = DEFAULT_ATTACH_CAP) -> Tuple[Program, CompiledTrace]:
-    """The ``(program, compiled trace)`` of segment ``name``, cached per process.
-
-    The mapping is closed before this returns: the loaded columns are copies.
+    Attaches, copies the columns out and closes the mapping before
+    returning, so no array points into the block.  Callers memoise the
+    result by trace (the engine's per-process trace memo), not by name.
     """
-    entry = _ATTACHMENTS.get(name)
-    if entry is not None:
-        _ATTACHMENTS.move_to_end(name)
-        return entry
     segment = SharedTraceSegment.attach(name)
     try:
-        entry = segment.load()
+        return segment.load()
     finally:
         segment.close()
-    _ATTACHMENTS[name] = entry
-    while len(_ATTACHMENTS) > max(1, cap):
-        _ATTACHMENTS.popitem(last=False)
-    return entry
-
-
-def drop_attachments() -> None:
-    """Forget every cached load (test isolation; idempotent)."""
-    _ATTACHMENTS.clear()

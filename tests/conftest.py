@@ -16,13 +16,11 @@ from repro.workloads.kernels import KernelKind
 
 
 class Instruction(NamedTuple):
-    """A hand-made static instruction: one program row plus its sid and block."""
+    """A hand-made static instruction: one program row."""
 
-    sid: int
     opclass: UopClass
     dests: Tuple[int, ...] = ()
     srcs: Tuple[int, ...] = ()
-    block: int = 0
 
     @property
     def latency(self) -> int:
@@ -33,14 +31,14 @@ class Instruction(NamedTuple):
         return is_memory(self.opclass)
 
 
-def make_instruction(sid, opclass=UopClass.INT_ALU, dests=(), srcs=(), block=0):
+def make_instruction(opclass=UopClass.INT_ALU, dests=(), srcs=()):
     """Convenience constructor used across the test suite."""
-    return Instruction(int(sid), UopClass(opclass), tuple(dests), tuple(srcs), int(block))
+    return Instruction(UopClass(opclass), tuple(dests), tuple(srcs))
 
 
 def make_program(*blocks, edges=(), entry=0, name="test"):
     """A program whose block ``b`` holds the instructions ``blocks[b]``, in
-    order; sids number them in block order (their own ``sid`` is ignored)."""
+    order; sids number them in block order."""
     rows = [[(inst.opclass, inst.dests, inst.srcs) for inst in block] for block in blocks]
     return Program.from_blocks(name, rows, edges, entry=entry)
 
@@ -68,11 +66,11 @@ def make_trace(
 ):
     """A hand-made trace: one µop per entry of ``instructions``, in order.
 
-    The instructions form the one block of a program (their ``sid`` and
-    ``block`` are ignored: µop ``i`` runs sid ``i``); ``addresses`` and
-    ``mispredicted`` give the per-µop dynamic facts (0 and ``False`` when
-    omitted) and ``vc_ids`` / ``chain_leaders`` / ``static_clusters`` its
-    annotations (``None`` entries, or an omitted column, read unannotated).
+    The instructions form the one block of a program (µop ``i`` runs sid
+    ``i``); ``addresses`` and ``mispredicted`` give the per-µop dynamic facts
+    (0 and ``False`` when omitted) and ``vc_ids`` / ``chain_leaders`` /
+    ``static_clusters`` its annotations (``None`` entries, or an omitted
+    column, read unannotated).
     """
     n = len(instructions)
     trace = CompiledTrace(
@@ -97,11 +95,11 @@ def simple_block():
     branch(R12)
     """
     return [
-        make_instruction(0, UopClass.INT_ALU, dests=(10,), srcs=(0, 1)),
-        make_instruction(1, UopClass.LOAD, dests=(11,), srcs=(10,)),
-        make_instruction(2, UopClass.INT_ALU, dests=(12,), srcs=(11, 2)),
-        make_instruction(3, UopClass.INT_ALU, dests=(13,), srcs=(3, 4)),
-        make_instruction(4, UopClass.BRANCH, dests=(), srcs=(12,)),
+        make_instruction(UopClass.INT_ALU, dests=(10,), srcs=(0, 1)),
+        make_instruction(UopClass.LOAD, dests=(11,), srcs=(10,)),
+        make_instruction(UopClass.INT_ALU, dests=(12,), srcs=(11, 2)),
+        make_instruction(UopClass.INT_ALU, dests=(13,), srcs=(3, 4)),
+        make_instruction(UopClass.BRANCH, dests=(), srcs=(12,)),
     ]
 
 
@@ -109,12 +107,12 @@ def simple_block():
 def two_chain_block():
     """A block with two completely independent dependence chains."""
     return [
-        make_instruction(0, UopClass.INT_ALU, dests=(10,), srcs=(0,)),
-        make_instruction(1, UopClass.INT_ALU, dests=(20,), srcs=(1,)),
-        make_instruction(2, UopClass.INT_ALU, dests=(11,), srcs=(10,)),
-        make_instruction(3, UopClass.INT_ALU, dests=(21,), srcs=(20,)),
-        make_instruction(4, UopClass.INT_ALU, dests=(12,), srcs=(11,)),
-        make_instruction(5, UopClass.INT_ALU, dests=(22,), srcs=(21,)),
+        make_instruction(UopClass.INT_ALU, dests=(10,), srcs=(0,)),
+        make_instruction(UopClass.INT_ALU, dests=(20,), srcs=(1,)),
+        make_instruction(UopClass.INT_ALU, dests=(11,), srcs=(10,)),
+        make_instruction(UopClass.INT_ALU, dests=(21,), srcs=(20,)),
+        make_instruction(UopClass.INT_ALU, dests=(12,), srcs=(11,)),
+        make_instruction(UopClass.INT_ALU, dests=(22,), srcs=(21,)),
     ]
 
 
@@ -122,9 +120,9 @@ def two_chain_block():
 def tiny_program(simple_block):
     """A two-block program with a loop on the first block (sids 0-4 and 5-7)."""
     second = [
-        make_instruction(5, UopClass.INT_ALU, dests=(14,), srcs=(12, 13), block=1),
-        make_instruction(6, UopClass.STORE, dests=(), srcs=(0, 14), block=1),
-        make_instruction(7, UopClass.BRANCH, dests=(), srcs=(14,), block=1),
+        make_instruction(UopClass.INT_ALU, dests=(14,), srcs=(12, 13)),
+        make_instruction(UopClass.STORE, dests=(), srcs=(0, 14)),
+        make_instruction(UopClass.BRANCH, dests=(), srcs=(14,)),
     ]
     edges = [(0, 0, 0.75, True), (0, 1, 0.25, False), (1, 0, 1.0, False)]
     return make_program(simple_block, second, edges=edges, name="tiny")

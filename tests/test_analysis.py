@@ -16,9 +16,9 @@ from tests.conftest import block_ddg, make_instruction
 
 def chain_ddg(length, opclass=UopClass.INT_ALU):
     """A pure serial chain of ``length`` operations."""
-    instructions = [make_instruction(0, opclass, dests=(10,), srcs=(0,))]
+    instructions = [make_instruction(opclass, dests=(10,), srcs=(0,))]
     for i in range(1, length):
-        instructions.append(make_instruction(i, opclass, dests=(10 + i,), srcs=(9 + i,)))
+        instructions.append(make_instruction(opclass, dests=(10 + i,), srcs=(9 + i,)))
     return block_ddg(instructions)
 
 
@@ -44,9 +44,9 @@ class TestCriticality:
 
     def test_long_latency_node_dominates_critical_path(self):
         instructions = [
-            make_instruction(0, UopClass.INT_DIV, dests=(10,), srcs=(0,)),
-            make_instruction(1, UopClass.INT_ALU, dests=(11,), srcs=(1,)),
-            make_instruction(2, UopClass.INT_ALU, dests=(12,), srcs=(10,)),
+            make_instruction(UopClass.INT_DIV, dests=(10,), srcs=(0,)),
+            make_instruction(UopClass.INT_ALU, dests=(11,), srcs=(1,)),
+            make_instruction(UopClass.INT_ALU, dests=(12,), srcs=(10,)),
         ]
         info = compute_criticality(block_ddg(instructions))
         assert info.is_critical(0)
@@ -67,9 +67,9 @@ class TestSlack:
 
     def test_off_critical_path_has_positive_slack(self):
         instructions = [
-            make_instruction(0, UopClass.INT_DIV, dests=(10,), srcs=(0,)),  # 20 cycles
-            make_instruction(1, UopClass.INT_ALU, dests=(11,), srcs=(1,)),  # 1 cycle, slack
-            make_instruction(2, UopClass.INT_ALU, dests=(12,), srcs=(10, 11)),
+            make_instruction(UopClass.INT_DIV, dests=(10,), srcs=(0,)),  # 20 cycles
+            make_instruction(UopClass.INT_ALU, dests=(11,), srcs=(1,)),  # 1 cycle, slack
+            make_instruction(UopClass.INT_ALU, dests=(12,), srcs=(10, 11)),
         ]
         slack = compute_slack(block_ddg(instructions))
         assert slack.node_slack[1] > 0
@@ -77,9 +77,9 @@ class TestSlack:
 
     def test_edge_weight_monotone_in_slack(self):
         instructions = [
-            make_instruction(0, UopClass.INT_DIV, dests=(10,), srcs=(0,)),
-            make_instruction(1, UopClass.INT_ALU, dests=(11,), srcs=(1,)),
-            make_instruction(2, UopClass.INT_ALU, dests=(12,), srcs=(10, 11)),
+            make_instruction(UopClass.INT_DIV, dests=(10,), srcs=(0,)),
+            make_instruction(UopClass.INT_ALU, dests=(11,), srcs=(1,)),
+            make_instruction(UopClass.INT_ALU, dests=(12,), srcs=(10, 11)),
         ]
         ddg = block_ddg(instructions)
         weight = dict(zip(ddg.edge_latency, compute_slack(ddg).edge_weights()))
@@ -96,7 +96,7 @@ class TestSlack:
 
 def independent_ddg(size):
     """``size`` operations with no dependence between them."""
-    return block_ddg([make_instruction(i, dests=(10 + i,), srcs=(i,)) for i in range(size)])
+    return block_ddg([make_instruction(dests=(10 + i,), srcs=(i,)) for i in range(size)])
 
 
 class TestCompletionTimeEstimator:

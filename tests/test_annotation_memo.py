@@ -33,7 +33,6 @@ from repro.engine.parallel import (
     ParallelRunner,
     _prepare_job,
     execute_batch,
-    execute_job,
 )
 from repro.experiments.configs import TABLE3_CONFIGURATIONS
 from repro.experiments.runner import ExperimentRunner
@@ -91,7 +90,7 @@ def make_job(profile, configuration, link_latency=1):
 def fresh_dump(job):
     """``job`` run on its own, on a newly generated trace."""
     _TRACE_MEMO.clear()
-    return execute_job(job, trace_root=None)
+    return execute_batch([job], trace_root=None)["dumps"][0]
 
 
 def sweep_jobs(*profiles):

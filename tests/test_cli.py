@@ -177,7 +177,7 @@ class TestFooterConsistency:
         monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
         argv = [
             "quickstart", "--benchmark", "164.gzip-1", "--trace-length", "400",
-            "--no-cache", "--no-trace-artifacts",
+            "--no-cache",
         ]
         assert main(argv) == 0
         out = capsys.readouterr().out

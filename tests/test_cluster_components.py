@@ -167,17 +167,9 @@ class TestIssueQueues:
         queues = IssueQueues(ClusterConfig())
         queues.push_ready(0, IssueQueueKind.INT, 5, "b")
         queues.push_ready(0, IssueQueueKind.INT, 2, "a")
-        assert queues.peek_ready(0, IssueQueueKind.INT) == "a"
         assert queues.pop_ready(0, IssueQueueKind.INT) == "a"
         assert queues.pop_ready(0, IssueQueueKind.INT) == "b"
         assert queues.pop_ready(0, IssueQueueKind.INT) is None
-
-    def test_requeue(self):
-        queues = IssueQueues(ClusterConfig())
-        queues.push_ready(0, IssueQueueKind.INT, 1, "x")
-        item = queues.pop_ready(0, IssueQueueKind.INT)
-        queues.requeue_ready(0, IssueQueueKind.INT, 1, item)
-        assert queues.ready_count(0, IssueQueueKind.INT) == 1
 
 
 class TestReorderBuffer:

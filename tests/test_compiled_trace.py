@@ -17,7 +17,8 @@ Pinned here (the golden-metrics suite pins the kernels' exact output and
 * **validation** -- the constructor rejects dynamic columns of the wrong
   shape and sids outside the program, and the processor rejects anything
   but a :class:`CompiledTrace`;
-* **engine equivalence** -- ``execute_job`` equals a by-hand simulation.
+* **engine equivalence** -- a single-job ``execute_batch`` equals a by-hand
+  simulation.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from hypothesis import given, settings, strategies as st
 from repro.cluster.config import ClusterConfig
 from repro.cluster.processor import ClusteredProcessor, simulate_trace
 from repro.engine.job import SimulationJob
-from repro.engine.parallel import execute_job
+from repro.engine.parallel import execute_batch
 from repro.experiments.configs import TABLE3_CONFIGURATIONS
 from repro.partition.vc_partitioner import VirtualClusterPartitioner
 from repro.steering.one_cluster import OneClusterSteering
@@ -63,7 +64,7 @@ class TestDerivedColumns:
             assert compiled.is_branch_list()[i] == (opclass == UopClass.BRANCH)
 
     def test_unique_srcs_preserve_first_occurrence_order(self):
-        inst = make_instruction(0, UopClass.INT_ALU, dests=(5,), srcs=(3, 7, 3, 1, 7))
+        inst = make_instruction(UopClass.INT_ALU, dests=(5,), srcs=(3, 7, 3, 1, 7))
         compiled = make_trace([inst])
         assert compiled.src_tuples()[0] == (3, 7, 3, 1, 7)
         assert compiled.unique_src_tuples()[0] == (3, 7, 1)
@@ -176,8 +177,8 @@ def operand_rows(draw):
 
 def _operand_trace(srcs, dests):
     return make_trace([
-        make_instruction(i, UopClass.INT_ALU, written, read)
-        for i, (read, written) in enumerate(zip(srcs, dests))
+        make_instruction(UopClass.INT_ALU, written, read)
+        for read, written in zip(srcs, dests)
     ])
 
 
@@ -222,8 +223,8 @@ class TestGather:
         opclasses = st.sampled_from(list(UopClass))
         registers = st.lists(st.integers(0, 127), max_size=4).map(tuple)
         instructions = [
-            make_instruction(i, data.draw(opclasses), data.draw(registers), data.draw(registers))
-            for i in range(n)
+            make_instruction(data.draw(opclasses), data.draw(registers), data.draw(registers))
+            for _ in range(n)
         ]
         program = make_program(instructions[: n // 2], instructions[n // 2 :])
         sids = data.draw(st.lists(st.integers(0, n - 1), max_size=30), label="sids")
@@ -238,7 +239,7 @@ class TestGather:
         assert trace.opclass.tolist() == [int(program.opclass[sid]) for sid in sids]
 
     def test_make_trace_reads_none_as_unannotated(self):
-        instructions = [make_instruction(i, UopClass.INT_ALU) for i in range(3)]
+        instructions = [make_instruction(UopClass.INT_ALU) for _ in range(3)]
         trace = make_trace(
             instructions,
             vc_ids=[None, 1, 0],
@@ -293,8 +294,8 @@ class TestValidation:
     @staticmethod
     def _build(**changes):
         program = make_program([
-            make_instruction(0, UopClass.INT_ALU, dests=(3,), srcs=(1, 2)),
-            make_instruction(1, UopClass.INT_ALU, dests=(4,), srcs=(3,)),
+            make_instruction(UopClass.INT_ALU, dests=(3,), srcs=(1, 2)),
+            make_instruction(UopClass.INT_ALU, dests=(4,), srcs=(3,)),
         ])
         return CompiledTrace(program, **TestValidation._columns(**changes))
 
@@ -328,7 +329,7 @@ class TestValidation:
 
     @pytest.mark.parametrize("entry_point", ["bind", "run"])
     def test_bind_and_run_reject_a_list_of_instructions(self, entry_point):
-        instructions = [make_instruction(0, UopClass.INT_ALU, dests=(3,), srcs=(1,))]
+        instructions = [make_instruction(UopClass.INT_ALU, dests=(3,), srcs=(1,))]
         processor = ClusteredProcessor(fast_config(), OneClusterSteering())
         with pytest.raises(TypeError, match="CompiledTrace, got list"):
             getattr(processor, entry_point)(instructions)
@@ -336,7 +337,7 @@ class TestValidation:
 
 class TestKernelEquivalence:
     @pytest.mark.parametrize("name", sorted(TABLE3_CONFIGURATIONS))
-    def test_execute_job_matches_direct_simulation(self, name, small_profile):
+    def test_single_job_batch_matches_direct_simulation(self, name, small_profile):
         """The engine's artifact-backed path equals a by-hand simulation."""
         configuration = TABLE3_CONFIGURATIONS[name]
         job = SimulationJob(
@@ -348,7 +349,7 @@ class TestKernelEquivalence:
             num_clusters=2,
             num_virtual_clusters=2,
         )
-        engine_dump = execute_job(job)
+        engine_dump = execute_batch([job])["dumps"][0]
         generator = WorkloadGenerator(small_profile)
         program, trace = generator.generate_compiled_trace(700, phase=0)
         partitioner = configuration.make_partitioner(2, 2, 128)

@@ -1,13 +1,15 @@
-"""The batch scheduler: RunPlan grouping, batched execution, stats plumbing.
+"""The batch scheduler: runner grouping, batched execution, stats plumbing.
 
 Three contracts are pinned here:
 
-* **Partitioning is order-preserving and exact** -- every job lands in
-  exactly one batch, batches keep the original per-trace job order, and the
-  plan is a pure function of the job list (property-tested).
-* **Batched execution is bit-identical** to per-job execution
-  (:func:`execute_job`, one job on a fresh processor) and to cache replay, including on mixed hit/miss batches and on all golden
-  Table 3 configurations -- batching is a scheduling concern only.
+* **Grouping is order-preserving and exact** -- the runner puts every job in
+  exactly one batch, one batch per trace key in sorted key order, keeps the
+  original per-trace job order, and returns results in job order
+  (property-tested).
+* **Batched execution is bit-identical** to per-job execution (single-job
+  batches, one job on a fresh processor) and to cache replay, including on
+  mixed hit/miss batches and on all golden Table 3 configurations --
+  batching is a scheduling concern only.
 * **The amortisation degrades gracefully**: a corrupt trace artifact inside
   a batch falls back to regeneration, and the per-process trace memo's
   capacity follows the batch-width-scaled cap.
@@ -17,14 +19,16 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster.config import ClusterConfig
+from repro.cluster.metrics import SimulationMetrics
 from repro.cluster.processor import ClusteredProcessor
-from repro.engine.batch import JobBatch, RunPlan
+from repro.engine import parallel
 from repro.engine.cache import ResultCache
 from repro.engine.job import SimulationJob
 from repro.engine.parallel import (
@@ -32,7 +36,6 @@ from repro.engine.parallel import (
     DEFAULT_MEMO_CAP,
     ParallelRunner,
     execute_batch,
-    execute_job,
     resolve_memo_cap,
 )
 from repro.experiments.configs import TABLE3_CONFIGURATIONS, vc_variant
@@ -73,16 +76,21 @@ def make_job(profile, configuration, phase=0, trace_length=500, **overrides):
     return SimulationJob(**defaults)
 
 
+def execute_one(job):
+    """``job``'s dump from a single-job batch: the per-job reference."""
+    return execute_batch([job])["dumps"][0]
+
+
 # ---------------------------------------------------------------------------
-# RunPlan partitioning
+# Runner grouping
 # ---------------------------------------------------------------------------
 
 
-class TestRunPlan:
+class TestRunnerGrouping:
     """Grouping invariants, property-tested over random job interleavings."""
 
-    #: Small pools the strategies draw from; jobs are cheap to build (no
-    #: simulation happens in these tests).
+    #: Small pools the strategies draw from; jobs are cheap to build (the
+    #: executor is stubbed, so no simulation happens in these tests).
     PROFILES = [profile_for("164.gzip-1"), profile_for("178.galgel")]
 
     @st.composite
@@ -101,7 +109,7 @@ class TestRunPlan:
         )
         return [
             make_job(
-                TestRunPlan.PROFILES[profile],
+                TestRunnerGrouping.PROFILES[profile],
                 CONFIGURATIONS[configuration],
                 phase=phase,
                 trace_length=length,
@@ -109,44 +117,58 @@ class TestRunPlan:
             for profile, phase, length, configuration in specs
         ]
 
+    @staticmethod
+    def run_recorded(jobs):
+        """Run ``jobs`` serially with an executor that records each batch.
+
+        The stub's dump for a job has the job's index as ``cycles``, so the
+        returned metrics show which job filled each result slot.  Returns
+        the runner, the batches (as job indices) and the memo capacity each
+        batch was given, and the metrics.
+        """
+        batches = []
+
+        def position(job):
+            # By identity: equal jobs drawn twice are still two jobs.
+            return next(index for index, other in enumerate(jobs) if other is job)
+
+        def recording_execute_batch(batch_jobs, trace_root, trace_store, memo_cap):
+            indices = [position(job) for job in batch_jobs]
+            batches.append((indices, memo_cap))
+            dumps = [SimulationMetrics(num_clusters=1, cycles=i).to_dict() for i in indices]
+            return {"dumps": dumps, "trace_stats": None}
+
+        runner = ParallelRunner(trace_root=None)
+        with mock.patch.object(parallel, "execute_batch", recording_execute_batch):
+            metrics = runner.run(jobs)
+        return runner, batches, metrics
+
     @settings(max_examples=60, deadline=None)
     @given(jobs=job_lists())
-    def test_partition_is_exact_and_order_preserving(self, jobs):
-        plan = RunPlan.from_jobs(jobs)
-        seen = [index for batch in plan.batches for index in batch.indices]
-        # Exact cover: every job in exactly one batch.
-        assert sorted(seen) == list(range(len(jobs)))
-        for batch in plan.batches:
-            # Original job order is preserved inside each batch...
-            assert list(batch.indices) == sorted(batch.indices)
-            # ...and grouping is exactly by trace key.
-            for index, job in zip(batch.indices, batch.jobs):
-                assert jobs[index] is job
-                assert job.trace_key() == batch.trace_key
-        # Batch order is deterministic (sorted by trace key).
-        assert [b.trace_key for b in plan.batches] == sorted(
-            b.trace_key for b in plan.batches
-        )
-        assert plan.num_jobs == len(jobs)
-        assert plan.num_traces == len({job.trace_key() for job in jobs})
-
-    @settings(max_examples=20, deadline=None)
-    @given(jobs=job_lists())
-    def test_plan_is_deterministic(self, jobs):
-        assert RunPlan.from_jobs(jobs) == RunPlan.from_jobs(jobs)
+    def test_grouping_is_exact_and_order_preserving(self, jobs):
+        runner, batches, metrics = self.run_recorded(jobs)
+        # run() returns every job's own result, in job order.
+        assert [m.cycles for m in metrics] == list(range(len(jobs)))
+        groups = {}
+        for index, job in enumerate(jobs):
+            groups.setdefault(job.trace_key(), []).append(index)
+        # One batch per trace key, in sorted key order, holding exactly that
+        # key's jobs in their original order (so every job runs once).
+        assert [indices for indices, _ in batches] == [groups[key] for key in sorted(groups)]
+        stats = runner.batch_stats
+        assert stats["batches"] == len(groups)
+        assert stats["max_width"] == max(map(len, groups.values()), default=0)
+        assert stats["jobs"] == stats["executed_jobs"] == len(jobs)
 
     def test_width_stats(self):
         profile = self.PROFILES[0]
         jobs = [make_job(profile, c) for c in CONFIGURATIONS]
         jobs.append(make_job(profile, CONFIGURATIONS[0], phase=1))
-        plan = RunPlan.from_jobs(jobs)
-        assert plan.num_traces == 2
-        assert plan.max_width == 3
-        assert plan.mean_width == 2.0
-
-    def test_empty_batch_rejected(self):
-        with pytest.raises(ValueError):
-            JobBatch(trace_key="k", indices=(), jobs=())
+        runner, batches, _ = self.run_recorded(jobs)
+        assert runner.batch_stats["batches"] == 2
+        assert runner.batch_stats["max_width"] == 3
+        # The memo is sized by the mean width: 4 jobs over 2 traces.
+        assert {memo_cap for _, memo_cap in batches} == {resolve_memo_cap(2.0)}
 
     def test_execute_batch_rejects_mixed_trace_keys(self, small_profile):
         jobs = [
@@ -180,7 +202,7 @@ class TestBatchedEquivalence:
     ):
         """Mixed hit/miss batches: per-job, batched and replay all agree bitwise."""
         jobs = self._mixed_jobs(small_profile, small_fp_profile)
-        serial = [execute_job(job) for job in jobs]
+        serial = [execute_one(job) for job in jobs]
 
         # Pre-seed the cache with every other job, so each batch is a mix of
         # cache hits and misses when the batched runner consults it.
@@ -200,7 +222,7 @@ class TestBatchedEquivalence:
 
     def test_batched_parallel_matches_serial(self, small_profile, small_fp_profile):
         jobs = self._mixed_jobs(small_profile, small_fp_profile)
-        serial = [execute_job(job) for job in jobs]
+        serial = [execute_one(job) for job in jobs]
         parallel = _dump_all(
             ParallelRunner(max_workers=2, trace_root=None), jobs
         )
@@ -219,7 +241,7 @@ class TestBatchedEquivalence:
         ]
         assert len({job.trace_key() for job in jobs}) == 1
         assert len({job.machine_key() for job in jobs}) == 2
-        serial = [execute_job(job) for job in jobs]
+        serial = [execute_one(job) for job in jobs]
         _TRACE_MEMO.clear()
         batched = execute_batch(jobs)["dumps"]
         assert batched == serial
@@ -442,9 +464,8 @@ class TestBatchConfigurationAxis:
             vc_variant("VC(8)", 8),
         ]
         jobs = [make_job(small_profile, c) for c in configurations]
-        plan = RunPlan.from_jobs(jobs)
-        assert plan.num_traces == 1 and plan.max_width == 8
-        serial = [execute_job(job) for job in jobs]
+        assert len({job.trace_key() for job in jobs}) == 1
+        serial = [execute_one(job) for job in jobs]
         _TRACE_MEMO.clear()
         batched = execute_batch(jobs)["dumps"]
         assert batched == serial

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import gc
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -37,14 +38,13 @@ from repro.engine.job import SimulationJob
 from repro.engine.parallel import (
     _TRACE_MEMO,
     ParallelRunner,
-    execute_job,
+    _execute_segment_batch,
+    execute_batch,
 )
 from repro.engine.pool import WorkerPool
 from repro.engine.shm import (
     SegmentRegistry,
     SharedTraceSegment,
-    attach_segment,
-    drop_attachments,
     shared_memory_available,
 )
 from repro.experiments.configs import TABLE3_CONFIGURATIONS, vc_variant
@@ -77,10 +77,9 @@ def _visible_segments() -> set:
 def no_leaked_segments():
     """Every test must leave ``/dev/shm`` exactly as it found it."""
     _TRACE_MEMO.clear()
-    drop_attachments()
     before = _visible_segments()
     yield
-    drop_attachments()
+    _TRACE_MEMO.clear()
     gc.collect()  # let registry finalizers fire for dropped runners
     after = _visible_segments()
     assert after == before, f"leaked shared-memory segments: {sorted(after - before)}"
@@ -98,6 +97,11 @@ def make_job(profile, configuration, phase=0, trace_length=500, **overrides):
     )
     defaults.update(overrides)
     return SimulationJob(**defaults)
+
+
+def execute_one(job):
+    """``job``'s dump from a single-job batch: the per-job reference."""
+    return execute_batch([job])["dumps"][0]
 
 
 def _worker_write_column(name: str) -> str:  # pragma: no cover - runs in a worker
@@ -380,62 +384,76 @@ class TestSegmentRegistry:
 
 
 # ---------------------------------------------------------------------------
-# Worker-side attachment cache
+# Worker-side segment loads go through the trace memo
 # ---------------------------------------------------------------------------
 
 
-class TestAttachmentCache:
-    def test_attachments_are_cached_and_evicted(self, small_profile):
+class TestSegmentLoads:
+    @staticmethod
+    def _generate(job):
+        generator = WorkloadGenerator(job.profile, register_space=job.register_space)
+        return lambda: generator.generate_compiled_trace(job.trace_length, phase=job.phase)
+
+    def test_segment_load_is_keyed_by_trace_not_by_name(self, small_profile):
+        """A worker that loaded a trace from one segment serves a later batch
+        of the same trace from its memo, even when the later task names a
+        different segment that no longer exists."""
+        job = make_job(small_profile, CONFIGURATIONS[1], trace_length=300)
+        key = job.trace_key()
         registry = SegmentRegistry()
         try:
-            names = []
-            for phase in range(3):
-                loader = lambda p=phase: WorkloadGenerator(small_profile).generate_compiled_trace(
-                    200, phase=p
-                )
-                names.append(registry.publish(f"k{phase}", loader).name)
-            first = attach_segment(names[0], cap=2)
-            again = attach_segment(names[0], cap=2)
-            assert first[1] is again[1]  # same cached CompiledTrace object
-            attach_segment(names[1], cap=2)
-            attach_segment(names[2], cap=2)  # evicts names[0]
-            refreshed = attach_segment(names[0], cap=2)
-            assert refreshed[1] is not first[1]
+            first = registry.publish(key, self._generate(job)).name
+            expected = _execute_segment_batch([job], first, 2)["dumps"]
+            assert (None, key) in _TRACE_MEMO
+            registry.discard(key)
+            second = registry.publish(key, self._generate(job)).name
+            registry.discard(key)
+            assert second != first and _segment_is_gone(first) and _segment_is_gone(second)
+            assert _execute_segment_batch([job], second, 2)["dumps"] == expected
         finally:
-            drop_attachments()
             registry.close()
 
-    def test_evicted_attachment_stays_readable(self, small_profile):
-        """A program and trace loaded from a segment outlive its eviction.
+    def test_evicted_trace_stays_readable(self, small_profile):
+        """A program and trace loaded from a segment outlive their eviction
+        from the trace memo.
 
-        The child attaches a segment, loads it, evicts it by attaching a
-        second one past a cap of 1, then reads every column.  Run in a
-        subprocess because a column still viewing a closed mapping would
-        crash the interpreter rather than raise.
+        The child runs a batch from one segment, evicts its trace by running
+        a batch of a second trace at a memo capacity of 1, then reads every
+        column of the first.  Run in a subprocess because a column still
+        viewing a closed mapping would crash the interpreter rather than
+        raise.
         """
+        jobs = [
+            make_job(small_profile, CONFIGURATIONS[0], phase=phase, trace_length=200)
+            for phase in (0, 1)
+        ]
+        traces = [self._generate(job)() for job in jobs]
         registry = SegmentRegistry()
         try:
-            traces = [
-                WorkloadGenerator(small_profile).generate_compiled_trace(200, phase=phase)
-                for phase in (0, 1)
-            ]
             names = [
-                registry.publish(f"k{phase}", lambda t=trace: t).name
-                for phase, trace in enumerate(traces)
+                registry.publish(job.trace_key(), lambda t=trace: t).name
+                for job, trace in zip(jobs, traces)
             ]
             code = (
-                "import sys\n"
-                "from repro.engine.shm import attach_segment\n"
+                "import pickle, sys\n"
+                "from repro.engine.parallel import _TRACE_MEMO, _execute_segment_batch\n"
                 "from repro.program.program import Program\n"
-                "program, compiled = attach_segment(sys.argv[1], cap=1)\n"
-                "attach_segment(sys.argv[2], cap=1)\n"
+                "jobs = pickle.load(sys.stdin.buffer)\n"
+                "_execute_segment_batch(jobs[:1], sys.argv[1], 1)\n"
+                "program, compiled = _TRACE_MEMO[(None, jobs[0].trace_key())]\n"
+                "_execute_segment_batch(jobs[1:], sys.argv[2], 1)\n"
+                "assert list(_TRACE_MEMO) == [(None, jobs[1].trace_key())]\n"
                 "columns = [getattr(program, name) for name in Program.COLUMNS]\n"
                 "columns += [getattr(compiled, name) for name in compiled.STORED_FIELDS]\n"
                 "print(sum(int(column.sum()) for column in columns))\n"
             )
             env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
             result = subprocess.run(
-                [sys.executable, "-c", code, *names], env=env, capture_output=True, timeout=120
+                [sys.executable, "-c", code, *names],
+                input=pickle.dumps(jobs),
+                env=env,
+                capture_output=True,
+                timeout=120,
             )
             program, compiled = traces[0]
             columns = [getattr(program, name) for name in Program.COLUMNS]
@@ -502,7 +520,7 @@ class TestRunnerEquivalence:
         self, tmp_path, small_profile, small_fp_profile
     ):
         jobs = self._jobs(small_profile, small_fp_profile)
-        serial = [execute_job(job) for job in jobs]
+        serial = [execute_one(job) for job in jobs]
 
         with ParallelRunner(max_workers=2, trace_root=None, shared_memory=True) as runner:
             shm_results = [m.to_dict() for m in runner.run(jobs)]
@@ -615,7 +633,7 @@ class TestRunnerLifecycle:
             assert not runner._pool.alive  # poisoned pool was discarded
             monkeypatch.setattr(parallel_module, "_execute_segment_batch", real_task)
             results = [m.to_dict() for m in runner.run(jobs)]
-            serial = [execute_job(job) for job in jobs]
+            serial = [execute_one(job) for job in jobs]
             assert results == serial
         finally:
             runner.shutdown()
@@ -682,5 +700,5 @@ class TestRunnerLifecycle:
         # The autouse fixture asserts /dev/shm is clean after this test.
 
 
-def _crash_task(jobs, segment_name):  # pragma: no cover - runs in a worker
+def _crash_task(jobs, segment_name, memo_cap):  # pragma: no cover - runs in a worker
     os._exit(13)

@@ -527,7 +527,6 @@ class TestCopySlotGrowth:
         reg = lambda i: 8 + (i % 97)  # noqa: E731
         return make_trace([
             make_instruction(
-                i,
                 UopClass.INT_ALU,
                 dests=(reg(i),),
                 srcs=(reg(i - 1), reg(i - 3)) if i % 4 == 3 else (0,),

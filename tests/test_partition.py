@@ -29,12 +29,12 @@ def figure3_ddg():
     plus a cross edge A -> E so E depends only on the other virtual cluster.
     """
     instructions = [
-        make_instruction(0, dests=(10,), srcs=(0,)),   # A   vc0
-        make_instruction(1, dests=(20,), srcs=(1,)),   # B   vc1
-        make_instruction(2, dests=(11,), srcs=(10,)),  # C   vc0 (depends on A)
-        make_instruction(3, dests=(12,), srcs=(11,)),  # D   vc0 (depends on C)
-        make_instruction(4, dests=(21,), srcs=(10,)),  # E   vc1 (depends on A only)
-        make_instruction(5, dests=(22,), srcs=(21, 20)),  # F vc1 (depends on E and B)
+        make_instruction(dests=(10,), srcs=(0,)),   # A   vc0
+        make_instruction(dests=(20,), srcs=(1,)),   # B   vc1
+        make_instruction(dests=(11,), srcs=(10,)),  # C   vc0 (depends on A)
+        make_instruction(dests=(12,), srcs=(11,)),  # D   vc0 (depends on C)
+        make_instruction(dests=(21,), srcs=(10,)),  # E   vc1 (depends on A only)
+        make_instruction(dests=(22,), srcs=(21, 20)),  # F vc1 (depends on E and B)
     ]
     ddg = block_ddg(instructions)
     assignment = [0, 1, 0, 0, 1, 1]
@@ -185,9 +185,9 @@ class TestVirtualClusterPartitioner:
         assert ((report.vc_id >= 0) & (report.vc_id < 4)).all()
 
     def test_dependent_serial_chain_stays_in_one_vc(self):
-        instructions = [make_instruction(0, dests=(10,), srcs=(0,))]
+        instructions = [make_instruction(dests=(10,), srcs=(0,))]
         for i in range(1, 10):
-            instructions.append(make_instruction(i, dests=(10 + i,), srcs=(9 + i,)))
+            instructions.append(make_instruction(dests=(10 + i,), srcs=(9 + i,)))
         ddg = block_ddg(instructions)
         assignment = VirtualClusterPartitioner(2).partition_region(ddg)
         assert len(set(assignment)) == 1

@@ -23,7 +23,7 @@ def straight_line_trace(length=50, dependent=False):
     for i in range(length):
         srcs = (10 + (i - 1) % 40,) if (dependent and i > 0) else (0,)
         instructions.append(
-            make_instruction(i, UopClass.INT_ALU, dests=(10 + i % 40,), srcs=srcs)
+            make_instruction(UopClass.INT_ALU, dests=(10 + i % 40,), srcs=srcs)
         )
     return make_trace(instructions)
 
@@ -76,8 +76,8 @@ class TestBasicExecution:
         assert fast.cycles < slow.cycles
 
     def test_empty_dests_and_stores_commit(self):
-        static_store = make_instruction(0, UopClass.STORE, dests=(), srcs=(0, 1))
-        static_branch = make_instruction(1, UopClass.BRANCH, dests=(), srcs=(0,))
+        static_store = make_instruction(UopClass.STORE, dests=(), srcs=(0, 1))
+        static_branch = make_instruction(UopClass.BRANCH, dests=(), srcs=(0,))
         trace = make_trace([static_store, static_branch], addresses=[64, 0])
         metrics = simulate_trace(trace, OneClusterSteering(), fast_config())
         assert metrics.committed_uops == 2
@@ -91,16 +91,16 @@ class TestBasicExecution:
 class TestCopies:
     def test_cross_cluster_dependence_generates_copy(self):
         # µop 0 runs on cluster 0, µop 1 depends on it and is forced to cluster 1.
-        producer = make_instruction(0, UopClass.INT_ALU, dests=(10,), srcs=(0,))
-        consumer = make_instruction(1, UopClass.INT_ALU, dests=(11,), srcs=(10,))
+        producer = make_instruction(UopClass.INT_ALU, dests=(10,), srcs=(0,))
+        consumer = make_instruction(UopClass.INT_ALU, dests=(11,), srcs=(10,))
         trace = make_trace([producer, consumer], static_clusters=[0, 1])
         metrics = simulate_trace(trace, StaticAssignmentSteering(), fast_config())
         assert metrics.copies_generated == 1
         assert metrics.cluster_copies[0] == 1  # inserted in the producing cluster
 
     def test_same_cluster_dependence_needs_no_copy(self):
-        producer = make_instruction(0, UopClass.INT_ALU, dests=(10,), srcs=(0,))
-        consumer = make_instruction(1, UopClass.INT_ALU, dests=(11,), srcs=(10,))
+        producer = make_instruction(UopClass.INT_ALU, dests=(10,), srcs=(0,))
+        consumer = make_instruction(UopClass.INT_ALU, dests=(11,), srcs=(10,))
         trace = make_trace([producer, consumer], static_clusters=[1, 1])
         metrics = simulate_trace(trace, StaticAssignmentSteering(), fast_config())
         assert metrics.copies_generated == 0
@@ -108,9 +108,9 @@ class TestCopies:
     def test_copy_deduplication_for_multiple_consumers(self):
         # One producer on cluster 0 feeding two consumers on cluster 1: a
         # single copy suffices (the rename table knows the value location).
-        producer = make_instruction(0, UopClass.INT_ALU, dests=(10,), srcs=(0,))
+        producer = make_instruction(UopClass.INT_ALU, dests=(10,), srcs=(0,))
         consumers = [
-            make_instruction(i, UopClass.INT_ALU, dests=(10 + i,), srcs=(10,)) for i in (1, 2)
+            make_instruction(UopClass.INT_ALU, dests=(10 + i,), srcs=(10,)) for i in (1, 2)
         ]
         trace = make_trace([producer, *consumers], static_clusters=[0, 1, 1])
         metrics = simulate_trace(trace, StaticAssignmentSteering(), fast_config())
@@ -118,8 +118,8 @@ class TestCopies:
 
     def test_copy_adds_latency(self):
         def chain(cluster_of_consumer):
-            producer = make_instruction(0, UopClass.INT_ALU, dests=(10,), srcs=(0,))
-            consumer = make_instruction(1, UopClass.INT_ALU, dests=(11,), srcs=(10,))
+            producer = make_instruction(UopClass.INT_ALU, dests=(10,), srcs=(0,))
+            consumer = make_instruction(UopClass.INT_ALU, dests=(11,), srcs=(10,))
             return make_trace([producer, consumer], static_clusters=[0, cluster_of_consumer])
 
         local = simulate_trace(chain(0), StaticAssignmentSteering(), fast_config())

@@ -30,7 +30,7 @@ class TestBlocks:
         assert tiny_program.block_sids(1) == range(5, 8)
 
     def test_empty_blocks_are_allowed(self):
-        program = make_program([], [make_instruction(0)], edges=[(0, 1, 1.0, False)])
+        program = make_program([], [make_instruction()], edges=[(0, 1, 1.0, False)])
         assert program.block_sids(0) == range(0, 0)
         assert program.num_blocks == 2 and program.num_instructions == 1
 
@@ -38,7 +38,7 @@ class TestBlocks:
 class TestEdges:
     def test_successors_keep_edge_order(self):
         program = make_program(
-            [make_instruction(0)], [], [],
+            [make_instruction()], [], [],
             edges=[(0, 2, 0.4, False), (0, 1, 0.6, False)],
         )
         assert program.successors(0) == [(2, 0.4, False), (1, 0.6, False)]
@@ -47,27 +47,27 @@ class TestEdges:
     def test_back_edges_excluded_from_region_growth(self):
         """The likelier back-edge is skipped: the region follows the exit."""
         program = make_program(
-            [make_instruction(0)], [make_instruction(1)],
+            [make_instruction()], [make_instruction()],
             edges=[(0, 0, 0.9, True), (0, 1, 0.1, False)],
         )
         assert [region.block_ids for region in form_regions(program)] == [[0, 1]]
 
     def test_first_of_equally_likely_successors_wins(self):
         program = make_program(
-            [make_instruction(0)], [make_instruction(1)], [make_instruction(2)],
+            [make_instruction()], [make_instruction()], [make_instruction()],
             edges=[(0, 2, 0.5, False), (0, 1, 0.5, False)],
         )
         assert form_regions(program)[0].block_ids == [0, 2]
 
     def test_validate_probability_sum(self):
-        blocks = ([make_instruction(0)], [], [])
+        blocks = ([make_instruction()], [], [])
         with pytest.raises(ValueError, match="sum to 1"):
             make_program(*blocks, edges=[(0, 1, 0.5, False)])
         make_program(*blocks, edges=[(0, 1, 0.5, False), (0, 2, 0.5, False)])
 
     def test_validate_missing_entry(self):
         with pytest.raises(ValueError, match="entry block 9"):
-            make_program([make_instruction(0)], [], edges=[(0, 1, 1.0, False)], entry=9)
+            make_program([make_instruction()], [], edges=[(0, 1, 1.0, False)], entry=9)
 
     def test_invalid_probability_rejected(self):
         with pytest.raises(ValueError, match=r"outside \[0, 1\]"):
@@ -92,7 +92,7 @@ class TestProgram:
 
     def test_register_out_of_range_rejected(self):
         with pytest.raises(ValueError, match="register space"):
-            make_program([make_instruction(0, dests=(10_000,))])
+            make_program([make_instruction(dests=(10_000,))])
 
     def test_columns_are_read_only_and_sid_indexed(self, tiny_program):
         assert tiny_program.opclass.tolist() == [
@@ -160,9 +160,9 @@ class TestDDG:
 
     def test_redefinition_breaks_dependence(self):
         instructions = [
-            make_instruction(0, dests=(10,), srcs=(0,)),
-            make_instruction(1, dests=(10,), srcs=(1,)),  # redefines R10
-            make_instruction(2, dests=(11,), srcs=(10,)),  # reads the *second* definition
+            make_instruction(dests=(10,), srcs=(0,)),
+            make_instruction(dests=(10,), srcs=(1,)),  # redefines R10
+            make_instruction(dests=(11,), srcs=(10,)),  # reads the *second* definition
         ]
         ddg = block_ddg(instructions)
         assert (1, 2) in ddg.edge_latency
@@ -179,8 +179,8 @@ class TestDDG:
     def test_no_memory_edges(self):
         """Only register dependences are edges: a load does not wait on a store."""
         instructions = [
-            make_instruction(0, UopClass.STORE, dests=(), srcs=(0, 1)),
-            make_instruction(1, UopClass.LOAD, dests=(10,), srcs=(2,)),
+            make_instruction(UopClass.STORE, dests=(), srcs=(0, 1)),
+            make_instruction(UopClass.LOAD, dests=(10,), srcs=(2,)),
         ]
         assert block_ddg(instructions).num_edges == 0
 
@@ -197,8 +197,8 @@ class TestDDG:
 
     def test_reading_and_writing_one_register_depends_on_the_previous_writer(self):
         instructions = [
-            make_instruction(0, dests=(10,), srcs=(0,)),
-            make_instruction(1, dests=(10,), srcs=(10,)),  # R10 = R10 + ...
+            make_instruction(dests=(10,), srcs=(0,)),
+            make_instruction(dests=(10,), srcs=(10,)),  # R10 = R10 + ...
         ]
         assert block_ddg(instructions).edge_latency == {(0, 1): instructions[0].latency}
 

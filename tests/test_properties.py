@@ -46,7 +46,7 @@ def instruction_sequences(draw, min_size=2, max_size=60):
     """Random but well-formed program-ordered instruction sequences."""
     size = draw(st.integers(min_value=min_size, max_value=max_size))
     instructions = []
-    for sid in range(size):
+    for _ in range(size):
         opclass = draw(OPCLASSES)
         num_srcs = draw(st.integers(min_value=0, max_value=2))
         srcs = tuple(draw(st.integers(min_value=0, max_value=31)) for _ in range(num_srcs))
@@ -54,7 +54,7 @@ def instruction_sequences(draw, min_size=2, max_size=60):
             dests = ()
         else:
             dests = (draw(st.integers(min_value=0, max_value=31)),)
-        instructions.append(make_instruction(sid, opclass, dests, srcs))
+        instructions.append(make_instruction(opclass, dests, srcs))
     return instructions
 
 
@@ -274,8 +274,8 @@ class TestSteeringAndCopyProperties:
     def test_remote_operand_forces_exactly_one_copy(self):
         """Deterministic 'if' direction: producer on cluster 0, consumer on
         cluster 1 -- the value must traverse the interconnect exactly once."""
-        producer = make_instruction(0, UopClass.INT_ALU, (1,), ())
-        consumer = make_instruction(1, UopClass.INT_ALU, (2,), (1,))
+        producer = make_instruction(UopClass.INT_ALU, (1,), ())
+        consumer = make_instruction(UopClass.INT_ALU, (2,), (1,))
         trace = trace_from_instructions([producer, consumer], static_clusters=[0, 1])
         config = ClusterConfig(num_clusters=2, fetch_to_dispatch_latency=1, warm_caches=False)
         metrics = simulate_trace(trace, StaticAssignmentSteering(), config)

@@ -44,7 +44,7 @@ class FakeContext(SteeringContext):
 
 def make_uop(seq=0, opclass=UopClass.INT_ALU, srcs=(), dests=(10,), vc_id=None,
              chain_leader=False, static_cluster=None):
-    static = make_instruction(seq, opclass, dests, srcs)
+    static = make_instruction(opclass, dests, srcs)
     return CompiledUopView(
         make_trace(
             [static],

@@ -13,7 +13,7 @@ from repro.engine.job import SimulationJob
 from repro.engine.parallel import (
     _TRACE_MEMO,
     ParallelRunner,
-    execute_job,
+    execute_batch,
     trace_store_for,
 )
 from repro.experiments.configs import TABLE3_CONFIGURATIONS
@@ -31,6 +31,11 @@ def fresh_trace_memo():
     _TRACE_MEMO.clear()
     yield
     _TRACE_MEMO.clear()
+
+
+def execute_one(job, trace_root):
+    """``job``'s dump from a single-job batch."""
+    return execute_batch([job], trace_root=trace_root)["dumps"][0]
 
 
 def program_columns(program):
@@ -261,15 +266,15 @@ class TestLoadingNeverUnpickles:
 
 
 class TestEngineIntegration:
-    def test_execute_job_populates_and_reuses_artifacts(self, tmp_path, small_profile):
+    def test_single_job_batch_populates_and_reuses_artifacts(self, tmp_path, small_profile):
         root = tmp_path / "traces"
         job = make_job(small_profile)
-        first = execute_job(job, trace_root=str(root))
+        first = execute_one(job, trace_root=str(root))
         store = trace_store_for(str(root))
         assert store.stores == 1
         # A fresh process would miss the memo and load from disk; emulate it.
         _TRACE_MEMO.clear()
-        second = execute_job(job, trace_root=str(root))
+        second = execute_one(job, trace_root=str(root))
         assert store.hits >= 1
         assert first == second
 
@@ -283,7 +288,7 @@ class TestEngineIntegration:
         miss and the job regenerates the untampered trace."""
         root = tmp_path / "traces"
         job = make_job(small_profile)
-        expected = execute_job(job, trace_root=str(root))
+        expected = execute_one(job, trace_root=str(root))
         store = trace_store_for(str(root))
         path = store._path(job.trace_key())
         data = dict(np.load(path))
@@ -302,7 +307,7 @@ class TestEngineIntegration:
         write_artifact(path, data)
         _TRACE_MEMO.clear()
         misses = store.misses
-        assert execute_job(job, trace_root=str(root)) == expected
+        assert execute_one(job, trace_root=str(root)) == expected
         assert store.misses == misses + 1
         assert store.get(job.trace_key()) is not None  # the regenerated trace was stored
 
@@ -310,24 +315,24 @@ class TestEngineIntegration:
         """A no-store memo entry must not satisfy a later artifact-enabled run."""
         root = tmp_path / "traces"
         job = make_job(small_profile)
-        without_store = execute_job(job, trace_root=None)
-        with_store = execute_job(job, trace_root=str(root))
+        without_store = execute_one(job, trace_root=None)
+        with_store = execute_one(job, trace_root=str(root))
         assert trace_store_for(str(root)).stores == 1  # artifact actually written
         assert without_store == with_store
 
     def test_results_identical_with_and_without_artifacts(self, tmp_path, small_profile):
-        with_artifacts = execute_job(
+        with_artifacts = execute_one(
             make_job(small_profile), trace_root=str(tmp_path / "traces")
         )
         _TRACE_MEMO.clear()
-        without = execute_job(make_job(small_profile), trace_root=None)
+        without = execute_one(make_job(small_profile), trace_root=None)
         assert with_artifacts == without
 
     def test_configurations_share_one_artifact(self, tmp_path, small_profile):
         root = tmp_path / "traces"
         for name in ("OP", "VC", "one-cluster"):
             _TRACE_MEMO.clear()
-            execute_job(
+            execute_one(
                 make_job(small_profile, configuration=TABLE3_CONFIGURATIONS[name]),
                 trace_root=str(root),
             )
@@ -335,17 +340,18 @@ class TestEngineIntegration:
         assert len(artifacts) == 1  # same phase, same trace inputs -> one file
 
     def test_auto_trace_root_follows_cache(self, tmp_path):
+        """``trace_root=None`` means ``<cache>/traces`` with a cache and no
+        artifacts without one; an explicit path always wins."""
         cache = ResultCache(tmp_path / "cache")
-        runner = ParallelRunner(max_workers=1, cache=cache)
-        assert runner.trace_root == str(tmp_path / "cache" / "traces")
+        follows = str(tmp_path / "cache" / "traces")
+        assert ParallelRunner(max_workers=1, cache=cache).trace_root == follows
+        assert ParallelRunner(max_workers=1, cache=cache, trace_root=None).trace_root == follows
         assert ParallelRunner(max_workers=1, cache=None).trace_root is None
-        assert ParallelRunner(max_workers=1, cache=cache, trace_root=None).trace_root is None
+        assert ParallelRunner(max_workers=1, cache=None).trace_store is None
         explicit = ParallelRunner(max_workers=1, cache=None, trace_root=tmp_path / "t")
         assert explicit.trace_root == str(tmp_path / "t")
-        # The sentinel compares by identity: a path literally named "auto"
-        # must be honoured as a path, not hijacked as the sentinel.
-        named_auto = ParallelRunner(max_workers=1, cache=cache, trace_root="auto")
-        assert named_auto.trace_root == "auto"
+        overridden = ParallelRunner(max_workers=1, cache=cache, trace_root=tmp_path / "t")
+        assert overridden.trace_root == str(tmp_path / "t")
 
     def test_parallel_runs_with_artifacts_stay_bit_identical(self, tmp_path, small_profile):
         settings = ScenarioSpec(name="artifacts", trace_length=500, max_phases=2)

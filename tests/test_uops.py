@@ -110,7 +110,7 @@ class TestStaticInstructionRows:
 
     def test_basic_properties(self):
         program = make_program(
-            [make_instruction(0)], [make_instruction(1, UopClass.LOAD, dests=(10,), srcs=(1, 2))],
+            [make_instruction()], [make_instruction(UopClass.LOAD, dests=(10,), srcs=(1, 2))],
             edges=[(0, 1, 1.0, False)],
         )
         assert program.opclass[1] == UopClass.LOAD
@@ -121,13 +121,13 @@ class TestStaticInstructionRows:
 
     def test_carries_no_annotation(self):
         """Annotations are a pass's sid-indexed columns, never program columns."""
-        program = make_program([make_instruction(0)])
+        program = make_program([make_instruction()])
         for name in ("vc_id", "chain_leader", "static_cluster"):
             assert not hasattr(program, name)
 
     def test_branch_flag(self):
         program = make_program(
-            [make_instruction(0, UopClass.FP_MUL, dests=(70,)), make_instruction(1, UopClass.BRANCH)]
+            [make_instruction(UopClass.FP_MUL, dests=(70,)), make_instruction(UopClass.BRANCH)]
         )
         trace = CompiledTrace(program, [0, 1], [0, 0], [False, False])
         assert trace.is_branch.tolist() == [False, True]

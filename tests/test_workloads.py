@@ -55,9 +55,7 @@ class TestKernels:
         )
         from tests.conftest import block_ddg, make_instruction
 
-        instructions = [
-            make_instruction(i, op, dests, srcs) for i, (op, dests, srcs) in enumerate(specs)
-        ]
+        instructions = [make_instruction(op, dests, srcs) for op, dests, srcs in specs]
         ddg = block_ddg(instructions)
         # With no cross-chain edges there are exactly 3 independent roots.
         assert len(ddg.roots()) == 3
@@ -67,9 +65,7 @@ class TestKernels:
         specs = reduction_kernel(rng, 16, make_pool(), fp=True)
         from tests.conftest import block_ddg, make_instruction
 
-        instructions = [
-            make_instruction(i, op, dests, srcs) for i, (op, dests, srcs) in enumerate(specs)
-        ]
+        instructions = [make_instruction(op, dests, srcs) for op, dests, srcs in specs]
         ddg = block_ddg(instructions)
         # A reduction tree funnels into exactly one final leaf value.
         producing_leaves = [n for n in ddg.leaves() if instructions[n].dests]
