@@ -118,13 +118,14 @@ class TestRunnerGrouping:
         ]
 
     @staticmethod
-    def run_recorded(jobs):
+    def run_recorded(jobs, runner=None):
         """Run ``jobs`` serially with an executor that records each batch.
 
         The stub's dump for a job has the job's index as ``cycles``, so the
-        returned metrics show which job filled each result slot.  Returns
-        the runner, the batches (as job indices) and the memo capacity each
-        batch was given, and the metrics.
+        returned metrics show which job filled each result slot.  ``runner``
+        defaults to a serial, uncached one.  Returns the runner, the batches
+        (as job indices) and the memo capacity each batch was given, and the
+        metrics.
         """
         batches = []
 
@@ -138,7 +139,8 @@ class TestRunnerGrouping:
             dumps = [SimulationMetrics(num_clusters=1, cycles=i).to_dict() for i in indices]
             return {"dumps": dumps, "trace_stats": None}
 
-        runner = ParallelRunner(trace_root=None)
+        if runner is None:
+            runner = ParallelRunner(trace_root=None)
         with mock.patch.object(parallel, "execute_batch", recording_execute_batch):
             metrics = runner.run(jobs)
         return runner, batches, metrics
@@ -159,6 +161,42 @@ class TestRunnerGrouping:
         assert stats["batches"] == len(groups)
         assert stats["max_width"] == max(map(len, groups.values()), default=0)
         assert stats["jobs"] == stats["executed_jobs"] == len(jobs)
+
+    @settings(max_examples=20, deadline=None)
+    @given(jobs=job_lists())
+    def test_grouping_is_deterministic(self, jobs):
+        _, first, _ = self.run_recorded(jobs)
+        _, second, _ = self.run_recorded(jobs)
+        assert first == second
+
+    def test_empty_job_list_runs_no_batch(self):
+        runner, batches, metrics = self.run_recorded([])
+        assert batches == [] and metrics == []
+        assert set(runner.batch_stats.values()) == {0}
+        assert execute_batch([]) == {"dumps": [], "trace_stats": None}
+
+    def test_cached_jobs_never_reach_the_executor(self, tmp_path):
+        """A fully cached group is counted but not run; a partially cached
+        one runs only its uncached members, and every slot still gets its
+        own job's result."""
+        profile = self.PROFILES[0]
+        a0, a1 = (make_job(profile, c) for c in CONFIGURATIONS[:2])
+        b0, b1 = (make_job(profile, c, phase=1) for c in CONFIGURATIONS[:2])
+        cache = ResultCache(tmp_path / "cache")
+        self.run_recorded([a0, a1, b0], ParallelRunner(cache=cache))
+        runner, batches, metrics = self.run_recorded(
+            [a0, a1, b0, b1], ParallelRunner(cache=cache)
+        )
+        assert [indices for indices, _ in batches] == [[3]]
+        assert [m.cycles for m in metrics] == [0, 1, 2, 3]
+        assert runner.batch_stats == {
+            "batches": 2,
+            "jobs": 4,
+            "max_width": 2,
+            "executed_jobs": 1,
+            "cached_batches": 1,
+            "cached_jobs": 3,
+        }
 
     def test_width_stats(self):
         profile = self.PROFILES[0]

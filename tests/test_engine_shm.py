@@ -27,12 +27,14 @@ import pickle
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.engine import parallel
 from repro.engine.cache import ResultCache
 from repro.engine.job import SimulationJob
 from repro.engine.parallel import (
@@ -410,6 +412,32 @@ class TestSegmentLoads:
             registry.discard(key)
             assert second != first and _segment_is_gone(first) and _segment_is_gone(second)
             assert _execute_segment_batch([job], second, 2)["dumps"] == expected
+        finally:
+            registry.close()
+
+    def test_segment_loads_are_memoized_and_evicted(self, small_profile):
+        """A batch attaches its segment only when the trace is not in the
+        memo, and the memo evicts its least recently used trace past the cap."""
+        jobs = [
+            make_job(small_profile, CONFIGURATIONS[0], phase=phase, trace_length=200)
+            for phase in (0, 1)
+        ]
+        registry = SegmentRegistry()
+        try:
+            names = [
+                registry.publish(job.trace_key(), self._generate(job)).name for job in jobs
+            ]
+            with mock.patch.object(
+                parallel, "attach_segment", wraps=parallel.attach_segment
+            ) as attach:
+                for index in (0, 0, 1, 0):
+                    _execute_segment_batch(jobs[index : index + 1], names[index], 1)
+            # The second batch of trace 0 is served from the memo; the
+            # batch of trace 1 evicts it (cap 1), so the last one reloads.
+            assert [c.args for c in attach.call_args_list] == [
+                (names[0],), (names[1],), (names[0],)
+            ]
+            assert list(_TRACE_MEMO) == [(None, jobs[0].trace_key())]
         finally:
             registry.close()
 
