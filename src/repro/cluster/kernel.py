@@ -37,9 +37,11 @@ field-for-field.  The interpreter remains the golden reference
 
 from __future__ import annotations
 
+import functools
 import heapq
 import os
 import weakref
+from bisect import bisect_right
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -179,16 +181,11 @@ class VectorizedKernel(SteeringContext):
         # per-trace hoists (bind time)
         "_n",
         "_compiled",
+        "_plan",
         "_u_meta",
-        "_def_uop",
-        "_def_reg",
-        "_dest_ranges",
-        "_num_defs",
-        "_u_latency",
         "_u_exec_latency",
-        "_u_is_memory",
-        "_u_address",
         "_u_dest_counts",
+        "_u_memory_before",
         # run-time state exposed through the SteeringContext interface
         "_occ",
         "_inflight",
@@ -212,7 +209,7 @@ class VectorizedKernel(SteeringContext):
         self._compiled: Optional[CompiledTrace] = None
         self._occ: List[int] = []
         self._inflight: List[int] = []
-        self._cur_def: List[int] = []
+        self._cur_def: List[int] = [-1] * self._num_regs  # every register a live-in
         self._def_mask: List[int] = []
         self._def_home: List[int] = []
 
@@ -242,22 +239,14 @@ class VectorizedKernel(SteeringContext):
         same ones), so binding the same trace to many processors -- the batch
         scheduler's layout -- pays the materialisation once.
         """
-        plan = compiled.dependency_plan()
+        register_space = self._processor().register_space
         self._n = len(compiled)
         self._compiled = compiled
-        self._def_uop = plan.def_uop
-        self._def_reg = plan.def_reg
-        offsets = plan.dest_offsets
-        self._dest_ranges = [range(lo, hi) for lo, hi in zip(offsets, offsets[1:])]
-        self._num_defs = plan.num_defs
-        register_space = self._processor().register_space
+        self._plan = compiled.dependency_plan()
         self._u_meta = compiled.dispatch_meta(register_space)
-        self._u_latency = compiled.latency_list()
-        # Issue-to-writeback delay of a non-memory µop (at least one cycle).
-        self._u_exec_latency = [lat if lat > 1 else 1 for lat in self._u_latency]
-        self._u_is_memory = compiled.is_memory_list()
-        self._u_address = compiled.address_list()
+        self._u_exec_latency = compiled.exec_latency_list()
         self._u_dest_counts = compiled.dest_kind_counts(register_space)
+        self._u_memory_before = compiled.memory_before()
 
     # ------------------------------------------------------------------- running --
     def run(self, limit: int) -> None:
@@ -273,6 +262,7 @@ class VectorizedKernel(SteeringContext):
         num_clusters = self.num_clusters
         metrics = proc.metrics
         steering = proc.steering
+        compiled = self._compiled
 
         # Compiled steering tier: resolve the policy's lowering for this run.
         # The spec is requested fresh per run -- after the processor reset the
@@ -288,14 +278,16 @@ class VectorizedKernel(SteeringContext):
         # The policy's µop view, fresh per run like the interpreter's (it
         # snapshots the annotation columns); fused forms read the columns
         # directly and never need one.
-        view = CompiledUopView(self._compiled) if form == _FORM_CALLBACK else None
+        view = CompiledUopView(compiled) if form == _FORM_CALLBACK else None
 
         # Per-form precomputation of the fused fast path (cheap, per run).
-        const_cluster = 0
+        # The constant and static-table forms share one per-µop choice
+        # column; each form is one flag test in the dispatch loop.
+        n = self._n
         table: List[int] = []
         idle_fraction = 0.0
         srcs_rows = None
-        counts_buf: List[int] = []
+        mask_clusters: Tuple[Tuple[int, ...], ...] = ()
         vc_col: List[int] = []
         leader_col: List[bool] = []
         vc_map: List[int] = []
@@ -303,12 +295,13 @@ class VectorizedKernel(SteeringContext):
         fallback_balance = True
         vc_remaps = 0
         all_mask = self._all_mask
+        cluster_ids = range(num_clusters)
         if form == _FORM_CONSTANT:
-            const_cluster = spec.target_cluster
+            table = [spec.target_cluster] * n
         elif form == _FORM_TABLE:
             # Annotations are re-read every run (like the view), so the
             # choice table is rebuilt from the live column each time.
-            col = self._compiled.static_cluster
+            col = compiled.static_cluster
             table = (
                 np.where(col == NO_ANNOTATION, spec.default_cluster, col).astype(
                     np.int64
@@ -316,15 +309,18 @@ class VectorizedKernel(SteeringContext):
                 % num_clusters
             ).tolist()
         elif form == _FORM_OCC:
-            srcs_rows = self._compiled.src_tuples()
-            counts_buf = [0] * num_clusters
+            srcs_rows = compiled.src_tuples()
+            mask_clusters = _mask_clusters(num_clusters)
             idle_fraction = spec.idle_fraction
         elif form == _FORM_MAP:
-            vc_col = self._compiled.vc_id.tolist()
-            leader_col = self._compiled.chain_leader_list()
+            vc_col = compiled.vc_id.tolist()
+            leader_col = compiled.chain_leader_list()
             num_vc = spec.num_virtual_clusters
             fallback_balance = spec.fallback_balance
             vc_map = list(spec.mapping)
+        use_table = form == _FORM_CONSTANT or form == _FORM_TABLE
+        use_occ = form == _FORM_OCC
+        use_map = form == _FORM_MAP
 
         # Borrowed live accounting (fresh from _reset_state): the issue-queue
         # occupancy, register-file free counts and per-cluster in-flight
@@ -338,56 +334,60 @@ class VectorizedKernel(SteeringContext):
         self._inflight = inflight
 
         # Per-trace hoists.
-        n = self._n
         meta = self._u_meta
-        def_uop = self._def_uop
-        def_reg = self._def_reg
-        dest_ranges = self._dest_ranges
-        latency = self._u_latency
+        plan = self._plan
+        def_uop = plan.def_uop
+        def_reg = plan.def_reg
+        dest_offsets = plan.dest_offsets
         exec_latency = self._u_exec_latency
-        is_memory = self._u_is_memory
-        address = self._u_address
+        memory_before = self._u_memory_before
         dcounts = self._u_dest_counts
 
         # Register-definition state: one slot per in-trace definition
-        # (replaces the interpreter's per-definition Value objects).
-        def_mask = [0] * self._num_defs
-        def_home = [0] * self._num_defs
+        # (replaces the interpreter's per-definition Value objects).  A
+        # definition's home cluster is where its producer runs; ``def_mask``
+        # holds the clusters copies have delivered it to.
+        def_mask = [0] * plan.num_defs
+        def_home = [0] * plan.num_defs
         cur_def = [-1] * self._num_regs
         self._def_mask = def_mask
         self._def_home = def_home
         self._cur_def = cur_def
         copy_map: Dict[int, int] = {}  # def id * num_clusters + target -> copy slot
 
-        # Record slots (µops and copies share one space; slot order equals
-        # creation order, so heaps of bare slot ints pop oldest-first exactly
-        # like the interpreter's (seq, record) heaps).
-        cap = n + 16
-        rec_uop = [-1] * cap  # trace index, -1 for copy µops
+        # Record slots.  A µop's slot is its trace index; copy µops take
+        # slots n + 1, n + 2, ... in creation order, so ``slot > n`` marks a
+        # copy.  Slot n is never used: its ``rec_completed`` stays False, so
+        # the commit stage stops at the end of the trace without a bound
+        # check.  Copy queues hold only copies and the INT/FP queues only
+        # µops, and both kinds are created in slot order, so every ready
+        # heap of bare slot ints pops oldest-first like the interpreter's
+        # (seq, record) heaps.  A dispatch copies each producer of its
+        # dependence row at most once, so the plan's row total bounds the
+        # copies and the arrays never grow.
+        cap = n + 1 + plan.num_deps
         rec_cluster = [0] * cap
-        rec_qslot = [0] * cap  # cluster * 3 + queue kind
         rec_pending = [0] * cap
         rec_completed = [False] * cap
-        rec_isload = [False] * cap
+        rec_heap: List[Optional[List[int]]] = [None] * cap  # ready heap a slot wakes into
         rec_copydef = [0] * cap
         rec_copytarget = [0] * cap
         rec_waiters: List[Optional[List[int]]] = [None] * cap
-        next_slot = 0
-        uop_slot = [0] * n
-        # Trace-index mirrors of the commit-relevant record state: commit
-        # retires in trace order, so reading these avoids the slot
-        # indirection on the (µop-count) hottest retirement path.
-        uop_completed = [False] * n
-        uop_cluster = [0] * n
+        next_slot = n + 1
 
         # Ready heaps per (cluster, kind); loads separate (L1 port sharing).
         ready: List[List[int]] = [[] for _ in range(num_clusters * 3)]
         ready_loads: List[List[int]] = [[] for _ in range(num_clusters * 3)]
         # The issue stage's walk, in qslot order: (qslot, heap, load heap,
-        # issue width).  The heaps are mutated in place, never replaced.
+        # issue width).  The heaps are mutated in place, never replaced.  A
+        # µop queue of a kind the trace never uses stays empty, so the walk
+        # leaves it out; the copy queues are always in it.
+        kinds = set(compiled.queue.tolist())
+        kinds.add(2)
         issue_slots = [
             (qslot, ready[qslot], ready_loads[qslot], self._issue_widths[qslot % 3])
             for qslot in range(num_clusters * 3)
+            if qslot % 3 in kinds
         ]
         total_ready = 0
         events: Dict[int, List[int]] = {}
@@ -400,7 +400,6 @@ class VectorizedKernel(SteeringContext):
         fetch_pos = 0  # [dispatch_pos, fetch_pos) = dispatch buffer
         ready_at = [0] * n  # dispatch-ready cycle per fetched µop
         trace_exhausted = False
-        lsq_count = 0
         copies_in_flight = 0  # in-flight µops are the ROB range itself
         redirect_slot = -1
         blocked_until = 0
@@ -422,35 +421,28 @@ class VectorizedKernel(SteeringContext):
         idle_skip = proc.idle_skip
 
         # Scalar metrics as locals (flushed in the finally block); the
-        # list-valued ones are cheap enough to update in place.  Commit and
-        # dispatch run in trace order, so their counts are ``commit_idx``
-        # and ``dispatch_pos`` themselves, and the per-cluster dispatch
-        # counts are read off ``uop_cluster`` at the end.
-        m_copies = 0
+        # list-valued ones are cheap enough to update in place.  Counts that
+        # follow from the in-order windows -- commits, dispatches, copies,
+        # branches and their per-cluster splits -- are read off them at the
+        # end.
         m_steer = 0
         m_rob = 0
         m_lsq = 0
         m_mispredict_stalls = 0
-        m_branches = 0
-        m_mispredictions = 0
         alloc_stalls = metrics.allocation_stalls
-        cluster_dispatch = metrics.cluster_dispatch
-        cluster_copies = metrics.cluster_copies
 
         # The memory hierarchy, inlined into the issue stage: the tag arrays
         # stay the processor's (warmed above; read by summary() and
-        # tag_state() afterwards), the hit/access counters are locals.
+        # tag_state() afterwards), the hit/access counters are locals.  Each
+        # memory µop's sets and tags are per-trace columns of the geometry.
         memory = proc.memory
         l1 = memory.l1
         l2 = memory.l2
+        cache_rows = compiled.cache_rows(memory.geometry)
         l1_sets = l1.set_lists()
         l2_sets = l2.set_lists()
         l1_sets_get = l1_sets.get
         l2_sets_get = l2_sets.get
-        l1_line = l1.line_size
-        l2_line = l2.line_size
-        l1_num_sets = l1.num_sets
-        l2_num_sets = l2.num_sets
         l1_assoc = l1.assoc
         l2_assoc = l2.assoc
         l1_latency = l1.hit_latency
@@ -481,21 +473,18 @@ class VectorizedKernel(SteeringContext):
                     break
 
                 # ------------------------------------------------------ commit --
-                if commit_idx < dispatch_pos and uop_completed[commit_idx]:
+                if rec_completed[commit_idx]:
                     commit_end = commit_idx + commit_width
-                    if commit_end > dispatch_pos:
-                        commit_end = dispatch_pos
                     while True:
-                        cluster = uop_cluster[commit_idx]
+                        cluster = rec_cluster[commit_idx]
                         inflight[cluster] -= 1
                         di, df = dcounts[commit_idx]
-                        if di or df:
+                        if di:
                             free_int[cluster] += di
+                        if df:
                             free_fp[cluster] += df
-                        if is_memory[commit_idx]:
-                            lsq_count -= 1
                         commit_idx += 1
-                        if commit_idx >= commit_end or not uop_completed[commit_idx]:
+                        if commit_idx >= commit_end or not rec_completed[commit_idx]:
                             break
 
                 # --------------------------------------------------- writeback --
@@ -507,38 +496,25 @@ class VectorizedKernel(SteeringContext):
                         heappop(event_heap)
                     for slot in bucket:
                         rec_completed[slot] = True
-                        uop = rec_uop[slot]
-                        if uop < 0:
+                        if slot > n:
                             # Copy arrived: value now available in the target
                             # cluster, producing cluster no longer loaded.
                             def_mask[rec_copydef[slot]] |= 1 << rec_copytarget[slot]
                             inflight[rec_cluster[slot]] -= 1
                             copies_in_flight -= 1
-                        else:
-                            uop_completed[uop] = True
-                            bit = 1 << rec_cluster[slot]
-                            for d in dest_ranges[uop]:
-                                def_mask[d] |= bit
-                            if slot == redirect_slot:
-                                # Mispredicted branch resolved: front end
-                                # restarts after the redirect penalty.
-                                redirect_slot = -1
-                                blocked_until = cycle + redirect_penalty
+                        elif slot == redirect_slot:
+                            # Mispredicted branch resolved: front end
+                            # restarts after the redirect penalty.
+                            redirect_slot = -1
+                            blocked_until = cycle + redirect_penalty
                         waiters = rec_waiters[slot]
                         if waiters is not None:
                             for waiter in waiters:
                                 pending = rec_pending[waiter] - 1
                                 rec_pending[waiter] = pending
-                                if pending == 0:
-                                    qslot = rec_qslot[waiter]
-                                    heappush(
-                                        ready_loads[qslot]
-                                        if rec_isload[waiter]
-                                        else ready[qslot],
-                                        waiter,
-                                    )
+                                if not pending:
+                                    heappush(rec_heap[waiter], waiter)
                                     total_ready += 1
-                            rec_waiters[slot] = None
 
                 # ------------------------------------------------------- issue --
                 if total_ready:
@@ -563,66 +539,61 @@ class VectorizedKernel(SteeringContext):
                                 was_load = False
                             else:
                                 break
-                            uop = rec_uop[slot]
-                            if uop < 0:
+                            if slot > n:
                                 # One execute cycle in the producing
                                 # cluster, then the link.
                                 when = schedule_transfer(
                                     rec_cluster[slot], rec_copytarget[slot], cycle + 1
                                 )
-                            elif not is_memory[uop]:
-                                when = cycle + exec_latency[uop]
                             else:
-                                # MemoryHierarchy.load_latency/store_access
-                                # inlined: SetAssociativeCache.access's LRU
-                                # update on the live set lists, L1 first.
-                                # Loads go to L2 only on an L1 miss; stores
-                                # write-allocate in both levels.
-                                line = address[uop] // l1_line
-                                set_index = line % l1_num_sets
-                                tag = line // l1_num_sets
-                                ways = l1_sets_get(set_index)
-                                l1_accesses += 1
-                                hit = False
-                                if ways is None:
-                                    l1_sets[set_index] = [tag]
-                                elif tag in ways:
-                                    if ways[0] != tag:
-                                        ways.remove(tag)
-                                        ways.insert(0, tag)
-                                    l1_hits += 1
-                                    hit = True
+                                when = exec_latency[slot]
+                                if when:
+                                    when += cycle
                                 else:
-                                    ways.insert(0, tag)
-                                    if len(ways) > l1_assoc:
-                                        ways.pop()
-                                lat = latency[uop]
-                                if was_load and hit:
-                                    lat += l1_latency
-                                else:
-                                    line = address[uop] // l2_line
-                                    set_index = line % l2_num_sets
-                                    tag = line // l2_num_sets
-                                    ways = l2_sets_get(set_index)
-                                    l2_accesses += 1
+                                    # MemoryHierarchy.load_latency/store_access
+                                    # inlined: SetAssociativeCache.access's LRU
+                                    # update on the live set lists, L1 first.
+                                    # Loads go to L2 only on an L1 miss; stores
+                                    # write-allocate in both levels.
+                                    lat, set_index, tag, set2, tag2 = cache_rows[slot]
+                                    ways = l1_sets_get(set_index)
+                                    l1_accesses += 1
                                     hit = False
                                     if ways is None:
-                                        l2_sets[set_index] = [tag]
+                                        l1_sets[set_index] = [tag]
                                     elif tag in ways:
                                         if ways[0] != tag:
                                             ways.remove(tag)
                                             ways.insert(0, tag)
-                                        l2_hits += 1
+                                        l1_hits += 1
                                         hit = True
                                     else:
                                         ways.insert(0, tag)
-                                        if len(ways) > l2_assoc:
+                                        if len(ways) > l1_assoc:
                                             ways.pop()
+                                    if was_load and hit:
+                                        lat += l1_latency
+                                    else:
+                                        ways = l2_sets_get(set2)
+                                        l2_accesses += 1
+                                        hit = False
+                                        if ways is None:
+                                            l2_sets[set2] = [tag2]
+                                        elif tag2 in ways:
+                                            if ways[0] != tag2:
+                                                ways.remove(tag2)
+                                                ways.insert(0, tag2)
+                                            l2_hits += 1
+                                            hit = True
+                                        else:
+                                            ways.insert(0, tag2)
+                                            if len(ways) > l2_assoc:
+                                                ways.pop()
+                                        if was_load:
+                                            lat += l2_latency if hit else memory_latency
                                     if was_load:
-                                        lat += l2_latency if hit else memory_latency
-                                if was_load:
-                                    loads_issued += 1
-                                when = cycle + (lat if lat > 1 else 1)
+                                        loads_issued += 1
+                                    when = cycle + (lat if lat > 1 else 1)
                             bucket = events_get(when)
                             if bucket is None:
                                 events[when] = [slot]
@@ -636,21 +607,25 @@ class VectorizedKernel(SteeringContext):
                         total_ready -= issued
 
                 # ---------------------------------------------------- dispatch --
-                if dispatch_pos < fetch_pos:
-                    dispatch_end = dispatch_pos + dispatch_width
-                    if dispatch_end > fetch_pos:
-                        dispatch_end = fetch_pos
-                    # The front-end redirect state only changes in writeback
-                    # (resolution) and right here (a mispredicted branch
-                    # dispatching), so it is a flag, not a per-µop re-check.
-                    blocked = redirect_slot >= 0 or cycle < blocked_until
+                # µops leave the fetch stage in order, so the dispatch-ready
+                # ones are a prefix of the buffer: ready_at is nondecreasing
+                # over [dispatch_pos, fetch_pos).
+                if dispatch_pos < fetch_pos and ready_at[dispatch_pos] <= cycle:
+                    if redirect_slot >= 0 or cycle < blocked_until:
+                        m_mispredict_stalls += 1
+                        dispatch_end = dispatch_pos  # a redirect stalls the head
+                    else:
+                        dispatch_end = bisect_right(ready_at, cycle, dispatch_pos, fetch_pos)
+                        if dispatch_end > dispatch_pos + dispatch_width:
+                            dispatch_end = dispatch_pos + dispatch_width
+                        # Nothing commits during dispatch, so the ROB and
+                        # LSQ limits are fixed for the cycle: the ROB is the
+                        # index range [commit_idx, dispatch_pos) and the LSQ
+                        # the memory µops in it.
+                        rob_end = commit_idx + rob_size
+                        lsq_end = memory_before[commit_idx] + lsq_size
                     while dispatch_pos < dispatch_end:
                         index = dispatch_pos
-                        if ready_at[index] > cycle:
-                            break
-                        if blocked:
-                            m_mispredict_stalls += 1
-                            break
                         # The meta unpack has no side effects, so hoisting it
                         # above the steering decision (the occupancy form
                         # needs the queue kind) cannot perturb any metric.
@@ -658,13 +633,11 @@ class VectorizedKernel(SteeringContext):
                             kind,
                             uop_is_memory,
                             uop_is_load,
-                            uop_is_branch,
-                            uop_mispredicted,
                             di,
                             df,
                             dep_row,
-                            dest_lo,
-                            dest_hi,
+                            single_def,
+                            redirects,
                         ) = meta[index]
                         # ---- steering decision (fused forms or callback) -------
                         # Every fused form replicates its policy's
@@ -672,35 +645,21 @@ class VectorizedKernel(SteeringContext):
                         # (the kernel's own context arrays), at the same point
                         # in the loop -- the lowered parity suite pins
                         # bit-identity against the callback path.
-                        if form == _FORM_CALLBACK:
-                            view.index = index
-                            cluster = pick_cluster(view, self)
-                            if cluster is None:
-                                m_steer += 1
-                                break
-                            if cluster < 0 or cluster >= num_clusters:
-                                raise ValueError(
-                                    f"steering policy {steering_name} returned "
-                                    f"invalid cluster {cluster}"
-                                )
-                        elif form == _FORM_OCC:
-                            for c in range(num_clusters):
-                                counts_buf[c] = 0
+                        if use_table:
+                            cluster = table[index]
+                        elif use_occ:
+                            counts = [0] * num_clusters
                             for reg in srcs_rows[index]:
                                 d = cur_def[reg]
-                                mask = (
-                                    all_mask
-                                    if d < 0
-                                    else def_mask[d] | (1 << def_home[d])
-                                )
-                                for c in range(num_clusters):
-                                    if mask >> c & 1:
-                                        counts_buf[c] += 1
+                                for c in mask_clusters[
+                                    all_mask if d < 0 else def_mask[d] | 1 << def_home[d]
+                                ]:
+                                    counts[c] += 1
                             best_count = -1
                             preferred = 0
                             preferred_occ = 0
-                            for c in range(num_clusters):
-                                count = counts_buf[c]
+                            for c in cluster_ids:
+                                count = counts[c]
                                 if count > best_count:
                                     best_count = count
                                     preferred = c
@@ -710,17 +669,14 @@ class VectorizedKernel(SteeringContext):
                                     if occupancy < preferred_occ:
                                         preferred = c
                                         preferred_occ = occupancy
-                            if qcap[kind] - occ[preferred * 3 + kind] > 0:
+                            if occ[preferred * 3 + kind] < qcap[kind]:
                                 cluster = preferred
                             else:
                                 threshold = preferred_occ * idle_fraction
                                 diverted = -1
                                 diverted_occ = 0
-                                for c in range(num_clusters):
-                                    if (
-                                        c == preferred
-                                        or qcap[kind] - occ[c * 3 + kind] <= 0
-                                    ):
+                                for c in cluster_ids:
+                                    if c == preferred or occ[c * 3 + kind] >= qcap[kind]:
                                         continue
                                     occupancy = inflight[c]
                                     if occupancy <= threshold and (
@@ -732,7 +688,7 @@ class VectorizedKernel(SteeringContext):
                                     m_steer += 1
                                     break
                                 cluster = diverted
-                        elif form == _FORM_MAP:
+                        elif use_map:
                             vc = vc_col[index]
                             if vc < 0:
                                 if fallback_balance:
@@ -760,55 +716,56 @@ class VectorizedKernel(SteeringContext):
                                     vc_map[vc] = cluster
                                 else:
                                     cluster = vc_map[vc]
-                        elif form == _FORM_CONSTANT:
-                            cluster = const_cluster
-                        else:  # _FORM_TABLE
-                            cluster = table[index]
+                        else:  # _FORM_CALLBACK
+                            view.index = index
+                            cluster = pick_cluster(view, self)
+                            if cluster is None:
+                                m_steer += 1
+                                break
+                            if cluster < 0 or cluster >= num_clusters:
+                                raise ValueError(
+                                    f"steering policy {steering_name} returned "
+                                    f"invalid cluster {cluster}"
+                                )
                         # ---- resource checks (the interpreter's _try_dispatch) --
-                        if dispatch_pos - commit_idx >= rob_size:
+                        if index >= rob_end:
                             m_rob += 1
                             break
-                        if uop_is_memory and lsq_count >= lsq_size:
+                        if uop_is_memory and memory_before[index] >= lsq_end:
                             m_lsq += 1
                             break
                         qslot = cluster * 3 + kind
-                        if qcap[kind] - occ[qslot] <= 0:
+                        if occ[qslot] >= qcap[kind]:
                             alloc_stalls[cluster] += 1
                             break
-                        if (di or df) and (
-                            free_int[cluster] < di or free_fp[cluster] < df
-                        ):
+                        if di and free_int[cluster] < di or df and free_fp[cluster] < df:
                             alloc_stalls[cluster] += 1
                             break
                         # ---- operand planning over definition ids --------------
+                        # A value is in its home cluster once its producer
+                        # completes, and in another cluster once a copy
+                        # delivers it there (``def_mask``); a copy that is
+                        # already mapped has not arrived yet.
                         wait_on = None
                         new_copies = None
                         for d in dep_row:
-                            if def_mask[d] >> cluster & 1:
-                                continue
-                            pslot = uop_slot[def_uop[d]]
-                            if not rec_completed[pslot] and rec_cluster[pslot] == cluster:
-                                if wait_on is None:
-                                    wait_on = [pslot]
-                                else:
-                                    wait_on.append(pslot)
-                                continue
-                            cslot = copy_map_get(d * num_clusters + cluster)
-                            if cslot is not None and not rec_completed[cslot]:
-                                if wait_on is None:
-                                    wait_on = [cslot]
-                                else:
-                                    wait_on.append(cslot)
-                                continue
                             source = def_home[d]
                             if source == cluster:
-                                # The value appears here without a copy; wait
-                                # on the producer if it is still in flight.
+                                pslot = def_uop[d]
                                 if not rec_completed[pslot]:
                                     if wait_on is None:
                                         wait_on = [pslot]
                                     else:
                                         wait_on.append(pslot)
+                                continue
+                            if def_mask[d] >> cluster & 1:
+                                continue
+                            cslot = copy_map_get(d * num_clusters + cluster)
+                            if cslot is not None:
+                                if wait_on is None:
+                                    wait_on = [cslot]
+                                else:
+                                    wait_on.append(cslot)
                                 continue
                             if new_copies is None:
                                 new_copies = [(d, source)]
@@ -835,60 +792,32 @@ class VectorizedKernel(SteeringContext):
                                     alloc_stalls[blocked_source] += 1
                                     break
                         # ---- every resource available: perform the dispatch ----
-                        # One dispatch consumes a slot for the µop plus one per
-                        # copy µop (a µop can need several copies, possibly
-                        # from the same source cluster).  The record arrays
-                        # always hold a free slot for every undispatched µop
-                        # (cap - next_slot >= n - index), so only copies can
-                        # need them to grow.
-                        if (
-                            new_copies is not None
-                            and next_slot + len(new_copies) + n - index > cap
-                        ):
-                            grow = max(cap, len(new_copies))
-                            rec_uop += [-1] * grow
-                            rec_cluster += [0] * grow
-                            rec_qslot += [0] * grow
-                            rec_pending += [0] * grow
-                            rec_completed += [False] * grow
-                            rec_isload += [False] * grow
-                            rec_copydef += [0] * grow
-                            rec_copytarget += [0] * grow
-                            rec_waiters += [None] * grow
-                            cap += grow
-                        slot = next_slot
-                        next_slot = slot + 1
-                        rec_uop[slot] = index
-                        rec_cluster[slot] = cluster
-                        rec_qslot[slot] = qslot
-                        rec_isload[slot] = uop_is_load
-                        uop_slot[index] = slot
-                        uop_cluster[index] = cluster
+                        rec_cluster[index] = cluster
                         if new_copies is not None:
+                            # One copy µop per new copy (a µop can need
+                            # several, possibly from the same source cluster).
                             for d, source in new_copies:
                                 cslot = next_slot
                                 next_slot = cslot + 1
                                 rec_cluster[cslot] = source
-                                rec_qslot[cslot] = source * 3 + 2
                                 rec_copydef[cslot] = d
                                 rec_copytarget[cslot] = cluster
-                                pslot = uop_slot[def_uop[d]]
+                                copy_queue = source * 3 + 2
+                                pslot = def_uop[d]
                                 if rec_completed[pslot]:
-                                    rec_pending[cslot] = 0
-                                    heappush(ready[source * 3 + 2], cslot)
+                                    heappush(ready[copy_queue], cslot)
                                     total_ready += 1
                                 else:
                                     rec_pending[cslot] = 1
+                                    rec_heap[cslot] = ready[copy_queue]
                                     waiters = rec_waiters[pslot]
                                     if waiters is None:
                                         rec_waiters[pslot] = [cslot]
                                     else:
                                         waiters.append(cslot)
-                                occ[source * 3 + 2] += 1
+                                occ[copy_queue] += 1
                                 inflight[source] += 1
                                 copies_in_flight += 1
-                                m_copies += 1
-                                cluster_copies[source] += 1
                                 copy_map[d * num_clusters + cluster] = cslot
                                 if wait_on is None:
                                     wait_on = [cslot]
@@ -897,34 +826,41 @@ class VectorizedKernel(SteeringContext):
                         if wait_on is None:
                             heappush(
                                 ready_loads[qslot] if uop_is_load else ready[qslot],
-                                slot,
+                                index,
                             )
                             total_ready += 1
                         else:
-                            rec_pending[slot] = len(wait_on)
+                            rec_pending[index] = len(wait_on)
+                            rec_heap[index] = (
+                                ready_loads[qslot] if uop_is_load else ready[qslot]
+                            )
                             for dep_slot in wait_on:
                                 waiters = rec_waiters[dep_slot]
                                 if waiters is None:
-                                    rec_waiters[dep_slot] = [slot]
+                                    rec_waiters[dep_slot] = [index]
                                 else:
-                                    waiters.append(slot)
+                                    waiters.append(index)
                         occ[qslot] += 1
-                        if di or df:
+                        if di:
                             free_int[cluster] -= di
+                        if df:
                             free_fp[cluster] -= df
-                        if uop_is_memory:
-                            lsq_count += 1
                         inflight[cluster] += 1
-                        for d in dest_ranges[index]:
-                            cur_def[def_reg[d]] = d
-                            def_home[d] = cluster
-                        if uop_is_branch:
-                            m_branches += 1
-                            if uop_mispredicted and model_mispredict:
-                                m_mispredictions += 1
-                                redirect_slot = slot
-                                blocked = True
+                        if single_def >= 0:
+                            cur_def[def_reg[single_def]] = single_def
+                            def_home[single_def] = cluster
+                        elif single_def < -1:
+                            for d in range(dest_offsets[index], dest_offsets[index + 1]):
+                                cur_def[def_reg[d]] = d
+                                def_home[d] = cluster
                         dispatch_pos += 1
+                        if redirects and model_mispredict:
+                            # The front end stalls from the next µop on: a
+                            # ready one in this cycle's window counts a stall.
+                            redirect_slot = index
+                            if dispatch_pos < dispatch_end:
+                                m_mispredict_stalls += 1
+                            break
 
                 # ------------------------------------------------------- fetch --
                 if not trace_exhausted:
@@ -957,7 +893,7 @@ class VectorizedKernel(SteeringContext):
                     continue
                 if total_ready:
                     continue
-                if commit_idx < dispatch_pos and uop_completed[commit_idx]:
+                if rec_completed[commit_idx]:
                     continue
                 if not trace_exhausted and fetch_pos - dispatch_pos < buffer_cap:
                     continue
@@ -997,19 +933,37 @@ class VectorizedKernel(SteeringContext):
         finally:
             _sync_spec_state(steering, form, vc_map, vc_remaps)
             proc.cycle = cycle
-            metrics.committed_uops += commit_idx  # commit is in trace order
-            metrics.dispatched_uops += dispatch_pos  # dispatch is in trace order
-            dispatched_to = uop_cluster[:dispatch_pos]
-            for cluster in range(num_clusters):
-                cluster_dispatch[cluster] += dispatched_to.count(cluster)
-            metrics.copies_generated += m_copies
+            # Commit, dispatch and copy creation run in slot order, so their
+            # counts are the window ends and their per-cluster splits the
+            # clusters recorded in those slot ranges.
+            metrics.committed_uops += commit_idx
+            metrics.dispatched_uops += dispatch_pos
+            metrics.copies_generated += next_slot - n - 1
+            dispatched_to = rec_cluster[:dispatch_pos]
+            copied_from = rec_cluster[n + 1 : next_slot]
+            for cluster in cluster_ids:
+                metrics.cluster_dispatch[cluster] += dispatched_to.count(cluster)
+                metrics.cluster_copies[cluster] += copied_from.count(cluster)
+            branches = compiled.is_branch[:dispatch_pos]
+            metrics.branches += int(np.count_nonzero(branches))
+            if model_mispredict:
+                metrics.mispredictions += int(
+                    np.count_nonzero(branches & compiled.mispredicted[:dispatch_pos])
+                )
             metrics.steering_stalls += m_steer
             metrics.rob_stalls += m_rob
             metrics.lsq_stalls += m_lsq
             metrics.mispredict_stalls += m_mispredict_stalls
-            metrics.branches += m_branches
-            metrics.mispredictions += m_mispredictions
             l1.stats.accesses += l1_accesses
             l1.stats.hits += l1_hits
             l2.stats.accesses += l2_accesses
             l2.stats.hits += l2_hits
+
+
+@functools.lru_cache(maxsize=None)
+def _mask_clusters(num_clusters: int) -> Tuple[Tuple[int, ...], ...]:
+    """The clusters of every location mask of ``num_clusters`` clusters, lowest first."""
+    return tuple(
+        tuple(c for c in range(num_clusters) if mask >> c & 1)
+        for mask in range(1 << num_clusters)
+    )

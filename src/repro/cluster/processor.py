@@ -164,18 +164,25 @@ class ClusteredProcessor(SteeringContext):
             config.num_clusters, config.link_latency, config.copies_per_link_per_cycle
         )
         self.issue_queues = IssueQueues(config)
+        self.regfiles = RegisterFiles(config, self.register_space)
+        self.steering.reset(config.num_clusters)
+        self._cluster_inflight = [0] * config.num_clusters
+        self._dispatch_buffer_cap = config.fetch_width * (config.fetch_to_dispatch_latency + 2)
+        if self.kernel == "interpreter":
+            # The vectorized kernel keeps its own window, rename and event
+            # state, so only the interpreter rebuilds these per run.
+            self._reset_interpreter_state()
+
+    def _reset_interpreter_state(self) -> None:
+        config = self.config
         self.rob = ReorderBuffer(config.rob_size)
         self.lsq = LoadStoreQueue(config.lsq_size)
-        self.regfiles = RegisterFiles(config, self.register_space)
         self.rename = RegisterLocationTable(
             self.register_space.total, config.num_clusters
         )
-        self.steering.reset(config.num_clusters)
-        self._cluster_inflight = [0] * config.num_clusters
         self._events: Dict[int, List[_InFlight]] = {}
         self._event_heap: List[int] = []
         self._dispatch_buffer: Deque[Tuple[int, int]] = deque()
-        self._dispatch_buffer_cap = config.fetch_width * (config.fetch_to_dispatch_latency + 2)
         self._trace_exhausted = False
         self._fetch_pos = 0
         self._num_uops = 0
@@ -224,6 +231,8 @@ class ClusteredProcessor(SteeringContext):
 
     def register_location_mask(self, reg: int) -> int:
         """Location bitmask of architectural register ``reg`` (rename table view)."""
+        if self._vkernel is not None:
+            return self._vkernel.register_location_mask(reg)
         return self.rename.location_mask(reg)
 
     # ----------------------------------------------------------------- running --

@@ -193,6 +193,9 @@ class DependencePlan(NamedTuple):
     def_reg: List[int]
     #: CSR offsets: µop ``i`` owns definition ids ``[o[i], o[i + 1])``.
     dest_offsets: List[int]
+    #: Total length of the dependence rows: no run makes more copy µops,
+    #: since a dispatch copies each producer at most once per row entry.
+    num_deps: int
 
     @property
     def num_defs(self) -> int:
@@ -343,10 +346,6 @@ class CompiledTrace:
             "queue_kinds", lambda: [_QUEUE_KINDS[q] for q in self.queue.tolist()]
         )
 
-    def queue_kind_ints(self) -> List[int]:
-        """Per-µop issue-queue kind as plain ints (the vectorized kernel's form)."""
-        return self.memo("queue_ints", self.queue.tolist)
-
     def latency_list(self) -> List[int]:
         """Per-µop functional-unit latency as plain ints."""
         return self.memo("latency", self.latency.tolist)
@@ -447,38 +446,94 @@ class CompiledTrace:
 
         return self.memo("memory_plan", build)
 
+    def memory_before(self) -> List[int]:
+        """Prefix count of memory µops: entry ``i`` counts those before µop ``i``.
+
+        ``n + 1`` entries.  The LSQ holds exactly the memory µops of the
+        in-order window ``[commit, dispatch)``, so its occupancy is a
+        difference of two entries.
+        """
+        def build() -> List[int]:
+            running = np.zeros(len(self) + 1, dtype=np.int64)
+            np.cumsum(self.is_memory, out=running[1:])
+            return running.tolist()
+
+        return self.memo("memory_before", build)
+
+    def exec_latency_list(self) -> List[int]:
+        """Issue-to-writeback delay of every non-memory µop (at least one
+        cycle); ``0`` marks a memory µop, whose delay depends on the caches."""
+        return self.memo(
+            "exec_latency",
+            lambda: np.where(self.is_memory, 0, np.maximum(self.latency, 1)).tolist(),
+        )
+
+    def cache_rows(self, geometry) -> List[Optional[Tuple[int, int, int, int, int]]]:
+        """Per-µop ``(latency, L1 set, L1 tag, L2 set, L2 tag)`` of the memory
+        µops (``None`` for the rest) under a ``MemoryHierarchy.geometry``.
+
+        A µop's address never changes, so neither does where it lands in a
+        cache of a given geometry; the vectorized kernel reads the set and
+        tag instead of dividing the address on every access.
+        """
+        def build() -> List[Optional[Tuple[int, int, int, int, int]]]:
+            (l1_sets, _, l1_line), (l2_sets, _, l2_line) = geometry
+            index = np.flatnonzero(self.is_memory)
+            address = self.address[index]
+            line1 = address // l1_line
+            line2 = address // l2_line
+            rows: List[Optional[Tuple[int, int, int, int, int]]] = [None] * len(self)
+            for i, row in zip(
+                index.tolist(),
+                zip(
+                    self.latency[index].tolist(),
+                    (line1 % l1_sets).tolist(),
+                    (line1 // l1_sets).tolist(),
+                    (line2 % l2_sets).tolist(),
+                    (line2 // l2_sets).tolist(),
+                ),
+            ):
+                rows[i] = row
+            return rows
+
+        return self.memo(("cache rows", geometry), build)
+
     def dispatch_meta(self, register_space) -> List[tuple]:
         """Per-µop fused dispatch metadata for the vectorized kernel.
 
         One tuple per µop::
 
-            (queue kind, is_memory, is_load, is_branch, mispredicted,
-             int dests, fp dests, dependence row, first def id, past-last def id)
+            (queue kind, is_memory, is_load, int dests, fp dests,
+             dependence row, single def id, mispredicted branch)
 
-        The dispatch stage touches all of these fields for every µop it
-        dispatches; fusing them into one cached tuple list turns eight
-        scattered column lookups into a single list index plus an unpack.
-        Keyed by register-space geometry (like :meth:`dest_kind_counts`)
-        because the INT/FP destination split depends on it.
+        The single def id is the µop's definition id when it writes exactly
+        one register, ``-1`` when it writes none and ``-2`` when it writes
+        several (the kernel then walks its destination-CSR range).  The
+        dispatch stage touches all of these fields for every µop it
+        dispatches; fusing them into one cached tuple list turns scattered
+        column lookups into a single list index plus an unpack.  Keyed by
+        register-space geometry (like :meth:`dest_kind_counts`) because the
+        INT/FP destination split depends on it.
         """
         key = f"dispatch_meta_{register_space.num_int}_{register_space.num_fp}"
 
         def build() -> List[tuple]:
             plan = self.dependency_plan()
             dest_int, dest_fp = self._dest_kind_arrays(register_space)
-            dest_offsets = plan.dest_offsets
+            num_dests = np.diff(self.dest_offsets)
+            single_def = np.where(
+                num_dests == 1, self.dest_offsets[:-1], np.where(num_dests == 0, -1, -2)
+            )
             return list(
                 zip(
-                    self.queue_kind_ints(),
-                    self.is_memory_list(),
-                    self.is_load_list(),
-                    self.is_branch_list(),
-                    self.mispredicted_list(),
+                    self.queue.tolist(),
+                    self.is_memory.tolist(),
+                    self.is_load.tolist(),
                     dest_int.tolist(),
                     dest_fp.tolist(),
                     plan.deps,
-                    dest_offsets[:-1],
-                    dest_offsets[1:],
+                    single_def.tolist(),
+                    (self.is_branch & self.mispredicted).tolist(),
                 )
             )
 
@@ -493,15 +548,15 @@ class CompiledTrace:
         batch, like the other dynamic-column caches.
         """
         def build() -> DependencePlan:
+            dep_offsets, dep_defs = _last_writers(
+                self.src_offsets, self.src_regs, self.dest_offsets, self.dest_regs
+            )
             return DependencePlan(
-                deps=rows_from_csr(
-                    *_last_writers(
-                        self.src_offsets, self.src_regs, self.dest_offsets, self.dest_regs
-                    )
-                ),
+                deps=rows_from_csr(dep_offsets, dep_defs),
                 def_uop=_row_owner(self.dest_offsets).tolist(),
                 def_reg=self.dest_regs.tolist(),
                 dest_offsets=self.dest_offsets.tolist(),
+                num_deps=len(dep_defs),
             )
 
         return self.memo("dep_plan", build)

@@ -198,10 +198,15 @@ class TestDependencePlan:
         assert plan.dest_offsets == dest_offsets
         assert compiled.unique_src_tuples() == [_reference_dedup(row) for row in srcs]
         # The fused per-µop rows the vectorized kernel dispatches from carry
-        # the same dependence row and definition-id range.
+        # the same dependence row, and the definition id of a single-def µop
+        # (-1 for none, -2 for several).
         meta = compiled.dispatch_meta(DEFAULT_REGISTER_SPACE)
-        assert [row[7] for row in meta] == deps
-        assert [row[8:] for row in meta] == list(zip(dest_offsets, dest_offsets[1:]))
+        assert [row[5] for row in meta] == deps
+        assert [row[6] for row in meta] == [
+            lo if hi - lo == 1 else (-1 if hi == lo else -2)
+            for lo, hi in zip(dest_offsets, dest_offsets[1:])
+        ]
+        assert plan.num_deps == sum(map(len, deps))
 
     def test_double_write_and_self_read(self):
         """A µop reading its own destination reads the *previous* writer, and
