@@ -378,20 +378,26 @@ class VectorizedKernel(SteeringContext):
         # Ready heaps per (cluster, kind); loads separate (L1 port sharing).
         ready: List[List[int]] = [[] for _ in range(num_clusters * 3)]
         ready_loads: List[List[int]] = [[] for _ in range(num_clusters * 3)]
-        # The issue stage's walk, in qslot order: (qslot, heap, load heap,
-        # issue width).  The heaps are mutated in place, never replaced.  A
-        # µop queue of a kind the trace never uses stays empty, so the walk
-        # leaves it out; the copy queues are always in it.
+        # The issue stage's walks, in qslot order: (qslot, heap, load heap,
+        # issue slot numbers) for the µop queues of the kinds the trace uses
+        # (the others stay empty), (qslot, heap, issue slot numbers, source
+        # cluster) for the copy queues.  The heaps are mutated in place,
+        # never replaced.
+        widths = self._issue_widths
         kinds = set(compiled.queue.tolist())
-        kinds.add(2)
-        issue_slots = [
-            (qslot, ready[qslot], ready_loads[qslot], self._issue_widths[qslot % 3])
+        uop_queues = [
+            (qslot, ready[qslot], ready_loads[qslot], range(widths[qslot % 3]))
             for qslot in range(num_clusters * 3)
-            if qslot % 3 in kinds
+            if qslot % 3 in kinds and qslot % 3 != 2
+        ]
+        copy_queues = [
+            (qslot, ready[qslot], range(widths[2]), qslot // 3)
+            for qslot in range(2, num_clusters * 3, 3)
         ]
         total_ready = 0
+        # Writeback events: completion cycle -> slots completing then.  The
+        # idle skip never jumps past a key, so every key is in the future.
         events: Dict[int, List[int]] = {}
-        event_heap: List[int] = []
 
         # In-order window counters: µops dispatch in trace order, so the ROB
         # and the dispatch buffer are index ranges over the trace.
@@ -490,10 +496,9 @@ class VectorizedKernel(SteeringContext):
                 # --------------------------------------------------- writeback --
                 bucket = events_pop(cycle, None)
                 if bucket is not None:
-                    # Drop the drained key (and any already-drained stragglers)
-                    # so the idle skip reads the next event in O(1).
-                    while event_heap and event_heap[0] <= cycle:
-                        heappop(event_heap)
+                    # The order of a bucket does not matter: every effect
+                    # below is a set bit, a count or a heap push, and a
+                    # heap pops by slot, whatever order it was pushed in.
                     for slot in bucket:
                         rec_completed[slot] = True
                         if slot > n:
@@ -517,13 +522,18 @@ class VectorizedKernel(SteeringContext):
                                     total_ready += 1
 
                 # ------------------------------------------------------- issue --
+                # Copy queues and µop queues share no state within a cycle
+                # (different queues, the link only for copies, the read ports
+                # and caches only for µops, events in any bucket order), so
+                # each kind has its own walk.
                 if total_ready:
                     loads_issued = 0
-                    for qslot, main, loads, width in issue_slots:
+                    for qslot, main, loads, slots in uop_queues:
                         if not main and not loads:
                             continue
-                        issued = 0
-                        while issued < width:
+                        # ``issued`` counts the µops issued before the one
+                        # in hand; a loop that runs out issued them all.
+                        for issued in slots:
                             # Merge the two heaps by age; once the shared
                             # L1 read ports are saturated, ready loads
                             # stay untouched on theirs.
@@ -539,70 +549,82 @@ class VectorizedKernel(SteeringContext):
                                 was_load = False
                             else:
                                 break
-                            if slot > n:
-                                # One execute cycle in the producing
-                                # cluster, then the link.
-                                when = schedule_transfer(
-                                    rec_cluster[slot], rec_copytarget[slot], cycle + 1
-                                )
+                            when = exec_latency[slot]
+                            if when:
+                                when += cycle
                             else:
-                                when = exec_latency[slot]
-                                if when:
-                                    when += cycle
+                                # MemoryHierarchy.load_latency/store_access
+                                # inlined: SetAssociativeCache.access's LRU
+                                # update on the live set lists, L1 first.
+                                # Loads go to L2 only on an L1 miss; stores
+                                # write-allocate in both levels.
+                                lat, set_index, tag, set2, tag2 = cache_rows[slot]
+                                ways = l1_sets_get(set_index)
+                                l1_accesses += 1
+                                hit = False
+                                if ways is None:
+                                    l1_sets[set_index] = [tag]
+                                elif tag in ways:
+                                    if ways[0] != tag:
+                                        ways.remove(tag)
+                                        ways.insert(0, tag)
+                                    l1_hits += 1
+                                    hit = True
                                 else:
-                                    # MemoryHierarchy.load_latency/store_access
-                                    # inlined: SetAssociativeCache.access's LRU
-                                    # update on the live set lists, L1 first.
-                                    # Loads go to L2 only on an L1 miss; stores
-                                    # write-allocate in both levels.
-                                    lat, set_index, tag, set2, tag2 = cache_rows[slot]
-                                    ways = l1_sets_get(set_index)
-                                    l1_accesses += 1
+                                    ways.insert(0, tag)
+                                    if len(ways) > l1_assoc:
+                                        ways.pop()
+                                if was_load and hit:
+                                    lat += l1_latency
+                                else:
+                                    ways = l2_sets_get(set2)
+                                    l2_accesses += 1
                                     hit = False
                                     if ways is None:
-                                        l1_sets[set_index] = [tag]
-                                    elif tag in ways:
-                                        if ways[0] != tag:
-                                            ways.remove(tag)
-                                            ways.insert(0, tag)
-                                        l1_hits += 1
+                                        l2_sets[set2] = [tag2]
+                                    elif tag2 in ways:
+                                        if ways[0] != tag2:
+                                            ways.remove(tag2)
+                                            ways.insert(0, tag2)
+                                        l2_hits += 1
                                         hit = True
                                     else:
-                                        ways.insert(0, tag)
-                                        if len(ways) > l1_assoc:
+                                        ways.insert(0, tag2)
+                                        if len(ways) > l2_assoc:
                                             ways.pop()
-                                    if was_load and hit:
-                                        lat += l1_latency
-                                    else:
-                                        ways = l2_sets_get(set2)
-                                        l2_accesses += 1
-                                        hit = False
-                                        if ways is None:
-                                            l2_sets[set2] = [tag2]
-                                        elif tag2 in ways:
-                                            if ways[0] != tag2:
-                                                ways.remove(tag2)
-                                                ways.insert(0, tag2)
-                                            l2_hits += 1
-                                            hit = True
-                                        else:
-                                            ways.insert(0, tag2)
-                                            if len(ways) > l2_assoc:
-                                                ways.pop()
-                                        if was_load:
-                                            lat += l2_latency if hit else memory_latency
                                     if was_load:
-                                        loads_issued += 1
-                                    when = cycle + (lat if lat > 1 else 1)
+                                        lat += l2_latency if hit else memory_latency
+                                if was_load:
+                                    loads_issued += 1
+                                when = cycle + (lat if lat > 1 else 1)
                             bucket = events_get(when)
                             if bucket is None:
                                 events[when] = [slot]
-                                heappush(event_heap, when)
                             else:
                                 bucket.append(slot)
-                            issued += 1
+                        else:
+                            issued = len(slots)
                         # Nothing in this stage reads the queue occupancy
                         # or the ready count, so they are settled per queue.
+                        occ[qslot] -= issued
+                        total_ready -= issued
+                    for qslot, heap, slots, source in copy_queues if copies_in_flight else ():
+                        if not heap:
+                            continue
+                        for issued in slots:
+                            if not heap:
+                                break
+                            slot = heappop(heap)
+                            # One execute cycle in the producing cluster,
+                            # then the link.
+                            when = schedule_transfer(source, rec_copytarget[slot], cycle + 1)
+                            bucket = events_get(when)
+                            if bucket is None:
+                                events[when] = [slot]
+                            else:
+                                bucket.append(slot)
+                        else:
+                            issued = len(slots)
                         occ[qslot] -= issued
                         total_ready -= issued
 
@@ -911,8 +933,8 @@ class VectorizedKernel(SteeringContext):
                 if buffer and not blocked and head_ready <= cycle:
                     continue  # the dispatch stage acts this cycle
                 goal = limit + 1
-                if event_heap:
-                    next_event = event_heap[0]
+                if events:
+                    next_event = min(events)
                     if next_event < goal:
                         goal = next_event
                 if buffer and not blocked:

@@ -412,7 +412,12 @@ class CompiledTrace:
 
         def build() -> List[Tuple[int, int]]:
             dest_int, dest_fp = self._dest_kind_arrays(register_space)
-            return list(zip(dest_int.tolist(), dest_fp.tolist()))
+            # A few distinct pairs recur thousands of times: share them.
+            shared: Dict[Tuple[int, int], Tuple[int, int]] = {}
+            return [
+                shared.setdefault(pair, pair)
+                for pair in zip(dest_int.tolist(), dest_fp.tolist())
+            ]
 
         return self.memo(key, build)
 

@@ -28,6 +28,7 @@ These tests pin that contract:
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -57,6 +58,7 @@ from repro.steering.one_cluster import OneClusterSteering
 from repro.steering.static_follow import StaticAssignmentSteering
 from repro.steering.virtual_cluster import VirtualClusterSteering
 from repro.uops.opcodes import UopClass
+from repro.uops.registers import DEFAULT_REGISTER_SPACE
 from repro.workloads.generator import WorkloadGenerator
 from repro.workloads.spec2000 import profile_for
 from tests.conftest import make_instruction, make_trace
@@ -546,3 +548,123 @@ class TestCopySlotGrowth:
             )
             results[kernel] = processor.run(compiled).to_dict()
         assert results["vectorized"] == results["interpreter"]
+
+
+def _run_both_kernels(compiled, make_policy, config):
+    """``{kernel: (metrics dict, final tag state, policy state)}`` of one run each."""
+    results = {}
+    for kernel in KERNELS:
+        policy = make_policy()
+        processor = ClusteredProcessor(config, policy, kernel=kernel)
+        metrics = processor.run(compiled)
+        metrics.check_invariants(compiled, config)
+        results[kernel] = (
+            metrics.to_dict(),
+            processor.memory.tag_state(),
+            _policy_state(policy),
+        )
+    return results
+
+
+def _assert_kernels_agree(results):
+    reference, reference_tags, reference_state = results["interpreter"]
+    actual, actual_tags, actual_state = results["vectorized"]
+    for field_name, value in reference.items():
+        assert actual[field_name] == value, f"{field_name} diverged"
+    assert actual_tags == reference_tags  # same final contents, LRU order included
+    assert actual_state == reference_state
+
+
+#: One small machine per resource the dispatch stage checks, and the stall
+#: counters that resource raises when it is full.  The issue-queue,
+#: copy-queue and register-file stalls share ``allocation_stalls``; OP never
+#: steers into a full queue, so a full INT queue stalls its steering instead.
+_PRESSURE_MACHINES = {
+    "rob": ({"rob_size": 16}, ("rob_stalls",)),
+    "lsq": ({"lsq_size": 2}, ("lsq_stalls",)),
+    "int-queue": ({"iq_int_size": 4}, ("allocation_stalls", "steering_stalls")),
+    "copy-queue": ({"iq_copy_size": 1}, ("allocation_stalls",)),
+    "register-files": (
+        {"regfile_int_size": 40, "regfile_fp_size": 40},
+        ("allocation_stalls",),
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def pressure_trace():
+    """A memory-heavy trace (181.mcf) and its program, generated once."""
+    return WorkloadGenerator(profile_for("181.mcf")).generate_compiled_trace(600, phase=0)
+
+
+class TestResourcePressureParity:
+    """The kernels agree when the ROB, LSQ, queues and register files fill.
+
+    At the Table 2 sizes most runs never fill a resource, so the stall
+    paths -- the vectorized kernel's ROB and LSQ windows over trace indices
+    among them -- would go unchecked.  Each case shrinks one resource, checks
+    that its stall counter fires, and compares both kernels field for field:
+    the metrics dict, the final cache contents and the policy's own state.
+    OP and VC take the fused path, round-robin the per-µop callback path.
+    """
+
+    @pytest.mark.parametrize("num_clusters", [2, 4])
+    @pytest.mark.parametrize("policy", ["OP", "VC", "RR"])
+    @pytest.mark.parametrize("pressure", sorted(_PRESSURE_MACHINES))
+    def test_kernels_agree_under_pressure(self, pressure_trace, pressure, policy, num_clusters):
+        program, compiled = pressure_trace
+        overrides, counters = _PRESSURE_MACHINES[pressure]
+        config = ClusterConfig(num_clusters=num_clusters, **overrides)
+        if policy == "VC":
+            compiled.annotate_from(
+                VirtualClusterPartitioner(num_clusters).annotate_program(program).columns
+            )
+            make_policy = lambda: VirtualClusterSteering(num_clusters)  # noqa: E731
+        else:
+            make_policy = _policy_factories()[policy]
+        results = _run_both_kernels(compiled, make_policy, config)
+        reference = results["interpreter"][0]
+        stalls = [reference[name] for name in counters]
+        assert sum(sum(s) if isinstance(s, list) else s for s in stalls) > 0, counters
+        _assert_kernels_agree(results)
+
+
+def _multi_dest_trace(length):
+    """A trace cycling through µops with zero, one and two destinations.
+
+    The two-destination µops write two integer registers, an integer and a
+    floating-point register, or one register twice (the later write wins).
+    Their consumers, two to four µops later, read both definitions, so
+    round-robin steering places them on other clusters and copies both.
+    """
+    fp = DEFAULT_REGISTER_SPACE.num_int
+    pattern = [
+        make_instruction(UopClass.INT_ALU, dests=(1, 2), srcs=(6,)),
+        make_instruction(UopClass.STORE, dests=(), srcs=(1, 2)),
+        make_instruction(UopClass.INT_MUL, dests=(3,), srcs=(2, 1)),
+        make_instruction(UopClass.LOAD, dests=(4, fp + 1), srcs=(3,)),
+        make_instruction(UopClass.FP_ADD, dests=(fp + 2,), srcs=(fp + 1, 4)),
+        make_instruction(UopClass.INT_ALU, dests=(5, 5), srcs=(1,)),
+        make_instruction(UopClass.BRANCH, dests=(), srcs=(5, 4)),
+        make_instruction(UopClass.INT_ALU, dests=(6,), srcs=(5, fp + 2)),
+    ]
+    instructions = [pattern[i % len(pattern)] for i in range(length)]
+    addresses = [64 * (i % 37) for i in range(length)]
+    return make_trace(instructions, addresses=addresses)
+
+
+class TestMultiDestinationParity:
+    """µops with two definitions dispatch, wake and copy the same on both kernels."""
+
+    def test_trace_has_every_destination_count(self):
+        counts = set(np.diff(_multi_dest_trace(64).dest_offsets).tolist())
+        assert counts == {0, 1, 2}
+
+    @pytest.mark.parametrize("num_clusters", [2, 4])
+    @pytest.mark.parametrize("policy", ["RR", "OP"])
+    def test_kernels_agree(self, policy, num_clusters):
+        compiled = _multi_dest_trace(400)
+        config = ClusterConfig(num_clusters=num_clusters)
+        results = _run_both_kernels(compiled, _policy_factories()[policy], config)
+        assert results["interpreter"][0]["copies_generated"] > 0
+        _assert_kernels_agree(results)

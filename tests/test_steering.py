@@ -42,7 +42,7 @@ class FakeContext(SteeringContext):
         return self._locations.get(reg, 0)
 
 
-def make_uop(seq=0, opclass=UopClass.INT_ALU, srcs=(), dests=(10,), vc_id=None,
+def make_uop(opclass=UopClass.INT_ALU, srcs=(), dests=(10,), vc_id=None,
              chain_leader=False, static_cluster=None):
     static = make_instruction(opclass, dests, srcs)
     return CompiledUopView(
@@ -60,8 +60,8 @@ class TestOneCluster:
         policy = OneClusterSteering()
         policy.reset(2)
         context = FakeContext()
-        for seq in range(5):
-            assert policy.pick_cluster(make_uop(seq), context) == 0
+        for _ in range(5):
+            assert policy.pick_cluster(make_uop(), context) == 0
 
     def test_target_out_of_range_detected_at_reset(self):
         policy = OneClusterSteering(target_cluster=3)
@@ -206,7 +206,7 @@ class TestBaselines:
         policy = RoundRobinSteering()
         policy.reset(3)
         context = FakeContext(num_clusters=3)
-        picks = [policy.pick_cluster(make_uop(i), context) for i in range(6)]
+        picks = [policy.pick_cluster(make_uop(), context) for _ in range(6)]
         assert picks == [0, 1, 2, 0, 1, 2]
 
     def test_load_balance_picks_least_loaded(self):
