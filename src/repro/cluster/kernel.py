@@ -13,12 +13,15 @@ object graph.  The design is two-tier (see DESIGN.md):
   queue-free and register-location queries read the same flat arrays the
   kernel mutates.
 * **Array tier** -- everything else.  Issue/writeback/commit state lives in
-  preallocated parallel arrays indexed by *record slot* (µops and copy µops
-  share one slot space; slot order equals creation order, so the ready heaps
-  hold bare ints).  The per-trace dependence structure is precomputed once
-  (:meth:`~repro.uops.compiled.CompiledTrace.dependency_plan`), the L1/L2
-  tag model runs inline in the issue stage on the processor's own cache
-  objects, and idle stretches are skipped in bulk exactly as the
+  preallocated parallel arrays indexed by *record slot*: a µop's slot is its
+  trace index and copy µops take the slots after the trace in creation
+  order, so the ready heaps hold bare ints.  The per-trace dependence
+  structure is precomputed once
+  (:meth:`~repro.uops.compiled.CompiledTrace.dependency_plan`), and so are
+  the facts a run only reads (dispatch metadata, issue latencies, cache
+  sets and tags, the memory-µop prefix count behind the LSQ occupancy).
+  The L1/L2 tag model runs inline in the issue stage on the processor's own
+  cache objects, and idle stretches are skipped in bulk exactly as the
   interpreter does.
 
 A third tier -- the **compiled steering tier** -- removes the per-µop Python

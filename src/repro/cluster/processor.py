@@ -164,17 +164,12 @@ class ClusteredProcessor(SteeringContext):
             config.num_clusters, config.link_latency, config.copies_per_link_per_cycle
         )
         self.issue_queues = IssueQueues(config)
-        self.regfiles = RegisterFiles(config, self.register_space)
+        self.regfiles = RegisterFiles(config)
         self.steering.reset(config.num_clusters)
         self._cluster_inflight = [0] * config.num_clusters
         self._dispatch_buffer_cap = config.fetch_width * (config.fetch_to_dispatch_latency + 2)
-        if self.kernel == "interpreter":
-            # The vectorized kernel keeps its own window, rename and event
-            # state, so only the interpreter rebuilds these per run.
-            self._reset_interpreter_state()
-
-    def _reset_interpreter_state(self) -> None:
-        config = self.config
+        if self.kernel == "vectorized":
+            return  # the vectorized kernel keeps its own window, rename and events
         self.rob = ReorderBuffer(config.rob_size)
         self.lsq = LoadStoreQueue(config.lsq_size)
         self.rename = RegisterLocationTable(

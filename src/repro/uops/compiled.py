@@ -484,20 +484,12 @@ class CompiledTrace:
         def build() -> List[Optional[Tuple[int, int, int, int, int]]]:
             (l1_sets, _, l1_line), (l2_sets, _, l2_line) = geometry
             index = np.flatnonzero(self.is_memory)
-            address = self.address[index]
-            line1 = address // l1_line
-            line2 = address // l2_line
+            line1 = self.address[index] // l1_line
+            line2 = self.address[index] // l2_line
+            columns = (self.latency[index], line1 % l1_sets, line1 // l1_sets,
+                       line2 % l2_sets, line2 // l2_sets)
             rows: List[Optional[Tuple[int, int, int, int, int]]] = [None] * len(self)
-            for i, row in zip(
-                index.tolist(),
-                zip(
-                    self.latency[index].tolist(),
-                    (line1 % l1_sets).tolist(),
-                    (line1 // l1_sets).tolist(),
-                    (line2 % l2_sets).tolist(),
-                    (line2 // l2_sets).tolist(),
-                ),
-            ):
+            for i, row in zip(index.tolist(), map(tuple, np.column_stack(columns).tolist())):
                 rows[i] = row
             return rows
 

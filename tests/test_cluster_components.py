@@ -14,7 +14,6 @@ from repro.cluster.regfile import RegisterFiles
 from repro.cluster.rename import RegisterLocationTable
 from repro.cluster.rob import ReorderBuffer
 from repro.uops.opcodes import IssueQueueKind
-from repro.uops.registers import RegisterSpace
 
 
 class TestConfig:
@@ -219,31 +218,29 @@ class TestLoadStoreQueue:
 
 class TestRegisterFiles:
     def test_allocation_by_kind(self):
-        space = RegisterSpace(num_int=8, num_fp=8)
         config = ClusterConfig(regfile_int_size=2, regfile_fp_size=1)
-        files = RegisterFiles(config, space)
-        assert files.can_allocate(0, (0, 1))
-        files.allocate(0, (0, 1))
-        assert not files.can_allocate(0, (2,))
-        assert files.can_allocate(0, (8,))  # FP register still free
-        files.allocate(0, (8,))
-        assert not files.can_allocate(0, (9,))
-        files.release(0, (0, 1))
-        assert files.can_allocate(0, (2,))
+        files = RegisterFiles(config)
+        assert files.can_allocate_counts(0, 2, 0)
+        files.allocate_counts(0, 2, 0)
+        assert not files.can_allocate_counts(0, 1, 0)
+        assert files.can_allocate_counts(0, 0, 1)  # FP register still free
+        files.allocate_counts(0, 0, 1)
+        assert not files.can_allocate_counts(0, 0, 1)
+        files.release_counts(0, 2, 0)
+        assert files.can_allocate_counts(0, 1, 0)
+        with pytest.raises(RuntimeError):
+            files.allocate_counts(0, 0, 1)  # underflow
 
     def test_clusters_independent(self):
-        space = RegisterSpace(num_int=8, num_fp=8)
-        config = ClusterConfig(regfile_int_size=1)
-        files = RegisterFiles(config, space)
-        files.allocate(0, (0,))
-        assert not files.can_allocate(0, (1,))
-        assert files.can_allocate(1, (1,))
+        files = RegisterFiles(ClusterConfig(regfile_int_size=1))
+        files.allocate_counts(0, 1, 0)
+        assert not files.can_allocate_counts(0, 1, 0)
+        assert files.can_allocate_counts(1, 1, 0)
 
     def test_over_release_raises(self):
-        space = RegisterSpace(num_int=8, num_fp=8)
-        files = RegisterFiles(ClusterConfig(), space)
+        files = RegisterFiles(ClusterConfig())
         with pytest.raises(RuntimeError):
-            files.release(0, (0,))
+            files.release_counts(0, 1, 0)
 
 
 class TestRename:
