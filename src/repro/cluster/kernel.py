@@ -510,11 +510,6 @@ class VectorizedKernel(SteeringContext):
                             def_mask[rec_copydef[slot]] |= 1 << rec_copytarget[slot]
                             inflight[rec_cluster[slot]] -= 1
                             copies_in_flight -= 1
-                        elif slot == redirect_slot:
-                            # Mispredicted branch resolved: front end
-                            # restarts after the redirect penalty.
-                            redirect_slot = -1
-                            blocked_until = cycle + redirect_penalty
                         waiters = rec_waiters[slot]
                         if waiters is not None:
                             for waiter in waiters:
@@ -523,6 +518,11 @@ class VectorizedKernel(SteeringContext):
                                 if not pending:
                                     heappush(rec_heap[waiter], waiter)
                                     total_ready += 1
+                    if redirect_slot >= 0 and rec_completed[redirect_slot]:
+                        # Mispredicted branch resolved: front end restarts
+                        # after the redirect penalty.
+                        redirect_slot = -1
+                        blocked_until = cycle + redirect_penalty
 
                 # ------------------------------------------------------- issue --
                 # Copy queues and µop queues share no state within a cycle
@@ -770,52 +770,65 @@ class VectorizedKernel(SteeringContext):
                         # A value is in its home cluster once its producer
                         # completes, and in another cluster once a copy
                         # delivers it there (``def_mask``); a copy that is
-                        # already mapped has not arrived yet.
-                        wait_on = None
+                        # already mapped has not arrived yet.  The µop joins
+                        # the waiters of every slot it waits on right away:
+                        # only a full copy queue can still stall it, and that
+                        # takes the registrations back.
+                        pending = 0
                         new_copies = None
                         for d in dep_row:
                             source = def_home[d]
                             if source == cluster:
-                                pslot = def_uop[d]
-                                if not rec_completed[pslot]:
-                                    if wait_on is None:
-                                        wait_on = [pslot]
-                                    else:
-                                        wait_on.append(pslot)
+                                wait = def_uop[d]
+                                if rec_completed[wait]:
+                                    continue
+                            elif def_mask[d] >> cluster & 1:
                                 continue
-                            if def_mask[d] >> cluster & 1:
-                                continue
-                            cslot = copy_map_get(d * num_clusters + cluster)
-                            if cslot is not None:
-                                if wait_on is None:
-                                    wait_on = [cslot]
-                                else:
-                                    wait_on.append(cslot)
-                                continue
-                            if new_copies is None:
-                                new_copies = [(d, source)]
                             else:
-                                new_copies.append((d, source))
+                                wait = copy_map_get(d * num_clusters + cluster)
+                                if wait is None:
+                                    if new_copies is None:
+                                        new_copies = [(d, source)]
+                                    else:
+                                        new_copies.append((d, source))
+                                    continue
+                            waiters = rec_waiters[wait]
+                            if waiters is None:
+                                rec_waiters[wait] = [index]
+                            else:
+                                waiters.append(index)
+                            pending += 1
                         if new_copies is not None:
                             # Every needed copy queue must have room, counting
                             # multiple copies from the same source cluster.
+                            blocked_source = -1
                             if len(new_copies) == 1:
                                 source = new_copies[0][1]
                                 if cap_copy - occ[source * 3 + 2] < 1:
-                                    alloc_stalls[source] += 1
-                                    break
+                                    blocked_source = source
                             else:
                                 demand: Dict[int, int] = {}
                                 for d, source in new_copies:
                                     demand[source] = demand.get(source, 0) + 1
-                                blocked_source = -1
                                 for source, need in demand.items():
                                     if cap_copy - occ[source * 3 + 2] < need:
                                         blocked_source = source
                                         break
-                                if blocked_source >= 0:
-                                    alloc_stalls[blocked_source] += 1
-                                    break
+                            if blocked_source >= 0:
+                                alloc_stalls[blocked_source] += 1
+                                # ``index`` is the last waiter of each slot it
+                                # joined above (twice for two defs of one
+                                # producer), and of no other slot.
+                                for d in dep_row:
+                                    wait = (
+                                        def_uop[d]
+                                        if def_home[d] == cluster
+                                        else copy_map_get(d * num_clusters + cluster)
+                                    )
+                                    waiters = None if wait is None else rec_waiters[wait]
+                                    if waiters and waiters[-1] == index:
+                                        waiters.pop()
+                                break
                         # ---- every resource available: perform the dispatch ----
                         rec_cluster[index] = cluster
                         if new_copies is not None:
@@ -827,44 +840,31 @@ class VectorizedKernel(SteeringContext):
                                 rec_cluster[cslot] = source
                                 rec_copydef[cslot] = d
                                 rec_copytarget[cslot] = cluster
+                                rec_waiters[cslot] = [index]
                                 copy_queue = source * 3 + 2
-                                pslot = def_uop[d]
-                                if rec_completed[pslot]:
+                                wait = def_uop[d]
+                                if rec_completed[wait]:
                                     heappush(ready[copy_queue], cslot)
                                     total_ready += 1
                                 else:
                                     rec_pending[cslot] = 1
                                     rec_heap[cslot] = ready[copy_queue]
-                                    waiters = rec_waiters[pslot]
+                                    waiters = rec_waiters[wait]
                                     if waiters is None:
-                                        rec_waiters[pslot] = [cslot]
+                                        rec_waiters[wait] = [cslot]
                                     else:
                                         waiters.append(cslot)
                                 occ[copy_queue] += 1
                                 inflight[source] += 1
                                 copies_in_flight += 1
                                 copy_map[d * num_clusters + cluster] = cslot
-                                if wait_on is None:
-                                    wait_on = [cslot]
-                                else:
-                                    wait_on.append(cslot)
-                        if wait_on is None:
-                            heappush(
-                                ready_loads[qslot] if uop_is_load else ready[qslot],
-                                index,
-                            )
-                            total_ready += 1
+                            pending += len(new_copies)
+                        if pending:
+                            rec_pending[index] = pending
+                            rec_heap[index] = ready_loads[qslot] if uop_is_load else ready[qslot]
                         else:
-                            rec_pending[index] = len(wait_on)
-                            rec_heap[index] = (
-                                ready_loads[qslot] if uop_is_load else ready[qslot]
-                            )
-                            for dep_slot in wait_on:
-                                waiters = rec_waiters[dep_slot]
-                                if waiters is None:
-                                    rec_waiters[dep_slot] = [index]
-                                else:
-                                    waiters.append(index)
+                            heappush(ready_loads[qslot] if uop_is_load else ready[qslot], index)
+                            total_ready += 1
                         occ[qslot] += 1
                         if di:
                             free_int[cluster] -= di
