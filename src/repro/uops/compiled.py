@@ -461,13 +461,17 @@ class CompiledTrace:
         def build() -> List[int]:
             running = np.zeros(len(self) + 1, dtype=np.int64)
             np.cumsum(self.is_memory, out=running[1:])
-            return running.tolist()
+            values = list(range(int(running[-1]) + 1))  # one int object per count
+            return [values[count] for count in running.tolist()]
 
         return self.memo("memory_before", build)
 
     def exec_latency_list(self) -> List[int]:
-        """Issue-to-writeback delay of every non-memory µop (at least one
-        cycle); ``0`` marks a memory µop, whose delay depends on the caches."""
+        """Per-µop issue-to-writeback delay, ``0`` for memory µops.
+
+        A non-memory µop takes its latency, at least one cycle; a memory
+        µop's delay depends on the caches, so the kernel computes it at issue.
+        """
         return self.memo(
             "exec_latency",
             lambda: np.where(self.is_memory, 0, np.maximum(self.latency, 1)).tolist(),
@@ -489,8 +493,9 @@ class CompiledTrace:
             columns = (self.latency[index], line1 % l1_sets, line1 // l1_sets,
                        line2 % l2_sets, line2 // l2_sets)
             rows: List[Optional[Tuple[int, int, int, int, int]]] = [None] * len(self)
+            shared: Dict[Tuple[int, ...], Tuple[int, ...]] = {}  # µops of one line share a row
             for i, row in zip(index.tolist(), map(tuple, np.column_stack(columns).tolist())):
-                rows[i] = row
+                rows[i] = shared.setdefault(row, row)
             return rows
 
         return self.memo(("cache rows", geometry), build)

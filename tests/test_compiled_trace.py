@@ -27,6 +27,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.cluster.cache import MemoryHierarchy
 from repro.cluster.config import ClusterConfig
 from repro.cluster.processor import ClusteredProcessor, simulate_trace
 from repro.engine.job import SimulationJob
@@ -62,6 +63,33 @@ class TestDerivedColumns:
             assert compiled.is_memory_list()[i] == (opclass in (UopClass.LOAD, UopClass.STORE))
             assert compiled.is_load_list()[i] == (opclass == UopClass.LOAD)
             assert compiled.is_branch_list()[i] == (opclass == UopClass.BRANCH)
+
+    @pytest.mark.parametrize(
+        "config",
+        [ClusterConfig(), ClusterConfig(l1_size_kb=1, l1_assoc=2, l2_size_kb=8, l2_assoc=2)],
+    )
+    def test_kernel_issue_columns_match_reference_loops(self, small_trace, config):
+        """The vectorized kernel's per-trace columns equal plain loops over
+        the trace: the memory-µop prefix count, the non-memory issue delay
+        and each memory µop's (latency, L1 set, L1 tag, L2 set, L2 tag)."""
+        _, compiled = small_trace
+        memory = MemoryHierarchy.from_config(config)
+        rows = compiled.cache_rows(memory.geometry)
+        running = 0
+        for i, (is_mem, latency, address) in enumerate(
+            zip(compiled.is_memory_list(), compiled.latency_list(), compiled.address_list())
+        ):
+            assert compiled.memory_before()[i] == running
+            running += is_mem
+            if is_mem:
+                assert compiled.exec_latency_list()[i] == 0
+                assert rows[i] == (
+                    latency, *memory.l1._locate(address), *memory.l2._locate(address)
+                )
+            else:
+                assert compiled.exec_latency_list()[i] == max(latency, 1)
+                assert rows[i] is None
+        assert compiled.memory_before()[-1] == running > 0
 
     def test_unique_srcs_preserve_first_occurrence_order(self):
         inst = make_instruction(UopClass.INT_ALU, dests=(5,), srcs=(3, 7, 3, 1, 7))

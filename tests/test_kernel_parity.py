@@ -511,13 +511,15 @@ class TestTinyCacheParity:
 
 
 class TestCopySlotGrowth:
-    """Regression for the record-slot growth check in the vectorized kernel.
+    """Dispatches that make several copy µops at once, at every slot boundary.
 
-    One dispatch consumes a slot for the µop plus one per fresh copy µop, and
-    a µop can need several copies at once (even from the same source cluster).
-    The growth check used to reserve only ``num_clusters`` slots of headroom,
-    so on a 2-cluster machine a µop-plus-two-copies dispatch landing exactly
-    two slots below capacity overflowed the record arrays (IndexError).
+    A µop can need several copies at once (even from the same source
+    cluster), and each takes a record slot.  The vectorized kernel once grew
+    its record arrays on demand, and a growth check that reserved only
+    ``num_clusters`` slots of headroom overflowed them (IndexError) when a
+    µop-plus-two-copies dispatch landed two slots below capacity.  The arrays
+    are now sized once from the dependence rows; these traces keep the
+    boundary cases covered.
     """
 
     @staticmethod
