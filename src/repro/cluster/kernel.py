@@ -382,10 +382,10 @@ class VectorizedKernel(SteeringContext):
         ready: List[List[int]] = [[] for _ in range(num_clusters * 3)]
         ready_loads: List[List[int]] = [[] for _ in range(num_clusters * 3)]
         # The issue stage's walks, in qslot order: (qslot, heap, load heap,
-        # issue slot numbers) for the µop queues of the kinds the trace uses
-        # (the others stay empty), (qslot, heap, issue slot numbers, source
-        # cluster) for the copy queues.  The heaps are mutated in place,
-        # never replaced.
+        # issue slot numbers) for the INT/FP queues of the kinds the trace
+        # uses (no µop class issues from a copy queue), (qslot, heap, issue
+        # slot numbers, source cluster) for the copy queues.  The heaps are
+        # mutated in place, never replaced.
         widths = self._issue_widths
         kinds = set(compiled.queue.tolist())
         uop_queues = [
