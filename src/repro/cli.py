@@ -55,15 +55,12 @@ engine (:mod:`repro.engine`) and accepts these knobs:
     the same phases -- shares one artifact.  ``--no-cache`` also disables
     artifacts unless an explicit ``--trace-dir`` is given.
 
-``--shared-mem`` / ``--no-shared-mem``
-    Shared-memory trace residency for parallel runs (on by default
-    where the platform supports it): each distinct compiled trace is
-    published once into a ``multiprocessing.shared_memory`` segment and
-    workers attach by name and copy it out, instead of every worker
-    acquiring the trace on its own.  Segments are unlinked when the run's
-    engine shuts down; reports end with a ``[shm] segments=... bytes=...``
-    footer when segments were used.  Bit-identical to ``--no-shared-mem``
-    (the pickle path).
+``--shared-mem``
+    Opt-in: the parent publishes each compiled trace once into a
+    ``multiprocessing.shared_memory`` segment that parallel workers attach
+    to, instead of each worker acquiring its own (the default pickle path).
+    Reports end with a ``[shm] segments=... bytes=...`` footer.
+    Bit-identical, slower on the measured hosts, and awaiting deletion.
 
 ``--adaptive`` / ``--no-adaptive``
     Early stopping for the statistical scenarios (``replicated`` / ``race``
@@ -121,7 +118,7 @@ def _engine(args: argparse.Namespace) -> ParallelRunner:
         max_workers=args.jobs,
         cache=cache,
         trace_root=getattr(args, "trace_dir", None),  # None: <cache dir>/traces
-        shared_memory=getattr(args, "shared_mem", None),
+        shared_memory=args.shared_mem,
     )
 
 
@@ -170,7 +167,7 @@ def _engine_footer(engine: ParallelRunner) -> str:
             f"[shm] segments={shm_stats['segments']} bytes={shm_stats['bytes']} "
             f"published={shm_stats['published']} reused={shm_stats['reused']}  "
             "(compiled traces resident in shared memory; workers attach "
-            "by name; --no-shared-mem restores the pickle path)\n"
+            "by name; without --shared-mem workers acquire their own)\n"
         )
     adaptive = engine.adaptive_stats
     if adaptive["planned"] > 0:
@@ -246,16 +243,9 @@ def _add_engine_options(parser: argparse.ArgumentParser) -> None:
         "--shared-mem",
         dest="shared_mem",
         action="store_true",
-        default=None,
         help="publish each compiled trace once into shared memory so parallel "
-        "workers attach by name (default: on where the platform supports "
-        "it; bit-identical either way)",
-    )
-    parser.add_argument(
-        "--no-shared-mem",
-        dest="shared_mem",
-        action="store_false",
-        help="ship traces over the classic pickle path instead of shared memory",
+        "workers attach by name (opt-in; by default workers acquire their own "
+        "traces; bit-identical either way)",
     )
     parser.add_argument(
         "--adaptive",

@@ -127,9 +127,3 @@ def four_cluster_config(**overrides) -> ClusterConfig:
     """The scalability machine of Section 5.4: 4 clusters, same per-cluster resources."""
     config = ClusterConfig(num_clusters=4)
     return config.with_overrides(**overrides) if overrides else config
-
-
-@register_machine("table2")
-def table2_config(num_clusters: int = 2, **overrides) -> ClusterConfig:
-    """Table 2 parameters at any cluster count (``overrides: {"num_clusters": N}``)."""
-    return ClusterConfig(num_clusters=num_clusters).with_overrides(**overrides)

@@ -70,10 +70,6 @@ class Interconnect:
         self.transfers[key] = self.transfers.get(key, 0) + 1
         return start + self.link_latency
 
-    def total_transfers(self) -> int:
-        """Total number of copies that crossed the interconnect."""
-        return sum(self.transfers.values())
-
     def reset(self) -> None:
         """Clear link reservations and statistics."""
         self._next_free.clear()

@@ -149,8 +149,3 @@ class IssueQueues:
             self.total_ready -= 1
             return heapq.heappop(main)[1]
         return None
-
-    def ready_count(self, cluster: int, kind: IssueQueueKind) -> int:
-        """Number of ready µops waiting in the queue."""
-        slot = cluster * _NUM_KINDS + kind
-        return len(self._ready[slot]) + len(self._ready_loads[slot])

@@ -244,10 +244,20 @@ class ClusteredProcessor(SteeringContext):
         memo/artifact/shm layers, so an in-place write raises at the
         offending line instead of corrupting a sibling's run (DESIGN.md
         §7.3).  Returns the bound :class:`CompiledTrace`; anything else
-        raises ``TypeError``.
+        raises ``TypeError``, and a copy queue that could deadlock the
+        machine raises ``ValueError``.
         """
         if not isinstance(trace, CompiledTrace):
             raise TypeError(f"expected a CompiledTrace, got {type(trace).__name__}")
+        # Dispatch copies every in-trace source a cluster lacks, all from one
+        # other cluster at worst: fewer copy-queue entries stall it forever.
+        demand = max(map(len, trace.dependency_plan().deps), default=0)
+        if self.config.num_clusters > 1 and self.config.iq_copy_size < demand:
+            raise ValueError(
+                f"iq_copy_size={self.config.iq_copy_size} is smaller than the {demand} "
+                "distinct in-trace sources of one µop, which may all need a copy "
+                "from one cluster at once: the machine would deadlock"
+            )
         trace.freeze()
         self._bind_trace(trace)
         self._bound = trace

@@ -40,12 +40,11 @@ Adaptive stopping rules (:mod:`repro.engine.adaptive`)
     of already-completed results, never of arrival timing.
 
 ``SharedTraceSegment`` / ``SegmentRegistry`` (:mod:`repro.engine.shm`)
-    The shared-memory substrate: each distinct compiled trace published once
-    into a ``multiprocessing.shared_memory`` block (refcounted, unlinked on
-    release), which warm workers attach to by name and copy out -- no
-    column bytes cross the task queue, and segments stay resident across
-    runs.  A worker keeps what it loaded in the same per-process trace memo
-    as every other trace, keyed by trace.
+    The opt-in shared-memory substrate (``shared_memory=True``): each
+    distinct compiled trace published once into a
+    ``multiprocessing.shared_memory`` block (refcounted, unlinked on
+    release), which warm workers attach to by name and copy out into their
+    trace memo.  Slower than the default pickle path; it awaits deletion.
 
 ``WorkerPool`` (:mod:`repro.engine.pool`)
     The persistent process pool: spawned once per runner, reused across
@@ -57,8 +56,8 @@ Adaptive stopping rules (:mod:`repro.engine.adaptive`)
     chooses where and in what grouping jobs run (inline for
     ``max_workers=1``, else the persistent pool; always one batch per
     distinct trace key, in sorted key order with job order kept inside each
-    batch; shared-memory segments where available, the pickle path
-    otherwise) and consults the result cache first, so fully-cached batches
+    batch; workers acquire their own traces unless shared memory is opted
+    into) and consults the result cache first, so fully-cached batches
     never reach a worker.  ``run_stream`` delivers results per batch as
     tasks complete instead of at a barrier.  ``execute_batch`` is the one
     executor: a single-job batch is the per-job reference (a fresh

@@ -22,17 +22,14 @@ once per trace instead of once per job.
 
 Parallel batches ride a **persistent substrate**: the runner's
 :class:`~repro.engine.pool.WorkerPool` outlives individual :meth:`run` calls
-(``shutdown()`` pauses it; the next run transparently respawns), and with
-shared memory enabled (the default where available) each distinct trace is
-published exactly once into a :class:`~repro.engine.shm.SharedTraceSegment`
-that warm workers attach to by name -- no column bytes travel through the
-task queue or the filesystem, and segments stay resident across runs until
-the runner shuts down.  Results stream back per batch as tasks complete
-(:meth:`ParallelRunner.run_stream`), rather than materialising at a single
-barrier.  Where shared memory is unavailable (or disabled with
-``shared_memory=False``) the engine falls back to the classic pickle path:
-workers acquire traces themselves from the artifact store or by
-regeneration.
+(``shutdown()`` pauses it; the next run transparently respawns).  By default
+a task carries only its jobs and each worker acquires its trace from the
+artifact store or by regeneration (the pickle path): the parent never holds
+a trace.  Results stream back per batch as tasks complete
+(:meth:`ParallelRunner.run_stream`).  ``shared_memory=True`` opts into
+publishing each trace once from the parent into a
+:class:`~repro.engine.shm.SharedTraceSegment` that workers attach to by name;
+it is slower than pickle on the measured hosts and awaits deletion.
 
 Traces also move through two durable cache layers.  The content-addressed
 :class:`~repro.engine.artifacts.TraceArtifactStore` persists static programs
@@ -209,7 +206,8 @@ def _simulate_batch(jobs: Sequence[SimulationJob], program, compiled) -> List[Di
     between runs while the hoisted SoA columns stay alive.  Per job the
     sequence (run the pass, install its annotations, build policy, simulate
     from clean state) does not depend on the batch's other jobs, so every
-    dump is bit-identical to that job's single-job batch.
+    dump is bit-identical to that job's single-job batch.  The trace's
+    hot-path lists are released when the batch ends.
     """
     from repro.cluster.processor import ClusteredProcessor
 
@@ -222,15 +220,19 @@ def _simulate_batch(jobs: Sequence[SimulationJob], program, compiled) -> List[Di
         )
     processors: Dict[Tuple[object, ...], ClusteredProcessor] = {}
     dumps: List[Dict[str, object]] = []
-    for job in jobs:
-        policy = _prepare_job(job, program, compiled)
-        key = job.machine_key()
-        processor = processors.get(key)
-        if processor is None:
-            processor = ClusteredProcessor(job.machine_config(), policy, job.register_space)
-            processor.bind(compiled)
-            processors[key] = processor
-        dumps.append(processor.run_bound(policy).to_dict())
+    try:
+        for job in jobs:
+            policy = _prepare_job(job, program, compiled)
+            key = job.machine_key()
+            processor = processors.get(key)
+            if processor is None:
+                processor = ClusteredProcessor(job.machine_config(), policy, job.register_space)
+                processor.bind(compiled)
+                processors[key] = processor
+            dumps.append(processor.run_bound(policy).to_dict())
+    finally:
+        # A memoised trace is mostly read by this one batch: a later one re-hoists.
+        compiled.release_hot_path()
     return dumps
 
 
@@ -302,14 +304,11 @@ class ParallelRunner:
         cache (traces are regenerated from their seeds); an explicit path
         always wins.
     shared_memory:
-        ``None`` (the default) publishes each batch's compiled trace into a
-        shared-memory segment whenever the platform supports it and the run
-        is parallel; workers attach by name instead of acquiring traces
-        themselves, and segments stay resident across runs until
-        :meth:`shutdown`.  ``False`` forces the classic pickle path;
-        ``True`` insists on shared memory and falls back (with a warning)
-        only when the platform lacks it.  Results are bit-identical in
-        every mode.
+        ``False`` (the default): parallel workers acquire their own traces.
+        ``True`` opts into publishing each trace into a shared-memory
+        segment, resident until :meth:`shutdown`, that workers attach to
+        (with a warning and the default path where the platform lacks
+        shared memory); it awaits deletion.  Results are bit-identical.
 
     Lifecycle
     ---------
@@ -326,7 +325,7 @@ class ParallelRunner:
         max_workers: int = 1,
         cache: Optional[ResultCache] = None,
         trace_root: Union[str, Path, None] = None,
-        shared_memory: Optional[bool] = None,
+        shared_memory: bool = False,
     ) -> None:
         if max_workers < 1:
             raise ValueError("max_workers must be at least 1")
@@ -435,18 +434,15 @@ class ParallelRunner:
 
     def _use_shared_memory(self) -> bool:
         """Whether parallel batches should ride shared-memory segments."""
-        if self.shared_memory is False:
+        if self.shared_memory and not shared_memory_available():  # pragma: no cover
+            warnings.warn(
+                "shared_memory=True requested but multiprocessing.shared_memory "
+                "is unavailable on this platform; falling back to the pickle path",
+                RuntimeWarning,
+                stacklevel=3,
+            )
             return False
-        if not shared_memory_available():  # pragma: no cover - platform-specific
-            if self.shared_memory is True:
-                warnings.warn(
-                    "shared_memory=True requested but multiprocessing.shared_memory "
-                    "is unavailable on this platform; falling back to the pickle path",
-                    RuntimeWarning,
-                    stacklevel=3,
-                )
-            return False
-        return True
+        return self.shared_memory
 
     def _segment_registry(self) -> SegmentRegistry:
         if self._segments is None:

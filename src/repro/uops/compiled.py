@@ -29,6 +29,8 @@ The representation has three layers:
   index these lists -- scalar indexing of numpy arrays allocates a numpy
   scalar per access and is *slower* than list indexing in pure Python, so
   the arrays are the storage format and the lists are the execution format.
+  They outweigh the columns several times over and are cheap to rebuild,
+  so the engine drops them after each batch (``release_hot_path``).
 
 The program's columns are validated once, when the
 :class:`~repro.program.program.Program` is built, so a gather of them at
@@ -236,7 +238,8 @@ class CompiledTrace:
         "is_store",
         "is_branch",
         "is_fp",
-        "_cache",
+        "_values",
+        "_lists",
     )
 
     #: The stored columns (the derived ones are recomputed from ``opclass``).
@@ -287,8 +290,10 @@ class CompiledTrace:
         self.is_store = _STORE_TABLE[self.opclass]
         self.is_branch = _BRANCH_TABLE[self.opclass]
         self.is_fp = _FP_TABLE[self.opclass]
-        #: Lazily materialised hot-path lists (dropped on re-annotation).
-        self._cache: Dict[Hashable, object] = {}
+        #: Values other layers derive from the trace (see :meth:`memo`).
+        self._values: Dict[Hashable, object] = {}
+        #: Lazily materialised hot-path lists (see :meth:`release_hot_path`).
+        self._lists: Dict[Hashable, object] = {}
 
     # ------------------------------------------------------------------ basics --
     def __len__(self) -> int:
@@ -310,25 +315,39 @@ class CompiledTrace:
     def memo(self, key: Hashable, build: Callable[[], object]) -> object:
         """The value stored on this trace under ``key``; ``build()`` makes it once.
 
-        Holds the hot-path lists below and values other layers derive from
-        the trace -- a compile-time pass's annotation columns, the warmed
-        cache tags of a memory geometry -- so each is computed once per
-        trace and lives exactly as long as the trace.  ``key`` must cover
-        every input of ``build`` besides the trace itself.
+        Holds values other layers derive from the trace at a cost well above
+        a hoist -- a compile-time pass's annotation columns, the warmed cache
+        tags of a memory geometry -- so each is computed once per trace and
+        lives as long as the trace, :meth:`release_hot_path` included.
+        ``key`` must cover every input of ``build`` besides the trace itself.
         """
-        value = self._cache.get(key)
+        value = self._values.get(key)
         if value is None:
-            value = build()
-            self._cache[key] = value
+            value = self._values[key] = build()
         return value
+
+    def _hoisted(self, key: Hashable, build: Callable[[], object]) -> object:
+        """The hot-path list under ``key``; ``build()`` makes it again after a release."""
+        value = self._lists.get(key)
+        if value is None:
+            value = self._lists[key] = build()
+        return value
+
+    def release_hot_path(self) -> None:
+        """Drop the hot-path lists; the next read rebuilds them from the columns.
+
+        They take several times the columns' memory and about one ``bind``
+        to rebuild, and a memoised trace is mostly read by one batch.
+        """
+        self._lists.clear()
 
     def src_tuples(self) -> List[Tuple[int, ...]]:
         """Per-µop source registers, duplicates preserved (the steering view)."""
-        return self.memo("srcs", lambda: rows_from_csr(self.src_offsets, self.src_regs))
+        return self._hoisted("srcs", lambda: rows_from_csr(self.src_offsets, self.src_regs))
 
     def unique_src_tuples(self) -> List[Tuple[int, ...]]:
         """Per-µop sources deduplicated in first-occurrence order (dispatch planning)."""
-        return self.memo(
+        return self._hoisted(
             "usrcs",
             lambda: [
                 row if len(row) < 2 else tuple(dict.fromkeys(row))
@@ -338,66 +357,66 @@ class CompiledTrace:
 
     def dest_tuples(self) -> List[Tuple[int, ...]]:
         """Per-µop destination registers."""
-        return self.memo("dests", lambda: rows_from_csr(self.dest_offsets, self.dest_regs))
+        return self._hoisted("dests", lambda: rows_from_csr(self.dest_offsets, self.dest_regs))
 
     def queue_kinds(self) -> List[IssueQueueKind]:
         """Per-µop issue-queue kind as enum singletons."""
-        return self.memo(
+        return self._hoisted(
             "queue_kinds", lambda: [_QUEUE_KINDS[q] for q in self.queue.tolist()]
         )
 
     def latency_list(self) -> List[int]:
         """Per-µop functional-unit latency as plain ints."""
-        return self.memo("latency", self.latency.tolist)
+        return self._hoisted("latency", self.latency.tolist)
 
     def address_list(self) -> List[int]:
         """Per-µop effective address as plain ints."""
-        return self.memo("address", self.address.tolist)
+        return self._hoisted("address", self.address.tolist)
 
     def is_memory_list(self) -> List[bool]:
         """Per-µop memory flag as plain bools."""
-        return self.memo("is_memory", self.is_memory.tolist)
+        return self._hoisted("is_memory", self.is_memory.tolist)
 
     def is_load_list(self) -> List[bool]:
         """Per-µop load flag as plain bools."""
-        return self.memo("is_load", self.is_load.tolist)
+        return self._hoisted("is_load", self.is_load.tolist)
 
     def is_branch_list(self) -> List[bool]:
         """Per-µop branch flag as plain bools."""
-        return self.memo("is_branch", self.is_branch.tolist)
+        return self._hoisted("is_branch", self.is_branch.tolist)
 
     def is_fp_list(self) -> List[bool]:
         """Per-µop floating-point flag as plain bools."""
-        return self.memo("is_fp", self.is_fp.tolist)
+        return self._hoisted("is_fp", self.is_fp.tolist)
 
     def mispredicted_list(self) -> List[bool]:
         """Per-µop mispredict bit as plain bools."""
-        return self.memo("mispredicted", self.mispredicted.tolist)
+        return self._hoisted("mispredicted", self.mispredicted.tolist)
 
     def sid_list(self) -> List[int]:
         """Per-µop static id as plain ints."""
-        return self.memo("sid", self.sid.tolist)
+        return self._hoisted("sid", self.sid.tolist)
 
     def opclass_list(self) -> List[UopClass]:
         """Per-µop µop class as enum singletons."""
-        return self.memo(
+        return self._hoisted(
             "opclasses", lambda: [_UOP_CLASSES[c] for c in self.opclass.tolist()]
         )
 
     def vc_id_list(self) -> List[Optional[int]]:
         """Per-µop virtual-cluster id (``None`` when unannotated)."""
-        return self.memo(
+        return self._hoisted(
             "vc_id",
             lambda: [None if v == NO_ANNOTATION else v for v in self.vc_id.tolist()],
         )
 
     def chain_leader_list(self) -> List[bool]:
         """Per-µop chain-leader mark as plain bools."""
-        return self.memo("chain_leader", self.chain_leader.tolist)
+        return self._hoisted("chain_leader", self.chain_leader.tolist)
 
     def static_cluster_list(self) -> List[Optional[int]]:
         """Per-µop static physical-cluster binding (``None`` when unbound)."""
-        return self.memo(
+        return self._hoisted(
             "static_cluster",
             lambda: [None if v == NO_ANNOTATION else v for v in self.static_cluster.tolist()],
         )
@@ -419,7 +438,7 @@ class CompiledTrace:
                 for pair in zip(dest_int.tolist(), dest_fp.tolist())
             ]
 
-        return self.memo(key, build)
+        return self._hoisted(key, build)
 
     def _dest_kind_arrays(self, register_space) -> Tuple[np.ndarray, np.ndarray]:
         """Per-µop INT and FP destination counts as ``int64`` arrays.
@@ -437,7 +456,7 @@ class CompiledTrace:
             dest_fp = running[self.dest_offsets[1:]] - running[self.dest_offsets[:-1]]
             return np.diff(self.dest_offsets) - dest_fp, dest_fp
 
-        return self.memo(key, build)
+        return self._hoisted(key, build)
 
     def memory_access_plan(self) -> Tuple[List[int], List[bool]]:
         """``(addresses, is_load)`` of the memory µops, in trace order.
@@ -449,7 +468,7 @@ class CompiledTrace:
             index = np.flatnonzero(self.is_memory)
             return (self.address[index].tolist(), self.is_load[index].tolist())
 
-        return self.memo("memory_plan", build)
+        return self._hoisted("memory_plan", build)
 
     def memory_before(self) -> List[int]:
         """Prefix count of memory µops: entry ``i`` counts those before µop ``i``.
@@ -464,7 +483,7 @@ class CompiledTrace:
             values = list(range(int(running[-1]) + 1))  # one int object per count
             return [values[count] for count in running.tolist()]
 
-        return self.memo("memory_before", build)
+        return self._hoisted("memory_before", build)
 
     def exec_latency_list(self) -> List[int]:
         """Per-µop issue-to-writeback delay, ``0`` for memory µops.
@@ -472,7 +491,7 @@ class CompiledTrace:
         A non-memory µop takes its latency, at least one cycle; a memory
         µop's delay depends on the caches, so the kernel computes it at issue.
         """
-        return self.memo(
+        return self._hoisted(
             "exec_latency",
             lambda: np.where(self.is_memory, 0, np.maximum(self.latency, 1)).tolist(),
         )
@@ -498,7 +517,7 @@ class CompiledTrace:
                 rows[i] = shared.setdefault(row, row)
             return rows
 
-        return self.memo(("cache rows", geometry), build)
+        return self._hoisted(("cache rows", geometry), build)
 
     def dispatch_meta(self, register_space) -> List[tuple]:
         """Per-µop fused dispatch metadata for the vectorized kernel.
@@ -539,7 +558,7 @@ class CompiledTrace:
                 )
             )
 
-        return self.memo(key, build)
+        return self._hoisted(key, build)
 
     def dependency_plan(self) -> DependencePlan:
         """The :class:`DependencePlan` of the trace (built once, then cached).
@@ -561,7 +580,7 @@ class CompiledTrace:
                 num_deps=len(dep_defs),
             )
 
-        return self.memo("dep_plan", build)
+        return self._hoisted("dep_plan", build)
 
     # ---------------------------------------------------------------- freezing --
     def freeze(self) -> "CompiledTrace":
@@ -607,7 +626,7 @@ class CompiledTrace:
         for name, column in zip(self.ANNOTATION_FIELDS, columns):
             column.flags.writeable = False
             setattr(self, name, column)
-            self._cache.pop(name, None)
+            self._lists.pop(name, None)
         return self
 
 

@@ -85,18 +85,24 @@ class TestBatchOptions:
 
 
 class TestSharedMemoryOptions:
-    def test_auto_is_the_default(self):
+    def test_pickle_is_the_default(self):
+        """Without --shared-mem the CLI builds a pickle-path engine: parallel
+        workers acquire their own traces and the parent publishes none."""
         from repro.cli import _engine
 
-        args = build_parser().parse_args(["quickstart", "--no-cache"])
-        assert args.shared_mem is None
-        assert _engine(args).shared_memory is None
+        for command in (["quickstart"], ["run", "figure5"]):
+            args = build_parser().parse_args([*command, "--no-cache", "--jobs", "2"])
+            assert args.shared_mem is False
+            assert _engine(args).shared_memory is False
 
-    def test_flags_parse(self):
+    def test_flags_parse(self, capsys):
         args = build_parser().parse_args(["quickstart", "--no-cache", "--shared-mem"])
         assert args.shared_mem is True
-        args = build_parser().parse_args(["quickstart", "--no-cache", "--no-shared-mem"])
-        assert args.shared_mem is False
+        # The pickle path is the default, so its opt-out flag is gone.
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["quickstart", "--no-cache", "--no-shared-mem"])
+        assert excinfo.value.code == 2
+        assert "--no-shared-mem" in capsys.readouterr().err
 
     def test_shm_footer_on_parallel_multi_trace_run(self, capsys, monkeypatch):
         monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
@@ -113,13 +119,13 @@ class TestSharedMemoryOptions:
         assert "[shm] segments=2 " in out
         assert "published=2" in out
 
-    def test_no_shm_footer_when_disabled(self, capsys, monkeypatch):
+    def test_no_shm_footer_by_default(self, capsys, monkeypatch):
         monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
         argv = [
             "run", "figure5",
             "--benchmarks", "164.gzip-1", "178.galgel",
             "--trace-length", "400", "--phases", "1",
-            "--jobs", "2", "--no-cache", "--no-shared-mem",
+            "--jobs", "2", "--no-cache",
         ]
         assert main(argv) == 0
         assert "[shm]" not in capsys.readouterr().out

@@ -407,7 +407,6 @@ class TestIssueQueueLoadHeaps:
         queues.push_ready(0, IssueQueueKind.INT, 2, "load-2", is_load=True)
         queues.push_ready(0, IssueQueueKind.INT, 1, "alu-1")
         queues.push_ready(0, IssueQueueKind.INT, 3, "alu-3")
-        assert queues.ready_count(0, IssueQueueKind.INT) == 3
         assert queues.total_ready == 3
         assert queues.pop_ready(0, IssueQueueKind.INT) == "alu-1"
         assert queues.pop_ready(0, IssueQueueKind.INT) == "load-2"
@@ -425,8 +424,9 @@ class TestIssueQueueLoadHeaps:
         # Ports saturated: the two older ready loads are not even touched.
         assert queues.pop_ready(0, IssueQueueKind.INT, allow_loads=False) == "alu-5"
         assert queues.pop_ready(0, IssueQueueKind.INT, allow_loads=False) is None
-        # They are still there, in order, once ports free up.
-        assert queues.ready_count(0, IssueQueueKind.INT) == 2
+        # They are still there, in order, once ports free up (the only
+        # ready µops of any queue).
+        assert queues.total_ready == 2
         assert queues.pop_ready(0, IssueQueueKind.INT) == "load-1"
         assert queues.pop_ready(0, IssueQueueKind.INT) == "load-2"
 

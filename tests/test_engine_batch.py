@@ -31,6 +31,7 @@ from repro.cluster.processor import ClusteredProcessor
 from repro.engine import parallel
 from repro.engine.cache import ResultCache
 from repro.engine.job import SimulationJob
+from repro.engine.shm import shared_memory_available
 from repro.engine.parallel import (
     _TRACE_MEMO,
     DEFAULT_MEMO_CAP,
@@ -425,6 +426,80 @@ class TestTraceMemoCap:
             execute_batch([make_job(small_profile, configuration, phase=phase)], memo_cap=2)
             assert len(_TRACE_MEMO) <= 2
         assert len(_TRACE_MEMO) == 2
+
+
+# ---------------------------------------------------------------------------
+# Trace state lives only while a batch reads it
+# ---------------------------------------------------------------------------
+
+
+class TestTraceStateLifetime:
+    """Parallel runs default to the pickle path, and a memoised trace keeps
+    its memo() values but no hot-path list once its batch is done."""
+
+    def _jobs(self, small_profile, small_fp_profile):
+        return [
+            make_job(profile, configuration, phase=phase)
+            for profile in (small_profile, small_fp_profile)
+            for phase in (0, 1)
+            for configuration in CONFIGURATIONS
+        ]
+
+    def test_default_parallel_runner_takes_the_pickle_path(
+        self, small_profile, small_fp_profile
+    ):
+        jobs = self._jobs(small_profile, small_fp_profile)
+        serial = _dump_all(ParallelRunner(), jobs)
+        _TRACE_MEMO.clear()
+        with ParallelRunner(max_workers=2) as runner:
+            assert runner.shared_memory is False
+            assert _dump_all(runner, jobs) == serial
+            assert runner.shm_stats()["published"] == 0
+        # The workers acquired every trace: the parent holds none.
+        assert not _TRACE_MEMO
+
+    @pytest.mark.skipif(not shared_memory_available(), reason="no multiprocessing.shared_memory")
+    def test_pickle_path_matches_shared_memory(self, small_profile, small_fp_profile):
+        jobs = self._jobs(small_profile, small_fp_profile)
+        with ParallelRunner(max_workers=2) as runner:
+            pickled = _dump_all(runner, jobs)
+        with ParallelRunner(max_workers=2, shared_memory=True) as runner:
+            shared = _dump_all(runner, jobs)
+            assert runner.shm_stats()["published"] == 4
+        assert pickled == shared
+
+    def test_batch_releases_hot_path_lists(self, small_profile):
+        geometries = (ClusterConfig(num_clusters=2), ClusterConfig(num_clusters=2, l1_assoc=2))
+        jobs = [make_job(small_profile, configuration) for configuration in CONFIGURATIONS]
+        jobs.append(make_job(small_profile, CONFIGURATIONS[0], config_overrides=(("l1_assoc", 2),)))
+        execute_batch(jobs)
+        ((_, compiled),) = _TRACE_MEMO.values()
+        assert compiled._lists == {}
+        from repro.cluster.cache import MemoryHierarchy
+
+        keys = {("annotations", c.partitioner_key(2, 2, 128)) for c in CONFIGURATIONS}
+        keys |= {("warm caches", MemoryHierarchy.from_config(g).geometry) for g in geometries}
+        assert set(compiled._values) == keys
+
+    def test_rehoisted_batch_matches_a_fresh_trace(self, small_profile):
+        """A second batch over the memoised trace re-hoists its lists but
+        neither regenerates, re-partitions nor re-warms -- and its dumps are
+        bit-identical to a fresh trace's."""
+        from repro.partition.base import RegionPartitioner
+
+        jobs = [make_job(small_profile, configuration) for configuration in CONFIGURATIONS]
+        first = execute_batch(jobs)["dumps"]
+        ((_, compiled),) = _TRACE_MEMO.values()
+        assert not compiled._lists
+        never = mock.Mock(side_effect=AssertionError("memoised work was redone"))
+        with mock.patch.object(WorkloadGenerator, "generate_compiled_trace", never), \
+                mock.patch.object(RegionPartitioner, "annotate_program", never), \
+                mock.patch.object(ClusteredProcessor, "_warm_caches", never):
+            second = execute_batch(jobs)["dumps"]
+        assert not compiled._lists
+        _TRACE_MEMO.clear()
+        fresh = execute_batch(jobs)["dumps"]
+        assert second == fresh == first
 
 
 # ---------------------------------------------------------------------------

@@ -581,11 +581,13 @@ def _assert_kernels_agree(results):
 #: counters that resource raises when it is full.  The issue-queue,
 #: copy-queue and register-file stalls share ``allocation_stalls``; OP never
 #: steers into a full queue, so a full INT queue stalls its steering instead.
+#: Two copy-queue entries is the least ``bind`` accepts: the trace has µops
+#: with two distinct sources.
 _PRESSURE_MACHINES = {
     "rob": ({"rob_size": 16}, ("rob_stalls",)),
     "lsq": ({"lsq_size": 2}, ("lsq_stalls",)),
     "int-queue": ({"iq_int_size": 4}, ("allocation_stalls", "steering_stalls")),
-    "copy-queue": ({"iq_copy_size": 1}, ("allocation_stalls",)),
+    "copy-queue": ({"iq_copy_size": 2}, ("allocation_stalls",)),
     "register-files": (
         {"regfile_int_size": 40, "regfile_fp_size": 40},
         ("allocation_stalls",),

@@ -316,3 +316,79 @@ class TestConservationLaws:
         for kernel in ("interpreter", "vectorized"):
             ClusteredProcessor(ClusterConfig(), OneClusterSteering(), kernel=kernel).run(compiled)
         assert checked == [len(compiled)] * 2
+
+
+@pytest.fixture(scope="module")
+def galgel_trace():
+    """178.galgel, phase 0, 300 µops: the trace a one-entry copy queue deadlocked."""
+    from repro.workloads.spec2000 import profile_for
+
+    return WorkloadGenerator(profile_for("178.galgel")).generate_compiled_trace(300, phase=0)
+
+
+#: What bind says about a one-entry copy queue on a trace of two-source µops.
+COPY_QUEUE_MESSAGE = r"iq_copy_size=1 is smaller than the 2 distinct in-trace sources of one µop"
+
+
+class TestCopyQueueGuard:
+    """A copy queue too small for one µop's sources is rejected at bind.
+
+    A µop whose two sources live only in one other cluster needs two free
+    entries of that cluster's copy queue at once; with one entry both
+    kernels used to spin to ``max_cycles`` (5,000,000) for 15-26 s.
+    """
+
+    def test_trace_has_two_source_uops(self, galgel_trace):
+        _, compiled = galgel_trace
+        assert max(map(len, compiled.unique_src_tuples())) == 2
+        assert max(map(len, compiled.dependency_plan().deps)) == 2
+
+    @pytest.mark.parametrize("kernel", ["interpreter", "vectorized"])
+    def test_one_entry_copy_queue_is_rejected(self, galgel_trace, kernel):
+        _, compiled = galgel_trace
+        config = ClusterConfig(num_clusters=4, iq_copy_size=1)
+        processor = ClusteredProcessor(config, LoadBalanceSteering(), kernel=kernel)
+        with pytest.raises(ValueError, match=COPY_QUEUE_MESSAGE):
+            processor.run(compiled)
+
+    @pytest.mark.parametrize("kernel", ["interpreter", "vectorized"])
+    def test_two_entry_copy_queue_completes(self, galgel_trace, kernel):
+        _, compiled = galgel_trace
+        config = ClusterConfig(num_clusters=4, iq_copy_size=2)
+        metrics = ClusteredProcessor(config, LoadBalanceSteering(), kernel=kernel).run(compiled)
+        assert metrics.committed_uops == len(compiled)
+        assert metrics.cycles == 297
+
+    def test_single_cluster_machine_makes_no_copies(self, galgel_trace):
+        """One cluster never copies, so its copy-queue size does not matter."""
+        _, compiled = galgel_trace
+        config = ClusterConfig(num_clusters=1, iq_copy_size=1)
+        metrics = ClusteredProcessor(config, LoadBalanceSteering()).run(compiled)
+        assert metrics.committed_uops == len(compiled)
+        assert metrics.copies_generated == 0
+
+    @pytest.mark.parametrize("kernel", ["interpreter", "vectorized"])
+    def test_scenario_machine_override_is_rejected(self, tmp_path, monkeypatch, kernel):
+        import json
+
+        from repro.cli import main
+
+        monkeypatch.setenv("REPRO_KERNEL", kernel)
+        monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
+        path = tmp_path / "tiny_copy_queue.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "name": "tiny-copy-queue",
+                    "report": "table",
+                    "machine": {"preset": "table2-4c", "overrides": {"iq_copy_size": 1}},
+                    "benchmarks": ["178.galgel"],
+                    "configurations": [{"name": "LB", "policy": "load-balance"}],
+                    "trace_length": 300,
+                    "max_phases": 1,
+                }
+            ),
+            encoding="utf-8",
+        )
+        with pytest.raises(SystemExit, match=COPY_QUEUE_MESSAGE):
+            main(["run", str(path), "--no-cache"])
