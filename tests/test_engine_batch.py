@@ -25,13 +25,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cluster.cache import MemoryHierarchy
 from repro.cluster.config import ClusterConfig
 from repro.cluster.metrics import SimulationMetrics
 from repro.cluster.processor import ClusteredProcessor
 from repro.engine import parallel
 from repro.engine.cache import ResultCache
 from repro.engine.job import SimulationJob
-from repro.engine.shm import shared_memory_available
 from repro.engine.parallel import (
     _TRACE_MEMO,
     DEFAULT_MEMO_CAP,
@@ -39,9 +39,11 @@ from repro.engine.parallel import (
     execute_batch,
     resolve_memo_cap,
 )
+from repro.engine.shm import shared_memory_available
 from repro.experiments.configs import TABLE3_CONFIGURATIONS, vc_variant
 from repro.experiments.golden import GOLDEN_CASES, GOLDEN_SETTINGS
 from repro.experiments.runner import ExperimentRunner
+from repro.partition.base import RegionPartitioner
 from repro.uops.compiled import empty_annotations
 from repro.workloads.generator import WorkloadGenerator
 from repro.workloads.spec2000 import profile_for
@@ -475,8 +477,6 @@ class TestTraceStateLifetime:
         execute_batch(jobs)
         ((_, compiled),) = _TRACE_MEMO.values()
         assert compiled._lists == {}
-        from repro.cluster.cache import MemoryHierarchy
-
         keys = {("annotations", c.partitioner_key(2, 2, 128)) for c in CONFIGURATIONS}
         keys |= {("warm caches", MemoryHierarchy.from_config(g).geometry) for g in geometries}
         assert set(compiled._values) == keys
@@ -485,8 +485,6 @@ class TestTraceStateLifetime:
         """A second batch over the memoised trace re-hoists its lists but
         neither regenerates, re-partitions nor re-warms -- and its dumps are
         bit-identical to a fresh trace's."""
-        from repro.partition.base import RegionPartitioner
-
         jobs = [make_job(small_profile, configuration) for configuration in CONFIGURATIONS]
         first = execute_batch(jobs)["dumps"]
         ((_, compiled),) = _TRACE_MEMO.values()
