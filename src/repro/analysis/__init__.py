@@ -4,8 +4,6 @@
   DDG node (Figure 2, step 1: "Computation of critical paths").
 * :mod:`repro.analysis.slack` -- slack of nodes and edges, the weighting
   information used by RHOP's multilevel partitioner.
-* :mod:`repro.analysis.stats` -- descriptive statistics of DDGs and programs
-  used by reports, tests and the workload generator's self-checks.
 * :mod:`repro.analysis.detlint` (DET1xx) -- the repo-wide determinism
   lint that guards the bit-identity contract, driven by
   :mod:`repro.analysis.framework` (DESIGN.md §7).  Run it as
@@ -20,6 +18,5 @@ __getattr__, __dir__, __all__ = lazy_exports(
     {
         ".criticality": ("CriticalityInfo", "compute_criticality"),
         ".slack": ("SlackInfo", "compute_slack"),
-        ".stats": ("DDGStats", "ddg_statistics", "program_statistics"),
     },
 )

@@ -22,7 +22,7 @@ the SPDI paper the authors cite):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Tuple
 
 from repro.program.ddg import DataDependenceGraph
 
@@ -35,14 +35,6 @@ class CriticalityInfo:
     height: Tuple[int, ...]
     criticality: Tuple[int, ...]
     critical_path_length: int
-
-    def is_critical(self, node: int) -> bool:
-        """True when ``node`` lies on a critical path of the DDG."""
-        return self.criticality[node] == self.critical_path_length
-
-    def critical_nodes(self) -> List[int]:
-        """All nodes lying on some critical path."""
-        return [i for i, c in enumerate(self.criticality) if c == self.critical_path_length]
 
 
 def compute_criticality(ddg: DataDependenceGraph) -> CriticalityInfo:

@@ -62,15 +62,16 @@ engine (:mod:`repro.engine`) and accepts these knobs:
     Reports end with a ``[shm] segments=... bytes=...`` footer.
     Bit-identical, slower on the measured hosts, and awaiting deletion.
 
-``--adaptive`` / ``--no-adaptive``
-    Early stopping for the statistical scenarios (``replicated`` / ``race``
-    / ``crossover`` report kinds, see :mod:`repro.scenarios.adaptive`).
-    The default follows the scenario's declared stopping rule;
-    ``--no-adaptive`` runs the exhaustive grid and *replays* the stopping
-    decisions, so the report tables are byte-identical either way -- only
-    the number of simulation runs paid for differs.  Adaptive runs end
-    with an ``[adaptive] planned=... executed=...`` footer.  Scenarios
-    without a stopping rule ignore both flags.
+``--no-adaptive``
+    Turn off early stopping for the statistical scenarios (``replicated`` /
+    ``race`` / ``crossover`` report kinds, see
+    :mod:`repro.scenarios.adaptive`), which by default follow the
+    scenario's declared stopping rule.  ``--no-adaptive`` runs the
+    exhaustive grid and *replays* the stopping decisions, so the report
+    tables are byte-identical either way -- only the number of simulation
+    runs paid for differs.  Adaptive runs end with an ``[adaptive]
+    planned=... executed=...`` footer.  Scenarios without a stopping rule
+    ignore the flag.
 
 Jobs always run in batches: one batch per distinct phase trace, the result
 cache consulted per batch (fully cached batches skip the workers entirely),
@@ -248,19 +249,12 @@ def _add_engine_options(parser: argparse.ArgumentParser) -> None:
         "traces; bit-identical either way)",
     )
     parser.add_argument(
-        "--adaptive",
-        dest="adaptive",
-        action="store_true",
-        default=None,
-        help="force early stopping on for statistical scenarios (default: "
-        "follow the scenario's declared stopping rule)",
-    )
-    parser.add_argument(
         "--no-adaptive",
         dest="adaptive",
         action="store_false",
-        help="run the exhaustive grid and replay the stopping decisions "
-        "(byte-identical tables, every run paid for)",
+        help="turn off the scenario's early stopping: run the exhaustive grid "
+        "and replay the stopping decisions (byte-identical tables, every run "
+        "paid for)",
     )
 
 
@@ -297,7 +291,7 @@ def _execute_spec(spec: ScenarioSpec, args: argparse.Namespace) -> str:
         raise SystemExit(f"invalid scenario {spec.name!r}: {exc}")
     engine = _engine(args)
     try:
-        report = run_scenario(spec, engine, adaptive=getattr(args, "adaptive", None))
+        report = run_scenario(spec, engine, adaptive=args.adaptive)
     except (ValueError, TypeError) as exc:
         raise SystemExit(f"cannot run scenario {spec.name!r}: {exc}")
     finally:

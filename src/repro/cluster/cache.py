@@ -78,18 +78,16 @@ class SetAssociativeCache:
         line = address // self.line_size
         return line % self.num_sets, line // self.num_sets
 
-    def access(self, address: int, allocate: bool = True) -> bool:
+    def access(self, address: int) -> bool:
         """Access ``address``; return ``True`` on a hit.
 
-        On a miss the line is allocated (LRU replacement) unless
-        ``allocate`` is ``False``.
+        On a miss the line is allocated (LRU replacement).
         """
         set_index, tag = self._locate(address)
         self.stats.accesses += 1
         ways = self._sets.get(set_index)
         if ways is None:
-            if allocate:
-                self._sets[set_index] = [tag]
+            self._sets[set_index] = [tag]
             return False
         if tag in ways:
             if ways[0] != tag:
@@ -97,10 +95,9 @@ class SetAssociativeCache:
                 ways.insert(0, tag)
             self.stats.hits += 1
             return True
-        if allocate:
-            ways.insert(0, tag)
-            if len(ways) > self.assoc:
-                ways.pop()
+        ways.insert(0, tag)
+        if len(ways) > self.assoc:
+            ways.pop()
         return False
 
     def set_lists(self) -> Dict[int, List[int]]:

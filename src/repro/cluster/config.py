@@ -57,6 +57,9 @@ class ClusterConfig:
     l1_assoc: int = 4
     l1_hit_latency: int = 3
     l1_read_ports: int = 2
+    #: Not modelled: only loads are port-limited (``l1_read_ports``); stores
+    #: reach the cache without a port limit, and neither kernel reads this
+    #: field.  It stays because result-cache keys hash every field.
     l1_write_ports: int = 1
     l2_size_kb: int = 2048
     l2_assoc: int = 16
@@ -91,9 +94,12 @@ class ClusterConfig:
             "issue_int_width",
             "issue_fp_width",
             "issue_copy_width",
+            "regfile_int_size",
+            "regfile_fp_size",
             "lsq_size",
             "line_size",
             "l1_size_kb",
+            "l1_read_ports",
             "l2_size_kb",
             "memory_latency",
             "max_cycles",
@@ -101,19 +107,22 @@ class ClusterConfig:
         for field_name in positive_fields:
             if getattr(self, field_name) < 1:
                 raise ValueError(f"{field_name} must be positive")
-        if self.fetch_to_dispatch_latency < 0 or self.link_latency < 0:
-            raise ValueError("latencies must be non-negative")
+        non_negative_fields = (
+            "fetch_to_dispatch_latency",
+            "link_latency",
+            "l1_hit_latency",
+            "l2_hit_latency",
+            "mispredict_redirect_penalty",
+        )
+        for field_name in non_negative_fields:
+            if getattr(self, field_name) < 0:
+                raise ValueError(f"{field_name} must be non-negative")
         if self.num_clusters > 16:
             raise ValueError("at most 16 clusters are supported (register-location bitmask width)")
 
     def with_overrides(self, **kwargs) -> "ClusterConfig":
         """Return a copy of the configuration with the given fields replaced."""
         return replace(self, **kwargs)
-
-    @property
-    def issue_width_per_cluster(self) -> int:
-        """Total µops a cluster can issue per cycle (excluding copies)."""
-        return self.issue_int_width + self.issue_fp_width
 
 
 @register_machine("table2-2c")

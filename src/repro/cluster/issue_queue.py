@@ -63,11 +63,6 @@ class IssueQueues:
         #: Total ready µops across all queues (drives the idle-cycle skip).
         self.total_ready = 0
 
-    # -- capacity ------------------------------------------------------------------
-    def capacity(self, kind: IssueQueueKind) -> int:
-        """Total entries of a ``kind`` queue (same in every cluster)."""
-        return self._capacity[kind]
-
     # -- flat-state views (the vectorized kernel's borrow surface) -----------------
     def capacity_list(self) -> List[int]:
         """Per-kind queue capacities as a flat list indexed by kind (copy)."""
@@ -82,18 +77,14 @@ class IssueQueues:
 
         The vectorized kernel borrows this list and mutates it in place, so
         occupancy stays consistent between the kernel's own bookkeeping and
-        every :meth:`occupancy`/:meth:`free_entries` query (including the
-        steering context's) regardless of which kernel is running.
+        every :meth:`free_entries` query (including the steering context's)
+        regardless of which kernel is running.
         """
         return self._occupancy
 
     def issue_width(self, kind: IssueQueueKind) -> int:
         """Issue bandwidth of a ``kind`` queue per cycle."""
         return self._issue_width[kind]
-
-    def occupancy(self, cluster: int, kind: IssueQueueKind) -> int:
-        """Currently allocated entries of the ``kind`` queue of ``cluster``."""
-        return self._occupancy[cluster * _NUM_KINDS + kind]
 
     def free_entries(self, cluster: int, kind: IssueQueueKind) -> int:
         """Free entries of the ``kind`` queue of ``cluster``."""

@@ -80,7 +80,7 @@ def resolve_kernel(kernel: Optional[str] = None) -> str:
     """Resolve a kernel choice to one of :data:`KERNELS`.
 
     An explicit ``kernel`` argument wins (so parity tests can pin both sides
-    regardless of the environment); ``None``/``"auto"`` defers to
+    regardless of the environment); ``None`` defers to
     ``$REPRO_KERNEL`` when set and non-blank, and falls back to
     :data:`DEFAULT_KERNEL` otherwise.  Unknown values -- explicit or from the
     environment -- are rejected with an error naming every valid kernel (and
@@ -89,7 +89,7 @@ def resolve_kernel(kernel: Optional[str] = None) -> str:
     """
     choice = kernel
     from_env = False
-    if choice is None or choice == "auto":
+    if choice is None:
         env = os.environ.get(KERNEL_ENV)
         if env is not None and env.strip():
             choice = env.strip().lower()
@@ -100,8 +100,7 @@ def resolve_kernel(kernel: Optional[str] = None) -> str:
         source = f" (from ${KERNEL_ENV})" if from_env else ""
         valid = ", ".join(repr(name) for name in KERNELS)
         raise ValueError(
-            f"unknown simulation kernel {choice!r}{source}; "
-            f"valid kernels: {valid} (or 'auto')"
+            f"unknown simulation kernel {choice!r}{source}; valid kernels: {valid}"
         )
     return choice
 

@@ -34,11 +34,6 @@ class LoadStoreQueue:
         self.total_allocated = 0
 
     @property
-    def occupancy(self) -> int:
-        """Currently allocated entries."""
-        return self._occupancy
-
-    @property
     def free_entries(self) -> int:
         """Entries still available for dispatch."""
         return self.size - self._occupancy

@@ -83,24 +83,6 @@ class SimulationMetrics:
         """
         return self.total_allocation_stalls + self.steering_stalls
 
-    @property
-    def copies_per_committed_uop(self) -> float:
-        """Copy overhead normalised by useful work."""
-        return self.copies_generated / self.committed_uops if self.committed_uops else 0.0
-
-    @property
-    def workload_imbalance(self) -> float:
-        """Relative deviation of the busiest cluster from the mean dispatch load."""
-        if not self.cluster_dispatch or sum(self.cluster_dispatch) == 0:
-            return 0.0
-        mean = sum(self.cluster_dispatch) / len(self.cluster_dispatch)
-        return (max(self.cluster_dispatch) - mean) / mean if mean else 0.0
-
-    @property
-    def misprediction_rate(self) -> float:
-        """Fraction of branches flagged as mispredicted."""
-        return self.mispredictions / self.branches if self.branches else 0.0
-
     # -- invariants ----------------------------------------------------------------
     def check_invariants(self, trace, config) -> None:
         """Check the conservation laws of a finished run; raise on any breach.
@@ -158,10 +140,9 @@ class SimulationMetrics:
     def to_dict(self) -> Dict[str, object]:
         """Lossless, JSON-compatible dump of every counter.
 
-        Unlike :meth:`as_dict` (a flattened, report-friendly view with derived
-        quantities) this preserves the exact field values -- integer counters
-        stay integers -- so ``from_dict(to_dict(m)) == m`` holds bit-for-bit
-        even after a JSON round trip.  The experiment engine relies on this
+        It preserves the exact field values -- integer counters stay
+        integers -- so ``from_dict(to_dict(m)) == m`` holds bit-for-bit even
+        after a JSON round trip.  The experiment engine relies on this
         for cross-process result transport and on-disk caching.
         """
         # asdict() covers every dataclass field (deep-copying the lists and
@@ -213,29 +194,3 @@ class SimulationMetrics:
             raise ValueError(f"SimulationMetrics field 'cache' must map to numbers, got {cache!r}")
         kwargs["cache"] = dict(cache)
         return cls(**kwargs)
-
-    def as_dict(self) -> Dict[str, float]:
-        """Flatten the metrics into a report-friendly dictionary."""
-        out: Dict[str, float] = {
-            "cycles": float(self.cycles),
-            "committed_uops": float(self.committed_uops),
-            "ipc": self.ipc,
-            "copies_generated": float(self.copies_generated),
-            "copies_per_committed_uop": self.copies_per_committed_uop,
-            "steering_stalls": float(self.steering_stalls),
-            "rob_stalls": float(self.rob_stalls),
-            "lsq_stalls": float(self.lsq_stalls),
-            "mispredict_stalls": float(self.mispredict_stalls),
-            "total_allocation_stalls": float(self.total_allocation_stalls),
-            "balance_stalls": float(self.balance_stalls),
-            "workload_imbalance": self.workload_imbalance,
-            "branches": float(self.branches),
-            "mispredictions": float(self.mispredictions),
-            "vc_remaps": float(self.vc_remaps),
-        }
-        for cluster, value in enumerate(self.cluster_dispatch):
-            out[f"dispatch_cluster_{cluster}"] = float(value)
-        for cluster, value in enumerate(self.allocation_stalls):
-            out[f"alloc_stalls_cluster_{cluster}"] = float(value)
-        out.update(self.cache)
-        return out

@@ -123,11 +123,11 @@ class ClusteredProcessor(SteeringContext):
     kernel:
         Simulation kernel: ``"interpreter"`` (the original object-graph
         reference implementation), ``"vectorized"`` (the flat-state two-tier
-        kernel, bit-identical and several times faster) or
-        ``"auto"``/``None`` to follow ``$REPRO_KERNEL`` and the built-in
-        default.  The choice affects throughput only -- never metrics -- so
-        it is a processor knob, not a :class:`ClusterConfig` field (result
-        caches key on the config and must not fragment by kernel).
+        kernel, bit-identical and several times faster) or ``None`` to
+        follow ``$REPRO_KERNEL`` and the built-in default.  The choice
+        affects throughput only -- never metrics -- so it is a processor
+        knob, not a :class:`ClusterConfig` field (result caches key on the
+        config and must not fragment by kernel).
     """
 
     def __init__(

@@ -62,33 +62,19 @@ class RegisterLocationTable:
         Size of the architectural register namespace.
     num_clusters:
         Number of physical clusters (width of the location bitmask).
-    initial_cluster:
-        Cluster assumed to hold all live-in values at the start of the
-        simulation; ``None`` (the default) makes live-ins available in every
-        cluster, modelling a warmed-up machine where initial state has long
-        been broadcast.
+
+    Live-in values start available in every cluster, modelling a warmed-up
+    machine where initial state has long been broadcast.
     """
 
-    def __init__(
-        self,
-        num_registers: int,
-        num_clusters: int,
-        initial_cluster: Optional[int] = None,
-    ) -> None:
+    def __init__(self, num_registers: int, num_clusters: int) -> None:
         if num_registers < 1 or num_clusters < 1:
             raise ValueError("num_registers and num_clusters must be positive")
         self.num_registers = int(num_registers)
         self.num_clusters = int(num_clusters)
-        if initial_cluster is None:
-            initial_mask = (1 << num_clusters) - 1
-            home = 0
-        else:
-            if not 0 <= initial_cluster < num_clusters:
-                raise ValueError("initial_cluster out of range")
-            initial_mask = 1 << initial_cluster
-            home = initial_cluster
+        every_cluster = (1 << num_clusters) - 1
         self._values: List[Value] = [
-            Value(producer=None, home_cluster=home, ready_mask=initial_mask)
+            Value(producer=None, home_cluster=0, ready_mask=every_cluster)
             for _ in range(self.num_registers)
         ]
 

@@ -56,24 +56,11 @@ class ReorderBuffer:
         """Oldest in-flight µop (next to commit), or ``None``."""
         return self._entries[0] if self._entries else None
 
-    def commit_ready(self, width: int, is_completed) -> List[object]:
+    def commit_completed(self, width: int) -> List[object]:
         """Retire up to ``width`` completed µops from the head, in order.
 
-        ``is_completed`` is a predicate applied to each head entry; retirement
-        stops at the first incomplete µop, preserving in-order semantics.
-        """
-        retired: List[object] = []
-        while self._entries and len(retired) < width and is_completed(self._entries[0]):
-            retired.append(self._entries.popleft())
-        return retired
-
-    def commit_completed(self, width: int) -> List[object]:
-        """Retire up to ``width`` entries whose ``completed`` attribute is set.
-
-        Specialisation of :meth:`commit_ready` for records that expose a
-        ``completed`` attribute: the per-head predicate call is measurable in
-        the commit stage's profile, so the common case reads the attribute
-        directly.  Retirement order and stop condition are identical.
+        Retirement stops at the first entry whose ``completed`` attribute is
+        not set, preserving in-order semantics.
         """
         entries = self._entries
         retired: List[object] = []

@@ -215,10 +215,6 @@ class BisectOutcome:
     num_points: int
 
     @property
-    def evaluated(self) -> Tuple[int, ...]:
-        return tuple(index for index, _ in self.path)
-
-    @property
     def skipped(self) -> int:
         return self.num_points - len(self.path)
 

@@ -24,7 +24,7 @@ memo.  This module makes a compiled trace a process-shared resource instead:
     registry itself holds one resident reference (so segments stay warm
     across ``run()`` calls -- the whole point), every in-flight worker task
     holds one more, and a segment is closed *and unlinked* exactly when its
-    count reaches zero (``discard``/``close``).  A :mod:`weakref` finalizer
+    count reaches zero (``release``/``close``).  A :mod:`weakref` finalizer
     backstops ``close()`` so a dropped runner cannot leak ``/dev/shm``
     blocks.
 
@@ -41,7 +41,7 @@ parent (and spam spurious leak warnings).
 Lifetime invariant
 ------------------
 Only the creating process ever unlinks a segment, and it does so exactly
-once: on the last ``release``/``discard``/``close``.  Workers only ever
+once: on the last ``release``/``close``.  Workers only ever
 ``close`` their own mapping.  On Linux an unlink while workers are still
 attached is benign (the kernel keeps the memory alive until the last map
 closes), so parent-side cleanup never races worker-side use.
@@ -300,7 +300,7 @@ class SegmentRegistry:
 
     ``publish`` installs a segment with one *resident* reference held by the
     registry (segments stay warm across runs until evicted past
-    ``max_resident``, :meth:`discard`-ed or :meth:`close`-d);
+    ``max_resident``, :meth:`release`-d or :meth:`close`-d);
     ``acquire``/``release`` bracket each in-flight worker task.  The count
     reaching zero closes *and unlinks* the segment -- exactly once, and only
     here.
@@ -408,10 +408,6 @@ class SegmentRegistry:
             self.stats["unlinked"] += 1
         else:
             self._entries[trace_key] = (segment, refs)
-
-    def discard(self, trace_key: str) -> None:
-        """Drop the resident reference (same zero-count unlink rule)."""
-        self.release(trace_key)
 
     def close(self) -> None:
         """Unlink every remaining segment, whatever its count (idempotent)."""

@@ -43,12 +43,8 @@ class Chain:
 
     chain_id: int
     vc_id: int
+    #: DDG node indices in program order; the first is the chain leader.
     nodes: List[int] = field(default_factory=list)
-
-    @property
-    def leader(self) -> int:
-        """DDG node index of the chain leader (first node of the chain)."""
-        return self.nodes[0]
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -101,11 +97,3 @@ def identify_chains(
             chains.append(open_chain[vc])
         open_chain[vc].nodes.append(node)
     return chains, leaders
-
-
-def chain_length_histogram(chains: Sequence[Chain]) -> Dict[int, int]:
-    """Histogram of chain lengths (length -> count); useful for reports and tests."""
-    histogram: Dict[int, int] = {}
-    for chain in chains:
-        histogram[len(chain)] = histogram.get(len(chain), 0) + 1
-    return histogram

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from itertools import accumulate, chain, repeat
 from operator import lt
-from typing import TYPE_CHECKING, Callable, Dict, Hashable, List, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Hashable, List, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.program.program import Program
@@ -72,25 +72,6 @@ class DataDependenceGraph:
     def num_edges(self) -> int:
         """Number of dependence edges."""
         return len(self.pred_nodes)
-
-    @property
-    def edge_latency(self) -> Dict[Tuple[int, int], int]:
-        """The edges as ``{(producer, consumer): latency}`` in edge order, built per call."""
-        return dict(zip(zip(self.pred_nodes, self.edge_consumers), self.edge_latencies))
-
-    def predecessors(self, node: int) -> List[int]:
-        """The producers ``node`` depends on."""
-        return self.pred_nodes[self.pred_start[node] : self.pred_start[node + 1]]
-
-    def roots(self) -> List[int]:
-        """Nodes with no predecessors (region live-in consumers or constants)."""
-        start = self.pred_start
-        return [i for i in range(len(self)) if start[i] == start[i + 1]]
-
-    def leaves(self) -> List[int]:
-        """Nodes with no successors inside the region."""
-        producers = set(self.pred_nodes)
-        return [i for i in range(len(self)) if i not in producers]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"DataDependenceGraph(nodes={len(self)}, edges={self.num_edges})"

@@ -46,7 +46,7 @@ REPORT_KINDS = Registry("report kind", builtin_modules=("repro.scenarios.adaptiv
 def run_scenario(
     spec: ScenarioSpec,
     engine: Optional[ParallelRunner] = None,
-    adaptive: Optional[bool] = None,
+    adaptive: bool = True,
 ) -> str:
     """Execute ``spec`` and return its report text.
 
@@ -60,15 +60,14 @@ def run_scenario(
         cache across scenarios).  The caller owns it and shuts it down.
         Defaults to a serial, uncached engine.
     adaptive:
-        Override the spec's :class:`~repro.scenarios.spec.StoppingRule`
-        enablement (the CLI's ``--adaptive`` / ``--no-adaptive``): ``False``
-        runs the exhaustive grid and *replays* the stopping decisions
-        (byte-identical report, every run paid for), ``True`` forces early
-        stopping on, ``None`` (default) leaves the spec's declaration as
-        is.  Ignored for scenarios without a stopping rule.
+        ``False`` (the CLI's ``--no-adaptive``) turns the spec's
+        :class:`~repro.scenarios.spec.StoppingRule` off: the run executes the
+        exhaustive grid and *replays* the stopping decisions (byte-identical
+        report, every run paid for).  ``True`` (default) leaves the spec's
+        declaration as is.  Ignored for scenarios without a stopping rule.
     """
-    if adaptive is not None and spec.stopping is not None:
-        spec = replace(spec, stopping=replace(spec.stopping, enabled=adaptive))
+    if not adaptive and spec.stopping is not None:
+        spec = replace(spec, stopping=replace(spec.stopping, enabled=False))
     handler = REPORT_KINDS.get(spec.report)
     return handler(spec, engine if engine is not None else ParallelRunner())
 

@@ -102,16 +102,6 @@ class SteeringHardware:
     copy_generator: bool = False
     mapping_table_entries: int = 0
 
-    def as_dict(self) -> dict:
-        """Flat dictionary used by the complexity model and reports."""
-        return {
-            "dependence_check": self.dependence_check,
-            "workload_balance_management": self.workload_counters,
-            "vote_unit": self.vote_unit,
-            "copy_generator": self.copy_generator,
-            "mapping_table_entries": self.mapping_table_entries,
-        }
-
 
 class SteeringContext(abc.ABC):
     """What the steering unit can observe about the machine at dispatch time."""

@@ -25,7 +25,7 @@ __getattr__, __dir__, __all__ = lazy_exports(
     __name__,
     {
         ".compiled": ("NO_ANNOTATION", "CompiledTrace", "CompiledUopView"),
-        ".encoding": ("SteeringAnnotation", "encode_annotation", "decode_annotation"),
+        ".encoding": ("SteeringAnnotation", "encode_annotation"),
         ".opcodes": (
             "UopClass",
             "IssueQueueKind",
@@ -38,6 +38,6 @@ __getattr__, __dir__, __all__ = lazy_exports(
             "FP_OPCODES",
             "MEM_OPCODES",
         ),
-        ".registers": ("RegisterSpace", "RegisterKind"),
+        ".registers": ("RegisterSpace",),
     },
 )

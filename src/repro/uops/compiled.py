@@ -302,15 +302,6 @@ class CompiledTrace:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"CompiledTrace({len(self)} µops, {int(self.src_offsets[-1])} source operands)"
 
-    def equals(self, other: "CompiledTrace") -> bool:
-        """Array-for-array equality of the stored columns."""
-        if not isinstance(other, CompiledTrace) or len(self) != len(other):
-            return False
-        return all(
-            np.array_equal(getattr(self, name), getattr(other, name))
-            for name in self.STORED_FIELDS
-        )
-
     # --------------------------------------------------------- hot-path caches --
     def memo(self, key: Hashable, build: Callable[[], object]) -> object:
         """The value stored on this trace under ``key``; ``build()`` makes it once.

@@ -5,10 +5,10 @@ cluster id assigned at compile time, together with the chain-leader mark, can
 be passed to the hardware.  We model that extension explicitly:
 
 * :class:`SteeringAnnotation` is the logical content of the extension,
-* :func:`encode_annotation` / :func:`decode_annotation` pack it into a small
-  integer exactly as an instruction prefix would, which lets the tests verify
-  that the information the hardware needs fits in a handful of bits (the
-  complexity argument of the paper relies on the annotation being tiny).
+* :func:`encode_annotation` packs it into a small integer exactly as an
+  instruction prefix would, which lets the tests verify that the information
+  the hardware needs fits in a handful of bits (the complexity argument of
+  the paper relies on the annotation being tiny).
 
 Encoding layout (least-significant bits first)::
 
@@ -82,16 +82,3 @@ def encode_annotation(annotation: SteeringAnnotation) -> int:
     word |= vc << 2
     word |= pc_field << 6
     return word
-
-
-def decode_annotation(word: int) -> SteeringAnnotation:
-    """Unpack an annotation previously produced by :func:`encode_annotation`."""
-    if word < 0 or word >= (1 << ANNOTATION_BITS):
-        raise ValueError(f"annotation word {word} out of range")
-    if word & 1 == 0:
-        return SteeringAnnotation()
-    chain_leader = bool((word >> 1) & 1)
-    vc_id = (word >> 2) & 0xF
-    pc_field = (word >> 6) & 0xF
-    static_cluster = pc_field - 1 if pc_field > 0 else None
-    return SteeringAnnotation(vc_id=vc_id, chain_leader=chain_leader, static_cluster=static_cluster)

@@ -2,9 +2,8 @@
 
 The compiler substrate and the simulator share a flat integer register
 namespace.  Integer registers occupy ids ``[0, num_int)`` and floating-point
-registers occupy ids ``[num_int, num_int + num_fp)``.  A small
-:class:`RegisterSpace` object provides allocation helpers for the synthetic
-program generator and classification helpers for the rename/steering logic.
+registers occupy ids ``[num_int, num_int + num_fp)``, as described by a
+small :class:`RegisterSpace` object.
 
 The physical register files of each cluster (256 INT + 256 FP entries in
 Table 2) are modelled in :mod:`repro.cluster.regfile`; this module only covers
@@ -13,15 +12,7 @@ the *architectural* registers named by instructions.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
-
-
-class RegisterKind(enum.IntEnum):
-    """Architectural register kind."""
-
-    INT = 0
-    FP = 1
 
 
 @dataclass(frozen=True)
@@ -50,38 +41,6 @@ class RegisterSpace:
     def total(self) -> int:
         """Total number of architectural registers."""
         return self.num_int + self.num_fp
-
-    def int_register(self, index: int) -> int:
-        """Return the register id of integer register ``index``."""
-        if not 0 <= index < self.num_int:
-            raise ValueError(f"integer register index {index} out of range [0, {self.num_int})")
-        return index
-
-    def fp_register(self, index: int) -> int:
-        """Return the register id of floating-point register ``index``."""
-        if not 0 <= index < self.num_fp:
-            raise ValueError(f"fp register index {index} out of range [0, {self.num_fp})")
-        return self.num_int + index
-
-    def kind_of(self, reg: int) -> RegisterKind:
-        """Return the :class:`RegisterKind` of register id ``reg``."""
-        if not 0 <= reg < self.total:
-            raise ValueError(f"register id {reg} out of range [0, {self.total})")
-        return RegisterKind.INT if reg < self.num_int else RegisterKind.FP
-
-    def is_int(self, reg: int) -> bool:
-        """True if ``reg`` is an integer register."""
-        return self.kind_of(reg) == RegisterKind.INT
-
-    def is_fp(self, reg: int) -> bool:
-        """True if ``reg`` is a floating-point register."""
-        return self.kind_of(reg) == RegisterKind.FP
-
-    def name(self, reg: int) -> str:
-        """Human-readable name (``R7`` / ``F3``) for register id ``reg``."""
-        if self.kind_of(reg) == RegisterKind.INT:
-            return f"R{reg}"
-        return f"F{reg - self.num_int}"
 
 
 #: Register space shared by the synthetic workloads and the examples.

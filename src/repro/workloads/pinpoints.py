@@ -16,7 +16,7 @@ is a harness parameter, not a property of this module.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import List, Sequence
 
 from repro.workloads.profile import BenchmarkProfile, phase_seed
 
@@ -84,8 +84,3 @@ def weighted_average(values: Sequence[float], points: Sequence[SimulationPoint])
     if total_weight <= 0:
         raise ValueError("simulation point weights must sum to a positive value")
     return float(sum(v * p.weight for v, p in zip(values, points)) / total_weight)
-
-
-def weights_by_phase(points: Sequence[SimulationPoint]) -> Dict[int, float]:
-    """Return a ``phase -> weight`` mapping for convenience."""
-    return {p.phase: p.weight for p in points}

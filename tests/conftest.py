@@ -56,6 +56,34 @@ def block_ddg(instructions):
     return build_ddg(make_program(instructions), range(len(instructions)))
 
 
+def edge_latency(ddg):
+    """``ddg``'s edges as ``{(producer, consumer): latency}``, in edge order."""
+    return dict(zip(zip(ddg.pred_nodes, ddg.edge_consumers), ddg.edge_latencies))
+
+
+def predecessors(ddg, node):
+    """The producers ``node`` depends on, read from ``ddg``'s CSR arrays."""
+    return ddg.pred_nodes[ddg.pred_start[node] : ddg.pred_start[node + 1]]
+
+
+def leaves(ddg):
+    """Nodes of ``ddg`` with no successor inside the region."""
+    producers = set(ddg.pred_nodes)
+    return [node for node in range(len(ddg)) if node not in producers]
+
+
+def critical_nodes(info):
+    """The nodes a :class:`CriticalityInfo` puts on some critical path."""
+    return [i for i, c in enumerate(info.criticality) if c == info.critical_path_length]
+
+
+def traces_equal(a, b):
+    """Column-for-column equality of two compiled traces' stored fields."""
+    return len(a) == len(b) and all(
+        np.array_equal(getattr(a, name), getattr(b, name)) for name in CompiledTrace.STORED_FIELDS
+    )
+
+
 def make_trace(
     instructions,
     addresses=None,

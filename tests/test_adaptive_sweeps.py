@@ -333,7 +333,7 @@ class TestRunBisection:
         # 2 endpoint probes + O(log n) bisection steps, never the full grid.
         assert len(calls) <= 2 + math.ceil(math.log2(num_points))
         assert outcome.skipped == num_points - len(calls)
-        assert outcome.evaluated == tuple(calls)
+        assert [index for index, _ in outcome.path] == calls
 
     def test_no_sign_change_stops_at_the_endpoints(self):
         probe, calls = self.probe_with_threshold(10**9)  # never crosses
@@ -344,7 +344,7 @@ class TestRunBisection:
 
     def test_single_point_axis(self):
         outcome = run_bisection(1, lambda index: -1.0)
-        assert outcome.bracket is None and outcome.evaluated == (0,)
+        assert outcome.bracket is None and [index for index, _ in outcome.path] == [0]
 
     def test_zero_points_rejected(self):
         with pytest.raises(ValueError, match="at least one axis point"):

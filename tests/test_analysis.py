@@ -7,11 +7,10 @@ from hypothesis import given, settings, strategies as st
 
 from repro.analysis.criticality import compute_criticality
 from repro.analysis.slack import compute_slack
-from repro.analysis.stats import ddg_statistics, program_statistics
 from repro.partition.ob_partitioner import OperationBasedPartitioner
 from repro.partition.vc_partitioner import VirtualClusterPartitioner
 from repro.uops.opcodes import UopClass, latency_of
-from tests.conftest import block_ddg, make_instruction
+from tests.conftest import block_ddg, critical_nodes, edge_latency, make_instruction
 
 
 def chain_ddg(length, opclass=UopClass.INT_ALU):
@@ -30,7 +29,7 @@ class TestCriticality:
         assert info.depth == (0, latency, 2 * latency, 3 * latency)
         assert info.height == (4 * latency, 3 * latency, 2 * latency, latency)
         # Every node of a serial chain is critical.
-        assert info.critical_nodes() == [0, 1, 2, 3]
+        assert critical_nodes(info) == [0, 1, 2, 3]
         assert info.critical_path_length == 4 * latency
 
     def test_independent_nodes_have_zero_depth(self, two_chain_block):
@@ -49,12 +48,21 @@ class TestCriticality:
             make_instruction(UopClass.INT_ALU, dests=(12,), srcs=(10,)),
         ]
         info = compute_criticality(block_ddg(instructions))
-        assert info.is_critical(0)
-        assert not info.is_critical(1)
+        assert critical_nodes(info) == [0, 2]
 
     def test_empty_ddg(self):
         info = compute_criticality(block_ddg([]))
         assert info.critical_path_length == 0
+
+    @settings(max_examples=25, deadline=None)
+    @given(length=st.integers(min_value=1, max_value=40))
+    def test_criticality_bounds_property(self, length):
+        """depth+height of every node is bounded by the critical path and at least its latency."""
+        ddg = chain_ddg(length)
+        info = compute_criticality(ddg)
+        for node in range(length):
+            assert info.criticality[node] <= info.critical_path_length
+            assert info.height[node] >= ddg.latencies[node]
 
 
 class TestSlack:
@@ -82,7 +90,7 @@ class TestSlack:
             make_instruction(UopClass.INT_ALU, dests=(12,), srcs=(10, 11)),
         ]
         ddg = block_ddg(instructions)
-        weight = dict(zip(ddg.edge_latency, compute_slack(ddg).edge_weights()))
+        weight = dict(zip(edge_latency(ddg), compute_slack(ddg).edge_weights()))
         assert weight[(0, 2)] >= weight[(1, 2)] >= 1
 
     def test_node_weight_is_unit(self):
@@ -138,45 +146,3 @@ class TestCompletionTimeEstimator:
             VirtualClusterPartitioner(2, issue_width=0)
         with pytest.raises(ValueError):
             OperationBasedPartitioner(2, issue_width=0)
-
-
-class TestStats:
-    def test_serial_chain_ilp_is_low(self):
-        stats = ddg_statistics(chain_ddg(8))
-        assert stats.ilp == pytest.approx(8 / (8 * latency_of(UopClass.INT_ALU)))
-        assert stats.critical_fraction == 1.0
-
-    def test_parallel_chains_have_higher_ilp(self, two_chain_block):
-        stats = ddg_statistics(block_ddg(two_chain_block))
-        serial = ddg_statistics(chain_ddg(6))
-        assert stats.ilp > serial.ilp
-
-    def test_empty_ddg_statistics(self):
-        stats = ddg_statistics(block_ddg([]))
-        assert stats.num_nodes == 0 and stats.ilp == 0.0
-
-    def test_program_statistics_fields(self, tiny_program):
-        stats = program_statistics(tiny_program)
-        for key in (
-            "num_blocks",
-            "num_instructions",
-            "mean_block_size",
-            "fp_fraction",
-            "memory_fraction",
-            "branch_fraction",
-            "mean_block_ilp",
-            "mean_critical_path",
-        ):
-            assert key in stats
-        assert stats["num_blocks"] == 2
-        assert 0 <= stats["memory_fraction"] <= 1
-
-    @settings(max_examples=25, deadline=None)
-    @given(length=st.integers(min_value=1, max_value=40))
-    def test_criticality_bounds_property(self, length):
-        """depth+height of every node is bounded by the critical path and at least its latency."""
-        ddg = chain_ddg(length)
-        info = compute_criticality(ddg)
-        for node in range(length):
-            assert info.criticality[node] <= info.critical_path_length
-            assert info.height[node] >= ddg.latencies[node]

@@ -193,7 +193,7 @@ class TestFooterConsistency:
 
 
 class TestAdaptiveOptions:
-    """The --adaptive/--no-adaptive flags and the [adaptive] footer."""
+    """The --no-adaptive flag and the [adaptive] footer."""
 
     #: A small adaptive race scenario, written to disk per test.
     RACE_SPEC = {
@@ -215,11 +215,16 @@ class TestAdaptiveOptions:
         path.write_text(json.dumps(self.RACE_SPEC), encoding="utf-8")
         return str(path)
 
-    def test_flags_parse_and_default_to_the_spec(self):
+    def test_flag_parses_and_defaults_to_the_spec(self):
         parser = build_parser()
-        assert parser.parse_args(["run", "quickstart"]).adaptive is None
-        assert parser.parse_args(["run", "quickstart", "--adaptive"]).adaptive is True
+        assert parser.parse_args(["run", "quickstart"]).adaptive is True
         assert parser.parse_args(["run", "quickstart", "--no-adaptive"]).adaptive is False
+
+    def test_forcing_adaptive_on_is_not_an_option(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", self._write_spec(tmp_path), "--no-cache", "--adaptive"])
+        assert exc.value.code == 2
+        assert "--adaptive" in capsys.readouterr().err
 
     def test_adaptive_footer_reports_the_savings(self, capsys, tmp_path, monkeypatch):
         monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
@@ -263,6 +268,40 @@ class TestAdaptiveOptions:
                 "--no-cache"]
         assert main(argv) == 0
         assert "[adaptive]" not in capsys.readouterr().out
+
+
+class TestMachineLimitGuard:
+    """A machine override no simulation can run fails at validation.
+
+    With ``regfile_int_size=0`` or ``l1_read_ports=0`` both kernels used to
+    spin to ``max_cycles`` (8-28 s on a 300-µop trace) before reporting a
+    "possible deadlock"; ``l1_hit_latency=-1`` ran silently.
+    """
+
+    @pytest.mark.parametrize(
+        "field_name,value", [("regfile_int_size", 0), ("l1_read_ports", 0), ("l1_hit_latency", -1)]
+    )
+    def test_override_fails_naming_the_field(self, tmp_path, monkeypatch, field_name, value):
+        import json
+
+        monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
+        path = tmp_path / "bad_machine.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "name": "bad-machine",
+                    "report": "table",
+                    "machine": {"preset": "table2-2c", "overrides": {field_name: value}},
+                    "benchmarks": ["164.gzip-1"],
+                    "configurations": [{"name": "OP", "policy": "OP"}],
+                    "trace_length": 300,
+                    "max_phases": 1,
+                }
+            ),
+            encoding="utf-8",
+        )
+        with pytest.raises(SystemExit, match=f"invalid scenario.*{field_name}"):
+            main(["run", str(path), "--no-cache"])
 
 
 class TestCacheDirResolution:

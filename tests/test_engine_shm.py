@@ -54,6 +54,7 @@ from repro.program.program import Program
 from repro.uops.compiled import CompiledTrace
 from repro.uops.opcodes import UopClass
 from repro.workloads.generator import WorkloadGenerator
+from tests.conftest import traces_equal
 
 pytestmark = pytest.mark.skipif(
     not shared_memory_available(), reason="multiprocessing.shared_memory unavailable"
@@ -146,7 +147,7 @@ class TestSegmentRoundTrip:
             attached = SharedTraceSegment.attach(segment.name)
             try:
                 rebuilt_program, rebuilt = attached.load()
-                assert compiled.equals(rebuilt)
+                assert traces_equal(compiled, rebuilt)
                 assert _program_columns(rebuilt_program) == _program_columns(program)
                 assert rebuilt_program.name == program.name
                 # The program's columns are read-only copies of the block,
@@ -188,7 +189,7 @@ class TestSegmentRoundTrip:
             try:
                 rebuilt_program, rebuilt = attached.load()
                 assert _program_columns(rebuilt_program) == _program_columns(program)
-                assert compiled.equals(rebuilt)
+                assert traces_equal(compiled, rebuilt)
             finally:
                 attached.close()
         finally:
@@ -307,7 +308,7 @@ class TestSegmentRegistry:
         assert not _segment_is_gone(name)  # task ref + resident ref remain
         registry.release("k")
         assert not _segment_is_gone(name)  # resident ref remains
-        registry.discard("k")
+        registry.release("k")
         assert _segment_is_gone(name)
         assert registry.stats["unlinked"] == 1
         assert len(registry) == 0
@@ -407,9 +408,9 @@ class TestSegmentLoads:
             first = registry.publish(key, self._generate(job)).name
             expected = _execute_segment_batch([job], first, 2)["dumps"]
             assert (None, key) in _TRACE_MEMO
-            registry.discard(key)
+            registry.release(key)
             second = registry.publish(key, self._generate(job)).name
-            registry.discard(key)
+            registry.release(key)
             assert second != first and _segment_is_gone(first) and _segment_is_gone(second)
             assert _execute_segment_batch([job], second, 2)["dumps"] == expected
         finally:
@@ -689,7 +690,7 @@ class TestRunnerLifecycle:
             keys = sorted({job.trace_key() for job in jobs})
             assert len(calls) == 2 and len(registry) == len(keys)
             for key in keys:
-                registry.discard(key)
+                registry.release(key)
             assert len(registry) == 0
             assert registry.stats["unlinked"] == len(keys)
         finally:
@@ -710,7 +711,7 @@ class TestRunnerLifecycle:
             stream.close()
             registry = runner._segment_registry()
             for key in sorted({job.trace_key() for job in jobs}):
-                registry.discard(key)
+                registry.release(key)
             assert len(registry) == 0
             results = [m.to_dict() for m in runner.run(jobs)]
         finally:

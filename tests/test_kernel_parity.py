@@ -68,7 +68,6 @@ class TestResolveKernel:
     def test_default(self, monkeypatch):
         monkeypatch.delenv(KERNEL_ENV, raising=False)
         assert resolve_kernel() == DEFAULT_KERNEL
-        assert resolve_kernel("auto") == DEFAULT_KERNEL
 
     def test_explicit_wins_over_env(self, monkeypatch):
         monkeypatch.setenv(KERNEL_ENV, "vectorized")
@@ -77,7 +76,6 @@ class TestResolveKernel:
     def test_env_applies_when_unpinned(self, monkeypatch):
         monkeypatch.setenv(KERNEL_ENV, "interpreter")
         assert resolve_kernel() == "interpreter"
-        assert resolve_kernel("auto") == "interpreter"
 
     def test_env_is_stripped_and_lowered(self, monkeypatch):
         monkeypatch.setenv(KERNEL_ENV, "  INTERPRETER \t")
@@ -89,9 +87,10 @@ class TestResolveKernel:
             assert resolve_kernel() == DEFAULT_KERNEL
 
     def test_unknown_kernel_rejected(self, monkeypatch):
-        valid = r"valid kernels: 'interpreter', 'vectorized' \(or 'auto'\)$"
-        # The retired third kernel's name is an unknown kernel like any other.
-        for bad in ("turbo", "vectorized" + "-jit"):
+        valid = r"valid kernels: 'interpreter', 'vectorized'$"
+        # The retired third kernel's name, and "auto" (the retired spelling
+        # of None), are unknown kernels like any other.
+        for bad in ("turbo", "auto", "vectorized" + "-jit"):
             monkeypatch.delenv(KERNEL_ENV, raising=False)
             with pytest.raises(ValueError, match=valid):
                 resolve_kernel(bad)
@@ -199,7 +198,7 @@ def _run_all_modes(compiled, policy_factory, config):
             processor.idle_skip = idle_skip
             metrics = processor.run(compiled)
             metrics.check_invariants(compiled, config)
-            results[(kernel, idle_skip)] = metrics.as_dict()
+            results[(kernel, idle_skip)] = metrics.to_dict()
     return results
 
 
@@ -351,7 +350,7 @@ def _run_lowered_mode(compiled, policy_factory, config, kernel, fused):
     processor.fused_steering = fused
     metrics = processor.run(compiled)
     metrics.check_invariants(compiled, config)
-    return metrics.as_dict(), policy
+    return metrics.to_dict(), policy
 
 
 def _policy_state(policy):
@@ -451,13 +450,13 @@ class TestMidTraceFallback:
         reference = [
             ClusteredProcessor(config, policy, kernel="interpreter")
             .run(compiled)
-            .as_dict()
+            .to_dict()
             for policy in self._policies()
         ]
         policies = self._policies()
         processor = ClusteredProcessor(config, policies[0], kernel="vectorized")
         processor.bind(compiled)
-        batch = [processor.run_bound(policy).as_dict() for policy in policies]
+        batch = [processor.run_bound(policy).to_dict() for policy in policies]
         assert batch == reference
 
 
@@ -466,7 +465,7 @@ class TestSimulateTraceKernelKnob:
         _, trace = small_trace
         a = simulate_trace(trace, OccupancyAwareSteering(), kernel="interpreter")
         b = simulate_trace(trace, OccupancyAwareSteering(), kernel="vectorized")
-        assert a.as_dict() == b.as_dict()
+        assert a.to_dict() == b.to_dict()
 
 
 class TestTinyCacheParity:

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.partition import base
 from repro.partition.base import PartitionReport, program_regions, region_ddg
-from repro.partition.chains import chain_length_histogram, identify_chains
+from repro.partition.chains import identify_chains
 from repro.partition.multilevel import MultilevelPartitioner, PartitionObjective
 from repro.partition.ob_partitioner import OperationBasedPartitioner
 from repro.partition.rhop_partitioner import RhopPartitioner
@@ -18,7 +18,7 @@ from repro.program.program import pack, unpack
 from repro.scenarios.registry import PARTITIONERS, build_partitioner
 from repro.workloads.generator import WorkloadGenerator, generate_program
 from repro.workloads.spec2000 import all_trace_names, profile_for
-from tests.conftest import block_ddg, make_instruction, program_bytes
+from tests.conftest import block_ddg, edge_latency, make_instruction, predecessors, program_bytes
 
 
 def figure3_ddg():
@@ -48,7 +48,7 @@ class TestChains:
         assert leaders == [True, True, False, False, True, False]
         assert len(chains) == 3
         # The chain led by E contains F (same virtual cluster, dependent).
-        e_chain = [c for c in chains if c.leader == 4][0]
+        e_chain = [c for c in chains if c.nodes[0] == 4][0]
         assert 5 in e_chain.nodes
 
     def test_every_node_belongs_to_exactly_one_chain(self):
@@ -69,12 +69,6 @@ class TestChains:
         with pytest.raises(ValueError):
             identify_chains(ddg, assignment[:-1])
 
-    def test_chain_length_histogram(self):
-        ddg, assignment = figure3_ddg()
-        chains, _ = identify_chains(ddg, assignment)
-        histogram = chain_length_histogram(chains)
-        assert sum(length * count for length, count in histogram.items()) == len(ddg)
-
     def test_single_vc_has_single_leader_per_independent_chain(self, two_chain_block):
         ddg = block_ddg(two_chain_block)
         chains, leaders = identify_chains(ddg, [0] * len(ddg))
@@ -88,14 +82,14 @@ class TestMultilevelPartitioner:
         ddg = block_ddg(two_chain_block)
         partitioner = MultilevelPartitioner(2)
         weights = [1] * len(ddg)
-        edges = {edge: 10 for edge in ddg.edge_latency}
+        edges = {edge: 10 for edge in edge_latency(ddg)}
         assignment = partitioner.partition(weights, edges)
         assert set(assignment) == {0, 1}
 
     def test_independent_chains_not_split(self, two_chain_block):
         ddg = block_ddg(two_chain_block)
         partitioner = MultilevelPartitioner(2)
-        edges = {edge: 10 for edge in ddg.edge_latency}
+        edges = {edge: 10 for edge in edge_latency(ddg)}
         assignment = partitioner.partition([1] * len(ddg), edges)
         # No dependence edge should be cut: the two chains are separable.
         for u, v in edges:
@@ -217,7 +211,7 @@ class TestVirtualClusterPartitioner:
             for node, sid in enumerate(ddg.sids):
                 if report.chain_leader[sid]:
                     same_vc_preds = [
-                        p for p in ddg.predecessors(node) if vc_of[ddg.sids[p]] == vc_of[sid]
+                        p for p in predecessors(ddg, node) if vc_of[ddg.sids[p]] == vc_of[sid]
                     ]
                     assert not same_vc_preds
 

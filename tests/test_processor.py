@@ -59,7 +59,7 @@ class TestBasicExecution:
         b = simulate_trace(trace, OccupancyAwareSteering(), fast_config())
         assert a.cycles == b.cycles
         assert a.copies_generated == b.copies_generated
-        assert a.as_dict() == b.as_dict()
+        assert a.to_dict() == b.to_dict()
 
     def test_serial_chain_takes_at_least_chain_latency(self):
         trace = straight_line_trace(60, dependent=True)

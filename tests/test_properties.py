@@ -23,7 +23,14 @@ from repro.steering.one_cluster import OneClusterSteering
 from repro.steering.static_follow import StaticAssignmentSteering
 from repro.steering.virtual_cluster import VirtualClusterSteering
 from repro.uops.opcodes import UopClass
-from tests.conftest import block_ddg, make_instruction, make_trace
+from tests.conftest import (
+    block_ddg,
+    critical_nodes,
+    edge_latency,
+    make_instruction,
+    make_trace,
+    predecessors,
+)
 
 # ---------------------------------------------------------------------------
 # Strategies
@@ -75,7 +82,7 @@ class TestDDGProperties:
     @given(instructions=instruction_sequences())
     def test_ddg_edges_respect_program_order(self, instructions):
         ddg = block_ddg(instructions)
-        for producer, consumer in ddg.edge_latency:
+        for producer, consumer in edge_latency(ddg):
             assert producer < consumer
 
     @common_settings
@@ -85,7 +92,7 @@ class TestDDGProperties:
         # can close: program order is a topological order.
         ddg = block_ddg(instructions)
         for node in range(len(ddg)):
-            assert all(producer < node for producer in ddg.predecessors(node))
+            assert all(producer < node for producer in predecessors(ddg, node))
         assert all(p < c for p, c in zip(ddg.pred_nodes, ddg.edge_consumers))
 
     @common_settings
@@ -93,12 +100,13 @@ class TestDDGProperties:
     def test_criticality_consistency(self, instructions):
         ddg = block_ddg(instructions)
         info = compute_criticality(ddg)
+        latency = edge_latency(ddg)
         for node in range(len(ddg)):
             assert info.criticality[node] == info.depth[node] + info.height[node]
             assert info.height[node] >= ddg.latencies[node]
             assert info.criticality[node] <= info.critical_path_length
-            for pred in ddg.predecessors(node):
-                assert info.depth[node] >= info.depth[pred] + ddg.edge_latency[(pred, node)]
+            for pred in predecessors(ddg, node):
+                assert info.depth[node] >= info.depth[pred] + latency[(pred, node)]
 
     @common_settings
     @given(instructions=instruction_sequences())
@@ -107,7 +115,7 @@ class TestDDGProperties:
         slack = compute_slack(ddg)
         assert all(s >= 0 for s in slack.node_slack)
         assert all(s >= 0 for s in slack.edge_slack)
-        critical = slack.criticality.critical_nodes()
+        critical = critical_nodes(slack.criticality)
         assert critical, "every non-empty DDG has at least one critical node"
         assert all(slack.node_slack[node] == 0 for node in critical)
 
@@ -136,7 +144,7 @@ class TestPartitionProperties:
         assert nodes == list(range(len(ddg)))
         assert sum(leaders) == len(chains)
         for chain in chains:
-            assert leaders[chain.leader]
+            assert leaders[chain.nodes[0]]
             assert all(assignment[node] == chain.vc_id for node in chain.nodes)
 
     @common_settings
@@ -148,7 +156,7 @@ class TestPartitionProperties:
         ddg = block_ddg(instructions)
         slack = compute_slack(ddg)
         weights = [1] * len(ddg)
-        edges = dict(zip(ddg.edge_latency, slack.edge_weights()))
+        edges = dict(zip(edge_latency(ddg), slack.edge_weights()))
         assignment = MultilevelPartitioner(parts).partition(weights, edges)
         assert len(assignment) == len(ddg)
         assert all(0 <= part < parts for part in assignment)
@@ -259,7 +267,7 @@ class TestSteeringAndCopyProperties:
         ddg = block_ddg(instructions)
         crossing = [
             (producer, consumer)
-            for producer, consumer in ddg.edge_latency
+            for producer, consumer in edge_latency(ddg)
             if assignment[producer] != assignment[consumer]
         ]
         if crossing:

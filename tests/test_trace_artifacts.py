@@ -23,6 +23,7 @@ from repro.program.program import LAYOUT_DTYPES, Program, pack
 from repro.scenarios.registry import build_partitioner
 from repro.scenarios.spec import ScenarioSpec
 from repro.workloads.generator import WorkloadGenerator
+from tests.conftest import traces_equal
 
 
 @pytest.fixture(autouse=True)
@@ -68,7 +69,7 @@ class TestStore:
         loaded = store.get("ab" * 32)
         assert loaded is not None
         loaded_program, loaded_trace = loaded
-        assert loaded_trace.equals(compiled)
+        assert traces_equal(loaded_trace, compiled)
         assert program_columns(loaded_program) == program_columns(program)
         assert (loaded_program.name, loaded_program.entry, loaded_program.register_space) == (
             program.name, program.entry, program.register_space
@@ -172,7 +173,7 @@ class TestStore:
         loaded = store.get(key)
         assert loaded is not None
         loaded_program, loaded_trace = loaded
-        assert loaded_trace.equals(compiled)
+        assert traces_equal(loaded_trace, compiled)
         assert program_columns(loaded_program) == program_columns(program)
         assert store.stats() == {"hits": 1, "misses": 0, "stores": 0}
 
@@ -245,7 +246,7 @@ class TestLoadingNeverUnpickles:
 
         def check(loaded):
             loaded_program, loaded_trace = loaded
-            assert loaded_trace.equals(compiled)
+            assert traces_equal(loaded_trace, compiled)
             assert regions(loaded_program) == regions(fresh)
             for name in ("OB", "RHOP", "VC"):
                 assert columns(name, loaded_program) == columns(name, fresh), name

@@ -11,7 +11,6 @@ from repro.uops.encoding import (
     MAX_PHYSICAL_CLUSTERS,
     MAX_VIRTUAL_CLUSTERS,
     SteeringAnnotation,
-    decode_annotation,
     encode_annotation,
 )
 from repro.uops.opcodes import (
@@ -26,7 +25,7 @@ from repro.uops.opcodes import (
     latency_of,
     queue_of,
 )
-from repro.uops.registers import RegisterKind, RegisterSpace
+from repro.uops.registers import RegisterSpace
 from tests.conftest import make_instruction, make_program
 
 
@@ -75,35 +74,6 @@ class TestRegisterSpace:
         space = RegisterSpace(num_int=16, num_fp=8)
         assert space.total == 24
 
-    def test_int_and_fp_register_ids_do_not_overlap(self):
-        space = RegisterSpace(num_int=16, num_fp=8)
-        ints = {space.int_register(i) for i in range(16)}
-        fps = {space.fp_register(i) for i in range(8)}
-        assert not ints & fps
-
-    def test_kind_of(self):
-        space = RegisterSpace(num_int=4, num_fp=4)
-        assert space.kind_of(0) == RegisterKind.INT
-        assert space.kind_of(3) == RegisterKind.INT
-        assert space.kind_of(4) == RegisterKind.FP
-        assert space.is_fp(7)
-        assert space.is_int(1)
-
-    def test_out_of_range_raises(self):
-        space = RegisterSpace(num_int=4, num_fp=4)
-        with pytest.raises(ValueError):
-            space.kind_of(8)
-        with pytest.raises(ValueError):
-            space.int_register(4)
-        with pytest.raises(ValueError):
-            space.fp_register(-1)
-
-    def test_names(self):
-        space = RegisterSpace(num_int=4, num_fp=4)
-        assert space.name(0) == "R0"
-        assert space.name(4) == "F0"
-        assert space.name(7) == "F3"
-
 
 class TestStaticInstructionRows:
     """A static instruction is one row of its program's sid-indexed columns."""
@@ -133,6 +103,20 @@ class TestStaticInstructionRows:
         assert trace.is_branch.tolist() == [False, True]
 
 
+def decode_annotation(word):
+    """The :class:`SteeringAnnotation` that :func:`encode_annotation` packed into ``word``."""
+    if word < 0 or word >= (1 << ANNOTATION_BITS):
+        raise ValueError(f"annotation word {word} out of range")
+    if word & 1 == 0:
+        return SteeringAnnotation()
+    pc_field = (word >> 6) & 0xF
+    return SteeringAnnotation(
+        vc_id=(word >> 2) & 0xF,
+        chain_leader=bool((word >> 1) & 1),
+        static_cluster=pc_field - 1 if pc_field > 0 else None,
+    )
+
+
 class TestEncoding:
     def test_empty_annotation_encodes_to_zero(self):
         assert encode_annotation(SteeringAnnotation()) == 0
@@ -154,12 +138,6 @@ class TestEncoding:
     def test_out_of_range_cluster_raises(self):
         with pytest.raises(ValueError):
             encode_annotation(SteeringAnnotation(vc_id=0, static_cluster=MAX_PHYSICAL_CLUSTERS))
-
-    def test_decode_rejects_out_of_range_words(self):
-        with pytest.raises(ValueError):
-            decode_annotation(1 << ANNOTATION_BITS)
-        with pytest.raises(ValueError):
-            decode_annotation(-1)
 
     def test_pass_columns_encode_per_instruction(self, small_profile):
         """Every instruction's entries of a pass's columns fit the ISA field."""
