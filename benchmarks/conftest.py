@@ -48,6 +48,14 @@ DEFAULT_SUBSET = [
 ]
 
 
+def timed_mean(benchmark) -> Optional[float]:
+    """Mean seconds of ``benchmark``'s timed rounds, or ``None`` when timing
+    is off (``--benchmark-disable`` runs the function once and keeps no
+    statistics), so throughput ``extra_info`` is skipped but every assertion
+    still runs."""
+    return benchmark.stats.stats.mean if benchmark.stats is not None else None
+
+
 def resolve_bench_scale() -> float:
     """Trace-length multiplier from ``REPRO_BENCH_SCALE``."""
     return float(os.environ.get("REPRO_BENCH_SCALE", "1.0"))

@@ -31,6 +31,7 @@ from repro.engine.job import SimulationJob
 from repro.engine.parallel import _TRACE_MEMO, ParallelRunner
 from repro.experiments.configs import TABLE3_CONFIGURATIONS, vc_variant
 from repro.workloads.spec2000 import profile_for
+from benchmarks.conftest import timed_mean
 
 #: Dynamic µops of the swept phase trace.
 SWEEP_TRACE_LENGTH = 800
@@ -87,8 +88,9 @@ def _record(benchmark, results) -> None:
     benchmark.extra_info["configurations"] = len(SWEEP_CONFIGURATIONS)
     benchmark.extra_info["trace_length"] = SWEEP_TRACE_LENGTH
     benchmark.extra_info["uops_per_run"] = uops
-    mean = benchmark.stats.stats.mean
-    benchmark.extra_info["uops_per_second"] = round(uops / mean) if mean > 0 else 0
+    mean = timed_mean(benchmark)
+    if mean is not None:
+        benchmark.extra_info["uops_per_second"] = round(uops / mean) if mean > 0 else 0
     assert len(results) == len(SWEEP_CONFIGURATIONS)
     # The generator closes its final block, so a run commits >= trace_length.
     assert all(metrics.committed_uops >= SWEEP_TRACE_LENGTH for metrics in results)
@@ -192,8 +194,9 @@ def _record_multi(benchmark, results) -> None:
     benchmark.extra_info["runs_per_round"] = MULTI_RUNS
     benchmark.extra_info["workers"] = MULTI_WORKERS
     benchmark.extra_info["uops_per_run"] = uops
-    mean = benchmark.stats.stats.mean
-    benchmark.extra_info["uops_per_second"] = round(uops / mean) if mean > 0 else 0
+    mean = timed_mean(benchmark)
+    if mean is not None:
+        benchmark.extra_info["uops_per_second"] = round(uops / mean) if mean > 0 else 0
     reference = [m.to_dict() for m in first]
     assert len(first) == len(_multi_trace_jobs())
     for rerun in results[1:]:

@@ -33,7 +33,6 @@ __all__ = [
     "main",
     "parse_suppression",
     "render_report",
-    "run",
     "scan_paths",
 ]
 
@@ -263,9 +262,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def run(argv: Optional[Sequence[str]] = None, out: Optional[TextIO] = None) -> int:
-    """Parse ``argv``, scan, report to ``out`` (default stdout); return exit code."""
-    out = out if out is not None else sys.stdout
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    """Console entry point: parse ``argv``, scan, report to stdout; return the exit code."""
+    out = sys.stdout
     args = build_parser().parse_args(argv)
     if args.list_rules:
         for rule in RULES:
@@ -274,8 +273,3 @@ def run(argv: Optional[Sequence[str]] = None, out: Optional[TextIO] = None) -> i
     result = scan_paths(args.paths)
     render_report(result, args.format, out)
     return result.exit_code
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    """Console entry point (kept separate so tests can call :func:`run`)."""
-    return run(argv)

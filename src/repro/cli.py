@@ -36,7 +36,7 @@ engine (:mod:`repro.engine`) and accepts these knobs:
     resolved when the command runs).  Repeated figure runs and overlapping
     sweeps skip already-simulated points.  Entries are keyed by the full
     simulation *inputs* (profile, phase, configuration identity, trace
-    length, the resolved machine configuration and the register space), so
+    length, the resolved machine configuration and the register counts), so
     for unchanged code a hit is exactly the metrics a fresh run would
     produce.  Keys cannot see edits to simulator *logic*: after such a
     change, bump :data:`repro.engine.job.CACHE_SCHEMA_VERSION` or pass
@@ -50,7 +50,7 @@ engine (:mod:`repro.engine`) and accepts these knobs:
     Compiled phase traces are persisted as content-addressed ``.npz``
     artifacts (default ``<cache dir>/traces``) so parallel workers and
     repeated runs *load* traces instead of regenerating them.  Artifacts are
-    keyed by the trace inputs only (profile, phase, length, register space),
+    keyed by the trace inputs only (profile, phase, length, register counts),
     so every steering configuration of a phase -- and every sweep touching
     the same phases -- shares one artifact.  ``--no-cache`` also disables
     artifacts unless an explicit ``--trace-dir`` is given.

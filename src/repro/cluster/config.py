@@ -97,10 +97,13 @@ class ClusterConfig:
             "regfile_int_size",
             "regfile_fp_size",
             "lsq_size",
+            "copies_per_link_per_cycle",
             "line_size",
             "l1_size_kb",
+            "l1_assoc",
             "l1_read_ports",
             "l2_size_kb",
+            "l2_assoc",
             "memory_latency",
             "max_cycles",
         )
@@ -117,6 +120,14 @@ class ClusterConfig:
         for field_name in non_negative_fields:
             if getattr(self, field_name) < 0:
                 raise ValueError(f"{field_name} must be non-negative")
+        for level in ("l1", "l2"):
+            size_kb, assoc = getattr(self, f"{level}_size_kb"), getattr(self, f"{level}_assoc")
+            lines = size_kb * 1024 // self.line_size
+            if lines < assoc:
+                raise ValueError(
+                    f"{level}_assoc={assoc} exceeds the {lines} lines of a "
+                    f"{level}_size_kb={size_kb} cache with line_size={self.line_size}"
+                )
         if self.num_clusters > 16:
             raise ValueError("at most 16 clusters are supported (register-location bitmask width)")
 

@@ -56,6 +56,7 @@ from repro.steering.base import (
     SteeringPolicy,
 )
 from repro.uops.compiled import NO_ANNOTATION, CompiledTrace, CompiledUopView
+from repro.uops.registers import NUM_REGISTERS
 
 #: Environment variable overriding the default kernel choice.
 KERNEL_ENV = "REPRO_KERNEL"
@@ -204,7 +205,7 @@ class VectorizedKernel(SteeringContext):
         config = processor.config
         self.num_clusters = config.num_clusters
         self._all_mask = (1 << config.num_clusters) - 1
-        self._num_regs = processor.register_space.total
+        self._num_regs = NUM_REGISTERS
         self._qcap = processor.issue_queues.capacity_list()
         self._issue_widths = processor.issue_queues.issue_width_list()
         self._n = 0
@@ -241,13 +242,12 @@ class VectorizedKernel(SteeringContext):
         same ones), so binding the same trace to many processors -- the batch
         scheduler's layout -- pays the materialisation once.
         """
-        register_space = self._processor().register_space
         self._n = len(compiled)
         self._compiled = compiled
         self._plan = compiled.dependency_plan()
-        self._u_meta = compiled.dispatch_meta(register_space)
+        self._u_meta = compiled.dispatch_meta()
         self._u_exec_latency = compiled.exec_latency_list()
-        self._u_dest_counts = compiled.dest_kind_counts(register_space)
+        self._u_dest_counts = compiled.dest_kind_counts()
         self._u_memory_before = compiled.memory_before()
 
     # ------------------------------------------------------------------- running --

@@ -53,7 +53,7 @@ from repro.cluster.rob import ReorderBuffer
 from repro.steering.base import SteeringContext, SteeringPolicy
 from repro.uops.compiled import CompiledTrace, CompiledUopView
 from repro.uops.opcodes import IssueQueueKind
-from repro.uops.registers import DEFAULT_REGISTER_SPACE, RegisterSpace
+from repro.uops.registers import NUM_REGISTERS
 
 #: Issue-queue kinds in the order the issue stage services them.
 _ISSUE_KINDS = (IssueQueueKind.INT, IssueQueueKind.FP, IssueQueueKind.COPY)
@@ -118,8 +118,6 @@ class ClusteredProcessor(SteeringContext):
         Architectural parameters (Table 2 defaults).
     steering:
         The run-time steering policy (one of :mod:`repro.steering`).
-    register_space:
-        Architectural register namespace of the traces to be executed.
     kernel:
         Simulation kernel: ``"interpreter"`` (the original object-graph
         reference implementation), ``"vectorized"`` (the flat-state two-tier
@@ -131,15 +129,10 @@ class ClusteredProcessor(SteeringContext):
     """
 
     def __init__(
-        self,
-        config: ClusterConfig,
-        steering: SteeringPolicy,
-        register_space: RegisterSpace = DEFAULT_REGISTER_SPACE,
-        kernel: Optional[str] = None,
+        self, config: ClusterConfig, steering: SteeringPolicy, kernel: Optional[str] = None
     ) -> None:
         self.config = config
         self.steering = steering
-        self.register_space = register_space
         self.kernel = resolve_kernel(kernel)
         #: Test/debug knob: ``False`` steps every cycle instead of skipping
         #: provably idle stretches (the skip-vs-step parity suite pins that
@@ -172,9 +165,7 @@ class ClusteredProcessor(SteeringContext):
             return  # the vectorized kernel keeps its own window, rename and events
         self.rob = ReorderBuffer(config.rob_size)
         self.lsq = LoadStoreQueue(config.lsq_size)
-        self.rename = RegisterLocationTable(
-            self.register_space.total, config.num_clusters
-        )
+        self.rename = RegisterLocationTable(NUM_REGISTERS, config.num_clusters)
         self._events: Dict[int, List[_InFlight]] = {}
         self._event_heap: List[int] = []
         self._dispatch_buffer: Deque[Tuple[int, int]] = deque()
@@ -208,7 +199,7 @@ class ClusteredProcessor(SteeringContext):
         self._u_mispredicted = compiled.mispredicted_list()
         self._u_dests = compiled.dest_tuples()
         self._u_usrcs = compiled.unique_src_tuples()
-        self._u_dest_counts = compiled.dest_kind_counts(self.register_space)
+        self._u_dest_counts = compiled.dest_kind_counts()
 
     # ------------------------------------------------ SteeringContext interface --
     @property
@@ -263,24 +254,18 @@ class ClusteredProcessor(SteeringContext):
         self._bound = trace
         return trace
 
-    def run(
-        self, trace: CompiledTrace, max_cycles: Optional[int] = None
-    ) -> SimulationMetrics:
+    def run(self, trace: CompiledTrace) -> SimulationMetrics:
         """Execute ``trace`` to completion and return the collected metrics.
 
         Raises
         ------
         RuntimeError
-            If the simulation exceeds ``max_cycles`` (deadlock guard).
+            If the simulation exceeds ``config.max_cycles`` (deadlock guard).
         """
         self.bind(trace)
-        return self.run_bound(max_cycles=max_cycles)
+        return self.run_bound()
 
-    def run_bound(
-        self,
-        steering: Optional[SteeringPolicy] = None,
-        max_cycles: Optional[int] = None,
-    ) -> SimulationMetrics:
+    def run_bound(self, steering: Optional[SteeringPolicy] = None) -> SimulationMetrics:
         """Simulate the bound trace from a clean architectural state.
 
         The batch-execution path: after one :meth:`bind`, every configuration
@@ -301,7 +286,7 @@ class ClusteredProcessor(SteeringContext):
             self.steering = steering
         self._reset_state()
         self._num_uops = len(compiled)  # _reset_state clears the fetch window
-        limit = max_cycles if max_cycles is not None else self.config.max_cycles
+        limit = self.config.max_cycles
         if self.config.warm_caches:
             self._load_warm_caches(compiled)
         if self._vkernel is not None:
@@ -738,9 +723,6 @@ def simulate_trace(
     trace: CompiledTrace,
     steering: SteeringPolicy,
     config: Optional[ClusterConfig] = None,
-    register_space: RegisterSpace = DEFAULT_REGISTER_SPACE,
-    max_cycles: Optional[int] = None,
-    kernel: Optional[str] = None,
 ) -> SimulationMetrics:
     """Convenience wrapper: run ``trace`` on a machine with ``steering``.
 
@@ -752,15 +734,9 @@ def simulate_trace(
     steering:
         Run-time steering policy.
     config:
-        Machine configuration; Table 2's 2-cluster machine by default.
-    register_space:
-        Architectural register namespace used by the trace.
-    max_cycles:
-        Optional override of the deadlock guard.
-    kernel:
-        Simulation kernel override (see :class:`ClusteredProcessor`).
+        Machine configuration (its ``max_cycles`` is the deadlock guard);
+        Table 2's 2-cluster machine by default.
+
+    The kernel follows ``$REPRO_KERNEL`` (see :class:`ClusteredProcessor`).
     """
-    processor = ClusteredProcessor(
-        config or ClusterConfig(), steering, register_space, kernel=kernel
-    )
-    return processor.run(trace, max_cycles=max_cycles)
+    return ClusteredProcessor(config or ClusterConfig(), steering).run(trace)

@@ -19,7 +19,7 @@ decision with information already present in the rename table.)
 This module reproduces the yes/no table directly from each policy's
 :meth:`~repro.steering.base.SteeringPolicy.hardware` declaration and adds a
 quantitative storage estimate plus a serialisation flag, so ablation studies
-can reason about how the cost scales with cluster count and register count.
+can reason about how the cost scales with the cluster count.
 """
 
 from __future__ import annotations
@@ -29,6 +29,10 @@ from typing import Dict, List, Sequence
 
 from repro.cluster.config import ClusterConfig
 from repro.steering.base import SteeringHardware, SteeringPolicy
+from repro.uops.registers import NUM_REGISTERS
+
+#: Width of each workload counter.
+COUNTER_BITS = 10
 
 
 @dataclass(frozen=True)
@@ -66,22 +70,14 @@ class SteeringComplexityModel:
     ----------
     config:
         The machine (cluster count drives counter and table widths).
-    num_architectural_registers:
-        Number of architectural registers tracked by the dependence-check
-        table.
-    counter_bits:
-        Width of each workload counter.
+
+    The dependence-check table tracks every architectural register
+    (:data:`~repro.uops.registers.NUM_REGISTERS`), and each workload counter
+    is :data:`COUNTER_BITS` wide.
     """
 
-    def __init__(
-        self,
-        config: ClusterConfig,
-        num_architectural_registers: int = 128,
-        counter_bits: int = 10,
-    ) -> None:
+    def __init__(self, config: ClusterConfig) -> None:
         self.config = config
-        self.num_architectural_registers = int(num_architectural_registers)
-        self.counter_bits = int(counter_bits)
 
     # -- per-structure costs -------------------------------------------------------
     def cluster_id_bits(self) -> int:
@@ -93,11 +89,11 @@ class SteeringComplexityModel:
 
     def dependence_check_bits(self) -> int:
         """Location table: one cluster id (plus a valid bit) per architectural register."""
-        return self.num_architectural_registers * (self.cluster_id_bits() + 1)
+        return NUM_REGISTERS * (self.cluster_id_bits() + 1)
 
     def workload_counter_bits(self) -> int:
         """N-1 relative occupancy counters, as described in Section 4.3."""
-        return (self.config.num_clusters - 1) * self.counter_bits
+        return (self.config.num_clusters - 1) * COUNTER_BITS
 
     def vote_unit_bits(self) -> int:
         """Per-dispatch-slot source-location comparators and the priority encoder.
@@ -110,7 +106,7 @@ class SteeringComplexityModel:
             self.config.dispatch_width
             * sources_per_uop
             * self.config.num_clusters
-            + self.config.num_clusters * self.counter_bits
+            + self.config.num_clusters * COUNTER_BITS
         )
 
     def mapping_table_bits(self, entries: int) -> int:

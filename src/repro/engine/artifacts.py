@@ -10,8 +10,9 @@ artifact: one ``.npz`` file per :meth:`SimulationJob.trace_key
 ``<root>/<key[:2]>/<key>.npz``, holding the layout of
 :func:`repro.program.program.pack`: the static program's sid-indexed columns,
 the trace's dynamic ``sid``/``address``/``mispredicted`` columns and a JSON
-``meta`` member (the program's name, entry block and register space).  The
-trace's static columns are gathered back from the program by sid at load.
+``meta`` member (the program's name and entry block, and the architectural
+register counts).  The trace's static columns are gathered back from the
+program by sid at load.
 Parallel workers (and later invocations, sweeps, figure reruns) load the
 artifact instead of regenerating the trace; the per-process ``_TRACE_MEMO``
 in :mod:`repro.engine.parallel` is just a thin in-memory layer over this
@@ -24,15 +25,16 @@ installed per job via :meth:`CompiledTrace.annotate_from`, and the
 (latency, queue routing) are recomputed on load, so neither compiler passes
 nor opcode-table edits can stale an artifact.  What *does* invalidate them
 -- changes to the workload synthesis itself -- is exactly what
-:meth:`trace_key` covers (profile, phase, length, register space and the
+:meth:`trace_key` covers (profile, phase, length, register counts and the
 engine schema version), plus this module's :data:`TRACE_ARTIFACT_VERSION`
 for layout changes.
 
 Writes are atomic (temporary sibling + ``os.replace``) so concurrent workers
 sharing one cache directory race benignly; corrupt, truncated or
 version-mismatched files are treated as misses and rewritten, and so is an
-artifact whose columns fail the program's validation or whose trace names a
-``sid`` the program does not have.
+artifact whose columns fail the program's validation, whose register counts
+are not the architectural ones or whose trace names a ``sid`` the program
+does not have.
 
 Security note: artifacts hold only numeric columns and a JSON member, and
 ``np.load`` (by default) refuses object members, so an edited artifact is at

@@ -3,7 +3,7 @@
 A :class:`SimulationJob` is the unit of work of the engine: one
 ``(benchmark profile, PinPoints phase, steering configuration)`` triple plus
 every knob that influences the simulation result (trace length, region size,
-machine geometry, configuration overrides, register space).  Jobs are plain
+machine geometry, configuration overrides).  Jobs are plain
 frozen dataclasses built only from picklable values -- the configuration is
 itself declarative data (registry names plus parameters, see
 :mod:`repro.experiments.configs`) -- so every job can be shipped to
@@ -15,8 +15,9 @@ Two invariants matter here:
 * **Everything that changes the metrics is part of the key.**  The key covers
   the full benchmark profile (including its ``base_seed``), the phase, the
   trace length, the machine geometry and overrides, the region size, the
-  register space and the configuration's registry identity (policy and
-  partitioner names plus their parameters).
+  architectural register counts (constants, keyed so that keys written
+  before they were fixed stay valid) and the configuration's registry
+  identity (policy and partitioner names plus their parameters).
 * **Nothing presentation-only is part of the key.**  PinPoints weights only
   affect the *aggregation* of per-phase metrics, and a configuration's
   display name only affects table headings; both are excluded so overlapping
@@ -31,7 +32,7 @@ from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING, Dict, Tuple
 
 from repro.cluster.config import ClusterConfig
-from repro.uops.registers import DEFAULT_REGISTER_SPACE, RegisterSpace
+from repro.uops.registers import NUM_FP_REGISTERS, NUM_INT_REGISTERS
 from repro.workloads.profile import BenchmarkProfile
 
 if TYPE_CHECKING:  # import at type-check time only: repro.experiments imports
@@ -49,6 +50,10 @@ CACHE_SCHEMA_VERSION = 2
 #: ``asdict`` of each resolved machine by ``(num_clusters, config_overrides)``:
 #: the jobs of a figure run share one geometry, so each is converted once.
 _MACHINE_IDENTITIES: Dict[Tuple[object, ...], Dict[str, object]] = {}
+
+
+#: The key entry of the architectural register counts.
+_REGISTER_COUNTS = {"num_int": NUM_INT_REGISTERS, "num_fp": NUM_FP_REGISTERS}
 
 
 def _canonical_json(payload: object) -> str:
@@ -81,8 +86,6 @@ class SimulationJob:
     config_overrides:
         Sorted ``(field, value)`` pairs applied on top of the Table 2
         :class:`~repro.cluster.config.ClusterConfig`.
-    register_space:
-        Architectural register namespace of the generated trace.
     """
 
     profile: BenchmarkProfile
@@ -93,7 +96,6 @@ class SimulationJob:
     num_clusters: int
     num_virtual_clusters: int
     config_overrides: Tuple[Tuple[str, object], ...] = ()
-    register_space: RegisterSpace = DEFAULT_REGISTER_SPACE
 
     @property
     def label(self) -> str:
@@ -113,10 +115,7 @@ class SimulationJob:
             "profile": self.profile.identity,
             "phase": self.phase,
             "trace_length": self.trace_length,
-            "register_space": {
-                "num_int": self.register_space.num_int,
-                "num_fp": self.register_space.num_fp,
-            },
+            "register_space": _REGISTER_COUNTS,
         }
         return hashlib.sha256(_canonical_json(payload).encode("utf-8")).hexdigest()
 
@@ -133,16 +132,9 @@ class SimulationJob:
         Jobs of one trace batch that share this key can share one
         :class:`~repro.cluster.processor.ClusteredProcessor` instance across
         configurations (architectural state is reset between runs); jobs with
-        different keys need different processors.  The register space is
-        included for completeness even though jobs sharing a
-        :meth:`trace_key` agree on it by construction.
+        different keys need different processors.
         """
-        return (
-            self.num_clusters,
-            self.config_overrides,
-            self.register_space.num_int,
-            self.register_space.num_fp,
-        )
+        return (self.num_clusters, self.config_overrides)
 
     def cache_key(self) -> str:
         """Stable content hash identifying this job's simulation result.
@@ -182,9 +174,6 @@ class SimulationJob:
             "region_size": self.region_size if configuration.uses_compiler else None,
             "num_virtual_clusters": effective_vcs,
             "machine_config": machine,
-            "register_space": {
-                "num_int": self.register_space.num_int,
-                "num_fp": self.register_space.num_fp,
-            },
+            "register_space": _REGISTER_COUNTS,
         }
         return hashlib.sha256(_canonical_json(payload).encode("utf-8")).hexdigest()

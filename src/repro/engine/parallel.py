@@ -149,7 +149,7 @@ def _trace_for(
         if entry is None:
             from repro.workloads.generator import WorkloadGenerator
 
-            generator = WorkloadGenerator(job.profile, register_space=job.register_space)
+            generator = WorkloadGenerator(job.profile)
             entry = generator.generate_compiled_trace(job.trace_length, phase=job.phase)
             if store is not None:
                 store.put(trace_key, *entry)
@@ -226,7 +226,7 @@ def _simulate_batch(jobs: Sequence[SimulationJob], program, compiled) -> List[Di
             key = job.machine_key()
             processor = processors.get(key)
             if processor is None:
-                processor = ClusteredProcessor(job.machine_config(), policy, job.register_space)
+                processor = ClusteredProcessor(job.machine_config(), policy)
                 processor.bind(compiled)
                 processors[key] = processor
             dumps.append(processor.run_bound(policy).to_dict())

@@ -25,7 +25,6 @@ from repro.cluster.metrics import SimulationMetrics
 from repro.engine.job import SimulationJob
 from repro.engine.parallel import ParallelRunner
 from repro.experiments.configs import SteeringConfiguration
-from repro.uops.registers import DEFAULT_REGISTER_SPACE, RegisterSpace
 from repro.workloads.pinpoints import SimulationPoint, select_simulation_points, weighted_average
 from repro.workloads.profile import BenchmarkProfile
 from repro.workloads.spec2000 import profile_for
@@ -99,19 +98,11 @@ class ExperimentRunner:
         goes through; several runners may share one (its cache, worker pool
         and resident trace segments).  The caller owns it and shuts it down.
         Defaults to a serial, uncached engine.
-    register_space:
-        Architectural register namespace of the generated traces.
     """
 
-    def __init__(
-        self,
-        spec: "ScenarioSpec",
-        engine: Optional[ParallelRunner] = None,
-        register_space: RegisterSpace = DEFAULT_REGISTER_SPACE,
-    ) -> None:
+    def __init__(self, spec: "ScenarioSpec", engine: Optional[ParallelRunner] = None) -> None:
         self.spec = spec
         self.engine = engine if engine is not None else ParallelRunner()
-        self.register_space = register_space
         # The engine keys jobs by the geometry plus the fields that differ
         # from the Table 2 machine of that cluster count.
         machine = spec.machine.resolve()
@@ -147,7 +138,6 @@ class ExperimentRunner:
             num_clusters=self.num_clusters,
             num_virtual_clusters=spec.num_virtual_clusters,
             config_overrides=self.config_overrides,
-            register_space=self.register_space,
         )
 
     # -- running ---------------------------------------------------------------------

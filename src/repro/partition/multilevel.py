@@ -8,7 +8,7 @@ while a boundary refinement pass (Fiduccia-Mattheyses-style single-node
 moves) improves the objective at every level.
 
 The engine here is independent of RHOP's specific weights; it partitions any
-weighted undirected graph given as node weights plus an edge-weight mapping.
+weighted undirected graph given as node weights plus flat edge lists.
 Every level of the hierarchy is held as flat lists (node weights and groups,
 undirected edge lists, per-node neighbour lists), and coarsening and
 refinement loop over those lists.
@@ -22,6 +22,9 @@ from dataclasses import dataclass
 from itertools import accumulate, compress, repeat
 from operator import floordiv, mod
 from typing import Dict, List, Optional, Sequence, Set, Tuple
+
+#: Upper bound on refinement sweeps per level.
+MAX_REFINEMENT_PASSES = 4
 
 
 @dataclass(frozen=True)
@@ -122,70 +125,34 @@ class MultilevelPartitioner:
         Number of partitions.
     objective:
         Cut / imbalance trade-off used by refinement.
-    max_refinement_passes:
-        Upper bound on refinement sweeps per level.
     """
 
-    def __init__(
-        self,
-        num_parts: int,
-        objective: Optional[PartitionObjective] = None,
-        max_refinement_passes: int = 4,
-    ) -> None:
+    def __init__(self, num_parts: int, objective: Optional[PartitionObjective] = None) -> None:
         if num_parts < 1:
             raise ValueError("num_parts must be positive")
         self.num_parts = int(num_parts)
         self.objective = objective or PartitionObjective()
-        self.max_refinement_passes = int(max_refinement_passes)
 
     # -- public API ---------------------------------------------------------------
-    def partition(
-        self,
-        node_weights: Sequence[int],
-        edge_weights: Dict[Tuple[int, int], int],
-        node_groups: Optional[Sequence[int]] = None,
-    ) -> List[int]:
-        """Partition the graph and return the part index of every node.
-
-        ``edge_weights`` keys are ``(u, v)`` node pairs (direction ignored).
-
-        ``node_groups`` optionally assigns every node to a *balance group*:
-        the imbalance penalty is then evaluated per group and summed, so the
-        partition must be balanced inside every group rather than only in
-        aggregate.  RHOP uses the basic block of each operation as its group,
-        which approximates the schedule-step balance of the original
-        algorithm: operations that execute around the same time must be
-        spread over the clusters, otherwise a region that is balanced only in
-        total instruction counts can still execute serially (one block on one
-        cluster, the next block on the other).
-
-        A ``node_groups`` of the wrong length or an edge endpoint outside
-        ``0..n-1`` raises ``ValueError``.
-        """
-        n = len(node_weights)
-        groups = [int(g) for g in node_groups] if node_groups is not None else [0] * n
-        if len(groups) != n:
-            raise ValueError("node_groups length does not match node_weights")
-        for u, v in edge_weights:
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge {(u, v)} has an endpoint outside nodes 0..{n - 1}")
-        edges = _merge_edges(
-            [u for u, _ in edge_weights],
-            [v for _, v in edge_weights],
-            [int(w) for w in edge_weights.values()],
-            range(n),
-        )
-        return self.partition_edges([int(w) for w in node_weights], edges, groups)
-
     def partition_edges(
         self,
         node_weights: List[int],
         edges: Tuple[List[int], List[int], List[int]],
         node_groups: List[int],
     ) -> List[int]:
-        """:meth:`partition` of checked flat lists: ``edges`` are parallel
-        ``(us, vs, ws)`` lists holding each pair once with ``u < v`` (as a DDG's
-        edges do), and ``node_groups`` has one group per node."""
+        """Partition the graph and return the part index of every node.
+
+        ``edges`` are parallel ``(us, vs, ws)`` lists holding each pair once
+        with ``u < v`` (as a DDG's edges do).  ``node_groups`` assigns every
+        node to a *balance group*: the imbalance penalty is evaluated per
+        group and summed, so the partition must be balanced inside every
+        group rather than only in aggregate.  RHOP uses the basic block of
+        each operation as its group, which approximates the schedule-step
+        balance of the original algorithm: operations that execute around
+        the same time must be spread over the clusters, otherwise a region
+        that is balanced only in total instruction counts can still execute
+        serially (one block on one cluster, the next block on the other).
+        """
         n = len(node_weights)
         if n == 0:
             return []
@@ -276,7 +243,7 @@ class MultilevelPartitioner:
         """Refine the coarsest level's ``assignment``, then project and refine each finer level.
 
         At every level, greedy single-node moves run until a pass moves
-        nothing (at most ``max_refinement_passes`` passes).  Nodes are
+        nothing (at most :data:`MAX_REFINEMENT_PASSES` passes).  Nodes are
         visited in order and move to the first candidate part with a
         positive gain: the cut reduction minus the change of the node's
         balance-group penalty ``sum(|w_p - ideal|)``.  Moves keep group
@@ -350,7 +317,7 @@ class MultilevelPartitioner:
                 }
             #: Nodes of a group, listed when one of them first moves.
             members: Dict[int, List[int]] = {}
-            for _ in range(self.max_refinement_passes):
+            for _ in range(MAX_REFINEMENT_PASSES):
                 improved = False
                 # compress() reads each mark when it reaches the node, so a
                 # node marked during the pass is visited in the same pass.

@@ -75,7 +75,7 @@ class RhopPartitioner(RegionPartitioner):
         # Balance groups: the basic block of every operation.  RHOP balances
         # the *estimated schedule*, not raw instruction counts; grouping by
         # block forces every part of the region that executes together to be
-        # spread over the clusters (see MultilevelPartitioner.partition).
+        # spread over the clusters (see MultilevelPartitioner.partition_edges).
         partitioner = MultilevelPartitioner(self.num_targets, objective=self.objective)
         return partitioner.partition_edges(slack.node_weights(), edges, ddg.blocks)
 

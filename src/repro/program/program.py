@@ -15,9 +15,9 @@ dtypes of the :class:`~repro.uops.compiled.CompiledTrace` columns:
   breaks ties in region formation and fixes the order of the trace walk's
   random draws;
 
-plus the entry block, the name and the register space.  Every program is
-built through one validation (:meth:`Program.__init__`), so columns read
-from a tampered artifact or segment fail there with a ``ValueError``.
+plus the entry block and the name.  Every program is built through one
+validation (:meth:`Program.__init__`), so columns read from a tampered
+artifact or segment fail there with a ``ValueError``.
 
 A compiled trace is the program's rows:
 :class:`~repro.uops.compiled.CompiledTrace` gathers the static columns by
@@ -39,7 +39,7 @@ from typing import (
     Tuple,
 )
 
-from repro.uops.registers import DEFAULT_REGISTER_SPACE, RegisterSpace
+from repro.uops.registers import NUM_FP_REGISTERS, NUM_INT_REGISTERS, NUM_REGISTERS
 
 if TYPE_CHECKING:  # pragma: no cover - typing only; numpy loads when a program is built
     import numpy as np
@@ -98,27 +98,21 @@ class Program:
         Every :data:`COLUMN_DTYPES` column, as arrays or sequences.
     entry:
         The entry block.
-    register_space:
-        The architectural register namespace the instructions name.
+
+    Every register the instructions name is an architectural register
+    (:mod:`repro.uops.registers`).
     """
 
     #: The stored columns, in the order every persistence layer writes them.
     COLUMNS = tuple(COLUMN_DTYPES)
 
-    def __init__(
-        self,
-        name: str,
-        columns: Mapping[str, object],
-        entry: int = 0,
-        register_space: RegisterSpace = DEFAULT_REGISTER_SPACE,
-    ) -> None:
+    def __init__(self, name: str, columns: Mapping[str, object], entry: int = 0) -> None:
         import numpy as np
 
         from repro.uops.opcodes import UopClass
 
         self.name = name
         self.entry = int(entry)
-        self.register_space = register_space
         arrays = {}
         for column, dtype in COLUMN_DTYPES.items():
             array = np.asarray(columns[column], dtype=dtype)
@@ -135,7 +129,7 @@ class Program:
             if len(offsets) != size + 1:
                 raise ValueError(f"column '{kind}_offsets' must have one row per sid, plus one")
             _check_offsets(f"{kind}_offsets", offsets, len(regs))
-            if len(regs) and (regs.min() < 0 or regs.max() >= register_space.total):
+            if len(regs) and (regs.min() < 0 or regs.max() >= NUM_REGISTERS):
                 raise ValueError(f"column '{kind}_regs' names a register outside the register space")
         block_start = arrays["block_start"]
         _check_offsets("block_start", block_start, size)
@@ -172,16 +166,12 @@ class Program:
 
     @classmethod
     def from_blocks(
-        cls,
-        name: str,
-        blocks: Sequence[Sequence[InstructionRow]],
-        edges: Sequence[EdgeRow] = (),
-        entry: int = 0,
-        register_space: RegisterSpace = DEFAULT_REGISTER_SPACE,
+        cls, name: str, blocks: Sequence[Sequence[InstructionRow]], edges: Sequence[EdgeRow] = ()
     ) -> "Program":
         """Build a program from per-block instruction rows and CFG edge rows.
 
-        Sids number the instructions in block order; edges keep their order.
+        Sids number the instructions in block order; edges keep their order;
+        block 0 is the entry.
         """
         import numpy as np
 
@@ -200,7 +190,7 @@ class Program:
             "block_start": np.cumsum([0, *map(len, blocks)]),
         }
         columns.update(zip(("edge_src", "edge_dst", "edge_probability", "edge_back"), edge_columns))
-        return cls(name, columns, entry=entry, register_space=register_space)
+        return cls(name, columns)
 
     # -- derived values -------------------------------------------------------------
     def memo(self, key: Hashable, build: Callable[[], object]) -> object:
@@ -281,14 +271,15 @@ class Program:
 def pack(program: Program, trace: CompiledTrace) -> Tuple[Dict[str, object], Dict[str, np.ndarray]]:
     """The stored form of ``(program, trace)``: ``(meta, columns)``.
 
-    ``meta`` holds the program's name, entry block and register space as
-    JSON-ready values; ``columns`` holds every :data:`LAYOUT_DTYPES` column.
+    ``meta`` holds the program's name and entry block and the architectural
+    register counts as JSON-ready values; ``columns`` holds every
+    :data:`LAYOUT_DTYPES` column.
     """
     meta = {
         "name": program.name,
         "entry": program.entry,
-        "num_int": program.register_space.num_int,
-        "num_fp": program.register_space.num_fp,
+        "num_int": NUM_INT_REGISTERS,
+        "num_fp": NUM_FP_REGISTERS,
     }
     columns = {name: getattr(program, name) for name in COLUMN_DTYPES}
     columns.update(sid=trace.sid, address=trace.address, mispredicted=trace.mispredicted)
@@ -300,19 +291,20 @@ def unpack(
 ) -> Tuple[Program, CompiledTrace]:
     """Rebuild ``(program, trace)`` from :func:`pack`'s output.
 
-    Every column must have its :data:`LAYOUT_DTYPES` dtype, and the program
-    passes its validation; otherwise this raises ``ValueError`` (or
+    Every column must have its :data:`LAYOUT_DTYPES` dtype, the register
+    counts must be the architectural ones, and the program passes its
+    validation; otherwise this raises ``ValueError`` (or
     ``KeyError``/``TypeError`` for a missing or malformed entry).
     """
+    if (meta["num_int"], meta["num_fp"]) != (NUM_INT_REGISTERS, NUM_FP_REGISTERS):
+        raise ValueError(
+            f"stored register counts {meta['num_int']}+{meta['num_fp']} are not "
+            f"the architectural {NUM_INT_REGISTERS}+{NUM_FP_REGISTERS}"
+        )
     for name, dtype in LAYOUT_DTYPES.items():
         if columns[name].dtype != dtype:
             raise ValueError(f"column {name!r} has dtype {columns[name].dtype}, expected {dtype}")
-    program = Program(
-        str(meta["name"]),
-        columns,
-        entry=int(meta["entry"]),
-        register_space=RegisterSpace(int(meta["num_int"]), int(meta["num_fp"])),
-    )
+    program = Program(str(meta["name"]), columns, entry=int(meta["entry"]))
     from repro.uops.compiled import CompiledTrace
 
     return program, CompiledTrace(

@@ -80,20 +80,20 @@ class Registry:
             self._builtins_loaded = False
             raise
 
-    def register(self, name: str, *, overwrite: bool = False) -> Callable:
+    def register(self, name: str) -> Callable:
         """Decorator registering a builder under ``name``.
 
-        Duplicate names raise :class:`ValueError` unless ``overwrite=True``
-        is passed -- silently replacing a builder would make two runs of the
-        same spec mean different things.
+        Duplicate names raise :class:`ValueError` (:meth:`unregister` the
+        old builder first) -- silently replacing a builder would make two
+        runs of the same spec mean different things.
         """
         if not isinstance(name, str) or not name:
             raise ValueError(f"{self.kind} name must be a non-empty string, got {name!r}")
 
         def decorator(builder: Callable) -> Callable:
-            if not overwrite and name in self._entries:
+            if name in self._entries:
                 raise ValueError(
-                    f"{self.kind} {name!r} is already registered; pass overwrite=True "
+                    f"{self.kind} {name!r} is already registered; unregister it "
                     "to replace it"
                 )
             self._entries[name] = builder
@@ -154,7 +154,7 @@ MACHINES = Registry("machine preset", builtin_modules=("repro.cluster.config",))
 SCENARIOS = Registry("scenario", builtin_modules=("repro.scenarios.builtin",))
 
 
-def register_policy(name: str, *, overwrite: bool = False) -> Callable:
+def register_policy(name: str) -> Callable:
     """Register a steering-policy builder: ``@register_policy("OP")``.
 
     If the builder *consumes* its ``num_virtual_clusters`` argument, set
@@ -163,27 +163,27 @@ def register_policy(name: str, *, overwrite: bool = False) -> Callable:
     so an undeclared dependency would let runs at different virtual-cluster
     counts share cache entries.
     """
-    return POLICIES.register(name, overwrite=overwrite)
+    return POLICIES.register(name)
 
 
-def register_partitioner(name: str, *, overwrite: bool = False) -> Callable:
+def register_partitioner(name: str) -> Callable:
     """Register a partitioner builder: ``@register_partitioner("VC")``.
 
     As with :func:`register_policy`: if the builder consumes its
     ``num_virtual_clusters`` argument, configurations naming it must set
     ``uses_virtual_clusters=True`` so the result cache keys the count.
     """
-    return PARTITIONERS.register(name, overwrite=overwrite)
+    return PARTITIONERS.register(name)
 
 
-def register_machine(name: str, *, overwrite: bool = False) -> Callable:
+def register_machine(name: str) -> Callable:
     """Register a machine preset: ``@register_machine("table2-2c")``."""
-    return MACHINES.register(name, overwrite=overwrite)
+    return MACHINES.register(name)
 
 
-def register_scenario(name: str, *, overwrite: bool = False) -> Callable:
+def register_scenario(name: str) -> Callable:
     """Register a scenario factory: ``@register_scenario("figure5")``."""
-    return SCENARIOS.register(name, overwrite=overwrite)
+    return SCENARIOS.register(name)
 
 
 def build_policy(name: str, params: Dict[str, object], num_clusters: int, num_virtual_clusters: int):

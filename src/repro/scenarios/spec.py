@@ -552,9 +552,9 @@ class ScenarioSpec:
             kwargs["stopping"] = StoppingRule.from_dict(data["stopping"])
         return cls(**kwargs)
 
-    def to_json(self, indent: int = 2) -> str:
+    def to_json(self) -> str:
         """The spec as a JSON document."""
-        return json.dumps(self.to_dict(), indent=indent) + "\n"
+        return json.dumps(self.to_dict(), indent=2) + "\n"
 
     def save(self, path: Union[str, Path]) -> None:
         """Write the spec to a JSON scenario file."""

@@ -8,8 +8,8 @@ not an object:
 
 * :mod:`repro.uops.opcodes` -- µop classes, execution latencies and issue-queue
   routing (integer / floating-point / copy).
-* :mod:`repro.uops.registers` -- the architectural register model (integer and
-  floating-point register namespaces).
+* :mod:`repro.uops.registers` -- the sizes of the architectural integer and
+  floating-point register namespaces.
 * :mod:`repro.uops.encoding` -- the ISA extension of the paper: the
   ``vc_id`` / chain-leader annotation carried from the compiler to the
   hardware steering unit, including a compact binary encoding.
@@ -38,6 +38,5 @@ __getattr__, __dir__, __all__ = lazy_exports(
             "FP_OPCODES",
             "MEM_OPCODES",
         ),
-        ".registers": ("RegisterSpace",),
     },
 )

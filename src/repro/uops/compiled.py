@@ -65,6 +65,7 @@ from repro.uops.opcodes import (
     latency_of,
     queue_of,
 )
+from repro.uops.registers import NUM_INT_REGISTERS
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.program.program import Program
@@ -412,16 +413,14 @@ class CompiledTrace:
             lambda: [None if v == NO_ANNOTATION else v for v in self.static_cluster.tolist()],
         )
 
-    def dest_kind_counts(self, register_space) -> List[Tuple[int, int]]:
-        """Per-µop ``(int, fp)`` destination counts for the given register space.
+    def dest_kind_counts(self) -> List[Tuple[int, int]]:
+        """Per-µop ``(int, fp)`` destination counts.
 
         Lets the register-file model allocate/release by count instead of
         classifying every destination register on every dispatch and commit.
         """
-        key = f"dest_counts_{register_space.num_int}_{register_space.num_fp}"
-
         def build() -> List[Tuple[int, int]]:
-            dest_int, dest_fp = self._dest_kind_arrays(register_space)
+            dest_int, dest_fp = self._dest_kind_arrays()
             # A few distinct pairs recur thousands of times: share them.
             shared: Dict[Tuple[int, int], Tuple[int, int]] = {}
             return [
@@ -429,25 +428,23 @@ class CompiledTrace:
                 for pair in zip(dest_int.tolist(), dest_fp.tolist())
             ]
 
-        return self._hoisted(key, build)
+        return self._hoisted("dest_counts", build)
 
-    def _dest_kind_arrays(self, register_space) -> Tuple[np.ndarray, np.ndarray]:
+    def _dest_kind_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
         """Per-µop INT and FP destination counts as ``int64`` arrays.
 
         One cumulative sum of the FP flags over the destination CSR, read
         at the row bounds -- the shared source of :meth:`dest_kind_counts`
         and :meth:`dispatch_meta`.
         """
-        key = f"dest_kind_arrays_{register_space.num_int}_{register_space.num_fp}"
-
         def build() -> Tuple[np.ndarray, np.ndarray]:
-            fp_flags = (self.dest_regs >= register_space.num_int).astype(np.int64)
+            fp_flags = (self.dest_regs >= NUM_INT_REGISTERS).astype(np.int64)
             running = np.zeros(len(fp_flags) + 1, dtype=np.int64)
             np.cumsum(fp_flags, out=running[1:])
             dest_fp = running[self.dest_offsets[1:]] - running[self.dest_offsets[:-1]]
             return np.diff(self.dest_offsets) - dest_fp, dest_fp
 
-        return self._hoisted(key, build)
+        return self._hoisted("dest_kind_arrays", build)
 
     def memory_access_plan(self) -> Tuple[List[int], List[bool]]:
         """``(addresses, is_load)`` of the memory µops, in trace order.
@@ -510,7 +507,7 @@ class CompiledTrace:
 
         return self._hoisted(("cache rows", geometry), build)
 
-    def dispatch_meta(self, register_space) -> List[tuple]:
+    def dispatch_meta(self) -> List[tuple]:
         """Per-µop fused dispatch metadata for the vectorized kernel.
 
         One tuple per µop::
@@ -523,15 +520,11 @@ class CompiledTrace:
         several (the kernel then walks its destination-CSR range).  The
         dispatch stage touches all of these fields for every µop it
         dispatches; fusing them into one cached tuple list turns scattered
-        column lookups into a single list index plus an unpack.  Keyed by
-        register-space geometry (like :meth:`dest_kind_counts`) because the
-        INT/FP destination split depends on it.
+        column lookups into a single list index plus an unpack.
         """
-        key = f"dispatch_meta_{register_space.num_int}_{register_space.num_fp}"
-
         def build() -> List[tuple]:
             plan = self.dependency_plan()
-            dest_int, dest_fp = self._dest_kind_arrays(register_space)
+            dest_int, dest_fp = self._dest_kind_arrays()
             num_dests = np.diff(self.dest_offsets)
             single_def = np.where(
                 num_dests == 1, self.dest_offsets[:-1], np.where(num_dests == 0, -1, -2)
@@ -549,7 +542,7 @@ class CompiledTrace:
                 )
             )
 
-        return self._hoisted(key, build)
+        return self._hoisted("dispatch_meta", build)
 
     def dependency_plan(self) -> DependencePlan:
         """The :class:`DependencePlan` of the trace (built once, then cached).

@@ -14,7 +14,7 @@ averaging performed by the harness (as in the paper) is meaningful.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -22,7 +22,7 @@ from repro.program.program import EdgeRow, InstructionRow, Program
 from repro.program.trace import AddressModel, TraceGenerator
 from repro.uops.compiled import CompiledTrace
 from repro.uops.opcodes import UopClass
-from repro.uops.registers import RegisterSpace
+from repro.uops.registers import NUM_FP_REGISTERS, NUM_INT_REGISTERS, NUM_REGISTERS
 from repro.workloads.kernels import KERNEL_FUNCTIONS, RegisterPool
 from repro.workloads.profile import BenchmarkProfile, KernelKind, phase_seed
 
@@ -38,9 +38,8 @@ class WorkloadGenerator:
     #: loop bounds, base addresses).
     NUM_LIVE_IN_REGISTERS = 8
 
-    def __init__(self, profile: BenchmarkProfile, register_space: Optional[RegisterSpace] = None):
+    def __init__(self, profile: BenchmarkProfile):
         self.profile = profile
-        self.register_space = register_space or RegisterSpace()
 
     # -- seeds -------------------------------------------------------------------
     def phase_seed(self, phase: int) -> int:
@@ -49,17 +48,16 @@ class WorkloadGenerator:
 
     # -- register windows --------------------------------------------------------
     def _pool_for_block(self, block_index: int) -> RegisterPool:
-        space = self.register_space
         live_ins = list(range(self.NUM_LIVE_IN_REGISTERS))
-        usable_int = space.num_int - self.NUM_LIVE_IN_REGISTERS
+        usable_int = NUM_INT_REGISTERS - self.NUM_LIVE_IN_REGISTERS
         window_size = max(4, usable_int // self.NUM_REGISTER_WINDOWS)
         window_index = block_index % self.NUM_REGISTER_WINDOWS
         start = self.NUM_LIVE_IN_REGISTERS + window_index * window_size
-        int_window = [start + i for i in range(window_size) if start + i < space.num_int]
-        fp_window_size = max(4, space.num_fp // self.NUM_REGISTER_WINDOWS)
-        fp_start = space.num_int + window_index * fp_window_size
-        fp_window = [fp_start + i for i in range(fp_window_size) if fp_start + i < space.total]
-        return RegisterPool(space, int_window, fp_window, live_ins)
+        int_window = [start + i for i in range(window_size) if start + i < NUM_INT_REGISTERS]
+        fp_window_size = max(4, NUM_FP_REGISTERS // self.NUM_REGISTER_WINDOWS)
+        fp_start = NUM_INT_REGISTERS + window_index * fp_window_size
+        fp_window = [fp_start + i for i in range(fp_window_size) if fp_start + i < NUM_REGISTERS]
+        return RegisterPool(int_window, fp_window, live_ins)
 
     # -- kernel selection --------------------------------------------------------
     def _pick_kernel(self, rng: np.random.Generator) -> KernelKind:
@@ -137,9 +135,7 @@ class WorkloadGenerator:
             else:
                 edges.append((bid, succ, 1.0, False))
 
-        return Program.from_blocks(
-            f"{profile.name}.p{phase}", blocks, edges, register_space=self.register_space
-        )
+        return Program.from_blocks(f"{profile.name}.p{phase}", blocks, edges)
 
     # -- trace construction ------------------------------------------------------
     def address_model(self, phase: int = 0) -> AddressModel:
@@ -152,17 +148,16 @@ class WorkloadGenerator:
         )
 
     def generate_compiled_trace(
-        self, num_uops: int, phase: int = 0, program: Optional[Program] = None
+        self, num_uops: int, phase: int = 0
     ) -> Tuple[Program, CompiledTrace]:
-        """Build (or reuse) the phase program and expand a compiled trace from it.
+        """Build the phase program and expand a compiled trace from it.
 
         Returns the program, so callers can run compiler passes on it, and
         the unannotated trace; install a pass's columns with
         ``trace.annotate_from(report.columns)``
         (:meth:`~repro.uops.compiled.CompiledTrace.annotate_from`).
         """
-        if program is None:
-            program = self.generate_program(phase)
+        program = self.generate_program(phase)
         generator = TraceGenerator(
             program,
             seed=self.phase_seed(phase) ^ 0x5BD1E995,

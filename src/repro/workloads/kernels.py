@@ -33,32 +33,32 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from repro.uops.opcodes import UopClass
-from repro.uops.registers import RegisterSpace
 from repro.workloads.profile import KernelKind
 
 #: An instruction spec: (opclass, destination registers, source registers).
 InstructionSpec = Tuple[UopClass, Tuple[int, ...], Tuple[int, ...]]
 
+#: Arithmetic µops between the load and the store of a stream element.
+STREAM_OPS_PER_ELEMENT = 2
+
 
 class RegisterPool:
     """Round-robin allocator over a register window.
 
-    Each kernel invocation receives its own pool carved out of the program's
-    register space so that independent chains use disjoint registers (no
+    Each kernel invocation receives its own pool carved out of the
+    architectural registers so that independent chains use disjoint registers (no
     accidental false dependences) while values still get reused often enough
     for cross-block dependences to exist.
     """
 
     def __init__(
         self,
-        space: RegisterSpace,
         int_window: Sequence[int],
         fp_window: Sequence[int],
         live_ins: Sequence[int],
     ) -> None:
         if not int_window:
             raise ValueError("integer register window must not be empty")
-        self.space = space
         self._int_window = list(int_window)
         self._fp_window = list(fp_window) if fp_window else list(int_window)
         self._live_ins = list(live_ins) if live_ins else list(int_window[:1])
@@ -213,7 +213,6 @@ def stream_kernel(
     size: int,
     pool: RegisterPool,
     fp: bool = True,
-    ops_per_element: int = 2,
     long_latency_fraction: float = 0.15,
 ) -> List[InstructionSpec]:
     """Streaming loop body: load, a short computation, store -- per element.
@@ -222,13 +221,13 @@ def stream_kernel(
     trees; these codes want balanced distribution more than anything else.
     """
     specs: List[InstructionSpec] = []
-    elements = max(1, size // (ops_per_element + 2))
+    elements = max(1, size // (STREAM_OPS_PER_ELEMENT + 2))
     for _ in range(elements):
         address = pool.live_in(rng)
         value = pool.next_fp() if fp else pool.next_int()
         specs.append((UopClass.LOAD, (value,), (address,)))
         current = value
-        for _ in range(ops_per_element):
+        for _ in range(STREAM_OPS_PER_ELEMENT):
             dest = pool.next_fp() if fp else pool.next_int()
             op = _arith_op(rng, fp, long_latency_fraction)
             specs.append((op, (dest,), (current, pool.live_in(rng))))

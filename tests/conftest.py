@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from repro.program.ddg import build_ddg
+from repro.partition.multilevel import _merge_edges
 from repro.program.program import Program
 from repro.uops.compiled import CompiledTrace, empty_annotations
 from repro.uops.opcodes import UopClass, is_memory, latency_of
@@ -36,16 +37,16 @@ def make_instruction(opclass=UopClass.INT_ALU, dests=(), srcs=()):
     return Instruction(UopClass(opclass), tuple(dests), tuple(srcs))
 
 
-def make_program(*blocks, edges=(), entry=0, name="test"):
+def make_program(*blocks, edges=(), name="test"):
     """A program whose block ``b`` holds the instructions ``blocks[b]``, in
     order; sids number them in block order."""
     rows = [[(inst.opclass, inst.dests, inst.srcs) for inst in block] for block in blocks]
-    return Program.from_blocks(name, rows, edges, entry=entry)
+    return Program.from_blocks(name, rows, edges)
 
 
 def program_bytes(program):
-    """Every column of ``program``, plus its name, entry and register space."""
-    meta = (program.name, program.entry, program.register_space)
+    """Every column of ``program``, plus its name and entry."""
+    meta = (program.name, program.entry)
     return repr(meta).encode() + b"".join(
         getattr(program, name).tobytes() for name in Program.COLUMNS
     )
@@ -75,6 +76,19 @@ def leaves(ddg):
 def critical_nodes(info):
     """The nodes a :class:`CriticalityInfo` puts on some critical path."""
     return [i for i, c in enumerate(info.criticality) if c == info.critical_path_length]
+
+
+def partition_graph(partitioner, node_weights, edge_weights, node_groups=None):
+    """``partitioner``'s part of every node of a graph whose edges are
+    ``{(u, v): weight}`` (direction ignored, parallel pairs summed); one
+    balance group unless ``node_groups`` gives each node its own."""
+    n = len(node_weights)
+    edges = _merge_edges(
+        [u for u, _ in edge_weights], [v for _, v in edge_weights], list(edge_weights.values()),
+        range(n),
+    )
+    groups = list(node_groups) if node_groups is not None else [0] * n
+    return partitioner.partition_edges(list(node_weights), edges, groups)
 
 
 def traces_equal(a, b):

@@ -13,15 +13,17 @@ Contracts pinned here:
 
 from __future__ import annotations
 
+import contextlib
 import io
 from pathlib import Path
 
-from repro.analysis.framework import parse_suppression, run, scan_paths
+from repro.analysis.framework import main, parse_suppression, scan_paths
 
 
 def _run(*argv):
     out = io.StringIO()
-    code = run(list(argv), out=out)
+    with contextlib.redirect_stdout(out):
+        code = main(list(argv))
     return code, out.getvalue()
 
 

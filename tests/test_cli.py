@@ -275,13 +275,31 @@ class TestMachineLimitGuard:
 
     With ``regfile_int_size=0`` or ``l1_read_ports=0`` both kernels used to
     spin to ``max_cycles`` (8-28 s on a 300-µop trace) before reporting a
-    "possible deadlock"; ``l1_hit_latency=-1`` ran silently.
+    "possible deadlock"; ``l1_hit_latency=-1`` ran silently.  A zero
+    associativity or copy bandwidth, or a cache with fewer lines than ways,
+    failed only once the run built its caches or interconnect, with a
+    message naming no scenario field.
     """
 
     @pytest.mark.parametrize(
-        "field_name,value", [("regfile_int_size", 0), ("l1_read_ports", 0), ("l1_hit_latency", -1)]
+        "field_name,value",
+        [
+            ("regfile_int_size", 0),
+            ("l1_read_ports", 0),
+            ("l1_hit_latency", -1),
+            ("l1_assoc", 0),
+            ("l2_assoc", 0),
+            ("copies_per_link_per_cycle", 0),
+        ],
     )
     def test_override_fails_naming_the_field(self, tmp_path, monkeypatch, field_name, value):
+        self._run_expecting(tmp_path, monkeypatch, {field_name: value}, field_name)
+
+    def test_cache_with_fewer_lines_than_ways_fails_naming_the_field(self, tmp_path, monkeypatch):
+        self._run_expecting(tmp_path, monkeypatch, {"l1_size_kb": 1, "l1_assoc": 64}, "l1_assoc")
+
+    @staticmethod
+    def _run_expecting(tmp_path, monkeypatch, overrides, field_name):
         import json
 
         monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
@@ -291,7 +309,7 @@ class TestMachineLimitGuard:
                 {
                     "name": "bad-machine",
                     "report": "table",
-                    "machine": {"preset": "table2-2c", "overrides": {field_name: value}},
+                    "machine": {"preset": "table2-2c", "overrides": overrides},
                     "benchmarks": ["164.gzip-1"],
                     "configurations": [{"name": "OP", "policy": "OP"}],
                     "trace_length": 300,

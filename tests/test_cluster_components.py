@@ -64,13 +64,25 @@ class TestConfig:
             ("l1_hit_latency", -1),
             ("l2_hit_latency", -1),
             ("mispredict_redirect_penalty", -1),
+            ("l1_assoc", 0),
+            ("l2_assoc", 0),
+            ("copies_per_link_per_cycle", 0),
         ],
     )
     def test_machine_limits_rejected_by_name(self, field_name, value):
         """A register file or L1 port count of 0 would stall dispatch or
-        issue until ``max_cycles``; a negative latency would run silently."""
+        issue until ``max_cycles``; a negative latency would run silently; a
+        zero associativity or copy bandwidth failed only once the run built
+        its caches or interconnect, with a message naming neither field."""
         with pytest.raises(ValueError, match=field_name):
             ClusterConfig(**{field_name: value})
+
+    @pytest.mark.parametrize("level", ["l1", "l2"])
+    def test_cache_with_fewer_lines_than_ways_rejected_by_name(self, level):
+        """A 1 KB cache of 64-byte lines has 16 lines: it cannot hold 64 ways."""
+        with pytest.raises(ValueError, match=f"{level}_assoc=64 exceeds the 16 lines"):
+            ClusterConfig(**{f"{level}_size_kb": 1, f"{level}_assoc": 64})
+        ClusterConfig(**{f"{level}_size_kb": 1, f"{level}_assoc": 16})
 
     def test_every_modelled_field_is_read_by_the_simulator(self):
         """Each field but ``l1_write_ports`` (not modelled) is read as

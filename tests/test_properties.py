@@ -29,6 +29,7 @@ from tests.conftest import (
     edge_latency,
     make_instruction,
     make_trace,
+    partition_graph,
     predecessors,
 )
 
@@ -157,7 +158,7 @@ class TestPartitionProperties:
         slack = compute_slack(ddg)
         weights = [1] * len(ddg)
         edges = dict(zip(edge_latency(ddg), slack.edge_weights()))
-        assignment = MultilevelPartitioner(parts).partition(weights, edges)
+        assignment = partition_graph(MultilevelPartitioner(parts), weights, edges)
         assert len(assignment) == len(ddg)
         assert all(0 <= part < parts for part in assignment)
 

@@ -169,7 +169,8 @@ class TestRegistries:
         registry.register("a")(lambda: 1)
         with pytest.raises(ValueError, match="already registered"):
             registry.register("a")(lambda: 2)
-        registry.register("a", overwrite=True)(lambda: 3)
+        registry.unregister("a")
+        registry.register("a")(lambda: 3)
         assert registry.get("a")() == 3
 
     def test_invalid_name_rejected(self):

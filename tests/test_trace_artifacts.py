@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import pickle
 
 import numpy as np
@@ -22,6 +23,7 @@ from repro.partition.base import program_regions
 from repro.program.program import LAYOUT_DTYPES, Program, pack
 from repro.scenarios.registry import build_partitioner
 from repro.scenarios.spec import ScenarioSpec
+from repro.uops.registers import NUM_REGISTERS
 from repro.workloads.generator import WorkloadGenerator
 from tests.conftest import traces_equal
 
@@ -71,9 +73,7 @@ class TestStore:
         loaded_program, loaded_trace = loaded
         assert traces_equal(loaded_trace, compiled)
         assert program_columns(loaded_program) == program_columns(program)
-        assert (loaded_program.name, loaded_program.entry, loaded_program.register_space) == (
-            program.name, program.entry, program.register_space
-        )
+        assert (loaded_program.name, loaded_program.entry) == (program.name, program.entry)
         assert store.stats() == {"hits": 1, "misses": 0, "stores": 1}
 
     def test_missing_key_is_a_miss(self, tmp_path):
@@ -107,6 +107,7 @@ class TestStore:
         [
             "offsets-not-rising",
             "register-outside-space",
+            "register-counts",
             "block-start-short",
             "edge-to-unknown-block",
             "out-probabilities",
@@ -115,9 +116,10 @@ class TestStore:
         ],
     )
     def test_tampered_program_columns_are_a_miss(self, tmp_path, small_profile, tamper):
-        """Columns that fail the program's validation, a trace ``sid`` the
-        program does not have, and a pickled member are each caught at load:
-        a miss, not a program or trace served from bad bytes."""
+        """Columns that fail the program's validation, register counts that
+        are not the architectural ones, a trace ``sid`` the program does not
+        have, and a pickled member are each caught at load: a miss, not a
+        program or trace served from bad bytes."""
         store = TraceArtifactStore(tmp_path / "traces")
         program, compiled = WorkloadGenerator(small_profile).generate_compiled_trace(300)
         key = "c3" * 32
@@ -130,7 +132,11 @@ class TestStore:
             assert offsets[2] < offsets[-1]
             offsets[1] = offsets[-1]
         elif tamper == "register-outside-space":
-            data["dest_regs"][0] = program.register_space.total
+            data["dest_regs"][0] = NUM_REGISTERS
+        elif tamper == "register-counts":
+            meta = json.loads(data["meta"].tobytes())
+            meta["num_int"] = 32
+            data["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
         elif tamper == "block-start-short":
             data["block_start"][-1] -= 1
         elif tamper == "edge-to-unknown-block":
@@ -156,8 +162,6 @@ class TestStore:
     def test_savez_compressed_layout_still_loads(self, tmp_path, small_profile):
         """Artifacts written as ``np.savez_compressed`` files (the store's
         earlier writer) stay hits: same members, default deflate level."""
-        import json
-
         from repro.engine.artifacts import TRACE_ARTIFACT_VERSION
 
         store = TraceArtifactStore(tmp_path / "traces")

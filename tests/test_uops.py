@@ -25,7 +25,7 @@ from repro.uops.opcodes import (
     latency_of,
     queue_of,
 )
-from repro.uops.registers import RegisterSpace
+from repro.uops.registers import NUM_FP_REGISTERS, NUM_INT_REGISTERS, NUM_REGISTERS
 from tests.conftest import make_instruction, make_program
 
 
@@ -71,8 +71,8 @@ class TestOpcodes:
 
 class TestRegisterSpace:
     def test_total(self):
-        space = RegisterSpace(num_int=16, num_fp=8)
-        assert space.total == 24
+        """64 INT + 64 FP: every cache key and trace artifact records this split."""
+        assert (NUM_INT_REGISTERS, NUM_FP_REGISTERS, NUM_REGISTERS) == (64, 64, 128)
 
 
 class TestStaticInstructionRows:

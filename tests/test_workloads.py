@@ -8,7 +8,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.program.program import Program
 from repro.uops.opcodes import UopClass
-from repro.uops.registers import RegisterSpace
+from repro.uops.registers import NUM_INT_REGISTERS, NUM_REGISTERS
 from repro.workloads.generator import BenchmarkProfile, WorkloadGenerator, generate_program
 from repro.workloads.kernels import (
     RegisterPool,
@@ -35,8 +35,7 @@ FP_CLASSES = [UopClass.FP_ADD, UopClass.FP_MUL, UopClass.FP_DIV]
 
 
 def make_pool():
-    space = RegisterSpace()
-    return RegisterPool(space, list(range(8, 24)), list(range(64, 80)), list(range(8)))
+    return RegisterPool(list(range(8, 24)), list(range(64, 80)), list(range(8)))
 
 
 class TestKernels:
@@ -85,12 +84,12 @@ class TestKernels:
 
     def test_fp_kernels_use_fp_destinations(self):
         rng = np.random.default_rng(5)
-        space = RegisterSpace()
-        pool = RegisterPool(space, list(range(8, 24)), list(range(64, 80)), list(range(8)))
-        specs = parallel_chains_kernel(rng, 20, pool, fp=True, load_fraction=0.0, store_fraction=0.0)
+        specs = parallel_chains_kernel(
+            rng, 20, make_pool(), fp=True, load_fraction=0.0, store_fraction=0.0
+        )
         for op, dests, _ in specs:
             if op in (UopClass.FP_ADD, UopClass.FP_MUL, UopClass.FP_DIV):
-                assert all(space.num_int <= d < space.total for d in dests)
+                assert all(NUM_INT_REGISTERS <= d < NUM_REGISTERS for d in dests)
 
     def test_register_pool_round_robin(self):
         pool = make_pool()
@@ -103,7 +102,7 @@ class TestKernels:
 
     def test_register_pool_requires_window(self):
         with pytest.raises(ValueError):
-            RegisterPool(RegisterSpace(), [], [], [])
+            RegisterPool([], [], [])
 
 
 class TestBenchmarkProfile:
