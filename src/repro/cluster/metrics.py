@@ -13,8 +13,37 @@
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, fields
-from typing import Dict, List
+from dataclasses import dataclass, field, fields
+from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
+
+
+#: How :meth:`SimulationMetrics.to_dict` copies a field of each annotated
+#: type: a counter as it is (``None``), a per-cluster list or the cache
+#: summary one level deep (they hold numbers only).
+_FIELD_COPIES: Dict[str, Optional[Callable]] = {"int": None, "List[int]": list, "Dict[str, float]": dict}
+
+#: ``(field names, ((name, copy), ...))`` of each metrics class, in field order.
+_FIELD_TABLES: Dict[type, Tuple[FrozenSet[str], Tuple[Tuple[str, Optional[Callable]], ...]]] = {}
+
+
+def _field_table(cls: type) -> Tuple[FrozenSet[str], Tuple[Tuple[str, Optional[Callable]], ...]]:
+    """The field table of ``cls``, built on first use (see :data:`_FIELD_TABLES`).
+
+    A field whose annotation :data:`_FIELD_COPIES` does not list raises
+    ``TypeError``, so a new field cannot be dumped or checked by accident.
+    """
+    table = _FIELD_TABLES.get(cls)
+    if table is None:
+        entries = []
+        for spec in fields(cls):
+            if spec.type not in _FIELD_COPIES:
+                raise TypeError(
+                    f"SimulationMetrics field {spec.name!r} has type {spec.type!r}, "
+                    f"not one of {sorted(_FIELD_COPIES)}"
+                )
+            entries.append((spec.name, _FIELD_COPIES[spec.type]))
+        table = _FIELD_TABLES[cls] = (frozenset(name for name, _ in entries), tuple(entries))
+    return table
 
 
 def _check_count(name: str, value: object) -> None:
@@ -145,9 +174,14 @@ class SimulationMetrics:
         after a JSON round trip.  The experiment engine relies on this
         for cross-process result transport and on-disk caching.
         """
-        # asdict() covers every dataclass field (deep-copying the lists and
-        # the cache dict), so new counters can never be forgotten here.
-        return asdict(self)
+        # The field table covers every dataclass field, so new counters can
+        # never be forgotten here.
+        _, table = _field_table(type(self))
+        data: Dict[str, object] = {}
+        for name, copy in table:
+            value = getattr(self, name)
+            data[name] = value if copy is None else copy(value)
+        return data
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "SimulationMetrics":
@@ -161,17 +195,17 @@ class SimulationMetrics:
         whose length is not ``num_clusters``, or a non-numeric ``cache``
         value.  Each raises ``ValueError`` naming the field.
         """
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(f"unknown SimulationMetrics fields: {sorted(unknown)}")
-        missing = known - set(data)
-        if missing:
-            raise ValueError(f"missing SimulationMetrics fields: {sorted(missing)}")
+        names, table = _field_table(cls)
+        present = set(data)
+        if present != names:
+            unknown = present - names
+            if unknown:
+                raise ValueError(f"unknown SimulationMetrics fields: {sorted(unknown)}")
+            raise ValueError(f"missing SimulationMetrics fields: {sorted(names - present)}")
         kwargs = dict(data)
-        for f in fields(cls):
-            if f.type == "int":
-                _check_count(f.name, kwargs[f.name])
+        for name, copy in table:
+            if copy is None:
+                _check_count(name, kwargs[name])
         num_clusters = kwargs["num_clusters"]
         if num_clusters < 1:
             raise ValueError(

@@ -96,7 +96,6 @@ __getattr__, __dir__, __all__ = lazy_exports(
     {
         ".adaptive": (
             "SUPPORTED_CONFIDENCE",
-            "ZERO_ADAPTIVE_STATS",
             "BisectOutcome",
             "CIOutcome",
             "ConfigOutcome",
@@ -113,6 +112,7 @@ __getattr__, __dir__, __all__ = lazy_exports(
         ".job": ("CACHE_SCHEMA_VERSION", "SimulationJob"),
         ".parallel": (
             "DEFAULT_MEMO_CAP",
+            "ZERO_ADAPTIVE_STATS",
             "ParallelRunner",
             "execute_batch",
             "resolve_memo_cap",

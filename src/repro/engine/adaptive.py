@@ -83,23 +83,6 @@ _T_TABLE: Dict[float, Tuple[float, ...]] = {
 
 _T_ASYMPTOTE: Dict[float, float] = {0.90: 1.645, 0.95: 1.960, 0.99: 2.576}
 
-#: Zeroed ``[adaptive]`` footer counters (template for
-#: :attr:`ParallelRunner.adaptive_stats`).  ``planned`` counts the
-#: simulation runs of the exhaustive grid, ``executed`` the runs the
-#: adaptive schedule actually submitted; the ``stop_*`` keys count why
-#: sampling stopped, per configuration (or, for bisection, how many grid
-#: points were never evaluated).
-ZERO_ADAPTIVE_STATS: Dict[str, int] = {
-    "planned": 0,
-    "executed": 0,
-    "stop_resolved": 0,   # ci: the interval got tight enough
-    "stop_retired": 0,    # race: significantly worse than the leader
-    "stop_tied": 0,       # race: within the tie margin of the leader
-    "stop_won": 0,        # race: last racer standing
-    "stop_capped": 0,     # the replication cap was reached first
-    "stop_bisected": 0,   # bisection: axis points never evaluated
-}
-
 
 def t_critical(confidence: float, df: int) -> float:
     """Two-sided Student-t critical value at ``confidence`` for ``df`` >= 1."""

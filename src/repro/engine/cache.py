@@ -77,14 +77,19 @@ class ResultCache:
         """
         return [self.get(key) for key in keys]
 
-    def put(self, key: str, metrics: SimulationMetrics) -> None:
-        """Store ``metrics`` under ``key`` (atomic, last-writer-wins)."""
+    def put(self, key: str, dump: Dict[str, object]) -> None:
+        """Store a metrics dump under ``key`` (atomic, last-writer-wins).
+
+        ``dump`` is a :meth:`SimulationMetrics.to_dict` dump that
+        :meth:`SimulationMetrics.from_dict` has accepted: the engine stores
+        the dump it rebuilt a result from rather than dumping it again.
+        """
         path = self._path(key)
         path.parent.mkdir(parents=True, exist_ok=True)
         fd, tmp_name = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                json.dump(metrics.to_dict(), handle, sort_keys=True)
+                json.dump(dump, handle, sort_keys=True)
             os.replace(tmp_name, path)
         except BaseException:
             try:

@@ -47,18 +47,24 @@ if TYPE_CHECKING:  # import at type-check time only: repro.experiments imports
 CACHE_SCHEMA_VERSION = 2
 
 
-#: ``asdict`` of each resolved machine by ``(num_clusters, config_overrides)``:
-#: the jobs of a figure run share one geometry, so each is converted once.
-_MACHINE_IDENTITIES: Dict[Tuple[object, ...], Dict[str, object]] = {}
-
-
-#: The key entry of the architectural register counts.
-_REGISTER_COUNTS = {"num_int": NUM_INT_REGISTERS, "num_fp": NUM_FP_REGISTERS}
-
-
 def _canonical_json(payload: object) -> str:
     """Deterministic JSON encoding (sorted keys, no whitespace drift)."""
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+
+def _json_scalar(value: object) -> str:
+    """``_canonical_json(value)``, formatting a plain ``int`` directly."""
+    return str(value) if type(value) is int else _canonical_json(value)
+
+
+#: The key fragment of the architectural register counts.
+_REGISTER_COUNTS = _canonical_json({"num_int": NUM_INT_REGISTERS, "num_fp": NUM_FP_REGISTERS})
+
+#: Canonical JSON of each resolved machine by ``(num_clusters,
+#: config_overrides)`` and of each configuration's cache identity: the jobs
+#: of a figure run share a handful of each, so each is encoded once.
+_MACHINE_FRAGMENTS: Dict[Tuple[object, ...], str] = {}
+_CONFIGURATION_FRAGMENTS: Dict["SteeringConfiguration", str] = {}
 
 
 @dataclass(frozen=True)
@@ -110,14 +116,14 @@ class SimulationJob:
         dynamic µop stream is identical across configurations by design, as
         in the paper's methodology.
         """
-        payload = {
-            "schema": CACHE_SCHEMA_VERSION,
-            "profile": self.profile.identity,
-            "phase": self.phase,
-            "trace_length": self.trace_length,
-            "register_space": _REGISTER_COUNTS,
-        }
-        return hashlib.sha256(_canonical_json(payload).encode("utf-8")).hexdigest()
+        # The canonical JSON of {schema, profile, phase, trace_length,
+        # register_space}: keys in sorted order, values as key fragments.
+        text = (
+            f'{{"phase":{_json_scalar(self.phase)},"profile":{self.profile.identity_json},'
+            f'"register_space":{_REGISTER_COUNTS},"schema":{CACHE_SCHEMA_VERSION},'
+            f'"trace_length":{_json_scalar(self.trace_length)}}}'
+        )
+        return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
     def machine_config(self) -> ClusterConfig:
         """The resolved :class:`ClusterConfig` this job simulates on."""
@@ -162,18 +168,23 @@ class SimulationJob:
         else:
             effective_vcs = None
         geometry = (self.num_clusters, self.config_overrides)
-        machine = _MACHINE_IDENTITIES.get(geometry)
+        machine = _MACHINE_FRAGMENTS.get(geometry)
         if machine is None:
-            machine = _MACHINE_IDENTITIES[geometry] = asdict(self.machine_config())
-        payload = {
-            "schema": CACHE_SCHEMA_VERSION,
-            "profile": self.profile.identity,
-            "phase": self.phase,
-            "configuration": configuration.cache_identity(),
-            "trace_length": self.trace_length,
-            "region_size": self.region_size if configuration.uses_compiler else None,
-            "num_virtual_clusters": effective_vcs,
-            "machine_config": machine,
-            "register_space": _REGISTER_COUNTS,
-        }
-        return hashlib.sha256(_canonical_json(payload).encode("utf-8")).hexdigest()
+            machine = _MACHINE_FRAGMENTS[geometry] = _canonical_json(asdict(self.machine_config()))
+        identity = _CONFIGURATION_FRAGMENTS.get(configuration)
+        if identity is None:
+            identity = _CONFIGURATION_FRAGMENTS[configuration] = _canonical_json(
+                configuration.cache_identity()
+            )
+        region_size = self.region_size if configuration.uses_compiler else None
+        # The canonical JSON of {schema, profile, phase, configuration,
+        # trace_length, region_size, num_virtual_clusters, machine_config,
+        # register_space}: keys in sorted order, values as key fragments.
+        text = (
+            f'{{"configuration":{identity},"machine_config":{machine},'
+            f'"num_virtual_clusters":{_json_scalar(effective_vcs)},'
+            f'"phase":{_json_scalar(self.phase)},"profile":{self.profile.identity_json},'
+            f'"region_size":{_json_scalar(region_size)},"register_space":{_REGISTER_COUNTS},'
+            f'"schema":{CACHE_SCHEMA_VERSION},"trace_length":{_json_scalar(self.trace_length)}}}'
+        )
+        return hashlib.sha256(text.encode("utf-8")).hexdigest()

@@ -50,17 +50,18 @@ import math
 import warnings
 import weakref
 from collections import OrderedDict
-from concurrent.futures import Future, as_completed
 from pathlib import Path
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.cluster.metrics import SimulationMetrics
-from repro.engine.adaptive import ZERO_ADAPTIVE_STATS
 from repro.engine.artifacts import TraceArtifactStore
 from repro.engine.cache import ResultCache
 from repro.engine.job import SimulationJob
 from repro.engine.pool import WorkerPool
 from repro.engine.shm import SegmentRegistry, attach_segment, shared_memory_available
+
+if TYPE_CHECKING:  # pragma: no cover - typing only; loaded when a pool runs
+    from concurrent.futures import Future
 
 
 #: Per-process ``(trace root, trace_key) -> (program, compiled trace)`` memo.
@@ -80,12 +81,42 @@ _STORES: Dict[str, TraceArtifactStore] = {}
 #: Zeroed trace-traffic counters (template for aggregation).
 _ZERO_TRACE_STATS = {"hits": 0, "misses": 0, "stores": 0}
 
+#: Zeroed ``[adaptive]`` footer counters (template for
+#: :attr:`ParallelRunner.adaptive_stats`).  ``planned`` counts the
+#: simulation runs of the exhaustive grid, ``executed`` the runs the
+#: adaptive schedule actually submitted; the ``stop_*`` keys count why
+#: sampling stopped, per configuration (or, for bisection, how many grid
+#: points were never evaluated).  Defined here, not with the stopping rules
+#: of :mod:`repro.engine.adaptive`, so a runner never loads them.
+ZERO_ADAPTIVE_STATS: Dict[str, int] = {
+    "planned": 0,
+    "executed": 0,
+    "stop_resolved": 0,   # ci: the interval got tight enough
+    "stop_retired": 0,    # race: significantly worse than the leader
+    "stop_tied": 0,       # race: within the tie margin of the leader
+    "stop_won": 0,        # race: last racer standing
+    "stop_capped": 0,     # the replication cap was reached first
+    "stop_bisected": 0,   # bisection: axis points never evaluated
+}
+
 #: Zeroed shared-memory counters (template for :meth:`ParallelRunner.shm_stats`).
 _ZERO_SHM_STATS = {"segments": 0, "bytes": 0, "published": 0, "reused": 0, "unlinked": 0}
 
 #: One batch task: a trace key, the run indices of its uncached jobs
 #: (ascending) and those jobs, all sharing the key.
 _Task = Tuple[str, List[int], List[SimulationJob]]
+
+
+def as_completed(futures):
+    """:func:`concurrent.futures.as_completed`, imported on the first call.
+
+    Only a parallel run waits on futures; at module scope the import would
+    load ``concurrent.futures``, ``logging`` and ``traceback`` into every
+    command, cache replays included.
+    """
+    from concurrent.futures import as_completed as completed
+
+    return completed(futures)
 
 
 def resolve_memo_cap(batch_width: Optional[float] = None) -> int:
@@ -540,9 +571,10 @@ class ParallelRunner:
         dump: Dict[str, object],
         keys: List[Optional[str]],
     ) -> Tuple[int, SimulationMetrics]:
+        # from_dict copies what it keeps, so the checked dump itself is stored.
         metrics = SimulationMetrics.from_dict(dump)
         if self.cache is not None:
-            self.cache.put(keys[index], metrics)
+            self.cache.put(keys[index], dump)
         return index, metrics
 
     def _run_batched(
@@ -614,9 +646,15 @@ class ParallelRunner:
         """
         from concurrent.futures.process import BrokenProcessPool
 
-        # Workers are forked from this process: load the simulator and the
-        # trace generator once here, not once per worker.
+        # Workers are forked from this process: load the simulator, the
+        # trace generator and the partitioning algorithms (which the passes
+        # import per region) once here, not once per worker.
+        import repro.analysis.slack  # noqa: F401
         import repro.cluster.processor  # noqa: F401
+        import repro.partition.chains  # noqa: F401
+        import repro.partition.multilevel  # noqa: F401
+        import repro.program.ddg  # noqa: F401
+        import repro.program.regions  # noqa: F401
         import repro.workloads.generator  # noqa: F401
 
         use_shm = self._use_shared_memory()

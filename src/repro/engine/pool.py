@@ -23,11 +23,10 @@ run failed too.  :class:`WorkerPool` pins the rules down:
 
 from __future__ import annotations
 
-from concurrent.futures import Future
 from typing import TYPE_CHECKING, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - typing only; imported when the pool spawns
-    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures import Future, ProcessPoolExecutor
 
 
 class WorkerPool:

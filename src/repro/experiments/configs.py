@@ -38,26 +38,53 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids eager leaf imports
 Params = Tuple[Tuple[str, object], ...]
 
 
-def _freeze_value(value: object) -> object:
-    """A hashable form of one parameter value (lists become tuples, deeply).
+class FrozenMapping(tuple):
+    """A mapping parameter value in hashable form: its sorted ``(key, value)`` pairs.
 
-    Values are restricted to JSON scalars and (nested) lists so the
-    guarantee that every configuration is hashable holds by construction --
-    a dict-valued parameter would otherwise only fail much later, at
-    ``hash()`` time inside the engine.
+    Unequal to every plain tuple (the frozen form of a list), so ``{"a": 1}``
+    and ``[["a", 1]]`` never share a partitioner key.
     """
+
+    __slots__ = ()
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is FrozenMapping and tuple.__eq__(self, other)
+
+    def __ne__(self, other: object) -> bool:
+        return not self == other
+
+    def __hash__(self) -> int:
+        return hash((FrozenMapping, tuple(self)))
+
+
+def _freeze_value(value: object) -> object:
+    """A hashable form of one parameter value (lists become tuples and
+    mappings :class:`FrozenMapping`, deeply).
+
+    Values are restricted to JSON values -- scalars, and lists and objects
+    of them -- so the guarantee that every configuration is hashable holds
+    by construction: any other value would otherwise only fail much later,
+    at ``hash()`` time inside the engine.
+    """
+    if isinstance(value, FrozenMapping):
+        return value
     if isinstance(value, (list, tuple)):
         return tuple(_freeze_value(item) for item in value)
+    if isinstance(value, Mapping):
+        return FrozenMapping(freeze_params(value))
     if value is None or isinstance(value, (str, int, float, bool)):
         return value
     raise TypeError(
         f"unsupported parameter value {value!r} ({type(value).__name__}); "
-        "parameter values must be JSON scalars or lists of them"
+        "parameter values must be JSON scalars, lists or objects"
     )
 
 
 def _thaw_value(value: object) -> object:
-    """Invert :func:`_freeze_value` (tuples back to lists, deeply)."""
+    """Invert :func:`_freeze_value` (tuples back to lists and frozen mappings
+    back to dicts, deeply)."""
+    if isinstance(value, FrozenMapping):
+        return thaw_params(value)
     if isinstance(value, tuple):
         return [_thaw_value(item) for item in value]
     return value
@@ -67,9 +94,9 @@ def freeze_params(params: Union[Mapping[str, object], Params, None]) -> Params:
     """Normalise a parameter mapping to a sorted, hashable tuple of pairs.
 
     Accepts a dict, an (already frozen) tuple of pairs, or ``None``.  List
-    values (e.g. from JSON) are converted to tuples -- recursively -- so the
-    result is fully hashable and round-trips through
-    ``to_dict``/``from_dict`` losslessly.
+    and mapping values (e.g. from JSON) are converted to tuples and
+    :class:`FrozenMapping` -- recursively -- so the result is fully
+    hashable and round-trips through ``to_dict``/``from_dict`` losslessly.
     """
     if params is None:
         return ()
@@ -175,13 +202,13 @@ class SteeringConfiguration:
         if key is None:
             return None
         name, params, clusters, virtual_clusters, region = key
-        return build_partitioner(name, dict(params), clusters, virtual_clusters, region)
+        return build_partitioner(name, thaw_params(params), clusters, virtual_clusters, region)
 
     def make_policy(self, num_clusters: int, num_virtual_clusters: int) -> "SteeringPolicy":
         """Instantiate the run-time policy."""
         return build_policy(
             self.policy,
-            dict(self.policy_params),
+            thaw_params(self.policy_params),
             num_clusters,
             self.effective_virtual_clusters(num_virtual_clusters),
         )

@@ -26,9 +26,9 @@ __getattr__, __dir__, __all__ = lazy_exports(
     {
         ".base": ("PartitionReport", "RegionPartitioner"),
         ".chains": ("Chain", "identify_chains"),
-        ".multilevel": ("MultilevelPartitioner", "PartitionObjective"),
+        ".multilevel": ("MultilevelPartitioner",),
         ".ob_partitioner": ("OperationBasedPartitioner",),
-        ".rhop_partitioner": ("RhopPartitioner",),
+        ".rhop_partitioner": ("PartitionObjective", "RhopPartitioner"),
         ".vc_partitioner": ("VirtualClusterPartitioner",),
     },
 )

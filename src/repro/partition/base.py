@@ -19,12 +19,12 @@ from dataclasses import dataclass, field
 from operator import ne
 from typing import TYPE_CHECKING, AbstractSet, Dict, List, Optional, Sequence, Tuple
 
-from repro.program.ddg import DataDependenceGraph, build_ddg
-from repro.program.program import Program
-from repro.program.regions import Region, form_regions
-
-if TYPE_CHECKING:  # pragma: no cover - typing only; numpy loads when a pass runs
+if TYPE_CHECKING:  # pragma: no cover - typing only; numpy and the DDG load when a pass runs
     import numpy as np
+
+    from repro.program.ddg import DataDependenceGraph
+    from repro.program.program import Program
+    from repro.program.regions import Region
 
 #: The sid-indexed ``vc_id``, ``chain_leader`` and ``static_cluster`` lists a pass fills.
 AnnotationLists = Tuple[List[int], List[bool], List[int]]
@@ -86,6 +86,8 @@ def program_regions(program: Program, region_size: int) -> List[Region]:
     Formed once per ``(program, region_size)`` and held in the program's
     memo: every pass over the program (OB, RHOP and VC alike) reads them.
     """
+    from repro.program.regions import form_regions
+
     return program.memo(
         ("regions", region_size), lambda: form_regions(program, max_instructions=region_size)
     )
@@ -95,6 +97,8 @@ def region_ddg(program: Program, region_size: int, region: Region) -> DataDepend
     """The DDG of ``region`` (of ``program_regions(program, region_size)``),
     built when a pass first partitions the region, then memoised on the
     program; regions no trace executes never get one.  Read-only."""
+    from repro.program.ddg import build_ddg
+
     return program.memo(
         ("region ddg", region_size, region.rid), lambda: build_ddg(program, region.sids)
     )

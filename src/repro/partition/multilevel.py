@@ -18,31 +18,15 @@ slack-derived weights and the per-cluster balance constraint.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate, compress, repeat
 from operator import floordiv, mod
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
+
+if TYPE_CHECKING:  # pragma: no cover - typing only; RHOP owns the objective
+    from repro.partition.rhop_partitioner import PartitionObjective
 
 #: Upper bound on refinement sweeps per level.
 MAX_REFINEMENT_PASSES = 4
-
-
-@dataclass(frozen=True)
-class PartitionObjective:
-    """Objective weights of the refinement pass.
-
-    ``cut_weight`` scales the total weight of edges crossing partitions
-    (communication); ``imbalance_weight`` scales the deviation of each
-    partition's node weight from the ideal (workload imbalance).  RHOP's
-    refinement considers both "the workload per cluster and total system
-    workload" along with communication; the defaults weight communication
-    higher, matching its coarsening bias towards keeping critical paths
-    together.
-    """
-
-    cut_weight: float = 1.0
-    imbalance_weight: float = 0.5
-    max_imbalance: float = 0.25
 
 
 def _merge_edges(
@@ -124,14 +108,15 @@ class MultilevelPartitioner:
     num_parts:
         Number of partitions.
     objective:
-        Cut / imbalance trade-off used by refinement.
+        Cut / imbalance trade-off used by refinement (a
+        :class:`~repro.partition.rhop_partitioner.PartitionObjective`).
     """
 
-    def __init__(self, num_parts: int, objective: Optional[PartitionObjective] = None) -> None:
+    def __init__(self, num_parts: int, objective: PartitionObjective) -> None:
         if num_parts < 1:
             raise ValueError("num_parts must be positive")
         self.num_parts = int(num_parts)
-        self.objective = objective or PartitionObjective()
+        self.objective = objective
 
     # -- public API ---------------------------------------------------------------
     def partition_edges(

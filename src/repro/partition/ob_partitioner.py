@@ -20,11 +20,13 @@ but worse balance.
 
 from __future__ import annotations
 
-from typing import List
+from typing import TYPE_CHECKING, List
 
 from repro.partition.base import RegionPartitioner
-from repro.program.ddg import DataDependenceGraph
 from repro.scenarios.registry import register_partitioner
+
+if TYPE_CHECKING:  # pragma: no cover - typing only; the DDG loads when a pass runs
+    from repro.program.ddg import DataDependenceGraph
 
 
 class OperationBasedPartitioner(RegionPartitioner):

@@ -22,13 +22,56 @@ estimate cannot anticipate dynamic behaviour in an out-of-order core.
 
 from __future__ import annotations
 
-from typing import List
+from dataclasses import dataclass, fields
+from typing import TYPE_CHECKING, List, Mapping, Union
 
-from repro.analysis.slack import compute_slack
 from repro.partition.base import RegionPartitioner
-from repro.partition.multilevel import MultilevelPartitioner, PartitionObjective
-from repro.program.ddg import DataDependenceGraph
 from repro.scenarios.registry import register_partitioner
+
+if TYPE_CHECKING:  # pragma: no cover - typing only; the algorithms load per region
+    from repro.program.ddg import DataDependenceGraph
+
+
+@dataclass(frozen=True)
+class PartitionObjective:
+    """Objective weights of the multilevel refinement pass.
+
+    ``cut_weight`` scales the total weight of edges crossing partitions
+    (communication); ``imbalance_weight`` scales the deviation of each
+    partition's node weight from the ideal (workload imbalance); and no
+    move may grow a partition past ``1 + max_imbalance`` times the ideal
+    weight.  RHOP refines using "the workload per cluster and total system
+    workload", so its defaults weigh imbalance more heavily than
+    communication, which is what makes RHOP balance-oriented (and, as the
+    paper observes, better balanced but copy-heavier than VC).  Every
+    weight must be a non-negative number.
+    """
+
+    cut_weight: float = 1.0
+    imbalance_weight: float = 2.0
+    max_imbalance: float = 0.15
+
+    def __post_init__(self) -> None:
+        for spec in fields(self):
+            value = getattr(self, spec.name)
+            if isinstance(value, bool) or not isinstance(value, (int, float)) or not value >= 0:
+                raise ValueError(
+                    f"objective field {spec.name!r} must be a non-negative number, "
+                    f"got {value!r}"
+                )
+            object.__setattr__(self, spec.name, float(value))
+
+    @classmethod
+    def from_mapping(cls, data: Mapping[str, object]) -> "PartitionObjective":
+        """The objective a scenario's JSON names: any subset of the fields,
+        the others at their defaults.  Unknown fields raise ``ValueError``."""
+        known = [spec.name for spec in fields(cls)]
+        unknown = sorted(set(data) - set(known))
+        if unknown:
+            raise ValueError(
+                f"unknown objective fields {unknown}; expected a subset of {known}"
+            )
+        return cls(**data)
 
 
 class RhopPartitioner(RegionPartitioner):
@@ -44,11 +87,9 @@ class RhopPartitioner(RegionPartitioner):
         Weight given to zero-slack (critical) dependence edges; slacker edges
         get proportionally smaller weights down to 1.
     objective:
-        Cut / balance trade-off of the refinement stage.  RHOP refines using
-        "the workload per cluster and total system workload"; the default
-        objective therefore weighs imbalance more heavily than the generic
-        engine's default, which is what makes RHOP balance-oriented (and, as
-        the paper observes, better balanced but copy-heavier than VC).
+        Cut / balance trade-off of the refinement stage: a
+        :class:`PartitionObjective`, or the mapping of its fields a
+        scenario's JSON gives (``None``: the defaults).
     """
 
     name = "RHOP"
@@ -58,16 +99,26 @@ class RhopPartitioner(RegionPartitioner):
         num_clusters: int = 2,
         region_size: int = 128,
         max_edge_weight: int = 16,
-        objective: PartitionObjective | None = None,
+        objective: Union[PartitionObjective, Mapping[str, object], None] = None,
     ) -> None:
         super().__init__(num_targets=num_clusters, region_size=region_size)
         self.max_edge_weight = int(max_edge_weight)
-        self.objective = objective or PartitionObjective(
-            cut_weight=1.0, imbalance_weight=2.0, max_imbalance=0.15
-        )
+        if objective is None:
+            objective = PartitionObjective()
+        elif isinstance(objective, Mapping):
+            objective = PartitionObjective.from_mapping(objective)
+        elif not isinstance(objective, PartitionObjective):
+            raise ValueError(
+                f"objective must be a PartitionObjective or a mapping of its fields, "
+                f"got {objective!r}"
+            )
+        self.objective = objective
 
     def partition_region(self, ddg: DataDependenceGraph) -> List[int]:
         """Partition one region DDG onto the physical clusters."""
+        from repro.analysis.slack import compute_slack
+        from repro.partition.multilevel import MultilevelPartitioner
+
         if len(ddg) == 0:
             return []
         slack = compute_slack(ddg)

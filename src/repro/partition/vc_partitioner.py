@@ -23,13 +23,13 @@ extension carries.
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import TYPE_CHECKING, List, Sequence
 
-from repro.analysis.criticality import compute_criticality
 from repro.partition.base import AnnotationLists, PartitionReport, RegionPartitioner
-from repro.partition.chains import chain_leaders
-from repro.program.ddg import DataDependenceGraph
 from repro.scenarios.registry import register_partitioner
+
+if TYPE_CHECKING:  # pragma: no cover - typing only; the algorithms load per region
+    from repro.program.ddg import DataDependenceGraph
 
 
 class VirtualClusterPartitioner(RegionPartitioner):
@@ -84,6 +84,8 @@ class VirtualClusterPartitioner(RegionPartitioner):
         Ties go to the most critical predecessor's virtual cluster (keeps
         critical chains whole), then the less loaded, then the lower one.
         """
+        from repro.analysis.criticality import compute_criticality
+
         num_vcs = self.num_targets
         per_vc_slots = num_vcs * self.issue_width
         communication = self.communication_latency
@@ -132,6 +134,8 @@ class VirtualClusterPartitioner(RegionPartitioner):
         The hybrid scheme never binds instructions to physical clusters at
         compile time, so ``static_cluster`` stays unset.
         """
+        from repro.partition.chains import chain_leaders
+
         vc_id, chain_leader, _ = columns
         leaders = chain_leaders(ddg, assignment)
         report.chain_leaders += sum(leaders)

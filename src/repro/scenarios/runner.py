@@ -39,7 +39,7 @@ from repro.scenarios.spec import ScenarioSpec
 
 #: Report kinds: ``name -> (spec, engine) -> str``.  The adaptive kinds
 #: live in their own module (it imports this one for the registry, so it
-#: loads lazily on first lookup).
+#: loads lazily, on the first lookup of a kind not registered here).
 REPORT_KINDS = Registry("report kind", builtin_modules=("repro.scenarios.adaptive",))
 
 

@@ -10,6 +10,7 @@ trace machinery.
 from __future__ import annotations
 
 import enum
+import json
 from dataclasses import asdict, dataclass, field, replace
 from functools import cached_property
 from typing import Dict
@@ -116,16 +117,16 @@ class BenchmarkProfile:
         return self.suite == "fp"
 
     @cached_property
-    def identity(self) -> Dict[str, object]:
-        """JSON-compatible dump of every field (kernel-mix keys by name).
+    def identity_json(self) -> str:
+        """Every field (kernel-mix keys by name) as canonical JSON: sorted
+        keys, no whitespace, the encoding of the engine's job keys.
 
-        The profile part of the engine's cache and trace keys.  Computed
-        once per instance (fields are frozen) and shared: treat it as
-        read-only.
+        The profile fragment of the engine's cache and trace keys.  Encoded
+        once per instance (fields are frozen).
         """
         data = asdict(self)
         data["kernel_mix"] = {kind.name: weight for kind, weight in self.kernel_mix.items()}
-        return data
+        return json.dumps(data, sort_keys=True, separators=(",", ":"))
 
     def with_overrides(self, **kwargs) -> "BenchmarkProfile":
         """Return a copy of the profile with the given fields replaced."""

@@ -9,6 +9,7 @@ import pytest
 
 from repro.program.ddg import build_ddg
 from repro.partition.multilevel import _merge_edges
+from repro.partition.rhop_partitioner import PartitionObjective
 from repro.program.program import Program
 from repro.uops.compiled import CompiledTrace, empty_annotations
 from repro.uops.opcodes import UopClass, is_memory, latency_of
@@ -76,6 +77,10 @@ def leaves(ddg):
 def critical_nodes(info):
     """The nodes a :class:`CriticalityInfo` puts on some critical path."""
     return [i for i, c in enumerate(info.criticality) if c == info.critical_path_length]
+
+
+#: The refinement weights the multilevel partitioner's own tests run with.
+TEST_OBJECTIVE = PartitionObjective(cut_weight=1.0, imbalance_weight=0.5, max_imbalance=0.25)
 
 
 def partition_graph(partitioner, node_weights, edge_weights, node_groups=None):

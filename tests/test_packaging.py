@@ -7,8 +7,13 @@
   Nor does it load the lint driver, which has its own front end.
 * ``python -m repro.analysis`` loads no numpy, so the lint jobs need none.
 * A figure replayed from the result cache loads neither numpy nor the
-  simulator nor the worker pool: package exports resolve lazily, and each
-  module imports numpy where it touches arrays.
+  simulator nor the worker pool (``concurrent.futures``, ``logging``) nor
+  the adaptive scheduler nor the partitioning algorithms: package exports
+  resolve lazily, each module imports numpy where it touches arrays, and
+  the partitioner modules import their algorithms when a region is
+  partitioned.  Validating figure5 (the set-up path) loads none of them
+  either, although it builds every policy and partitioner.
+* ``perfbench/layers.py`` can still wrap every name it patches.
 * Every ``__all__`` name of every ``repro`` package still resolves.
 """
 
@@ -76,10 +81,54 @@ def test_lint_driver_leaves_numpy_unloaded():
 REPLAY_UNLOADED = (
     "numpy",
     "multiprocessing",
-    "concurrent.futures.process",
+    "concurrent.futures",
+    "logging",
     "repro.cluster.kernel",
     "repro.uops.compiled",
+    "repro.engine.adaptive",
+    "repro.scenarios.adaptive",
+    "repro.partition.multilevel",
+    "repro.partition.chains",
+    "repro.analysis.slack",
+    "repro.analysis.criticality",
+    "repro.program.ddg",
+    "repro.program.regions",
 )
+
+
+def test_validating_figure5_leaves_the_replay_unloaded_modules_unloaded():
+    """The set-up path builds every policy and partitioner but runs no pass."""
+    code = (
+        "import sys, repro.cli\n"
+        "from repro.scenarios.builtin import builtin_scenario\n"
+        "builtin_scenario('figure5').validate()\n"
+        "found = [name for name in {unloaded!r} if name in sys.modules]\n"
+        "sys.exit(f'validate loaded {{found}}' if found else 0)\n"
+    ).format(unloaded=REPLAY_UNLOADED)
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
+
+
+def test_perfbench_wrappers_resolve_after_import_repro_cli():
+    """``perfbench/layers.py`` wraps names after ``import repro.cli``: each must exist."""
+    code = (
+        "import sys\n"
+        "sys.path.insert(0, {perfbench!r})\n"
+        "import repro.cli, layers\n"
+        "layers.install()\n"
+        "from repro.engine import parallel\n"
+        "assert parallel.as_completed.__wrapped__.__module__ == 'repro.engine.parallel'\n"
+        "assert parallel.execute_batch.__wrapped__.__name__ == 'execute_batch'\n"
+        "assert parallel._prepare_job.__wrapped__.__name__ == '_prepare_job'\n"
+    ).format(perfbench=str(ROOT / "perfbench"))
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
 
 REPLAY_ARGV = [
     "run", "figure5", "--benchmarks", "164.gzip-1", "178.galgel", "--trace-length", "600",

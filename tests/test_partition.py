@@ -6,19 +6,20 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.partition import base
 from repro.partition.base import PartitionReport, program_regions, region_ddg
 from repro.partition.chains import identify_chains
-from repro.partition.multilevel import MultilevelPartitioner, PartitionObjective
+from repro.partition.multilevel import MultilevelPartitioner
 from repro.partition.ob_partitioner import OperationBasedPartitioner
-from repro.partition.rhop_partitioner import RhopPartitioner
+from repro.partition.rhop_partitioner import PartitionObjective, RhopPartitioner
 from repro.partition.vc_partitioner import VirtualClusterPartitioner
+from repro.program import ddg as ddg_module
 from repro.program.ddg import build_ddg
 from repro.program.program import pack, unpack
 from repro.scenarios.registry import PARTITIONERS, build_partitioner
 from repro.workloads.generator import WorkloadGenerator, generate_program
 from repro.workloads.spec2000 import all_trace_names, profile_for
 from tests.conftest import (
+    TEST_OBJECTIVE,
     block_ddg,
     edge_latency,
     make_instruction,
@@ -87,7 +88,7 @@ class TestChains:
 class TestMultilevelPartitioner:
     def test_partition_covers_all_parts_when_possible(self, two_chain_block):
         ddg = block_ddg(two_chain_block)
-        partitioner = MultilevelPartitioner(2)
+        partitioner = MultilevelPartitioner(2, TEST_OBJECTIVE)
         weights = [1] * len(ddg)
         edges = {edge: 10 for edge in edge_latency(ddg)}
         assignment = partition_graph(partitioner, weights, edges)
@@ -95,7 +96,7 @@ class TestMultilevelPartitioner:
 
     def test_independent_chains_not_split(self, two_chain_block):
         ddg = block_ddg(two_chain_block)
-        partitioner = MultilevelPartitioner(2)
+        partitioner = MultilevelPartitioner(2, TEST_OBJECTIVE)
         edges = {edge: 10 for edge in edge_latency(ddg)}
         assignment = partition_graph(partitioner, [1] * len(ddg), edges)
         # No dependence edge should be cut: the two chains are separable.
@@ -103,14 +104,14 @@ class TestMultilevelPartitioner:
             assert assignment[u] == assignment[v]
 
     def test_single_part(self):
-        partitioner = MultilevelPartitioner(1)
+        partitioner = MultilevelPartitioner(1, TEST_OBJECTIVE)
         assert partition_graph(partitioner, [1, 1, 1], {(0, 1): 1}) == [0, 0, 0]
 
     def test_empty_graph(self):
-        assert partition_graph(MultilevelPartitioner(2), [], {}) == []
+        assert partition_graph(MultilevelPartitioner(2, TEST_OBJECTIVE), [], {}) == []
 
     def test_fewer_nodes_than_parts(self):
-        assignment = partition_graph(MultilevelPartitioner(4), [1, 1], {})
+        assignment = partition_graph(MultilevelPartitioner(4, TEST_OBJECTIVE), [1, 1], {})
         assert len(assignment) == 2
         assert all(0 <= part < 4 for part in assignment)
 
@@ -120,7 +121,10 @@ class TestMultilevelPartitioner:
         weights = [1] * 8
         groups = [0, 0, 0, 0, 1, 1, 1, 1]
         partitioner = MultilevelPartitioner(
-            2, objective=PartitionObjective(cut_weight=1.0, imbalance_weight=5.0)
+            2,
+            objective=PartitionObjective(
+                cut_weight=1.0, imbalance_weight=5.0, max_imbalance=0.25
+            ),
         )
         assignment = partition_graph(partitioner, weights, {}, node_groups=groups)
         for group in (0, 1):
@@ -129,7 +133,7 @@ class TestMultilevelPartitioner:
 
     def test_invalid_num_parts(self):
         with pytest.raises(ValueError):
-            MultilevelPartitioner(0)
+            MultilevelPartitioner(0, TEST_OBJECTIVE)
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -148,7 +152,7 @@ class TestMultilevelPartitioner:
             u, v = int(rng.integers(0, num_nodes)), int(rng.integers(0, num_nodes))
             if u != v:
                 edges[(u, v)] = int(rng.integers(1, 16))
-        assignment = partition_graph(MultilevelPartitioner(num_parts), weights, edges)
+        assignment = partition_graph(MultilevelPartitioner(num_parts, TEST_OBJECTIVE), weights, edges)
         assert len(assignment) == num_nodes
         assert all(0 <= part < num_parts for part in assignment)
 
@@ -338,13 +342,14 @@ class TestSharedRegions:
         regions = program_regions(program, 128)
         assert len(regions) > 1
         built = []
-        build_ddg = base.build_ddg
 
         def counted(program, sids):
             built.append(sids[0])
             return build_ddg(program, sids)
 
-        monkeypatch.setattr(base, "build_ddg", counted)
+        # region_ddg imports build_ddg when it runs, so it reads the name
+        # from repro.program.ddg: that is the one to patch.
+        monkeypatch.setattr(ddg_module, "build_ddg", counted)
         first_region = regions[0]
         first_sids = first_region.sids
         compile_pass = VirtualClusterPartitioner(num_virtual_clusters=2)

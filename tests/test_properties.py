@@ -24,6 +24,7 @@ from repro.steering.static_follow import StaticAssignmentSteering
 from repro.steering.virtual_cluster import VirtualClusterSteering
 from repro.uops.opcodes import UopClass
 from tests.conftest import (
+    TEST_OBJECTIVE,
     block_ddg,
     critical_nodes,
     edge_latency,
@@ -158,7 +159,7 @@ class TestPartitionProperties:
         slack = compute_slack(ddg)
         weights = [1] * len(ddg)
         edges = dict(zip(edge_latency(ddg), slack.edge_weights()))
-        assignment = partition_graph(MultilevelPartitioner(parts), weights, edges)
+        assignment = partition_graph(MultilevelPartitioner(parts, TEST_OBJECTIVE), weights, edges)
         assert len(assignment) == len(ddg)
         assert all(0 <= part < parts for part in assignment)
 

@@ -137,8 +137,19 @@ class TestConfigurationSpecs:
         assert config.to_dict()["policy_params"] == {"weights": [1, [2, 3]]}
 
     def test_unhashable_param_values_rejected_at_construction(self):
-        with pytest.raises(TypeError, match="JSON scalars or lists"):
-            SteeringConfiguration(name="x", policy="OP", policy_params={"w": {"a": 1}})
+        with pytest.raises(TypeError, match="JSON scalars, lists or objects"):
+            SteeringConfiguration(name="x", policy="OP", policy_params={"w": {1, 2}})
+
+    def test_mapping_params_stay_hashable_and_round_trip(self):
+        config = SteeringConfiguration(
+            name="x", policy="OP", policy_params={"w": {"b": [1, 2], "a": {"c": 3}}}
+        )
+        assert hash(config)  # detlint: ok DET108 (only asserts hashability, not a specific value)
+        assert SteeringConfiguration.from_dict(config.to_dict()) == config
+        assert config.to_dict()["policy_params"] == {"w": {"a": {"c": 3}, "b": [1, 2]}}
+        # A mapping never equals the list of its pairs.
+        pairs = SteeringConfiguration(name="x", policy="OP", policy_params={"w": [["a", 1]]})
+        assert pairs != SteeringConfiguration(name="x", policy="OP", policy_params={"w": {"a": 1}})
 
     def test_policy_and_partitioner_construction(self):
         vc = TABLE3_CONFIGURATIONS["VC"]
@@ -148,6 +159,55 @@ class TestConfigurationSpecs:
         assert partitioner.num_targets == 4 and partitioner.region_size == 64
         pinned = vc_variant("VC(2->4)", 2)
         assert pinned.make_policy(4, 4).num_virtual_clusters == 2
+
+
+def _rhop_scenario_file(tmp_path, objective) -> str:
+    """A JSON scenario whose RHOP configuration names a refinement objective."""
+    import json
+
+    rhop = {
+        "name": "RHOP",
+        "policy": "static",
+        "policy_params": {"name": "RHOP"},
+        "partitioner": "RHOP",
+        "partitioner_params": {"objective": objective},
+    }
+    path = tmp_path / "rhop.json"
+    path.write_text(
+        json.dumps(
+            {
+                "name": "rhop-objective",
+                "report": "table",
+                "benchmarks": ["164.gzip-1"],
+                "trace_length": 400,
+                "max_phases": 1,
+                "configurations": ["OP", rhop],
+            }
+        ),
+        encoding="utf-8",
+    )
+    return str(path)
+
+
+class TestRhopObjectiveFromJson:
+    def test_objective_mapping_builds_and_runs(self, tmp_path):
+        from repro.partition.rhop_partitioner import PartitionObjective
+
+        spec = ScenarioSpec.from_file(_rhop_scenario_file(tmp_path, {"max_imbalance": 0.3}))
+        spec.validate()
+        rhop = spec.configurations[1]
+        partitioner = rhop.make_partitioner(2, 2, 128)
+        assert partitioner.objective == PartitionObjective(max_imbalance=0.3)
+        assert "RHOP" in run_scenario(spec)
+
+    @pytest.mark.parametrize(
+        "objective, field",
+        [({"cut_wieght": 1.0}, "cut_wieght"), ({"max_imbalance": -0.1}, "max_imbalance")],
+    )
+    def test_bad_objective_fails_validation_naming_the_field(self, tmp_path, objective, field):
+        spec = ScenarioSpec.from_file(_rhop_scenario_file(tmp_path, objective))
+        with pytest.raises(ValueError, match=f"configuration 'RHOP': .*{field}"):
+            spec.validate()
 
 
 class TestRegistries:
