@@ -14,36 +14,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
-
-
-#: How :meth:`SimulationMetrics.to_dict` copies a field of each annotated
-#: type: a counter as it is (``None``), a per-cluster list or the cache
-#: summary one level deep (they hold numbers only).
-_FIELD_COPIES: Dict[str, Optional[Callable]] = {"int": None, "List[int]": list, "Dict[str, float]": dict}
-
-#: ``(field names, ((name, copy), ...))`` of each metrics class, in field order.
-_FIELD_TABLES: Dict[type, Tuple[FrozenSet[str], Tuple[Tuple[str, Optional[Callable]], ...]]] = {}
-
-
-def _field_table(cls: type) -> Tuple[FrozenSet[str], Tuple[Tuple[str, Optional[Callable]], ...]]:
-    """The field table of ``cls``, built on first use (see :data:`_FIELD_TABLES`).
-
-    A field whose annotation :data:`_FIELD_COPIES` does not list raises
-    ``TypeError``, so a new field cannot be dumped or checked by accident.
-    """
-    table = _FIELD_TABLES.get(cls)
-    if table is None:
-        entries = []
-        for spec in fields(cls):
-            if spec.type not in _FIELD_COPIES:
-                raise TypeError(
-                    f"SimulationMetrics field {spec.name!r} has type {spec.type!r}, "
-                    f"not one of {sorted(_FIELD_COPIES)}"
-                )
-            entries.append((spec.name, _FIELD_COPIES[spec.type]))
-        table = _FIELD_TABLES[cls] = (frozenset(name for name, _ in entries), tuple(entries))
-    return table
+from typing import Dict, List
 
 
 def _check_count(name: str, value: object) -> None:
@@ -176,9 +147,8 @@ class SimulationMetrics:
         """
         # The field table covers every dataclass field, so new counters can
         # never be forgotten here.
-        _, table = _field_table(type(self))
         data: Dict[str, object] = {}
-        for name, copy in table:
+        for name, copy in _FIELDS:
             value = getattr(self, name)
             data[name] = value if copy is None else copy(value)
         return data
@@ -195,15 +165,14 @@ class SimulationMetrics:
         whose length is not ``num_clusters``, or a non-numeric ``cache``
         value.  Each raises ``ValueError`` naming the field.
         """
-        names, table = _field_table(cls)
         present = set(data)
-        if present != names:
-            unknown = present - names
+        if present != _FIELD_NAMES:
+            unknown = present - _FIELD_NAMES
             if unknown:
                 raise ValueError(f"unknown SimulationMetrics fields: {sorted(unknown)}")
-            raise ValueError(f"missing SimulationMetrics fields: {sorted(names - present)}")
+            raise ValueError(f"missing SimulationMetrics fields: {sorted(_FIELD_NAMES - present)}")
         kwargs = dict(data)
-        for name, copy in table:
+        for name, copy in _FIELDS:
             if copy is None:
                 _check_count(name, kwargs[name])
         num_clusters = kwargs["num_clusters"]
@@ -228,3 +197,14 @@ class SimulationMetrics:
             raise ValueError(f"SimulationMetrics field 'cache' must map to numbers, got {cache!r}")
         kwargs["cache"] = dict(cache)
         return cls(**kwargs)
+
+
+#: ``(name, copy)`` of every :class:`SimulationMetrics` field, in field order:
+#: :meth:`~SimulationMetrics.to_dict` dumps a counter as it is (``None``) and
+#: copies a per-cluster list or the cache summary one level deep (they hold
+#: numbers only); :meth:`~SimulationMetrics.from_dict` checks every counter.
+_FIELDS = tuple(
+    (spec.name, None if spec.type == "int" else (list if spec.type.startswith("List") else dict))
+    for spec in fields(SimulationMetrics)
+)
+_FIELD_NAMES = frozenset(name for name, _ in _FIELDS)

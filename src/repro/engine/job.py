@@ -61,10 +61,9 @@ def _json_scalar(value: object) -> str:
 _REGISTER_COUNTS = _canonical_json({"num_int": NUM_INT_REGISTERS, "num_fp": NUM_FP_REGISTERS})
 
 #: Canonical JSON of each resolved machine by ``(num_clusters,
-#: config_overrides)`` and of each configuration's cache identity: the jobs
-#: of a figure run share a handful of each, so each is encoded once.
+#: config_overrides)``: the jobs of a figure run share a handful of
+#: geometries, so each is encoded once.
 _MACHINE_FRAGMENTS: Dict[Tuple[object, ...], str] = {}
-_CONFIGURATION_FRAGMENTS: Dict["SteeringConfiguration", str] = {}
 
 
 @dataclass(frozen=True)
@@ -171,17 +170,12 @@ class SimulationJob:
         machine = _MACHINE_FRAGMENTS.get(geometry)
         if machine is None:
             machine = _MACHINE_FRAGMENTS[geometry] = _canonical_json(asdict(self.machine_config()))
-        identity = _CONFIGURATION_FRAGMENTS.get(configuration)
-        if identity is None:
-            identity = _CONFIGURATION_FRAGMENTS[configuration] = _canonical_json(
-                configuration.cache_identity()
-            )
         region_size = self.region_size if configuration.uses_compiler else None
         # The canonical JSON of {schema, profile, phase, configuration,
         # trace_length, region_size, num_virtual_clusters, machine_config,
         # register_space}: keys in sorted order, values as key fragments.
         text = (
-            f'{{"configuration":{identity},"machine_config":{machine},'
+            f'{{"configuration":{configuration.cache_identity_json},"machine_config":{machine},'
             f'"num_virtual_clusters":{_json_scalar(effective_vcs)},'
             f'"phase":{_json_scalar(self.phase)},"profile":{self.profile.identity_json},'
             f'"region_size":{_json_scalar(region_size)},"register_space":{_REGISTER_COUNTS},'

@@ -24,7 +24,9 @@ there is no separate spec type and no inline-only fallback path.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, fields, replace
+from functools import cached_property
 from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Tuple, Union
 
 from repro.scenarios.registry import build_partitioner, build_policy
@@ -230,6 +232,17 @@ class SteeringConfiguration:
             "partitioner": self.partitioner,
             "partitioner_params": thaw_params(self.partitioner_params),
         }
+
+    @cached_property
+    def cache_identity_json(self) -> str:
+        """:meth:`cache_identity` as canonical JSON: sorted keys, no
+        whitespace, the encoding of the engine's job keys.
+
+        The configuration fragment of
+        :meth:`repro.engine.job.SimulationJob.cache_key`.  Encoded once per
+        instance (fields are frozen).
+        """
+        return json.dumps(self.cache_identity(), sort_keys=True, separators=(",", ":"))
 
     # -- serialization -----------------------------------------------------------
     def to_dict(self) -> Dict[str, object]:

@@ -23,7 +23,7 @@ estimate cannot anticipate dynamic behaviour in an out-of-order core.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import TYPE_CHECKING, List, Mapping, Union
+from typing import TYPE_CHECKING, List, Mapping, Optional
 
 from repro.partition.base import RegionPartitioner
 from repro.scenarios.registry import register_partitioner
@@ -87,9 +87,9 @@ class RhopPartitioner(RegionPartitioner):
         Weight given to zero-slack (critical) dependence edges; slacker edges
         get proportionally smaller weights down to 1.
     objective:
-        Cut / balance trade-off of the refinement stage: a
-        :class:`PartitionObjective`, or the mapping of its fields a
-        scenario's JSON gives (``None``: the defaults).
+        Cut / balance trade-off of the refinement stage: the mapping of
+        :class:`PartitionObjective` fields a scenario's JSON gives (any
+        subset; ``None``: the defaults).
     """
 
     name = "RHOP"
@@ -99,20 +99,16 @@ class RhopPartitioner(RegionPartitioner):
         num_clusters: int = 2,
         region_size: int = 128,
         max_edge_weight: int = 16,
-        objective: Union[PartitionObjective, Mapping[str, object], None] = None,
+        objective: Optional[Mapping[str, object]] = None,
     ) -> None:
         super().__init__(num_targets=num_clusters, region_size=region_size)
         self.max_edge_weight = int(max_edge_weight)
         if objective is None:
-            objective = PartitionObjective()
+            self.objective = PartitionObjective()
         elif isinstance(objective, Mapping):
-            objective = PartitionObjective.from_mapping(objective)
-        elif not isinstance(objective, PartitionObjective):
-            raise ValueError(
-                f"objective must be a PartitionObjective or a mapping of its fields, "
-                f"got {objective!r}"
-            )
-        self.objective = objective
+            self.objective = PartitionObjective.from_mapping(objective)
+        else:
+            raise ValueError(f"objective must be a mapping of its fields, got {objective!r}")
 
     def partition_region(self, ddg: DataDependenceGraph) -> List[int]:
         """Partition one region DDG onto the physical clusters."""

@@ -5,7 +5,8 @@ to the scenario machinery.  A :class:`PointSampler` turns one sweep point of
 a replicated :class:`~repro.scenarios.spec.ScenarioSpec` into a grid of
 ``(configuration, replication)`` cells, each cell being the benchmark-set
 aggregate of one full seed block, and executes the cells a stopping-rule
-driver asks for -- nothing more.  Three report kinds consume it:
+driver asks for -- nothing more.  Three report kinds consume it (registered
+in :mod:`repro.scenarios.runner`, which imports this module when one runs):
 
 ``"replicated"``
     Per-configuration estimates via :func:`~repro.engine.adaptive.run_ci`:
@@ -54,7 +55,7 @@ from repro.engine.parallel import ParallelRunner
 from repro.experiments.configs import SteeringConfiguration
 from repro.experiments.report import format_table
 from repro.experiments.runner import ExperimentRunner, PhaseMatrix, slowdown_percent
-from repro.scenarios.runner import REPORT_KINDS, _require_configurations, aggregate_suite
+from repro.scenarios.runner import _require_configurations, aggregate_suite
 from repro.scenarios.spec import ScenarioSpec, StoppingRule
 from repro.workloads.profile import BenchmarkProfile
 from repro.workloads.spec2000 import profile_for
@@ -247,8 +248,7 @@ def _record_stats(
     stats["stop_bisected"] += skipped_points
 
 
-@REPORT_KINDS.register("replicated")
-def _replicated_report(spec: ScenarioSpec, engine: ParallelRunner) -> str:
+def replicated_report(spec: ScenarioSpec, engine: ParallelRunner) -> str:
     """Per-configuration CI-resolved estimates, per sweep point."""
     rule = _require_rule(spec, "ci")
     configurations = _require_configurations(spec)
@@ -295,8 +295,7 @@ def _replicated_report(spec: ScenarioSpec, engine: ParallelRunner) -> str:
     return format_table(rows, title=f"Replicated estimates -- {spec.name}")
 
 
-@REPORT_KINDS.register("race")
-def _race_report(spec: ScenarioSpec, engine: ParallelRunner) -> str:
+def race_report(spec: ScenarioSpec, engine: ParallelRunner) -> str:
     """Race the configurations for the best (lowest-cycles) policy."""
     rule = _require_rule(spec, "race")
     configurations = _require_configurations(spec, minimum=2)
@@ -331,8 +330,7 @@ def _race_report(spec: ScenarioSpec, engine: ParallelRunner) -> str:
     return format_table(rows, title=f"Race -- {spec.name}")
 
 
-@REPORT_KINDS.register("crossover")
-def _crossover_report(spec: ScenarioSpec, engine: ParallelRunner) -> str:
+def crossover_report(spec: ScenarioSpec, engine: ParallelRunner) -> str:
     """Bisect the sweep axis for the baseline/subject crossover point."""
     rule = _require_rule(spec, "bisect")
     configurations = _require_configurations(spec, minimum=2)

@@ -54,8 +54,7 @@ class Registry:
         Human-readable description of what is registered, used in error
         messages (``"steering policy"``).
     builtin_modules:
-        Modules imported lazily by the first lookup of a name not yet
-        registered (and by :meth:`names` and ``in``), so the built-in
+        Modules imported lazily before the first lookup, so the built-in
         registrations are always visible without eager package imports (the
         leaf modules register themselves when imported).
     """
@@ -107,15 +106,7 @@ class Registry:
         self._entries.pop(name, None)
 
     def get(self, name: str) -> Callable:
-        """The builder registered under ``name``; unknown names list the known ones.
-
-        The built-in modules load only when ``name`` is not registered yet:
-        a name registered next to its registry (the report kinds of
-        :mod:`repro.scenarios.runner`) resolves without loading any of them.
-        """
-        builder = self._entries.get(name)
-        if builder is not None:
-            return builder
+        """The builder registered under ``name``; unknown names list the known ones."""
         self._load_builtins()
         try:
             return self._entries[name]

@@ -37,10 +37,10 @@ from repro.experiments.slowdown import SlowdownResult, run_slowdown
 from repro.scenarios.registry import Registry
 from repro.scenarios.spec import ScenarioSpec
 
-#: Report kinds: ``name -> (spec, engine) -> str``.  The adaptive kinds
-#: live in their own module (it imports this one for the registry, so it
-#: loads lazily, on the first lookup of a kind not registered here).
-REPORT_KINDS = Registry("report kind", builtin_modules=("repro.scenarios.adaptive",))
+#: Report kinds: ``name -> (spec, engine) -> str``.  Every built-in kind is
+#: registered in this module; the adaptive kinds forward to
+#: :mod:`repro.scenarios.adaptive`, which loads only when one of them runs.
+REPORT_KINDS = Registry("report kind")
 
 
 def run_scenario(
@@ -287,3 +287,27 @@ def _sweep_report(spec: ScenarioSpec, engine: ParallelRunner) -> str:
     # No trailing blank line, unlike _join: the perfbench sweep reference
     # tables and the CLI footer that follows pin this layout.
     return format_table(sweep_rows(spec, engine), title=f"Ablation sweep -- {swept}")
+
+
+@REPORT_KINDS.register("replicated")
+def _replicated_report(spec: ScenarioSpec, engine: ParallelRunner) -> str:
+    """Forward to :func:`repro.scenarios.adaptive.replicated_report`."""
+    from repro.scenarios.adaptive import replicated_report
+
+    return replicated_report(spec, engine)
+
+
+@REPORT_KINDS.register("race")
+def _race_report(spec: ScenarioSpec, engine: ParallelRunner) -> str:
+    """Forward to :func:`repro.scenarios.adaptive.race_report`."""
+    from repro.scenarios.adaptive import race_report
+
+    return race_report(spec, engine)
+
+
+@REPORT_KINDS.register("crossover")
+def _crossover_report(spec: ScenarioSpec, engine: ParallelRunner) -> str:
+    """Forward to :func:`repro.scenarios.adaptive.crossover_report`."""
+    from repro.scenarios.adaptive import crossover_report
+
+    return crossover_report(spec, engine)

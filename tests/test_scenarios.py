@@ -4,8 +4,12 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import os
 import pickle
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -202,7 +206,11 @@ class TestRhopObjectiveFromJson:
 
     @pytest.mark.parametrize(
         "objective, field",
-        [({"cut_wieght": 1.0}, "cut_wieght"), ({"max_imbalance": -0.1}, "max_imbalance")],
+        [
+            ({"cut_wieght": 1.0}, "cut_wieght"),
+            ({"max_imbalance": -0.1}, "max_imbalance"),
+            (0.3, "objective"),
+        ],
     )
     def test_bad_objective_fails_validation_naming_the_field(self, tmp_path, objective, field):
         spec = ScenarioSpec.from_file(_rhop_scenario_file(tmp_path, objective))
@@ -232,6 +240,36 @@ class TestRegistries:
         registry.unregister("a")
         registry.register("a")(lambda: 3)
         assert registry.get("a")() == 3
+
+    def test_shadowing_a_builtin_name_is_rejected_at_lookup(self):
+        # Registered before the built-in modules load, a user's "OP" still
+        # collides with occupancy.py's at the first lookup, whatever the name.
+        code = (
+            "from repro.scenarios.registry import POLICIES\n"
+            "POLICIES.register('OP')(lambda *args, **kwargs: None)\n"
+            "try:\n"
+            "    POLICIES.get('OP')\n"
+            "except ValueError as error:\n"
+            "    print(error)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        result = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert result.returncode == 0, result.stderr
+        assert "steering policy 'OP' is already registered" in result.stdout
+
+    def test_adaptive_kinds_are_listed_without_loading_the_adaptive_module(self):
+        code = (
+            "import sys\n"
+            "from repro.scenarios.runner import REPORT_KINDS\n"
+            "assert {'replicated', 'race', 'crossover'} <= set(REPORT_KINDS.names())\n"
+            "REPORT_KINDS.get('figure5')\n"
+            "sys.exit(int('repro.scenarios.adaptive' in sys.modules))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        result = subprocess.run([sys.executable, "-c", code], env=env, timeout=120)
+        assert result.returncode == 0
 
     def test_invalid_name_rejected(self):
         registry = Registry("thing")
