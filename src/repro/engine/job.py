@@ -61,8 +61,9 @@ def _json_scalar(value: object) -> str:
 _REGISTER_COUNTS = _canonical_json({"num_int": NUM_INT_REGISTERS, "num_fp": NUM_FP_REGISTERS})
 
 #: Canonical JSON of each resolved machine by ``(num_clusters,
-#: config_overrides)``: the jobs of a figure run share a handful of
-#: geometries, so each is encoded once.
+#: config_overrides, override value types)``: the jobs of a figure run share
+#: a handful of geometries, so each is encoded once.  The types keep apart
+#: overrides that compare equal but encode differently (``2`` and ``2.0``).
 _MACHINE_FRAGMENTS: Dict[Tuple[object, ...], str] = {}
 
 
@@ -166,7 +167,11 @@ class SimulationJob:
             effective_vcs = configuration.effective_virtual_clusters(self.num_virtual_clusters)
         else:
             effective_vcs = None
-        geometry = (self.num_clusters, self.config_overrides)
+        geometry = (
+            self.num_clusters,
+            self.config_overrides,
+            tuple(type(value) for _, value in self.config_overrides),
+        )
         machine = _MACHINE_FRAGMENTS.get(geometry)
         if machine is None:
             machine = _MACHINE_FRAGMENTS[geometry] = _canonical_json(asdict(self.machine_config()))

@@ -19,6 +19,7 @@ Contracts pinned here:
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -239,3 +240,27 @@ class TestOneRunPerSweep:
         assert len(matrix.jobs) == 200
         digest = hashlib.sha256("".join(job.cache_key() for job in matrix.jobs).encode())
         assert digest.hexdigest() == FIGURE5_KEYS_DIGEST
+
+    @pytest.mark.parametrize("first, second", [(2, 2.0), (2.0, 2)])
+    def test_equal_values_of_another_type_keep_their_own_keys(self, first, second):
+        # 2 == 2.0 and both hash alike, but they encode differently, so a key
+        # must not depend on which of the two the process encoded first.
+        spec = builtin_scenario("figure5")
+        rhop = next(c for c in spec.configurations if c.name == "RHOP")
+        runner = ExperimentRunner(spec)
+        job = runner.expand_phase_matrix(spec.resolved_benchmarks()[:1], [rhop]).jobs[0]
+        machine_keys = [
+            dataclasses.replace(job, config_overrides=(("link_latency", value),)).cache_key()
+            for value in (first, second)
+        ]
+        assert machine_keys[0] != machine_keys[1]
+        configuration_keys = [
+            dataclasses.replace(
+                job,
+                configuration=dataclasses.replace(
+                    rhop, partitioner_params={"max_edge_weight": 8 * value}
+                ),
+            ).cache_key()
+            for value in (first, second)
+        ]
+        assert configuration_keys[0] != configuration_keys[1]
